@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,27 +27,6 @@ from .staircase import (StaircaseSpec, beta_slope, build_truncation,
 EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, EXIT_INTERNAL = 0, 2, 3, 4, 5
 
 _KIND_ALIASES = {"rankdrop": "rank_drop"}
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: one subcommand plus its validated knobs."""
-
-    subcommand: str
-    args: argparse.Namespace
-    jobs: int = 1
-    rank_tol: float = 1e-9
-    eq_tol: float = 1e-9
-    merge_tol: float = 1e-12
-    deterministic: bool = True  # no seeded randomness anywhere in the core
-    outputs: list = field(default_factory=list)
-
-    def __post_init__(self):
-        for name in ("rank_tol", "eq_tol", "merge_tol"):
-            if not getattr(self, name) > 0.0:
-                raise PreconditionError(f"{name} must be positive")
-        if self.jobs < 1:
-            raise PreconditionError("jobs must be >= 1")
 
 
 # --- flag value parsers ----------------------------------------------------------
@@ -144,8 +122,7 @@ def _load_staircase(args) -> StaircaseSpec:
 # --- subcommand handlers (each returns True iff all produced verdicts pass) ------
 
 
-def _cmd_staircase_build(cfg: RunConfig) -> bool:
-    args = cfg.args
+def _cmd_staircase_build(args) -> bool:
     spec = _load_staircase(args)
     nu = build_truncation(spec, args.N)
     rep = verify_laminate(nu)
@@ -155,8 +132,7 @@ def _cmd_staircase_build(cfg: RunConfig) -> bool:
     return rep.ok
 
 
-def _cmd_staircase_slopes(cfg: RunConfig) -> bool:
-    args = cfg.args
+def _cmd_staircase_slopes(args) -> bool:
     spec = _load_staircase(args)
     logs = log_betas(spec, args.n_max)
     lines = ["n,beta,log_beta"]
@@ -171,8 +147,7 @@ def _cmd_staircase_slopes(cfg: RunConfig) -> bool:
     return True
 
 
-def _cmd_laminate_verify(cfg: RunConfig) -> bool:
-    args = cfg.args
+def _cmd_laminate_verify(args) -> bool:
     nu = serialize.measure_from_obj(serialize.load_json(args.measure),
                                     path=args.measure)
     rep = verify_laminate(nu, tol=args.tol)
@@ -183,8 +158,7 @@ def _cmd_laminate_verify(cfg: RunConfig) -> bool:
     return rep.ok
 
 
-def _cmd_verify_tails(cfg: RunConfig) -> bool:
-    args = cfg.args
+def _cmd_verify_tails(args) -> bool:
     nu = serialize.measure_from_obj(serialize.load_json(args.measure),
                                     path=args.measure)
     normA = args.normA if args.normA is not None else frob(barycenter(nu))
@@ -193,19 +167,16 @@ def _cmd_verify_tails(cfg: RunConfig) -> bool:
     return rep.passed
 
 
-def _cmd_synth_realize(cfg: RunConfig) -> bool:
-    args = cfg.args
+def _cmd_synth_realize(args) -> bool:
     nu = serialize.measure_from_obj(serialize.load_json(args.measure),
                                     path=args.measure)
-    pam = synth.realize_finite_laminate(nu, args.domain, eps=args.eps,
-                                        alpha=args.alpha)
+    pam = synth.realize_finite_laminate(nu, args.domain, eps=args.eps)
     serialize.dump_json(serialize.map_to_obj(pam, max_cells=args.max_cells),
                         args.out)
     return True
 
 
-def _cmd_synth_verify(cfg: RunConfig) -> bool:
-    args = cfg.args
+def _cmd_synth_verify(args) -> bool:
     cm = serialize.map_from_obj(serialize.load_json(args.map), path=args.map)
     ver = synth.verify_map(cm, alpha=args.alpha, sample_budget=args.samples)
     A, b = cm.boundary_affine
@@ -227,8 +198,7 @@ def _cmd_synth_verify(cfg: RunConfig) -> bool:
     return ok
 
 
-def _cmd_pipeline_product(cfg: RunConfig) -> bool:
-    args = cfg.args
+def _cmd_pipeline_product(args) -> bool:
     A = serialize.parse_matrix_arg(args.A)
     if A.shape != (2 * args.n, 2 * args.n):
         raise PreconditionError(
@@ -262,8 +232,7 @@ def _cmd_pipeline_product(cfg: RunConfig) -> bool:
     return ok
 
 
-def _cmd_pipeline_approx(cfg: RunConfig) -> bool:
-    args = cfg.args
+def _cmd_pipeline_approx(args) -> bool:
     A = serialize.parse_matrix_arg(args.A)
     steps = stages.approximate_sequence(A, j_max=args.j)
     errs = [s.error_moment for s in steps]
@@ -281,8 +250,7 @@ def _cmd_pipeline_approx(cfg: RunConfig) -> bool:
     return decreasing and floors > 0.0
 
 
-def _cmd_models_afs(cfg: RunConfig) -> bool:
-    args = cfg.args
+def _cmd_models_afs(args) -> bool:
     A = serialize.parse_matrix_arg(args.A)
     res = models.afs_pipeline(A, args.K, N=args.N)
     obj = {"K": args.K, "N": args.N,
@@ -297,8 +265,7 @@ def _cmd_models_afs(cfg: RunConfig) -> bool:
     return res.tail_report.passed
 
 
-def _cmd_models_plap(cfg: RunConfig) -> bool:
-    args = cfg.args
+def _cmd_models_plap(args) -> bool:
     if args.A is not None:
         A = serialize.parse_matrix_arg(args.A)
     else:
@@ -321,8 +288,7 @@ def _cmd_models_plap(cfg: RunConfig) -> bool:
     return res.tail_report.passed
 
 
-def _cmd_models_duality(cfg: RunConfig) -> bool:
-    args = cfg.args
+def _cmd_models_duality(args) -> bool:
     obj = serialize.load_json(args.infile)
     if isinstance(obj, dict) and "cells" in obj:
         loaded = serialize.map_from_obj(obj, path=args.infile)
@@ -337,8 +303,7 @@ def _cmd_models_duality(cfg: RunConfig) -> bool:
     return True
 
 
-def _cmd_report_dist(cfg: RunConfig) -> bool:
-    args = cfg.args
+def _cmd_report_dist(args) -> bool:
     if (args.map is None) == (args.measure is None):
         raise PreconditionError("give exactly one of --map / --measure")
     if args.map is not None:
@@ -366,7 +331,8 @@ def _cmd_report_dist(cfg: RunConfig) -> bool:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker pool size (LF_JOBS overrides)")
+                        help="reserved: validated (>= 1, LF_JOBS overrides), "
+                             "but nothing runs in parallel yet")
 
     top = argparse.ArgumentParser(prog="lamstair", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -414,7 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--domain", type=parse_domain, default="box:0,0,1,1")
     p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--max-cells", dest="max_cells", type=int, default=200_000)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_synth_realize)
@@ -483,11 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def dispatch(cfg: RunConfig) -> bool:
-    """Run the addressed operation; True iff all produced verdicts pass."""
-    return cfg.args.handler(cfg)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -500,9 +460,9 @@ def main(argv=None) -> int:
             except ValueError:
                 print(f"bad LF_JOBS value {env_jobs!r}", file=sys.stderr)
                 return EXIT_PARSE
-        cfg = RunConfig(subcommand=f"{args.command} {args.action}",
-                        args=args, jobs=jobs)
-        ok = dispatch(cfg)
+        if jobs < 1:
+            raise PreconditionError("jobs must be >= 1")
+        ok = args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -171,13 +171,6 @@ class LaminateReport:
     failed_step: int | None = None
 
 
-def replay_certificate(root, steps: Sequence[SplittingStep], tol: float = 1e-9) -> DiscreteMeasure:
-    nu = dirac(root, certificate=[])
-    for step in steps:
-        nu = elementary_split(nu, step, tol)
-    return nu
-
-
 def verify_laminate(nu: DiscreteMeasure, cert: Sequence[SplittingStep] | None = None,
                     tol: float = 1e-9) -> LaminateReport:
     steps = list(cert if cert is not None else (nu.certificate or ()))

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import InternalError, PreconditionError
 from .matrices import asmatrix, frob, member
@@ -51,6 +50,77 @@ def exponent(kind: str, params: dict) -> ExponentProfile:
     raise PreconditionError(f"unknown exponent kind {kind!r}")
 
 
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _minimize_bounded(f, a: float, b: float, xatol: float) -> float:
+    """Brent's bounded minimizer (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5): golden-section steps accelerated by parabolic
+    interpolation on [a, b], stopping when the bracket around the best point
+    is within xatol (plus a relative sqrt-eps term) or after 500 calls.
+    The step sequence follows the classic fminbound, so select_b returns the
+    same b to the last bit."""
+    fulc = nfc = xf = a + _GOLDEN_MEAN * (b - a)
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN_MEAN * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf
+
+
 def select_b(p: float, b_max: float = B_MAX, tol: float = 1e-8) -> float:
     """Maximizer of the p-Laplace exponent over b in (1, b_max]."""
     if not (1.0 < p < 2.0):
@@ -65,9 +135,7 @@ def select_b(p: float, b_max: float = B_MAX, tol: float = 1e-8) -> float:
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(neg_q, bounds=(lo, hi), method="bounded",
-                          options={"xatol": tol})
-    b = float(res.x)
+    b = _minimize_bounded(neg_q, float(lo), float(hi), tol)
     prof = exponent("plaplace", {"p": p, "b": b})
     if not prof.valid:
         raise InternalError(f"no valid exponent found for p={p}")

@@ -602,7 +602,7 @@ class ApproxStep:
     realized_map: object
 
 
-def approximate_sequence(A, domain=None, j_max: int = 6, alpha: float = 0.5,
+def approximate_sequence(A, domain=None, j_max: int = 6,
                          depth_floor: int = 11) -> list[ApproxStep]:
     """Sequence of piecewise-affine maps with gradients approaching the split
     determinant-one set at a rank-one seed outside the split set.

@@ -14,7 +14,6 @@ construction data is rational.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -77,17 +76,15 @@ class StaircaseSpec:
         self._gamma_fn = gamma_fn
         self.rational = rational
         self._memo: dict[int, StairStep] = {}
-        self._lock = threading.Lock()
 
     def step(self, n: int) -> StairStep:
         if n < 1:
             raise PreconditionError("staircase levels are 1-indexed")
-        with self._lock:
-            if n not in self._memo:
-                st = self._step_fn(n)
-                _validate_step(st)
-                self._memo[n] = st
-            return self._memo[n]
+        if n not in self._memo:
+            st = self._step_fn(n)
+            _validate_step(st)
+            self._memo[n] = st
+        return self._memo[n]
 
     def gamma(self, n: int) -> float:
         if self._gamma_fn is not None:
@@ -466,11 +463,6 @@ class ExtendedMeasure:
     finite_atoms: list[tuple[Weight, np.ndarray]]
     tails: list[tuple[Weight, StaircaseSpec]]
     root_certificate: list[SplittingStep]
-
-    def root_measure(self) -> DiscreteMeasure:
-        atoms = [Atom(w, B) for w, B in self.finite_atoms]
-        atoms += [Atom(w, sp.A0) for w, sp in self.tails]
-        return DiscreteMeasure(atoms, self.root_certificate)
 
     def truncate(self, N: int) -> DiscreteMeasure:
         atoms = [Atom(w, B) for w, B in self.finite_atoms]

@@ -22,7 +22,6 @@ from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import (
     InternalError,
@@ -36,8 +35,8 @@ from .measures import Atom, DiscreteMeasure, verify_laminate
 
 __all__ = [
     "OBox", "box", "Cell", "PiecewiseAffineMap", "MapVerification",
-    "roof", "realize_finite_laminate", "realize_measure", "realize_staircase",
-    "realize_extended", "reduce_exact", "gradient_distribution", "verify_map",
+    "roof", "realize_finite_laminate", "realize_staircase", "realize_extended",
+    "reduce_exact", "gradient_distribution", "verify_map",
     "cert_tree", "CertNode",
 ]
 
@@ -230,13 +229,7 @@ class MapNode:
     def sup_dev(self) -> float:
         raise NotImplementedError
 
-    def lip_dev(self) -> float:
-        raise NotImplementedError
-
     def grad_bound(self) -> float:
-        raise NotImplementedError
-
-    def calpha(self, alpha: float) -> float:
         raise NotImplementedError
 
     def iter_cells(self, out, shift, scale, limit) -> None:
@@ -282,14 +275,8 @@ class SlotMap(MapNode):
     def sup_dev(self):
         return 0.0 if self.inner is None else self.inner.sup_dev()
 
-    def lip_dev(self):
-        return 0.0 if self.inner is None else self.inner.lip_dev()
-
     def grad_bound(self):
         return frob(self.A) if self.inner is None else self.inner.grad_bound()
-
-    def calpha(self, alpha):
-        return 0.0 if self.inner is None else self.inner.calpha(alpha)
 
     def patch(self, node: MapNode) -> None:
         if self.inner is not None:
@@ -514,18 +501,8 @@ class RoofMap(MapNode):
         child = max(s.sup_dev() for s in self.slots.values())
         return self.H * self.norm_eta + child
 
-    def lip_dev(self):
-        own = self.norm_eta * max(self.lam1, self.lam2, self.rho)
-        return own + max(s.lip_dev() for s in self.slots.values())
-
     def grad_bound(self):
         return max(self.gmax, *(s.grad_bound() for s in self.slots.values()))
-
-    def calpha(self, alpha):
-        sup = self.H * self.norm_eta
-        lip = self.norm_eta * max(self.lam1, self.lam2, self.rho)
-        own = 2.0 * sup ** (1.0 - alpha) * lip ** alpha if sup > 0 else 0.0
-        return own + max(s.calpha(alpha) for s in self.slots.values())
 
     def _w_pt(self, shift, scale, t, y):
         F = self.domain.frame
@@ -649,14 +626,8 @@ class GridCover(MapNode):
     def sup_dev(self):
         return self.sigma * self.template.sup_dev()
 
-    def lip_dev(self):
-        return self.template.lip_dev()
-
     def grad_bound(self):
         return self.template.grad_bound()
-
-    def calpha(self, alpha):
-        return self.sigma ** (1.0 - alpha) * self.template.calpha(alpha)
 
     def iter_cells(self, out, shift, scale, limit):
         if self.k0 * self.k1 > limit:
@@ -860,14 +831,8 @@ class CoverMap(MapNode):
     def sup_dev(self):
         return self.sigma0 * self.template.sup_dev()
 
-    def lip_dev(self):
-        return self.template.lip_dev()
-
     def grad_bound(self):
         return max(self.template.grad_bound(), frob(self.A))
-
-    def calpha(self, alpha):
-        return max(self.sigma0, 1.0) ** (1.0 - alpha) * self.template.calpha(alpha)
 
     def iter_cells(self, out, shift, scale, limit):
         for level, lvl in self.rows.items():
@@ -1065,11 +1030,6 @@ class PiecewiseAffineMap:
     def grad_bound(self) -> float:
         return self.root.grad_bound()
 
-    def calpha_estimate(self, alpha: float) -> float:
-        if not 0.0 < alpha < 1.0:
-            raise PreconditionError("need alpha in (0,1)")
-        return self.root.calpha(alpha)
-
     def cells(self, max_cells: int = _MAX_CELLS_DEFAULT) -> list[Cell]:
         out: list[Cell] = []
         self.root.iter_cells(out, np.zeros(2), 1.0, max_cells)
@@ -1113,14 +1073,8 @@ class _SwappedNode(MapNode):
     def sup_dev(self):
         return self.base.sup_dev()
 
-    def lip_dev(self):
-        return self.base.lip_dev()
-
     def grad_bound(self):
         return self.base.grad_bound()
-
-    def calpha(self, alpha):
-        return self.base.calpha(alpha)
 
     def iter_cells(self, out, shift, scale, limit):
         inner: list[Cell] = []
@@ -1162,8 +1116,7 @@ def roof(A, b, A1, A2, lam1: float, domain: OBox, eps: float) -> PiecewiseAffine
 
 
 def realize_finite_laminate(nu: DiscreteMeasure, domain: OBox, A=None, b=0.0,
-                            eps: float = 0.1, alpha: float = 0.5,
-                            delta: float = math.inf,
+                            eps: float = 0.1, delta: float = math.inf,
                             s_moment: float = 2.0,
                             theta_min: float = THETA_MIN) -> PiecewiseAffineMap:
     """Piecewise-affine map whose gradient distribution matches the certified
@@ -1189,13 +1142,8 @@ def realize_finite_laminate(nu: DiscreteMeasure, domain: OBox, A=None, b=0.0,
     return PiecewiseAffineMap(node, A, b).seal()
 
 
-def realize_measure(nu: DiscreteMeasure, domain: OBox, **kw) -> PiecewiseAffineMap:
-    return realize_finite_laminate(nu, domain, **kw)
-
-
 def realize_staircase(spec, N: int, domain: OBox, A=None, b=0.0,
-                      eta: float = 0.1, alpha: float = 0.5,
-                      delta: float = math.inf,
+                      eta: float = 0.1, delta: float = math.inf,
                       s_moment: float = 4.0,
                       theta_min: float = THETA_MIN) -> PiecewiseAffineMap:
     """Realize the level-N truncation of a staircase laminate.  Good-cell
@@ -1222,8 +1170,7 @@ def realize_staircase(spec, N: int, domain: OBox, A=None, b=0.0,
 
 
 def realize_extended(ext, domain: OBox | None = None, delta: float = 0.05,
-                     depth: int = 4, alpha: float = 0.5,
-                     s_moment: float = 2.0) -> PiecewiseAffineMap:
+                     depth: int = 4, s_moment: float = 2.0) -> PiecewiseAffineMap:
     """Realize the depth-truncation of an extended measure; tail remainders
     become inductive cells."""
     if domain is None:
@@ -1331,7 +1278,7 @@ def reduce_exact(step_builder, domain: OBox, A, b, delta: float, alpha: float,
     reports = []
     for k in range(depth):
         if k > 0:
-            dist = root.distribution()
+            # dist is the previous round's walk; the tree has not changed since
             slots, seen = [], set()
             for va in dist:
                 s = va.slot
@@ -1393,6 +1340,22 @@ def _loop_max(screen: np.ndarray, exact) -> float:
     return max(0.0, *(exact(k) for k in cand))
 
 
+def _halton(n: int, d: int) -> np.ndarray:
+    """The first n points of the unscrambled Halton sequence in [0, 1)^d,
+    d <= 3 (bases 2, 3, 5), as an (n, d) array.  Each radical inverse adds
+    digit * f least significant digit first, with f /= base per digit; the
+    sampled checks of verify_map depend on these exact floats."""
+    out = np.zeros((n, d))
+    for j, base in enumerate((2, 3, 5)[:d]):
+        q = np.arange(n)
+        f = 1.0 / base
+        while q.any():
+            out[:, j] += (q % base) * f
+            f /= base
+            q //= base
+    return out
+
+
 def verify_map(m, A=None, b=None, alpha: float = 0.5,
                sample_budget: int = 10_000) -> MapVerification:
     """Deterministic sampled checks: boundary residual against the affine
@@ -1418,13 +1381,13 @@ def verify_map(m, A=None, b=None, alpha: float = 0.5,
         return float(np.linalg.norm(r))
 
     nb = max(sample_budget // 2, 16)
-    ts = qmc.Halton(d=1, scramble=False).random(nb).ravel()
+    ts = _halton(nb, 1).ravel()
     x = dom.boundary_points(ts)
     res = m.evaluate_many(x) - (_apply(A, x) + bvec)
     bmax = _loop_max(np.linalg.norm(res, axis=1), lambda k: norm(res[k]))
 
     ni = max(sample_budget // 4, 16)
-    uv = qmc.Halton(d=2, scramble=False).random(ni)
+    uv = _halton(ni, 2)
     h = 1e-9 * diam / (1.0 + gbound)
     golden = 2.399963229728653
     x = dom.interior_points(uv, margin=1e-3)
@@ -1439,7 +1402,7 @@ def verify_map(m, A=None, b=None, alpha: float = 0.5,
                      lambda r: norm(second[r]) / (2.0 * h))
 
     nh = max(sample_budget // 4, 16)
-    uv2 = qmc.Halton(d=3, scramble=False).random(nh)
+    uv2 = _halton(nh, 3)
     scales = 12
     rads = [diam * 2.0 ** -(j + 2) for j in range(scales)]
     scale = np.arange(nh) % scales

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import lamstair
 from lamstair import serialize
 from lamstair.cli import main, parse_domain, parse_params, parse_t_grid
 from lamstair.errors import ParseError
@@ -113,8 +117,21 @@ class TestExitCodes:
         write_measure(m)
         monkeypatch.setenv("LF_JOBS", "many")
         assert main(["laminate", "verify", "--measure", str(m)]) == 2
+        monkeypatch.setenv("LF_JOBS", "0")
+        assert main(["laminate", "verify", "--measure", str(m)]) == 3
         monkeypatch.setenv("LF_JOBS", "2")
         assert main(["laminate", "verify", "--measure", str(m)]) == 0
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(lamstair.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import lamstair.cli, sys; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSynthCommands:

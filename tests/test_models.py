@@ -59,6 +59,28 @@ class TestSelectB:
             assert md.exponent("plaplace", {"p": float(p), "b": b}).value < p
 
 
+def select_b_scipy(p, b_max=md.B_MAX, tol=1e-8):
+    """select_b as it was written on scipy's bounded minimizer; reference only."""
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def neg_q(b):
+        return -md.exponent("plaplace", {"p": p, "b": b}).value
+
+    grid = np.geomspace(1.0 + 1e-6, b_max, 200)
+    vals = np.array([neg_q(b) for b in grid])
+    i = int(np.argmin(vals))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+    res = optimize.minimize_scalar(neg_q, bounds=(lo, hi), method="bounded",
+                                   options={"xatol": tol})
+    return float(res.x)
+
+
+def test_select_b_matches_scipy_bounded_brent():
+    for p in np.linspace(1.01, 1.99, 99):
+        assert md.select_b(float(p)) == select_b_scipy(float(p))
+
+
 class TestAfsPipeline:
     def test_reference_two_sided(self):
         res = md.afs_pipeline(np.diag([-1.0, 1.0]), K=3.0, N=200,

@@ -5,7 +5,6 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import qmc
 
 from lamstair import measures as ms
 from lamstair import serialize
@@ -292,6 +291,31 @@ class TestReduceExact:
                             delta=1.0, alpha=0.5, depth=2, p=2.0, M=8.0, r=1.5)
         assert "round" in str(exc.value)
 
+    def test_one_root_walk_per_round(self):
+        walks = []
+
+        def counting_builder(*args):
+            node = det1_builder(*args)
+            if not walks:
+                # the first output is the root; count walks of the whole tree
+                walk = node.distribution
+                walks.append(0)
+
+                def counted():
+                    walks[0] += 1
+                    return walk()
+
+                node.distribution = counted
+            return node
+
+        depth = 3
+        pam, reports = sy.reduce_exact(counting_builder, UNIT, np.diag([3.0, 3.0]),
+                                       0.0, delta=0.5, alpha=0.5, depth=depth,
+                                       p=2.0, M=8.0, r=1.5)
+        assert len(reports) == depth and reports[-1].patched_slots > 0
+        # the builder's check of its own output, one walk per round, the seal
+        assert walks == [depth + 2]
+
 
 class TestExtendedRealization:
     def test_pure_seed(self):
@@ -449,6 +473,15 @@ class TestBatchedEvaluation:
             m.evaluate_many(np.zeros(2))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [16, 2500, 5000, 100_000])
+def test_halton_matches_scipy(d, n):
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    ref = qmc.Halton(d=d, scramble=False).random(n)
+    got = sy._halton(n, d)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def verify_map_pointwise(m, A=None, b=None, alpha=0.5, sample_budget=10_000):
     """The one-point-at-a-time loop that verify_map batches; reference only."""
     if A is None or b is None:
@@ -460,14 +493,14 @@ def verify_map_pointwise(m, A=None, b=None, alpha=0.5, sample_budget=10_000):
     gbound = m.grad_bound()
 
     nb = max(sample_budget // 2, 16)
-    ts = qmc.Halton(d=1, scramble=False).random(nb).ravel()
+    ts = sy._halton(nb, 1).ravel()
     bmax = 0.0
     for t in ts:
         x = dom.boundary_point(float(t))
         bmax = max(bmax, float(np.linalg.norm(m.evaluate(x) - (A @ x + bvec))))
 
     ni = max(sample_budget // 4, 16)
-    uv = qmc.Halton(d=2, scramble=False).random(ni)
+    uv = sy._halton(ni, 2)
     h = 1e-9 * diam / (1.0 + gbound)
     cmax = 0.0
     golden = 2.399963229728653
@@ -481,7 +514,7 @@ def verify_map_pointwise(m, A=None, b=None, alpha=0.5, sample_budget=10_000):
         cmax = max(cmax, float(second) / (2.0 * h))
 
     nh = max(sample_budget // 4, 16)
-    uv2 = qmc.Halton(d=3, scramble=False).random(nh)
+    uv2 = sy._halton(nh, 3)
     hq = 0.0
     scales = 12
     for idx, (u, v, wq) in enumerate(uv2):
