@@ -297,17 +297,29 @@ def stage3_spec(A, tol: float = MEMBER_TOL) -> Stage3Composite:
 # map-level composition helpers
 
 
-def _good_slots(node):
-    """Unpatched good-flag affine slots of a construction tree, deduplicated
-    (template slots are shared across instances)."""
-    out, seen = [], set()
-    for va in node.distribution():
-        s = va.slot
-        if (va.flag == synth.GOOD and s is not None and s.inner is None
-                and id(s) not in seen):
-            seen.add(id(s))
-            out.append(s)
-    return out
+def _good_slots(pam: synth.PiecewiseAffineMap):
+    """Unpatched good-flag affine slots of a sealed map, each once, read from
+    its cached distribution."""
+    return synth._open_slots(pam.distribution(), synth.GOOD)
+
+
+def _within_slack(builder: str, attempt, eta: float, theta: float,
+                  cap: float, r: float):
+    """Call attempt(eta, theta) until the error and residual r-moment of its
+    node is within cap; each retry shrinks eta and theta by the measured
+    overshoot.  The cascaded patches amplify the transition-layer budget by
+    the r-moment of the intermediate staircases, and the rotated covers
+    leave an uncovered fraction floored at theta."""
+    for k in range(1, 9):
+        node = attempt(eta, theta)
+        err = synth._moment_of(node.distribution(), (synth.ERROR, synth.RESIDUAL), r)
+        if err <= cap * 0.999:
+            return node
+        shrink = max(0.1, 0.5 * cap / err)
+        eta = min(0.9, eta * shrink)
+        theta *= shrink
+    raise InternalError(f"{builder} attempt {k}: err/cap = {err / cap:.3g}; "
+                        "transition budget did not converge")
 
 
 def _staircase_depth(spec: StaircaseSpec, r: float, phi: float,
@@ -349,7 +361,7 @@ def _patch_stage3(slot, eta: float, sup: float, r: float, phi: float,
     pam = synth.realize_finite_laminate(pre, slot.domain, A=slot.A, b=slot.b,
                                         eps=eta, delta=sup, s_moment=r,
                                         theta_min=theta)
-    for s in _good_slots(pam.root):
+    for s in _good_slots(pam):
         stair(s)
     slot.patch(pam.root)
 
@@ -367,7 +379,7 @@ def _patch_stage2(slot, eta: float, sup: float, r: float, phi: float,
     pam = synth.realize_finite_laminate(nu2, slot.domain, A=slot.A, b=slot.b,
                                         eps=eta, delta=sup, s_moment=r,
                                         theta_min=theta)
-    for s in _good_slots(pam.root):
+    for s in _good_slots(pam):
         if member(s.A, "L&Sigma", MEMBER_TOL):
             continue
         _patch_stage3(s, eta, sup, r, phi, theta=theta)
@@ -385,21 +397,15 @@ def stage3_builder(r: float = 1.5):
             return synth.SlotMap(dom, A, b, flag=synth.GOOD)
         growth = 1.0 + frob(A) ** r
         phi = inductive_frac * growth / 4.0
-        eta = min(0.9, slack_frac * growth)
-        theta = synth.THETA_MIN
-        cap = slack_frac * growth * dom.volume
-        for _ in range(8):
+
+        def attempt(eta, theta):
             slot = synth.SlotMap(dom, A, b)
             _patch_stage3(slot, eta, sup_budget, r, phi, theta=theta)
-            err = sum(va.vol * (1.0 + frob(va.G) ** r)
-                      for va in slot.distribution()
-                      if va.flag in (synth.ERROR, synth.RESIDUAL))
-            if err <= cap * 0.999:
-                return slot
-            shrink = max(0.1, 0.5 * cap / err)
-            eta = min(0.9, eta * shrink)
-            theta *= shrink
-        raise InternalError("transition budget did not converge")
+            return slot
+
+        return _within_slack("stage3_builder", attempt,
+                             min(0.9, slack_frac * growth), synth.THETA_MIN,
+                             slack_frac * growth * dom.volume, r)
 
     return builder
 
@@ -433,7 +439,7 @@ def product_builder(r: float = 1.5):
             pam = synth.realize_staircase(spec1, N1, dom, A=A, b=b, eta=eta,
                                           delta=sup_budget, s_moment=r,
                                           theta_min=theta)
-            for s in _good_slots(pam.root):
+            for s in _good_slots(pam):
                 if member(s.A, "L&Sigma", MEMBER_TOL):
                     continue
                 if member(s.A, "L", MEMBER_TOL):
@@ -442,24 +448,8 @@ def product_builder(r: float = 1.5):
                     _patch_stage2(s, eta, sup_budget, r, phi, theta=theta)
             return pam.root
 
-        # the cascaded patches amplify the transition-layer budget by the
-        # r-moment of the intermediate staircases, and the rotated covers
-        # leave an uncovered fraction floored at theta; retry with the
-        # measured amplification until the slack contract holds
-        eta = min(0.9, budget / 3.0)
-        theta = synth.THETA_MIN
-        for _ in range(8):
-            node = attempt(eta, theta)
-            err = sum(va.vol * (1.0 + frob(va.G) ** r)
-                      for va in node.distribution()
-                      if va.flag in (synth.ERROR, synth.RESIDUAL))
-            cap = budget * dom.volume
-            if err <= cap * 0.999:
-                return node
-            shrink = max(0.1, 0.5 * cap / err)
-            eta = min(0.9, eta * shrink)
-            theta *= shrink
-        raise InternalError("transition budget did not converge")
+        return _within_slack("product_builder", attempt, min(0.9, budget / 3.0),
+                             synth.THETA_MIN, budget * dom.volume, r)
 
     return builder
 
@@ -627,7 +617,7 @@ def approximate_sequence(A, domain=None, j_max: int = 6,
         delta_j = 2.0 ** -j
         pam = synth.realize_finite_laminate(nu2, dom, A=A, eps=eta_j,
                                             delta=delta_j, s_moment=s_j)
-        for slot in _good_slots(pam.root):
+        for slot in _good_slots(pam):
             if member(slot.A, "L&Sigma", MEMBER_TOL):
                 continue
             _patch_stage3(slot, eta_j, delta_j, s_j, math.inf,

@@ -4,13 +4,13 @@ A realized map is a tree of construction nodes.  Every non-affine node
 records only its deviation from its own affine part, so shared templates are
 instanced by translation and scaling alone -- never rotation.  Gradient
 distributions, cell volumes and error moments are exact closed-form
-bookkeeping over the tree.  Maps evaluate one point at a time
-(``evaluate``, ``gradient_at``; cell offsets in ``cells()`` come from these)
-or a batch of points (``evaluate_many``, ``gradient_many``; sampled
-verification uses these), and the batched path returns the pointwise values
-bit for bit.  Evaluation is reliable on shallow structures (deeply nested
-oscillations lose coordinate precision, but their contribution to any
-measured quantity is bounded by the booked deviation budgets).
+bookkeeping over the tree.  Maps evaluate through one batched path
+(``evaluate_many``, ``gradient_many``: sampled verification and the cell
+offsets of ``cells()`` use it); single-point ``evaluate``/``gradient_at`` on
+a sealed map are its k = 1 case.  Evaluation is reliable on shallow
+structures (deeply nested oscillations lose coordinate precision, but their
+contribution to any measured quantity is bounded by the booked deviation
+budgets).
 """
 
 from __future__ import annotations
@@ -91,41 +91,15 @@ class OBox:
     def volume(self) -> float:
         return 4.0 * self.half[0] * self.half[1]
 
-    def to_local(self, x) -> np.ndarray:
-        return self.frame.T @ (np.asarray(x, dtype=float) - self.center)
-
     def to_world(self, z) -> np.ndarray:
         return self.center + self.frame @ np.asarray(z, dtype=float)
-
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        z = self.to_local(x)
-        s = tol * (1.0 + float(np.max(self.half)))
-        return bool(np.all(np.abs(z) <= self.half + s))
 
     def corners(self) -> list[np.ndarray]:
         h0, h1 = self.half
         return [self.to_world((s0 * h0, s1 * h1))
                 for s0, s1 in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
 
-    def boundary_point(self, t: float) -> np.ndarray:
-        """Perimeter parametrization, t in [0,1)."""
-        cs = self.corners()
-        lens = [2.0 * self.half[0], 2.0 * self.half[1]] * 2
-        total = sum(lens)
-        s = (t % 1.0) * total
-        for k in range(4):
-            if s <= lens[k] or k == 3:
-                a, bpt = cs[k], cs[(k + 1) % 4]
-                return a + (bpt - a) * min(s / lens[k], 1.0)
-            s -= lens[k]
-        raise InternalError("unreachable")
-
-    def interior_point(self, u: float, v: float, margin: float = 1e-6) -> np.ndarray:
-        z = (2.0 * np.array([u, v]) - 1.0) * self.half * (1.0 - margin)
-        return self.to_world(z)
-
-    # batched forms: one row per point, each row bitwise equal to the
-    # single-point method above
+    # point queries, one row per point of X (shape (k, 2))
     def to_local_many(self, X) -> np.ndarray:
         return _apply(self.frame.T, X - self.center)
 
@@ -193,29 +167,18 @@ def _emit_cell(out: list, limit: int, cell: Cell) -> None:
 class MapNode:
     """Interface of construction-tree nodes; concrete nodes override all.
 
-    ``evaluate(x)`` and ``gradient_at(x)`` take one point of shape (2,).
-    ``evaluate_many(X)`` and ``gradient_many(X)`` take a C-contiguous float
-    array X of shape (k, 2) and return arrays of shape (k, 2) and (k, 2, 2)
-    whose rows equal ``evaluate(X[r])`` and ``gradient_at(X[r])`` bit for
-    bit: the batched path repeats the pointwise arithmetic operation for
-    operation, so either may serve as the reference for the other.
+    Nodes evaluate only in batches: ``evaluate_many(X)`` and
+    ``gradient_many(X)`` take a C-contiguous float array X of shape (k, 2)
+    and return arrays of shape (k, 2) and (k, 2, 2).  Row r depends on X[r]
+    alone, bit for bit, so a single point is the batch X[None] (k = 1).
     """
 
     domain: OBox
     A: np.ndarray
     b: np.ndarray
 
-    def affine(self, x) -> np.ndarray:
-        return self.A @ np.asarray(x, dtype=float) + self.b
-
     def _affine_many(self, X) -> np.ndarray:
         return _apply(self.A, X) + self.b
-
-    def evaluate(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def gradient_at(self, x) -> np.ndarray:
-        raise NotImplementedError
 
     def evaluate_many(self, X) -> np.ndarray:
         raise NotImplementedError
@@ -246,16 +209,6 @@ class SlotMap(MapNode):
         self.b = _vec(b)
         self.flag = flag
         self.inner: MapNode | None = None
-
-    def evaluate(self, x):
-        if self.inner is not None:
-            return self.inner.evaluate(x)
-        return self.affine(x)
-
-    def gradient_at(self, x):
-        if self.inner is not None:
-            return self.inner.gradient_at(x)
-        return self.A
 
     def evaluate_many(self, X):
         if self.inner is not None:
@@ -386,17 +339,6 @@ class RoofMap(MapNode):
             self.slots[side] = SlotMap(OBox((0.0, 0.0), half, core_frame), Ai, 0.0)
 
     # -- geometry helpers ---------------------------------------------------
-    def _locate(self, x):
-        z = self.domain.to_local(x)
-        t = self.s_t * z[self.ax]
-        y = z[self.ay]
-        pos = min(max(t + self.h0, 0.0), 2.0 * self.h0)
-        i = min(self.n - 1, int(pos * self.n / (2.0 * self.h0)))
-        tau = pos - i * self.P
-        rising = tau <= self.lam1 * self.P
-        saw = self.lam2 * tau if rising else self.lam1 * (self.P - tau)
-        return t, y, i, tau, rising, saw
-
     def _core_center(self, i, side: int) -> np.ndarray:
         """Center of tooth i's core on the given side; for an array of tooth
         indices, one row per index."""
@@ -408,10 +350,10 @@ class RoofMap(MapNode):
         return self.domain.center + np.multiply.outer(self.s_t * ct_t, F[:, self.ax])
 
     def _pieces(self, X):
-        """Batched _locate and piece choice of evaluate/gradient_at: returns
-        y, rising, the cap mask, the value capv or saw of the cap or slab
-        profile, and per patched side the indices of the points in its cores
-        with their core centers."""
+        """Tooth and piece of each point: returns y, rising, the cap mask,
+        the value capv or saw of the cap or slab profile, and per patched
+        side the indices of the points in its cores with their core
+        centers."""
         z = self.domain.to_local_many(X)
         y = z[:, self.ay]
         pos = np.minimum(np.maximum(self.s_t * z[:, self.ax] + self.h0, 0.0),
@@ -432,32 +374,6 @@ class RoofMap(MapNode):
         return y, rising, cap, np.where(cap, capv, saw), cores
 
     # -- MapNode interface --------------------------------------------------
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        t, y, i, tau, rising, saw = self._locate(x)
-        capv = self.rho * (self.h1 - abs(y))
-        if capv < saw:
-            return self.affine(x) + self.eta * capv
-        side = 1 if rising else 2
-        slot = self.slots[side]
-        if slot.inner is not None and abs(y) <= self.h1 - self.w:
-            ct = self._core_center(i, side)
-            base = self.A @ ct + self.b + self.eta * (self.H / 2.0)
-            return base + slot.evaluate(x - ct)
-        return self.affine(x) + self.eta * saw
-
-    def gradient_at(self, x):
-        x = np.asarray(x, dtype=float)
-        t, y, i, tau, rising, saw = self._locate(x)
-        capv = self.rho * (self.h1 - abs(y))
-        if capv < saw:
-            return self.cap_grad[+1 if y > 0 else -1]
-        side = 1 if rising else 2
-        slot = self.slots[side]
-        if slot.inner is not None and abs(y) <= self.h1 - self.w:
-            return slot.gradient_at(x - self._core_center(i, side))
-        return self.A1 if rising else self.A2
-
     def evaluate_many(self, X):
         _, _, _, prof, cores = self._pieces(X)
         out = self._affine_many(X) + np.multiply.outer(prof, self.eta)
@@ -582,27 +498,8 @@ class GridCover(MapNode):
              -self.domain.half[1] + (2 * j + 1) * self.tile[1])
         return self.domain.to_world(z)
 
-    def _locate(self, x):
-        z = self.domain.to_local(x)
-        i = min(self.k0 - 1, max(0, int((z[0] + self.domain.half[0]) / (2.0 * self.tile[0]))))
-        j = min(self.k1 - 1, max(0, int((z[1] + self.domain.half[1]) / (2.0 * self.tile[1]))))
-        return i, j
-
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        i, j = self._locate(x)
-        ct = self._tile_center(i, j)
-        z = (x - ct) / self.sigma
-        dev = self.template.evaluate(z) - self.A @ z
-        return self.affine(x) + self.sigma * dev
-
-    def gradient_at(self, x):
-        x = np.asarray(x, dtype=float)
-        i, j = self._locate(x)
-        return self.template.gradient_at((x - self._tile_center(i, j)) / self.sigma)
-
     def _tile_centers(self, X) -> np.ndarray:
-        """Batched _locate and _tile_center, with float tile indices."""
+        """Center of the tile holding each point (float tile indices)."""
         z = self.domain.to_local_many(X)
         h, tile = self.domain.half, self.tile
         i = np.clip(np.trunc((z[:, 0] + h[0]) / (2.0 * tile[0])), 0, self.k0 - 1)
@@ -737,34 +634,6 @@ class CoverMap(MapNode):
         for level, lvl in self.rows.items():
             yield level, sum(b - a + 1 for frags in lvl.values() for a, b in frags)
 
-    def _find_tile(self, x):
-        q = self.Ft.T @ (np.asarray(x, dtype=float) - self.domain.center)
-        for level, lvl in self.rows.items():
-            s = self.sigma0 * 2.0 ** -level
-            i = math.floor(q[0] / (2.0 * s))
-            j = math.floor(q[1] / (2.0 * s))
-            if any(a <= i <= b for a, b in lvl.get(j, ())):
-                ct = self.domain.center + self.Ft @ np.array(
-                    [2.0 * s * (i + 0.5), 2.0 * s * (j + 0.5)])
-                return s, ct
-        return None
-
-    def evaluate(self, x):
-        hit = self._find_tile(x)
-        if hit is None:
-            return self.affine(x)
-        s, ct = hit
-        z = (np.asarray(x, dtype=float) - ct) / s
-        dev = self.template.evaluate(z) - self.A @ z
-        return self.affine(x) + s * dev
-
-    def gradient_at(self, x):
-        hit = self._find_tile(x)
-        if hit is None:
-            return self.A
-        s, ct = hit
-        return self.template.gradient_at((np.asarray(x, dtype=float) - ct) / s)
-
     @cached_property
     def _flat_rows(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per level the tile intervals as arrays (row j, first i, last i),
@@ -776,20 +645,22 @@ class CoverMap(MapNode):
         return out
 
     def _find_tiles(self, X):
-        """Batched _find_tile: the indices of the points that some tile
-        holds, with the tile scales and tile centers."""
+        """The indices of the points that some tile holds, with the tile
+        scales and tile centers."""
         q = _apply(self.Ft.T, X - self.domain.center)
         todo = np.arange(len(X))
         hits, scales, centers = [], [], []
         for level, (J, I0, I1) in self._flat_rows.items():
+            if not len(todo):
+                break
             s = self.sigma0 * 2.0 ** -level
             i = np.floor(q[todo, 0] / (2.0 * s))
             j = np.floor(q[todo, 1] / (2.0 * s))
             # the only interval that can hold (j, i) is the last one at or
             # before it in (row, first index) order
             n = len(J)
-            order = np.lexsort((np.r_[np.zeros(n), np.ones(len(i))],
-                                np.r_[I0, i], np.r_[J, j]))
+            order = np.lexsort((np.concatenate([np.zeros(n), np.ones(len(i))]),
+                                np.concatenate([I0, i]), np.concatenate([J, j])))
             start = order < n
             last = np.maximum.accumulate(np.where(start, order, -1))
             c = np.empty(len(i), dtype=np.int64)
@@ -978,7 +849,11 @@ class PiecewiseAffineMap:
         self._dist: list[VolAtom] | None = None
 
     def seal(self) -> "PiecewiseAffineMap":
-        dist = self.root.distribution()
+        return self._seal(self.root.distribution())
+
+    def _seal(self, dist: list[VolAtom]) -> "PiecewiseAffineMap":
+        """Seal with dist, a walk of the current tree, after checking that
+        its volumes sum to the domain volume."""
         total = sum(va.vol for va in dist)
         vol = self.domain.volume
         if abs(total - vol) > 1e-9 * vol:
@@ -992,17 +867,19 @@ class PiecewiseAffineMap:
         return self._dist
 
     def evaluate(self, x) -> np.ndarray:
-        return self.root.evaluate(x)
+        """The value at one point x of shape (2,): evaluate_many on x[None]."""
+        return self.evaluate_many(np.asarray(x, dtype=float)[None])[0]
 
     def gradient_at(self, x) -> np.ndarray:
-        return self.root.gradient_at(x)
+        """The gradient at one point x of shape (2,): gradient_many on x[None]."""
+        return self.gradient_many(np.asarray(x, dtype=float)[None])[0]
 
     def evaluate_many(self, X) -> np.ndarray:
-        """Rows evaluate(X[r]) for points X of shape (k, 2), bit for bit."""
+        """Values at the points X of shape (k, 2), one row per point."""
         return self.root.evaluate_many(_points(X))
 
     def gradient_many(self, X) -> np.ndarray:
-        """Rows gradient_at(X[r]) for points X of shape (k, 2), bit for bit."""
+        """Gradients at the points X of shape (k, 2), one (2, 2) row per point."""
         return self.root.gradient_many(_points(X))
 
     @property
@@ -1033,9 +910,10 @@ class PiecewiseAffineMap:
     def cells(self, max_cells: int = _MAX_CELLS_DEFAULT) -> list[Cell]:
         out: list[Cell] = []
         self.root.iter_cells(out, np.zeros(2), 1.0, max_cells)
-        for c in out:
-            centroid = np.mean(np.asarray(c.vertices), axis=0)
-            c.b = self.evaluate(centroid) - c.A @ centroid
+        centroids = np.array([np.mean(np.asarray(c.vertices), axis=0)
+                              for c in out]).reshape(-1, 2)
+        for c, x, y in zip(out, centroids, self.evaluate_many(centroids)):
+            c.b = y - c.A @ x
         return out
 
     def swap_components(self) -> "PiecewiseAffineMap":
@@ -1053,12 +931,6 @@ class _SwappedNode(MapNode):
         self.domain = OBox(_P_SWAP @ d.center, d.half, _P_SWAP @ d.frame)
         self.A = _P_SWAP @ base.A @ _P_SWAP
         self.b = _P_SWAP @ base.b
-
-    def evaluate(self, x):
-        return _P_SWAP @ self.base.evaluate(_P_SWAP @ np.asarray(x, dtype=float))
-
-    def gradient_at(self, x):
-        return _P_SWAP @ self.base.gradient_at(_P_SWAP @ np.asarray(x, dtype=float)) @ _P_SWAP
 
     def evaluate_many(self, X):
         return _apply(_P_SWAP, self.base.evaluate_many(_apply(_P_SWAP, X)))
@@ -1212,6 +1084,15 @@ def _moment_of(dist, flags, r: float) -> float:
                for va in dist if va.flag in flags)
 
 
+def _open_slots(dist, flag: str) -> list[SlotMap]:
+    """The unpatched slots of the given flag in a distribution walk, in walk
+    order; template slots are shared across instances, so each slot is
+    listed once."""
+    return list({id(va.slot): va.slot for va in dist
+                 if va.flag == flag and va.slot is not None
+                 and va.slot.inner is None}.values())
+
+
 def _tail_constant(dist, p: float, normA: float, r: float, vol: float,
                    t_grid) -> float:
     norms = np.array([frob(va.G) for va in dist])
@@ -1272,26 +1153,21 @@ def reduce_exact(step_builder, domain: OBox, A, b, delta: float, alpha: float,
             raise VerdictFailure(f"round {k}: step output breaks its slack bound")
         if _moment_of(dist, (INDUCTIVE,), r) > inf_frac * growth * dvol * (1.0 + 1e-9):
             raise VerdictFailure(f"round {k}: step output breaks its inductive bound")
-        return node
+        return node, dist
 
-    root = build(A, domain, bvec, 0)
+    # dist is always the latest walk of the whole tree: build's walk of the
+    # root serves round 0, and each later round walks once after patching
+    root, dist = build(A, domain, bvec, 0)
     reports = []
     for k in range(depth):
         if k > 0:
-            # dist is the previous round's walk; the tree has not changed since
-            slots, seen = [], set()
-            for va in dist:
-                s = va.slot
-                if (va.flag == INDUCTIVE and s is not None
-                        and s.inner is None and id(s) not in seen):
-                    seen.add(id(s))
-                    slots.append(s)
+            slots = _open_slots(dist, INDUCTIVE)
             for s in slots:
-                s.patch(build(s.A, s.domain, s.b, k))
+                s.patch(build(s.A, s.domain, s.b, k)[0])
             n_patched = len(slots)
+            dist = root.distribution()
         else:
             n_patched = 1
-        dist = root.distribution()
         err = _moment_of(dist, (ERROR, RESIDUAL, INDUCTIVE), r)
         if err > 2.0 ** -k * vol * (1.0 + 1e-9):
             raise VerdictFailure(f"round {k}: error moment {err} above budget")
@@ -1299,7 +1175,7 @@ def reduce_exact(step_builder, domain: OBox, A, b, delta: float, alpha: float,
         if const > 2.0 * M ** p * (1.0 + 1e-9):
             raise VerdictFailure(f"round {k}: tail constant {const} above 2 M^p")
         reports.append(RoundReport(k, err, const, n_patched))
-    return PiecewiseAffineMap(root, A, bvec).seal(), reports
+    return PiecewiseAffineMap(root, A, bvec)._seal(dist), reports
 
 
 def gradient_distribution(m: PiecewiseAffineMap) -> tuple[DiscreteMeasure, float]:
@@ -1362,13 +1238,22 @@ def verify_map(m, A=None, b=None, alpha: float = 0.5,
     datum, Lipschitz-scaled continuity second differences, and a stratified
     Hölder quotient (a sampled lower estimate, never an exact norm).
 
-    m is a sealed map or a deserialized CellMap: it needs ``domain``,
-    ``grad_bound()``, ``evaluate_many`` and ``gradient_many`` (points of
-    shape (k, 2) to rows of shape (k, 2) and (k, 2, 2)), and
-    ``boundary_affine`` unless A and b are given.  All samples of a check
-    go through one batched call; every field of the report equals, bit for
-    bit, what evaluating the same Halton samples one at a time with
-    ``evaluate``/``gradient_at`` gives."""
+    m is a sealed PiecewiseAffineMap or a deserialized CellMap.  Both meet
+    one map protocol by duck typing:
+
+      domain                   the OBox the map is defined on
+      boundary_affine          (A, b), the affine datum on the boundary
+      evaluate_many(X)         values at points X of shape (k, 2), shape (k, 2)
+      gradient_many(X)         gradients at X, shape (k, 2, 2)
+      grad_bound()             a bound on every gradient norm
+      gradient_distribution()  (normalized gradient measure, residual volume)
+      swap_components()        the map x -> P u(P x) with P the coordinate swap
+
+    verify_map reads domain, grad_bound, evaluate_many, gradient_many and,
+    unless A and b are given, boundary_affine.  All samples of a check go
+    through one batched call; single-point evaluation is the k = 1 case of
+    the same path, and every field of the report equals, bit for bit, what
+    evaluating the same Halton samples one at a time gives."""
     if A is None or b is None:
         A, b = m.boundary_affine
     A = asmatrix(A)

@@ -93,7 +93,7 @@ class TestMaps:
         for x in rng.random((100, 2)):
             assert np.allclose(cm.evaluate(x), realized.evaluate(x), atol=1e-12)
         for t in np.linspace(0.0, 1.0, 17):
-            x = realized.domain.boundary_point(float(t))
+            x = realized.domain.boundary_points([t])[0]
             assert np.allclose(cm.evaluate(x), realized.evaluate(x), atol=1e-12)
 
     def test_volume_and_flag_bookkeeping(self, realized):

@@ -3,7 +3,7 @@ import pytest
 
 from lamstair import stages as sg
 from lamstair import synth
-from lamstair.errors import PreconditionError, UnsupportedError
+from lamstair.errors import InternalError, PreconditionError, UnsupportedError
 from lamstair.matrices import frob, member, rank
 from lamstair.measures import tail_mass, verify_laminate
 from lamstair.staircase import betas, build_truncation
@@ -238,6 +238,21 @@ class TestBuilders:
         slot = sg.product_builder()(np.diag([2.0, 0.5]), dom, np.zeros(2),
                                     0.1, 0.1, 0.5, 0.5)
         assert slot.flag == synth.GOOD
+
+    def test_retry_shrinks_budgets_then_names_the_builder(self):
+        dom = synth.box((0.0, 0.0), (1.0, 1.0))
+        calls = []
+
+        def attempt(eta, theta):
+            # an error cell whose r-moment stays at 1 whatever the budgets
+            calls.append((eta, theta))
+            return synth.SlotMap(dom, np.zeros((2, 2)), 0.0, flag=synth.ERROR)
+
+        with pytest.raises(InternalError) as exc:
+            sg._within_slack("stage3_builder", attempt, 0.5, 1e-3, 0.5, 1.5)
+        assert str(exc.value).startswith("stage3_builder attempt 8: err/cap = 2;")
+        # each retry shrinks eta and theta by max(0.1, cap / (2 err)) = 1/4
+        assert calls == [(0.5 * 0.25 ** k, 1e-3 * 0.25 ** k) for k in range(8)]
 
     def test_stage3_recursion(self):
         dom = synth.box((0.0, 0.0), (1.0, 1.0))

@@ -1,5 +1,8 @@
+import dataclasses
+import hashlib
 import json
 import math
+import pathlib
 from functools import lru_cache
 
 import numpy as np
@@ -26,14 +29,15 @@ class TestBoxes:
     def test_round_trip(self):
         b = sy.box((0, -1), (2, 3))
         assert b.volume == pytest.approx(8.0)
-        x = np.array([1.3, 0.7])
-        assert np.allclose(b.to_world(b.to_local(x)), x)
-        assert b.contains(x) and not b.contains((5.0, 0.0))
+        X = np.array([[1.3, 0.7], [5.0, 0.0]])
+        assert np.allclose(b.to_world(b.to_local_many(X)[0]), X[0])
+        assert np.allclose(b.to_world_many(b.to_local_many(X)), X)
+        assert b.contains_many(X).tolist() == [True, False]
 
     def test_boundary_param_stays_on_edges(self):
         b = sy.box((0, 0), (1, 2))
         for t in np.linspace(0.0, 0.999, 57):
-            z = b.to_local(b.boundary_point(t))
+            z = b.to_local_many(b.boundary_points([t]))[0]
             # a perimeter point pins at least one local coordinate at its half
             assert min(abs(abs(z[0]) - b.half[0]), abs(abs(z[1]) - b.half[1])) < 1e-12
             assert abs(z[0]) <= b.half[0] + 1e-12 and abs(z[1]) <= b.half[1] + 1e-12
@@ -140,7 +144,7 @@ class TestRoof:
         m = sy.roof(A, 0.0, A1, A2, lam, UNIT, eps=0.1)
         vols = sum(va.vol for va in m.distribution())
         assert vols == pytest.approx(UNIT.volume)
-        x = UNIT.boundary_point(0.37)
+        x = UNIT.boundary_points([0.37])[0]
         assert np.allclose(m.evaluate(x), A @ x, atol=1e-12)
 
 
@@ -313,8 +317,9 @@ class TestReduceExact:
                                        0.0, delta=0.5, alpha=0.5, depth=depth,
                                        p=2.0, M=8.0, r=1.5)
         assert len(reports) == depth and reports[-1].patched_slots > 0
-        # the builder's check of its own output, one walk per round, the seal
-        assert walks == [depth + 2]
+        # round 0 reuses the walk of the builder's check, later rounds walk
+        # once each, and the seal takes the last round's walk
+        assert walks == [depth]
 
 
 class TestExtendedRealization:
@@ -370,7 +375,8 @@ class TestVerifyAffine:
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation against the pointwise reference
+# batched evaluation: rows independent of their batch, recorded reference
+# digests, and the cells as an independent oracle
 
 
 def assert_rows_bitwise(batched, rows, shape):
@@ -380,6 +386,8 @@ def assert_rows_bitwise(batched, rows, shape):
 
 
 def assert_batched_matches_pointwise(m, X):
+    """Each row of a batch equals, bit for bit, the point evaluated alone
+    (a one-row batch for sealed maps), so no row depends on the others."""
     k = len(X)
     assert_rows_bitwise(m.evaluate_many(X), [m.evaluate(x) for x in X], (k, 2))
     assert_rows_bitwise(m.gradient_many(X), [m.gradient_at(x) for x in X],
@@ -412,15 +420,18 @@ def one_step_laminate():
     return laminate(np.diag([2.0, 2.0]), [(0.0, (-3.5, 0.0), 4.0 / 7.0)])
 
 
-@lru_cache(maxsize=None)
-def fixed_map(name):
+def rotated_roof(eps):
     th = 0.6
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     A1, A2 = np.diag([1.0, 1.0]) @ R, np.diag([-1.0, 1.0]) @ R
+    return sy.roof(0.35 * A1 + 0.65 * A2, (0.2, -0.1), A1, A2, 0.35, UNIT, eps=eps)
+
+
+@lru_cache(maxsize=None)
+def fixed_map(name):
     spec = sc.example_staircase("det1", {"a": [2, 2]})
     if name == "rotated_roof":
-        return sy.roof(0.35 * A1 + 0.65 * A2, (0.2, -0.1), A1, A2, 0.35, UNIT,
-                       eps=0.1)
+        return rotated_roof(0.1)
     if name == "grid_staircase":
         return sy.realize_staircase(spec, 4, sy.box((0.0, 0.0), (3.0, 0.5)),
                                     eta=0.2)
@@ -433,6 +444,19 @@ def fixed_map(name):
         obj = json.loads(json.dumps(serialize.map_to_obj(m)))
         return serialize.map_from_obj(obj)
     raise KeyError(name)
+
+
+REFERENCE = json.loads(
+    (pathlib.Path(__file__).parent / "evaluation_digests.json").read_text())
+
+
+def rows_sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+
+
+def report_sha256(rep):
+    vals = [float(v) if isinstance(v, float) else v for v in dataclasses.astuple(rep)]
+    return hashlib.sha256(repr(vals).encode()).hexdigest()
 
 
 class TestBatchedEvaluation:
@@ -465,6 +489,33 @@ class TestBatchedEvaluation:
         m = sy.realize_finite_laminate(nu, dom, eps=eps)
         assert_batched_matches_pointwise(m, probe_points(dom, seed))
 
+    @pytest.mark.parametrize("key", sorted(REFERENCE["rows"]))
+    def test_recorded_rows(self, key):
+        name, seed = key.split("/")
+        m = fixed_map(name)
+        X = probe_points(m.domain, int(seed))
+        assert rows_sha256(m.evaluate_many(X)) == REFERENCE["rows"][key]["evaluate"]
+        assert rows_sha256(m.gradient_many(X)) == REFERENCE["rows"][key]["gradient_at"]
+
+    @pytest.mark.parametrize("name", ["one_step", "rotated_roof"])
+    def test_cells_are_an_oracle(self, name):
+        # criterion 14's map (3,896 cells) and a rotated cover (21,904 cells)
+        if name == "one_step":
+            m = sy.realize_finite_laminate(one_step_laminate(), UNIT, eps=0.2)
+        else:
+            m = rotated_roof(0.3)
+        cells = m.cells(max_cells=25_000)
+        assert len(cells) == {"one_step": 3896, "rotated_roof": 21904}[name]
+        # a point strictly inside each convex cell, away from the centroid
+        # that fixed the cell offset
+        X = np.array([(3.0 * np.mean(c.vertices, axis=0) + c.vertices[0]) / 4.0
+                      for c in cells])
+        A = np.array([c.A for c in cells])
+        assert m.gradient_many(X).tobytes() == A.tobytes()
+        expect = np.array([c.A @ x + c.b for c, x in zip(cells, X)])
+        got = m.evaluate_many(X)
+        assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect).max())
+
     def test_empty_batch_and_bad_shape(self):
         m = fixed_map("rotated_roof")
         assert m.evaluate_many(np.zeros((0, 2))).shape == (0, 2)
@@ -483,7 +534,9 @@ def test_halton_matches_scipy(d, n):
 
 
 def verify_map_pointwise(m, A=None, b=None, alpha=0.5, sample_budget=10_000):
-    """The one-point-at-a-time loop that verify_map batches; reference only."""
+    """The one-point-at-a-time loop that verify_map batches; reference only.
+    Every point goes alone through the batched OBox and map calls, so equal
+    reports show that no sample depends on the others in its batch."""
     if A is None or b is None:
         A, b = m.boundary_affine
     A = asmatrix(A)
@@ -496,7 +549,7 @@ def verify_map_pointwise(m, A=None, b=None, alpha=0.5, sample_budget=10_000):
     ts = sy._halton(nb, 1).ravel()
     bmax = 0.0
     for t in ts:
-        x = dom.boundary_point(float(t))
+        x = dom.boundary_points([t])[0]
         bmax = max(bmax, float(np.linalg.norm(m.evaluate(x) - (A @ x + bvec))))
 
     ni = max(sample_budget // 4, 16)
@@ -505,10 +558,10 @@ def verify_map_pointwise(m, A=None, b=None, alpha=0.5, sample_budget=10_000):
     cmax = 0.0
     golden = 2.399963229728653
     for idx, (u, v) in enumerate(uv):
-        x = dom.interior_point(float(u), float(v), margin=1e-3)
+        x = dom.interior_points([[u, v]], margin=1e-3)[0]
         d = np.array([math.cos(golden * idx), math.sin(golden * idx)])
         xp, xm = x + h * d, x - h * d
-        if not (dom.contains(xp) and dom.contains(xm)):
+        if not (dom.contains_many(xp[None])[0] and dom.contains_many(xm[None])[0]):
             continue
         second = np.linalg.norm(m.evaluate(xp) + m.evaluate(xm) - 2.0 * m.evaluate(x))
         cmax = max(cmax, float(second) / (2.0 * h))
@@ -520,17 +573,17 @@ def verify_map_pointwise(m, A=None, b=None, alpha=0.5, sample_budget=10_000):
     for idx, (u, v, wq) in enumerate(uv2):
         j = idx % scales
         rad = diam * 2.0 ** -(j + 2)
-        x = dom.interior_point(float(u), float(v), margin=1e-3)
+        x = dom.interior_points([[u, v]], margin=1e-3)[0]
         d = np.array([math.cos(2.0 * math.pi * wq), math.sin(2.0 * math.pi * wq)])
         y = x + rad * d
-        if not dom.contains(y):
+        if not dom.contains_many(y[None])[0]:
             continue
         dev = np.linalg.norm(m.evaluate(y) - m.evaluate(x) - A @ (y - x))
         hq = max(hq, float(dev) / rad ** alpha)
 
     gs = 0.0
     for (u, v) in uv[: min(ni, 512)]:
-        x = dom.interior_point(float(u), float(v), margin=1e-3)
+        x = dom.interior_points([[u, v]], margin=1e-3)[0]
         gs = max(gs, frob(m.gradient_at(x)))
 
     return sy.MapVerification(bmax, cmax, hq, alpha, gs, gbound,
@@ -544,8 +597,9 @@ class TestBatchedVerification:
         A1, A2 = np.diag([1.0, 1.0]), np.diag([-1.0, 1.0])
         A = lam * A1 + (1.0 - lam) * A2
         m = sy.roof(A, 0.0, A1, A2, lam, UNIT, eps=0.05)
-        assert (sy.verify_map(m, sample_budget=20_000)
-                == verify_map_pointwise(m, sample_budget=20_000))
+        rep = sy.verify_map(m, sample_budget=20_000)
+        assert rep == verify_map_pointwise(m, sample_budget=20_000)
+        assert report_sha256(rep) == REFERENCE["verify_map"][str(lam)]
 
     def test_deserialized_cell_map(self):
         cm = fixed_map("cell_map")
