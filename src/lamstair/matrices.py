@@ -18,6 +18,8 @@ Frobenius norm.  Set membership is tested against string identifiers:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import PreconditionError
@@ -30,13 +32,16 @@ def asmatrix(M) -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
         raise PreconditionError(f"expected a 2-d matrix, got ndim={A.ndim}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise PreconditionError("matrix has non-finite entries")
     return A
 
 
 def frob(M) -> float:
-    return float(np.linalg.norm(np.asarray(M, dtype=float)))
+    # the path np.linalg.norm takes for a real array, without its dispatch;
+    # the same bits
+    x = np.asarray(M, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def rank(M, tol: float = DEFAULT_RANK_TOL) -> int:

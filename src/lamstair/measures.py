@@ -52,15 +52,48 @@ def _wmul(a: Weight, b: Weight) -> Weight:
     return float(a) * float(b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
+    """A weighted point mass.  Slotted, so the many atoms of a long truncation
+    carry no instance dict; the merge key and the norm |point| are filled into
+    their slots on first use.  `scaled` returns an atom that shares this one's
+    frozen point and whatever key and norm it has cached."""
+
     weight: Weight
     point: np.ndarray
+    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _norm: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not float(self.weight) > 0.0:
             raise PreconditionError(f"atom weight must be positive, got {self.weight}")
         object.__setattr__(self, "point", _freeze(asmatrix(self.point)))
+
+    @property
+    def key(self) -> tuple:
+        """The merge key: shape and entries rounded to 12 decimals."""
+        if self._key is None:
+            object.__setattr__(self, "_key", _point_key(self.point))
+        return self._key
+
+    @property
+    def norm(self) -> float:
+        """|point|, the Frobenius norm."""
+        if self._norm is None:
+            object.__setattr__(self, "_norm", frob(self.point))
+        return self._norm
+
+    def scaled(self, c: Weight) -> "Atom":
+        return self._reweighted(_wmul(self.weight, c))
+
+    def _reweighted(self, w: Weight) -> "Atom":
+        if not float(w) > 0.0:
+            raise PreconditionError(f"atom weight must be positive, got {w}")
+        out = object.__new__(Atom)
+        for name, val in (("weight", w), ("point", self.point),
+                          ("_key", self._key), ("_norm", self._norm)):
+            object.__setattr__(out, name, val)
+        return out
 
 
 @dataclass(frozen=True)
@@ -96,9 +129,9 @@ class DiscreteMeasure:
         merged: dict = {}
         order: list = []
         for a in atoms:
-            k = _point_key(a.point)
+            k = a.key
             if k in merged:
-                merged[k] = Atom(_wadd(merged[k].weight, a.weight), merged[k].point)
+                merged[k] = merged[k]._reweighted(_wadd(merged[k].weight, a.weight))
             else:
                 merged[k] = a
                 order.append(k)
@@ -119,7 +152,7 @@ class DiscreteMeasure:
     @cached_property
     def _weight_norms(self) -> tuple[tuple[float, float], ...]:
         """(float weight, |point|) per atom, for repeated tail queries."""
-        return tuple((float(a.weight), frob(a.point)) for a in self.atoms)
+        return tuple((float(a.weight), a.norm) for a in self.atoms)
 
     def __len__(self):
         return len(self.atoms)
@@ -216,7 +249,7 @@ def pushforward(nu: DiscreteMeasure, T: Callable[[np.ndarray], np.ndarray],
 
 
 def scale_weights(nu: DiscreteMeasure, c: Weight) -> list[Atom]:
-    return [Atom(_wmul(a.weight, c), a.point) for a in nu.atoms]
+    return [a.scaled(c) for a in nu.atoms]
 
 
 def mixture(parts: Sequence[tuple[Weight, DiscreteMeasure]],
@@ -234,7 +267,7 @@ def tail_mass(nu: DiscreteMeasure, t: float) -> float:
 def moment(nu: DiscreteMeasure, q: float, cap: float | None = None) -> float:
     total = 0.0
     for a in nu.atoms:
-        r = frob(a.point)
+        r = a.norm
         if cap is None or r <= cap:
             total += float(a.weight) * r ** q
     return total

@@ -9,6 +9,14 @@ certified by explicit splitting steps.  Truncating at N gives
 
 with beta_n = prod_{k<=n} gamma_k kept as an exact rational whenever the
 construction data is rational.
+
+Each level is built once per spec.  `StaircaseSpec.step` memoizes validated
+steps; a spec made by `transform_spec` owns the only memo of its levels, and
+builds and validates the inner spec's steps without storing them there.
+`build_truncation` keeps a growing prefix on the spec (scaled good atoms,
+splits, beta_n and the last |A_n|): a truncation extends it past its current
+length, checking |A_n| monotonicity once per level, then slices it and
+appends the remainder atom beta_N delta_{A_N}.
 """
 
 from __future__ import annotations
@@ -76,15 +84,28 @@ class StaircaseSpec:
         self._gamma_fn = gamma_fn
         self.rational = rational
         self._memo: dict[int, StairStep] = {}
+        # build_truncation's prefix over levels 1..len(self._levels): good
+        # atoms and splits in level order, per level the end offsets into
+        # both lists and beta_n, and |A_n| of the last level
+        self._atoms: list[Atom] = []
+        self._splits: list[SplittingStep] = []
+        self._levels: list[tuple[int, int, Weight]] = []
+        self._top_norm = -1.0
 
     def step(self, n: int) -> StairStep:
         if n < 1:
             raise PreconditionError("staircase levels are 1-indexed")
         if n not in self._memo:
-            st = self._step_fn(n)
-            _validate_step(st)
-            self._memo[n] = st
+            self._memo[n] = self._unmemoized_step(n)
         return self._memo[n]
+
+    def _unmemoized_step(self, n: int) -> StairStep:
+        """Validated step n: from the memo if there, else built and not stored."""
+        if n in self._memo:
+            return self._memo[n]
+        st = self._step_fn(n)
+        _validate_step(st)
+        return st
 
     def gamma(self, n: int) -> float:
         if self._gamma_fn is not None:
@@ -143,32 +164,33 @@ def beta_slope(spec: StaircaseSpec, n_min: int, n_max: int) -> float:
 
 
 def build_truncation(spec: StaircaseSpec, N: int) -> DiscreteMeasure:
+    """nu^N, sliced from the spec's prefix cache.  Levels past the cached
+    prefix are built once, each with its |A_n| monotonicity check."""
     if N < 1:
         raise PreconditionError("need N >= 1")
-    atoms: list[Atom] = []
-    cert: list[SplittingStep] = []
-    beta_prev: Weight = Fraction(1) if spec.rational else 1.0
-    last = None
-    prev_norm = -1.0
-    for n in range(1, N + 1):
+    levels = spec._levels
+    for n in range(len(levels) + 1, N + 1):
         st = spec.step(n)
         nrm = frob(st.A_next)
-        if nrm < prev_norm - 1e-9:
+        if nrm < spec._top_norm - 1e-9:
             raise PreconditionError(f"|A_n| not non-decreasing at level {n}")
-        prev_norm = nrm
+        beta_prev = levels[-1][2] if levels else (
+            Fraction(1) if spec.rational else 1.0)
         g = st.gamma
         if isinstance(beta_prev, Fraction) and isinstance(g, Fraction):
             good_w: Weight = beta_prev * (1 - g)
-            beta_prev = beta_prev * g
+            beta: Weight = beta_prev * g
         else:
             good_w = float(beta_prev) * (1.0 - float(g))
-            beta_prev = float(beta_prev) * float(g)
-        atoms.extend(scale_weights(st.mu, good_w))
-        cert.extend(st.splits)
-        last = st
-    assert last is not None
-    atoms.append(Atom(beta_prev, last.A_next))
-    return DiscreteMeasure(atoms, cert)
+            beta = float(beta_prev) * float(g)
+        spec._atoms.extend(scale_weights(st.mu, good_w))
+        spec._splits.extend(st.splits)
+        spec._top_norm = nrm
+        levels.append((len(spec._atoms), len(spec._splits), beta))
+    n_atoms, n_splits, beta = levels[N - 1]
+    atoms = spec._atoms[:n_atoms]
+    atoms.append(Atom(beta, spec.step(N).A_next))
+    return DiscreteMeasure(atoms, spec._splits[:n_splits])
 
 
 @dataclass
@@ -440,7 +462,9 @@ def transform_spec(spec: StaircaseSpec, T: LinMap,
     """Pushforward of a staircase spec under a rank-one preserving linear map."""
 
     def step_fn(n: int) -> StairStep:
-        st = spec.step(n)
+        # only the returned spec keeps a memo: the inner steps are built and
+        # validated here, then dropped
+        st = spec._unmemoized_step(n)
         mu = pushforward(st.mu, T)
         splits = [SplittingStep(T(s.target), T(s.left), T(s.right), s.lam)
                   for s in st.splits]

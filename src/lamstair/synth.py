@@ -555,6 +555,15 @@ def _subtract_intervals(lo: int, hi: int, excl) -> list[tuple[int, int]]:
     return frags
 
 
+def _lex_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex numbers a + b*1j, set part by part (no arithmetic, so
+    infinities stay exact).  numpy orders complex numbers lexicographically,
+    so these sort and searchsorted by (a, b)."""
+    out = a.astype(complex)
+    out.imag = b
+    return out
+
+
 class CoverMap(MapNode):
     """Dyadic cover of a box by rotated squares carrying a template; the
     uncovered remainder is booked as residual volume and left affine.  Used
@@ -636,12 +645,13 @@ class CoverMap(MapNode):
 
     @cached_property
     def _flat_rows(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per level the tile intervals as arrays (row j, first i, last i),
-        sorted by row, then by first index."""
+        """Per level the tile intervals in (row j, first i) order: their
+        `_lex_keys(j, i)`, rows j and last indices i."""
         out = {}
         for level, lvl in self.rows.items():
-            flat = [(j, a, b) for j in sorted(lvl) for a, b in lvl[j]]
-            out[level] = tuple(np.array(c, dtype=float) for c in zip(*flat))
+            J, I0, I1 = (np.array(c, dtype=float) for c in
+                         zip(*[(j, a, b) for j in sorted(lvl) for a, b in lvl[j]]))
+            out[level] = (_lex_keys(J, I0), J, I1)
         return out
 
     def _find_tiles(self, X):
@@ -650,7 +660,7 @@ class CoverMap(MapNode):
         q = _apply(self.Ft.T, X - self.domain.center)
         todo = np.arange(len(X))
         hits, scales, centers = [], [], []
-        for level, (J, I0, I1) in self._flat_rows.items():
+        for level, (keys, J, I1) in self._flat_rows.items():
             if not len(todo):
                 break
             s = self.sigma0 * 2.0 ** -level
@@ -658,13 +668,7 @@ class CoverMap(MapNode):
             j = np.floor(q[todo, 1] / (2.0 * s))
             # the only interval that can hold (j, i) is the last one at or
             # before it in (row, first index) order
-            n = len(J)
-            order = np.lexsort((np.concatenate([np.zeros(n), np.ones(len(i))]),
-                                np.concatenate([I0, i]), np.concatenate([J, j])))
-            start = order < n
-            last = np.maximum.accumulate(np.where(start, order, -1))
-            c = np.empty(len(i), dtype=np.int64)
-            c[order[~start] - n] = last[~start]
+            c = np.searchsorted(keys, _lex_keys(j, i), side="right") - 1
             c0 = np.maximum(c, 0)
             hit = (c >= 0) & (J[c0] == j) & (i <= I1[c0])
             hits.append(todo[hit])

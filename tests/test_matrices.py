@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lamstair import matrices as mx
 from lamstair.errors import PreconditionError
@@ -170,3 +172,31 @@ class TestConformalSplit:
             assert abs(P[0, 0] - P[1, 1]) < 1e-14 and abs(P[0, 1] + P[1, 0]) < 1e-14
             assert abs(M[0, 0] + M[1, 1]) < 1e-14 and abs(M[0, 1] - M[1, 0]) < 1e-14
             assert abs(mx.frob(A) ** 2 - mx.frob(P) ** 2 - mx.frob(M) ** 2) < 1e-12
+
+
+# entries of every scale frob meets or must survive: signed zeros,
+# subnormals, ordinary values and squares near the top of the float range
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-1e3, 1e3),
+    st.floats(1e149, 1e151),
+    st.floats(-1e151, -1e149),
+)
+
+
+class TestFrob:
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=6),
+                      elements=_ENTRIES),
+           st.sampled_from(["as_is", "transposed", "strided"]))
+    def test_bitwise_equal_to_linalg_norm(self, A, layout):
+        if layout == "transposed":
+            A = A.T
+        elif layout == "strided":
+            A = A[::-2] if A.ndim == 1 else A[::2, ::-1]
+        assert mx.frob(A).hex() == float(np.linalg.norm(A)).hex()
+
+    def test_plain_sequences(self):
+        for M in ([[3, 4], [0, 0]], [1.0, -2.0, 2.0], [[-0.0]]):
+            assert mx.frob(M).hex() == float(np.linalg.norm(np.asarray(M, dtype=float))).hex()

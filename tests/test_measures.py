@@ -197,3 +197,34 @@ def test_tail_mass_matches_per_atom_loop(seed, n, rational, ts):
     for t in ts + ts:
         ref = sum(float(a.weight) for a in nu.atoms if frob(a.point) > t)
         assert ms.tail_mass(nu, t) == ref
+
+
+class TestAtom:
+    def test_slotted_with_lazy_key_and_norm(self):
+        a = ms.Atom(Fraction(1, 3), [[3.0, 0.0], [4.0, 0.0]])
+        assert not hasattr(a, "__dict__")
+        assert a._key is None and a._norm is None
+        assert a.norm == 5.0 and a.key == ((2, 2), (3.0, 0.0, 4.0, 0.0))
+        assert a._norm == 5.0 and a._key is a.key
+
+    def test_scaled_shares_point_key_and_norm(self):
+        a = ms.Atom(Fraction(1, 3), np.diag([2.0, 0.5]))
+        fresh = a.scaled(Fraction(3, 4))
+        assert fresh.weight == Fraction(1, 4) and fresh._key is None
+        key, norm = a.key, a.norm
+        b = a.scaled(0.5)
+        assert b.weight == 1 / 6 and isinstance(b.weight, float)
+        assert b.point is a.point and not b.point.flags.writeable
+        assert b._key is key and b._norm == norm
+
+    @pytest.mark.parametrize("c", [0, 0.0, -1.0, Fraction(-1, 2)])
+    def test_scaled_rejects_non_positive_weights(self, c):
+        with pytest.raises(PreconditionError, match="must be positive"):
+            ms.Atom(0.5, np.eye(2)).scaled(c)
+
+    def test_merge_keeps_exact_weights_and_first_point(self):
+        a = ms.Atom(Fraction(1, 3), np.eye(2))
+        twin = ms.Atom(Fraction(1, 6), np.eye(2) + 1e-14)
+        nu = ms.DiscreteMeasure([a, ms.Atom(Fraction(1, 2), 2 * np.eye(2)), twin])
+        assert len(nu) == 2 and nu.atoms[0].weight == Fraction(1, 2)
+        assert nu.atoms[0].point is a.point

@@ -1,8 +1,15 @@
+import dataclasses
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from lamstair import measures as ms
 from lamstair import models as md
+from lamstair import serialize
+from lamstair import staircase as sc
 from lamstair.errors import PreconditionError
 from lamstair.matrices import member
 
@@ -125,6 +132,79 @@ class TestPlapPipeline:
             if s[0] > 1e-9 and abs(s[1] - s[0] ** 0.5) > 1e-6 * (1 + s[1]):
                 bad += float(a.weight)
         assert bad <= res.extended.residual_mass(200) + 1e-9
+
+
+PLAP_CASES = [(1.3, 2_000), (1.9, 2_000), (1.5, 10_000)]
+
+
+def run_plap(p, N):
+    b = md.select_b(p)
+    return md.plap_pipeline(np.diag([b, -1.0]), p, N=N, b=b)
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _floats(vals):
+    return [float(v) if isinstance(v, float) else v for v in vals]
+
+
+def plap_digests(res) -> dict:
+    """sha256 of plap_pipeline's moments, increments, fitted M, tail rows
+    and measure; floats as Python floats, the measure as sorted-key JSON."""
+    measure = json.dumps(serialize.measure_to_obj(res.measure), sort_keys=True)
+    return {
+        "qbar_moments": _sha(_floats(res.extra["qbar_moments"])),
+        "sub_moments": _sha(_floats(res.extra["sub_moments"])),
+        "sub_increments": _sha(_floats(res.extra["sub_increments"])),
+        "fitted_M": _sha(float(res.fitted_M)),
+        "tail_rows": _sha([_floats(dataclasses.astuple(r))
+                           for r in res.tail_report.rows]),
+        "measure": hashlib.sha256(measure.encode()).hexdigest(),
+    }
+
+
+PLAP_REFERENCE = json.loads(
+    (pathlib.Path(__file__).parent / "plap_digests.json").read_text())
+
+
+class TestPlapOutputs:
+    @pytest.mark.parametrize("p,N", PLAP_CASES)
+    def test_recorded_digests(self, p, N):
+        assert plap_digests(run_plap(p, N)) == PLAP_REFERENCE["cases"][f"p={p!r},N={N}"]
+
+    def test_each_level_built_once(self, monkeypatch):
+        # criterion 13 truncates each staircase 14 times; every level's step
+        # is still built once per spec and validated twice (inner step and
+        # transformed step), and only the transformed spec keeps a memo
+        N = 10_000
+        calls = {}
+        validated = [0]
+        init, validate = sc.StaircaseSpec.__init__, sc._validate_step
+
+        def counting_init(spec, A0, kind, params, step_fn, *args, **kwargs):
+            calls[spec] = 0
+
+            def counted(n):
+                calls[spec] += 1
+                return step_fn(n)
+
+            init(spec, A0, kind, params, counted, *args, **kwargs)
+
+        def counting_validate(st, *args, **kwargs):
+            validated[0] += 1
+            return validate(st, *args, **kwargs)
+
+        monkeypatch.setattr(sc.StaircaseSpec, "__init__", counting_init)
+        monkeypatch.setattr(sc, "_validate_step", counting_validate)
+        res = run_plap(1.5, N)
+        outer = [sp for _, sp in res.extended.tails]
+        inner = [sp for sp in calls if sp not in outer]
+        assert len(outer) == len(inner) == 1
+        assert list(calls.values()) == [N, N]
+        assert validated[0] == 2 * N
+        assert not inner[0]._memo and len(outer[0]._memo) == N
 
 
 class TestDuality:

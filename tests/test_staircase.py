@@ -237,3 +237,132 @@ class TestExtendedPlaplace:
                                   {"p": 1.5, "b": 9.0})
         rep = sc.extended_tail_report(ext, 300, np.geomspace(2.5, 60.0, 40))
         assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# build_truncation slices a per-spec prefix cache; the loop below builds
+# every truncation from scratch, as build_truncation did before the cache
+
+
+def build_truncation_from_scratch(spec, N):
+    """Reference only: every level rebuilt for each N."""
+    atoms, cert = [], []
+    beta_prev = Fraction(1) if spec.rational else 1.0
+    last = None
+    prev_norm = -1.0
+    for n in range(1, N + 1):
+        st = spec.step(n)
+        nrm = frob(st.A_next)
+        if nrm < prev_norm - 1e-9:
+            raise PreconditionError(f"|A_n| not non-decreasing at level {n}")
+        prev_norm = nrm
+        g = st.gamma
+        if isinstance(beta_prev, Fraction) and isinstance(g, Fraction):
+            good_w = beta_prev * (1 - g)
+            beta_prev = beta_prev * g
+        else:
+            good_w = float(beta_prev) * (1.0 - float(g))
+            beta_prev = float(beta_prev) * float(g)
+        atoms.extend(ms.Atom(ms._wmul(a.weight, good_w), a.point) for a in st.mu.atoms)
+        cert.extend(st.splits)
+        last = st
+    atoms.append(ms.Atom(beta_prev, last.A_next))
+    return ms.DiscreteMeasure(atoms, cert)
+
+
+def measure_bits(nu):
+    """Everything a truncation carries, with exact weights and point bytes."""
+    atoms = [(type(a.weight), a.weight, a.point.shape, a.point.tobytes())
+             for a in nu.atoms]
+    cert = [(type(s.lam), s.lam) + tuple(M.tobytes() for M in (s.target, s.left, s.right))
+            for s in nu.certificate]
+    return atoms, cert, nu.mass
+
+
+ROT = sc.LinMap(np.array([[0.6, -0.8], [0.8, 0.6]]), np.eye(2), 2.0)
+FAMILIES = {
+    "det1": lambda: sc.example_staircase("det1", {"a": [2, 3]}),
+    "rank_drop": lambda: sc.example_staircase("rank_drop", {"a": [2, 0, 3]}),
+    "elliptic": lambda: sc.example_staircase("elliptic", {"K": 3.0, "x0": 1.5}),
+    "plaplace": lambda: sc.example_staircase("plaplace", {"p": 1.5, "b": 9.0}),
+    "moved_plaplace": lambda: sc.transform_spec(
+        sc.example_staircase("plaplace", {"p": 1.3, "b": 4.0}), ROT),
+}
+LEVELS = [1, 2, 3, 7, 12, 25]
+
+
+class TestPrefixCache:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_matches_from_scratch(self, family, order):
+        ref_spec, spec = FAMILIES[family](), FAMILIES[family]()
+        assert spec.rational == (family in ("det1", "rank_drop"))
+        Ns = {"ascending": LEVELS, "descending": LEVELS[::-1],
+              "shuffled": [7, 1, 25, 3, 12, 2, 7]}[order]
+        for N in Ns:
+            got = sc.build_truncation(spec, N)
+            assert measure_bits(got) == measure_bits(build_truncation_from_scratch(ref_spec, N))
+        assert len(spec._levels) == max(Ns)
+
+    def test_repeated_truncations_share_points(self):
+        spec = FAMILIES["plaplace"]()
+        a, b = sc.build_truncation(spec, 12), sc.build_truncation(spec, 5)
+        shared = {id(x.point) for x in a.atoms} & {id(x.point) for x in b.atoms}
+        # all but the remainder atom of the shorter truncation
+        assert len(shared) == len(b) - 1
+
+    @staticmethod
+    def shrinking_spec(level):
+        """A valid staircase whose |A_n| drops at one level: that level's
+        step is scaled down by 10."""
+        base = sc.example_staircase("elliptic", {"K": 3.0})
+        small = sc.transform_spec(base, sc.LinMap(np.eye(2), np.eye(2), 0.1))
+        return sc.StaircaseSpec(base.A0, "elliptic", base.params,
+                                lambda n: (small if n == level else base).step(n),
+                                base.target_sets)
+
+    def test_non_monotone_norms_name_the_level(self):
+        msg = "|A_n| not non-decreasing at level 6"
+        with pytest.raises(PreconditionError) as ref:
+            build_truncation_from_scratch(self.shrinking_spec(6), 9)
+        assert str(ref.value) == msg
+        spec = self.shrinking_spec(6)
+        assert measure_bits(sc.build_truncation(spec, 4)) == measure_bits(
+            build_truncation_from_scratch(self.shrinking_spec(6), 4))
+        for N in (9, 6, 20):
+            with pytest.raises(PreconditionError) as exc:
+                sc.build_truncation(spec, N)
+            assert str(exc.value) == msg
+        # the failed levels left the prefix as it was
+        assert len(spec._levels) == 5
+        assert measure_bits(sc.build_truncation(spec, 5)) == measure_bits(
+            build_truncation_from_scratch(self.shrinking_spec(6), 5))
+
+    def test_invalid_inner_step_raises_through_transform(self):
+        # step 3's A_prev is off by 1e-6; scaled by 1e-4 the mismatch falls
+        # under the tolerance, so only the check of the inner step catches it
+        base = sc.example_staircase("elliptic", {"K": 3.0})
+
+        def step_fn(n):
+            st = base.step(n)
+            if n == 3:
+                st = sc.StairStep(n, st.A_prev + 1e-6 * np.eye(2), st.A_next,
+                                  st.mu, st.gamma, st.splits)
+            return st
+
+        inner = sc.StaircaseSpec(base.A0, "elliptic", base.params, step_fn,
+                                 base.target_sets)
+        shrink = sc.LinMap(np.eye(2), np.eye(2), 1e-4)
+        moved = sc.transform_spec(inner, shrink)
+        assert len(sc.build_truncation(moved, 2)) > 0
+        with pytest.raises(PreconditionError, match="step 3: omega_n barycenter mismatch"):
+            sc.build_truncation(moved, 5)
+        assert not inner._memo
+        # the transformed step on its own passes
+        st = step_fn(3)
+        with pytest.raises(PreconditionError):
+            sc._validate_step(st)
+        sc._validate_step(sc.StairStep(
+            3, shrink(st.A_prev), shrink(st.A_next), ms.pushforward(st.mu, shrink),
+            st.gamma, [ms.SplittingStep(shrink(s.target), shrink(s.left),
+                                        shrink(s.right), s.lam) for s in st.splits]))

@@ -524,6 +524,70 @@ class TestBatchedEvaluation:
             m.evaluate_many(np.zeros(2))
 
 
+def find_tiles_lexsort(cover, X):
+    """CoverMap._find_tiles before its interval keys were presorted: per
+    level one lexsort of every tile interval against the query points.
+    Reference only."""
+    q = sy._apply(cover.Ft.T, X - cover.domain.center)
+    todo = np.arange(len(X))
+    hits, scales, centers = [], [], []
+    for level, lvl in cover.rows.items():
+        if not len(todo):
+            break
+        J, I0, I1 = (np.array(c, dtype=float) for c in
+                     zip(*[(j, a, b) for j in sorted(lvl) for a, b in lvl[j]]))
+        s = cover.sigma0 * 2.0 ** -level
+        i = np.floor(q[todo, 0] / (2.0 * s))
+        j = np.floor(q[todo, 1] / (2.0 * s))
+        n = len(J)
+        order = np.lexsort((np.concatenate([np.zeros(n), np.ones(len(i))]),
+                            np.concatenate([I0, i]), np.concatenate([J, j])))
+        start = order < n
+        last = np.maximum.accumulate(np.where(start, order, -1))
+        c = np.empty(len(i), dtype=np.int64)
+        c[order[~start] - n] = last[~start]
+        c0 = np.maximum(c, 0)
+        hit = (c >= 0) & (J[c0] == j) & (i <= I1[c0])
+        hits.append(todo[hit])
+        scales.append(np.full(np.count_nonzero(hit), s))
+        centers.append(cover.domain.center + sy._apply(cover.Ft, np.column_stack(
+            [2.0 * s * (i[hit] + 0.5), 2.0 * s * (j[hit] + 0.5)])))
+        todo = todo[~hit]
+    return np.concatenate(hits), np.concatenate(scales), np.concatenate(centers)
+
+
+def tile_boundary_points(cover, per_level=200, seed=0):
+    """Corners and edge midpoints of tile intervals, in world coordinates:
+    points on or within rounding of the tile edges."""
+    rng = np.random.default_rng(seed)
+    local = []
+    for level, lvl in cover.rows.items():
+        s2 = 2.0 * cover.sigma0 * 2.0 ** -level
+        rows = [(j, a, b) for j in lvl for a, b in lvl[j]]
+        for k in rng.choice(len(rows), size=min(per_level, len(rows)), replace=False):
+            j, a, b = rows[k]
+            for u in (a, b + 1, a + 0.5, b + 0.5):
+                for v in (j, j + 1, j + 0.5):
+                    local.append((s2 * u, s2 * v))
+    return cover.domain.center + sy._apply(cover.Ft, np.array(local))
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.3])
+def test_find_tiles_matches_lexsort(eps):
+    cover = rotated_roof(eps).root
+    assert isinstance(cover, sy.CoverMap) and len(cover.rows) > 1
+    dom = cover.domain
+    rng = np.random.default_rng(int(eps * 100))
+    for X in (dom.interior_points(sy._halton(5000, 2), margin=0.0),
+              np.concatenate([dom.interior_points(rng.random((5000, 2)), margin=0.0),
+                              dom.boundary_points(rng.random(500))]),
+              tile_boundary_points(cover, seed=int(eps * 100))):
+        got, ref = cover._find_tiles(X), find_tiles_lexsort(cover, X)
+        assert 0 < len(ref[0]) < len(X)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", [16, 2500, 5000, 100_000])
 def test_halton_matches_scipy(d, n):
