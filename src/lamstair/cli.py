@@ -463,7 +463,7 @@ def main(argv=None) -> int:
         if jobs < 1:
             raise PreconditionError("jobs must be >= 1")
         ok = args.handler(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:  # OSError: an output path
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:

@@ -70,9 +70,12 @@ def matrix_from_obj(obj, path="matrix") -> np.ndarray:
             or any(not isinstance(r, list) or len(r) != cols for r in entries)):
         raise ParseError(f"{path}: entries must be a {rows}x{cols} nested list")
     try:
-        return np.array(entries, dtype=float)
+        M = np.array(entries, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: non-numeric entry ({exc})") from exc
+    if not np.isfinite(M).all():
+        raise ParseError(f"{path}: entries must be finite")
+    return M
 
 
 def parse_matrix_arg(text: str) -> np.ndarray:
@@ -83,8 +86,8 @@ def parse_matrix_arg(text: str) -> np.ndarray:
             vals = [float(v) for v in text[5:-1].split(",")]
         except ValueError as exc:
             raise ParseError(f"bad diagonal entries in {text!r}") from exc
-        if not vals:
-            raise ParseError("empty diagonal")
+        if not np.isfinite(vals).all():
+            raise ParseError(f"non-finite diagonal entry in {text!r}")
         return np.diag(vals)
     return matrix_from_obj(load_json(text), path=text)
 
@@ -110,6 +113,8 @@ def _weight_from_obj(v, path="weight") -> Weight:
         raise ParseError(f"{path}: weight must be a number or 'p/q'")
     if isinstance(v, int):
         return Fraction(v)
+    if not np.isfinite(v):
+        raise ParseError(f"{path}: weight must be finite")
     return float(v)
 
 

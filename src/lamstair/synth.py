@@ -2,15 +2,16 @@
 
 A realized map is a tree of construction nodes.  Every non-affine node
 records only its deviation from its own affine part, so shared templates are
-instanced by translation and scaling alone -- never rotation.  Gradient
-distributions, cell volumes and error moments are exact closed-form
-bookkeeping over the tree.  Maps evaluate through one batched path
-(``evaluate_many``, ``gradient_many``: sampled verification and the cell
-offsets of ``cells()`` use it); single-point ``evaluate``/``gradient_at`` on
-a sealed map are its k = 1 case.  Evaluation is reliable on shallow
-structures (deeply nested oscillations lose coordinate precision, but their
-contribution to any measured quantity is bounded by the booked deviation
-budgets).
+instanced by translation and scaling alone -- never rotation.  Cell volumes
+and error moments are exact closed-form bookkeeping: nodes declare local
+parts (leaf atoms, children with a volume factor), and one explicit-stack
+walker emits the gradient distribution, one VolAtom per leaf atom, applying
+factors innermost first.  Maps evaluate through one batched path
+(``evaluate_many``, ``gradient_many``; sampled verification and ``cells()``
+use it); single-point ``evaluate``/``gradient_at`` on a sealed map are its
+k = 1 case.  Evaluation is reliable on shallow structures (deeply nested
+oscillations lose coordinate precision, but their contribution to any
+measured quantity is bounded by the booked deviation budgets).
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def _emit_cell(out: list, limit: int, cell: Cell) -> None:
 
 
 class MapNode:
-    """Interface of construction-tree nodes; concrete nodes override all.
+    """Construction-tree node interface; nodes override all but distribution.
 
     Nodes evaluate only in batches: ``evaluate_many(X)`` and
     ``gradient_many(X)`` take a C-contiguous float array X of shape (k, 2)
@@ -186,8 +187,31 @@ class MapNode:
     def gradient_many(self, X) -> np.ndarray:
         raise NotImplementedError
 
-    def distribution(self) -> list[VolAtom]:
+    def _parts(self) -> list[tuple]:
+        """Local distribution parts in walk order: leaf atoms (vol, G, flag,
+        slot) and child entries (child, volume factor or None)."""
         raise NotImplementedError
+
+    def distribution(self) -> list[VolAtom]:
+        """One VolAtom per leaf atom; volumes take path factors innermost first."""
+        out, factors = [], []
+        stack = [(iter(self._parts()), False)]  # (parts, entry has a factor)
+        while stack:
+            for part in stack[-1][0]:
+                if len(part) == 2:
+                    child, f = part
+                    if f is not None:
+                        factors.append(f)
+                    stack.append((iter(child._parts()), f is not None))
+                    break
+                vol, G, flag, slot = part
+                for f in reversed(factors):
+                    vol = f * vol
+                out.append(VolAtom(vol, G, flag, slot))
+            else:
+                if stack.pop()[1]:
+                    factors.pop()
+        return out
 
     def sup_dev(self) -> float:
         raise NotImplementedError
@@ -220,10 +244,10 @@ class SlotMap(MapNode):
             return self.inner.gradient_many(X)
         return np.repeat(self.A[None], len(X), axis=0)
 
-    def distribution(self):
+    def _parts(self):
         if self.inner is not None:
-            return self.inner.distribution()
-        return [VolAtom(self.domain.volume, self.A, self.flag, self)]
+            return [(self.inner, None)]
+        return [(self.domain.volume, self.A, self.flag, self)]
 
     def sup_dev(self):
         return 0.0 if self.inner is None else self.inner.sup_dev()
@@ -391,26 +415,21 @@ class RoofMap(MapNode):
             out[idx] = self.slots[side].gradient_many(X[idx] - ct)
         return out
 
-    def distribution(self):
+    def _parts(self):
         out = []
         h0, h1, w = self.h0, self.h1, self.w
         for side, lam in ((1, self.lam1), (2, self.lam2)):
             Ai = self.A1 if side == 1 else self.A2
             slot = self.slots[side]
-            slab = 2.0 * h0 * lam * (2.0 * h1 - w)
-            core = 4.0 * h0 * lam * (h1 - w)
-            margin = 2.0 * h0 * lam * w
             if slot.inner is None and slot.flag == GOOD:
-                out.append(VolAtom(slab, Ai, GOOD, slot))
-            elif slot.inner is None:
-                out.append(VolAtom(core, Ai, slot.flag, slot))
-                out.append(VolAtom(margin, Ai, self.aux_flag, None))
+                out.append((2.0 * h0 * lam * (2.0 * h1 - w), Ai, GOOD, slot))
+                continue
+            if slot.inner is None:
+                out.append((4.0 * h0 * lam * (h1 - w), Ai, slot.flag, slot))
             else:
-                for va in slot.distribution():
-                    out.append(VolAtom(float(self.n) * va.vol, va.G, va.flag, va.slot))
-                out.append(VolAtom(margin, Ai, self.aux_flag, None))
-        out.append(VolAtom(h0 * w, self.cap_grad[+1], self.aux_flag, None))
-        out.append(VolAtom(h0 * w, self.cap_grad[-1], self.aux_flag, None))
+                out.append((slot, float(self.n)))
+            out.append((2.0 * h0 * lam * w, Ai, self.aux_flag, None))
+        out.extend((h0 * w, self.cap_grad[s], self.aux_flag, None) for s in (1, -1))
         return out
 
     def sup_dev(self):
@@ -515,10 +534,8 @@ class GridCover(MapNode):
     def gradient_many(self, X):
         return self.template.gradient_many((X - self._tile_centers(X)) / self.sigma)
 
-    def distribution(self):
-        factor = float(self.k0) * float(self.k1) * self.sigma ** 2
-        return [VolAtom(factor * va.vol, va.G, va.flag, va.slot)
-                for va in self.template.distribution()]
+    def _parts(self):
+        return [(self.template, float(self.k0) * float(self.k1) * self.sigma ** 2)]
 
     def sup_dev(self):
         return self.sigma * self.template.sup_dev()
@@ -694,14 +711,11 @@ class CoverMap(MapNode):
         out[idx] = self.template.gradient_many((X[idx] - ct) / s[:, None])
         return out
 
-    def distribution(self):
+    def _parts(self):
         factor = sum(cnt * (self.sigma0 * 2.0 ** -level) ** 2
                      for level, cnt in self._tile_counts())
-        out = [VolAtom(factor * va.vol, va.G, va.flag, va.slot)
-               for va in self.template.distribution()]
-        if self.residual > 0.0:
-            out.append(VolAtom(self.residual, self.A, RESIDUAL, None))
-        return out
+        residual = [(self.residual, self.A, RESIDUAL, None)] if self.residual > 0.0 else []
+        return [(self.template, factor)] + residual
 
     def sup_dev(self):
         return self.sigma0 * self.template.sup_dev()
@@ -942,8 +956,9 @@ class _SwappedNode(MapNode):
     def gradient_many(self, X):
         return _P_SWAP @ self.base.gradient_many(_apply(_P_SWAP, X)) @ _P_SWAP
 
-    def distribution(self):
-        return [VolAtom(va.vol, _P_SWAP @ va.G @ _P_SWAP, va.flag, None)
+    def _parts(self):
+        # per atom over the base walk: P @ G @ P does not keep the sign of -0.0
+        return [(va.vol, _P_SWAP @ va.G @ _P_SWAP, va.flag, None)
                 for va in self.base.distribution()]
 
     def sup_dev(self):

@@ -122,6 +122,30 @@ class TestExitCodes:
         monkeypatch.setenv("LF_JOBS", "2")
         assert main(["laminate", "verify", "--measure", str(m)]) == 0
 
+    @pytest.mark.parametrize("flag", ["--out", "--tails", "--report"])
+    def test_unwritable_output_is_parse_error(self, flag, tmp_path, capsys):
+        bad = str(tmp_path / "missing" / "x.json")
+        paths = {f: str(tmp_path / f"{f[2:]}.out") for f in ("--out", "--tails",
+                                                           "--report")}
+        paths[flag] = bad
+        argv = ["pipeline", "product", "--A", "diag(3,1)", "--beta-tol", "1e-2"]
+        for f, path in paths.items():
+            argv += [f, path]
+        assert main(argv) == 2
+        assert bad in capsys.readouterr().err
+
+    def test_unwritable_staircase_out_is_parse_error(self, tmp_path, capsys):
+        bad = str(tmp_path / "missing" / "m.json")
+        assert main(["staircase", "build", "--kind", "det1", "--A", "diag(3,3)",
+                     "--N", "3", "--out", bad]) == 2
+        assert bad in capsys.readouterr().err
+
+    @pytest.mark.parametrize("A", ["diag(nan,2)", "diag(3,inf)"])
+    def test_non_finite_seed_is_parse_error(self, A, tmp_path, capsys):
+        assert main(["staircase", "build", "--kind", "det1", "--A", A, "--N", "3",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
 
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(lamstair.__file__))

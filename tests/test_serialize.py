@@ -42,6 +42,23 @@ class TestMatrices:
         with pytest.raises(ParseError):
             serialize.parse_matrix_arg("diag(3,x)")
 
+    @pytest.mark.parametrize("text", ["diag(nan,2)", "diag(2,inf)", "diag(-inf,1)",
+                                      "diag(NaN, 3)"])
+    def test_non_finite_diagonal_rejected(self, text):
+        with pytest.raises(ParseError, match="non-finite"):
+            serialize.parse_matrix_arg(text)
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_entry_rejected(self, entry, tmp_path):
+        # JSON NaN/Infinity literals load as floats; they are parse errors
+        text = '{"rows": 2, "cols": 2, "entries": [[1.0, %s], [0.0, 1.0]]}' % entry
+        with pytest.raises(ParseError, match="finite"):
+            serialize.matrix_from_obj(json.loads(text))
+        path = tmp_path / "A.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="finite"):
+            serialize.parse_matrix_arg(str(path))
+
 
 class TestMeasures:
     def test_round_trip_with_certificate(self):
@@ -65,6 +82,19 @@ class TestMeasures:
             serialize.measure_from_obj(obj)
         obj = {"atoms": [{"w": True, "M": serialize.matrix_to_obj(np.eye(2))}]}
         with pytest.raises(ParseError):
+            serialize.measure_from_obj(obj)
+
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, w):
+        obj = json.loads(json.dumps(
+            {"atoms": [{"w": w, "M": serialize.matrix_to_obj(np.eye(2))}]}))
+        with pytest.raises(ParseError, match="finite"):
+            serialize.measure_from_obj(obj)
+        step = {k: serialize.matrix_to_obj(np.eye(2))
+                for k in ("target", "left", "right")}
+        obj = {"atoms": [{"w": 1, "M": serialize.matrix_to_obj(np.eye(2))}],
+               "certificate": [dict(step, lam=w)]}
+        with pytest.raises(ParseError, match="finite"):
             serialize.measure_from_obj(obj)
 
 

@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -669,3 +672,272 @@ class TestBatchedVerification:
         cm = fixed_map("cell_map")
         assert (sy.verify_map(cm, sample_budget=2_000)
                 == verify_map_pointwise(cm, sample_budget=2_000))
+
+
+# ---------------------------------------------------------------------------
+# distribution walks: recorded digests, the recursion the walker replaced,
+# depth and allocation counts
+
+
+def distribution_recursive(node):
+    """The recursive walk that the iterative walker replaced; reference only.
+    Every node wraps each atom below it in a new VolAtom, so volume factors
+    apply level by level from the leaf upward."""
+    VolAtom = sy.VolAtom
+    if isinstance(node, sy.SlotMap):
+        if node.inner is not None:
+            return distribution_recursive(node.inner)
+        return [VolAtom(node.domain.volume, node.A, node.flag, node)]
+    if isinstance(node, sy.RoofMap):
+        out = []
+        h0, h1, w = node.h0, node.h1, node.w
+        for side, lam in ((1, node.lam1), (2, node.lam2)):
+            Ai = node.A1 if side == 1 else node.A2
+            slot = node.slots[side]
+            slab = 2.0 * h0 * lam * (2.0 * h1 - w)
+            core = 4.0 * h0 * lam * (h1 - w)
+            margin = 2.0 * h0 * lam * w
+            if slot.inner is None and slot.flag == sy.GOOD:
+                out.append(VolAtom(slab, Ai, sy.GOOD, slot))
+            elif slot.inner is None:
+                out.append(VolAtom(core, Ai, slot.flag, slot))
+                out.append(VolAtom(margin, Ai, node.aux_flag, None))
+            else:
+                for va in distribution_recursive(slot):
+                    out.append(VolAtom(float(node.n) * va.vol, va.G, va.flag, va.slot))
+                out.append(VolAtom(margin, Ai, node.aux_flag, None))
+        out.append(VolAtom(h0 * w, node.cap_grad[+1], node.aux_flag, None))
+        out.append(VolAtom(h0 * w, node.cap_grad[-1], node.aux_flag, None))
+        return out
+    if isinstance(node, sy.GridCover):
+        factor = float(node.k0) * float(node.k1) * node.sigma ** 2
+        return [VolAtom(factor * va.vol, va.G, va.flag, va.slot)
+                for va in distribution_recursive(node.template)]
+    if isinstance(node, sy.CoverMap):
+        factor = sum(cnt * (node.sigma0 * 2.0 ** -level) ** 2
+                     for level, cnt in node._tile_counts())
+        out = [VolAtom(factor * va.vol, va.G, va.flag, va.slot)
+               for va in distribution_recursive(node.template)]
+        if node.residual > 0.0:
+            out.append(VolAtom(node.residual, node.A, sy.RESIDUAL, None))
+        return out
+    if isinstance(node, sy._SwappedNode):
+        return [VolAtom(va.vol, sy._P_SWAP @ va.G @ sy._P_SWAP, va.flag, None)
+                for va in distribution_recursive(node.base)]
+    raise TypeError(f"no reference walk for {type(node).__name__}")
+
+
+def walk_digest(dist):
+    """sha256 of the rows (vol.hex(), G bytes, flag, slot index by first
+    appearance or None) of a walk, with the atom count."""
+    index = {}
+    rows = [(va.vol.hex(), va.G.tobytes(), va.flag,
+             None if va.slot is None else index.setdefault(id(va.slot), len(index)))
+            for va in dist]
+    return {"atoms": len(rows),
+            "sha256": hashlib.sha256(repr(rows).encode()).hexdigest()}
+
+
+def reports_digest(reports):
+    return [[rr.round, rr.error_moment.hex(), rr.tail_constant.hex(),
+             rr.patched_slots] for rr in reports]
+
+
+def reduce_walks(builder, A, depth, check=None):
+    """Run reduce_exact and return its reports with the root walk of every
+    round.  check(root, dist), if given, sees each root walk as it happens,
+    while the tree is in that round's state."""
+    walks = []
+
+    def recording_builder(*args):
+        node = builder(*args)
+        if not walks:
+            # the first output is the root: record every walk of the tree
+            walk = node.distribution
+            walks.append(None)
+
+            def recorded():
+                dist = walk()
+                if check is not None:
+                    check(node, dist)
+                walks.append(dist)
+                return dist
+
+            node.distribution = recorded
+        return node
+
+    _, reports = sy.reduce_exact(recording_builder, UNIT, A, 0.0, delta=0.5,
+                                 alpha=0.5, depth=depth, p=2.0, M=8.0, r=1.5)
+    assert len(walks) == depth + 1
+    return reports, walks[1:]
+
+
+def criterion_08_digests():
+    from lamstair import stages
+    reports, walks = reduce_walks(stages.stage3_builder(1.5), np.diag([3.0, 1.0]), 8)
+    out = {f"round_{k}": walk_digest(d) for k, d in enumerate(walks)}
+    out["reports"] = reports_digest(reports)
+    return out
+
+
+def product_map_digests():
+    from lamstair import stages
+    res = stages.product_pipeline(np.outer([1.0, 1.0], [1.0, 0.0]), mode="map",
+                                  depth=2)
+    return {"walk": walk_digest(res.realized_map.root.distribution()),
+            "reports": reports_digest(res.rounds)}
+
+
+def rotated_laminate():
+    nu = laminate(np.diag([1.0, 2.0]), [(0.6, (1.0, 0.5), 0.4),
+                                        (1.1, (0.7, -1.2), 0.6)])
+    return sy.realize_finite_laminate(nu, UNIT, eps=0.2)
+
+
+DIGEST_CASES = {
+    "criterion_08": criterion_08_digests,
+    "product_map": product_map_digests,
+    "rotated_laminate": lambda: {"walk": walk_digest(rotated_laminate().root.distribution())},
+    "grid_staircase": lambda: {"walk": walk_digest(
+        fixed_map("grid_staircase").root.distribution())},
+    "swapped": lambda: {"walk": walk_digest(fixed_map("swapped").root.distribution())},
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+def test_distribution_digests(case):
+    recorded = json.loads(
+        (pathlib.Path(__file__).parent / "distribution_digests.json").read_text())
+    assert DIGEST_CASES[case]() == recorded[case]
+
+
+def assert_same_walk(got, ref, same_G=True):
+    """Atom by atom: the same volume bits, flag and slot, and the same G
+    object (or, for swapped maps, whose G is made per walk, the same bytes)."""
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert type(a) is sy.VolAtom
+        assert a.vol.hex() == b.vol.hex() and a.flag == b.flag and a.slot is b.slot
+        assert a.G is b.G if same_G else a.G.tobytes() == b.G.tobytes()
+
+
+def roof_chain(depth):
+    """RoofMaps nested depth deep, built top-down in a loop: each level
+    patches the side-1 slot of the level above with a roof on that slot's
+    domain.  lam1 = 0.99 and one tooth per level keep the boxes from
+    underflowing, and the gradients alternate between 0 and D/100."""
+    D = np.outer([1.0, 0.0], [1.0, 0.0])
+    dom, A = sy.OBox((0.0, 0.0), (1.0, 4.0)), np.zeros((2, 2))
+    root = slot = None
+    for k in range(depth):
+        Dk = D if k % 2 == 0 else -D
+        node = sy.RoofMap(dom, A, 0.0, A + 0.01 * Dk, A - 0.99 * Dk, 0.99, Dk[:, 0],
+                          D[0], 0, 1.0, w_max=math.inf, h_max=math.inf)
+        assert node.n == 1
+        if slot is None:
+            root = node
+        else:
+            slot.patch(node)
+        slot = node.slots[1]
+        dom, A = slot.domain, slot.A
+    return root
+
+
+class TestDistributionWalk:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+           st.lists(st.tuples(st.one_of(st.sampled_from([0.0, math.pi / 2]),
+                                        st.floats(0.2, 1.3)),
+                              st.tuples(st.floats(0.5, 2.0), st.floats(-2.0, 2.0)),
+                              st.floats(0.2, 0.8)),
+                    min_size=1, max_size=3),
+           st.floats(0.1, 0.5), st.booleans())
+    def test_laminates_match_recursion(self, entries, splits, eps, thin):
+        nu = laminate(np.reshape(entries, (2, 2)), splits)
+        dom = sy.box((0.0, 0.0), (3.0, 0.5)) if thin else UNIT
+        root = sy.realize_finite_laminate(nu, dom, eps=eps).root
+        assert_same_walk(root.distribution(), distribution_recursive(root))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([[2, 2], [3, 2], [2, 5]]), st.integers(1, 5),
+           st.floats(0.1, 0.5), st.booleans())
+    def test_staircases_match_recursion(self, a, N, eta, thin):
+        spec = sc.example_staircase("det1", {"a": a})
+        dom = sy.box((0.0, 0.0), (3.0, 0.5)) if thin else UNIT
+        root = sy.realize_staircase(spec, N, dom, eta=eta).root
+        assert_same_walk(root.distribution(), distribution_recursive(root))
+
+    # parametrized, not drawn by hypothesis: reduce_exact raises the process
+    # recursion limit, which hypothesis reports as a warning
+    @pytest.mark.parametrize("builder, a", [("stage3", 3.0), ("stage3", 2.6),
+                                            ("product", 3.0), ("product", 3.9)])
+    def test_reduce_rounds_match_recursion(self, builder, a):
+        # a split seed for stage 3; a rank-one seed sends product_builder
+        # through stages 2 and 3
+        from lamstair import stages
+        if builder == "stage3":
+            build, A = stages.stage3_builder(1.5), np.diag([a, 1.0])
+        else:
+            build, A = stages.product_builder(1.5), np.outer([1.0, 1.0], [a / 3.0, 0.0])
+        seen = []
+
+        def check(root, dist):
+            assert_same_walk(dist, distribution_recursive(root))
+            seen.append(len(dist))
+
+        reduce_walks(build, A, 3, check=check)
+        assert len(seen) == 3
+
+    def test_swapped_matches_recursion(self):
+        root = fixed_map("swapped").root
+        assert_same_walk(root.distribution(), distribution_recursive(root),
+                         same_G=False)
+
+    def test_deeper_than_the_recursion_limit(self):
+        # in a fresh interpreter: reduce_exact raises this process's limit,
+        # and each leaf of a chain takes one multiplication per level above it
+        script = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})\n"
+            "import test_synth as t\n"
+            "limit = sys.getrecursionlimit()\n"
+            "deep = t.roof_chain(limit + 100)\n"
+            "atoms = len(deep.distribution())\n"
+            "try:\n"
+            "    t.distribution_recursive(deep)\n"
+            "    recursion = 'finished'\n"
+            "except RecursionError:\n"
+            "    recursion = 'RecursionError'\n"
+            "print(json.dumps([limit, sys.getrecursionlimit(), atoms, recursion]))\n")
+        src = str(pathlib.Path(sy.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True, timeout=300,
+                             env=dict(os.environ, PYTHONPATH=src))
+        limit, after, atoms, recursion = json.loads(out.stdout)
+        assert after == limit and atoms == 4 * (limit + 100)
+        assert recursion == "RecursionError"
+        # at a depth the recursion still reaches, the walks agree
+        shallow = roof_chain(100)
+        assert_same_walk(shallow.distribution(), distribution_recursive(shallow))
+        assert len(shallow.distribution()) == 4 * 100
+
+    def test_one_volatom_per_atom(self, monkeypatch):
+        from lamstair import stages
+        pam, _ = sy.reduce_exact(stages.stage3_builder(1.5), UNIT, np.diag([3.0, 1.0]),
+                                 0.0, delta=0.5, alpha=0.5, depth=8, p=2.0, M=8.0,
+                                 r=1.5)
+        made = []
+
+        class CountedVolAtom(sy.VolAtom):
+            def __init__(self, *args):
+                made.append(None)
+                super().__init__(*args)
+
+        monkeypatch.setattr(sy, "VolAtom", CountedVolAtom)
+        dist = pam.root.distribution()
+        assert len(made) == len(dist) == len(pam.distribution())
+        # the recursion re-wrapped every atom once per ancestor that scales it
+        made.clear()
+        distribution_recursive(pam.root)
+        assert len(made) > 2 * len(dist)
+
