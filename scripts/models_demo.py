@@ -17,6 +17,7 @@ def main() -> None:
     ap.add_argument("--outdir", default="out/models", type=pathlib.Path)
     ap.add_argument("--K", default="3")
     ap.add_argument("--p", default="1.5")
+    ap.add_argument("--N", default="10000", help="plap truncation level")
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
@@ -29,7 +30,7 @@ def main() -> None:
                    "--tails", str(args.outdir / "afs_tails.csv")])
     print(f"afs exit {rc}")
 
-    rc = cli_main(["models", "plap", "--p", args.p, "--N", "10000",
+    rc = cli_main(["models", "plap", "--p", args.p, "--N", args.N,
                    "--moments", str(args.outdir / "plap_moments.csv"),
                    "--out", str(args.outdir / "plap.json"),
                    "--measure", str(args.outdir / "plap_measure.json")])

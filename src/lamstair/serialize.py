@@ -8,6 +8,7 @@ so repeated runs with identical inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -71,10 +72,20 @@ def matrix_from_obj(obj, path="matrix") -> np.ndarray:
         raise ParseError(f"{path}: entries must be a {rows}x{cols} nested list")
     try:
         M = np.array(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: non-numeric entry ({exc})") from exc
     if not np.isfinite(M).all():
         raise ParseError(f"{path}: entries must be finite")
+    return _check_norm(M, path)
+
+
+def _check_norm(M: np.ndarray, path) -> np.ndarray:
+    """M, once its Frobenius norm is known to be finite.  Entries past about
+    1.3e154 overflow |M|, and every tolerance tol * (1 + |M|) then accepts
+    anything, so such a matrix is a precondition violation."""
+    with np.errstate(over="ignore"):
+        if not math.isfinite(frob(M)):
+            raise PreconditionError(f"{path}: Frobenius norm overflows")
     return M
 
 
@@ -88,7 +99,7 @@ def parse_matrix_arg(text: str) -> np.ndarray:
             raise ParseError(f"bad diagonal entries in {text!r}") from exc
         if not np.isfinite(vals).all():
             raise ParseError(f"non-finite diagonal entry in {text!r}")
-        return np.diag(vals)
+        return _check_norm(np.diag(vals), text)
     return matrix_from_obj(load_json(text), path=text)
 
 
@@ -184,158 +195,274 @@ def _domain_from_obj(obj, path="domain") -> OBox:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _matrix2(obj, path) -> np.ndarray:
+    M = matrix_from_obj(obj, path)
+    if M.shape != (2, 2):
+        raise ParseError(f"{path}: must be a 2x2 matrix")
+    return M
+
+
+def _vector2(v, path) -> np.ndarray:
+    try:
+        x = np.asarray(v, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if x.shape != (2,) or not np.isfinite(x).all():
+        raise ParseError(f"{path}: must be a finite 2-vector")
+    return x
+
+
 def map_to_obj(m, max_cells: int = 200_000) -> dict:
     A, b = m.boundary_affine
     if isinstance(m, CellMap):
-        return {"domain": _domain_to_obj(m.domain),
-                "boundary": {"A": matrix_to_obj(A),
-                             "b": [float(v) for v in b]},
-                "cells": [{"region": {"vertices": [[float(v) for v in p]
-                                                   for p in c["vertices"]]},
-                           "A": matrix_to_obj(c["A"]),
-                           "b": [float(v) for v in c["b"]],
-                           "flag": c["flag"]} for c in m.cells_data],
-                "residual_volume": float(m.residual_volume)}
-    cells = []
-    for c in m.cells(max_cells):
-        cells.append({
-            "region": {"vertices": [[float(v) for v in p] for p in c.vertices]},
-            "A": matrix_to_obj(c.A),
-            "b": [float(v) for v in c.b],
-            # non-realized roles (inductive slots, cover residuals) are all
-            # error cells from the consumer's point of view
-            "flag": "good" if c.flag == GOOD else "error",
-        })
+        cells = [{"region": {"vertices": v[:n]},
+                  "A": {"rows": 2, "cols": 2, "entries": a},
+                  "b": c, "flag": f}
+                 for v, n, a, c, f in zip(m.vertices.tolist(), m.counts.tolist(),
+                                          m.A.tolist(), m.b.tolist(), m.flags)]
+    else:
+        # non-realized roles (inductive slots, cover residuals) are all error
+        # cells from the consumer's point of view
+        cells = [{"region": {"vertices": [[float(v) for v in p]
+                                          for p in c.vertices]},
+                  "A": matrix_to_obj(c.A),
+                  "b": [float(v) for v in c.b],
+                  "flag": "good" if c.flag == GOOD else "error"}
+                 for c in m.cells(max_cells)]
     return {"domain": _domain_to_obj(m.domain),
             "boundary": {"A": matrix_to_obj(A), "b": [float(v) for v in b]},
             "cells": cells,
             "residual_volume": float(m.residual_volume)}
 
 
-class CellMap:
-    """A map loaded back from its serialized cell list.
+_P_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+_EDGE_TOL = 1e-9      # cross products this small put a point on an edge's line
+_LOOKUP_BLOCK = 16    # query points per block: (16, k) distance temporaries
 
-    Evaluation locates the cell nearest to the query point (containment up to
-    roundoff for interior points) and applies its affine piece, which is exact
-    away from the booked residual slivers; enough for sampled verification
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.dot of the last axes, one per leading index.  A stacked matmul of a
+    row by a column runs the 1-D dot kernel on the same strides, so each
+    entry equals np.dot(x[i], y[i]) bit for bit; einsum and cumsum do not."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+class CellMap:
+    """A map loaded back from its serialized cell list, held as arrays.
+
+    For k cells with at most n_max vertices:
+
+      vertices  (k, n_max, 2)  each cell's counts[i] vertices in order, padded
+                               by repeating the last one; the padded edges
+                               have length zero, so the containment test
+                               skips them as it skips any edge it lies on
+      counts    (k,)           vertex count per cell
+      A, b      (k, 2, 2), (k, 2)  the affine piece x -> A[i] x + b[i]
+      flags     k strings, "good" or "error"
+      centroids, areas, radii  vertex mean, shoelace area and largest vertex
+                               distance from the centroid, computed once per
+                               vertex-count group with the per-cell float
+                               operations of np.mean, np.dot and
+                               np.linalg.norm
+
+    Lookup.  Cell i is a candidate for a point x when |x - centroids[i]| <=
+    radii[i] + 1e-9.  x belongs to the first candidate, in order of centroid
+    distance with ties to the lower index, that contains it: every edge cross
+    product larger than 1e-9 in modulus has one sign.  A point that no
+    candidate contains (a booked residual sliver, or roundoff at an edge)
+    belongs to the nearest candidate, and a point with no candidate (off the
+    domain) to the nearest centroid.  Cell sizes vary over many scales, so
+    a fixed number of nearest centroids would not do.  The affine piece is
+    exact away from the residual slivers: enough for sampled verification
     and for the gradient-distribution and duality consumers.
+
+    Queries go in blocks of 16 points: one array pass takes every centroid
+    distance, the nearest candidate of each point is tested at once, and
+    only a point it does not contain (about 1 in 20 on criterion 14's map)
+    tests all its candidates.
     """
 
-    def __init__(self, domain: OBox, boundary, cells: list[dict],
+    def __init__(self, domain: OBox, boundary, vertices: np.ndarray,
+                 counts: np.ndarray, A: np.ndarray, b: np.ndarray, flags,
                  residual_volume: float):
         self.domain = domain
         self.boundary_affine = boundary
-        self.cells_data = cells
+        self.vertices, self.counts, self.A, self.b = vertices, counts, A, b
+        self.flags = tuple(flags)
         self.residual_volume = float(residual_volume)
-        self._centroids = np.array([np.mean(c["vertices"], axis=0)
-                                    for c in cells])
-        self._areas = np.array([_polygon_area(c["vertices"]) for c in cells])
-        self._radii = np.array(
-            [max(np.linalg.norm(np.asarray(v, dtype=float) - ctr)
-                 for v in c["vertices"])
-             for c, ctr in zip(cells, self._centroids)])
+        k = len(counts)
+        self.centroids = np.empty((k, 2))
+        self.areas, self.radii = np.empty(k), np.empty(k)
+        for n in np.unique(counts):
+            g = np.nonzero(counts == n)[0]
+            V = vertices[g, :n]
+            ctr = V.mean(axis=1)
+            # strided views like a cell's v[:, 0]: the dot kernel's
+            # summation order depends on the stride
+            x, y = V[..., 0], V[..., 1]
+            self.areas[g] = 0.5 * np.abs(_dots(x, np.roll(y, -1, axis=1))
+                                         - _dots(y, np.roll(x, -1, axis=1)))
+            d = V - ctr[:, None, :]
+            self.radii[g] = np.sqrt(_dots(d, d)).max(axis=1)
+            self.centroids[g] = ctr
+        self._cx, self._cy = np.ascontiguousarray(self.centroids.T)
+        self._reach = self.radii + 1e-9
+        self._edges = np.roll(vertices, -1, axis=1) - vertices
 
-    def _locate(self, x) -> int:
-        x = np.asarray(x, dtype=float)
-        dist = np.linalg.norm(self._centroids - x, axis=1)
-        # only cells whose circumradius reaches x can contain it; cell sizes
-        # vary over many scales, so a plain k-nearest candidate set fails
-        cand = np.nonzero(dist <= self._radii + 1e-9)[0]
-        cand = cand[np.argsort(dist[cand], kind="stable")]
-        for i in cand:
-            if _polygon_contains(self.cells_data[i]["vertices"], x):
-                return int(i)
-        if len(cand):
-            return int(cand[0])
-        return int(np.argmin(dist))
+    def _inside(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Whether cell idx[r] contains X[r], for each row r."""
+        V, E = self.vertices[idx], self._edges[idx]
+        cross = (E[..., 0] * (X[:, 1:] - V[..., 1])
+                 - E[..., 1] * (X[:, :1] - V[..., 0]))
+        return ~((cross > _EDGE_TOL).any(axis=1) & (cross < -_EDGE_TOL).any(axis=1))
+
+    def _locate_many(self, X: np.ndarray) -> np.ndarray:
+        """The cell of each row of X (shape (m, 2)) under the lookup rule."""
+        out = np.empty(len(X), dtype=np.intp)
+        for s in range(0, len(X), _LOOKUP_BLOCK):
+            P = X[s:s + _LOOKUP_BLOCK]
+            # |centroid - x| as np.linalg.norm(axis=1) takes it
+            dist = self._cx - P[:, :1]
+            dist *= dist
+            dy = self._cy - P[:, 1:]
+            dy *= dy
+            dist += dy
+            np.sqrt(dist, out=dist)
+            near = dist <= self._reach
+            first = np.where(near, dist, np.inf).argmin(axis=1)
+            some = near[np.arange(len(P)), first]
+            first[~some] = dist[~some].argmin(axis=1)
+            out[s:s + len(P)] = first
+            # a point its nearest candidate misses: the nearest of the
+            # candidates that contain it, lower index on ties, is the first
+            # containing one in sorted order
+            for r in np.nonzero(some & ~self._inside(first, P))[0]:
+                cand = np.nonzero(near[r])[0]
+                hit = cand[self._inside(cand, np.broadcast_to(P[r], (len(cand), 2)))]
+                if len(hit):
+                    out[s + r] = hit[np.argmin(dist[r, hit])]
+        return out
 
     def evaluate(self, x) -> np.ndarray:
-        c = self.cells_data[self._locate(x)]
-        return c["A"] @ np.asarray(x, dtype=float) + c["b"]
+        """The value at one point x of shape (2,): evaluate_many on x[None]."""
+        return self.evaluate_many(np.asarray(x, dtype=float)[None])[0]
 
     def gradient_at(self, x) -> np.ndarray:
-        return self.cells_data[self._locate(x)]["A"]
+        """The gradient at one point x of shape (2,): gradient_many on x[None]."""
+        return self.gradient_many(np.asarray(x, dtype=float)[None])[0]
 
     def evaluate_many(self, X) -> np.ndarray:
-        """Rows evaluate(X[r]) for points X of shape (k, 2)."""
-        return np.array([self.evaluate(x) for x in X]).reshape(len(X), 2)
+        """Values at the points X of shape (k, 2), one row per point."""
+        X = np.asarray(X, dtype=float)
+        idx = self._locate_many(X)
+        return np.matmul(self.A[idx], X[:, :, None])[:, :, 0] + self.b[idx]
 
     def gradient_many(self, X) -> np.ndarray:
-        """Rows gradient_at(X[r]) for points X of shape (k, 2)."""
-        return np.array([self.gradient_at(x) for x in X]).reshape(len(X), 2, 2)
+        """Gradients at the points X of shape (k, 2), one (2, 2) row per point."""
+        return self.A[self._locate_many(np.asarray(X, dtype=float))]
 
     def grad_bound(self) -> float:
-        return max((frob(c["A"]) for c in self.cells_data), default=0.0)
+        return max(map(frob, self.A), default=0.0)
 
     def gradient_distribution(self) -> tuple[DiscreteMeasure, float]:
         vol = self.domain.volume
-        atoms = [Atom(a / vol, c["A"])
-                 for c, a in zip(self.cells_data, self._areas) if a > 0.0]
+        atoms = [Atom(a / vol, G) for G, a in zip(self.A, self.areas) if a > 0.0]
         return DiscreteMeasure(atoms), self.residual_volume
 
     def volumes_by_flag(self) -> dict:
         out: dict[str, float] = {}
-        for c, a in zip(self.cells_data, self._areas):
-            out[c["flag"]] = out.get(c["flag"], 0.0) + float(a)
+        for f, a in zip(self.flags, self.areas.tolist()):
+            out[f] = out.get(f, 0.0) + a
         return out
 
     def swap_components(self) -> "CellMap":
-        P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        dom = OBox(P @ self.domain.center, self.domain.half,
-                   P @ self.domain.frame)
+        P = _P_SWAP
+        dom = OBox(P @ self.domain.center, self.domain.half, P @ self.domain.frame)
         A, b = self.boundary_affine
-        cells = [{"vertices": [P @ v for v in c["vertices"]],
-                  "A": P @ c["A"] @ P, "b": P @ c["b"], "flag": c["flag"]}
-                 for c in self.cells_data]
-        return CellMap(dom, (P @ A @ P, P @ b), cells, self.residual_volume)
+        return CellMap(dom, (P @ A @ P, P @ b),
+                       np.matmul(P, self.vertices[..., None])[..., 0], self.counts,
+                       np.matmul(np.matmul(P, self.A), P),
+                       np.matmul(P, self.b[..., None])[..., 0], self.flags,
+                       self.residual_volume)
 
 
-def _polygon_area(verts) -> float:
-    v = np.asarray(verts, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+_DOMAIN_TOL = 1e-9    # vertex excursion allowed, times 1 + the largest half-width
+_VOLUME_RTOL = 1e-9   # cell areas + residual_volume against the domain volume
 
 
-def _polygon_contains(verts, x, tol: float = 1e-9) -> bool:
-    v = np.asarray(verts, dtype=float)
-    n = len(v)
-    sign = 0.0
-    for i in range(n):
-        e = v[(i + 1) % n] - v[i]
-        cross = e[0] * (x[1] - v[i][1]) - e[1] * (x[0] - v[i][0])
-        if abs(cross) <= tol:
-            continue
-        if sign == 0.0:
-            sign = cross
-        elif cross * sign < 0.0:
-            return False
-    return True
+def _cell_arrays(cells: list):
+    """(vertices, counts, A, b, flags) converted one field at a time over all
+    cells, or None when any cell is malformed."""
+    try:
+        regions = [c["region"]["vertices"] for c in cells]
+        counts = np.array([len(r) for r in regions])
+        n_max = int(counts.max())
+        V = np.array([r + r[-1:] * (n_max - len(r)) for r in regions], dtype=float)
+        mats = [c["A"] for c in cells]
+        A = np.array([a["entries"] for a in mats], dtype=float)
+        b = np.array([c["b"] for c in cells], dtype=float)
+        flags = [c["flag"] for c in cells]
+        ok = ({(type(a["rows"]), a["rows"], type(a["cols"]), a["cols"])
+               for a in mats} == {(int, 2, int, 2)}
+              and set(flags) <= {"good", "error"})
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError):
+        return None
+    k = len(cells)
+    if not (ok and counts.min() >= 3 and V.shape == (k, n_max, 2)
+            and A.shape == (k, 2, 2) and b.shape == (k, 2)
+            and np.isfinite(V).all() and np.isfinite(A).all()
+            and np.isfinite(b).all()):
+        return None
+    return V, counts, A, b, flags
+
+
+def _check_cell(c, where) -> None:
+    """_cell_arrays' checks for one cell: raise for its first malformed field."""
+    verts = _require(_require(c, "region", where), "vertices", f"{where}.region")
+    if not isinstance(verts, list) or len(verts) < 3:
+        raise ParseError(f"{where}: region needs at least 3 vertices")
+    for j, v in enumerate(verts):
+        _vector2(v, f"{where}.region.vertices[{j}]")
+    if _require(c, "flag", where) not in ("good", "error"):
+        raise ParseError(f"{where}: flag must be 'good' or 'error'")
+    _matrix2(_require(c, "A", where), f"{where}.A")
+    _vector2(_require(c, "b", where), f"{where}.b")
 
 
 def map_from_obj(obj, path="map") -> CellMap:
+    """A CellMap from its JSON object.  Besides the schema, the cells must
+    tile the domain: every vertex lies in the domain up to 1e-9 (1 + the
+    largest half-width) in the box frame, and the cell areas plus
+    residual_volume equal the domain volume up to a relative 1e-9.  A
+    violation is a ParseError naming the first bad cell where there is one;
+    a matrix whose Frobenius norm overflows is a PreconditionError."""
     dom = _domain_from_obj(_require(obj, "domain", path), f"{path}.domain")
     bnd = _require(obj, "boundary", path)
-    A = matrix_from_obj(_require(bnd, "A", f"{path}.boundary"),
-                        f"{path}.boundary.A")
-    b = np.asarray(_require(bnd, "b", f"{path}.boundary"), dtype=float)
-    cells = []
-    for i, c in enumerate(_require(obj, "cells", path)):
-        where = f"{path}.cells[{i}]"
-        region = _require(c, "region", where)
-        verts = [np.asarray(p, dtype=float)
-                 for p in _require(region, "vertices", f"{where}.region")]
-        if len(verts) < 3:
-            raise ParseError(f"{where}: region needs at least 3 vertices")
-        flag = _require(c, "flag", where)
-        if flag not in ("good", "error"):
-            raise ParseError(f"{where}: flag must be 'good' or 'error'")
-        cells.append({
-            "vertices": verts,
-            "A": matrix_from_obj(_require(c, "A", where), f"{where}.A"),
-            "b": np.asarray(_require(c, "b", where), dtype=float),
-            "flag": flag,
-        })
+    A = _matrix2(_require(bnd, "A", f"{path}.boundary"), f"{path}.boundary.A")
+    b = _vector2(_require(bnd, "b", f"{path}.boundary"), f"{path}.boundary.b")
+    cells = _require(obj, "cells", path)
+    if not isinstance(cells, list) or not cells:
+        raise ParseError(f"{path}: cells must be a non-empty list")
     resid = _require(obj, "residual_volume", path)
     if isinstance(resid, bool) or not isinstance(resid, (int, float)):
         raise ParseError(f"{path}: residual_volume must be a number")
-    return CellMap(dom, (A, b), cells, float(resid))
+    arrays = _cell_arrays(cells)
+    if arrays is None:
+        for i, c in enumerate(cells):
+            _check_cell(c, f"{path}.cells[{i}]")
+        raise ParseError(f"{path}: malformed cells")
+    V, counts, As, bs, flags = arrays
+    # four squares below 1e300 each cannot overflow; only larger entries need
+    # the exact norm
+    for i in np.nonzero(np.abs(As).max(axis=(1, 2)) >= 1e150)[0]:
+        _check_norm(As[i], f"{path}.cells[{i}].A")
+    inside = dom.contains_many(V.reshape(-1, 2), tol=_DOMAIN_TOL)
+    outside = np.nonzero(~inside.reshape(len(cells), -1).all(axis=1))[0]
+    if len(outside):
+        raise ParseError(f"{path}.cells[{outside[0]}]: vertex outside the domain")
+    cm = CellMap(dom, (A, b), V, counts, As, bs, flags, resid)
+    total, vol = float(cm.areas.sum()) + cm.residual_volume, dom.volume
+    if not abs(total - vol) <= _VOLUME_RTOL * vol:
+        raise ParseError(f"{path}: cell areas plus residual_volume come to "
+                         f"{total!r}, the domain volume is {vol!r}")
+    return cm

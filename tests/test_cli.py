@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -146,6 +147,24 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m.json")]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["laminate verify", "verify tails"])
+    def test_overflowing_atom_is_precondition(self, command, tmp_path, capsys):
+        # an atom with a 1e308 entry has an infinite norm, and the tolerance
+        # tol * (1 + |P|) that matched it to anything made this pass
+        m = tmp_path / "m.json"
+        assert main(["staircase", "build", "--kind", "det1", "--A", "diag(2,2)",
+                     "--N", "5", "--out", str(m)]) == 0
+        obj = json.loads(m.read_text())
+        obj["atoms"][3]["M"]["entries"][0][0] = 1e308
+        m.write_text(json.dumps(obj))
+        argv = command.split() + ["--measure", str(m)]
+        if command == "verify tails":
+            argv += ["--p", "2", "--M", "8", "--out", str(tmp_path / "t.csv")]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "atoms[3].M" in err and "Frobenius" in err
+
 
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(lamstair.__file__))
@@ -184,6 +203,37 @@ class TestSynthCommands:
         assert all(v >= 0.0 for v in vals)
         # the split measure is diagonal, so one component distance vanishes
         assert min(vals) == pytest.approx(0.0, abs=1e-9)
+
+
+class TestMalformedMapCommands:
+    @pytest.fixture(scope="class")
+    def map_obj(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("crit14")
+        write_measure(d / "m.json")
+        assert main(["synth", "realize", "--measure", str(d / "m.json"),
+                     "--eps", "0.2", "--out", str(d / "map.json")]) == 0
+        return json.loads((d / "map.json").read_text())
+
+    @pytest.mark.parametrize("edit", ["half_deleted", "cell_moved_out"])
+    def test_synth_verify_rejects(self, edit, map_obj, tmp_path, capsys):
+        bad = json.loads(json.dumps(map_obj))
+        assert len(bad["cells"]) == 3896   # criterion 14's map
+        if edit == "half_deleted":
+            del bad["cells"][1::2]
+        else:
+            for p in bad["cells"][100]["region"]["vertices"]:
+                p[1] -= 2.0
+        mp = tmp_path / "bad.json"
+        mp.write_text(json.dumps(bad))
+        capsys.readouterr()
+        start = time.process_time()
+        assert main(["synth", "verify", "--map", str(mp),
+                     "--out", str(tmp_path / "rep.json")]) == 2
+        # rejected on loading, before any sampled check runs
+        assert time.process_time() - start < 2.0
+        assert not (tmp_path / "rep.json").exists()
+        assert ("residual_volume" if edit == "half_deleted"
+                else "cells[100]: vertex outside") in capsys.readouterr().err
 
 
 class TestPipelineCommands:

@@ -1,11 +1,15 @@
 import json
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lamstair import serialize, synth
-from lamstair.errors import ParseError
+from lamstair.errors import ParseError, PreconditionError
+from lamstair.matrices import frob
 from lamstair.measures import (Atom, DiscreteMeasure, SplittingStep, dirac,
                                elementary_split, verify_laminate,
                                verify_weak_tail)
@@ -31,6 +35,7 @@ class TestMatrices:
         {"rows": 2, "cols": 2, "entries": [[1, 2], [3]]},
         {"rows": 0, "cols": 2, "entries": []},
         {"rows": 1, "cols": 1, "entries": [["x"]]},
+        {"rows": 1, "cols": 1, "entries": [[10 ** 400]]},
     ])
     def test_malformed_rejected(self, obj):
         with pytest.raises(ParseError):
@@ -58,6 +63,26 @@ class TestMatrices:
         path.write_text(text)
         with pytest.raises(ParseError, match="finite"):
             serialize.parse_matrix_arg(str(path))
+
+    @pytest.mark.parametrize("entries", [[[1e308, 0.0], [0.0, 1.0]],
+                                         [[2e154, 0.0], [0.0, 2e154]]])
+    def test_overflowing_norm_is_precondition(self, entries, tmp_path):
+        # finite entries whose Frobenius norm overflows: every tolerance
+        # tol * (1 + |M|) would be infinite
+        obj = {"rows": 2, "cols": 2, "entries": entries}
+        with pytest.raises(PreconditionError, match="Frobenius"):
+            serialize.matrix_from_obj(obj)
+        path = tmp_path / "A.json"
+        serialize.dump_json(obj, path)
+        with pytest.raises(PreconditionError, match="Frobenius"):
+            serialize.parse_matrix_arg(str(path))
+        with pytest.raises(PreconditionError, match="Frobenius"):
+            serialize.parse_matrix_arg(f"diag({entries[0][0]!r},1)")
+
+    def test_large_finite_norm_accepted(self):
+        M = serialize.matrix_from_obj({"rows": 2, "cols": 2,
+                                       "entries": [[1e150, 0.0], [0.0, 1e150]]})
+        assert math.isfinite(frob(M))
 
 
 class TestMeasures:
@@ -166,3 +191,276 @@ class TestMaps:
         serialize.dump_json(obj, p1)
         serialize.dump_json(serialize.map_to_obj(realized), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# CellMap: the per-cell representation the array-backed one replaced,
+# kept as the reference for its geometry and its cell lookup
+
+P_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def ref_polygon_area(verts) -> float:
+    v = np.asarray(verts, dtype=float)
+    x, y = v[:, 0], v[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def ref_polygon_contains(verts, x, tol: float = 1e-9) -> bool:
+    v = np.asarray(verts, dtype=float)
+    n = len(v)
+    sign = 0.0
+    for i in range(n):
+        e = v[(i + 1) % n] - v[i]
+        cross = e[0] * (x[1] - v[i][1]) - e[1] * (x[0] - v[i][0])
+        if abs(cross) <= tol:
+            continue
+        if sign == 0.0:
+            sign = cross
+        elif cross * sign < 0.0:
+            return False
+    return True
+
+
+class RefCells:
+    """Cells as lists of vertex arrays with the per-cell formulas and the
+    point-by-point lookup of the old CellMap."""
+
+    def __init__(self, verts, mats, offsets):
+        self.verts, self.mats, self.offsets = verts, mats, offsets
+        self.centroids = np.array([np.mean(v, axis=0) for v in verts])
+        self.areas = np.array([ref_polygon_area(v) for v in verts])
+        self.radii = np.array(
+            [max(np.linalg.norm(np.asarray(p, dtype=float) - ctr) for p in v)
+             for v, ctr in zip(verts, self.centroids)])
+
+    @classmethod
+    def from_obj(cls, obj):
+        cells = obj["cells"]
+        return cls([[np.asarray(p, dtype=float) for p in c["region"]["vertices"]]
+                    for c in cells],
+                   [serialize.matrix_from_obj(c["A"]) for c in cells],
+                   [np.asarray(c["b"], dtype=float) for c in cells])
+
+    def swapped(self):
+        P = P_SWAP
+        return RefCells([[P @ p for p in v] for v in self.verts],
+                        [P @ A @ P for A in self.mats],
+                        [P @ b for b in self.offsets])
+
+    def grad_bound(self):
+        return max((frob(A) for A in self.mats), default=0.0)
+
+    def locate(self, x) -> int:
+        x = np.asarray(x, dtype=float)
+        dist = np.linalg.norm(self.centroids - x, axis=1)
+        cand = np.nonzero(dist <= self.radii + 1e-9)[0]
+        cand = cand[np.argsort(dist[cand], kind="stable")]
+        for i in cand:
+            if ref_polygon_contains(self.verts[i], x):
+                return int(i)
+        if len(cand):
+            return int(cand[0])
+        return int(np.argmin(dist))
+
+
+def one_step_obj(eps=0.2):
+    """Criterion 14's map: the one-step laminate realized with eps 0.2."""
+    m = synth.realize_finite_laminate(one_step_laminate(),
+                                      synth.box((0.0, 0.0), (1.0, 1.0)), eps=eps)
+    return json.loads(json.dumps(serialize.map_to_obj(m)))
+
+
+def rotated_obj(obj, th=0.5, shift=(2.0, -1.0)):
+    """The same cells moved by a rotation and a shift, domain frame included."""
+    R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+    out = json.loads(json.dumps(obj))
+    dom = out["domain"]
+    c0 = np.array(dom["center"])
+
+    def move(p):
+        return (R @ (np.asarray(p) - c0) + c0 + shift).tolist()
+
+    dom["center"] = move(c0)
+    dom["frame"] = (R @ np.array(dom["frame"])).tolist()
+    for c in out["cells"]:
+        c["region"]["vertices"] = [move(p) for p in c["region"]["vertices"]]
+    return out
+
+
+def rotated_roof_obj():
+    """A roof with rotated gradients: CoverMap tiles and residual slivers."""
+    th = 0.6
+    R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    A1, A2 = np.diag([1.0, 1.0]) @ R, np.diag([-1.0, 1.0]) @ R
+    m = synth.roof(0.35 * A1 + 0.65 * A2, (0.2, -0.1), A1, A2, 0.35,
+                   synth.box((0.0, 0.0), (1.0, 1.0)), eps=0.5)
+    return json.loads(json.dumps(serialize.map_to_obj(m)))
+
+
+@lru_cache(maxsize=None)
+def lookup_case(name):
+    """(CellMap, RefCells) for one of LOOKUP_MAPS."""
+    if name == "rotated_roof":
+        obj = rotated_roof_obj()
+    else:
+        obj = one_step_obj()
+    if name == "rotated_domain":
+        obj = rotated_obj(obj)
+    cm, ref = serialize.map_from_obj(obj), RefCells.from_obj(obj)
+    if name == "swapped":
+        cm, ref = cm.swap_components(), ref.swapped()
+    return cm, ref
+
+
+LOOKUP_MAPS = ["one_step", "swapped", "rotated_domain", "rotated_roof"]
+
+
+def lookup_points(cm, kind, seed, k=30):
+    rng = np.random.default_rng(seed)
+    dom = cm.domain
+    if kind == "uniform":
+        return dom.interior_points(rng.random((k, 2)), margin=0.0)
+    if kind == "outside":
+        # up to 30 % of a half-width beyond one side: candidates, none containing
+        z = rng.uniform(-1.3, 1.3, (k, 2))
+        z[np.arange(k), rng.integers(2, size=k)] = (rng.choice([-1.0, 1.0], k)
+                                                    * rng.uniform(1.0, 1.3, k))
+        return dom.to_world_many(z * dom.half)
+    i = rng.integers(len(cm.counts), size=k)
+    j = rng.integers(cm.counts[i])
+    if kind == "vertex":
+        return cm.vertices[i, j]
+    return (cm.vertices[i, j] + cm.vertices[i, (j + 1) % cm.counts[i]]) / 2.0
+
+
+class TestCellMapArrays:
+    @pytest.mark.parametrize("name", LOOKUP_MAPS)
+    def test_geometry_bitwise(self, name):
+        cm, ref = lookup_case(name)
+        assert cm.centroids.tobytes() == ref.centroids.tobytes()
+        assert cm.areas.tobytes() == ref.areas.tobytes()
+        assert cm.radii.tobytes() == ref.radii.tobytes()
+        assert cm.grad_bound().hex() == ref.grad_bound().hex()
+        for i, n in enumerate(cm.counts):
+            assert cm.vertices[i, :n].tobytes() == np.array(ref.verts[i]).tobytes()
+            assert (cm.vertices[i, n:] == cm.vertices[i, n - 1]).all()
+        assert cm.A.tobytes() == np.array(ref.mats).tobytes()
+        assert cm.b.tobytes() == np.array(ref.offsets).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(LOOKUP_MAPS),
+           st.sampled_from(["uniform", "outside", "vertex", "midpoint"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_lookup_matches_pointwise(self, name, kind, seed):
+        cm, ref = lookup_case(name)
+        X = lookup_points(cm, kind, seed)
+        assert cm._locate_many(X).tolist() == [ref.locate(x) for x in X]
+
+    def test_nearest_containing_cell_wins(self):
+        # x = (0.5, 0.7) lies on the edge of cells 0 and 1 of this tiling of
+        # the unit square; cell 2's centroid is nearer, but 2 misses x, so
+        # the lookup walks its candidates and must take cell 1, the nearer
+        # of the two that contain x, not cell 0, the lower index
+        cells = [[(0, 0), (0.5, 0), (0.5, 1), (0, 1)],
+                 [(0.5, 0.68), (1, 0.6), (1, 1), (0.5, 1)],
+                 [(0.5, 0.6), (1, 0.6), (0.5, 0.68)],
+                 [(0.5, 0), (1, 0), (1, 0.6), (0.5, 0.6)]]
+        obj = {"domain": {"center": [0.5, 0.5], "half": [0.5, 0.5],
+                          "frame": [[1.0, 0.0], [0.0, 1.0]]},
+               "boundary": {"A": serialize.matrix_to_obj(np.eye(2)),
+                            "b": [0.0, 0.0]},
+               "cells": [{"region": {"vertices": [list(map(float, p)) for p in c]},
+                          "A": serialize.matrix_to_obj(np.eye(2) * (i + 1)),
+                          "b": [0.0, 0.0], "flag": "good"}
+                         for i, c in enumerate(cells)],
+               "residual_volume": 0.0}
+        cm, ref = serialize.map_from_obj(obj), RefCells.from_obj(obj)
+        X = np.array([(0.5, 0.7), (0.75, 0.62), (0.25, 0.5), (1.1, 0.3)])
+        assert [ref.locate(x) for x in X] == [1, 2, 0, 3]
+        assert cm._locate_many(X).tolist() == [1, 2, 0, 3]
+
+    def test_evaluation_reads_the_located_cell(self):
+        cm, ref = lookup_case("rotated_domain")
+        X = lookup_points(cm, "uniform", 5, k=200)
+        idx = [ref.locate(x) for x in X]
+        want = [ref.mats[i] @ x + ref.offsets[i] for i, x in zip(idx, X)]
+        assert cm.evaluate_many(X).tobytes() == np.array(want).tobytes()
+        assert cm.gradient_many(X).tobytes() == np.array(
+            [ref.mats[i] for i in idx]).tobytes()
+
+
+class TestMalformedMaps:
+    @pytest.fixture(scope="class")
+    def obj(self):
+        return one_step_obj()
+
+    def edited(self, obj, edit):
+        bad = json.loads(json.dumps(obj))
+        edit(bad)
+        return bad
+
+    @pytest.mark.parametrize("field, value", [
+        ("vertex", [float("nan"), 0.5]), ("vertex", [0.5, float("inf")]),
+        ("vertex", [0.5, 0.5, 0.5]), ("vertex", "0.5"), ("vertex", None),
+        ("b", [float("nan"), 0.0]), ("b", [1.0]), ("b", [1.0, "x"]),
+    ])
+    def test_bad_vector_names_the_cell(self, obj, field, value):
+        def edit(bad):
+            c = bad["cells"][17]
+            if field == "vertex":
+                c["region"]["vertices"][1] = value
+            else:
+                c["b"] = value
+        with pytest.raises(ParseError, match=r"map\.cells\[17\]"):
+            serialize.map_from_obj(self.edited(obj, edit))
+
+    def test_bad_boundary_offset(self, obj):
+        def edit(bad):
+            bad["boundary"]["b"] = [0.0, float("nan")]
+        with pytest.raises(ParseError, match="boundary.b"):
+            serialize.map_from_obj(self.edited(obj, edit))
+
+    def test_non_square_gradient(self, obj):
+        def edit(bad):
+            bad["cells"][3]["A"] = serialize.matrix_to_obj(np.ones((2, 3)))
+        with pytest.raises(ParseError, match=r"cells\[3\]\.A"):
+            serialize.map_from_obj(self.edited(obj, edit))
+
+    def test_overflowing_gradient_is_precondition(self, obj):
+        def edit(bad):
+            bad["cells"][9]["A"]["entries"][0][0] = 1e308
+        with pytest.raises(PreconditionError, match=r"cells\[9\]\.A"):
+            serialize.map_from_obj(self.edited(obj, edit))
+
+    def test_vertex_outside_domain(self, obj):
+        def edit(bad):
+            for p in bad["cells"][5]["region"]["vertices"]:
+                p[0] += 3.0
+        with pytest.raises(ParseError, match=r"cells\[5\]: vertex outside"):
+            serialize.map_from_obj(self.edited(obj, edit))
+
+    def test_half_the_cells_deleted(self, obj):
+        def edit(bad):
+            del bad["cells"][::2]
+        with pytest.raises(ParseError, match="residual_volume"):
+            serialize.map_from_obj(self.edited(obj, edit))
+
+    @pytest.mark.parametrize("resid", [0.01, float("nan"), -0.01])
+    def test_residual_volume_must_balance(self, obj, resid):
+        def edit(bad):
+            bad["residual_volume"] = resid
+        with pytest.raises(ParseError, match="residual_volume"):
+            serialize.map_from_obj(self.edited(obj, edit))
+
+    @pytest.mark.parametrize("cells", [[], {}, 3])
+    def test_cells_must_be_a_non_empty_list(self, obj, cells):
+        def edit(bad):
+            bad["cells"] = cells
+        with pytest.raises(ParseError, match="non-empty list"):
+            serialize.map_from_obj(self.edited(obj, edit))
+
+    def test_intact_map_loads(self, obj):
+        cm = serialize.map_from_obj(obj)
+        assert len(cm.counts) == 3896
+        assert abs(cm.areas.sum() - cm.domain.volume) <= 1e-13
