@@ -9,6 +9,7 @@ floats otherwise.  Atom points are float64 matrices; duplicates are merged on a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -52,6 +53,13 @@ def _wmul(a: Weight, b: Weight) -> Weight:
     return float(a) * float(b)
 
 
+def _weight_error(w: Weight) -> PreconditionError:
+    if w > 0:  # a positive rational whose float underflows
+        d = Decimal(w.numerator) / Decimal(w.denominator)
+        return PreconditionError(f"atom weight {d:.3e} is positive, but underflows as a float")
+    return PreconditionError(f"atom weight must be positive, got {w}")
+
+
 @dataclass(frozen=True, slots=True)
 class Atom:
     """A weighted point mass.  Slotted, so the many atoms of a long truncation
@@ -66,7 +74,7 @@ class Atom:
 
     def __post_init__(self):
         if not float(self.weight) > 0.0:
-            raise PreconditionError(f"atom weight must be positive, got {self.weight}")
+            raise _weight_error(self.weight)
         object.__setattr__(self, "point", _freeze(asmatrix(self.point)))
 
     @property
@@ -88,7 +96,7 @@ class Atom:
 
     def _reweighted(self, w: Weight) -> "Atom":
         if not float(w) > 0.0:
-            raise PreconditionError(f"atom weight must be positive, got {w}")
+            raise _weight_error(w)
         out = object.__new__(Atom)
         for name, val in (("weight", w), ("point", self.point),
                           ("_key", self._key), ("_norm", self._norm)):

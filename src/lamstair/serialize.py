@@ -150,7 +150,10 @@ def measure_from_obj(obj, path="measure") -> DiscreteMeasure:
                              f"{path}.atoms[{i}].w")
         M = matrix_from_obj(_require(a, "M", f"{path}.atoms[{i}]"),
                             f"{path}.atoms[{i}].M")
-        atoms.append(Atom(w, M))
+        try:
+            atoms.append(Atom(w, M))
+        except OverflowError as exc:  # an exact weight beyond the float range
+            raise ParseError(f"{path}.atoms[{i}].w: weight too large for a float") from exc
     cert = None
     if "certificate" in obj:
         cert = []

@@ -4,23 +4,27 @@ A realized map is a tree of construction nodes.  Every non-affine node
 records only its deviation from its own affine part, so shared templates are
 instanced by translation and scaling alone -- never rotation.  Cell volumes
 and error moments are exact closed-form bookkeeping: nodes declare local
-parts (leaf atoms, children with a volume factor), and one explicit-stack
-walker emits the gradient distribution, one VolAtom per leaf atom, applying
-factors innermost first.  Maps evaluate through one batched path
-(``evaluate_many``, ``gradient_many``; sampled verification and ``cells()``
-use it); single-point ``evaluate``/``gradient_at`` on a sealed map are its
-k = 1 case.  Evaluation is reliable on shallow structures (deeply nested
-oscillations lose coordinate precision, but their contribution to any
-measured quantity is bounded by the booked deviation budgets).
+parts (leaf atoms, children with a volume factor), and the distribution walk
+emits one VolAtom per leaf atom, applying factors innermost first.  Maps
+evaluate through one batched path (``evaluate_many``, ``gradient_many``;
+sampled verification and ``cells()`` use it); single-point
+``evaluate``/``gradient_at`` on a sealed map are its k = 1 case.  Evaluation
+is reliable on shallow structures (deeply nested oscillations lose
+coordinate precision, but their contribution to any measured quantity is
+bounded by the booked deviation budgets).
+
+Every walk of the tree (construction, evaluation, distribution, bounds,
+cells) is a generator that ``_drive`` runs on an explicit stack, so depth is
+not limited by the recursion limit.  A node yields a child's generator and
+receives the child's return value as the value of that yield; a child's
+exception is raised at that yield.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 
 import numpy as np
 
@@ -159,20 +163,44 @@ class Cell:
     flag: str
 
 
-def _emit_cell(out: list, limit: int, cell: Cell) -> None:
+def _emit_cell(out: list, limit: int, verts: list, A: np.ndarray, flag: str) -> None:
     if len(out) >= limit:
         raise UnsupportedError(f"cell enumeration exceeds budget {limit}")
-    out.append(cell)
+    out.append(Cell(verts, A, None, flag))
+
+
+def _drive(op):
+    """Run op, a tree-operation generator, on an explicit stack and return
+    its value.  Each generator it yields runs next, and its return value is
+    sent back to the yielder; its exception is thrown in at the yield."""
+    stack, value, error = [op], None, None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value) if error is None
+                         else stack[-1].throw(error))
+            value = error = None
+        except StopIteration as done:
+            stack.pop()
+            value, error = done.value, None
+        except Exception as exc:
+            stack.pop()
+            if not stack:
+                raise
+            value, error = None, exc
+    return value
 
 
 class MapNode:
-    """Construction-tree node interface; nodes override all but distribution.
-
-    Nodes evaluate only in batches: ``evaluate_many(X)`` and
-    ``gradient_many(X)`` take a C-contiguous float array X of shape (k, 2)
-    and return arrays of shape (k, 2) and (k, 2, 2).  Row r depends on X[r]
-    alone, bit for bit, so a single point is the batch X[None] (k = 1).
-    """
+    """Construction-tree node.  Each walk is a generator of the node class,
+    ``_evaluate(X)``, ``_gradient(X)``, ``_bounds()`` (sup deviation,
+    gradient-norm bound) or ``_cells(out, shift, scale, limit)`` (appending
+    to out): it yields its children's generators of the same walk, gets each
+    child's return value back from the yield, and returns its own.
+    ``_parts()`` lists local distribution parts: leaf atoms (vol, G, flag,
+    slot) and child entries (child, volume factor or None).  Nodes evaluate
+    only in batches: X is a C-contiguous float array of shape (k, 2), and
+    row r depends on X[r] alone, bit for bit, so a single point is the batch
+    X[None] (k = 1)."""
 
     domain: OBox
     A: np.ndarray
@@ -182,45 +210,32 @@ class MapNode:
         return _apply(self.A, X) + self.b
 
     def evaluate_many(self, X) -> np.ndarray:
-        raise NotImplementedError
+        return _drive(self._evaluate(X))
 
     def gradient_many(self, X) -> np.ndarray:
-        raise NotImplementedError
+        return _drive(self._gradient(X))
 
-    def _parts(self) -> list[tuple]:
-        """Local distribution parts in walk order: leaf atoms (vol, G, flag,
-        slot) and child entries (child, volume factor or None)."""
-        raise NotImplementedError
+    def sup_dev(self) -> float:
+        return _drive(self._bounds())[0]
+
+    def grad_bound(self) -> float:
+        return _drive(self._bounds())[1]
 
     def distribution(self) -> list[VolAtom]:
         """One VolAtom per leaf atom; volumes take path factors innermost first."""
-        out, factors = [], []
-        stack = [(iter(self._parts()), False)]  # (parts, entry has a factor)
-        while stack:
-            for part in stack[-1][0]:
-                if len(part) == 2:
-                    child, f = part
-                    if f is not None:
-                        factors.append(f)
-                    stack.append((iter(child._parts()), f is not None))
-                    break
-                vol, G, flag, slot = part
-                for f in reversed(factors):
-                    vol = f * vol
-                out.append(VolAtom(vol, G, flag, slot))
-            else:
-                if stack.pop()[1]:
-                    factors.pop()
+        return _drive(self._distribution([], ()))
+
+    def _distribution(self, out: list, factors: tuple):
+        for part in self._parts():
+            if len(part) == 2:
+                child, f = part
+                yield child._distribution(out, factors if f is None else factors + (f,))
+                continue
+            vol, G, flag, slot = part
+            for f in reversed(factors):
+                vol = f * vol
+            out.append(VolAtom(vol, G, flag, slot))
         return out
-
-    def sup_dev(self) -> float:
-        raise NotImplementedError
-
-    def grad_bound(self) -> float:
-        raise NotImplementedError
-
-    def iter_cells(self, out, shift, scale, limit) -> None:
-        raise NotImplementedError
 
 
 class SlotMap(MapNode):
@@ -234,14 +249,14 @@ class SlotMap(MapNode):
         self.flag = flag
         self.inner: MapNode | None = None
 
-    def evaluate_many(self, X):
+    def _evaluate(self, X):
         if self.inner is not None:
-            return self.inner.evaluate_many(X)
+            return (yield self.inner._evaluate(X))
         return self._affine_many(X)
 
-    def gradient_many(self, X):
+    def _gradient(self, X):
         if self.inner is not None:
-            return self.inner.gradient_many(X)
+            return (yield self.inner._gradient(X))
         return np.repeat(self.A[None], len(X), axis=0)
 
     def _parts(self):
@@ -249,11 +264,10 @@ class SlotMap(MapNode):
             return [(self.inner, None)]
         return [(self.domain.volume, self.A, self.flag, self)]
 
-    def sup_dev(self):
-        return 0.0 if self.inner is None else self.inner.sup_dev()
-
-    def grad_bound(self):
-        return frob(self.A) if self.inner is None else self.inner.grad_bound()
+    def _bounds(self):
+        if self.inner is not None:
+            return (yield self.inner._bounds())
+        return 0.0, frob(self.A)
 
     def patch(self, node: MapNode) -> None:
         if self.inner is not None:
@@ -268,12 +282,12 @@ class SlotMap(MapNode):
             raise PreconditionError("patch affine part does not match the slot")
         self.inner = node
 
-    def iter_cells(self, out, shift, scale, limit):
+    def _cells(self, out, shift, scale, limit):
         if self.inner is not None:
-            self.inner.iter_cells(out, shift, scale, limit)
+            yield self.inner._cells(out, shift, scale, limit)
             return
-        verts = [shift + scale * c for c in self.domain.corners()]
-        _emit_cell(out, limit, Cell(verts, self.A, None, self.flag))
+        _emit_cell(out, limit, [shift + scale * c for c in self.domain.corners()],
+                   self.A, self.flag)
 
 
 def _rank_one_factor(D: np.ndarray, tol: float = 1e-9):
@@ -347,7 +361,7 @@ class RoofMap(MapNode):
         if math.isfinite(h_max) and h_max > 0.0:
             need = max(need, 2.0 * h0 * self.lam1 * self.lam2 / h_max)
         if need > 1e300:
-            raise InternalError("tooth count out of range")
+            raise UnsupportedError(f"tooth count {need:.3g} out of range")
         self.n = max(1, math.ceil(need))
         self.P = 2.0 * h0 / self.n
         self.H = self.lam1 * self.lam2 * self.P
@@ -398,21 +412,21 @@ class RoofMap(MapNode):
         return y, rising, cap, np.where(cap, capv, saw), cores
 
     # -- MapNode interface --------------------------------------------------
-    def evaluate_many(self, X):
+    def _evaluate(self, X):
         _, _, _, prof, cores = self._pieces(X)
         out = self._affine_many(X) + np.multiply.outer(prof, self.eta)
         for side, idx, ct in cores:
             base = _apply(self.A, ct) + self.b + self.eta * (self.H / 2.0)
-            out[idx] = base + self.slots[side].evaluate_many(X[idx] - ct)
+            out[idx] = base + (yield self.slots[side]._evaluate(X[idx] - ct))
         return out
 
-    def gradient_many(self, X):
+    def _gradient(self, X):
         y, rising, cap, _, cores = self._pieces(X)
         out = np.where(rising[:, None, None], self.A1, self.A2)
         out[cap] = np.where((y[cap] > 0)[:, None, None],
                             self.cap_grad[+1], self.cap_grad[-1])
         for side, idx, ct in cores:
-            out[idx] = self.slots[side].gradient_many(X[idx] - ct)
+            out[idx] = yield self.slots[side]._gradient(X[idx] - ct)
         return out
 
     def _parts(self):
@@ -432,22 +446,20 @@ class RoofMap(MapNode):
         out.extend((h0 * w, self.cap_grad[s], self.aux_flag, None) for s in (1, -1))
         return out
 
-    def sup_dev(self):
-        child = max(s.sup_dev() for s in self.slots.values())
-        return self.H * self.norm_eta + child
+    def _bounds(self):
+        d1, g1 = yield self.slots[1]._bounds()
+        d2, g2 = yield self.slots[2]._bounds()
+        return self.H * self.norm_eta + max(d1, d2), max(self.gmax, g1, g2)
 
-    def grad_bound(self):
-        return max(self.gmax, *(s.grad_bound() for s in self.slots.values()))
-
-    def _w_pt(self, shift, scale, t, y):
-        F = self.domain.frame
-        p = self.domain.center + F[:, self.ax] * (self.s_t * t) + F[:, self.ay] * y
-        return shift + scale * p
-
-    def iter_cells(self, out, shift, scale, limit):
+    def _cells(self, out, shift, scale, limit):
         if self.n > limit:
             raise UnsupportedError(f"{self.n} teeth exceed the cell budget")
-        h1, w = self.h1, self.w
+        h1, w, F = self.h1, self.w, self.domain.frame
+
+        def pts(*ty):  # the points at frame coordinates (t, y), shifted and scaled
+            return [shift + scale * (self.domain.center + F[:, self.ax] * (self.s_t * t)
+                                     + F[:, self.ay] * y) for t, y in ty]
+
         for i in range(self.n):
             T0 = -self.h0 + i * self.P
             Tm = T0 + self.lam1 * self.P
@@ -455,35 +467,25 @@ class RoofMap(MapNode):
             for side, (ta, tb) in ((1, (T0, Tm)), (2, (Tm, T1))):
                 Ai = self.A1 if side == 1 else self.A2
                 slot = self.slots[side]
-                # slab trapezoid: full height at the tooth edge, h1 - w at peak
-                tp = Tm  # peak t-coordinate
                 te = ta if side == 1 else tb
                 if slot.inner is None and slot.flag == GOOD:
-                    verts = [self._w_pt(shift, scale, te, -h1),
-                             self._w_pt(shift, scale, tp, -(h1 - w)),
-                             self._w_pt(shift, scale, tp, h1 - w),
-                             self._w_pt(shift, scale, te, h1)]
-                    _emit_cell(out, limit, Cell(verts, Ai, None, GOOD))
+                    # slab trapezoid: full height at the tooth edge, h1 - w at peak
+                    verts = pts((te, -h1), (Tm, -(h1 - w)), (Tm, h1 - w), (te, h1))
+                    _emit_cell(out, limit, verts, Ai, GOOD)
+                    continue
+                ct = self._core_center(i, side)
+                if slot.inner is None:
+                    verts = [shift + scale * (ct + c) for c in slot.domain.corners()]
+                    _emit_cell(out, limit, verts, Ai, slot.flag)
                 else:
-                    ct = self._core_center(i, side)
-                    if slot.inner is None:
-                        verts = [shift + scale * (ct + c)
-                                 for c in slot.domain.corners()]
-                        _emit_cell(out, limit, Cell(verts, Ai, None, slot.flag))
-                    else:
-                        slot.iter_cells(out, shift + scale * ct, scale, limit)
-                    for sy in (1.0, -1.0):
-                        verts = [self._w_pt(shift, scale, ta, sy * (h1 - w)),
-                                 self._w_pt(shift, scale, tb, sy * (h1 - w)),
-                                 self._w_pt(shift, scale, te, sy * h1)]
-                        _emit_cell(out, limit, Cell(verts, Ai, None, self.aux_flag))
+                    yield slot._cells(out, shift + scale * ct, scale, limit)
+                for sy in (1.0, -1.0):
+                    verts = pts((ta, sy * (h1 - w)), (tb, sy * (h1 - w)), (te, sy * h1))
+                    _emit_cell(out, limit, verts, Ai, self.aux_flag)
             for sy in (1.0, -1.0):
-                verts = [self._w_pt(shift, scale, T0, sy * h1),
-                         self._w_pt(shift, scale, Tm, sy * (h1 - w)),
-                         self._w_pt(shift, scale, T1, sy * h1)]
-                _emit_cell(out, limit,
-                           Cell(verts, self.cap_grad[+1 if sy > 0 else -1], None,
-                                self.aux_flag))
+                verts = pts((T0, sy * h1), (Tm, sy * (h1 - w)), (T1, sy * h1))
+                _emit_cell(out, limit, verts, self.cap_grad[+1 if sy > 0 else -1],
+                           self.aux_flag)
 
 
 class GridCover(MapNode):
@@ -526,31 +528,29 @@ class GridCover(MapNode):
         return self.domain.to_world_many(np.column_stack(
             [-h[0] + (2.0 * i + 1.0) * tile[0], -h[1] + (2.0 * j + 1.0) * tile[1]]))
 
-    def evaluate_many(self, X):
+    def _evaluate(self, X):
         z = (X - self._tile_centers(X)) / self.sigma
-        dev = self.template.evaluate_many(z) - _apply(self.A, z)
+        dev = (yield self.template._evaluate(z)) - _apply(self.A, z)
         return self._affine_many(X) + self.sigma * dev
 
-    def gradient_many(self, X):
-        return self.template.gradient_many((X - self._tile_centers(X)) / self.sigma)
+    def _gradient(self, X):
+        return (yield self.template._gradient((X - self._tile_centers(X)) / self.sigma))
 
     def _parts(self):
         return [(self.template, float(self.k0) * float(self.k1) * self.sigma ** 2)]
 
-    def sup_dev(self):
-        return self.sigma * self.template.sup_dev()
+    def _bounds(self):
+        dev, grad = yield self.template._bounds()
+        return self.sigma * dev, grad
 
-    def grad_bound(self):
-        return self.template.grad_bound()
-
-    def iter_cells(self, out, shift, scale, limit):
+    def _cells(self, out, shift, scale, limit):
         if self.k0 * self.k1 > limit:
             raise UnsupportedError("grid cover exceeds the cell budget")
         for i in range(self.k0):
             for j in range(self.k1):
                 ct = self._tile_center(i, j)
-                self.template.iter_cells(out, shift + scale * ct,
-                                         scale * self.sigma, limit)
+                yield self.template._cells(out, shift + scale * ct,
+                                           scale * self.sigma, limit)
 
 
 def _subtract_intervals(lo: int, hi: int, excl) -> list[tuple[int, int]]:
@@ -697,18 +697,18 @@ class CoverMap(MapNode):
             return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros((0, 2))
         return np.concatenate(hits), np.concatenate(scales), np.concatenate(centers)
 
-    def evaluate_many(self, X):
+    def _evaluate(self, X):
         out = self._affine_many(X)
         idx, s, ct = self._find_tiles(X)
         z = (X[idx] - ct) / s[:, None]
-        dev = self.template.evaluate_many(z) - _apply(self.A, z)
+        dev = (yield self.template._evaluate(z)) - _apply(self.A, z)
         out[idx] = out[idx] + s[:, None] * dev
         return out
 
-    def gradient_many(self, X):
+    def _gradient(self, X):
         out = np.repeat(self.A[None], len(X), axis=0)
         idx, s, ct = self._find_tiles(X)
-        out[idx] = self.template.gradient_many((X[idx] - ct) / s[:, None])
+        out[idx] = yield self.template._gradient((X[idx] - ct) / s[:, None])
         return out
 
     def _parts(self):
@@ -717,13 +717,11 @@ class CoverMap(MapNode):
         residual = [(self.residual, self.A, RESIDUAL, None)] if self.residual > 0.0 else []
         return [(self.template, factor)] + residual
 
-    def sup_dev(self):
-        return self.sigma0 * self.template.sup_dev()
+    def _bounds(self):
+        dev, grad = yield self.template._bounds()
+        return self.sigma0 * dev, max(grad, frob(self.A))
 
-    def grad_bound(self):
-        return max(self.template.grad_bound(), frob(self.A))
-
-    def iter_cells(self, out, shift, scale, limit):
+    def _cells(self, out, shift, scale, limit):
         for level, lvl in self.rows.items():
             s = self.sigma0 * 2.0 ** -level
             for j in sorted(lvl):
@@ -731,8 +729,8 @@ class CoverMap(MapNode):
                     for i in range(a, bnd + 1):
                         ct = self.domain.center + self.Ft @ np.array(
                             [2.0 * s * (i + 0.5), 2.0 * s * (j + 0.5)])
-                        self.template.iter_cells(out, shift + scale * ct,
-                                                 scale * s, limit)
+                        yield self.template._cells(out, shift + scale * ct,
+                                                   scale * s, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -804,50 +802,58 @@ def _needs_norm(dom: OBox) -> bool:
     return not (0.25 <= m <= 4.0 and M / m <= 4.0)
 
 
+def _roof_node(dom: OBox, A, b, A1, A2, lam, loss: float, hsup: float,
+               aux_flag: str, theta_min: float):
+    """A roof of (A, b) into A1, A2 within volume slack loss and deviation
+    budget hsup, and the node realizing it on dom: the roof, or a rotated
+    cover of dom by the roof on the unit square when xi is off dom's axes."""
+    eta, xi = _rank_one_factor(A1 - A2)
+    ax, s_t = _axis_alignment(xi, dom.frame)
+    if ax is None:
+        rdom = OBox((0.0, 0.0), (1.0, 1.0), np.column_stack([xi, _perp(xi)]))
+        rb, ax, s_t, rloss = 0.0, 0, 1.0, loss / 2.0
+    else:
+        rdom, rb, rloss = dom, b, loss
+    ne = float(np.linalg.norm(eta))
+    rm = RoofMap(rdom, A, rb, A1, A2, lam, eta, xi, ax, s_t,
+                 w_max=float(rdom.half[1 - ax]) * rloss / 2.0,
+                 h_max=hsup / ne if math.isfinite(hsup) else math.inf,
+                 aux_flag=aux_flag)
+    if rdom is dom:
+        return rm, rm
+    # the rotated cover cannot be exact; its remainder is booked as residual
+    # volume, floored at theta_min so the tile count stays sane
+    return rm, CoverMap(dom, A, b, max(loss / 2.0, theta_min), rm)
+
+
 def _realize_node(tree: CertNode, dom: OBox, A, b, budget: _Budget,
-                  leaf_fn, aux_flag: str) -> MapNode:
+                  leaf_fn, aux_flag: str):
+    """The node realizing tree on dom, as a ``_drive`` operation.  Children
+    are built in preorder, so budget.k numbers the split nodes in preorder."""
     A = asmatrix(A)
     if tree.is_leaf:
         return SlotMap(dom, A, b, flag=leaf_fn(A))
     if _needs_norm(dom):
         counts, sigma, tdom = GridCover.plan(dom)
-        child = _realize_node(tree, tdom, A, 0.0, budget, leaf_fn, aux_flag)
+        child = yield _realize_node(tree, tdom, A, 0.0, budget, leaf_fn, aux_flag)
         return GridCover(dom, A, b, counts, sigma, child)
-    A1 = asmatrix(tree.left.A)
-    A2 = asmatrix(tree.right.A)
-    lam = float(tree.lam)
-    eta, xi = _rank_one_factor(A1 - A2)
+    A1, A2 = asmatrix(tree.left.A), asmatrix(tree.right.A)
+    k = budget.k
     loss, hsup = budget.next_node(max(frob(A1), frob(A2)))
-    ax, s_t = _axis_alignment(xi, dom.frame)
-    if ax is not None:
-        return _make_roof(tree, dom, A, b, A1, A2, lam, eta, xi, ax, s_t,
-                          loss, hsup, budget, leaf_fn, aux_flag)
-    Ft = np.column_stack([xi, _perp(xi)])
-    tdom = OBox((0.0, 0.0), (1.0, 1.0), Ft)
-    troof = _make_roof(tree, tdom, A, 0.0, A1, A2, lam, eta, xi, 0, 1.0,
-                       loss / 2.0, hsup, budget, leaf_fn, aux_flag)
-    # the rotated cover cannot be exact; its remainder is booked as residual
-    # volume, floored at the configured truncation so the tile count stays sane
-    return CoverMap(dom, A, b, max(loss / 2.0, budget.theta_min), troof)
-
-
-def _make_roof(tree: CertNode, dom: OBox, A, b, A1, A2, lam, eta, xi,
-               ax, s_t, loss: float, hsup: float, budget: _Budget,
-               leaf_fn, aux_flag: str) -> RoofMap:
-    h1 = float(dom.half[1 - ax])
-    w_max = h1 * loss / 2.0
-    ne = float(np.linalg.norm(eta))
-    h_max = hsup / ne if math.isfinite(hsup) else math.inf
-    rm = RoofMap(dom, A, b, A1, A2, lam, eta, xi, ax, s_t,
-                 w_max=w_max, h_max=h_max, aux_flag=aux_flag)
+    try:
+        rm, node = _roof_node(dom, A, b, A1, A2, float(tree.lam), loss, hsup,
+                              aux_flag, budget.theta_min)
+    except UnsupportedError as exc:  # the per-node budgets underflow with depth
+        raise UnsupportedError(f"certificate too deep: split node {k} (preorder) has "
+                               f"volume budget {loss:.3g}; {exc}") from exc
     for side, sub in ((1, tree.left), (2, tree.right)):
         slot = rm.slots[side]
         if sub.is_leaf:
             slot.flag = leaf_fn(slot.A)
         else:
-            slot.patch(_realize_node(sub, slot.domain, slot.A, 0.0,
-                                     budget, leaf_fn, aux_flag))
-    return rm
+            slot.patch((yield _realize_node(sub, slot.domain, slot.A, 0.0,
+                                            budget, leaf_fn, aux_flag)))
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -916,8 +922,7 @@ class PiecewiseAffineMap:
                    if va.flag in flags and frob(va.G - G) <= tol * (1.0 + frob(G)))
 
     def error_moment(self, s: float, flags=(ERROR, RESIDUAL)) -> float:
-        return sum(va.vol * (1.0 + frob(va.G) ** s)
-                   for va in self.distribution() if va.flag in flags)
+        return _moment_of(self.distribution(), flags, s)
 
     def sup_dev(self) -> float:
         return self.root.sup_dev()
@@ -927,7 +932,7 @@ class PiecewiseAffineMap:
 
     def cells(self, max_cells: int = _MAX_CELLS_DEFAULT) -> list[Cell]:
         out: list[Cell] = []
-        self.root.iter_cells(out, np.zeros(2), 1.0, max_cells)
+        _drive(self.root._cells(out, np.zeros(2), 1.0, max_cells))
         centroids = np.array([np.mean(np.asarray(c.vertices), axis=0)
                               for c in out]).reshape(-1, 2)
         for c, x, y in zip(out, centroids, self.evaluate_many(centroids)):
@@ -950,29 +955,26 @@ class _SwappedNode(MapNode):
         self.A = _P_SWAP @ base.A @ _P_SWAP
         self.b = _P_SWAP @ base.b
 
-    def evaluate_many(self, X):
-        return _apply(_P_SWAP, self.base.evaluate_many(_apply(_P_SWAP, X)))
+    def _evaluate(self, X):
+        return _apply(_P_SWAP, (yield self.base._evaluate(_apply(_P_SWAP, X))))
 
-    def gradient_many(self, X):
-        return _P_SWAP @ self.base.gradient_many(_apply(_P_SWAP, X)) @ _P_SWAP
+    def _gradient(self, X):
+        return _P_SWAP @ (yield self.base._gradient(_apply(_P_SWAP, X))) @ _P_SWAP
 
     def _parts(self):
         # per atom over the base walk: P @ G @ P does not keep the sign of -0.0
         return [(va.vol, _P_SWAP @ va.G @ _P_SWAP, va.flag, None)
                 for va in self.base.distribution()]
 
-    def sup_dev(self):
-        return self.base.sup_dev()
+    def _bounds(self):
+        return (yield self.base._bounds())
 
-    def grad_bound(self):
-        return self.base.grad_bound()
-
-    def iter_cells(self, out, shift, scale, limit):
+    def _cells(self, out, shift, scale, limit):
         inner: list[Cell] = []
-        self.base.iter_cells(inner, np.zeros(2), 1.0, limit)
+        yield self.base._cells(inner, np.zeros(2), 1.0, limit)
         for c in inner:
             verts = [shift + scale * (_P_SWAP @ v) for v in c.vertices]
-            _emit_cell(out, limit, Cell(verts, _P_SWAP @ c.A @ _P_SWAP, None, c.flag))
+            _emit_cell(out, limit, verts, _P_SWAP @ c.A @ _P_SWAP, c.flag)
 
 
 # ---------------------------------------------------------------------------
@@ -991,18 +993,7 @@ def roof(A, b, A1, A2, lam1: float, domain: OBox, eps: float) -> PiecewiseAffine
     comb = lam1 * A1 + (1.0 - lam1) * A2
     if frob(A - comb) > 1e-10 * (1.0 + frob(A)):
         raise PreconditionError("A is not the lam1-combination of A1 and A2")
-    eta, xi = _rank_one_factor(A1 - A2)
-    ax, s_t = _axis_alignment(xi, domain.frame)
-    if ax is not None:
-        node: MapNode = RoofMap(domain, A, b, A1, A2, lam1, eta, xi, ax, s_t,
-                                w_max=float(domain.half[1 - ax]) * eps / 2.0,
-                                h_max=math.inf, aux_flag=GOOD)
-    else:
-        Ft = np.column_stack([xi, _perp(xi)])
-        tdom = OBox((0.0, 0.0), (1.0, 1.0), Ft)
-        troof = RoofMap(tdom, A, 0.0, A1, A2, lam1, eta, xi, 0, 1.0,
-                        w_max=eps / 4.0, h_max=math.inf, aux_flag=GOOD)
-        node = CoverMap(domain, A, b, eps / 2.0, troof)
+    _, node = _roof_node(domain, A, b, A1, A2, lam1, eps, math.inf, GOOD, 0.0)
     return PiecewiseAffineMap(node, A, b).seal()
 
 
@@ -1028,8 +1019,8 @@ def realize_finite_laminate(nu: DiscreteMeasure, domain: OBox, A=None, b=0.0,
     elif frob(asmatrix(A) - tree.A) > 1e-8 * (1.0 + frob(tree.A)):
         raise PreconditionError("laminate root differs from the requested barycenter")
     budget = _Budget(eps / 4.0, delta, s_moment, theta_min)
-    node = _realize_node(tree, domain, A, b, budget,
-                         leaf_fn=lambda G: GOOD, aux_flag=ERROR)
+    node = _drive(_realize_node(tree, domain, A, b, budget,
+                                leaf_fn=lambda G: GOOD, aux_flag=ERROR))
     return PiecewiseAffineMap(node, A, b).seal()
 
 
@@ -1056,7 +1047,7 @@ def realize_staircase(spec, N: int, domain: OBox, A=None, b=0.0,
 
     budget = _Budget(eta / 4.0, delta, s_moment, theta_min)
     tree = cert_tree(nu.certificate)
-    node = _realize_node(tree, domain, spec.A0, b, budget, leaf_fn, ERROR)
+    node = _drive(_realize_node(tree, domain, spec.A0, b, budget, leaf_fn, ERROR))
     return PiecewiseAffineMap(node, spec.A0, b).seal()
 
 
@@ -1081,7 +1072,7 @@ def realize_extended(ext, domain: OBox | None = None, delta: float = 0.05,
         return PiecewiseAffineMap(node, ext.A, 0.0).seal()
     budget = _Budget(eps / 4.0, math.inf, s_moment)
     tree = cert_tree(nu.certificate)
-    node = _realize_node(tree, domain, ext.A, 0.0, budget, leaf_fn, ERROR)
+    node = _drive(_realize_node(tree, domain, ext.A, 0.0, budget, leaf_fn, ERROR))
     return PiecewiseAffineMap(node, ext.A, 0.0).seal()
 
 
@@ -1144,8 +1135,6 @@ def reduce_exact(step_builder, domain: OBox, A, b, delta: float, alpha: float,
     """
     if depth < 1:
         raise PreconditionError("need depth >= 1")
-    if sys.getrecursionlimit() < 10_000:
-        sys.setrecursionlimit(10_000)
     A = asmatrix(A)
     bvec = _vec(b)
     vol = domain.volume

@@ -166,6 +166,94 @@ class TestExitCodes:
         assert "atoms[3].M" in err and "Frobenius" in err
 
 
+    def test_weight_beyond_float_range_is_parse_error(self, tmp_path, capsys):
+        # the exact integer weight parses; only its float overflows
+        m = tmp_path / "m.json"
+        write_measure(m)
+        obj = json.loads(m.read_text())
+        obj["atoms"][1]["w"] = 10 ** 400
+        m.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["laminate", "verify", "--measure", str(m)]) == 2
+        assert "atoms[1].w: weight too large for a float" in capsys.readouterr().err
+
+    def test_underflowing_weight_says_so(self, tmp_path, capsys):
+        m = tmp_path / "m.json"
+        write_measure(m)
+        obj = json.loads(m.read_text())
+        obj["atoms"][1]["w"] = "1/1" + "0" * 400
+        m.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["laminate", "verify", "--measure", str(m)]) == 3
+        assert ("atom weight 1.000e-400 is positive, but underflows as a float"
+                in capsys.readouterr().err)
+
+    def test_underflowing_staircase_weight_says_so(self, tmp_path):
+        # the truncation weights of a long staircase underflow; a separate
+        # interpreter, since the run also warns of an overflow in frob
+        out = run_cli(["staircase", "build", "--kind", "det1", "--A", "diag(2,2)",
+                       "--N", "600", "--out", str(tmp_path / "m.json")])
+        assert out.returncode == 3
+        assert "is positive, but underflows as a float" in out.stderr
+        assert "must be positive" not in out.stderr
+
+
+def run_cli(argv):
+    """The CLI in a fresh interpreter, at the default recursion limit."""
+    src = os.path.dirname(os.path.dirname(lamstair.__file__))
+    return subprocess.run([sys.executable, "-m", "lamstair.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=300)
+
+
+class TestDeepCertificates:
+    @pytest.mark.parametrize("N, message", [
+        (200, "teeth exceed the cell budget"),
+        # the per-node volume budget base * 2^-k underflows with depth
+        (400, "certificate too deep: split node 495 (preorder) has volume budget"),
+    ])
+    def test_realize_exits_3(self, N, message, tmp_path):
+        m, mp = tmp_path / "m.json", tmp_path / "map.json"
+        assert main(["staircase", "build", "--kind", "det1", "--A", "diag(2,2)",
+                     "--N", str(N), "--out", str(m)]) == 0
+        out = run_cli(["synth", "realize", "--measure", str(m), "--eps", "0.9",
+                       "--out", str(mp)])
+        assert out.returncode == 3 and "Traceback" not in out.stderr
+        assert out.stderr.startswith("precondition violated: ") and message in out.stderr
+        assert not mp.exists()
+
+
+def global_state():
+    """The process-wide settings a library call could change."""
+    legacy = np.random.get_state()
+    return (sys.getrecursionlimit(), np.geterr(), np.get_printoptions(),
+            legacy[0], legacy[1].tobytes(), legacy[2:])
+
+
+def test_library_leaves_process_state_alone(tmp_path):
+    from lamstair import stages, synth
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter default, whatever ran before
+    try:
+        before = global_state()
+        synth.reduce_exact(stages.stage3_builder(1.5), synth.box((0, 0), (1, 1)),
+                           np.diag([3.0, 1.0]), 0.0, delta=0.5, alpha=0.5, depth=2,
+                           p=2.0, M=8.0, r=1.5)
+        s, m, mp = (tmp_path / n for n in ("s.json", "m.json", "map.json"))
+        assert main(["staircase", "build", "--kind", "det1", "--A", "diag(2,2)",
+                     "--N", "5", "--out", str(s)]) == 0
+        assert main(["laminate", "verify", "--measure", str(s)]) == 0
+        write_measure(m)
+        assert main(["synth", "realize", "--measure", str(m), "--eps", "0.2",
+                     "--out", str(mp)]) == 0
+        assert main(["synth", "verify", "--map", str(mp),
+                     "--out", str(tmp_path / "rep.json")]) == 0
+        after = global_state()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert after == before
+
+
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(lamstair.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -727,6 +728,154 @@ def distribution_recursive(node):
     raise TypeError(f"no reference walk for {type(node).__name__}")
 
 
+def sup_dev_recursive(node):
+    """sup_dev by the recursion that the driven walk replaced; reference only."""
+    if isinstance(node, sy.SlotMap):
+        return 0.0 if node.inner is None else sup_dev_recursive(node.inner)
+    if isinstance(node, sy.RoofMap):
+        child = max(sup_dev_recursive(s) for s in node.slots.values())
+        return node.H * node.norm_eta + child
+    if isinstance(node, sy.GridCover):
+        return node.sigma * sup_dev_recursive(node.template)
+    if isinstance(node, sy.CoverMap):
+        return node.sigma0 * sup_dev_recursive(node.template)
+    if isinstance(node, sy._SwappedNode):
+        return sup_dev_recursive(node.base)
+    raise TypeError(f"no reference sup_dev for {type(node).__name__}")
+
+
+def grad_bound_recursive(node):
+    """grad_bound by the recursion that the driven walk replaced; reference only."""
+    if isinstance(node, sy.SlotMap):
+        return frob(node.A) if node.inner is None else grad_bound_recursive(node.inner)
+    if isinstance(node, sy.RoofMap):
+        return max(node.gmax, *(grad_bound_recursive(s) for s in node.slots.values()))
+    if isinstance(node, sy.GridCover):
+        return grad_bound_recursive(node.template)
+    if isinstance(node, sy.CoverMap):
+        return max(grad_bound_recursive(node.template), frob(node.A))
+    if isinstance(node, sy._SwappedNode):
+        return grad_bound_recursive(node.base)
+    raise TypeError(f"no reference grad_bound for {type(node).__name__}")
+
+
+def cells_recursive(node, out, shift, scale, limit):
+    """The recursive iter_cells that the driven cell walk replaced; reference
+    only."""
+    def emit(verts, A, flag):
+        if len(out) >= limit:
+            raise UnsupportedError(f"cell enumeration exceeds budget {limit}")
+        out.append(sy.Cell(verts, A, None, flag))
+
+    if isinstance(node, sy.SlotMap):
+        if node.inner is not None:
+            cells_recursive(node.inner, out, shift, scale, limit)
+            return
+        emit([shift + scale * c for c in node.domain.corners()], node.A, node.flag)
+    elif isinstance(node, sy.RoofMap):
+        if node.n > limit:
+            raise UnsupportedError(f"{node.n} teeth exceed the cell budget")
+        h1, w = node.h1, node.w
+
+        def pt(t, y):
+            F = node.domain.frame
+            p = node.domain.center + F[:, node.ax] * (node.s_t * t) + F[:, node.ay] * y
+            return shift + scale * p
+
+        for i in range(node.n):
+            T0 = -node.h0 + i * node.P
+            Tm = T0 + node.lam1 * node.P
+            T1 = T0 + node.P
+            for side, (ta, tb) in ((1, (T0, Tm)), (2, (Tm, T1))):
+                Ai = node.A1 if side == 1 else node.A2
+                slot = node.slots[side]
+                te = ta if side == 1 else tb
+                if slot.inner is None and slot.flag == sy.GOOD:
+                    emit([pt(te, -h1), pt(Tm, -(h1 - w)), pt(Tm, h1 - w), pt(te, h1)],
+                         Ai, sy.GOOD)
+                    continue
+                ct = node._core_center(i, side)
+                if slot.inner is None:
+                    emit([shift + scale * (ct + c) for c in slot.domain.corners()],
+                         Ai, slot.flag)
+                else:
+                    cells_recursive(slot, out, shift + scale * ct, scale, limit)
+                for sy_ in (1.0, -1.0):
+                    emit([pt(ta, sy_ * (h1 - w)), pt(tb, sy_ * (h1 - w)), pt(te, sy_ * h1)],
+                         Ai, node.aux_flag)
+            for sy_ in (1.0, -1.0):
+                emit([pt(T0, sy_ * h1), pt(Tm, sy_ * (h1 - w)), pt(T1, sy_ * h1)],
+                     node.cap_grad[+1 if sy_ > 0 else -1], node.aux_flag)
+    elif isinstance(node, sy.GridCover):
+        if node.k0 * node.k1 > limit:
+            raise UnsupportedError("grid cover exceeds the cell budget")
+        for i in range(node.k0):
+            for j in range(node.k1):
+                ct = node._tile_center(i, j)
+                cells_recursive(node.template, out, shift + scale * ct,
+                                scale * node.sigma, limit)
+    elif isinstance(node, sy.CoverMap):
+        for level, lvl in node.rows.items():
+            s = node.sigma0 * 2.0 ** -level
+            for j in sorted(lvl):
+                for a, bnd in lvl[j]:
+                    for i in range(a, bnd + 1):
+                        ct = node.domain.center + node.Ft @ np.array(
+                            [2.0 * s * (i + 0.5), 2.0 * s * (j + 0.5)])
+                        cells_recursive(node.template, out, shift + scale * ct,
+                                        scale * s, limit)
+    elif isinstance(node, sy._SwappedNode):
+        inner = []
+        cells_recursive(node.base, inner, np.zeros(2), 1.0, limit)
+        for c in inner:
+            emit([shift + scale * (sy._P_SWAP @ v) for v in c.vertices],
+                 sy._P_SWAP @ c.A @ sy._P_SWAP, c.flag)
+    else:
+        raise TypeError(f"no reference cells for {type(node).__name__}")
+
+
+def realize_recursive(tree, dom, A, b, budget, leaf_fn, aux_flag):
+    """The recursive construction (_realize_node calling _make_roof) that
+    the driven construction replaced; reference only."""
+    A = asmatrix(A)
+    if tree.is_leaf:
+        return sy.SlotMap(dom, A, b, flag=leaf_fn(A))
+    if sy._needs_norm(dom):
+        counts, sigma, tdom = sy.GridCover.plan(dom)
+        child = realize_recursive(tree, tdom, A, 0.0, budget, leaf_fn, aux_flag)
+        return sy.GridCover(dom, A, b, counts, sigma, child)
+    A1, A2 = asmatrix(tree.left.A), asmatrix(tree.right.A)
+    lam = float(tree.lam)
+    eta, xi = sy._rank_one_factor(A1 - A2)
+    loss, hsup = budget.next_node(max(frob(A1), frob(A2)))
+    ax, s_t = sy._axis_alignment(xi, dom.frame)
+    if ax is not None:
+        return make_roof_recursive(tree, dom, A, b, A1, A2, lam, eta, xi, ax, s_t,
+                                   loss, hsup, budget, leaf_fn, aux_flag)
+    tdom = sy.OBox((0.0, 0.0), (1.0, 1.0), np.column_stack([xi, sy._perp(xi)]))
+    troof = make_roof_recursive(tree, tdom, A, 0.0, A1, A2, lam, eta, xi, 0, 1.0,
+                                loss / 2.0, hsup, budget, leaf_fn, aux_flag)
+    return sy.CoverMap(dom, A, b, max(loss / 2.0, budget.theta_min), troof)
+
+
+def make_roof_recursive(tree, dom, A, b, A1, A2, lam, eta, xi, ax, s_t, loss,
+                        hsup, budget, leaf_fn, aux_flag):
+    h1 = float(dom.half[1 - ax])
+    w_max = h1 * loss / 2.0
+    ne = float(np.linalg.norm(eta))
+    h_max = hsup / ne if math.isfinite(hsup) else math.inf
+    rm = sy.RoofMap(dom, A, b, A1, A2, lam, eta, xi, ax, s_t,
+                    w_max=w_max, h_max=h_max, aux_flag=aux_flag)
+    for side, sub in ((1, tree.left), (2, tree.right)):
+        slot = rm.slots[side]
+        if sub.is_leaf:
+            slot.flag = leaf_fn(slot.A)
+        else:
+            slot.patch(realize_recursive(sub, slot.domain, slot.A, 0.0,
+                                         budget, leaf_fn, aux_flag))
+    return rm
+
+
 def walk_digest(dist):
     """sha256 of the rows (vol.hex(), G bytes, flag, slot index by first
     appearance or None) of a walk, with the atom count."""
@@ -867,11 +1016,18 @@ class TestDistributionWalk:
         root = sy.realize_staircase(spec, N, dom, eta=eta).root
         assert_same_walk(root.distribution(), distribution_recursive(root))
 
-    # parametrized, not drawn by hypothesis: reduce_exact raises the process
-    # recursion limit, which hypothesis reports as a warning
     @pytest.mark.parametrize("builder, a", [("stage3", 3.0), ("stage3", 2.6),
                                             ("product", 3.0), ("product", 3.9)])
     def test_reduce_rounds_match_recursion(self, builder, a):
+        self._check_reduce_rounds(builder, a)
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.sampled_from(["stage3", "product"]), st.floats(2.2, 4.2))
+    def test_reduce_rounds_match_recursion_drawn(self, builder, a):
+        self._check_reduce_rounds(builder, a)
+
+    @staticmethod
+    def _check_reduce_rounds(builder, a):
         # a split seed for stage 3; a rank-one seed sends product_builder
         # through stages 2 and 3
         from lamstair import stages
@@ -894,28 +1050,66 @@ class TestDistributionWalk:
                          same_G=False)
 
     def test_deeper_than_the_recursion_limit(self):
-        # in a fresh interpreter: reduce_exact raises this process's limit,
-        # and each leaf of a chain takes one multiplication per level above it
+        # in a fresh interpreter, at the default limit: every walk of a chain
+        # deeper than the limit, a certificate deeper than the frames the
+        # recursive construction took, then reduce_exact
         script = (
             "import json, sys\n"
             f"sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})\n"
+            "import numpy as np\n"
             "import test_synth as t\n"
+            "from lamstair import stages, staircase as sc, synth as sy\n"
+            "from lamstair.errors import UnsupportedError\n"
+            "from lamstair.matrices import frob\n"
             "limit = sys.getrecursionlimit()\n"
             "deep = t.roof_chain(limit + 100)\n"
-            "atoms = len(deep.distribution())\n"
+            "dist = deep.distribution()\n"
+            "X = deep.domain.interior_points(sy._halton(256, 2))\n"
+            "G = deep.gradient_many(X)\n"
+            "chain = [deep]\n"
+            "while chain[-1].slots[1].inner is not None:\n"
+            "    chain.append(chain[-1].slots[1].inner)\n"
+            "dev, bound = 0.0, frob(chain[-1].slots[1].A)\n"
+            "for node in reversed(chain):\n"
+            "    dev = node.H * node.norm_eta + max(dev, 0.0)\n"
+            "    bound = max(node.gmax, bound, frob(node.slots[2].A))\n"
+            "out = {'limit': limit, 'atoms': len(dist),\n"
+            "       'finite': bool(np.isfinite(deep.evaluate_many(X)).all()),\n"
+            "       'atom_gradients': {g.tobytes() for g in G}\n"
+            "                         <= {va.G.tobytes() for va in dist},\n"
+            "       'sup_dev': deep.sup_dev() == dev,\n"
+            "       'grad_bound': deep.grad_bound() == bound,\n"
+            "       'cells': len(sy.PiecewiseAffineMap(deep, deep.A, deep.b).cells())}\n"
             "try:\n"
             "    t.distribution_recursive(deep)\n"
-            "    recursion = 'finished'\n"
+            "    out['recursion'] = 'finished'\n"
             "except RecursionError:\n"
-            "    recursion = 'RecursionError'\n"
-            "print(json.dumps([limit, sys.getrecursionlimit(), atoms, recursion]))\n")
+            "    out['recursion'] = 'RecursionError'\n"
+            "nu = sc.build_truncation(sc.example_staircase('det1', {'a': [2, 2]}), 200)\n"
+            "m = sy.realize_finite_laminate(nu, t.UNIT, eps=0.9)\n"
+            "out['certificate_atoms'] = len(m.distribution())\n"
+            "try:\n"
+            "    m.cells()\n"
+            "except UnsupportedError as exc:\n"
+            "    out['certificate_cells'] = str(exc)\n"
+            "sy.reduce_exact(stages.stage3_builder(1.5), t.UNIT, np.diag([3.0, 1.0]),\n"
+            "                0.0, delta=0.5, alpha=0.5, depth=2, p=2.0, M=8.0, r=1.5)\n"
+            "out['after_reduce'] = sys.getrecursionlimit()\n"
+            "print(json.dumps(out))\n")
         src = str(pathlib.Path(sy.__file__).parents[1])
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, check=True, timeout=300,
                              env=dict(os.environ, PYTHONPATH=src))
-        limit, after, atoms, recursion = json.loads(out.stdout)
-        assert after == limit and atoms == 4 * (limit + 100)
-        assert recursion == "RecursionError"
+        got = json.loads(out.stdout)
+        depth = got["limit"] + 100
+        assert got == {"limit": got["limit"], "atoms": 4 * depth, "finite": True,
+                       "atom_gradients": True, "sup_dev": True, "grad_bound": True,
+                       "cells": 5 * depth - 1, "recursion": "RecursionError",
+                       "certificate_atoms": got["certificate_atoms"],
+                       "certificate_cells": got["certificate_cells"],
+                       "after_reduce": got["limit"]}
+        assert got["certificate_atoms"] > 800
+        assert got["certificate_cells"].endswith("the cell budget")
         # at a depth the recursion still reaches, the walks agree
         shallow = roof_chain(100)
         assert_same_walk(shallow.distribution(), distribution_recursive(shallow))
@@ -941,3 +1135,149 @@ class TestDistributionWalk:
         distribution_recursive(pam.root)
         assert len(made) > 2 * len(dist)
 
+
+
+# ---------------------------------------------------------------------------
+# _drive, and the driven walks against the recursions they replaced
+
+
+def test_drive_sends_values_and_throws_errors_into_the_parent():
+    def leaf(x):
+        if x < 0:
+            raise ValueError(f"negative {x}")
+        return x
+        yield
+
+    def node():
+        try:
+            yield leaf(-1)
+        except ValueError as exc:
+            caught = str(exc)
+        return caught, (yield leaf(2)) + (yield leaf(3))
+
+    def failing():
+        return (yield node()), (yield leaf(-4))
+
+    assert sy._drive(node()) == ("negative -1", 5)
+    with pytest.raises(ValueError, match="^negative -4$"):
+        sy._drive(failing())
+
+
+def criterion_06_roof(lam):
+    A1, A2 = np.diag([1.0, 1.0]), np.diag([-1.0, 1.0])
+    return sy.roof(lam * A1 + (1.0 - lam) * A2, 0.0, A1, A2, lam, UNIT, eps=0.05)
+
+
+WALK_CASES = {
+    "roof_chain": lambda: roof_chain(100),
+    "roof_0.3": lambda: criterion_06_roof(0.3).root,
+    "roof_0.5": lambda: criterion_06_roof(0.5).root,
+    "roof_0.7": lambda: criterion_06_roof(0.7).root,
+    "rotated_laminate": lambda: rotated_laminate().root,
+    "grid_staircase": lambda: fixed_map("grid_staircase").root,
+    "swapped": lambda: fixed_map("swapped").root,
+    # a grid cover and a swap whose cells all fit the budget below
+    "thin_laminate": lambda: sy.realize_finite_laminate(
+        one_step_laminate(), sy.box((0.0, 0.0), (3.0, 0.5)), eps=0.2).root,
+    "swapped_roof": lambda: criterion_06_roof(0.3).swap_components().root,
+}
+
+
+def cell_rows(cells):
+    """Cells in order as (vertex bytes, A bytes, flag)."""
+    return [(np.array(c.vertices).tobytes(), c.A.tobytes(), c.flag) for c in cells]
+
+
+def outcome(fn):
+    """fn()'s value, or the type and message of the error it raised."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def walk_cells(walk, root, limit):
+    """The cells a walk emits within the budget, in order, and the error it
+    raised, if any."""
+    out = []
+    error = outcome(lambda: walk(root, out, np.zeros(2), 1.0, limit))
+    return cell_rows(out), error
+
+
+def driven_cells(root, *args):
+    sy._drive(root._cells(*args))
+
+
+class RecordingBudget(sy._Budget):
+    """A _Budget that records (k, loss, sup budget) for each node it budgets."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.records = []
+
+    def next_node(self, gmax):
+        k = self.k
+        loss, hsup = super().next_node(gmax)
+        self.records.append((k, loss.hex(), float(hsup).hex()))
+        return loss, hsup
+
+
+def det1_deep():
+    nu = sc.build_truncation(sc.example_staircase("det1", {"a": [2, 2]}), 60)
+    return sy.realize_finite_laminate(nu, UNIT, eps=0.9)
+
+
+CONSTRUCTION_CASES = {
+    "rotated_laminate": rotated_laminate,
+    "grid_staircase": lambda: sy.realize_staircase(
+        sc.example_staircase("det1", {"a": [2, 2]}), 4, sy.box((0.0, 0.0), (3.0, 0.5)),
+        eta=0.2),
+    "swapped_base": lambda: sy.realize_extended(
+        sc.extended_measure("elliptic", np.diag([-1.0, 1.0]), {"K": 3.0}), UNIT,
+        delta=0.1, depth=2),
+    "det1_deep": det1_deep,
+}
+
+
+class TestDrivenWalks:
+    @pytest.mark.parametrize("case", sorted(WALK_CASES))
+    def test_bounds_and_cells_match_recursion(self, case):
+        root = WALK_CASES[case]()
+        assert root.sup_dev().hex() == sup_dev_recursive(root).hex()
+        assert root.grad_bound().hex() == grad_bound_recursive(root).hex()
+        # every cell within the budget, then the budget's error for a map
+        # with more cells; the small budget breaks inside the walk
+        for limit in (40_000, 300):
+            got = walk_cells(driven_cells, root, limit)
+            assert got == walk_cells(cells_recursive, root, limit)
+            assert got[1] is None or got[1][0] is UnsupportedError
+
+    @pytest.mark.parametrize("case", sorted(CONSTRUCTION_CASES))
+    def test_construction_matches_recursion(self, case, monkeypatch):
+        # the arguments of the outermost construction call of the case
+        calls = []
+        realize = sy._realize_node
+
+        def spy(*args, **kwargs):
+            if not calls:
+                calls.append(inspect.signature(realize).bind(*args, **kwargs).arguments)
+            return realize(*args, **kwargs)
+
+        monkeypatch.setattr(sy, "_realize_node", spy)
+        CONSTRUCTION_CASES[case]()
+        monkeypatch.undo()
+        a = calls[0]
+        trees = []
+        for build in (lambda *args: sy._drive(realize(*args)), realize_recursive):
+            b = a["budget"]
+            budget = RecordingBudget(b.base, b.sup, b.s, b.theta_min)
+            root = build(a["tree"], a["dom"], a["A"], a["b"], budget, a["leaf_fn"],
+                         a["aux_flag"])
+            trees.append((root, budget.records))
+        (got, got_k), (ref, ref_k) = trees
+        assert len(got_k) > 1 and got_k == ref_k
+        assert [k for k, _, _ in got_k] == list(range(len(got_k)))
+        assert walk_digest(got.distribution()) == walk_digest(ref.distribution())
+        X = probe_points(got.domain, 0)
+        assert got.evaluate_many(X).tobytes() == ref.evaluate_many(X).tobytes()
+        assert got.gradient_many(X).tobytes() == ref.gradient_many(X).tobytes()
