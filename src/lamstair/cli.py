@@ -20,7 +20,7 @@ from . import models, serialize, stages, synth
 from .errors import (InternalError, LamstairError, ParseError,
                      PreconditionError, VerdictFailure)
 from .matrices import frob, set_distance
-from .measures import barycenter, verify_laminate, verify_weak_tail
+from .measures import _seq_sum, barycenter, verify_laminate, verify_weak_tail
 from .staircase import (StaircaseSpec, beta_slope, build_truncation,
                         example_staircase, log_betas)
 
@@ -318,8 +318,8 @@ def _cmd_report_dist(args) -> bool:
     lines = ["set,dist_integral"]
     for set_id in args.sets.split(","):
         set_id = set_id.strip()
-        total = scale * sum(float(a.weight) * float(set_distance(a.point, set_id))
-                            for a in nu.atoms)
+        total = scale * _seq_sum(float(a.weight) * float(set_distance(a.point, set_id))
+                                 for a in nu.atoms)
         lines.append(f"{set_id},{total!r}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return True

@@ -44,6 +44,14 @@ def frob(M) -> float:
     return math.sqrt(x.dot(x))
 
 
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.dot of the last axes, one per leading index.  A stacked matmul of a
+    row by a column runs the 1-D dot kernel on the same strides, so each
+    entry equals np.dot(x[i], y[i]) bit for bit, and sqrt(dots(x, x)) of
+    the flattened matrices equals `frob` of each; einsum and cumsum do not."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
 def rank(M, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank: singular values above tol * (largest singular value)."""
     A = asmatrix(M)

@@ -4,6 +4,26 @@ Weights are kept as exact `Fraction`s whenever every input to a construction is
 rational (the telescoping residual identities are then checked exactly) and as
 floats otherwise.  Atom points are float64 matrices; duplicates are merged on a
 1e-12 quantization grid, which the constructions only hit with exact duplicates.
+
+Measures are built and queried in bulk, with the results of the per-atom code:
+
+- `_atoms_from_stack(weights, points)` builds many atoms from one float copy of
+  a (k, m, n) stack: one finiteness check, keys from one `np.round`, norms
+  from one stacked row dot (bit-equal to `frob`).  Each point is a read-only
+  row view of the frozen stack; each weight is still checked positive.
+- One merge rule: atoms with equal keys (Python tuple equality, so
+  -0.0 == 0.0) become one atom at the first one's point, their weights summed
+  with `_wadd` in order of appearance.  `DiscreteMeasure.__init__` applies it
+  to its atoms and sorts them.  `mixture` applies it once to every scaled
+  atom of its parts, building one `Atom` per key, so its measure only sorts.
+  The two keep their own loops: a helper shared by both slowed the many small
+  constructions of `plap_pipeline` measurably.
+- `tail_masses(nu, ts)` returns every tail on a t-grid at once: per t the
+  weights of the atoms with |X| > t, summed left to right by one `cumsum`
+  over arrays cached on the measure.  `tail_mass` is its one-point case.
+- `_seq_sum` adds floats left to right, the order of the builtin `sum` up to
+  Python 3.11 (3.12 compensates float sums), so totals do not depend on the
+  interpreter.
 """
 
 from __future__ import annotations
@@ -23,10 +43,11 @@ from .errors import (
     PreconditionError,
     UnsupportedError,
 )
-from .matrices import asmatrix, frob, rank
+from .matrices import _dots, asmatrix, frob, rank
 
 MERGE_TOL = 1e-12
 MASS_SLACK = 1e-12
+_TAIL_BLOCK = 1 << 20   # grid points x atoms per tail_masses block
 
 Weight = Fraction | float
 
@@ -51,6 +72,15 @@ def _wmul(a: Weight, b: Weight) -> Weight:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b
     return float(a) * float(b)
+
+
+def _seq_sum(values):
+    """Left-to-right sum from the int 0: the builtin `sum` of Python <= 3.11,
+    bit for bit and type for type (an empty total is the int 0)."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
 
 
 def _weight_error(w: Weight) -> PreconditionError:
@@ -97,11 +127,39 @@ class Atom:
     def _reweighted(self, w: Weight) -> "Atom":
         if not float(w) > 0.0:
             raise _weight_error(w)
+        return Atom._filled(w, self.point, self._key, self._norm)
+
+    @staticmethod
+    def _filled(w: Weight, point: np.ndarray, key, norm) -> "Atom":
+        """An atom from a checked weight and a frozen float point, taken as
+        they are, with the key and norm slots filled in."""
         out = object.__new__(Atom)
-        for name, val in (("weight", w), ("point", self.point),
-                          ("_key", self._key), ("_norm", self._norm)):
+        for name, val in (("weight", w), ("point", point), ("_key", key),
+                          ("_norm", norm)):
             object.__setattr__(out, name, val)
         return out
+
+
+def _atoms_from_stack(weights: Sequence[Weight], points) -> list[Atom]:
+    """Atom(w, P) for each weight and each matrix P of a (k, m, n) stack,
+    from one frozen float copy of the stack; keys and norms are filled in."""
+    stack = np.array(points, dtype=float)
+    if stack.ndim != 3 or len(stack) != len(weights):
+        raise PreconditionError(f"expected {len(weights)} matrices in a 3-d stack, "
+                                f"got shape {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise PreconditionError("matrix has non-finite entries")
+    stack.flags.writeable = False
+    shape = stack.shape[1:]
+    flat = stack.reshape(len(stack), -1)
+    keys = np.round(flat, 12).tolist()
+    norms = np.sqrt(_dots(flat, flat)).tolist()
+    atoms = []
+    for w, P, k, r in zip(weights, stack, keys, norms):
+        if not float(w) > 0.0:
+            raise _weight_error(w)
+        atoms.append(Atom._filled(w, P, (shape, tuple(k)), r))
+    return atoms
 
 
 @dataclass(frozen=True)
@@ -158,9 +216,10 @@ class DiscreteMeasure:
         )
 
     @cached_property
-    def _weight_norms(self) -> tuple[tuple[float, float], ...]:
-        """(float weight, |point|) per atom, for repeated tail queries."""
-        return tuple((float(a.weight), a.norm) for a in self.atoms)
+    def _tail_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(|point|, float weight) per atom, for repeated tail queries."""
+        return (np.array([a.norm for a in self.atoms]),
+                np.array([float(a.weight) for a in self.atoms]))
 
     def __len__(self):
         return len(self.atoms)
@@ -262,14 +321,38 @@ def scale_weights(nu: DiscreteMeasure, c: Weight) -> list[Atom]:
 
 def mixture(parts: Sequence[tuple[Weight, DiscreteMeasure]],
             certificate=None) -> DiscreteMeasure:
-    atoms: list[Atom] = []
+    """sum_i w_i nu_i in one merge: each atom's weight is scaled by its
+    part's weight and checked positive, as `Atom.scaled` does, then added
+    into its key's group under `DiscreteMeasure`'s merge rule (first point,
+    `_wadd` in order of appearance).  The measure built from the groups
+    only sorts them."""
+    groups: dict = {}
     for w, nu in parts:
-        atoms.extend(scale_weights(nu, w))
-    return DiscreteMeasure(atoms, certificate)
+        for a in nu.atoms:
+            sw = _wmul(a.weight, w)
+            if not float(sw) > 0.0:
+                raise _weight_error(sw)
+            k = a.key
+            g = groups.get(k)
+            groups[k] = (a, sw) if g is None else (g[0], _wadd(g[1], sw))
+    return DiscreteMeasure([a._reweighted(sw) for a, sw in groups.values()],
+                           certificate)
+
+
+def tail_masses(nu: DiscreteMeasure, ts) -> np.ndarray:
+    """mu({|X| > t}) for every t of a grid.  Per t the weights of the atoms
+    beyond t are added left to right, atoms in measure order: the sum the
+    builtin `sum` of Python <= 3.11 gives, as floats."""
+    norms, w = nu._tail_arrays
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    step = max(1, _TAIL_BLOCK // len(w))
+    blocks = [np.cumsum(np.where(norms > ts[i:i + step, None], w, 0.0), axis=1)[:, -1]
+              for i in range(0, len(ts), step)]
+    return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
 def tail_mass(nu: DiscreteMeasure, t: float) -> float:
-    return sum(w for w, r in nu._weight_norms if r > t)
+    return float(tail_masses(nu, (t,))[0])
 
 
 def moment(nu: DiscreteMeasure, q: float, cap: float | None = None) -> float:
@@ -320,8 +403,7 @@ def verify_weak_tail(nu: DiscreteMeasure, p: float, M: float, normA: float,
         raise PreconditionError(f"unknown side {side!r}")
     rows = []
     cu = M ** p * (1.0 + normA ** p)
-    for t in t_grid:
-        tail = tail_mass(nu, t)
+    for t, tail in zip(t_grid, tail_masses(nu, t_grid).tolist()):
         up = cu * t ** -p if side in ("upper", "both") else None
         lo = lower_env(t) if (lower_env is not None and side in ("lower", "both")) else None
         ok = True
@@ -336,8 +418,8 @@ def verify_weak_tail(nu: DiscreteMeasure, p: float, M: float, normA: float,
 def fit_upper_constant(nu: DiscreteMeasure, p: float, t_grid: Sequence[float]) -> float:
     """Smallest C with tail(t) <= C t^-p on the grid."""
     best = 0.0
-    for t in t_grid:
-        best = max(best, tail_mass(nu, t) * t ** p)
+    for t, tail in zip(t_grid, tail_masses(nu, t_grid).tolist()):
+        best = max(best, tail * t ** p)
     return best
 
 
@@ -377,8 +459,7 @@ def diamond_compose(nu1: DiscreteMeasure,
         C = 4.0 * (1.0 + q / abs(p - q))
         cu = C * (M1 * M2) ** r * (1.0 + normA ** r)
         rows = []
-        for t in t_grid:
-            tail = tail_mass(composed, t)
+        for t, tail in zip(t_grid, tail_masses(composed, t_grid).tolist()):
             up = cu * t ** -r
             rows.append(TailRow(float(t), tail, up, None, tail <= up + slack))
         report = TailReport(rows, {"p": p, "q": q, "r": r, "C": C, "M1": M1, "M2": M2,

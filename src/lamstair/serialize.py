@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParseError, PreconditionError
-from .matrices import asmatrix, frob
+from .matrices import _dots, asmatrix, frob
 from .measures import (Atom, DiscreteMeasure, SplittingStep, TailReport,
                        Weight)
 from .synth import GOOD, OBox, PiecewiseAffineMap
@@ -159,11 +159,16 @@ def measure_from_obj(obj, path="measure") -> DiscreteMeasure:
         cert = []
         for i, s in enumerate(obj["certificate"]):
             where = f"{path}.certificate[{i}]"
+            lam = _weight_from_obj(_require(s, "lam", where), f"{where}.lam")
+            try:
+                float(lam)
+            except OverflowError as exc:  # an exact fraction beyond the float range
+                raise ParseError(f"{where}.lam: split fraction too large for a float") from exc
             cert.append(SplittingStep(
                 matrix_from_obj(_require(s, "target", where), where),
                 matrix_from_obj(_require(s, "left", where), where),
                 matrix_from_obj(_require(s, "right", where), where),
-                _weight_from_obj(_require(s, "lam", where), where)))
+                lam))
     try:
         return DiscreteMeasure(atoms, cert)
     except PreconditionError:
@@ -241,13 +246,6 @@ def map_to_obj(m, max_cells: int = 200_000) -> dict:
 _P_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 _EDGE_TOL = 1e-9      # cross products this small put a point on an edge's line
 _LOOKUP_BLOCK = 16    # query points per block: (16, k) distance temporaries
-
-
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.dot of the last axes, one per leading index.  A stacked matmul of a
-    row by a column runs the 1-D dot kernel on the same strides, so each
-    entry equals np.dot(x[i], y[i]) bit for bit; einsum and cumsum do not."""
-    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 class CellMap:

@@ -25,11 +25,13 @@ from .measures import (
     Atom,
     DiscreteMeasure,
     SplittingStep,
+    _atoms_from_stack,
+    _seq_sum,
     diamond_compose,
     dirac,
     fit_upper_constant,
     pushforward,
-    tail_mass,
+    tail_masses,
     verify_laminate,
 )
 from .staircase import (
@@ -103,13 +105,14 @@ def check_plan(plan: ReductionPlan, A, N: int = 8, t_grid=None,
     nu = _plan_truncation(plan.builder(A), N)
     bary = sum(float(a.weight) * np.asarray(a.point) for a in nu.atoms)
     bary_err = frob(bary - A) / (1.0 + frob(A))
-    off = sum(float(a.weight) for a in nu.atoms
-              if not member(a.point, plan.target, tol))
+    off = _seq_sum(float(a.weight) for a in nu.atoms
+                   if not member(a.point, plan.target, tol))
     if t_grid is None:
         t0 = 1.0 + frob(A)
         t_grid = np.geomspace(t0 * 1.5, t0 * 100.0, 30)
     cap = plan.M ** plan.p * (1.0 + frob(A) ** plan.p)
-    tail_ok = all(tail_mass(nu, t) <= cap * t ** -plan.p + 1e-12 for t in t_grid)
+    tail_ok = all(tail <= cap * t ** -plan.p + 1e-12
+                  for t, tail in zip(t_grid, tail_masses(nu, t_grid).tolist()))
     return {"barycenter_error": bary_err, "off_target_mass": off,
             "tail_ok": tail_ok, "measure": nu}
 
@@ -474,7 +477,7 @@ class ProductResult:
 def _tail_slope(nu: DiscreteMeasure, t_lo: float, t_hi: float,
                 points: int = 40) -> float | None:
     ts = np.geomspace(t_lo, t_hi, points)
-    tails = np.array([tail_mass(nu, t) for t in ts])
+    tails = tail_masses(nu, ts)
     keep = tails > 0
     if keep.sum() < 3:
         return None
@@ -562,8 +565,8 @@ def product_pipeline(A, mode: str = "measure", beta_tol: float = 1e-4,
 
 def _measure_stats(nu: DiscreteMeasure, A: np.ndarray, p: int,
                    member_tol: float, t_slope) -> ProductResult:
-    good = sum(float(a.weight) for a in nu.atoms
-               if member(a.point, "L&Sigma", member_tol))
+    good = _seq_sum(float(a.weight) for a in nu.atoms
+                    if member(a.point, "L&Sigma", member_tol))
     bary = sum(float(a.weight) * np.asarray(a.point) for a in nu.atoms)
     bary_err = frob(bary - A) / (1.0 + frob(A))
     slope = _tail_slope(nu, *t_slope)
@@ -626,9 +629,9 @@ def approximate_sequence(A, domain=None, j_max: int = 6,
         dist = pam.distribution()
         vol = dom.volume
         err = pam.error_moment(s_j) / vol
-        ind = sum(va.vol for va in dist if va.flag == synth.INDUCTIVE) / vol
-        d1 = sum(va.vol * set_distance(va.G, "L1") for va in dist) / vol
-        d2 = sum(va.vol * set_distance(va.G, "L2") for va in dist) / vol
+        ind = _seq_sum(va.vol for va in dist if va.flag == synth.INDUCTIVE) / vol
+        d1 = _seq_sum(va.vol * set_distance(va.G, "L1") for va in dist) / vol
+        d2 = _seq_sum(va.vol * set_distance(va.G, "L2") for va in dist) / vol
         nug, residual = synth.gradient_distribution(pam)
         gmax = max(frob(a.point) for a in nug.atoms)
         slope = _tail_slope(nug, 8.0, max(16.0, gmax / 2.0))
@@ -652,9 +655,9 @@ def _geometric_measure(p: float, scale, levels: int = 60) -> DiscreteMeasure:
     weights /= weights.sum()
     abar = float(np.sum(weights * 2.0 ** np.arange(levels)))
     S = np.asarray(scale, dtype=float)
-    atoms = [Atom(float(w), (2.0 ** i / abar) * S)
-             for i, w in enumerate(weights)]
-    return DiscreteMeasure(atoms)
+    radii = 2.0 ** np.arange(levels) / abar
+    return DiscreteMeasure(_atoms_from_stack(weights.tolist(),
+                                             radii[:, None, None] * S))
 
 
 def composition_trial(p: float, q: float, t_grid=None, levels: int = 60):
@@ -700,15 +703,12 @@ def pq_counterexample(p: float, levels: int = 40, pad: int = 30):
     c = 1.0 - 2.0 ** -p
     abar = c / (1.0 - 2.0 ** -(p - 1.0))
     L = levels + pad
-    atoms = [Atom(c * c * (l + 1) * 2.0 ** (-l * p),
-                  np.array([[2.0 ** l / abar]]))
-             for l in range(L)]
-    nu = DiscreteMeasure(atoms)
-    series = []
-    for l in range(levels):
-        t = 2.0 ** l / abar * (1.0 - 1e-9)
-        series.append((t, t ** p * tail_mass(nu, t)))
-    return nu, series
+    nu = DiscreteMeasure(_atoms_from_stack(
+        [c * c * (l + 1) * 2.0 ** (-l * p) for l in range(L)],
+        (2.0 ** np.arange(L) / abar)[:, None, None]))
+    ts = [2.0 ** l / abar * (1.0 - 1e-9) for l in range(levels)]
+    return nu, [(t, t ** p * tail)
+                for t, tail in zip(ts, tail_masses(nu, ts).tolist())]
 
 
 # ---------------------------------------------------------------------------

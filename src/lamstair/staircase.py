@@ -37,10 +37,10 @@ from .measures import (
     TailReport,
     TailRow,
     Weight,
-    mixture,
+    _seq_sum,
     pushforward,
     scale_weights,
-    tail_mass,
+    tail_masses,
 )
 
 
@@ -234,8 +234,8 @@ def check_hypotheses(spec: StaircaseSpec, p: float, N: int, c: float, c0: float,
         ratio_ok = (a_prev <= a_n + 1e-12) and (a_n <= c * a_prev + 1e-12)
         supp_ok = all(frob(a.point) <= c0 * a_n + 1e-9 for a in st.mu.atoms)
         upper_ok = beta * a_n ** p <= M0 + 1e-9
-        lower_supp = sum(float(a.weight) for a in st.mu.atoms
-                         if frob(a.point) >= c1 * a_n - 1e-9) >= c1 - 1e-9
+        lower_supp = _seq_sum(float(a.weight) for a in st.mu.atoms
+                              if frob(a.point) >= c1 * a_n - 1e-9) >= c1 - 1e-9
         lower_ok = beta * a_n ** p >= M1 - 1e-9
         rows.append(HypothesisRow(n, ratio_ok, supp_ok, upper_ok, lower_supp, lower_ok))
     return HypothesesReport(rows,
@@ -249,6 +249,19 @@ def check_hypotheses(spec: StaircaseSpec, p: float, N: int, c: float, c0: float,
 
 def _diag(vals) -> np.ndarray:
     return np.diag(np.asarray([float(v) for v in vals]))
+
+
+def _check_level_norm(kind: str, n: int, entries) -> None:
+    """Reject level n once |A_n| = |diag(entries)| overflows the float range.
+    The squares are summed in plain Python floats, which overflow to inf
+    without a numpy call or a warning."""
+    sq = 0.0
+    for v in entries:
+        x = float(v)
+        sq += x * x
+    if sq == math.inf:
+        raise PreconditionError(
+            f"{kind} staircase level {n}: |A_n| overflows the float range")
 
 
 def _det1_spec(params: dict) -> StaircaseSpec:
@@ -270,6 +283,7 @@ def _det1_spec(params: dict) -> StaircaseSpec:
     def step_fn(n: int) -> StairStep:
         scale = two ** (n - 1)
         cur = [scale * v for v in base]
+        _check_level_norm("det1", n, [2 * v for v in cur])
         D = math.prod(cur) if not rational else math.prod(cur, start=Fraction(1))
         running = list(cur)
         splits: list[SplittingStep] = []
@@ -319,6 +333,7 @@ def _rank_drop_spec(params: dict) -> StaircaseSpec:
     def step_fn(n: int) -> StairStep:
         scale = (Fraction(2) if rational else 2.0) ** (n - 1)
         cur = [scale * v for v in base]
+        _check_level_norm("rank_drop", n, [2 * v for v in cur])
         running = list(cur)
         splits = []
         mu_atoms = []
@@ -671,8 +686,8 @@ def extended_measure(kind: str, A, params: dict, N: int = 0) -> ExtendedMeasure:
     bld = _ExtBuilder(kind, params)
     _process_general(bld, handler, 1.0, A, LinMap.identity())
     ext = ExtendedMeasure(A, kind, dict(params), bld.finite, bld.tails, bld.cert)
-    total = sum(float(w) for w, _ in ext.finite_atoms) + \
-        sum(float(w) for w, _ in ext.tails)
+    total = _seq_sum(float(w) for w, _ in ext.finite_atoms) + \
+        _seq_sum(float(w) for w, _ in ext.tails)
     if abs(total - 1.0) > 1e-9:
         raise InternalError(f"extended-measure weights sum to {total}")
     return ext
@@ -699,16 +714,15 @@ def extended_tail_report(ext: ExtendedMeasure, N: int,
         qexp = exponent("plaplace", {"p": p, "b": float(ext.params["b"])}).value
         e_lo, e_up = (p - 1.0) * qexp, qexp / (p - 1.0)
     ts = [t for t in t_grid if t > 1.0 + normA]
+    tails = tail_masses(nu, ts).tolist()
     M = 1.0
-    for t in ts:
-        tail = tail_mass(nu, t)
+    for t, tail in zip(ts, tails):
         M = max(M, tail * t ** qexp / (1.0 + normA ** e_up))
         lower_need = (tail + resid) * t ** qexp / (1.0 + normA ** e_lo)
         if lower_need > 0:
             M = max(M, 1.0 / lower_need) if lower_need < 1 else M
     rows = []
-    for t in ts:
-        tail = tail_mass(nu, t)
+    for t, tail in zip(ts, tails):
         up = M * (1.0 + normA ** e_up) * t ** -qexp
         lo = (1.0 + normA ** e_lo) / M * t ** -qexp
         ok = (tail <= up + 1e-12) and (tail >= lo - resid - 1e-12)

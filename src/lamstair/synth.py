@@ -36,7 +36,7 @@ from .errors import (
     VerdictFailure,
 )
 from .matrices import asmatrix, frob
-from .measures import Atom, DiscreteMeasure, verify_laminate
+from .measures import Atom, DiscreteMeasure, _seq_sum, verify_laminate
 
 __all__ = [
     "OBox", "box", "Cell", "PiecewiseAffineMap", "MapVerification",
@@ -878,7 +878,7 @@ class PiecewiseAffineMap:
     def _seal(self, dist: list[VolAtom]) -> "PiecewiseAffineMap":
         """Seal with dist, a walk of the current tree, after checking that
         its volumes sum to the domain volume."""
-        total = sum(va.vol for va in dist)
+        total = _seq_sum(va.vol for va in dist)
         vol = self.domain.volume
         if abs(total - vol) > 1e-9 * vol:
             raise InternalError(f"cell volumes sum to {total}, domain has {vol}")
@@ -908,7 +908,7 @@ class PiecewiseAffineMap:
 
     @property
     def residual_volume(self) -> float:
-        return sum(va.vol for va in self.distribution() if va.flag == RESIDUAL)
+        return _seq_sum(va.vol for va in self.distribution() if va.flag == RESIDUAL)
 
     def gradient_distribution(self) -> tuple[DiscreteMeasure, float]:
         vol = self.domain.volume
@@ -918,8 +918,8 @@ class PiecewiseAffineMap:
 
     def volume_of(self, G, flags=(GOOD,), tol: float = 1e-9) -> float:
         G = asmatrix(G)
-        return sum(va.vol for va in self.distribution()
-                   if va.flag in flags and frob(va.G - G) <= tol * (1.0 + frob(G)))
+        return _seq_sum(va.vol for va in self.distribution()
+                        if va.flag in flags and frob(va.G - G) <= tol * (1.0 + frob(G)))
 
     def error_moment(self, s: float, flags=(ERROR, RESIDUAL)) -> float:
         return _moment_of(self.distribution(), flags, s)
@@ -1090,8 +1090,8 @@ class RoundReport:
 
 
 def _moment_of(dist, flags, r: float) -> float:
-    return sum(va.vol * (1.0 + frob(va.G) ** r)
-               for va in dist if va.flag in flags)
+    return _seq_sum(va.vol * (1.0 + frob(va.G) ** r)
+                    for va in dist if va.flag in flags)
 
 
 def _open_slots(dist, flag: str) -> list[SlotMap]:

@@ -189,13 +189,47 @@ class TestExitCodes:
                 in capsys.readouterr().err)
 
     def test_underflowing_staircase_weight_says_so(self, tmp_path):
-        # the truncation weights of a long staircase underflow; a separate
-        # interpreter, since the run also warns of an overflow in frob
-        out = run_cli(["staircase", "build", "--kind", "det1", "--A", "diag(2,2)",
-                       "--N", "600", "--out", str(tmp_path / "m.json")])
+        # the exact weights 16^-n of a rank-4 rank-drop staircase underflow
+        # by level 269, long before |A_n| ~ 2^n leaves the float range
+        out = run_cli(["staircase", "build", "--kind", "rankdrop",
+                       "--A", "diag(3,5,7,9)", "--m", "4", "--N", "300",
+                       "--out", str(tmp_path / "m.json")])
         assert out.returncode == 3
         assert "is positive, but underflows as a float" in out.stderr
         assert "must be positive" not in out.stderr
+
+    @pytest.mark.parametrize("lam", [10 ** 400, "1" + "0" * 400 + "/3"])
+    def test_lam_beyond_float_range_is_parse_error(self, lam, tmp_path, capsys):
+        m = tmp_path / "m.json"
+        write_measure(m)
+        obj = json.loads(m.read_text())
+        obj["certificate"][0]["lam"] = lam
+        m.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["laminate", "verify", "--measure", str(m)]) == 2
+        assert ("certificate[0].lam: split fraction too large for a float"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("kind, A", [("det1", "diag(2,2)"),
+                                         ("rankdrop", "diag(3,5)")])
+    def test_staircase_norm_overflow_ignores_the_warning_filter(self, kind, A,
+                                                                tmp_path):
+        # |A_n| ~ 2^n leaves the float range at level 511 (det1) or 510 (the
+        # rank drop); both filters must give the same exit, message and no
+        # warning line, in fresh interpreters
+        src = os.path.dirname(os.path.dirname(lamstair.__file__))
+        outs = [subprocess.run(
+            [sys.executable, "-W", flt, "-m", "lamstair.cli", "staircase", "build",
+             "--kind", kind, "--A", A, "--m", "2", "--N", "600",
+             "--out", str(tmp_path / "m.json")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=300) for flt in ("error", "default")]
+        assert [o.returncode for o in outs] == [3, 3]
+        assert outs[0].stderr == outs[1].stderr
+        assert outs[0].stderr.startswith("precondition violated: ")
+        assert "staircase level 5" in outs[0].stderr and "overflows" in outs[0].stderr
+        assert "Warning" not in outs[0].stderr
+        assert not (tmp_path / "m.json").exists()
 
 
 def run_cli(argv):

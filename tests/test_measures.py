@@ -183,22 +183,6 @@ def test_split_conserves_mass_and_barycenter(data):
     assert ms.verify_laminate(nu).ok
 
 
-@given(st.integers(0, 10 ** 6), st.integers(1, 40), st.booleans(),
-       st.lists(st.floats(0.0, 20.0), min_size=1, max_size=8))
-@settings(max_examples=60, deadline=None)
-def test_tail_mass_matches_per_atom_loop(seed, n, rational, ts):
-    # tail_mass reads norms cached per measure; the per-atom loop it replaced
-    # is the reference, and repeated queries must keep agreeing bit for bit
-    rng = np.random.default_rng(seed)
-    atoms = [ms.Atom(Fraction(int(k), 40 * n) if rational else float(k) / (40 * n),
-                     rng.uniform(-5, 5, size=(2, 2)))
-             for k in rng.integers(1, 40, size=n)]
-    nu = ms.DiscreteMeasure(atoms)
-    for t in ts + ts:
-        ref = sum(float(a.weight) for a in nu.atoms if frob(a.point) > t)
-        assert ms.tail_mass(nu, t) == ref
-
-
 class TestAtom:
     def test_slotted_with_lazy_key_and_norm(self):
         a = ms.Atom(Fraction(1, 3), [[3.0, 0.0], [4.0, 0.0]])
@@ -228,3 +212,180 @@ class TestAtom:
         nu = ms.DiscreteMeasure([a, ms.Atom(Fraction(1, 2), 2 * np.eye(2)), twin])
         assert len(nu) == 2 and nu.atoms[0].weight == Fraction(1, 2)
         assert nu.atoms[0].point is a.point
+
+
+# --- bulk construction, one merge per mixture and batched tails ------------------
+# The per-atom code these replaced is kept here as the reference.
+
+
+def ref_merge(atoms):
+    """The per-atom merge DiscreteMeasure ran before `_merge`, in key order."""
+    merged, order = {}, []
+    for a in atoms:
+        k = a.key
+        if k in merged:
+            merged[k] = merged[k]._reweighted(ms._wadd(merged[k].weight, a.weight))
+        else:
+            merged[k] = a
+            order.append(k)
+    return tuple(merged[k] for k in sorted(order))
+
+
+def ref_mixture(parts):
+    """Scale every atom, then merge them all: mixture before the one-pass merge."""
+    atoms = []
+    for w, nu in parts:
+        atoms.extend(a.scaled(w) for a in nu.atoms)
+    return ref_merge(atoms)
+
+
+def ref_tail_mass(nu, t):
+    """The builtin-sum loop over atoms that tail_mass ran before tail_masses."""
+    return sum(float(a.weight) for a in nu.atoms if frob(a.point) > t)
+
+
+def weight_bits(w):
+    return (type(w), w.hex() if isinstance(w, float) else w)
+
+
+def assert_same_atoms(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert weight_bits(a.weight) == weight_bits(b.weight)
+        assert a.point.shape == b.point.shape
+        assert a.point.tobytes() == b.point.tobytes()
+        assert a.key == b.key and a.norm.hex() == b.norm.hex()
+        assert not a.point.flags.writeable
+
+
+def test_seq_sum_is_left_to_right():
+    assert ms._seq_sum([1e16, 1.0, -1e16]) == 0.0
+    assert ms._seq_sum([]) == 0 and type(ms._seq_sum([])) is int
+    xs = np.random.default_rng(3).standard_normal(2000).tolist()
+    total = 0.0
+    for x in xs:
+        total += x
+    assert ms._seq_sum(xs).hex() == total.hex()
+
+
+entries = st.one_of(st.floats(-1e100, 1e100, allow_nan=False), st.just(-0.0),
+                    st.integers(-3, 3).map(float))
+
+
+@st.composite
+def weighted_stack(draw):
+    shape = draw(st.sampled_from([(1, 1), (2, 2), (3, 2), (4, 4)]))
+    k = draw(st.integers(1, 6))
+    points = np.array(draw(st.lists(st.lists(entries, min_size=shape[0] * shape[1],
+                                             max_size=shape[0] * shape[1]),
+                                    min_size=k, max_size=k))).reshape(k, *shape)
+    rational = draw(st.booleans())
+    ws = draw(st.lists(st.integers(1, 10 ** 6), min_size=k, max_size=k))
+    weights = [Fraction(v, 10 ** 6) if rational else v / 10 ** 6 for v in ws]
+    return weights, points
+
+
+@given(weighted_stack())
+@settings(max_examples=150, deadline=None)
+def test_atoms_from_stack_matches_atom(data):
+    weights, points = data
+    got = ms._atoms_from_stack(weights, points)
+    assert_same_atoms(got, [ms.Atom(w, P) for w, P in zip(weights, points)])
+    assert all(a.weight is w for a, w in zip(got, weights))
+
+
+@pytest.mark.parametrize("weight, entry", [
+    (0.5, float("nan")), (0.5, float("inf")), (0.0, 1.0), (0, 1.0),
+    (-0.25, 1.0), (Fraction(1, 10 ** 400), 1.0)])
+def test_atoms_from_stack_errors_match_atom(weight, entry):
+    points = np.ones((3, 2, 2))
+    points[1, 0, 1] = entry
+    weights = [0.25, weight, 0.25]
+    with pytest.raises(PreconditionError) as want:
+        [ms.Atom(w, P) for w, P in zip(weights, points)]
+    with pytest.raises(PreconditionError) as got:
+        ms._atoms_from_stack(weights, points)
+    assert str(got.value) == str(want.value)
+
+
+POOL = [np.diag([1.0, 0.0]), np.diag([1.0, -0.0]), np.diag([-0.0, 1.0]),
+        np.diag([2.0, 3.0]), np.diag([2.0, 3.0]) + 1e-14,
+        np.array([[0.0, 1.0], [1.0, 0.0]])]
+
+
+def normalized(draw, n, rational):
+    ks = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    total = sum(ks)
+    return [Fraction(k, total) if rational else k / total for k in ks]
+
+
+@st.composite
+def mixture_parts(draw):
+    n_parts = draw(st.integers(1, 5))
+    part_weights = normalized(draw, n_parts, draw(st.booleans()))
+    parts = []
+    for w in part_weights:
+        idx = draw(st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=6))
+        ws = normalized(draw, len(idx), draw(st.booleans()))
+        parts.append((w, ms.DiscreteMeasure([ms.Atom(v, POOL[i])
+                                             for v, i in zip(ws, idx)])))
+    return parts
+
+
+@given(mixture_parts())
+@settings(max_examples=200, deadline=None)
+def test_mixture_matches_scale_then_merge(parts):
+    got = ms.mixture(parts)
+    assert_same_atoms(got.atoms, ref_mixture(parts))
+    assert got.mass.hex() == ms.DiscreteMeasure(ref_mixture(parts)).mass.hex()
+
+
+def test_mixture_keeps_the_first_point_of_signed_zero_twins():
+    plus, minus = ms.dirac(np.diag([1.0, 0.0])), ms.dirac(np.diag([1.0, -0.0]))
+    for parts in ([(0.5, minus), (0.5, plus)], [(Fraction(1, 2), plus), (0.5, minus)]):
+        got = ms.mixture(parts)
+        assert len(got) == 1
+        assert got.atoms[0].point.tobytes() == parts[0][1].atoms[0].point.tobytes()
+        assert_same_atoms(got.atoms, ref_mixture(parts))
+
+
+@pytest.mark.parametrize("w, inner", [(1e-300, 1e-30), (Fraction(1, 10 ** 200),
+                                                          Fraction(1, 10 ** 200))])
+def test_mixture_underflow_matches_scaled(w, inner):
+    nu = ms.DiscreteMeasure([ms.Atom(inner, np.eye(2)), ms.Atom(0.5, 2 * np.eye(2))])
+    parts = [(0.5, ms.dirac(np.eye(2))), (w, nu)]
+    with pytest.raises(PreconditionError) as want:
+        ref_mixture(parts)
+    with pytest.raises(PreconditionError) as got:
+        ms.mixture(parts)
+    assert str(got.value) == str(want.value)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 40), st.booleans(),
+       st.lists(st.floats(0.0, 20.0), min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_tail_mass_matches_per_atom_loop(seed, n, rational, ts):
+    # tail_masses reads arrays cached per measure; the per-atom loop it
+    # replaced (ref_tail_mass) is the reference, for the whole grid and for
+    # repeated one-point queries.  Every atom norm is a grid point too: the
+    # tail counts |X| > t strictly
+    rng = np.random.default_rng(seed)
+    atoms = [ms.Atom(Fraction(int(k), 40 * n) if rational else float(k) / (40 * n),
+                     rng.uniform(-5, 5, size=(2, 2)))
+             for k in rng.integers(1, 40, size=n)]
+    nu = ms.DiscreteMeasure(atoms)
+    ts = ts + [a.norm for a in nu.atoms] + [0.0, 1e9]
+    got = ms.tail_masses(nu, ts)
+    assert got.shape == (len(ts),)
+    for t, tail in zip(ts + ts, got.tolist() * 2):
+        ref = float(ref_tail_mass(nu, t)).hex()
+        assert tail.hex() == ref and ms.tail_mass(nu, t).hex() == ref
+    assert ms.tail_masses(nu, []).shape == (0,)
+
+
+def test_tail_masses_in_blocks(monkeypatch):
+    nu = ms.DiscreteMeasure([ms.Atom(0.01, np.diag([float(i), 1.0])) for i in range(50)])
+    ts = np.linspace(0.0, 60.0, 37)
+    whole = ms.tail_masses(nu, ts)
+    monkeypatch.setattr(ms, "_TAIL_BLOCK", 120)  # two grid points per block
+    assert ms.tail_masses(nu, ts).tobytes() == whole.tobytes()

@@ -1,3 +1,8 @@
+import dataclasses
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +10,7 @@ from lamstair import stages as sg
 from lamstair import synth
 from lamstair.errors import InternalError, PreconditionError, UnsupportedError
 from lamstair.matrices import frob, member, rank
-from lamstair.measures import tail_mass, verify_laminate
+from lamstair.measures import verify_laminate
 from lamstair.staircase import betas, build_truncation
 
 
@@ -227,6 +232,77 @@ class TestComposition:
     def test_counterexample_precondition(self):
         with pytest.raises(PreconditionError):
             sg.pq_counterexample(1.0)
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def measure_digest(nu) -> str:
+    """sha256 over the atoms in order: weight (float hex or exact
+    fraction), point shape and point bytes; then the mass hex."""
+    h = hashlib.sha256()
+    for a in nu.atoms:
+        w = a.weight.hex() if isinstance(a.weight, float) else repr(a.weight)
+        h.update(f"{w}|{a.point.shape}|".encode())
+        h.update(a.point.tobytes())
+    h.update(f"{nu.mass.hex()}|{nu.certificate is None}".encode())
+    return h.hexdigest()
+
+
+def compose_digests() -> dict:
+    """Digests of composition_suite(50, seed=0): per trial the report rows
+    and meta, and the composed measure of composition_trial on the same
+    (p, q); and the pq_counterexample(1.7) measure and series."""
+    trials = []
+    for p, q, rep in sg.composition_suite(50, seed=0):
+        nu, _ = sg.composition_trial(p, q, t_grid=np.geomspace(1.5, 1e4, 25),
+                                     levels=40)
+        trials.append({"p": p.hex(), "q": q.hex(),
+                       "rows": _sha([dataclasses.astuple(r) for r in rep.rows]),
+                       "meta": _sha(sorted(rep.meta.items())),
+                       "measure": measure_digest(nu)})
+    nu, series = sg.pq_counterexample(1.7)
+    return {"trials": trials,
+            "pq_counterexample(1.7)": {"series": _sha(series),
+                                       "measure": measure_digest(nu)}}
+
+
+COMPOSE_REFERENCE = json.loads(
+    (pathlib.Path(__file__).parent / "compose_digests.json").read_text())
+
+
+def ref_geometric_measure(p, scale, levels=60):
+    """_geometric_measure as it was built before, one Atom at a time."""
+    c = 1.0 - 2.0 ** -p
+    weights = np.array([c * 2.0 ** (-i * p) for i in range(levels)])
+    weights /= weights.sum()
+    abar = float(np.sum(weights * 2.0 ** np.arange(levels)))
+    S = np.asarray(scale, dtype=float)
+    return sg.DiscreteMeasure([sg.Atom(float(w), (2.0 ** i / abar) * S)
+                               for i, w in enumerate(weights)])
+
+
+@pytest.mark.parametrize("p, scale, levels", [
+    (1.3, np.eye(1), 40), (3.4, [[-2.5]], 60), (2.0, np.diag([1.0, -0.0]), 40),
+    (1.7, [[0.3, -1.1], [2.0, 0.7]], 25)])
+def test_geometric_measure_matches_per_atom_build(p, scale, levels):
+    got = sg._geometric_measure(p, scale, levels)
+    want = ref_geometric_measure(p, scale, levels)
+    assert len(got) == len(want) and got.mass.hex() == want.mass.hex()
+    for a, b in zip(got.atoms, want.atoms):
+        assert a.weight.hex() == b.weight.hex() and a.key == b.key
+        assert a.point.tobytes() == b.point.tobytes()
+        assert a.norm.hex() == frob(b.point).hex()
+
+
+def test_compose_digests_recorded():
+    got = compose_digests()
+    want = COMPOSE_REFERENCE
+    assert len(got["trials"]) == len(want["trials"])
+    for i, (g, w) in enumerate(zip(got["trials"], want["trials"])):
+        assert g == w, f"trial {i}"
+    assert got["pq_counterexample(1.7)"] == want["pq_counterexample(1.7)"]
 
 
 class TestBuilders:
