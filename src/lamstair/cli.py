@@ -11,6 +11,7 @@ internal contracts (5).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -41,7 +42,7 @@ def parse_t_grid(text: str) -> np.ndarray:
         lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise ParseError(f"bad grid spec {text!r}") from exc
-    if not (0.0 < lo < hi and count >= 2):
+    if not (0.0 < lo < hi < math.inf and count >= 2):
         raise ParseError(f"bad grid bounds in {text!r}")
     if parts[0] == "log":
         return np.geomspace(lo, hi, count)

@@ -7,17 +7,22 @@ floats otherwise.  Atom points are float64 matrices; duplicates are merged on a
 
 Measures are built and queried in bulk, with the results of the per-atom code:
 
-- `_atoms_from_stack(weights, points)` builds many atoms from one float copy of
-  a (k, m, n) stack: one finiteness check, keys from one `np.round`, norms
-  from one stacked row dot (bit-equal to `frob`).  Each point is a read-only
-  row view of the frozen stack; each weight is still checked positive.
 - One merge rule: atoms with equal keys (Python tuple equality, so
   -0.0 == 0.0) become one atom at the first one's point, their weights summed
-  with `_wadd` in order of appearance.  `DiscreteMeasure.__init__` applies it
-  to its atoms and sorts them.  `mixture` applies it once to every scaled
-  atom of its parts, building one `Atom` per key, so its measure only sorts.
-  The two keep their own loops: a helper shared by both slowed the many small
-  constructions of `plap_pipeline` measurably.
+  left to right in order of appearance; the measure lists them sorted by key.
+- Array state.  `DiscreteMeasure.from_stack(weights, points)`, and `mixture`
+  over such measures, hold a float measure as arrays: a read-only
+  (k, m, n) stack in key order, float weights, norms (bit-equal to `frob`)
+  and the rounded keys, in the subclass `_ArrayMeasure`.  It applies the
+  merge rule to them with a stable lexsort, and fills `_tail_arrays` as it
+  builds.  `atoms` is then a view made on first use: one `Atom` per row, its
+  point a row view of the stack, with key and norm filled in.
+- The list constructor `DiscreteMeasure(atoms)` stays for the per-atom
+  builders (staircases, splits, pushforwards, parsed measures), which carry
+  exact `Fraction` weights in rational mode and build many small measures,
+  where per-call array overhead costs more than it saves.  `mixture` over
+  any part built that way merges atom by atom as well, so rational mode
+  stays exact.
 - `tail_masses(nu, ts)` returns every tail on a t-grid at once: per t the
   weights of the atoms with |X| > t, summed left to right by one `cumsum`
   over arrays cached on the measure.  `tail_mass` is its one-point case.
@@ -28,6 +33,7 @@ Measures are built and queried in bulk, with the results of the per-atom code:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cached_property
@@ -140,28 +146,6 @@ class Atom:
         return out
 
 
-def _atoms_from_stack(weights: Sequence[Weight], points) -> list[Atom]:
-    """Atom(w, P) for each weight and each matrix P of a (k, m, n) stack,
-    from one frozen float copy of the stack; keys and norms are filled in."""
-    stack = np.array(points, dtype=float)
-    if stack.ndim != 3 or len(stack) != len(weights):
-        raise PreconditionError(f"expected {len(weights)} matrices in a 3-d stack, "
-                                f"got shape {stack.shape}")
-    if not np.isfinite(stack).all():
-        raise PreconditionError("matrix has non-finite entries")
-    stack.flags.writeable = False
-    shape = stack.shape[1:]
-    flat = stack.reshape(len(stack), -1)
-    keys = np.round(flat, 12).tolist()
-    norms = np.sqrt(_dots(flat, flat)).tolist()
-    atoms = []
-    for w, P, k, r in zip(weights, stack, keys, norms):
-        if not float(w) > 0.0:
-            raise _weight_error(w)
-        atoms.append(Atom._filled(w, P, (shape, tuple(k)), r))
-    return atoms
-
-
 @dataclass(frozen=True)
 class SplittingStep:
     """target = lam * left + (1 - lam) * right with rank(left - right) = 1."""
@@ -215,6 +199,24 @@ class DiscreteMeasure:
             tuple(certificate) if certificate is not None else None
         )
 
+    @staticmethod
+    def from_stack(weights, points, certificate=None) -> "DiscreteMeasure":
+        """DiscreteMeasure([Atom(w, P), ...]) for float weights and a (k, m, n)
+        stack of matrices, built as arrays: one float copy of the stack, one
+        finiteness check, keys from one `np.round`, norms from one stacked row
+        dot (bit-equal to `frob`), then `_ArrayMeasure`'s merge."""
+        weights = np.array(weights, dtype=float)
+        stack = np.array(points, dtype=float)
+        if stack.ndim != 3 or len(stack) != len(weights):
+            raise PreconditionError(f"expected {len(weights)} matrices in a 3-d stack, "
+                                    f"got shape {stack.shape}")
+        if not np.isfinite(stack).all():
+            raise PreconditionError("matrix has non-finite entries")
+        k, m, n = stack.shape
+        flat = stack.reshape(k, m * n)
+        return _ArrayMeasure(weights, stack, np.round(flat, 12),
+                             np.sqrt(_dots(flat, flat)), certificate)
+
     @cached_property
     def _tail_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(|point|, float weight) per atom, for repeated tail queries."""
@@ -233,6 +235,60 @@ class DiscreteMeasure:
             if a.point.shape == P.shape and frob(a.point - P) <= tol * (1.0 + frob(P)):
                 return i
         return None
+
+
+class _ArrayMeasure(DiscreteMeasure):
+    """A float-weighted measure held as arrays in key order: a read-only
+    (k, m, n) stack, the rounded keys, and norms and weights as
+    `_tail_arrays`.  `atoms` is made on first use.  A subclass, so that the
+    many list-built measures keep `atoms` a plain instance attribute."""
+
+    def __init__(self, weights, stack, keys, norms, certificate=None):
+        """`DiscreteMeasure.__init__`'s merge, sort and mass check on atoms
+        given as arrays in input order (float weights, a (k, m, n) stack,
+        rounded keys, norms).  A stable lexsort on the keys, column 0 first,
+        puts equal keys next to each other in order of appearance (numpy
+        compares -0.0 equal to 0.0, as tuples do); each group keeps its first
+        row and sums its weights left to right, one rank at a time across all
+        groups."""
+        bad = np.flatnonzero(~(weights > 0.0))
+        if bad.size:
+            raise _weight_error(float(weights[bad[0]]))
+        if not len(weights):
+            raise PreconditionError("measure must have at least one atom")
+        order = np.lexsort(keys.T[::-1])
+        sorted_keys = keys[order]
+        new = np.ones(len(order), dtype=bool)
+        np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=new[1:])
+        starts = np.flatnonzero(new)
+        sizes = np.empty_like(starts)
+        sizes[:-1] = starts[1:] - starts[:-1]
+        sizes[-1] = len(order) - starts[-1]
+        w = weights[order]
+        sums = w[starts]
+        for r in range(1, sizes.max()):
+            grown = sizes > r
+            sums[grown] += w[starts[grown] + r]
+        mass = float(np.cumsum(sums)[-1])
+        if mass > 1.0 + MASS_SLACK * max(1, len(sums)):
+            raise PreconditionError(f"total mass {mass} exceeds 1")
+        first = order[starts]
+        self._stack = stack[first]
+        self._stack.flags.writeable = False
+        self._keys = keys[first]
+        self._tail_arrays = (norms[first], sums)
+        self.mass = mass
+        self.certificate = tuple(certificate) if certificate is not None else None
+
+    @cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        """One atom per row, its point a row view of the frozen stack, with
+        the key and norm slots filled in."""
+        norms, weights = self._tail_arrays
+        shape = self._stack.shape[1:]
+        return tuple(Atom._filled(w, P, (shape, tuple(k)), r)
+                     for w, P, k, r in zip(weights.tolist(), self._stack,
+                                           self._keys.tolist(), norms.tolist()))
 
 
 def dirac(point, certificate=None) -> DiscreteMeasure:
@@ -273,6 +329,8 @@ class LaminateReport:
 
 def verify_laminate(nu: DiscreteMeasure, cert: Sequence[SplittingStep] | None = None,
                     tol: float = 1e-9) -> LaminateReport:
+    if not 0.0 < tol < math.inf:
+        raise PreconditionError(f"tolerance must be finite and positive, got {tol}")
     steps = list(cert if cert is not None else (nu.certificate or ()))
     if not steps:
         if len(nu.atoms) == 1:
@@ -324,8 +382,18 @@ def mixture(parts: Sequence[tuple[Weight, DiscreteMeasure]],
     """sum_i w_i nu_i in one merge: each atom's weight is scaled by its
     part's weight and checked positive, as `Atom.scaled` does, then added
     into its key's group under `DiscreteMeasure`'s merge rule (first point,
-    `_wadd` in order of appearance).  The measure built from the groups
-    only sorts them."""
+    `_wadd` in order of appearance).  When every part is held as arrays
+    (float weights, so every scaled weight is a float) of one matrix shape,
+    the parts' arrays are concatenated and merged by `_ArrayMeasure`;
+    otherwise, rational mode among them, the atoms are merged one by one and
+    the measure built from the groups only sorts them."""
+    if (parts and all(isinstance(nu, _ArrayMeasure) for _, nu in parts)
+            and len({nu._stack.shape[1:] for _, nu in parts}) == 1):
+        return _ArrayMeasure(
+            np.concatenate([nu._tail_arrays[1] * float(w) for w, nu in parts]),
+            np.concatenate([nu._stack for _, nu in parts]),
+            np.concatenate([nu._keys for _, nu in parts]),
+            np.concatenate([nu._tail_arrays[0] for _, nu in parts]), certificate)
     groups: dict = {}
     for w, nu in parts:
         for a in nu.atoms:
@@ -397,7 +465,7 @@ def verify_weak_tail(nu: DiscreteMeasure, p: float, M: float, normA: float,
                      lower_env: Callable[[float], float] | None = None,
                      slack: float = 0.0) -> TailReport:
     """Compare tails against M^p (1+|A|^p) t^-p above and an optional lower envelope."""
-    if p < 1 or M < 1:
+    if not (p >= 1 and M >= 1):
         raise PreconditionError("need p >= 1 and M >= 1")
     if side not in ("upper", "lower", "both"):
         raise PreconditionError(f"unknown side {side!r}")

@@ -25,7 +25,6 @@ from .measures import (
     Atom,
     DiscreteMeasure,
     SplittingStep,
-    _atoms_from_stack,
     _seq_sum,
     diamond_compose,
     dirac,
@@ -496,6 +495,8 @@ def product_pipeline(A, mode: str = "measure", beta_tol: float = 1e-4,
     d = A.shape[0]
     if A.shape[0] != A.shape[1] or d % 2:
         raise PreconditionError("need a square matrix of even dimension")
+    if not 0.0 < beta_tol < math.inf:
+        raise PreconditionError(f"beta_tol must be finite and positive, got {beta_tol}")
     n = d // 2
 
     if mode == "map":
@@ -656,8 +657,7 @@ def _geometric_measure(p: float, scale, levels: int = 60) -> DiscreteMeasure:
     abar = float(np.sum(weights * 2.0 ** np.arange(levels)))
     S = np.asarray(scale, dtype=float)
     radii = 2.0 ** np.arange(levels) / abar
-    return DiscreteMeasure(_atoms_from_stack(weights.tolist(),
-                                             radii[:, None, None] * S))
+    return DiscreteMeasure.from_stack(weights, radii[:, None, None] * S)
 
 
 def composition_trial(p: float, q: float, t_grid=None, levels: int = 60):
@@ -703,9 +703,9 @@ def pq_counterexample(p: float, levels: int = 40, pad: int = 30):
     c = 1.0 - 2.0 ** -p
     abar = c / (1.0 - 2.0 ** -(p - 1.0))
     L = levels + pad
-    nu = DiscreteMeasure(_atoms_from_stack(
+    nu = DiscreteMeasure.from_stack(
         [c * c * (l + 1) * 2.0 ** (-l * p) for l in range(L)],
-        (2.0 ** np.arange(L) / abar)[:, None, None]))
+        (2.0 ** np.arange(L) / abar)[:, None, None])
     ts = [2.0 ** l / abar * (1.0 - 1e-9) for l in range(levels)]
     return nu, [(t, t ** p * tail)
                 for t, tail in zip(ts, tail_masses(nu, ts).tolist())]

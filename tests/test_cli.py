@@ -165,6 +165,59 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "atoms[3].M" in err and "Frobenius" in err
 
+    @pytest.mark.parametrize("tol, code", [("1e-9", 4), ("nan", 3), ("inf", 3),
+                                           ("0", 3), ("-1e-9", 3)])
+    def test_laminate_tolerance_must_be_finite_and_positive(self, tol, code,
+                                                            tmp_path, capsys):
+        # half of the second-largest weight moved onto the largest keeps the
+        # mass, but no replay gives these weights; |a - b| > nan and
+        # |a - b| > inf are both false, so those tolerances passed it
+        m = tmp_path / "m.json"
+        assert main(["staircase", "build", "--kind", "det1", "--A", "diag(2,2)",
+                     "--N", "20", "--out", str(m)]) == 0
+        obj = json.loads(m.read_text())
+        ws = [Fraction(a["w"]) for a in obj["atoms"]]
+        big, second = sorted(range(len(ws)), key=ws.__getitem__, reverse=True)[:2]
+        half = ws[second] / 2
+        obj["atoms"][big]["w"] = str(ws[big] + half)
+        obj["atoms"][second]["w"] = str(ws[second] - half)
+        m.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["laminate", "verify", "--measure", str(m), f"--tol={tol}"]) == code
+        out = capsys.readouterr()
+        assert "replayed" not in out.err
+        if code == 3:
+            assert "tolerance must be finite and positive" in out.err
+
+    @pytest.mark.parametrize("grid", ["log:1:inf:5", "lin:1:inf:5", "log:nan:5:5"])
+    def test_non_finite_t_grid_is_parse_error(self, grid, tmp_path, capsys):
+        with pytest.raises(ParseError, match="bad grid bounds"):
+            parse_t_grid(grid)
+        m = tmp_path / "m.json"
+        write_measure(m)
+        assert main(["verify", "tails", "--measure", str(m), "--p", "2", "--M", "8",
+                     "--t-grid", grid, "--out", str(tmp_path / "t.csv")]) == 2
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--p", "nan", "--M", "8"],
+                                       ["--p", "2", "--M", "nan"]])
+    def test_nan_tail_exponent_or_constant_is_precondition(self, flags, tmp_path,
+                                                           capsys):
+        m = tmp_path / "m.json"
+        write_measure(m)
+        assert main(["verify", "tails", "--measure", str(m), *flags,
+                     "--out", str(tmp_path / "t.csv")]) == 3
+        assert "need p >= 1 and M >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta_tol", ["0", "-1", "nan", "inf"])
+    def test_product_beta_tol_must_be_finite_and_positive(self, beta_tol, tmp_path,
+                                                          capsys):
+        assert main(["pipeline", "product", "--n", "1", "--A", "diag(2,0.5)",
+                     f"--beta-tol={beta_tol}",
+                     "--out", str(tmp_path / "p.json")]) == 3
+        assert "beta_tol must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
 
     def test_weight_beyond_float_range_is_parse_error(self, tmp_path, capsys):
         # the exact integer weight parses; only its float overflows

@@ -11,7 +11,7 @@ from lamstair.errors import (
     PreconditionError,
     UnsupportedError,
 )
-from lamstair.matrices import frob
+from lamstair.matrices import _dots, frob
 
 
 def first_det1_step():
@@ -285,11 +285,42 @@ def weighted_stack(draw):
     return weights, points
 
 
+def ref_atoms_from_stack(weights, points):
+    """Atom(w, P) for each weight and each matrix P of a (k, m, n) stack, from
+    one frozen float copy of the stack: the builder that
+    `DiscreteMeasure.from_stack` replaced.  With `DiscreteMeasure(...)` it is
+    the reference for the array path (`ref_from_stack`)."""
+    stack = np.array(points, dtype=float)
+    if stack.ndim != 3 or len(stack) != len(weights):
+        raise PreconditionError(f"expected {len(weights)} matrices in a 3-d stack, "
+                                f"got shape {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise PreconditionError("matrix has non-finite entries")
+    stack.flags.writeable = False
+    shape = stack.shape[1:]
+    flat = stack.reshape(len(stack), -1)
+    keys = np.round(flat, 12).tolist()
+    norms = np.sqrt(_dots(flat, flat)).tolist()
+    atoms = []
+    for w, P, k, r in zip(weights, stack, keys, norms):
+        if not float(w) > 0.0:
+            raise ms._weight_error(w)
+        atoms.append(ms.Atom._filled(w, P, (shape, tuple(k)), r))
+    return atoms
+
+
+def ref_from_stack(weights, points, certificate=None):
+    return ms.DiscreteMeasure(ref_atoms_from_stack(weights, points), certificate)
+
+
+# the reference itself builds the atoms Atom(w, P) builds, errors included
+
+
 @given(weighted_stack())
 @settings(max_examples=150, deadline=None)
 def test_atoms_from_stack_matches_atom(data):
     weights, points = data
-    got = ms._atoms_from_stack(weights, points)
+    got = ref_atoms_from_stack(weights, points)
     assert_same_atoms(got, [ms.Atom(w, P) for w, P in zip(weights, points)])
     assert all(a.weight is w for a, w in zip(got, weights))
 
@@ -304,8 +335,178 @@ def test_atoms_from_stack_errors_match_atom(weight, entry):
     with pytest.raises(PreconditionError) as want:
         [ms.Atom(w, P) for w, P in zip(weights, points)]
     with pytest.raises(PreconditionError) as got:
-        ms._atoms_from_stack(weights, points)
+        ref_atoms_from_stack(weights, points)
     assert str(got.value) == str(want.value)
+    if isinstance(weight, float):  # from_stack takes float weights only
+        with pytest.raises(PreconditionError) as bulk:
+            ms.DiscreteMeasure.from_stack(weights, points)
+        assert str(bulk.value) == str(want.value)
+
+
+# --- the array path against the per-atom references ------------------------------
+
+
+def measure_bits(nu):
+    """Everything a measure shows, bit for bit: per atom in order the weight
+    (type and hex), point shape and bytes, key repr (-0.0 stays visible) and
+    norm hex; the mass hex and the certificate."""
+    atoms = [(weight_bits(a.weight), a.point.shape, a.point.tobytes(), repr(a.key),
+              a.norm.hex(), a.point.flags.writeable) for a in nu.atoms]
+    cert = None if nu.certificate is None else [id(s) for s in nu.certificate]
+    return len(nu), atoms, nu.mass.hex(), cert
+
+
+def outcome(build):
+    """measure_bits of the built measure, or the error's type and message."""
+    try:
+        nu = build()
+    except (PreconditionError, ValueError) as exc:
+        return type(exc), str(exc)
+    return measure_bits(nu)
+
+
+def assert_arrays_match_atoms(nu):
+    norms, weights = nu._tail_arrays
+    assert norms.tolist() == [a.norm for a in nu.atoms]
+    assert [w.hex() for w in weights.tolist()] == [float(a.weight).hex() for a in nu.atoms]
+    assert not nu._stack.flags.writeable
+
+
+# entries in classes that share one 12-decimal key: -0.0/0.0 twins, values
+# equal only after rounding; the last class is any float
+TWINS = [(0.0, -0.0, 1e-13, -1e-13), (0.1, 0.1 + 1e-14), (1.0, 1.0 - 3e-13),
+         (-2.5,), (3.0, 3.0 + 3e-13)]
+ODD_WEIGHTS = [0.0, -0.25, float("nan"), float("inf"), 5e-324, 1e-310]
+
+
+@st.composite
+def twin_points(draw, k, shape):
+    """k matrices of one shape, drawn from up to three base matrices whose
+    entries each take any twin of their class: many equal keys, few equal bits."""
+    size = shape[0] * shape[1]
+    cls = st.integers(0, len(TWINS))
+    bases = draw(st.lists(st.lists(cls, min_size=size, max_size=size),
+                          min_size=1, max_size=3))
+    points = []
+    for _ in range(k):
+        base = draw(st.sampled_from(bases))
+        points.append([draw(st.floats(-1e6, 1e6)) if c == len(TWINS)
+                       else draw(st.sampled_from(TWINS[c])) for c in base])
+    return np.array(points).reshape(k, *shape)
+
+
+@st.composite
+def float_weights(draw, k):
+    """Normalized weights scaled by 1/2, 1 or 2 (mass above 1); at times one
+    or two of them replaced by zero, a negative, NaN, inf or a subnormal."""
+    ks = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    scale = draw(st.sampled_from([0.5, 1.0, 1.0, 2.0]))
+    weights = [v / sum(ks) * scale for v in ks]
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=2)):
+        weights[i] = draw(st.sampled_from(ODD_WEIGHTS))
+    return weights
+
+
+SHAPES = [(1, 1), (2, 2), (2, 3)]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_from_stack_matches_reference(data):
+    shape = data.draw(st.sampled_from(SHAPES))
+    k = data.draw(st.integers(1, 8))
+    points = data.draw(twin_points(k, shape))
+    if data.draw(st.integers(0, 9)) == 0:
+        points[data.draw(st.integers(0, k - 1))].flat[0] = data.draw(
+            st.sampled_from([float("nan"), float("inf")]))
+    weights = data.draw(float_weights(k))
+    want = outcome(lambda: ref_from_stack(weights, points))
+    assert outcome(lambda: ms.DiscreteMeasure.from_stack(weights, points)) == want
+    if not isinstance(want[0], type):
+        nu = ms.DiscreteMeasure.from_stack(np.array(weights), points)
+        assert "atoms" not in vars(nu)  # built on first use
+        assert_arrays_match_atoms(nu)
+        assert measure_bits(nu) == want
+
+
+def test_from_stack_checks_its_stack():
+    with pytest.raises(PreconditionError, match="expected 2 matrices"):
+        ms.DiscreteMeasure.from_stack([0.5, 0.5], np.ones((3, 2, 2)))
+    with pytest.raises(PreconditionError, match="at least one atom"):
+        ms.DiscreteMeasure.from_stack([], np.ones((0, 2, 2)))
+
+
+@st.composite
+def mixed_parts(draw):
+    """Parts of one shape (now and then one of another), each built by
+    `from_stack` or by the list constructor; part weights float, at times one
+    or two a `Fraction`, zero, negative, NaN or small enough to underflow."""
+    shape = draw(st.sampled_from(SHAPES))
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, 5))
+        ks = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        weights = [v / sum(ks) for v in ks]
+        if draw(st.integers(0, 7)) == 0:
+            weights[0] = 1e-30 * weights[0]
+        part_shape = shape if draw(st.integers(0, 9)) else (2, 1)
+        points = draw(twin_points(k, part_shape))
+        nu = (ms.DiscreteMeasure.from_stack(weights, points) if draw(st.booleans())
+              else ms.DiscreteMeasure([ms.Atom(w, P) for w, P in zip(weights, points)]))
+        parts.append(nu)
+    ks = draw(st.lists(st.integers(1, 9), min_size=len(parts), max_size=len(parts)))
+    scale = draw(st.sampled_from([0.5, 1.0, 1.0, 2.0]))
+    ws = [v / sum(ks) * scale for v in ks]
+    for i in draw(st.lists(st.integers(0, len(ws) - 1), max_size=2)):
+        ws[i] = draw(st.sampled_from([Fraction(1, 3), 0.0, -1.0, float("nan"), 1e-300]))
+    return list(zip(ws, parts))
+
+
+def check_mixture(parts):
+    want = outcome(lambda: ms.DiscreteMeasure(ref_mixture(parts)))
+    assert outcome(lambda: ms.mixture(parts)) == want
+    return want
+
+
+@given(mixed_parts())
+@settings(max_examples=300, deadline=None)
+def test_mixture_matches_reference(parts):
+    check_mixture(parts)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_bulk_mixture_matches_reference(data):
+    # every part from from_stack and every part weight a float: the array merge
+    shape = data.draw(st.sampled_from(SHAPES))
+    parts = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        k = data.draw(st.integers(1, 6))
+        ks = data.draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        parts.append((data.draw(st.floats(0.05, 0.5)), ms.DiscreteMeasure.from_stack(
+            [v / sum(ks) for v in ks], data.draw(twin_points(k, shape)))))
+    want = check_mixture(parts)
+    if not isinstance(want[0], type):
+        nu = ms.mixture(parts)
+        assert isinstance(nu, ms._ArrayMeasure) and "atoms" not in vars(nu)
+        assert_arrays_match_atoms(nu)
+
+
+def test_mixture_keeps_rational_mode_for_list_built_parts():
+    nu = ms.DiscreteMeasure([ms.Atom(Fraction(1, 4), np.eye(2)),
+                             ms.Atom(Fraction(3, 4), 2 * np.eye(2))])
+    bulk = ms.DiscreteMeasure.from_stack([0.5, 0.5], [np.eye(2), 3 * np.eye(2)])
+    parts = [(Fraction(1, 2), nu), (Fraction(1, 2), bulk)]
+    got = ms.mixture(parts)
+    assert type(got) is ms.DiscreteMeasure
+    assert [a.weight for a in got.atoms] == [Fraction(1, 8) + 0.25, Fraction(3, 8), 0.25]
+    assert measure_bits(got) == measure_bits(ms.DiscreteMeasure(ref_mixture(parts)))
+    # a bulk part's weights are floats, so a Fraction part weight scales them
+    # to floats: the array merge gives the per-atom result
+    parts = [(Fraction(1, 3), bulk), (Fraction(2, 3), bulk)]
+    got = ms.mixture(parts)
+    assert isinstance(got, ms._ArrayMeasure)
+    assert measure_bits(got) == measure_bits(ms.DiscreteMeasure(ref_mixture(parts)))
 
 
 POOL = [np.diag([1.0, 0.0]), np.diag([1.0, -0.0]), np.diag([-0.0, 1.0]),
