@@ -28,13 +28,15 @@ from .staircase import (StaircaseSpec, beta_slope, build_truncation,
 EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, EXIT_INTERNAL = 0, 2, 3, 4, 5
 
 _KIND_ALIASES = {"rankdrop": "rank_drop"}
+_T_GRID_MAX = 100_000   # grid points a --t-grid may ask for
 
 
 # --- flag value parsers ----------------------------------------------------------
 
 
 def parse_t_grid(text: str) -> np.ndarray:
-    """Grid spec log:lo:hi:count (geometric) or lin:lo:hi:count."""
+    """Grid spec log:lo:hi:count (geometric) or lin:lo:hi:count, with
+    2 <= count <= 100,000."""
     parts = text.split(":")
     if len(parts) != 4 or parts[0] not in ("log", "lin"):
         raise ParseError(f"bad grid spec {text!r}; expected log:lo:hi:count")
@@ -44,6 +46,8 @@ def parse_t_grid(text: str) -> np.ndarray:
         raise ParseError(f"bad grid spec {text!r}") from exc
     if not (0.0 < lo < hi < math.inf and count >= 2):
         raise ParseError(f"bad grid bounds in {text!r}")
+    if count > _T_GRID_MAX:
+        raise ParseError(f"grid count in {text!r} exceeds {_T_GRID_MAX}")
     if parts[0] == "log":
         return np.geomspace(lo, hi, count)
     return np.linspace(lo, hi, count)
@@ -172,8 +176,7 @@ def _cmd_synth_realize(args) -> bool:
     nu = serialize.measure_from_obj(serialize.load_json(args.measure),
                                     path=args.measure)
     pam = synth.realize_finite_laminate(nu, args.domain, eps=args.eps)
-    serialize.dump_json(serialize.map_to_obj(pam, max_cells=args.max_cells),
-                        args.out)
+    serialize.dump_map(pam, args.out, max_cells=args.max_cells)
     return True
 
 
@@ -208,9 +211,7 @@ def _cmd_pipeline_product(args) -> bool:
                                   depth=args.depth, M=args.M)
     ok = True
     if args.mode == "map":
-        serialize.dump_json(
-            serialize.map_to_obj(res.realized_map, max_cells=args.max_cells),
-            args.out)
+        serialize.dump_map(res.realized_map, args.out, max_cells=args.max_cells)
     else:
         serialize.dump_json(serialize.measure_to_obj(res.measure), args.out)
     if args.tails is not None:
@@ -294,7 +295,7 @@ def _cmd_models_duality(args) -> bool:
     if isinstance(obj, dict) and "cells" in obj:
         loaded = serialize.map_from_obj(obj, path=args.infile)
         swapped = models.duality_swap(loaded, args.p)
-        serialize.dump_json(serialize.map_to_obj(swapped), args.out)
+        serialize.dump_map(swapped, args.out)
     elif isinstance(obj, dict) and "atoms" in obj:
         nu = serialize.measure_from_obj(obj, path=args.infile)
         swapped = models.duality_swap(nu, args.p)

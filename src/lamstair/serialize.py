@@ -3,6 +3,13 @@
 All writers are deterministic: keys are sorted, floats go through ``repr``
 (shortest round-trip form), and CSV uses '.' decimals regardless of locale,
 so repeated runs with identical inputs produce byte-identical artifacts.
+
+Small objects (matrices, measures, reports) go through ``json.dump`` with
+``indent=2``.  Maps, whose cell lists run to megabytes, are written by
+``dump_map`` from the arrays a ``CellMap`` holds (or that a
+``PiecewiseAffineMap``'s cells are stacked into): the cells are streamed in
+blocks through one %-template per vertex count, byte-equal to what
+``json.dump`` would write for the map's object.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from .synth import GOOD, OBox, PiecewiseAffineMap
 
 __all__ = [
     "matrix_to_obj", "matrix_from_obj", "measure_to_obj", "measure_from_obj",
-    "map_to_obj", "map_from_obj", "CellMap", "tail_report_csv",
-    "dump_json", "load_json", "parse_matrix_arg",
+    "map_from_obj", "CellMap", "tail_report_csv",
+    "dump_json", "dump_map", "load_json", "parse_matrix_arg",
 ]
 
 
@@ -220,29 +227,6 @@ def _vector2(v, path) -> np.ndarray:
     return x
 
 
-def map_to_obj(m, max_cells: int = 200_000) -> dict:
-    A, b = m.boundary_affine
-    if isinstance(m, CellMap):
-        cells = [{"region": {"vertices": v[:n]},
-                  "A": {"rows": 2, "cols": 2, "entries": a},
-                  "b": c, "flag": f}
-                 for v, n, a, c, f in zip(m.vertices.tolist(), m.counts.tolist(),
-                                          m.A.tolist(), m.b.tolist(), m.flags)]
-    else:
-        # non-realized roles (inductive slots, cover residuals) are all error
-        # cells from the consumer's point of view
-        cells = [{"region": {"vertices": [[float(v) for v in p]
-                                          for p in c.vertices]},
-                  "A": matrix_to_obj(c.A),
-                  "b": [float(v) for v in c.b],
-                  "flag": "good" if c.flag == GOOD else "error"}
-                 for c in m.cells(max_cells)]
-    return {"domain": _domain_to_obj(m.domain),
-            "boundary": {"A": matrix_to_obj(A), "b": [float(v) for v in b]},
-            "cells": cells,
-            "residual_volume": float(m.residual_volume)}
-
-
 _P_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 _EDGE_TOL = 1e-9      # cross products this small put a point on an edge's line
 _LOOKUP_BLOCK = 16    # query points per block: (16, k) distance temporaries
@@ -366,9 +350,10 @@ class CellMap:
         return max(map(frob, self.A), default=0.0)
 
     def gradient_distribution(self) -> tuple[DiscreteMeasure, float]:
-        vol = self.domain.volume
-        atoms = [Atom(a / vol, G) for G, a in zip(self.A, self.areas) if a > 0.0]
-        return DiscreteMeasure(atoms), self.residual_volume
+        keep = self.areas > 0.0
+        return (DiscreteMeasure.from_stack(self.areas[keep] / self.domain.volume,
+                                           self.A[keep]),
+                self.residual_volume)
 
     def volumes_by_flag(self) -> dict:
         out: dict[str, float] = {}
@@ -391,14 +376,21 @@ _DOMAIN_TOL = 1e-9    # vertex excursion allowed, times 1 + the largest half-wid
 _VOLUME_RTOL = 1e-9   # cell areas + residual_volume against the domain volume
 
 
+def _padded(regions: list):
+    """(vertices, counts) of a list of vertex lists: the (k, n_max, 2) float
+    stack, each cell padded by repeating its last vertex, and the counts."""
+    counts = np.array([len(r) for r in regions])
+    n_max = int(counts.max())
+    return (np.array([r + r[-1:] * (n_max - len(r)) for r in regions], dtype=float),
+            counts)
+
+
 def _cell_arrays(cells: list):
     """(vertices, counts, A, b, flags) converted one field at a time over all
     cells, or None when any cell is malformed."""
     try:
-        regions = [c["region"]["vertices"] for c in cells]
-        counts = np.array([len(r) for r in regions])
+        V, counts = _padded([c["region"]["vertices"] for c in cells])
         n_max = int(counts.max())
-        V = np.array([r + r[-1:] * (n_max - len(r)) for r in regions], dtype=float)
         mats = [c["A"] for c in cells]
         A = np.array([a["entries"] for a in mats], dtype=float)
         b = np.array([c["b"] for c in cells], dtype=float)
@@ -467,3 +459,85 @@ def map_from_obj(obj, path="map") -> CellMap:
         raise ParseError(f"{path}: cell areas plus residual_volume come to "
                          f"{total!r}, the domain volume is {vol!r}")
     return cm
+
+
+# --- writing maps ----------------------------------------------------------------
+
+_BLOCK = 512          # cells per block of float texts
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(X: np.ndarray) -> list[str]:
+    """The text json.dump gives each entry of X, in C order."""
+    texts = list(map(float.__repr__, X.ravel().tolist()))
+    if not np.isfinite(X).all():
+        texts = [_NON_FINITE.get(t, t) for t in texts]
+    return texts
+
+
+def _cell_template(n: int) -> str:
+    """A cell of n vertices as json.dump(indent=2) writes it in the map's
+    cell list, with a %s for each value: the four entries of A, the two of
+    b, the flag, then the 2n vertex coordinates."""
+    h = "\0"
+    cell = {"region": {"vertices": [[h, h]] * n},
+            "A": {"rows": 2, "cols": 2, "entries": [[h, h], [h, h]]},
+            "b": [h, h], "flag": h}
+    text = json.dumps(cell, sort_keys=True, indent=2)
+    return text.replace("\n", "\n    ").replace(json.dumps(h), "%s")
+
+
+def _map_arrays(m, max_cells: int):
+    """(vertices, counts, A, b, flag texts) of m's cells as a CellMap holds
+    them.  A PiecewiseAffineMap's cells are enumerated under max_cells, and
+    non-realized roles (inductive slots, cover residuals) are all error
+    cells from the consumer's point of view."""
+    if isinstance(m, CellMap):
+        texts = {f: json.dumps(f) for f in set(m.flags)}
+        return m.vertices, m.counts, m.A, m.b, [texts[f] for f in m.flags]
+    cells = m.cells(max_cells)
+    V, counts = _padded([c.vertices for c in cells])
+    # asmatrix's check of each cell gradient, over the whole stack
+    A = asmatrix(np.array([c.A for c in cells], dtype=float).reshape(-1, 2))
+    b = np.array([c.b for c in cells], dtype=float)
+    flags = ['"good"' if c.flag == GOOD else '"error"' for c in cells]
+    return V, counts, A.reshape(-1, 2, 2), b, flags
+
+
+def _map_chunks(m, max_cells: int = 200_000):
+    """The text of json.dump(obj, sort_keys=True, indent=2) + "\\n" for the
+    map object of m (a PiecewiseAffineMap or a CellMap, with at least one
+    cell), as an iterator of chunks.  Every cell and check is done before
+    this returns; iterating only formats.  The small keys go through
+    json.dumps; the cells are written from arrays, a block of cells at a
+    time, each by a %-template made once per vertex count."""
+    A0, b0 = m.boundary_affine
+    V, counts, A, b, flags = _map_arrays(m, max_cells)
+    head, tail = json.dumps(
+        {"domain": _domain_to_obj(m.domain),
+         "boundary": {"A": matrix_to_obj(A0), "b": [float(v) for v in b0]},
+         "cells": [], "residual_volume": float(m.residual_volume)},
+        sort_keys=True, indent=2).split('"cells": []')
+    templates = {n: _cell_template(n) for n in np.unique(counts).tolist()}
+    width = 2 * V.shape[1]
+
+    def chunks():
+        yield head + '"cells": [\n    '
+        for s in range(0, len(counts), _BLOCK):
+            at, bt, vt = (_float_texts(X[s:s + _BLOCK]) for X in (A, b, V))
+            texts = [templates[n] % (*at[4 * j:4 * j + 4], *bt[2 * j:2 * j + 2],
+                                     flags[s + j], *vt[width * j:width * j + 2 * n])
+                     for j, n in enumerate(counts[s:s + _BLOCK].tolist())]
+            yield (",\n    " if s else "") + ",\n    ".join(texts)
+        yield "\n  ]" + tail + "\n"
+    return chunks()
+
+
+def dump_map(m, path, max_cells: int = 200_000) -> None:
+    """Write the map m (a PiecewiseAffineMap or a CellMap) to path as JSON,
+    byte-equal to dump_json of its map object.  The cells are enumerated
+    and checked before the file is opened, so a cell budget overflow or a
+    non-finite gradient leaves no file."""
+    chunks = _map_chunks(m, max_cells)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(chunks)

@@ -933,8 +933,13 @@ class PiecewiseAffineMap:
     def cells(self, max_cells: int = _MAX_CELLS_DEFAULT) -> list[Cell]:
         out: list[Cell] = []
         _drive(self.root._cells(out, np.zeros(2), 1.0, max_cells))
-        centroids = np.array([np.mean(np.asarray(c.vertices), axis=0)
-                              for c in out]).reshape(-1, 2)
+        # vertex means one vertex-count group at a time: over a group's
+        # (g, n, 2) stack, the per-cell sums of np.mean in the same order
+        counts = np.array([len(c.vertices) for c in out])
+        centroids = np.empty((len(out), 2))
+        for n in np.unique(counts).tolist():
+            g = np.nonzero(counts == n)[0]
+            centroids[g] = np.array([out[i].vertices for i in g.tolist()]).mean(axis=1)
         for c, x, y in zip(out, centroids, self.evaluate_many(centroids)):
             c.b = y - c.A @ x
         return out

@@ -199,6 +199,18 @@ class TestExitCodes:
                      "--t-grid", grid, "--out", str(tmp_path / "t.csv")]) == 2
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("grid", ["log:1:10:1000000000000000", "lin:1:10:100001"])
+    def test_t_grid_count_is_bounded(self, grid, tmp_path, capsys):
+        assert len(parse_t_grid("lin:1:10:100000")) == 100_000
+        with pytest.raises(ParseError, match="grid count .* exceeds 100000"):
+            parse_t_grid(grid)
+        m = tmp_path / "m.json"
+        write_measure(m)
+        assert main(["verify", "tails", "--measure", str(m), "--p", "2", "--M", "8",
+                     "--t-grid", grid, "--out", str(tmp_path / "t.csv")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("flags", [["--p", "nan", "--M", "8"],
                                        ["--p", "2", "--M", "nan"]])
     def test_nan_tail_exponent_or_constant_is_precondition(self, flags, tmp_path,
@@ -364,6 +376,20 @@ class TestSynthCommands:
         report = json.loads(rep.read_text())
         assert report["verdict"] == "pass"
         assert report["boundary_max"] <= 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "realize", "--measure", "@m.json", "--eps", "0.2",
+         "--max-cells", "1000"],
+        ["pipeline", "product", "--A", "diag(3,1)", "--mode", "map", "--depth", "2",
+         "--max-cells", "5"],
+    ])
+    def test_cell_budget_overflow_leaves_no_file(self, argv, tmp_path, capsys):
+        write_measure(tmp_path / "m.json")
+        mp = tmp_path / "map.json"
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        assert main(argv + ["--out", str(mp)]) == 3
+        assert "exceed" in capsys.readouterr().err
+        assert not mp.exists()
 
     def test_report_dist(self, tmp_path, capsys):
         m = tmp_path / "m.json"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamstair import serialize, synth
-from lamstair.errors import ParseError, PreconditionError
+from lamstair.errors import ParseError, PreconditionError, UnsupportedError
 from lamstair.matrices import frob
 from lamstair.measures import (Atom, DiscreteMeasure, SplittingStep, dirac,
                                elementary_split, verify_laminate,
@@ -134,6 +134,11 @@ class TestTailCsv:
         assert "," in lines[1] and ";" not in text
 
 
+def map_obj(m):
+    """m's map object, read back from the text dump_map writes."""
+    return json.loads("".join(serialize._map_chunks(m)))
+
+
 @pytest.fixture(scope="module")
 def realized():
     dom = synth.box((0.0, 0.0), (1.0, 1.0))
@@ -142,7 +147,7 @@ def realized():
 
 class TestMaps:
     def test_round_trip_evaluates_identically(self, realized):
-        obj = serialize.map_to_obj(realized)
+        obj = map_obj(realized)
         cm = serialize.map_from_obj(obj)
         rng = np.random.default_rng(7)
         for x in rng.random((100, 2)):
@@ -152,7 +157,7 @@ class TestMaps:
             assert np.allclose(cm.evaluate(x), realized.evaluate(x), atol=1e-12)
 
     def test_volume_and_flag_bookkeeping(self, realized):
-        obj = serialize.map_to_obj(realized)
+        obj = map_obj(realized)
         cm = serialize.map_from_obj(obj)
         vols = cm.volumes_by_flag()
         covered = sum(vols.values())
@@ -168,14 +173,14 @@ class TestMaps:
                                                               abs=1e-9)
 
     def test_swap_is_involutive(self, realized):
-        cm = serialize.map_from_obj(serialize.map_to_obj(realized))
+        cm = serialize.map_from_obj(map_obj(realized))
         twice = cm.swap_components().swap_components()
         rng = np.random.default_rng(3)
         for x in rng.random((25, 2)):
             assert np.allclose(twice.evaluate(x), cm.evaluate(x), atol=1e-12)
 
     def test_malformed_map_rejected(self, realized):
-        obj = serialize.map_to_obj(realized)
+        obj = map_obj(realized)
         bad = json.loads(json.dumps(obj))
         bad["cells"][0]["flag"] = "inductive"
         with pytest.raises(ParseError):
@@ -186,10 +191,9 @@ class TestMaps:
             serialize.map_from_obj(bad)
 
     def test_dump_is_deterministic(self, realized, tmp_path):
-        obj = serialize.map_to_obj(realized)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        serialize.dump_json(obj, p1)
-        serialize.dump_json(serialize.map_to_obj(realized), p2)
+        serialize.dump_map(realized, p1)
+        serialize.dump_map(realized, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -268,7 +272,7 @@ def one_step_obj(eps=0.2):
     """Criterion 14's map: the one-step laminate realized with eps 0.2."""
     m = synth.realize_finite_laminate(one_step_laminate(),
                                       synth.box((0.0, 0.0), (1.0, 1.0)), eps=eps)
-    return json.loads(json.dumps(serialize.map_to_obj(m)))
+    return map_obj(m)
 
 
 def rotated_obj(obj, th=0.5, shift=(2.0, -1.0)):
@@ -295,7 +299,7 @@ def rotated_roof_obj():
     A1, A2 = np.diag([1.0, 1.0]) @ R, np.diag([-1.0, 1.0]) @ R
     m = synth.roof(0.35 * A1 + 0.65 * A2, (0.2, -0.1), A1, A2, 0.35,
                    synth.box((0.0, 0.0), (1.0, 1.0)), eps=0.5)
-    return json.loads(json.dumps(serialize.map_to_obj(m)))
+    return map_obj(m)
 
 
 @lru_cache(maxsize=None)
@@ -464,3 +468,169 @@ class TestMalformedMaps:
         cm = serialize.map_from_obj(obj)
         assert len(cm.counts) == 3896
         assert abs(cm.areas.sum() - cm.domain.volume) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# dump_map: the map object it replaced, kept as the reference for its bytes
+
+
+def ref_map_to_obj(m, max_cells: int = 200_000) -> dict:
+    A, b = m.boundary_affine
+    if isinstance(m, serialize.CellMap):
+        cells = [{"region": {"vertices": v[:n]},
+                  "A": {"rows": 2, "cols": 2, "entries": a},
+                  "b": c, "flag": f}
+                 for v, n, a, c, f in zip(m.vertices.tolist(), m.counts.tolist(),
+                                          m.A.tolist(), m.b.tolist(), m.flags)]
+    else:
+        # non-realized roles (inductive slots, cover residuals) are all error
+        # cells from the consumer's point of view
+        cells = [{"region": {"vertices": [[float(v) for v in p]
+                                          for p in c.vertices]},
+                  "A": serialize.matrix_to_obj(c.A),
+                  "b": [float(v) for v in c.b],
+                  "flag": "good" if c.flag == synth.GOOD else "error"}
+                 for c in m.cells(max_cells)]
+    return {"domain": serialize._domain_to_obj(m.domain),
+            "boundary": {"A": serialize.matrix_to_obj(A),
+                         "b": [float(v) for v in b]},
+            "cells": cells,
+            "residual_volume": float(m.residual_volume)}
+
+
+def ref_dump(m, max_cells: int = 200_000) -> bytes:
+    text = json.dumps(ref_map_to_obj(m, max_cells), sort_keys=True, indent=2)
+    return (text + "\n").encode("ascii")
+
+
+def ref_gradient_distribution(cm):
+    vol = cm.domain.volume
+    return DiscreteMeasure([Atom(a / vol, G) for G, a in zip(cm.A, cm.areas)
+                            if a > 0.0])
+
+
+def small_maps(name):
+    """Maps of the kinds of test_synth's fixed maps, small enough for the
+    reference: a rotated roof (CoverMap), a thin box (GridCover) and a
+    swapped roof."""
+    import test_synth
+    if name == "rotated_roof":
+        return test_synth.rotated_roof(0.5)
+    if name == "grid_cover":
+        return synth.realize_finite_laminate(
+            one_step_laminate(), synth.box((0.0, 0.0), (3.0, 0.5)), eps=0.5)
+    return test_synth.rotated_roof(0.5).swap_components()
+
+
+def direct_cell_map(counts, values, flags, pad):
+    """A CellMap built from arrays, not read from JSON: cell i has counts[i]
+    vertices, its padding is pad, and every vertex, gradient and offset
+    entry is drawn from values in turn."""
+    k, n_max = len(counts), max(counts)
+    vals = np.resize(np.array(values, dtype=float), k * (2 * n_max + 6))
+    V = vals[:2 * k * n_max].reshape(k, n_max, 2).copy()
+    for i, n in enumerate(counts):
+        V[i, n:] = pad
+    A = vals[2 * k * n_max:2 * k * n_max + 4 * k].reshape(k, 2, 2)
+    b = vals[2 * k * n_max + 4 * k:].reshape(k, 2)
+    with np.errstate(all="ignore"):
+        return serialize.CellMap(synth.box((0.0, 0.0), (1.0, 1.0)),
+                                 (np.diag([2.0, -0.5]), np.array([0.1, -3.0])),
+                                 V, np.array(counts), A, b, flags, 0.25)
+
+
+WEIRD = [0.0, -0.0, 1.0, -1.5, 0.1, 1e16, -1e-300, 5e-324, 1.7976931348623157e308,
+         float("nan"), float("inf"), float("-inf"), 123456.789, 2.0 ** 60]
+
+
+class TestDumpMap:
+    @pytest.mark.parametrize("name", ["rotated_roof", "grid_cover", "swapped"])
+    def test_tree_maps_match_reference(self, name, tmp_path):
+        m = small_maps(name)
+        p = tmp_path / "map.json"
+        serialize.dump_map(m, p)
+        assert p.read_bytes() == ref_dump(m)
+
+    def test_cell_map_matches_reference(self, tmp_path):
+        # criterion 14's map read back: 3,896 cells of 3 and 4 vertices,
+        # so several blocks of the writer
+        from test_synth import fixed_map
+        cm = fixed_map("cell_map")
+        assert len(cm.counts) > 2 * serialize._BLOCK
+        assert set(cm.counts.tolist()) == {3, 4}
+        for m in (cm, cm.swap_components()):
+            p = tmp_path / "map.json"
+            serialize.dump_map(m, p)
+            assert p.read_bytes() == ref_dump(m)
+
+    @pytest.mark.parametrize("name", ["rotated_roof", "grid_staircase", "swapped"])
+    def test_budget_overflow_matches_reference(self, name, tmp_path):
+        from test_synth import fixed_map
+        m = fixed_map(name)
+        with pytest.raises(UnsupportedError) as want:
+            ref_map_to_obj(m, max_cells=1000)
+        p = tmp_path / "map.json"
+        with pytest.raises(UnsupportedError) as got:
+            serialize.dump_map(m, p, max_cells=1000)
+        assert str(got.value) == str(want.value)
+        assert not p.exists()
+
+    def test_non_finite_gradient_leaves_no_file(self, realized, tmp_path):
+        m = synth.PiecewiseAffineMap(realized.root, realized.boundary_affine[0],
+                                     realized.boundary_affine[1])
+        m.cells = lambda max_cells: [
+            synth.Cell(c.vertices, np.full((2, 2), np.nan) if i == 7 else c.A,
+                       c.b, c.flag)
+            for i, c in enumerate(realized.cells(max_cells))]
+        with pytest.raises(PreconditionError, match="non-finite") as want:
+            ref_map_to_obj(m)
+        p = tmp_path / "map.json"
+        with pytest.raises(PreconditionError) as got:
+            serialize.dump_map(m, p)
+        assert str(got.value) == str(want.value)
+        assert not p.exists()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(3, 7), min_size=1, max_size=12),
+           st.lists(st.one_of(st.sampled_from(WEIRD), st.floats()), min_size=1,
+                    max_size=40),
+           st.lists(st.sampled_from(["good", "error", "résidu", 'q"uote%s']),
+                    min_size=12, max_size=12),
+           st.sampled_from([float("nan"), 1e300, -0.0]))
+    def test_direct_cell_maps_match_reference(self, counts, values, flags, pad):
+        # mixed vertex counts, garbage padding, NaN and +-inf entries (a
+        # CellMap checks none of these; the reference writes them as json does)
+        cm = direct_cell_map(counts, values, flags[:len(counts)], pad)
+        assert "".join(serialize._map_chunks(cm)).encode("ascii") == ref_dump(cm)
+
+    def test_more_cells_than_a_block(self):
+        counts = [3 + (i * 7) % 5 for i in range(2 * serialize._BLOCK + 3)]
+        flags = ["good", "error", "error"] * len(counts)
+        cm = direct_cell_map(counts, WEIRD, flags[:len(counts)], 0.5)
+        assert "".join(serialize._map_chunks(cm)).encode("ascii") == ref_dump(cm)
+
+    @pytest.mark.parametrize("case", ["one_step", "swapped", "rotated_roof",
+                                      "direct"])
+    def test_gradient_distribution_matches_list_built(self, case):
+        if case == "direct":
+            # small triangles in a box of volume 2.1, every 17th of area zero, and
+            # gradients from a small set for merges next to distinct ones
+            rng = np.random.default_rng(5)
+            k = 200
+            V = rng.random((k, 1, 2)) * [3.0, 0.7] + 0.05 * rng.random((k, 3, 2))
+            V[::17] = V[::17, :1]
+            A = rng.integers(-1, 2, (k, 2, 2)) / 3.0
+            A[::2] = rng.normal(size=(k // 2, 2, 2))
+            cm = serialize.CellMap(synth.box((0.0, 0.0), (3.0, 0.7)),
+                                   (np.eye(2), np.zeros(2)), V, np.full(k, 3), A,
+                                   np.zeros((k, 2)), ["good"] * k, 0.0)
+        else:
+            cm, _ = lookup_case(case)
+        got, resid = cm.gradient_distribution()
+        want = ref_gradient_distribution(cm)
+        assert resid == cm.residual_volume
+        assert len(got) == len(want) and got.certificate is None
+        for a, b in zip(got.atoms, want.atoms):
+            assert float(a.weight).hex() == float(b.weight).hex()
+            assert a.point.tobytes() == b.point.tobytes()
+        assert float(got.mass).hex() == float(want.mass).hex()

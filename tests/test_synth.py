@@ -445,8 +445,7 @@ def fixed_map(name):
     if name == "cell_map":
         m = sy.realize_finite_laminate(one_step_laminate(), UNIT, b=(1.0, -1.0),
                                        eps=0.2)
-        obj = json.loads(json.dumps(serialize.map_to_obj(m)))
-        return serialize.map_from_obj(obj)
+        return serialize.map_from_obj(json.loads("".join(serialize._map_chunks(m))))
     raise KeyError(name)
 
 
