@@ -17,12 +17,16 @@ Measures are built and queried in bulk, with the results of the per-atom code:
   merge rule to them with a stable lexsort, and fills `_tail_arrays` as it
   builds.  `atoms` is then a view made on first use: one `Atom` per row, its
   point a row view of the stack, with key and norm filled in.
-- The list constructor `DiscreteMeasure(atoms)` stays for the per-atom
-  builders (staircases, splits, pushforwards, parsed measures), which carry
-  exact `Fraction` weights in rational mode and build many small measures,
-  where per-call array overhead costs more than it saves.  `mixture` over
-  any part built that way merges atom by atom as well, so rational mode
-  stays exact.
+- Float staircase truncations are `_ArrayMeasure`s too, sliced from a
+  prefix of arrays that `staircase.build_truncation` grows.  The list
+  constructor `DiscreteMeasure(atoms)` stays for the per-atom builders (each
+  staircase level's mu, rational truncations, splits, pushforwards, parsed
+  measures), which carry exact `Fraction` weights in rational mode and build
+  many small measures, where per-call array overhead costs more than it
+  saves.  `mixture` over any part built that way merges atom by atom as
+  well, so rational mode stays exact.
+- `_split_failure` checks many splitting steps at once, with one stacked
+  SVD; `SplittingStep.validate` is its one-split case.
 - `tail_masses(nu, ts)` returns every tail on a t-grid at once: per t the
   weights of the atoms with |X| > t, summed left to right by one `cumsum`
   over arrays cached on the measure.  `tail_mass` is its one-point case.
@@ -161,15 +165,72 @@ class SplittingStep:
         object.__setattr__(self, "right", _freeze(asmatrix(self.right)))
 
     def validate(self, tol: float = 1e-9, rank_tol: float = 1e-9) -> None:
-        if not (0.0 < float(self.lam) < 1.0):
-            raise InvalidSplitError(f"split fraction {self.lam} outside (0,1)")
-        if self.left.shape != self.right.shape or self.left.shape != self.target.shape:
-            raise InvalidSplitError("split matrices have mismatched shapes")
-        if rank(self.left - self.right, rank_tol) != 1:
-            raise InvalidSplitError("left - right is not rank one")
-        recon = float(self.lam) * self.left + (1.0 - float(self.lam)) * self.right
-        if frob(self.target - recon) > tol * (1.0 + frob(self.target)):
-            raise InvalidSplitError("convex combination does not reproduce target")
+        """The one-split case of `_split_failure`."""
+        bad = _split_failure([self], tol, rank_tol)
+        if bad is not None:
+            raise bad[1]
+
+
+def _split_failure(splits: Sequence[SplittingStep], tol: float = 1e-9,
+                   rank_tol: float = 1e-9) -> tuple[int, Exception] | None:
+    """The first split that fails its checks, as (index, error), or None.
+
+    Per split the checks run in this order: the fraction lies in (0,1); the
+    three matrices have one shape; left - right is finite (the
+    `PreconditionError` of `rank`), the rank tolerance lies in (0,1) and the
+    numerical rank of left - right is 1; lam * left + (1 - lam) * right is
+    within tol * (1 + |target|) of the target.  The first two run split by
+    split up to the first failure; the others run on the splits before it as
+    stacks, one per matrix shape: one `np.linalg.svd` call (bit-equal to one
+    call per matrix) and norms from `_dots` (bit-equal to `frob`).  Overflow
+    in the stacked arithmetic gives inf or nan without a warning, so splits
+    past a failure cannot raise one."""
+    stop, err = len(splits), None
+    lams = []
+    for i, s in enumerate(splits):
+        lam = float(s.lam)
+        if not 0.0 < lam < 1.0:
+            stop, err = i, InvalidSplitError(f"split fraction {s.lam} outside (0,1)")
+            break
+        if s.left.shape != s.right.shape or s.left.shape != s.target.shape:
+            stop, err = i, InvalidSplitError("split matrices have mismatched shapes")
+            break
+        lams.append(lam)
+    groups: dict = {}
+    for i in range(stop):
+        groups.setdefault(splits[i].target.shape, []).append(i)
+    tol_ok = 0.0 < rank_tol < 1.0
+    for shape, rows in groups.items():
+        k, size = len(rows), math.prod(shape)
+        mats = np.array([(splits[i].target, splits[i].left, splits[i].right) for i in rows])
+        target, left, right = mats.reshape(k, 3, size).transpose(1, 0, 2)
+        lam = np.array([lams[i] for i in rows])[:, None]
+        with np.errstate(all="ignore"):
+            diff = left - right
+            resid = target - (lam * left + (1.0 - lam) * right)
+            far = (np.sqrt(_dots(resid, resid))
+                   > float(tol) * (1.0 + np.sqrt(_dots(target, target))))
+            finite = np.isfinite(diff).all(axis=1)
+            if tol_ok:   # the non-finite rows, failed already, as zeros
+                sv = np.linalg.svd(np.where(finite[:, None], diff, 0.0).reshape(k, *shape),
+                                   compute_uv=False)
+                not_one = (sv > rank_tol * sv[:, :1]).sum(axis=1) != 1
+            else:
+                not_one = True
+        hit = np.flatnonzero(~finite | not_one | far)
+        if not hit.size or rows[hit[0]] >= stop:
+            continue
+        j = hit[0]
+        stop = rows[j]
+        if not finite[j]:
+            err = PreconditionError("matrix has non-finite entries")
+        elif not tol_ok:
+            err = PreconditionError(f"rank tolerance must lie in (0,1), got {rank_tol}")
+        elif not_one[j]:
+            err = InvalidSplitError("left - right is not rank one")
+        else:
+            err = InvalidSplitError("convex combination does not reproduce target")
+    return None if err is None else (stop, err)
 
 
 class DiscreteMeasure:
@@ -237,48 +298,62 @@ class DiscreteMeasure:
         return None
 
 
+def _merge_rows(weights: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the summed weight, the first row) of each group of equal keys, in
+    key order: see `_ArrayMeasure`."""
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=new[1:])
+    starts = np.flatnonzero(new)
+    sizes = np.empty_like(starts)
+    sizes[:-1] = starts[1:] - starts[:-1]
+    sizes[-1] = len(order) - starts[-1]
+    w = weights[order]
+    sums = w[starts]
+    for r in range(1, sizes.max()):
+        grown = sizes > r
+        sums[grown] += w[starts[grown] + r]
+    return sums, order[starts]
+
+
 class _ArrayMeasure(DiscreteMeasure):
     """A float-weighted measure held as arrays in key order: a read-only
     (k, m, n) stack, the rounded keys, and norms and weights as
     `_tail_arrays`.  `atoms` is made on first use.  A subclass, so that the
     many list-built measures keep `atoms` a plain instance attribute."""
 
-    def __init__(self, weights, stack, keys, norms, certificate=None):
+    def __init__(self, weights, stack, keys, norms, certificate=None,
+                 merged=False):
         """`DiscreteMeasure.__init__`'s merge, sort and mass check on atoms
         given as arrays in input order (float weights, a (k, m, n) stack,
         rounded keys, norms).  A stable lexsort on the keys, column 0 first,
         puts equal keys next to each other in order of appearance (numpy
         compares -0.0 equal to 0.0, as tuples do); each group keeps its first
         row and sums its weights left to right, one rank at a time across all
-        groups."""
+        groups.  With `merged` the rows are already distinct and in key
+        order, as that merge leaves them: they are kept as given, uncopied."""
         bad = np.flatnonzero(~(weights > 0.0))
         if bad.size:
             raise _weight_error(float(weights[bad[0]]))
         if not len(weights):
             raise PreconditionError("measure must have at least one atom")
-        order = np.lexsort(keys.T[::-1])
-        sorted_keys = keys[order]
-        new = np.ones(len(order), dtype=bool)
-        np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=new[1:])
-        starts = np.flatnonzero(new)
-        sizes = np.empty_like(starts)
-        sizes[:-1] = starts[1:] - starts[:-1]
-        sizes[-1] = len(order) - starts[-1]
-        w = weights[order]
-        sums = w[starts]
-        for r in range(1, sizes.max()):
-            grown = sizes > r
-            sums[grown] += w[starts[grown] + r]
+        if merged:
+            sums, first = weights, slice(None)
+        else:
+            sums, first = _merge_rows(weights, keys)
         mass = float(np.cumsum(sums)[-1])
         if mass > 1.0 + MASS_SLACK * max(1, len(sums)):
             raise PreconditionError(f"total mass {mass} exceeds 1")
-        first = order[starts]
         self._stack = stack[first]
         self._stack.flags.writeable = False
         self._keys = keys[first]
         self._tail_arrays = (norms[first], sums)
         self.mass = mass
         self.certificate = tuple(certificate) if certificate is not None else None
+
+    def __len__(self):
+        return len(self._stack)
 
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
@@ -373,10 +448,6 @@ def pushforward(nu: DiscreteMeasure, T: Callable[[np.ndarray], np.ndarray],
     return DiscreteMeasure(atoms, cert)
 
 
-def scale_weights(nu: DiscreteMeasure, c: Weight) -> list[Atom]:
-    return [a.scaled(c) for a in nu.atoms]
-
-
 def mixture(parts: Sequence[tuple[Weight, DiscreteMeasure]],
             certificate=None) -> DiscreteMeasure:
     """sum_i w_i nu_i in one merge: each atom's weight is scaled by its
@@ -384,11 +455,16 @@ def mixture(parts: Sequence[tuple[Weight, DiscreteMeasure]],
     into its key's group under `DiscreteMeasure`'s merge rule (first point,
     `_wadd` in order of appearance).  When every part is held as arrays
     (float weights, so every scaled weight is a float) of one matrix shape,
-    the parts' arrays are concatenated and merged by `_ArrayMeasure`;
-    otherwise, rational mode among them, the atoms are merged one by one and
-    the measure built from the groups only sorts them."""
+    the parts' arrays are concatenated and merged by `_ArrayMeasure` (one
+    such part is merged already: its arrays are shared and only its weights
+    scaled); otherwise, rational mode among them, the atoms are merged one
+    by one and the measure built from the groups only sorts them."""
     if (parts and all(isinstance(nu, _ArrayMeasure) for _, nu in parts)
             and len({nu._stack.shape[1:] for _, nu in parts}) == 1):
+        if len(parts) == 1:
+            (w, nu), = parts
+            return _ArrayMeasure(nu._tail_arrays[1] * float(w), nu._stack, nu._keys,
+                                 nu._tail_arrays[0], certificate, merged=True)
         return _ArrayMeasure(
             np.concatenate([nu._tail_arrays[1] * float(w) for w, nu in parts]),
             np.concatenate([nu._stack for _, nu in parts]),
@@ -424,11 +500,14 @@ def tail_mass(nu: DiscreteMeasure, t: float) -> float:
 
 
 def moment(nu: DiscreteMeasure, q: float, cap: float | None = None) -> float:
+    """sum w |X|^q over the atoms with |X| <= cap (all atoms without a cap),
+    read off `_tail_arrays` and added left to right in Python floats: `**`
+    is Python's, which np.power does not match in the last bit."""
+    norms, weights = nu._tail_arrays
     total = 0.0
-    for a in nu.atoms:
-        r = a.norm
+    for r, w in zip(norms.tolist(), weights.tolist()):
         if cap is None or r <= cap:
-            total += float(a.weight) * r ** q
+            total += w * r ** q
     return total
 
 

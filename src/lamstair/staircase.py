@@ -12,11 +12,19 @@ construction data is rational.
 
 Each level is built once per spec.  `StaircaseSpec.step` memoizes validated
 steps; a spec made by `transform_spec` owns the only memo of its levels, and
-builds and validates the inner spec's steps without storing them there.
+builds and validates its source's steps without storing them there.
+
 `build_truncation` keeps a growing prefix on the spec (scaled good atoms,
-splits, beta_n and the last |A_n|): a truncation extends it past its current
-length, checking |A_n| monotonicity once per level, then slices it and
-appends the remainder atom beta_N delta_{A_N}.
+splits, beta_n and the last |A_n|).  A truncation extends it past its current
+length in blocks of `_BLOCK` levels: each block's steps are built one level
+at a time, validated by one stacked check (`_step_failure`), memoized, and
+appended level by level, each after its |A_n| monotonicity check.  A failure
+raises the error that a level-by-level build raises first, and leaves the
+prefix at the last good level.  The truncation then slices the prefix and
+appends the remainder atom beta_N delta_{A_N}.  For a float spec the prefix's
+good atoms are arrays (weights, the point stack, its keys and norms) and the
+truncation is an `_ArrayMeasure`; a rational spec keeps them as `Atom`s with
+exact `Fraction` weights.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PreconditionError, InternalError
-from .matrices import asmatrix, frob, member, rank
+from .matrices import _dots, asmatrix, frob, member
 from .measures import (
     Atom,
     DiscreteMeasure,
@@ -37,11 +45,17 @@ from .measures import (
     TailReport,
     TailRow,
     Weight,
+    _ArrayMeasure,
     _seq_sum,
+    _split_failure,
+    _weight_error,
+    _wmul,
+    mixture,
     pushforward,
-    scale_weights,
     tail_masses,
 )
+
+_BLOCK = 512   # levels built and validated together by build_truncation
 
 
 def _as_fraction_list(values) -> list[Fraction] | None:
@@ -69,13 +83,18 @@ class StairStep:
 
 
 class StaircaseSpec:
-    """Lazily evaluated staircase laminate; step(n) is memoized and validated."""
+    """Lazily evaluated staircase laminate; step(n) is memoized and validated.
+
+    `step_fn(n)` builds level n.  A spec with a `source` (see
+    `transform_spec`) builds no level itself: `step_fn(st)` maps the
+    source's validated step st to this spec's step at the same level."""
 
     def __init__(self, A0, kind: str, params: dict,
-                 step_fn: Callable[[int], StairStep],
+                 step_fn: Callable[..., StairStep],
                  target_sets: tuple[str, ...],
                  gamma_fn: Callable[[int], float] | None = None,
-                 rational: bool = False):
+                 rational: bool = False,
+                 source: StaircaseSpec | None = None):
         self.A0 = asmatrix(A0)
         self.kind = kind
         self.params = dict(params)
@@ -83,29 +102,66 @@ class StaircaseSpec:
         self._step_fn = step_fn
         self._gamma_fn = gamma_fn
         self.rational = rational
+        self._source = source
         self._memo: dict[int, StairStep] = {}
-        # build_truncation's prefix over levels 1..len(self._levels): good
-        # atoms and splits in level order, per level the end offsets into
-        # both lists and beta_n, and |A_n| of the last level
-        self._atoms: list[Atom] = []
-        self._splits: list[SplittingStep] = []
+        # build_truncation's prefix over levels 1..len(self._levels): per
+        # level the end offsets into the good atoms and the splits, and
+        # beta_n; the splits in level order; |A_n| of the last level; the
+        # good atoms in level order, as `Atom`s in `_atoms` for a rational
+        # spec, else in `_rows` as `_ArrayMeasure`'s input arrays (float
+        # weights, the (k, m, n) point stack, its rounded keys and norms),
+        # one tuple of them per appended block
         self._levels: list[tuple[int, int, Weight]] = []
+        self._splits: list[SplittingStep] = []
         self._top_norm = -1.0
+        self._atoms: list[Atom] = []
+        self._rows: list[tuple[np.ndarray, ...]] = []
 
     def step(self, n: int) -> StairStep:
         if n < 1:
             raise PreconditionError("staircase levels are 1-indexed")
         if n not in self._memo:
-            self._memo[n] = self._unmemoized_step(n)
+            steps, err = self._steps([n])
+            if err is not None:
+                raise err
+            self._memo[n] = steps[0]
         return self._memo[n]
 
-    def _unmemoized_step(self, n: int) -> StairStep:
-        """Validated step n: from the memo if there, else built and not stored."""
-        if n in self._memo:
-            return self._memo[n]
-        st = self._step_fn(n)
-        _validate_step(st)
-        return st
+    def _steps(self, levels: Sequence[int]) -> tuple[list[StairStep], Exception | None]:
+        """Validated steps at `levels` (ascending), in level order up to the
+        first level that fails, and that level's error (None if none does).
+        Memo hits are taken as they are.  The other levels are built with
+        one `step_fn` call each (on the source's steps for a transformed
+        spec, built and validated there but not stored), validated by one
+        `_step_failure` call, and not stored.  Within a level the source's
+        build and checks come first, then `step_fn`, then the checks."""
+        todo = [n for n in levels if n not in self._memo]
+        if self._source is None:
+            args, err = todo, None
+        else:
+            args, err = self._source._steps(todo)
+        built = []
+        for i, a in enumerate(args):
+            args[i] = None   # a source step is dropped once mapped
+            try:
+                built.append(self._step_fn(a))
+            except Exception as exc:
+                # raised after the checks below, unless one of them fails
+                # at a lower level of the block first
+                err = exc
+                break
+        bad = _step_failure(built)
+        if bad is not None:
+            del built[bad[0]:]
+            err = bad[1]
+        fresh = iter(built)
+        out = []
+        for n in levels:
+            st = self._memo[n] if n in self._memo else next(fresh, None)
+            if st is None:
+                break
+            out.append(st)
+        return out, err
 
     def gamma(self, n: int) -> float:
         if self._gamma_fn is not None:
@@ -116,23 +172,65 @@ class StaircaseSpec:
         return any(member(X, s, tol) for s in self.target_sets)
 
 
+def _step_failure(steps: Sequence[StairStep],
+                  tol: float = 1e-9) -> tuple[int, PreconditionError] | None:
+    """The first step that fails its checks, as (index, error), or None.
+
+    Per step the checks run in this order: gamma lies in (0,1); mu is a
+    probability measure; each split in turn (`_split_failure`, one call over
+    all the steps' splits; its error is named after the step and split);
+    the barycenter gamma A_n + (1 - gamma) sum_j w_j B_j of omega_n is
+    within tol * (1 + |A_{n-1}|) of A_{n-1}.  Each check runs on the steps
+    before the first failure so far.  The barycenters are stacks, one per
+    matrix shape and atom count, summed atom by atom in the order of
+    mu.atoms, with norms from `_dots` (bit-equal to `frob`)."""
+    stop, err = len(steps), None
+    for i, st in enumerate(steps):
+        g = float(st.gamma)
+        if not (0.0 < g < 1.0):
+            stop, err = i, PreconditionError(f"step {st.n}: gamma {g} outside (0,1)")
+            break
+        if abs(st.mu.mass - 1.0) > 1e-9:
+            stop, err = i, PreconditionError(f"step {st.n}: mu is not a probability measure")
+            break
+    owners = [(i, j) for i in range(stop) for j in range(len(steps[i].splits))]
+    bad = _split_failure([s for st in steps[:stop] for s in st.splits], tol)
+    if bad is not None:
+        i, j = owners[bad[0]]
+        stop, err = i, PreconditionError(f"step {steps[i].n}, split {j}: {bad[1]}")
+        err.__cause__ = bad[1]
+    groups: dict = {}
+    for i in range(stop):
+        groups.setdefault((np.shape(steps[i].A_next), len(steps[i].mu.atoms)),
+                          []).append(i)
+    for (shape, n_atoms), rows in groups.items():
+        k, size = len(rows), math.prod(shape)
+        gs = [float(steps[i].gamma) for i in rows]
+        # per step: gamma, (1 - gamma) w_j per atom; A_{n-1}, A_n, the points
+        coef = np.array([[g] + [(1.0 - g) * float(a.weight) for a in steps[i].mu.atoms]
+                         for g, i in zip(gs, rows)])
+        mats = np.array([[steps[i].A_prev, steps[i].A_next]
+                         + [a.point for a in steps[i].mu.atoms] for i in rows],
+                        dtype=float).reshape(k, n_atoms + 2, size)
+        with np.errstate(all="ignore"):
+            bc = coef[:, :1] * mats[:, 1]
+            for j in range(1, n_atoms + 1):
+                bc = bc + coef[:, j, None] * mats[:, j + 1]
+            off = bc - mats[:, 0]
+            far = (np.sqrt(_dots(off, off))
+                   > tol * (1.0 + np.sqrt(_dots(mats[:, 0], mats[:, 0]))))
+        hit = np.flatnonzero(far)
+        if hit.size and rows[hit[0]] < stop:
+            stop = rows[hit[0]]
+            err = PreconditionError(f"step {steps[stop].n}: omega_n barycenter mismatch")
+    return None if err is None else (stop, err)
+
+
 def _validate_step(st: StairStep, tol: float = 1e-9) -> None:
-    g = float(st.gamma)
-    if not (0.0 < g < 1.0):
-        raise PreconditionError(f"step {st.n}: gamma {g} outside (0,1)")
-    if abs(st.mu.mass - 1.0) > 1e-9:
-        raise PreconditionError(f"step {st.n}: mu is not a probability measure")
-    for i, s in enumerate(st.splits):
-        try:
-            s.validate(tol)
-        except Exception as exc:
-            raise PreconditionError(f"step {st.n}, split {i}: {exc}") from exc
-    # omega_n barycenter must be A_{n-1}
-    bc = g * st.A_next
-    for a in st.mu.atoms:
-        bc = bc + (1.0 - g) * float(a.weight) * a.point
-    if frob(bc - st.A_prev) > tol * (1.0 + frob(st.A_prev)):
-        raise PreconditionError(f"step {st.n}: omega_n barycenter mismatch")
+    """The one-step case of `_step_failure`."""
+    bad = _step_failure([st], tol)
+    if bad is not None:
+        raise bad[1]
 
 
 def betas(spec: StaircaseSpec, N: int) -> list[Weight]:
@@ -164,33 +262,82 @@ def beta_slope(spec: StaircaseSpec, n_min: int, n_max: int) -> float:
 
 
 def build_truncation(spec: StaircaseSpec, N: int) -> DiscreteMeasure:
-    """nu^N, sliced from the spec's prefix cache.  Levels past the cached
-    prefix are built once, each with its |A_n| monotonicity check."""
+    """nu^N, sliced from the spec's prefix.  Levels past the prefix are
+    built and validated in blocks of `_BLOCK` (`StaircaseSpec._steps`),
+    then memoized and appended by `_append_levels` up to the first failing
+    level, whose error is raised."""
     if N < 1:
         raise PreconditionError("need N >= 1")
+    while len(spec._levels) < N:
+        lo = len(spec._levels) + 1
+        steps, err = spec._steps(range(lo, min(N, lo + _BLOCK - 1) + 1))
+        bad = _append_levels(spec, steps)
+        for st in steps if bad is None else steps[:bad[0]]:
+            spec._memo[st.n] = st
+        if bad is not None:
+            raise bad[1]
+        if err is not None:
+            raise err
+    n_atoms, n_splits, beta = spec._levels[N - 1]
+    rest = Atom(beta, spec.step(N).A_next)
+    cert = spec._splits[:n_splits]
+    if spec.rational:
+        return DiscreteMeasure(spec._atoms[:n_atoms] + [rest], cert)
+    cols = []
+    for rows in spec._rows:
+        if n_atoms <= 0:
+            break
+        cols.append([a[:n_atoms] for a in rows])
+        n_atoms -= len(rows[0])
+    cols.append([np.array([beta]), rest.point[None],
+                 np.round(rest.point.reshape(1, -1), 12), np.array([rest.norm])])
+    return _ArrayMeasure(*(np.concatenate(col) for col in zip(*cols)), cert)
+
+
+def _append_levels(spec: StaircaseSpec,
+                   steps: list[StairStep]) -> tuple[int, PreconditionError] | None:
+    """Append validated steps to the prefix, level by level: the |A_n|
+    monotonicity check, then the good atoms' weights beta_{n-1} (1 - gamma_n) w
+    (`Atom.scaled`'s product, exact when both factors are `Fraction`s), each
+    checked positive.  Returns the first failure as (index, error), else
+    None; the levels before it are appended either way."""
     levels = spec._levels
-    for n in range(len(levels) + 1, N + 1):
-        st = spec.step(n)
+    beta = levels[-1][2] if levels else (Fraction(1) if spec.rational else 1.0)
+    n_atoms, n_splits = levels[-1][:2] if levels else (0, 0)
+    top, new, good, weights, splits, bad = spec._top_norm, [], [], [], [], None
+    for i, st in enumerate(steps):
         nrm = frob(st.A_next)
-        if nrm < spec._top_norm - 1e-9:
-            raise PreconditionError(f"|A_n| not non-decreasing at level {n}")
-        beta_prev = levels[-1][2] if levels else (
-            Fraction(1) if spec.rational else 1.0)
+        if nrm < top - 1e-9:
+            bad = i, PreconditionError(f"|A_n| not non-decreasing at level {st.n}")
+            break
         g = st.gamma
-        if isinstance(beta_prev, Fraction) and isinstance(g, Fraction):
-            good_w: Weight = beta_prev * (1 - g)
-            beta: Weight = beta_prev * g
+        if isinstance(beta, Fraction) and isinstance(g, Fraction):
+            good_w: Weight = beta * (1 - g)
+            beta_n: Weight = beta * g
         else:
-            good_w = float(beta_prev) * (1.0 - float(g))
-            beta = float(beta_prev) * float(g)
-        spec._atoms.extend(scale_weights(st.mu, good_w))
-        spec._splits.extend(st.splits)
-        spec._top_norm = nrm
-        levels.append((len(spec._atoms), len(spec._splits), beta))
-    n_atoms, n_splits, beta = levels[N - 1]
-    atoms = spec._atoms[:n_atoms]
-    atoms.append(Atom(beta, spec.step(N).A_next))
-    return DiscreteMeasure(atoms, spec._splits[:n_splits])
+            good_w = float(beta) * (1.0 - float(g))
+            beta_n = float(beta) * float(g)
+        ws = [_wmul(a.weight, good_w) for a in st.mu.atoms]
+        low = next((w for w in ws if not float(w) > 0.0), None)
+        if low is not None:
+            bad = i, _weight_error(low)
+            break
+        good.extend(st.mu.atoms)
+        weights.extend(ws)
+        splits.extend(st.splits)
+        beta, top = beta_n, nrm
+        new.append((n_atoms + len(weights), n_splits + len(splits), beta))
+    if spec.rational:
+        spec._atoms.extend(a._reweighted(w) for a, w in zip(good, weights))
+    elif good:
+        stack = np.stack([a.point for a in good])
+        flat = stack.reshape(len(stack), -1)
+        spec._rows.append((np.array(weights), stack, np.round(flat, 12),
+                           np.sqrt(_dots(flat, flat))))
+    spec._splits.extend(splits)
+    levels.extend(new)
+    spec._top_norm = top
+    return bad
 
 
 @dataclass
@@ -476,19 +623,19 @@ def transform_spec(spec: StaircaseSpec, T: LinMap,
                    target_sets: tuple[str, ...] | None = None) -> StaircaseSpec:
     """Pushforward of a staircase spec under a rank-one preserving linear map."""
 
-    def step_fn(n: int) -> StairStep:
-        # only the returned spec keeps a memo: the inner steps are built and
-        # validated here, then dropped
-        st = spec._unmemoized_step(n)
+    def step_fn(st: StairStep) -> StairStep:
+        # only the returned spec keeps a memo: its source's steps are built
+        # and validated, mapped here, then dropped
         mu = pushforward(st.mu, T)
         splits = [SplittingStep(T(s.target), T(s.left), T(s.right), s.lam)
                   for s in st.splits]
-        return StairStep(n, T(st.A_prev), T(st.A_next), mu, st.gamma, splits)
+        return StairStep(st.n, T(st.A_prev), T(st.A_next), mu, st.gamma, splits)
 
     return StaircaseSpec(T(spec.A0), spec.kind, spec.params, step_fn,
                          target_sets=target_sets if target_sets is not None
                          else spec.target_sets,
-                         gamma_fn=spec._gamma_fn, rational=spec.rational)
+                         gamma_fn=spec._gamma_fn, rational=spec.rational,
+                         source=spec)
 
 
 # --- extended measures ------------------------------------------------------------
@@ -504,13 +651,20 @@ class ExtendedMeasure:
     root_certificate: list[SplittingStep]
 
     def truncate(self, N: int) -> DiscreteMeasure:
+        """The finite atoms plus each tail's truncation nu^N scaled by its
+        weight, merged by `mixture`: as arrays when every tail is a float
+        staircase."""
         atoms = [Atom(w, B) for w, B in self.finite_atoms]
+        parts: list[tuple[Weight, DiscreteMeasure]] = []
+        if atoms:
+            parts.append((1.0, DiscreteMeasure.from_stack(
+                [a.weight for a in atoms], [a.point for a in atoms])))
         cert = list(self.root_certificate)
         for w, sp in self.tails:
             nu = build_truncation(sp, N)
-            atoms.extend(scale_weights(nu, w))
+            parts.append((w, nu))
             cert.extend(nu.certificate or ())
-        return DiscreteMeasure(atoms, cert)
+        return mixture(parts, cert)
 
     def residual_mass(self, N: int) -> float:
         total = 0.0

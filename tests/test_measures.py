@@ -11,7 +11,7 @@ from lamstair.errors import (
     PreconditionError,
     UnsupportedError,
 )
-from lamstair.matrices import _dots, frob
+from lamstair.matrices import _dots, frob, rank
 
 
 def first_det1_step():
@@ -590,3 +590,152 @@ def test_tail_masses_in_blocks(monkeypatch):
     whole = ms.tail_masses(nu, ts)
     monkeypatch.setattr(ms, "_TAIL_BLOCK", 120)  # two grid points per block
     assert ms.tail_masses(nu, ts).tobytes() == whole.tobytes()
+
+
+# --- stacked split checks against the per-split check they replaced ------------
+
+
+def ref_validate(s, tol=1e-9, rank_tol=1e-9):
+    """`SplittingStep.validate` before `_split_failure`: one split at a time."""
+    if not (0.0 < float(s.lam) < 1.0):
+        raise InvalidSplitError(f"split fraction {s.lam} outside (0,1)")
+    if s.left.shape != s.right.shape or s.left.shape != s.target.shape:
+        raise InvalidSplitError("split matrices have mismatched shapes")
+    if rank(s.left - s.right, rank_tol) != 1:
+        raise InvalidSplitError("left - right is not rank one")
+    recon = float(s.lam) * s.left + (1.0 - float(s.lam)) * s.right
+    if frob(s.target - recon) > tol * (1.0 + frob(s.target)):
+        raise InvalidSplitError("convex combination does not reproduce target")
+
+
+def ref_split_failure(splits, tol=1e-9, rank_tol=1e-9):
+    """(index, error type, message) of the first split `ref_validate`
+    rejects, overflow silent as in the stacked check, or None."""
+    with np.errstate(all="ignore"):
+        for i, s in enumerate(splits):
+            try:
+                ref_validate(s, tol, rank_tol)
+            except Exception as exc:
+                return i, type(exc), str(exc)
+    return None
+
+
+def split_failure(splits, tol=1e-9, rank_tol=1e-9):
+    bad = ms._split_failure(splits, tol, rank_tol)
+    return None if bad is None else (bad[0], type(bad[1]), str(bad[1]))
+
+
+INSIDE_LAMS = [5e-324, np.nextafter(1.0, 0.0), 0.3, 0.5, Fraction(1, 3)]
+OUTSIDE_LAMS = [0.0, 1.0, -0.5, 1.5, float("nan"), Fraction(3, 2), Fraction(0)]
+# second singular value of left - right over rank_tol * the first
+RANK_RATIOS = [0.0, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0, 1e6]
+# target's distance from lam * left + (1 - lam) * right over tol (1 + |target|)
+RECON_RATIOS = [0.0, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0]
+
+
+@st.composite
+def edge_split(draw, rank_tol=1e-9, tol=1e-9):
+    """A split at the edge of one check: lam at 0, 1, just inside or a
+    Fraction; rank(left - right) decided near rank_tol; the convex
+    combination near tol; now and then mismatched shapes, left - right
+    overflowing, or left == right."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m, n = draw(st.sampled_from([(2, 2), (2, 3), (3, 3), (1, 2)]))
+    U = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    sv = np.zeros((m, n))
+    sv[0, 0] = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if min(m, n) > 1:
+        sv[1, 1] = sv[0, 0] * rank_tol * draw(st.sampled_from(RANK_RATIOS))
+    right = rng.uniform(-2.0, 2.0, size=(m, n))
+    left = right + U @ sv @ V.T
+    lam = draw(st.sampled_from(OUTSIDE_LAMS if rng.integers(4) == 0 else INSIDE_LAMS))
+    fl = float(lam)
+    with np.errstate(all="ignore"):
+        target = fl * left + (1.0 - fl) * right
+    if not np.isfinite(target).all():
+        target = right.copy()
+    off = rng.normal(size=(m, n))
+    off *= (draw(st.sampled_from(RECON_RATIOS)) * tol * (1.0 + frob(target))
+            / frob(off))
+    target = target + off
+    odd = rng.integers(12)
+    if odd == 0:
+        left = rng.uniform(-2.0, 2.0, size=(n + 1, m))
+    elif odd == 1:
+        target = rng.uniform(-2.0, 2.0, size=(m + 1, n))
+    elif odd == 2:
+        left, right = np.full((m, n), 1e308), np.full((m, n), -1e308)
+    elif odd == 3:
+        left = right.copy()
+    return ms.SplittingStep(target, left, right, lam)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_split_failure_matches_per_split_check(data):
+    tol = data.draw(st.sampled_from([1e-9, 1e-9, 1e-12, 1e-6]))
+    rank_tol = data.draw(st.sampled_from([1e-9, 1e-9, 1e-6]))
+    splits = data.draw(st.lists(edge_split(rank_tol, tol), min_size=1, max_size=5))
+    want = ref_split_failure(splits, tol, rank_tol)
+    assert split_failure(splits, tol, rank_tol) == want
+    for s in splits:
+        ref = ref_split_failure([s], tol, rank_tol)
+        if ref is None:
+            s.validate(tol, rank_tol)
+        else:
+            with pytest.raises(ref[1]) as got:
+                s.validate(tol, rank_tol)
+            assert str(got.value) == ref[2]
+
+
+@pytest.mark.parametrize("rank_tol", [0.0, 1.0, -1e-9, float("nan")])
+def test_split_failure_rejects_rank_tolerance_like_rank(rank_tol):
+    good = first_det1_step()
+    huge = ms.SplittingStep(np.zeros((2, 2)), np.full((2, 2), 1e308),
+                            np.full((2, 2), -1e308), 0.5)
+    bad_lam = ms.SplittingStep(np.eye(2), np.eye(2), 2 * np.eye(2), 1.0)
+    for splits in ([good], [huge, good], [bad_lam, good], [good, huge]):
+        assert split_failure(splits, 1e-9, rank_tol) == ref_split_failure(
+            splits, 1e-9, rank_tol)
+
+
+def test_split_failure_of_nothing():
+    assert ms._split_failure([]) is None
+
+
+# --- moments read off the tail arrays --------------------------------------------
+
+
+def ref_moment(nu, q, cap=None):
+    """`moment` before it read `_tail_arrays`: a loop over the atoms."""
+    total = 0.0
+    for a in nu.atoms:
+        r = a.norm
+        if cap is None or r <= cap:
+            total += float(a.weight) * r ** q
+    return total
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 30), st.booleans(),
+       st.sampled_from([0.5, 1.0, 1.37, 2.0, 3.3]), st.sampled_from([None, 0.0, 2.0, 4.5]))
+@settings(max_examples=150, deadline=None)
+def test_moment_matches_per_atom_loop(seed, n, rational, q, cap):
+    rng = np.random.default_rng(seed)
+    ks = rng.integers(1, 40, size=n)
+    points = rng.uniform(-3.0, 3.0, size=(n, 2, 2)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1, 1))
+    listed = ms.DiscreteMeasure([ms.Atom(Fraction(int(k), 40 * n) if rational
+                                         else float(k) / (40 * n), P)
+                                 for k, P in zip(ks, points)])
+    arrayed = ms.DiscreteMeasure.from_stack([float(k) / (40 * n) for k in ks], points)
+    got = ms.moment(arrayed, q, cap)
+    assert "atoms" not in vars(arrayed)
+    assert got.hex() == ref_moment(arrayed, q, cap).hex()
+    assert ms.moment(listed, q, cap).hex() == ref_moment(listed, q, cap).hex()
+
+
+def test_len_of_an_array_measure_builds_no_atoms():
+    nu = ms.DiscreteMeasure.from_stack([0.25, 0.5, 0.25],
+                                       [np.eye(2), 2 * np.eye(2), np.eye(2)])
+    assert len(nu) == 2 and "atoms" not in vars(nu)
+    assert len(nu.atoms) == 2

@@ -177,11 +177,12 @@ class TestPlapOutputs:
     def test_each_level_built_once(self, monkeypatch):
         # criterion 13 truncates each staircase 14 times; every level's step
         # is still built once per spec and validated twice (inner step and
-        # transformed step), and only the transformed spec keeps a memo
+        # transformed step, each in the stacked check of its block of
+        # levels), and only the transformed spec keeps a memo
         N = 10_000
         calls = {}
         validated = [0]
-        init, validate = sc.StaircaseSpec.__init__, sc._validate_step
+        init, check = sc.StaircaseSpec.__init__, sc._step_failure
 
         def counting_init(spec, A0, kind, params, step_fn, *args, **kwargs):
             calls[spec] = 0
@@ -192,12 +193,12 @@ class TestPlapOutputs:
 
             init(spec, A0, kind, params, counted, *args, **kwargs)
 
-        def counting_validate(st, *args, **kwargs):
-            validated[0] += 1
-            return validate(st, *args, **kwargs)
+        def counting_check(steps, *args, **kwargs):
+            validated[0] += len(steps)
+            return check(steps, *args, **kwargs)
 
         monkeypatch.setattr(sc.StaircaseSpec, "__init__", counting_init)
-        monkeypatch.setattr(sc, "_validate_step", counting_validate)
+        monkeypatch.setattr(sc, "_step_failure", counting_check)
         res = run_plap(1.5, N)
         outer = [sp for _, sp in res.extended.tails]
         inner = [sp for sp in calls if sp not in outer]

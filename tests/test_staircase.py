@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from lamstair import measures as ms
 from lamstair import staircase as sc
 from lamstair.errors import PreconditionError
 from lamstair.matrices import frob, member, rank
+from test_measures import ref_validate
 
 
 class TestDet1:
@@ -305,11 +307,22 @@ class TestPrefixCache:
         assert len(spec._levels) == max(Ns)
 
     def test_repeated_truncations_share_points(self):
+        # repeated truncations slice one array prefix, which is not rebuilt
         spec = FAMILIES["plaplace"]()
-        a, b = sc.build_truncation(spec, 12), sc.build_truncation(spec, 5)
-        shared = {id(x.point) for x in a.atoms} & {id(x.point) for x in b.atoms}
-        # all but the remainder atom of the shorter truncation
-        assert len(shared) == len(b) - 1
+        built, step_fn = [], spec._step_fn
+        spec._step_fn = lambda n: built.append(n) or step_fn(n)
+        sc.build_truncation(spec, 12)
+        blocks = [tuple(map(id, rows)) for rows in spec._rows]
+        b = sc.build_truncation(spec, 5)
+        assert built == list(range(1, 13)) and len(spec._levels) == 12
+        assert [tuple(map(id, rows)) for rows in spec._rows] == blocks
+        # every atom of b but the remainder is a row of the prefix's stack
+        stack = spec._rows[0][1][:spec._levels[4][0]]
+        rest = spec.step(5).A_next.tobytes()
+        assert sorted(P.tobytes() for P in b._stack if P.tobytes() != rest) == sorted(
+            P.tobytes() for P in stack)
+        assert isinstance(b, ms._ArrayMeasure) and "atoms" not in vars(b)
+        assert len(b) == len(stack) + 1 and "atoms" not in vars(b)
 
     @staticmethod
     def shrinking_spec(level):
@@ -366,3 +379,163 @@ class TestPrefixCache:
             3, shrink(st.A_prev), shrink(st.A_next), ms.pushforward(st.mu, shrink),
             st.gamma, [ms.SplittingStep(shrink(s.target), shrink(s.left),
                                         shrink(s.right), s.lam) for s in st.splits]))
+
+
+# ---------------------------------------------------------------------------
+# stacked step checks against the per-step check they replaced
+
+
+def ref_validate_step(st, tol=1e-9):
+    """`_validate_step` before `_step_failure`: one step, split by split."""
+    g = float(st.gamma)
+    if not (0.0 < g < 1.0):
+        raise PreconditionError(f"step {st.n}: gamma {g} outside (0,1)")
+    if abs(st.mu.mass - 1.0) > 1e-9:
+        raise PreconditionError(f"step {st.n}: mu is not a probability measure")
+    for i, s in enumerate(st.splits):
+        try:
+            ref_validate(s, tol)
+        except Exception as exc:
+            raise PreconditionError(f"step {st.n}, split {i}: {exc}") from exc
+    bc = g * st.A_next
+    for a in st.mu.atoms:
+        bc = bc + (1.0 - g) * float(a.weight) * a.point
+    if frob(bc - st.A_prev) > tol * (1.0 + frob(st.A_prev)):
+        raise PreconditionError(f"step {st.n}: omega_n barycenter mismatch")
+
+
+def ref_step_failure(steps, tol=1e-9):
+    """(index, message, cause's message) of the first step that
+    `ref_validate_step` rejects, overflow silent, or None."""
+    with np.errstate(all="ignore"):
+        for i, st in enumerate(steps):
+            try:
+                ref_validate_step(st, tol)
+            except PreconditionError as exc:
+                return i, str(exc), str(exc.__cause__)
+    return None
+
+
+def step_failure(steps, tol=1e-9):
+    bad = sc._step_failure(steps, tol)
+    return None if bad is None else (bad[0], str(bad[1]), str(bad[1].__cause__))
+
+
+# families of several shapes (2x2, 3x3) and atom counts (2, 3)
+STEP_SOURCES = dict(FAMILIES, det1_3=lambda: sc.example_staircase("det1", {"a": [2, 2, 3]}),
+                    elliptic_3=lambda: sc.example_staircase("elliptic", {"K": 1.5}))
+SPECS = {name: make() for name, make in STEP_SOURCES.items()}
+
+
+@hst.composite
+def edge_step(draw):
+    """A staircase step, at times with one fault: gamma at 0, 1, just
+    inside, NaN or a Fraction; mu of mass 1/2; a split with lam outside
+    (0,1), left == right, or another shape; A_{n-1} moved near the tolerance
+    (0.5, 1 -+ 1e-6 and 2 times it)."""
+    name = draw(hst.sampled_from(sorted(SPECS)))
+    st = SPECS[name].step(draw(hst.integers(1, 6)))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    n, A_prev, A_next, mu, gamma, splits = (st.n, st.A_prev, st.A_next, st.mu,
+                                           st.gamma, list(st.splits))
+    fault = rng.integers(8)
+    if fault == 0:
+        gamma = draw(hst.sampled_from([0.0, 1.0, np.nextafter(1.0, 0.0), float("nan"),
+                                       Fraction(1, 2), Fraction(5, 4)]))
+    elif fault == 1:
+        mu = ms.DiscreteMeasure([a.scaled(0.5) for a in mu.atoms])
+    elif fault == 2:
+        j = int(rng.integers(len(splits)))
+        s = splits[j]
+        splits[j] = draw(hst.sampled_from([
+            ms.SplittingStep(s.target, s.left, s.right, 1.5),
+            ms.SplittingStep(s.target, s.left, s.left, s.lam),
+            ms.SplittingStep(s.target, s.left[:1], s.right[:1], s.lam),
+            ms.SplittingStep(s.target + 1e-3, s.left, s.right, s.lam)]))
+    elif fault == 3:
+        off = rng.normal(size=A_prev.shape)
+        ratio = draw(hst.sampled_from([0.5, 1 - 1e-6, 1 + 1e-6, 2.0]))
+        A_prev = A_prev + off * (ratio * 1e-9 * (1.0 + frob(A_prev)) / frob(off))
+    return sc.StairStep(n, A_prev, A_next, mu, gamma, splits)
+
+
+@given(hst.lists(edge_step(), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_step_failure_matches_per_step_check(steps):
+    assert step_failure(steps) == ref_step_failure(steps)
+    for st in steps:
+        ref = ref_step_failure([st])
+        if ref is None:
+            sc._validate_step(st)
+        else:
+            with pytest.raises(PreconditionError) as got:
+                sc._validate_step(st)
+            assert (str(got.value), str(got.value.__cause__)) == ref[1:]
+
+
+def test_step_failure_of_nothing():
+    assert sc._step_failure([]) is None
+
+
+# ---------------------------------------------------------------------------
+# errors across a block boundary: the lowest failing level wins
+
+
+K = sc._BLOCK + 88   # inside the second block
+
+
+def faulty_source(faults):
+    """An elliptic staircase with faults at some levels: "split" (split 1's
+    lam is 1.5), "norm" (the level scaled by 1/10, so |A_n| drops there) or
+    "raise" (step_fn raises)."""
+    base = sc.example_staircase("elliptic", {"K": 3.0})
+    small = sc.transform_spec(base, sc.LinMap(np.eye(2), np.eye(2), 0.1))
+
+    def step_fn(n):
+        fault = faults.get(n)
+        if fault == "raise":
+            raise RuntimeError(f"no level {n}")
+        st = small.step(n) if fault == "norm" else base._step_fn(n)
+        if fault == "split":
+            s = st.splits[1]
+            st.splits[1] = ms.SplittingStep(s.target, s.left, s.right, 1.5)
+        return st
+
+    return sc.StaircaseSpec(base.A0, "elliptic", base.params, step_fn, base.target_sets)
+
+
+MESSAGES = {"split": "step {}, split 1: split fraction 1.5 outside (0,1)",
+            "norm": "|A_n| not non-decreasing at level {}",
+            "raise": "no level {}"}
+ORDERS = [("split", "norm", "raise"), ("norm", "split", "raise"),
+          ("raise", "split", "norm"), ("split", "raise", "norm")]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_lowest_failing_level_wins_across_a_block(order):
+    faults = dict(zip((K, K + 1, K + 2), order))
+    msg = MESSAGES[order[0]].format(K)
+    inner = faulty_source(faults)
+    outer = sc.transform_spec(inner, ROT)
+    for N in (K, K + 2, K + 50, 2 * sc._BLOCK + 3, K):
+        with pytest.raises((PreconditionError, RuntimeError)) as exc:
+            sc.build_truncation(outer, N)
+        assert str(exc.value) == msg
+        # the prefix and the memo end at the last good level
+        assert len(outer._levels) == K - 1 and sorted(outer._memo) == list(range(1, K))
+        assert not inner._memo
+    # so does a level-by-level build, on a spec of its own
+    with pytest.raises((PreconditionError, RuntimeError)) as ref:
+        build_truncation_from_scratch(sc.transform_spec(faulty_source(faults), ROT), K + 2)
+    assert str(ref.value) == msg
+    # the levels before the fault are the from-scratch truncation's
+    good = sc.transform_spec(sc.example_staircase("elliptic", {"K": 3.0}), ROT)
+    assert measure_bits(sc.build_truncation(outer, K - 1)) == measure_bits(
+        build_truncation_from_scratch(good, K - 1))
+
+
+def test_fault_past_n_is_not_reached():
+    inner = faulty_source({K: "split", K + 1: "norm", K + 2: "raise"})
+    outer = sc.transform_spec(inner, ROT)
+    assert len(sc.build_truncation(outer, K - 1)) > 0
+    assert len(outer._levels) == K - 1 and not inner._memo
