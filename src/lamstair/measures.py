@@ -18,15 +18,19 @@ Measures are built and queried in bulk, with the results of the per-atom code:
   builds.  `atoms` is then a view made on first use: one `Atom` per row, its
   point a row view of the stack, with key and norm filled in.
 - Float staircase truncations are `_ArrayMeasure`s too, sliced from a
-  prefix of arrays that `staircase.build_truncation` grows.  The list
-  constructor `DiscreteMeasure(atoms)` stays for the per-atom builders (each
-  staircase level's mu, rational truncations, splits, pushforwards, parsed
-  measures), which carry exact `Fraction` weights in rational mode and build
-  many small measures, where per-call array overhead costs more than it
-  saves.  `mixture` over any part built that way merges atom by atom as
-  well, so rational mode stays exact.
-- `_split_failure` checks many splitting steps at once, with one stacked
-  SVD; `SplittingStep.validate` is its one-split case.
+  prefix of arrays that `staircase.build_truncation` grows; staircase levels
+  merge and sort their atoms as arrays too (`_key_groups` by level).  The
+  list constructor `DiscreteMeasure(atoms)` stays for the per-atom builders
+  (rational truncations, a level's mu made on demand, splits, pushforwards,
+  parsed measures), which carry exact `Fraction` weights in rational mode
+  and build many small measures, where per-call array overhead costs more
+  than it saves.  `mixture` over any part built that way merges atom by
+  atom as well, so rational mode stays exact.
+- A measure's certificate may be a `Certificate`: a sequence whose steps
+  are made on first use (a truncation's, or a mixture of them).
+- `_split_rows` checks a stack of splitting steps of one shape with one
+  stacked SVD; `_split_failure` runs it on `SplittingStep`s, per shape, and
+  `SplittingStep.validate` is its one-split case.
 - `tail_masses(nu, ts)` returns every tail on a t-grid at once: per t the
   weights of the atoms with |X| > t, summed left to right by one `cumsum`
   over arrays cached on the measure.  `tail_mass` is its one-point case.
@@ -38,11 +42,12 @@ Measures are built and queried in bulk, with the results of the per-atom code:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -176,61 +181,107 @@ def _split_failure(splits: Sequence[SplittingStep], tol: float = 1e-9,
     """The first split that fails its checks, as (index, error), or None.
 
     Per split the checks run in this order: the fraction lies in (0,1); the
-    three matrices have one shape; left - right is finite (the
-    `PreconditionError` of `rank`), the rank tolerance lies in (0,1) and the
-    numerical rank of left - right is 1; lam * left + (1 - lam) * right is
-    within tol * (1 + |target|) of the target.  The first two run split by
-    split up to the first failure; the others run on the splits before it as
-    stacks, one per matrix shape: one `np.linalg.svd` call (bit-equal to one
-    call per matrix) and norms from `_dots` (bit-equal to `frob`).  Overflow
-    in the stacked arithmetic gives inf or nan without a warning, so splits
-    past a failure cannot raise one."""
+    three matrices have one shape; then `_split_rows`' checks.  The shapes
+    are compared split by split up to the first mismatch; the splits before
+    it are checked as stacks, one per matrix shape."""
     stop, err = len(splits), None
-    lams = []
     for i, s in enumerate(splits):
-        lam = float(s.lam)
-        if not 0.0 < lam < 1.0:
-            stop, err = i, InvalidSplitError(f"split fraction {s.lam} outside (0,1)")
-            break
         if s.left.shape != s.right.shape or s.left.shape != s.target.shape:
-            stop, err = i, InvalidSplitError("split matrices have mismatched shapes")
+            lam = float(s.lam)
+            stop, err = i, InvalidSplitError(
+                f"split fraction {s.lam} outside (0,1)" if not 0.0 < lam < 1.0
+                else "split matrices have mismatched shapes")
             break
-        lams.append(lam)
     groups: dict = {}
     for i in range(stop):
         groups.setdefault(splits[i].target.shape, []).append(i)
-    tol_ok = 0.0 < rank_tol < 1.0
-    for shape, rows in groups.items():
-        k, size = len(rows), math.prod(shape)
-        mats = np.array([(splits[i].target, splits[i].left, splits[i].right) for i in rows])
-        target, left, right = mats.reshape(k, 3, size).transpose(1, 0, 2)
-        lam = np.array([lams[i] for i in rows])[:, None]
-        with np.errstate(all="ignore"):
-            diff = left - right
-            resid = target - (lam * left + (1.0 - lam) * right)
-            far = (np.sqrt(_dots(resid, resid))
-                   > float(tol) * (1.0 + np.sqrt(_dots(target, target))))
-            finite = np.isfinite(diff).all(axis=1)
-            if tol_ok:   # the non-finite rows, failed already, as zeros
-                sv = np.linalg.svd(np.where(finite[:, None], diff, 0.0).reshape(k, *shape),
-                                   compute_uv=False)
-                not_one = (sv > rank_tol * sv[:, :1]).sum(axis=1) != 1
-            else:
-                not_one = True
-        hit = np.flatnonzero(~finite | not_one | far)
-        if not hit.size or rows[hit[0]] >= stop:
-            continue
-        j = hit[0]
-        stop = rows[j]
-        if not finite[j]:
-            err = PreconditionError("matrix has non-finite entries")
-        elif not tol_ok:
-            err = PreconditionError(f"rank tolerance must lie in (0,1), got {rank_tol}")
-        elif not_one[j]:
-            err = InvalidSplitError("left - right is not rank one")
-        else:
-            err = InvalidSplitError("convex combination does not reproduce target")
+    for rows in groups.values():
+        bad = _split_rows(np.array([float(splits[i].lam) for i in rows]),
+                          np.array([(splits[i].target, splits[i].left, splits[i].right)
+                                    for i in rows]),
+                          tol, rank_tol, [splits[i].lam for i in rows])
+        if bad is not None and rows[bad[0]] < stop:
+            stop, err = rows[bad[0]], bad[1]
     return None if err is None else (stop, err)
+
+
+def _split_rows(lam: np.ndarray, mats: np.ndarray, tol: float = 1e-9,
+                rank_tol: float = 1e-9, shown: Sequence | None = None
+                ) -> tuple[int, Exception] | None:
+    """The first of a stack of splits of one shape that fails its checks, as
+    (row, error), or None.  `lam` holds the fractions as floats (`shown` as
+    the error names them, `lam` by default), `mats` the (k, 3, m, n) stack of
+    targets, lefts and rights.
+
+    Per split the checks run in this order: the fraction lies in (0,1);
+    left - right is finite (the `PreconditionError` of `rank`), the rank
+    tolerance lies in (0,1) and the numerical rank of left - right is 1;
+    lam * left + (1 - lam) * right is within tol * (1 + |target|) of the
+    target.  All run on the whole stack: one `np.linalg.svd` call (bit-equal
+    to one call per matrix) and norms from `_dots` (bit-equal to `frob`).
+    Overflow gives inf or nan without a warning, so a split past a failure
+    cannot raise one."""
+    k = len(lam)
+    if not k:
+        return None
+    shape = mats.shape[2:]
+    target, left, right = mats.reshape(k, 3, math.prod(shape)).transpose(1, 0, 2)
+    col = lam[:, None]
+    tol_ok = 0.0 < rank_tol < 1.0
+    with np.errstate(all="ignore"):
+        outside = ~((0.0 < lam) & (lam < 1.0))
+        diff = left - right
+        resid = target - (col * left + (1.0 - col) * right)
+        far = (np.sqrt(_dots(resid, resid))
+               > float(tol) * (1.0 + np.sqrt(_dots(target, target))))
+        finite = np.isfinite(diff).all(axis=1)
+        if tol_ok:   # the non-finite rows, failed already, as zeros
+            sv = np.linalg.svd(np.where(finite[:, None], diff, 0.0).reshape(k, *shape),
+                               compute_uv=False)
+            not_one = (sv > rank_tol * sv[:, :1]).sum(axis=1) != 1
+        else:
+            not_one = np.ones(k, dtype=bool)
+    hit = np.flatnonzero(outside | ~finite | not_one | far)
+    if not hit.size:
+        return None
+    j = int(hit[0])
+    if outside[j]:
+        lam_j = float(lam[j]) if shown is None else shown[j]
+        return j, InvalidSplitError(f"split fraction {lam_j} outside (0,1)")
+    if not finite[j]:
+        return j, PreconditionError("matrix has non-finite entries")
+    if not tol_ok:
+        return j, PreconditionError(f"rank tolerance must lie in (0,1), got {rank_tol}")
+    if not_one[j]:
+        return j, InvalidSplitError("left - right is not rank one")
+    return j, InvalidSplitError("convex combination does not reproduce target")
+
+
+class Certificate(Sequence):
+    """A read-only sequence of `size` splitting steps that `make()` returns,
+    made on first use (len and truth need only the size)."""
+
+    def __init__(self, size: int, make: Callable[[], Iterable[SplittingStep]]):
+        self._size, self._make = size, make
+
+    @cached_property
+    def _steps(self) -> tuple[SplittingStep, ...]:
+        return tuple(self._make())
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, i):
+        return self._steps[i]
+
+    def __iter__(self):
+        return iter(self._steps)
+
+
+def _as_certificate(certificate) -> Sequence[SplittingStep] | None:
+    if certificate is None or isinstance(certificate, Certificate):
+        return certificate
+    return tuple(certificate)
 
 
 class DiscreteMeasure:
@@ -256,9 +307,7 @@ class DiscreteMeasure:
         if mass > 1.0 + MASS_SLACK * max(1, len(self.atoms)):
             raise PreconditionError(f"total mass {mass} exceeds 1")
         self.mass = mass
-        self.certificate: tuple[SplittingStep, ...] | None = (
-            tuple(certificate) if certificate is not None else None
-        )
+        self.certificate: Sequence[SplittingStep] | None = _as_certificate(certificate)
 
     @staticmethod
     def from_stack(weights, points, certificate=None) -> "DiscreteMeasure":
@@ -298,23 +347,40 @@ class DiscreteMeasure:
         return None
 
 
-def _merge_rows(weights: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(the summed weight, the first row) of each group of equal keys, in
-    key order: see `_ArrayMeasure`."""
-    order = np.lexsort(keys.T[::-1])
+def _key_groups(keys: np.ndarray, rows: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): a stable sort of the keys (column 0 first; by `rows`
+    first when given), and where each run of equal keys (in one row) starts
+    in it.  numpy compares -0.0 equal to 0.0, as tuples do."""
+    cols = keys.T[::-1]
+    order = np.lexsort(cols if rows is None else np.vstack([cols, rows]))
     sorted_keys = keys[order]
     new = np.ones(len(order), dtype=bool)
     np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=new[1:])
-    starts = np.flatnonzero(new)
+    if rows is not None:
+        sorted_rows = rows[order]
+        new[1:] |= sorted_rows[1:] != sorted_rows[:-1]
+    return order, np.flatnonzero(new)
+
+
+def _group_sums(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The sum of each run w[starts[i]:starts[i + 1]], left to right, one
+    rank at a time across all runs."""
     sizes = np.empty_like(starts)
     sizes[:-1] = starts[1:] - starts[:-1]
-    sizes[-1] = len(order) - starts[-1]
-    w = weights[order]
+    sizes[-1] = len(w) - starts[-1]
     sums = w[starts]
     for r in range(1, sizes.max()):
         grown = sizes > r
         sums[grown] += w[starts[grown] + r]
-    return sums, order[starts]
+    return sums
+
+
+def _merge_rows(weights: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the summed weight, the first row) of each group of equal keys, in
+    key order: see `_ArrayMeasure`."""
+    order, starts = _key_groups(keys)
+    return _group_sums(weights[order], starts), order[starts]
 
 
 class _ArrayMeasure(DiscreteMeasure):
@@ -350,7 +416,7 @@ class _ArrayMeasure(DiscreteMeasure):
         self._keys = keys[first]
         self._tail_arrays = (norms[first], sums)
         self.mass = mass
-        self.certificate = tuple(certificate) if certificate is not None else None
+        self.certificate = _as_certificate(certificate)
 
     def __len__(self):
         return len(self._stack)

@@ -36,9 +36,9 @@ from .measures import (
 from .staircase import (
     LinMap,
     StaircaseSpec,
-    betas,
     build_truncation,
     example_staircase,
+    remainder,
     transform_spec,
 )
 from . import synth
@@ -327,11 +327,12 @@ def _within_slack(builder: str, attempt, eta: float, theta: float,
 def _staircase_depth(spec: StaircaseSpec, r: float, phi: float,
                      n_max: int = 400) -> int:
     """Smallest truncation depth whose remainder r-moment per unit volume is
-    at most phi."""
+    at most phi.  beta_N and A_N are read off the spec's prefix, which grows
+    to about 1.5 times the depth reached when it falls short, so the
+    truncation at the depth found builds no level."""
     for N in range(1, n_max + 1):
-        beta = float(betas(spec, N)[-1])
-        AN = spec.step(N).A_next
-        if beta * (1.0 + frob(AN) ** r) <= phi:
+        beta, AN = remainder(spec, N, ahead=min(N // 2, n_max - N))
+        if float(beta) * (1.0 + frob(AN) ** r) <= phi:
             return N
     raise InternalError("no truncation depth meets the remainder budget; "
                         "the moment exponent must stay below the tail exponent")

@@ -1,4 +1,4 @@
-"""Staircase laminates: lazy step generators, truncations, weak-L^p hypothesis
+"""Staircase laminates: block-built levels, truncations, weak-L^p hypothesis
 checks, the four worked families and the extended measures with staircase tails.
 
 A staircase spec produces, for each level n >= 1, a one-step laminate
@@ -10,26 +10,33 @@ certified by explicit splitting steps.  Truncating at N gives
 with beta_n = prod_{k<=n} gamma_k kept as an exact rational whenever the
 construction data is rational.
 
-Each level is built once per spec.  `StaircaseSpec.step` memoizes validated
-steps; a spec made by `transform_spec` owns the only memo of its levels, and
-builds and validates its source's steps without storing them there.
+Levels are array blocks (`_Block`): per level A_{n-1}, A_n, gamma_n, mu_n's
+weights and points (merged and in key order, as `DiscreteMeasure` holds
+them) and the splits with their fractions.  The float families (`elliptic`,
+`plaplace`) build a block of levels at once, `transform_spec` maps a whole
+block, and `_block_failure` validates one.  Specs built from a per-level
+`step_fn` (the rational `det1` and `rank_drop`, custom specs) take the same
+path: their steps are stacked into a block (`_Block.stack`).  `StairStep`,
+mu's `DiscreteMeasure` and `SplittingStep` objects are made only on demand:
+by `StaircaseSpec.step(n)`, and by a truncation's certificate, once per
+level on first use.
 
-`build_truncation` keeps a growing prefix on the spec (scaled good atoms,
-splits, beta_n and the last |A_n|).  A truncation extends it past its current
-length in blocks of `_BLOCK` levels: each block's steps are built one level
-at a time, validated by one stacked check (`_step_failure`), memoized, and
-appended level by level, each after its |A_n| monotonicity check.  A failure
-raises the error that a level-by-level build raises first, and leaves the
-prefix at the last good level.  The truncation then slices the prefix and
-appends the remainder atom beta_N delta_{A_N}.  For a float spec the prefix's
-good atoms are arrays (weights, the point stack, its keys and norms) and the
-truncation is an `_ArrayMeasure`; a rational spec keeps them as `Atom`s with
-exact `Fraction` weights.
+`build_truncation` keeps a growing prefix on the spec (the validated
+blocks, the scaled good atoms, beta_n and the last |A_n|), extends it in
+blocks of `_BLOCK` levels, each level appended after its |A_n| monotonicity
+check, and slices it, appending the remainder atom beta_N delta_{A_N}.  Each
+level is built once per spec: a spec made by `transform_spec` keeps the only
+prefix, and builds and validates its source's blocks without storing them.
+A failure raises the error that a level-by-level build raises first and
+leaves the prefix at the last good level.  A float spec's prefix atoms are
+arrays and its truncation an `_ArrayMeasure`; a rational spec keeps `Atom`s
+with exact `Fraction` weights.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -39,19 +46,24 @@ import numpy as np
 from .errors import PreconditionError, InternalError
 from .matrices import _dots, asmatrix, frob, member
 from .measures import (
+    MASS_SLACK,
     Atom,
+    Certificate,
     DiscreteMeasure,
     SplittingStep,
     TailReport,
     TailRow,
     Weight,
     _ArrayMeasure,
+    _group_sums,
+    _key_groups,
     _seq_sum,
     _split_failure,
+    _split_rows,
     _weight_error,
+    _wadd,
     _wmul,
     mixture,
-    pushforward,
     tail_masses,
 )
 
@@ -82,86 +94,326 @@ class StairStep:
     splits: list[SplittingStep]   # from delta_{A_prev} to omega_n
 
 
+def _offsets(counts) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
+def _first(mask: np.ndarray) -> int:
+    """The index of the first true entry, len(mask) if none."""
+    hit = np.flatnonzero(mask)
+    return int(hit[0]) if hit.size else len(mask)
+
+
+@dataclass
+class _Block:
+    """Consecutive levels n[0], n[1], ... of a staircase as arrays.  Level i
+    has A_prev[i], A_next[i], gamma[i] and mu's mass[i]; mu's atoms are rows
+    mu_off[i]:mu_off[i + 1] of mu_w, mu_pts and mu_keys (merged and sorted
+    by key, as `DiscreteMeasure` holds them), its splits rows
+    sp_off[i]:sp_off[i + 1] of sp_lam and sp_mats (target, left, right).
+    `exact` holds the gammas, mu weights and split fractions as given
+    (`Fraction`s in rational mode); `steps` the `StairStep`s the block was
+    stacked from, whose splits stand in for sp_mats (None until mapped)."""
+
+    n: np.ndarray
+    A_prev: np.ndarray
+    A_next: np.ndarray
+    gamma: np.ndarray
+    mass: np.ndarray
+    mu_off: np.ndarray
+    mu_w: np.ndarray
+    mu_pts: np.ndarray
+    mu_keys: np.ndarray
+    sp_off: np.ndarray
+    sp_lam: np.ndarray
+    sp_mats: np.ndarray | None
+    exact: tuple[list, list, list] | None = None
+    steps: list[StairStep] | None = None
+
+    @staticmethod
+    def stack(steps: Sequence[StairStep]) -> _Block:
+        """The block of validated or unvalidated steps of one matrix shape."""
+        atoms = [a for st in steps for a in st.mu.atoms]
+        splits = [s for st in steps for s in st.splits]
+        A_next = np.array([st.A_next for st in steps], dtype=float)
+        pts = np.array([a.point for a in atoms], dtype=float).reshape(
+            len(atoms), *A_next.shape[1:])
+        return _Block(np.array([st.n for st in steps]),
+                      np.array([st.A_prev for st in steps], dtype=float), A_next,
+                      np.array([float(st.gamma) for st in steps]),
+                      np.array([st.mu.mass for st in steps]),
+                      _offsets([len(st.mu.atoms) for st in steps]),
+                      np.array([float(a.weight) for a in atoms]), pts,
+                      np.round(pts.reshape(len(pts), -1), 12),
+                      _offsets([len(st.splits) for st in steps]),
+                      np.array([float(s.lam) for s in splits]), None,
+                      ([st.gamma for st in steps], [a.weight for a in atoms],
+                       [s.lam for s in splits]), list(steps))
+
+    def __len__(self):
+        return len(self.n)
+
+    def head(self, j: int) -> _Block | None:
+        """The first j levels (None for none)."""
+        if j >= len(self):
+            return self
+        if j == 0:
+            return None
+        a, s = self.mu_off[j], self.sp_off[j]
+        return _Block(self.n[:j], self.A_prev[:j], self.A_next[:j], self.gamma[:j],
+                      self.mass[:j], self.mu_off[:j + 1], self.mu_w[:a], self.mu_pts[:a],
+                      self.mu_keys[:a], self.sp_off[:j + 1], self.sp_lam[:s],
+                      None if self.sp_mats is None else self.sp_mats[:s],
+                      None if self.exact is None else
+                      (self.exact[0][:j], self.exact[1][:a], self.exact[2][:s]),
+                      None if self.steps is None else self.steps[:j])
+
+    def split_mats(self) -> np.ndarray:
+        if self.sp_mats is None:
+            self.sp_mats = np.array([(s.target, s.left, s.right) for st in self.steps
+                                     for s in st.splits], dtype=float).reshape(
+                int(self.sp_off[-1]), 3, *self.A_next.shape[1:])
+        return self.sp_mats
+
+    def split_steps(self, s: int = 0, e: int | None = None) -> list[SplittingStep]:
+        """Splits s..e - 1 (all by default) as `SplittingStep`s."""
+        if self.steps is not None:
+            return [x for st in self.steps for x in st.splits][s:e]
+        lams = self.sp_lam.tolist() if self.exact is None else self.exact[2]
+        return [SplittingStep(*M, lam) for M, lam in zip(self.sp_mats[s:e], lams[s:e])]
+
+    def step(self, i: int) -> StairStep:
+        """Level i as a `StairStep`."""
+        if self.steps is not None:
+            return self.steps[i]
+        a, b = self.mu_off[i], self.mu_off[i + 1]
+        g = float(self.gamma[i]) if self.exact is None else self.exact[0][i]
+        ws = self.mu_w[a:b].tolist() if self.exact is None else self.exact[1][a:b]
+        mu = DiscreteMeasure([Atom(w, P) for w, P in zip(ws, self.mu_pts[a:b])])
+        return StairStep(int(self.n[i]), self.A_prev[i].copy(), self.A_next[i].copy(), mu, g,
+                         self.split_steps(self.sp_off[i], self.sp_off[i + 1]))
+
+
+def _mu_rows(w: np.ndarray, pts: np.ndarray, rows: np.ndarray, k: int,
+             exact: list | None = None):
+    """Each level's mu as `DiscreteMeasure` builds it from atoms in input
+    order (float weights, points, the level of each, and the weights as
+    given when `exact`): equal keys in a level merge into the first point,
+    their weights summed left to right (`_wadd` on exact weights), and the
+    atoms are sorted by key.  Returns the offsets, float weights, points,
+    keys, exact weights and each level's mass, summed left to right."""
+    keys = np.round(pts.reshape(len(pts), -1), 12)
+    order, starts = _key_groups(keys, rows)
+    first = order[starts]
+    if exact is None or len(starts) == len(order):
+        ws = _group_sums(w[order], starts)
+        exact = None if exact is None else [exact[i] for i in order.tolist()]
+    else:
+        merged = []
+        for lo, hi in zip(starts.tolist(), np.append(starts[1:], len(order)).tolist()):
+            acc = exact[order[lo]]
+            for i in order[lo + 1:hi].tolist():
+                acc = _wadd(acc, exact[i])
+            merged.append(acc)
+        exact, ws = merged, np.array([float(v) for v in merged])
+    counts = np.bincount(rows[first], minlength=k)
+    off = _offsets(counts)
+    mass = np.zeros(k)
+    for r in range(counts.max(initial=0)):
+        has = counts > r
+        mass[has] += ws[off[:-1][has] + r]
+    return off, ws, pts[first], keys[first], exact, mass
+
+
+def _block_failure(blk: _Block, tol: float = 1e-9) -> tuple[int, PreconditionError] | None:
+    """The first level of a block that fails its checks, as (row, error), or
+    None.
+
+    Per level the checks run in this order: gamma lies in (0,1); mu is a
+    probability measure; each split in turn (`_split_rows` on the block's
+    split stack, or `_split_failure` on the splits of the steps it was
+    stacked from; the error is named after the level and split); the
+    barycenter gamma A_n + (1 - gamma) sum_j w_j B_j of omega_n is within
+    tol * (1 + |A_{n-1}|) of A_{n-1}.  Each check runs on the levels before
+    the first failure so far.  The barycenters are stacks, one per atom
+    count, summed atom by atom in mu's order, with norms from `_dots`
+    (bit-equal to `frob`)."""
+    g, n = blk.gamma, blk.n
+    with np.errstate(all="ignore"):
+        bad_g = ~((0.0 < g) & (g < 1.0))
+        bad = np.flatnonzero(bad_g | (np.abs(blk.mass - 1.0) > 1e-9))
+    stop, err = len(blk), None
+    if bad.size:
+        stop = int(bad[0])
+        err = PreconditionError(f"step {n[stop]}: gamma {float(g[stop])} outside (0,1)"
+                                if bad_g[stop] else
+                                f"step {n[stop]}: mu is not a probability measure")
+    if blk.steps is not None:
+        split = _split_failure([s for st in blk.steps[:stop] for s in st.splits], tol)
+    else:
+        ns = blk.sp_off[stop]
+        split = _split_rows(blk.sp_lam[:ns], blk.sp_mats[:ns], tol,
+                            shown=None if blk.exact is None else blk.exact[2])
+    if split is not None:
+        i = int(np.searchsorted(blk.sp_off, split[0], side="right")) - 1
+        stop = i
+        err = PreconditionError(f"step {n[i]}, split {split[0] - blk.sp_off[i]}: {split[1]}")
+        err.__cause__ = split[1]
+    counts = np.diff(blk.mu_off[:stop + 1])
+    for c in np.flatnonzero(np.bincount(counts)).tolist():   # np.unique imports numpy.ma
+        rows = np.flatnonzero(counts == c)
+        r = len(rows)
+        gs = g[rows][:, None]
+        at = blk.mu_off[rows][:, None] + np.arange(c)
+        pts = blk.mu_pts[at].reshape(r, c, -1)
+        A_prev = blk.A_prev[rows].reshape(r, -1)
+        with np.errstate(all="ignore"):
+            coef = (1.0 - gs) * blk.mu_w[at]
+            bc = gs * blk.A_next[rows].reshape(r, -1)
+            for j in range(c):
+                bc = bc + coef[:, j, None] * pts[:, j]
+            off = bc - A_prev
+            far = (np.sqrt(_dots(off, off))
+                   > tol * (1.0 + np.sqrt(_dots(A_prev, A_prev))))
+        hit = np.flatnonzero(far)
+        if hit.size and rows[hit[0]] < stop:
+            stop = int(rows[hit[0]])
+            err = PreconditionError(f"step {n[stop]}: omega_n barycenter mismatch")
+    return None if err is None else (stop, err)
+
+
+def _step_failure(steps: Sequence[StairStep],
+                  tol: float = 1e-9) -> tuple[int, PreconditionError] | None:
+    """The first step that fails `_block_failure`'s checks, as (index,
+    error), or None: the steps stacked into one block per matrix shape."""
+    groups: dict = {}
+    for i, st in enumerate(steps):
+        groups.setdefault(np.shape(st.A_next), []).append(i)
+    out = None
+    for rows in groups.values():
+        bad = _block_failure(_Block.stack([steps[i] for i in rows]), tol)
+        if bad is not None and (out is None or rows[bad[0]] < out[0]):
+            out = rows[bad[0]], bad[1]
+    return out
+
+
+def _validate_step(st: StairStep, tol: float = 1e-9) -> None:
+    """The one-step case of `_step_failure`."""
+    bad = _step_failure([st], tol)
+    if bad is not None:
+        raise bad[1]
+
+
+BlockFn = Callable[[int, int], "tuple[_Block | None, Exception | None]"]
+
+
+def _stepwise(step_fn: Callable[[int], StairStep]) -> BlockFn:
+    """A block builder from a per-level one: one `step_fn` call per level up
+    to the first that raises, stacked; that exception is the error."""
+    def block_fn(lo: int, hi: int):
+        steps, err = [], None
+        for n in range(lo, hi + 1):
+            try:
+                steps.append(step_fn(n))
+            except Exception as exc:
+                err = exc
+                break
+        return (_Block.stack(steps) if steps else None), err
+    return block_fn
+
+
 class StaircaseSpec:
     """Lazily evaluated staircase laminate; step(n) is memoized and validated.
 
-    `step_fn(n)` builds level n.  A spec with a `source` (see
-    `transform_spec`) builds no level itself: `step_fn(st)` maps the
-    source's validated step st to this spec's step at the same level."""
+    `block_fn(lo, hi)` builds levels lo..hi as a `_Block`, up to the first
+    level whose build fails, and returns it with that failure (None if
+    none).  A spec given a per-level `step_fn(n)` instead builds its blocks
+    by `_stepwise`; a spec given `block_fn` has `step_fn(n)`, the unvalidated
+    level n as a `StairStep`."""
 
     def __init__(self, A0, kind: str, params: dict,
-                 step_fn: Callable[..., StairStep],
-                 target_sets: tuple[str, ...],
+                 step_fn: Callable[[int], StairStep] | None = None,
+                 target_sets: tuple[str, ...] = (),
                  gamma_fn: Callable[[int], float] | None = None,
                  rational: bool = False,
-                 source: StaircaseSpec | None = None):
+                 block_fn: BlockFn | None = None):
         self.A0 = asmatrix(A0)
         self.kind = kind
         self.params = dict(params)
         self.target_sets = tuple(target_sets)
+        if block_fn is None:
+            block_fn = _stepwise(step_fn)
+        else:
+            def step_fn(n: int) -> StairStep:
+                blk, err = block_fn(n, n)
+                if err is not None:
+                    raise err
+                return blk.step(0)
         self._step_fn = step_fn
+        self._block_fn = block_fn
         self._gamma_fn = gamma_fn
         self.rational = rational
-        self._source = source
-        self._memo: dict[int, StairStep] = {}
-        # build_truncation's prefix over levels 1..len(self._levels): per
-        # level the end offsets into the good atoms and the splits, and
-        # beta_n; the splits in level order; |A_n| of the last level; the
-        # good atoms in level order, as `Atom`s in `_atoms` for a rational
-        # spec, else in `_rows` as `_ArrayMeasure`'s input arrays (float
-        # weights, the (k, m, n) point stack, its rounded keys and norms),
-        # one tuple of them per appended block
+        # steps made by `step`; build_truncation's prefix over levels
+        # 1..len(self._levels): per level the end offsets into the good
+        # atoms and the splits, and beta_n; the validated blocks and their
+        # first levels; |A_n| of the last level; the good atoms in level
+        # order, as `Atom`s in `_atoms` for a rational spec, else in `_rows`
+        # as `_ArrayMeasure`'s input arrays (float weights, the (k, m, n)
+        # point stack, its rounded keys and norms), one tuple per block; the
+        # splitting steps made so far for certificates, and their blocks
+        self._loose: dict[int, StairStep] = {}
         self._levels: list[tuple[int, int, Weight]] = []
-        self._splits: list[SplittingStep] = []
+        self._blocks: list[_Block] = []
+        self._starts: list[int] = []
         self._top_norm = -1.0
         self._atoms: list[Atom] = []
         self._rows: list[tuple[np.ndarray, ...]] = []
+        self._cert: list[SplittingStep] = []
+        self._cert_blocks = 0
+
+    @property
+    def _memo(self) -> set[int]:
+        """The levels whose validated steps the spec holds: its prefix, and
+        the levels `step` built past it."""
+        return set(range(1, len(self._levels) + 1)).union(self._loose)
 
     def step(self, n: int) -> StairStep:
         if n < 1:
             raise PreconditionError("staircase levels are 1-indexed")
-        if n not in self._memo:
-            steps, err = self._steps([n])
-            if err is not None:
-                raise err
-            self._memo[n] = steps[0]
-        return self._memo[n]
+        st = self._loose.get(n)
+        if st is None:
+            if n <= len(self._levels):
+                blk, row = self._level(n)
+            else:
+                blk, err = self._build(n, n)
+                if err is not None:
+                    raise err
+                row = 0
+            st = self._loose[n] = blk.step(row)
+        return st
 
-    def _steps(self, levels: Sequence[int]) -> tuple[list[StairStep], Exception | None]:
-        """Validated steps at `levels` (ascending), in level order up to the
-        first level that fails, and that level's error (None if none does).
-        Memo hits are taken as they are.  The other levels are built with
-        one `step_fn` call each (on the source's steps for a transformed
-        spec, built and validated there but not stored), validated by one
-        `_step_failure` call, and not stored.  Within a level the source's
-        build and checks come first, then `step_fn`, then the checks."""
-        todo = [n for n in levels if n not in self._memo]
-        if self._source is None:
-            args, err = todo, None
-        else:
-            args, err = self._source._steps(todo)
-        built = []
-        for i, a in enumerate(args):
-            args[i] = None   # a source step is dropped once mapped
-            try:
-                built.append(self._step_fn(a))
-            except Exception as exc:
-                # raised after the checks below, unless one of them fails
-                # at a lower level of the block first
-                err = exc
-                break
-        bad = _step_failure(built)
-        if bad is not None:
-            del built[bad[0]:]
-            err = bad[1]
-        fresh = iter(built)
-        out = []
-        for n in levels:
-            st = self._memo[n] if n in self._memo else next(fresh, None)
-            if st is None:
-                break
-            out.append(st)
-        return out, err
+    def _level(self, n: int) -> tuple[_Block, int]:
+        """The prefix block holding level n, and its row there."""
+        i = bisect_right(self._starts, n) - 1
+        return self._blocks[i], n - self._starts[i]
+
+    def _build(self, lo: int, hi: int) -> tuple[_Block | None, Exception | None]:
+        """Levels lo..hi built and validated, up to the first level that
+        fails, and that level's error (None if none does); nothing stored.
+        Within a level the build's checks come first, then `_block_failure`."""
+        blk, err = self._block_fn(lo, hi)
+        if blk is not None:
+            bad = _block_failure(blk)
+            if bad is not None:
+                blk, err = blk.head(bad[0]), bad[1]
+        return blk, err
+
+    def _certificate(self, n_splits: int) -> list[SplittingStep]:
+        """The prefix's first n_splits splitting steps, each made once."""
+        while len(self._cert) < n_splits:
+            self._cert.extend(self._blocks[self._cert_blocks].split_steps())
+            self._cert_blocks += 1
+        return self._cert[:n_splits]
 
     def gamma(self, n: int) -> float:
         if self._gamma_fn is not None:
@@ -172,79 +424,31 @@ class StaircaseSpec:
         return any(member(X, s, tol) for s in self.target_sets)
 
 
-def _step_failure(steps: Sequence[StairStep],
-                  tol: float = 1e-9) -> tuple[int, PreconditionError] | None:
-    """The first step that fails its checks, as (index, error), or None.
-
-    Per step the checks run in this order: gamma lies in (0,1); mu is a
-    probability measure; each split in turn (`_split_failure`, one call over
-    all the steps' splits; its error is named after the step and split);
-    the barycenter gamma A_n + (1 - gamma) sum_j w_j B_j of omega_n is
-    within tol * (1 + |A_{n-1}|) of A_{n-1}.  Each check runs on the steps
-    before the first failure so far.  The barycenters are stacks, one per
-    matrix shape and atom count, summed atom by atom in the order of
-    mu.atoms, with norms from `_dots` (bit-equal to `frob`)."""
-    stop, err = len(steps), None
-    for i, st in enumerate(steps):
-        g = float(st.gamma)
-        if not (0.0 < g < 1.0):
-            stop, err = i, PreconditionError(f"step {st.n}: gamma {g} outside (0,1)")
-            break
-        if abs(st.mu.mass - 1.0) > 1e-9:
-            stop, err = i, PreconditionError(f"step {st.n}: mu is not a probability measure")
-            break
-    owners = [(i, j) for i in range(stop) for j in range(len(steps[i].splits))]
-    bad = _split_failure([s for st in steps[:stop] for s in st.splits], tol)
-    if bad is not None:
-        i, j = owners[bad[0]]
-        stop, err = i, PreconditionError(f"step {steps[i].n}, split {j}: {bad[1]}")
-        err.__cause__ = bad[1]
-    groups: dict = {}
-    for i in range(stop):
-        groups.setdefault((np.shape(steps[i].A_next), len(steps[i].mu.atoms)),
-                          []).append(i)
-    for (shape, n_atoms), rows in groups.items():
-        k, size = len(rows), math.prod(shape)
-        gs = [float(steps[i].gamma) for i in rows]
-        # per step: gamma, (1 - gamma) w_j per atom; A_{n-1}, A_n, the points
-        coef = np.array([[g] + [(1.0 - g) * float(a.weight) for a in steps[i].mu.atoms]
-                         for g, i in zip(gs, rows)])
-        mats = np.array([[steps[i].A_prev, steps[i].A_next]
-                         + [a.point for a in steps[i].mu.atoms] for i in rows],
-                        dtype=float).reshape(k, n_atoms + 2, size)
-        with np.errstate(all="ignore"):
-            bc = coef[:, :1] * mats[:, 1]
-            for j in range(1, n_atoms + 1):
-                bc = bc + coef[:, j, None] * mats[:, j + 1]
-            off = bc - mats[:, 0]
-            far = (np.sqrt(_dots(off, off))
-                   > tol * (1.0 + np.sqrt(_dots(mats[:, 0], mats[:, 0]))))
-        hit = np.flatnonzero(far)
-        if hit.size and rows[hit[0]] < stop:
-            stop = rows[hit[0]]
-            err = PreconditionError(f"step {steps[stop].n}: omega_n barycenter mismatch")
-    return None if err is None else (stop, err)
-
-
-def _validate_step(st: StairStep, tol: float = 1e-9) -> None:
-    """The one-step case of `_step_failure`."""
-    bad = _step_failure([st], tol)
-    if bad is not None:
-        raise bad[1]
-
-
 def betas(spec: StaircaseSpec, N: int) -> list[Weight]:
-    """[beta_1, ..., beta_N], exact in rational mode."""
-    out: list[Weight] = []
-    acc: Weight = Fraction(1) if spec.rational else 1.0
-    for n in range(1, N + 1):
-        g = spec.step(n).gamma
+    """[beta_1, ..., beta_N], exact in rational mode: read off the prefix as
+    far as it reaches, then from the levels past it (the same product)."""
+    out: list[Weight] = [lv[2] for lv in spec._levels[:N]]
+    acc: Weight = out[-1] if out else (Fraction(1) if spec.rational else 1.0)
+    for st in _walk(spec, len(out) + 1, N):
+        g = st.gamma
         if isinstance(acc, Fraction) and isinstance(g, Fraction):
             acc = acc * g
         else:
             acc = float(acc) * float(g)
         out.append(acc)
     return out
+
+
+def _walk(spec: StaircaseSpec, lo: int, hi: int):
+    """The validated steps of levels lo..hi in order, built a block at a time
+    and not kept; a failing level raises its error where a level-by-level
+    `step(n)` would."""
+    for start in range(lo, hi + 1, _BLOCK):
+        blk, err = spec._build(start, min(hi, start + _BLOCK - 1))
+        for i in range(0 if blk is None else len(blk)):
+            yield blk.step(i)
+        if err is not None:
+            raise err
 
 
 def log_betas(spec: StaircaseSpec, N: int) -> np.ndarray:
@@ -261,26 +465,41 @@ def beta_slope(spec: StaircaseSpec, n_min: int, n_max: int) -> float:
     return float(np.polyfit(np.log(ns[sel]), lb[sel], 1)[0])
 
 
-def build_truncation(spec: StaircaseSpec, N: int) -> DiscreteMeasure:
-    """nu^N, sliced from the spec's prefix.  Levels past the prefix are
-    built and validated in blocks of `_BLOCK` (`StaircaseSpec._steps`),
-    then memoized and appended by `_append_levels` up to the first failing
-    level, whose error is raised."""
-    if N < 1:
-        raise PreconditionError("need N >= 1")
+def _grow(spec: StaircaseSpec, N: int) -> Exception | None:
+    """Extend the prefix to N levels in blocks of `_BLOCK`, each built and
+    validated (`StaircaseSpec._build`) and appended (`_append_levels`) up to
+    the first failing level.  Returns that level's error, or None."""
     while len(spec._levels) < N:
         lo = len(spec._levels) + 1
-        steps, err = spec._steps(range(lo, min(N, lo + _BLOCK - 1) + 1))
-        bad = _append_levels(spec, steps)
-        for st in steps if bad is None else steps[:bad[0]]:
-            spec._memo[st.n] = st
-        if bad is not None:
-            raise bad[1]
+        blk, err = spec._build(lo, min(N, lo + _BLOCK - 1))
+        if blk is not None:
+            err = _append_levels(spec, blk) or err
         if err is not None:
+            return err
+    return None
+
+
+def remainder(spec: StaircaseSpec, N: int, ahead: int = 0) -> tuple[Weight, np.ndarray]:
+    """(beta_N, A_N), read off the prefix.  A prefix shorter than N grows
+    first, to N + `ahead` levels; a failing level past N stops it there, and
+    its error is raised once a call asks for that level."""
+    if len(spec._levels) < N:
+        err = _grow(spec, N + ahead)
+        if len(spec._levels) < N:
             raise err
-    n_atoms, n_splits, beta = spec._levels[N - 1]
-    rest = Atom(beta, spec.step(N).A_next)
-    cert = spec._splits[:n_splits]
+    blk, row = spec._level(N)
+    return spec._levels[N - 1][2], blk.A_next[row]
+
+
+def build_truncation(spec: StaircaseSpec, N: int) -> DiscreteMeasure:
+    """nu^N, sliced from the spec's prefix (grown to N levels first), with a
+    certificate made on first use."""
+    if N < 1:
+        raise PreconditionError("need N >= 1")
+    beta, A_N = remainder(spec, N)
+    n_atoms, n_splits, _ = spec._levels[N - 1]
+    rest = Atom(beta, A_N)
+    cert = Certificate(n_splits, lambda: spec._certificate(n_splits))
     if spec.rational:
         return DiscreteMeasure(spec._atoms[:n_atoms] + [rest], cert)
     cols = []
@@ -294,50 +513,62 @@ def build_truncation(spec: StaircaseSpec, N: int) -> DiscreteMeasure:
     return _ArrayMeasure(*(np.concatenate(col) for col in zip(*cols)), cert)
 
 
-def _append_levels(spec: StaircaseSpec,
-                   steps: list[StairStep]) -> tuple[int, PreconditionError] | None:
-    """Append validated steps to the prefix, level by level: the |A_n|
+def _append_levels(spec: StaircaseSpec, blk: _Block) -> PreconditionError | None:
+    """Append a validated block to the prefix, level by level: the |A_n|
     monotonicity check, then the good atoms' weights beta_{n-1} (1 - gamma_n) w
     (`Atom.scaled`'s product, exact when both factors are `Fraction`s), each
-    checked positive.  Returns the first failure as (index, error), else
-    None; the levels before it are appended either way."""
-    levels = spec._levels
-    beta = levels[-1][2] if levels else (Fraction(1) if spec.rational else 1.0)
+    checked positive.  Returns the first failure's error, else None; the
+    levels before it are appended either way."""
+    k, levels = len(blk), spec._levels
+    beta0 = levels[-1][2] if levels else (Fraction(1) if spec.rational else 1.0)
     n_atoms, n_splits = levels[-1][:2] if levels else (0, 0)
-    top, new, good, weights, splits, bad = spec._top_norm, [], [], [], [], None
-    for i, st in enumerate(steps):
-        nrm = frob(st.A_next)
-        if nrm < top - 1e-9:
-            bad = i, PreconditionError(f"|A_n| not non-decreasing at level {st.n}")
-            break
-        g = st.gamma
-        if isinstance(beta, Fraction) and isinstance(g, Fraction):
-            good_w: Weight = beta * (1 - g)
-            beta_n: Weight = beta * g
-        else:
-            good_w = float(beta) * (1.0 - float(g))
-            beta_n = float(beta) * float(g)
-        ws = [_wmul(a.weight, good_w) for a in st.mu.atoms]
-        low = next((w for w in ws if not float(w) > 0.0), None)
-        if low is not None:
-            bad = i, _weight_error(low)
-            break
-        good.extend(st.mu.atoms)
-        weights.extend(ws)
-        splits.extend(st.splits)
-        beta, top = beta_n, nrm
-        new.append((n_atoms + len(weights), n_splits + len(splits), beta))
+    flat = blk.A_next.reshape(k, -1)
+    norms = np.sqrt(_dots(flat, flat))
+    with np.errstate(all="ignore"):
+        stop = _first(norms < np.append(spec._top_norm, norms[:-1]) - 1e-9)
+    err = (PreconditionError(f"|A_n| not non-decreasing at level {blk.n[stop]}")
+           if stop < k else None)
     if spec.rational:
-        spec._atoms.extend(a._reweighted(w) for a, w in zip(good, weights))
-    elif good:
-        stack = np.stack([a.point for a in good])
-        flat = stack.reshape(len(stack), -1)
-        spec._rows.append((np.array(weights), stack, np.round(flat, 12),
-                           np.sqrt(_dots(flat, flat))))
-    spec._splits.extend(splits)
-    levels.extend(new)
-    spec._top_norm = top
-    return bad
+        gs, ws, weights, bs, beta = blk.exact[0], blk.exact[1], [], [], beta0
+        for i in range(stop):
+            g = gs[i]
+            if isinstance(beta, Fraction) and isinstance(g, Fraction):
+                good_w: Weight = beta * (1 - g)
+                beta_n: Weight = beta * g
+            else:
+                good_w = float(beta) * (1.0 - float(g))
+                beta_n = float(beta) * float(g)
+            new = [_wmul(w, good_w) for w in ws[blk.mu_off[i]:blk.mu_off[i + 1]]]
+            low = next((w for w in new if not float(w) > 0.0), None)
+            if low is not None:
+                stop, err = i, _weight_error(low)
+                break
+            weights.extend(new)
+            beta = beta_n
+            bs.append(beta)
+        spec._atoms.extend(Atom(w, P) for w, P in zip(weights, blk.mu_pts))
+    else:
+        with np.errstate(all="ignore"):
+            bs = np.multiply.accumulate(np.append(float(beta0), blk.gamma))
+            weights = blk.mu_w * np.repeat(bs[:-1] * (1.0 - blk.gamma), np.diff(blk.mu_off))
+        low = np.flatnonzero(~(weights > 0.0))
+        if low.size:
+            i = int(np.searchsorted(blk.mu_off, low[0], side="right")) - 1
+            if i < stop:
+                stop, err = i, _weight_error(float(weights[low[0]]))
+        bs = bs[1:stop + 1].tolist()
+        a = blk.mu_off[stop]
+        if a:
+            pts = blk.mu_pts[:a].reshape(a, -1)
+            spec._rows.append((weights[:a], blk.mu_pts[:a], blk.mu_keys[:a],
+                               np.sqrt(_dots(pts, pts))))
+    if stop:
+        spec._starts.append(len(levels) + 1)
+        spec._blocks.append(blk.head(stop))
+        levels.extend(zip((n_atoms + blk.mu_off[1:stop + 1]).tolist(),
+                          (n_splits + blk.sp_off[1:stop + 1]).tolist(), bs))
+        spec._top_norm = float(norms[stop - 1])
+    return err
 
 
 @dataclass
@@ -373,8 +604,7 @@ def check_hypotheses(spec: StaircaseSpec, p: float, N: int, c: float, c0: float,
         raise PreconditionError("constants must be positive with c > 1")
     rows = []
     beta = 1.0
-    for n in range(1, N + 1):
-        st = spec.step(n)
+    for n, st in enumerate(_walk(spec, 1, N), start=1):
         beta *= float(st.gamma)
         a_prev = frob(st.A_prev)
         a_n = frob(st.A_next)
@@ -502,6 +732,59 @@ def _rank_drop_spec(params: dict) -> StaircaseSpec:
                          gamma_fn=lambda n: float(gamma), rational=rational)
 
 
+def _two_split_block(n0: int, A_prev, B1, C, B2, A_next, a1: np.ndarray,
+                     l2: np.ndarray) -> tuple[_Block | None, Exception | None]:
+    """Levels n0, n0 + 1, ... that split delta_{A_{n-1}} into a1 B1 + (1 - a1) C
+    and C into l2 B2 + (1 - l2) A_n, so gamma = (1 - a1)(1 - l2) and
+    mu = (a1 delta_B1 + (1 - a1) l2 delta_B2) / (1 - gamma).  Each matrix is
+    diagonal, given as its two diagonals (arrays over the levels).  The block
+    ends before the lowest level whose per-level construction fails, with its
+    error: a non-finite split matrix, then 1 - gamma == 0 (the
+    `ZeroDivisionError` of Python's division), then an atom weight not > 0,
+    then mu's mass above 1."""
+    k = len(a1)
+    mats = np.zeros((k, 5, 2, 2))
+    for j, (d0, d1) in enumerate((A_prev, B1, C, B2, A_next)):
+        mats[:, j, 0, 0], mats[:, j, 1, 1] = d0, d1
+    with np.errstate(all="ignore"):
+        gamma = (1.0 - a1) * (1.0 - l2)
+        w = np.stack([a1 / (1.0 - gamma), (1.0 - a1) * l2 / (1.0 - gamma)], axis=1)
+    non_finite = ~np.isfinite(mats).all(axis=(1, 2, 3))
+    w_bad = ~(w > 0.0)
+    # mu is made (its keys rounded, which may warn) only up to the first
+    # level that fails before it, as level by level
+    m = _first(non_finite | (gamma == 1.0) | w_bad.any(axis=1))
+    err: Exception | None = None
+    if m < k and non_finite[m]:
+        err = PreconditionError("matrix has non-finite entries")
+    elif m < k and gamma[m] == 1.0:
+        err = ZeroDivisionError("float division by zero")
+    elif m < k:
+        err = _weight_error(float(w[m, np.argmax(w_bad[m])]))
+    if m == 0:
+        return None, err
+    off, mu_w, pts, keys, _, mass = _mu_rows(w[:m].ravel(), mats[:m, [1, 3]].reshape(2 * m, 2, 2),
+                                             np.arange(m).repeat(2), m)
+    blk = _Block(np.arange(n0, n0 + m), mats[:m, 0], mats[:m, 4], gamma[:m], mass, off,
+                 mu_w, pts, keys, np.arange(0, 2 * m + 1, 2),
+                 np.stack([a1[:m], l2[:m]], axis=1).ravel(),
+                 mats[:m, [0, 1, 2, 2, 3, 4]].reshape(2 * m, 3, 2, 2))
+    heavy = _first(mass > 1.0 + MASS_SLACK * np.maximum(1, np.diff(off)))
+    if heavy < m:
+        return blk.head(heavy), PreconditionError(f"total mass {float(mass[heavy])} exceeds 1")
+    return blk, err
+
+
+def _xs(x0: float, lo: int, hi: int) -> np.ndarray:
+    """x = x0 + (n - 1) for n = lo..hi."""
+    return x0 + np.arange(lo - 1, hi, dtype=float)
+
+
+def _powers(xs: np.ndarray, q: float) -> np.ndarray:
+    """xs ** q, by Python's float power (np.power differs in the last bit)."""
+    return np.array([x ** q for x in xs.tolist()])
+
+
 def _elliptic_spec(params: dict) -> StaircaseSpec:
     K = float(params["K"])
     x0 = float(params.get("x0", 1.0))
@@ -511,34 +794,27 @@ def _elliptic_spec(params: dict) -> StaircaseSpec:
         raise PreconditionError("need start x >= 1")
     kinv = 1.0 / K
 
-    def weights(x: float):
+    def weights(x):
         a1 = 1.0 / (1.0 + x * (1.0 + kinv))
         l2 = 1.0 / ((x + 1.0) * (1.0 + kinv))
         return a1, l2
 
-    def step_fn(n: int) -> StairStep:
-        x = x0 + (n - 1)
-        a1, l2 = weights(x)
-        A_prev = _diag([-x, x])
-        B1 = _diag([-x, -x * kinv])
-        C = _diag([-x, x + 1.0])
-        B2 = _diag([(x + 1.0) * kinv, x + 1.0])
-        A_next = _diag([-(x + 1.0), x + 1.0])
-        splits = [SplittingStep(A_prev, B1, C, a1),
-                  SplittingStep(C, B2, A_next, l2)]
-        gamma = (1.0 - a1) * (1.0 - l2)
-        mu = DiscreteMeasure([Atom(a1 / (1.0 - gamma), B1),
-                              Atom((1.0 - a1) * l2 / (1.0 - gamma), B2)])
-        return StairStep(n, A_prev, A_next, mu, gamma, splits)
+    def block_fn(lo: int, hi: int):
+        with np.errstate(all="ignore"):   # Python's float arithmetic does not warn
+            x = _xs(x0, lo, hi)
+            x1 = x + 1.0
+            a1, l2 = weights(x)
+            diags = (-x, x), (-x, -x * kinv), (-x, x1), (x1 * kinv, x1), (-x1, x1)
+        return _two_split_block(lo, *diags, a1, l2)
 
     def gamma_fn(n: int) -> float:
         x = x0 + (n - 1)
         a1, l2 = weights(x)
         return (1.0 - a1) * (1.0 - l2)
 
-    return StaircaseSpec(_diag([-x0, x0]), "elliptic", params, step_fn,
+    return StaircaseSpec(_diag([-x0, x0]), "elliptic", params,
                          target_sets=(f"E:{K!r}", f"E:{kinv!r}"),
-                         gamma_fn=gamma_fn)
+                         gamma_fn=gamma_fn, block_fn=block_fn)
 
 
 def _plaplace_spec(params: dict) -> StaircaseSpec:
@@ -553,33 +829,25 @@ def _plaplace_spec(params: dict) -> StaircaseSpec:
         raise PreconditionError("need start x >= 1")
     q = p - 1.0
 
-    def weights(x: float):
-        a1 = ((x + 1.0) ** q - x ** q) / ((b * x) ** q + (x + 1.0) ** q)
-        l2 = b / ((b + 1.0) * (x + 1.0))
-        return a1, l2
-
-    def step_fn(n: int) -> StairStep:
-        x = x0 + (n - 1)
-        a1, l2 = weights(x)
-        A_prev = _diag([b * x, -(x ** q)])
-        B1 = _diag([b * x, (b * x) ** q])
-        C = _diag([b * x, -((x + 1.0) ** q)])
-        B2 = _diag([-(x + 1.0), -((x + 1.0) ** q)])
-        A_next = _diag([b * (x + 1.0), -((x + 1.0) ** q)])
-        splits = [SplittingStep(A_prev, B1, C, a1),
-                  SplittingStep(C, B2, A_next, l2)]
-        gamma = (1.0 - a1) * (1.0 - l2)
-        mu = DiscreteMeasure([Atom(a1 / (1.0 - gamma), B1),
-                              Atom((1.0 - a1) * l2 / (1.0 - gamma), B2)])
-        return StairStep(n, A_prev, A_next, mu, gamma, splits)
+    def block_fn(lo: int, hi: int):
+        with np.errstate(all="ignore"):   # Python's float arithmetic does not warn
+            x = _xs(x0, lo, hi)
+            x1, bx = x + 1.0, b * x
+            xq, x1q, bxq = _powers(x, q), _powers(x1, q), _powers(bx, q)
+            a1 = (x1q - xq) / (bxq + x1q)
+            l2 = b / ((b + 1.0) * x1)
+            diags = (bx, -xq), (bx, bxq), (bx, -x1q), (-x1, -x1q), (b * x1, -x1q)
+        return _two_split_block(lo, *diags, a1, l2)
 
     def gamma_fn(n: int) -> float:
         x = x0 + (n - 1)
-        a1, l2 = weights(x)
+        a1 = ((x + 1.0) ** q - x ** q) / ((b * x) ** q + (x + 1.0) ** q)
+        l2 = b / ((b + 1.0) * (x + 1.0))
         return (1.0 - a1) * (1.0 - l2)
 
-    return StaircaseSpec(_diag([b * x0, -(x0 ** q)]), "plaplace", params, step_fn,
-                         target_sets=(f"Kp:{p!r}",), gamma_fn=gamma_fn)
+    return StaircaseSpec(_diag([b * x0, -(x0 ** q)]), "plaplace", params,
+                         target_sets=(f"Kp:{p!r}",), gamma_fn=gamma_fn,
+                         block_fn=block_fn)
 
 
 _FAMILIES = {
@@ -619,23 +887,61 @@ class LinMap:
         return LinMap(self.U @ inner.U, inner.V @ self.V, self.s * inner.s)
 
 
+def _map_block(blk: _Block, T: LinMap) -> tuple[_Block | None, Exception | None]:
+    """The block's levels pushed forward by T, matrices as one stack (a
+    stacked s * (U @ X @ V) is bit-equal to `LinMap.__call__` per matrix),
+    mu's atoms merged and re-sorted by their new keys as `pushforward` does.
+    The block ends before the lowest level whose per-level pushforward
+    fails: a non-finite atom, then mu's mass above 1, then a non-finite
+    split matrix."""
+    k, a = len(blk), len(blk.mu_w)
+    sp = blk.split_mats()
+    with np.errstate(all="ignore"):
+        out = T(np.concatenate([blk.A_prev, blk.A_next, blk.mu_pts,
+                                sp.reshape(-1, *sp.shape[2:])]))
+    pts, sp_mats = out[2 * k:2 * k + a], out[2 * k + a:].reshape(len(sp), 3, *out.shape[1:])
+    mu_rows, sp_rows = (np.arange(k).repeat(np.diff(off)) for off in (blk.mu_off, blk.sp_off))
+    atom_bad = np.bincount(mu_rows, ~np.isfinite(pts).reshape(a, -1).all(axis=1),
+                           minlength=k) > 0
+    split_bad = np.bincount(sp_rows, ~np.isfinite(sp_mats).reshape(len(sp), -1).all(axis=1),
+                            minlength=k) > 0
+    f = _first(atom_bad | split_bad)
+    err = None if f == k else PreconditionError("matrix has non-finite entries")
+    # mu is merged (its keys rounded, which may warn) up to level f, and at
+    # f too when its atoms are finite, as `pushforward` does level by level
+    m = f if f < k and atom_bad[f] else min(f + 1, k)
+    if m == 0:
+        return None, err
+    na, ns = blk.mu_off[m], blk.sp_off[m]
+    off, mu_w, pts, keys, exact_w, mass = _mu_rows(
+        blk.mu_w[:na], pts[:na], mu_rows[:na], m, None if blk.exact is None else blk.exact[1][:na])
+    res = _Block(blk.n[:m], out[:m], out[k:k + m], blk.gamma[:m], mass, off, mu_w, pts, keys,
+                 blk.sp_off[:m + 1], blk.sp_lam[:ns], sp_mats[:ns],
+                 None if blk.exact is None else (blk.exact[0][:m], exact_w, blk.exact[2][:ns]))
+    heavy = _first(mass > 1.0 + MASS_SLACK * np.maximum(1, np.diff(off)))
+    if heavy < m:
+        return res.head(heavy), PreconditionError(f"total mass {float(mass[heavy])} exceeds 1")
+    return res.head(f), err
+
+
 def transform_spec(spec: StaircaseSpec, T: LinMap,
                    target_sets: tuple[str, ...] | None = None) -> StaircaseSpec:
-    """Pushforward of a staircase spec under a rank-one preserving linear map."""
+    """Pushforward of a staircase spec under a rank-one preserving linear map.
+    Only the returned spec keeps a prefix: its source's blocks are built and
+    validated, mapped by `_map_block`, then dropped."""
 
-    def step_fn(st: StairStep) -> StairStep:
-        # only the returned spec keeps a memo: its source's steps are built
-        # and validated, mapped here, then dropped
-        mu = pushforward(st.mu, T)
-        splits = [SplittingStep(T(s.target), T(s.left), T(s.right), s.lam)
-                  for s in st.splits]
-        return StairStep(st.n, T(st.A_prev), T(st.A_next), mu, st.gamma, splits)
+    def block_fn(lo: int, hi: int):
+        src, err = spec._build(lo, hi)
+        if src is None:
+            return None, err
+        out, bad = _map_block(src, T)
+        return out, bad or err
 
-    return StaircaseSpec(T(spec.A0), spec.kind, spec.params, step_fn,
+    return StaircaseSpec(T(spec.A0), spec.kind, spec.params,
                          target_sets=target_sets if target_sets is not None
                          else spec.target_sets,
                          gamma_fn=spec._gamma_fn, rational=spec.rational,
-                         source=spec)
+                         block_fn=block_fn)
 
 
 # --- extended measures ------------------------------------------------------------
@@ -659,12 +965,13 @@ class ExtendedMeasure:
         if atoms:
             parts.append((1.0, DiscreteMeasure.from_stack(
                 [a.weight for a in atoms], [a.point for a in atoms])))
-        cert = list(self.root_certificate)
+        certs = [self.root_certificate]
         for w, sp in self.tails:
             nu = build_truncation(sp, N)
             parts.append((w, nu))
-            cert.extend(nu.certificate or ())
-        return mixture(parts, cert)
+            certs.append(nu.certificate)
+        return mixture(parts, Certificate(sum(map(len, certs)),
+                                          lambda: [s for c in certs for s in c]))
 
     def residual_mass(self, N: int) -> float:
         total = 0.0

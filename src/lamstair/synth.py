@@ -1037,13 +1037,13 @@ def realize_staircase(spec, N: int, domain: OBox, A=None, b=0.0,
     fractions stay within factor e^eta of the truncation weights, the error
     cells keep their s-moment below eta * vol, and the remainder gradient is
     carried by inductive cells of total volume about beta_N * vol."""
-    from .staircase import build_truncation
+    from .staircase import build_truncation, remainder
     if not 0.0 < eta < 1.0:
         raise PreconditionError("need eta in (0,1)")
     if A is not None and frob(asmatrix(A) - spec.A0) > 1e-9 * (1.0 + frob(spec.A0)):
         raise PreconditionError("seed differs from the staircase root")
     nu = build_truncation(spec, N)
-    AN = spec.step(N).A_next
+    AN = remainder(spec, N)[1]
 
     def leaf_fn(G):
         if frob(G - AN) <= 1e-9 * (1.0 + frob(AN)):
@@ -1062,9 +1062,10 @@ def realize_extended(ext, domain: OBox | None = None, delta: float = 0.05,
     become inductive cells."""
     if domain is None:
         domain = box((0.0, 0.0), (1.0, 1.0))
+    from .staircase import remainder
     eps = min(float(delta), 0.5)
     nu = ext.truncate(depth)
-    remainders = [sp.step(depth).A_next for _, sp in ext.tails]
+    remainders = [remainder(sp, depth)[1] for _, sp in ext.tails]
 
     def leaf_fn(G):
         for R in remainders:

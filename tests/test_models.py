@@ -175,35 +175,37 @@ class TestPlapOutputs:
         assert plap_digests(run_plap(p, N)) == PLAP_REFERENCE["cases"][f"p={p!r},N={N}"]
 
     def test_each_level_built_once(self, monkeypatch):
-        # criterion 13 truncates each staircase 14 times; every level's step
-        # is still built once per spec and validated twice (inner step and
-        # transformed step, each in the stacked check of its block of
-        # levels), and only the transformed spec keeps a memo
+        # criterion 13 truncates each staircase 14 times; every level is
+        # still built once per spec (a row of a block: the source's rows by
+        # the family's block builder, the transformed spec's by mapping
+        # them) and validated twice (in the stacked check of each block),
+        # and only the transformed spec keeps its levels
         N = 10_000
-        calls = {}
+        built = {}
         validated = [0]
-        init, check = sc.StaircaseSpec.__init__, sc._step_failure
+        init, check = sc.StaircaseSpec.__init__, sc._block_failure
 
-        def counting_init(spec, A0, kind, params, step_fn, *args, **kwargs):
-            calls[spec] = 0
+        def counting_init(spec, *args, block_fn=None, **kwargs):
+            built[spec] = 0
 
-            def counted(n):
-                calls[spec] += 1
-                return step_fn(n)
+            def counted(lo, hi):
+                blk, err = block_fn(lo, hi)
+                built[spec] += 0 if blk is None else len(blk)
+                return blk, err
 
-            init(spec, A0, kind, params, counted, *args, **kwargs)
+            init(spec, *args, block_fn=counted, **kwargs)
 
-        def counting_check(steps, *args, **kwargs):
-            validated[0] += len(steps)
-            return check(steps, *args, **kwargs)
+        def counting_check(blk, *args, **kwargs):
+            validated[0] += len(blk)
+            return check(blk, *args, **kwargs)
 
         monkeypatch.setattr(sc.StaircaseSpec, "__init__", counting_init)
-        monkeypatch.setattr(sc, "_step_failure", counting_check)
+        monkeypatch.setattr(sc, "_block_failure", counting_check)
         res = run_plap(1.5, N)
         outer = [sp for _, sp in res.extended.tails]
-        inner = [sp for sp in calls if sp not in outer]
+        inner = [sp for sp in built if sp not in outer]
         assert len(outer) == len(inner) == 1
-        assert list(calls.values()) == [N, N]
+        assert list(built.values()) == [N, N]
         assert validated[0] == 2 * N
         assert not inner[0]._memo and len(outer[0]._memo) == N
 

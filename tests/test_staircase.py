@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -309,13 +310,15 @@ class TestPrefixCache:
     def test_repeated_truncations_share_points(self):
         # repeated truncations slice one array prefix, which is not rebuilt
         spec = FAMILIES["plaplace"]()
-        built, step_fn = [], spec._step_fn
-        spec._step_fn = lambda n: built.append(n) or step_fn(n)
+        built, block_fn = [], spec._block_fn
+        spec._block_fn = lambda lo, hi: built.extend(range(lo, hi + 1)) or block_fn(lo, hi)
         sc.build_truncation(spec, 12)
         blocks = [tuple(map(id, rows)) for rows in spec._rows]
+        levels = list(map(id, spec._blocks))
         b = sc.build_truncation(spec, 5)
         assert built == list(range(1, 13)) and len(spec._levels) == 12
         assert [tuple(map(id, rows)) for rows in spec._rows] == blocks
+        assert list(map(id, spec._blocks)) == levels
         # every atom of b but the remainder is a row of the prefix's stack
         stack = spec._rows[0][1][:spec._levels[4][0]]
         rest = spec.step(5).A_next.tobytes()
@@ -539,3 +542,350 @@ def test_fault_past_n_is_not_reached():
     outer = sc.transform_spec(inner, ROT)
     assert len(sc.build_truncation(outer, K - 1)) > 0
     assert len(outer._levels) == K - 1 and not inner._memo
+
+
+# ---------------------------------------------------------------------------
+# block-built float levels against the per-level builders they replaced
+
+
+def ref_plaplace_step(p, b, x0=1.0, fault=None):
+    """The `plaplace` step_fn before block building; `fault(n, mats)` may
+    change level n's matrices (a dict of diagonals) before they are used."""
+    q = p - 1.0
+
+    def step_fn(n):
+        x = x0 + (n - 1)
+        a1 = ((x + 1.0) ** q - x ** q) / ((b * x) ** q + (x + 1.0) ** q)
+        l2 = b / ((b + 1.0) * (x + 1.0))
+        d = {"A_prev": [b * x, -(x ** q)], "B1": [b * x, (b * x) ** q],
+             "C": [b * x, -((x + 1.0) ** q)], "B2": [-(x + 1.0), -((x + 1.0) ** q)],
+             "A_next": [b * (x + 1.0), -((x + 1.0) ** q)]}
+        if fault is not None:
+            fault(n, d)
+        return two_split_step(n, d, a1, l2)
+
+    return step_fn
+
+
+def ref_elliptic_step(K, x0=1.0, fault=None):
+    """The `elliptic` step_fn before block building."""
+    kinv = 1.0 / K
+
+    def step_fn(n):
+        x = x0 + (n - 1)
+        a1 = 1.0 / (1.0 + x * (1.0 + kinv))
+        l2 = 1.0 / ((x + 1.0) * (1.0 + kinv))
+        d = {"A_prev": [-x, x], "B1": [-x, -x * kinv], "C": [-x, x + 1.0],
+             "B2": [(x + 1.0) * kinv, x + 1.0], "A_next": [-(x + 1.0), x + 1.0]}
+        if fault is not None:
+            fault(n, d)
+        return two_split_step(n, d, a1, l2)
+
+    return step_fn
+
+
+def two_split_step(n, d, a1, l2):
+    A_prev, B1, C, B2, A_next = (sc._diag(d[k]) for k in ("A_prev", "B1", "C", "B2", "A_next"))
+    splits = [ms.SplittingStep(A_prev, B1, C, a1), ms.SplittingStep(C, B2, A_next, l2)]
+    gamma = (1.0 - a1) * (1.0 - l2)
+    mu = ms.DiscreteMeasure([ms.Atom(a1 / (1.0 - gamma), B1),
+                             ms.Atom((1.0 - a1) * l2 / (1.0 - gamma), B2)])
+    return sc.StairStep(n, A_prev, A_next, mu, gamma, splits)
+
+
+def ref_transform_step(st, T):
+    """The per-level step of `transform_spec` before blocks were mapped."""
+    return sc.StairStep(st.n, T(st.A_prev), T(st.A_next), ms.pushforward(st.mu, T),
+                        st.gamma, [ms.SplittingStep(T(s.target), T(s.left), T(s.right), s.lam)
+                                   for s in st.splits])
+
+
+def weight_bits(w):
+    return type(w), w.hex() if isinstance(w, float) else w
+
+
+def step_bits(st):
+    """Everything a step carries, bit for bit."""
+    mats = lambda *Ms: tuple((M.shape, M.dtype.str, np.asarray(M).tobytes()) for M in Ms)
+    return (type(st.n), st.n, mats(st.A_prev, st.A_next), weight_bits(st.gamma),
+            [(weight_bits(a.weight),) + mats(a.point) for a in st.mu.atoms],
+            st.mu.mass.hex(), st.mu.certificate, type(st.splits),
+            [(weight_bits(s.lam),) + mats(s.target, s.left, s.right) for s in st.splits])
+
+
+def row_bits(blk, i):
+    """step_bits of a block's row i, read off its arrays."""
+    a, b = blk.mu_off[i], blk.mu_off[i + 1]
+    s, e = blk.sp_off[i], blk.sp_off[i + 1]
+    mats = lambda *Ms: tuple((M.shape, M.dtype.str, np.ascontiguousarray(M).tobytes())
+                             for M in Ms)
+    if blk.exact is None:
+        gamma, ws, lams = float(blk.gamma[i]), blk.mu_w[a:b].tolist(), blk.sp_lam[s:e].tolist()
+    else:
+        gamma, ws, lams = blk.exact[0][i], blk.exact[1][a:b], blk.exact[2][s:e]
+    return (type(int(blk.n[i])), int(blk.n[i]), mats(blk.A_prev[i], blk.A_next[i]),
+            weight_bits(gamma),
+            [(weight_bits(w),) + mats(P) for w, P in zip(ws, blk.mu_pts[a:b])],
+            float(blk.mass[i]).hex(), None, list,
+            [(weight_bits(lam),) + mats(*M) for lam, M in zip(lams, blk.sp_mats[s:e])])
+
+
+R = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+FLIP = sc.LinMap(R, np.array([[0.0, -1.0], [-1.0, 0.0]]) @ R.T, -1.75)
+FLOAT_FAMILIES = {
+    "plaplace": (lambda: sc.example_staircase("plaplace", {"p": 1.3, "b": 4.0, "x0": 2.5}),
+                 ref_plaplace_step(1.3, 4.0, 2.5)),
+    "elliptic": (lambda: sc.example_staircase("elliptic", {"K": 2.5, "x0": 1.75}),
+                 ref_elliptic_step(2.5, 1.75)),
+}
+ROW_LEVELS = [1, 511, 512, 513, 10_000]
+
+
+@pytest.mark.parametrize("family", sorted(FLOAT_FAMILIES))
+@pytest.mark.parametrize("moved", [False, True])
+def test_block_rows_match_per_level_steps(family, moved):
+    make, ref = FLOAT_FAMILIES[family]
+    spec = sc.transform_spec(make(), FLIP) if moved else make()
+    want = {n: ref(n) if not moved else ref_transform_step(ref(n), FLIP) for n in ROW_LEVELS}
+    sc.build_truncation(spec, max(ROW_LEVELS))
+    for n in ROW_LEVELS:
+        blk, row = spec._level(n)
+        assert row_bits(blk, row) == step_bits(want[n])
+        assert step_bits(spec.step(n)) == step_bits(want[n])
+    # a level built on its own, past a prefix or without one
+    fresh = sc.transform_spec(make(), FLIP) if moved else make()
+    for n in ROW_LEVELS:
+        assert step_bits(fresh.step(n)) == step_bits(want[n])
+        assert step_bits(fresh._step_fn(n)) == step_bits(want[n])
+
+
+def test_mapped_rational_rows_match_per_level_steps():
+    make = lambda: sc.example_staircase("det1", {"a": [2, -3]})
+    spec = sc.transform_spec(make(), FLIP)
+    sc.build_truncation(spec, 6)
+    src = make()
+    for n in range(1, 7):
+        want = step_bits(ref_transform_step(src.step(n), FLIP))
+        blk, row = spec._level(n)
+        assert row_bits(blk, row) == want and step_bits(spec.step(n)) == want
+
+
+def test_singular_map_merges_atoms_as_pushforward_does():
+    # a rank-one U sends both atoms of an elliptic level to one key
+    T = sc.LinMap(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0)
+    base = sc.example_staircase("elliptic", {"K": 3.0})
+    spec = sc.transform_spec(sc.example_staircase("elliptic", {"K": 3.0}), T)
+    blk, err = spec._block_fn(1, 4)
+    assert err is None
+    for i, n in enumerate(range(1, 5)):
+        want = ref_transform_step(base.step(n), T)
+        assert len(want.mu.atoms) == 1
+        assert row_bits(blk, i) == step_bits(want)
+
+
+def first_error(step_fn, N, T=None):
+    """The message of the first error of a level-by-level build of N levels:
+    build, checks, then (under T) the mapped step and its checks, then the
+    |A_n| check."""
+    top = -1.0
+    for n in range(1, N + 1):
+        try:
+            st = step_fn(n)
+            ref_validate_step(st)
+            if T is not None:
+                st = ref_transform_step(st, T)
+                ref_validate_step(st)
+        except Exception as exc:
+            return str(exc)
+        nrm = frob(st.A_next)
+        if nrm < top - 1e-9:
+            return f"|A_n| not non-decreasing at level {n}"
+        top = nrm
+    return None
+
+
+SHRINK = sc.LinMap(np.eye(2), np.eye(2), 0.1)
+
+
+def post_fault(kind, j):
+    """(a change of the per-level step at level j, the same change to the row
+    of a built block): split 1's lam is 1.5, mu's weights halved, or the
+    level scaled by 1/10, so that |A_j| drops."""
+    def on_step(st):
+        if kind == "lam":
+            s = st.splits[1]
+            st.splits[1] = ms.SplittingStep(s.target, s.left, s.right, 1.5)
+        elif kind == "mass":
+            st.mu = ms.DiscreteMeasure([a.scaled(0.5) for a in st.mu.atoms])
+        else:
+            st = ref_transform_step(st, SHRINK)
+        return st
+
+    def on_block(blk):
+        i = j - int(blk.n[0])
+        if not 0 <= i < len(blk):
+            return
+        a, b = blk.mu_off[i], blk.mu_off[i + 1]
+        s, e = blk.sp_off[i], blk.sp_off[i + 1]
+        if kind == "lam":
+            blk.sp_lam[s + 1] = 1.5
+        elif kind == "mass":
+            blk.mu_w[a:b] *= 0.5
+            blk.mass[i] = sum(blk.mu_w[a:b].tolist(), 0.0)
+        else:
+            blk.A_prev[i], blk.A_next[i] = SHRINK(blk.A_prev[i]), SHRINK(blk.A_next[i])
+            blk.mu_pts[a:b], blk.sp_mats[s:e] = SHRINK(blk.mu_pts[a:b]), SHRINK(blk.sp_mats[s:e])
+
+    return on_step, on_block
+
+
+def non_finite_fault(j):
+    """A_{j-1}'s first entry is inf at level j, in both builders."""
+    def on_diags(n, d):
+        if n == j:
+            d["A_prev"][0] = math.inf
+
+    def on_block(n0, A_prev, *rest):
+        if 0 <= j - n0 < len(A_prev[0]):
+            A_prev = (A_prev[0].copy(), A_prev[1])
+            A_prev[0][j - n0] = math.inf
+        return (n0, A_prev) + rest
+
+    return on_diags, on_block
+
+
+FAULTS = ["nonfinite", "lam", "mass", "norm"]
+
+
+def faulted_specs(monkeypatch, family, faults, moved):
+    """(the family's block-built spec, its per-level reference step_fn), both
+    with faults {level: kind}."""
+    post = {j: post_fault(kind, j) for j, kind in faults.items() if kind != "nonfinite"}
+    diag = {j: non_finite_fault(j) for j, kind in faults.items() if kind == "nonfinite"}
+    block = sc._two_split_block
+
+    def two_split_block(*args):
+        for _, on_block in diag.values():
+            args = on_block(*args)
+        return block(*args)
+
+    monkeypatch.setattr(sc, "_two_split_block", two_split_block)
+
+    def on_diags(n, d):
+        for f, _ in diag.values():
+            f(n, d)
+
+    if family == "plaplace":
+        spec = sc.example_staircase("plaplace", {"p": 1.3, "b": 4.0, "x0": 2.5})
+        base = ref_plaplace_step(1.3, 4.0, 2.5, on_diags)
+    else:
+        spec = sc.example_staircase("elliptic", {"K": 2.5, "x0": 1.75})
+        base = ref_elliptic_step(2.5, 1.75, on_diags)
+    block_fn = spec._block_fn
+
+    def faulted_block_fn(lo, hi):
+        blk, err = block_fn(lo, hi)
+        if blk is not None:
+            for _, on_block in post.values():
+                on_block(blk)
+        return blk, err
+
+    def ref(n):
+        st = base(n)
+        return post[n][0](st) if n in post else st
+
+    spec._block_fn = faulted_block_fn
+    return (sc.transform_spec(spec, FLIP) if moved else spec), ref
+
+
+@pytest.mark.parametrize("family", sorted(FLOAT_FAMILIES))
+@pytest.mark.parametrize("kind", FAULTS)
+@pytest.mark.parametrize("j", [40, sc._BLOCK, sc._BLOCK + 1])
+@pytest.mark.parametrize("moved", [False, True])
+def test_block_faults_raise_the_per_level_error(monkeypatch, family, kind, j, moved):
+    spec, ref = faulted_specs(monkeypatch, family, {j: kind}, moved)
+    msg = first_error(ref, j + 5, FLIP if moved else None)
+    assert msg is not None and (str(j) in msg or kind == "nonfinite")
+    for N in (j + 5, 2 * sc._BLOCK + 7, j):
+        with pytest.raises(Exception) as exc:
+            sc.build_truncation(spec, N)
+        assert str(exc.value) == msg
+        assert len(spec._levels) == j - 1 and sorted(spec._memo) == list(range(1, j))
+    if kind != "norm":   # step(n) alone has no |A_n| check
+        with pytest.raises(Exception) as exc:
+            spec.step(j)
+        assert str(exc.value) == msg
+
+
+@pytest.mark.parametrize("family", sorted(FLOAT_FAMILIES))
+@pytest.mark.parametrize("pair", [("lam", "nonfinite"), ("nonfinite", "mass"),
+                                  ("norm", "lam"), ("mass", "norm")])
+def test_lowest_block_fault_wins(monkeypatch, family, pair):
+    j = sc._BLOCK
+    spec, ref = faulted_specs(monkeypatch, family, {j: pair[0], j + 1: pair[1]}, True)
+    msg = first_error(ref, j + 2, FLIP)
+    with pytest.raises(Exception) as exc:
+        sc.build_truncation(spec, j + 40)
+    assert str(exc.value) == msg and len(spec._levels) == j - 1
+
+
+def test_truncations_make_step_objects_on_demand(monkeypatch):
+    ref = ref_transform_step(ref_plaplace_step(1.3, 4.0, 2.5)(1000), FLIP)
+    made = {"steps": 0, "splits": 0}
+
+    class CountedStep(sc.StairStep):
+        def __init__(self, *args):
+            made["steps"] += 1
+            super().__init__(*args)
+
+    class CountedSplit(ms.SplittingStep):
+        def __post_init__(self):
+            made["splits"] += 1
+            super().__post_init__()
+
+    monkeypatch.setattr(sc, "StairStep", CountedStep)
+    monkeypatch.setattr(sc, "SplittingStep", CountedSplit)
+    spec = sc.transform_spec(FLOAT_FAMILIES["plaplace"][0](), FLIP)
+    a = sc.build_truncation(spec, 1000)
+    b = sc.build_truncation(spec, 700)
+    assert made == {"steps": 0, "splits": 0} and len(a.certificate) == 2000
+    assert sc.betas(spec, 1000) == [lv[2] for lv in spec._levels] and not spec._loose
+    # the splits are made once per level of the prefix, in whole blocks
+    first = list(b.certificate)
+    assert len(first) == 1400 and made == {"steps": 0, "splits": 2000}
+    assert all(x is y for x, y in zip(a.certificate, first))
+    assert made == {"steps": 0, "splits": 2000}
+    split_bits = lambda s: (weight_bits(s.lam),) + tuple(
+        M.tobytes() for M in (s.target, s.left, s.right))
+    assert [split_bits(s) for s in a.certificate[-2:]] == [split_bits(s) for s in ref.splits]
+    spec.step(1000)
+    assert made == {"steps": 1, "splits": 2002}
+
+
+def test_levels_past_a_build_fault_are_not_made(monkeypatch):
+    # at level 41 an atom is so large that rounding its merge key overflows,
+    # which the test suite's warning filter turns into an error; level 40's
+    # non-finite entry fails first, as in a level-by-level build, which never
+    # makes level 41
+    j = 40
+
+    def on_diags(n, d):
+        if n == j:
+            d["A_prev"][0] = math.inf
+        if n == j + 1:
+            d["B1"][0] = 1e300
+
+    block = sc._two_split_block
+
+    def two_split_block(n0, A_prev, B1, *rest):
+        A_prev, B1 = (A_prev[0].copy(), A_prev[1]), (B1[0].copy(), B1[1])
+        A_prev[0][j - n0], B1[0][j + 1 - n0] = math.inf, 1e300
+        return block(n0, A_prev, B1, *rest)
+
+    monkeypatch.setattr(sc, "_two_split_block", two_split_block)
+    spec = sc.example_staircase("plaplace", {"p": 1.3, "b": 4.0, "x0": 2.5})
+    msg = first_error(ref_plaplace_step(1.3, 4.0, 2.5, on_diags), j + 1)
+    with pytest.raises(PreconditionError) as exc:
+        sc.build_truncation(spec, j + 1)
+    assert str(exc.value) == msg == "matrix has non-finite entries"
+    assert len(spec._levels) == j - 1
