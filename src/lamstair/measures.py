@@ -2,38 +2,36 @@
 
 Weights are kept as exact `Fraction`s whenever every input to a construction is
 rational (the telescoping residual identities are then checked exactly) and as
-floats otherwise.  Atom points are float64 matrices; duplicates are merged on a
-1e-12 quantization grid, which the constructions only hit with exact duplicates.
+floats otherwise.  Atom points are float64 matrices, of one shape per measure;
+duplicates are merged on a 1e-12 quantization grid, which the constructions
+only hit with exact duplicates.
 
-Measures are built and queried in bulk, with the results of the per-atom code:
+One class, `DiscreteMeasure`, holds every measure as arrays in key order:
+a read-only (k, m, n) point stack of one matrix shape, the rounded keys, the
+norms (bit-equal to `frob`) and a float weight column.  When any weight it
+is built from is a `Fraction` it also holds an `exact` object column of the
+weights (`Fraction`s, the rest floats).  `atoms` is a view made on first
+use: one `Atom` per row, its point a row view of the stack.
 
-- One merge rule: atoms with equal keys (Python tuple equality, so
-  -0.0 == 0.0) become one atom at the first one's point, their weights summed
-  left to right in order of appearance; the measure lists them sorted by key.
-- Array state.  `DiscreteMeasure.from_stack(weights, points)`, and `mixture`
-  over such measures, hold a float measure as arrays: a read-only
-  (k, m, n) stack in key order, float weights, norms (bit-equal to `frob`)
-  and the rounded keys, in the subclass `_ArrayMeasure`.  It applies the
-  merge rule to them with a stable lexsort, and fills `_tail_arrays` as it
-  builds.  `atoms` is then a view made on first use: one `Atom` per row, its
-  point a row view of the stack, with key and norm filled in.
-- Float staircase truncations are `_ArrayMeasure`s too, sliced from a
-  prefix of arrays that `staircase.build_truncation` grows; staircase levels
-  merge and sort their atoms as arrays too (`_key_groups` by level).  The
-  list constructor `DiscreteMeasure(atoms)` stays for the per-atom builders
-  (rational truncations, a level's mu made on demand, splits, pushforwards,
-  parsed measures), which carry exact `Fraction` weights in rational mode
-  and build many small measures, where per-call array overhead costs more
-  than it saves.  `mixture` over any part built that way merges atom by
-  atom as well, so rational mode stays exact.
+- One merge rule, in one builder (`DiscreteMeasure._fill`): rows with equal
+  keys (numpy compares -0.0 equal to 0.0, as tuples do) become one row at
+  the first one's point, their weights summed left to right in order of
+  appearance; the rows are sorted by key.  On the object column a
+  `Fraction` and a float add and multiply (`_wmul`) to a float.
+- Every build goes through it: `DiscreteMeasure(atoms)` stacks the atoms,
+  `from_stack` takes float arrays, and `mixture`, `elementary_split`,
+  `pushforward` and the staircase truncations (`staircase.build_truncation`,
+  sliced from a prefix of arrays with the exact column) hand it arrays.
 - A measure's certificate may be a `Certificate`: a sequence whose steps
   are made on first use (a truncation's, or a mixture of them).
+- `find` is one stacked distance over the stack.  `verify_laminate`
+  validates a whole certificate at once, then replays it on the arrays.
 - `_split_rows` checks a stack of splitting steps of one shape with one
   stacked SVD; `_split_failure` runs it on `SplittingStep`s, per shape, and
   `SplittingStep.validate` is its one-split case.
 - `tail_masses(nu, ts)` returns every tail on a t-grid at once: per t the
   weights of the atoms with |X| > t, summed left to right by one `cumsum`
-  over arrays cached on the measure.  `tail_mass` is its one-point case.
+  over the measure's norm and weight columns.  `tail_mass` is its one-point case.
 - `_seq_sum` adds floats left to right, the order of the builtin `sum` up to
   Python 3.11 (3.12 compensates float sums), so totals do not depend on the
   interpreter.
@@ -75,12 +73,6 @@ def _freeze(P: np.ndarray) -> np.ndarray:
     P = np.array(P, dtype=float)
     P.flags.writeable = False
     return P
-
-
-def _wadd(a: Weight, b: Weight) -> Weight:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    return float(a) + float(b)
 
 
 def _wmul(a: Weight, b: Weight) -> Weight:
@@ -137,9 +129,7 @@ class Atom:
         return self._norm
 
     def scaled(self, c: Weight) -> "Atom":
-        return self._reweighted(_wmul(self.weight, c))
-
-    def _reweighted(self, w: Weight) -> "Atom":
+        w = _wmul(self.weight, c)
         if not float(w) > 0.0:
             raise _weight_error(w)
         return Atom._filled(w, self.point, self._key, self._norm)
@@ -284,37 +274,88 @@ def _as_certificate(certificate) -> Sequence[SplittingStep] | None:
     return tuple(certificate)
 
 
+def _objects(values) -> np.ndarray:
+    """A 1-d object array of the values, taken as they are."""
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def _check_weights(w: np.ndarray, exact: np.ndarray | None) -> None:
+    """`_weight_error` for the first weight not > 0, the exact one if any."""
+    ok = w > 0.0
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise _weight_error(float(w[i]) if exact is None else exact[i])
+
+
+def _keyed(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(stack, rounded keys, norms) of a (k, m, n) stack: keys from one
+    `np.round`, norms from one stacked row dot (bit-equal to `frob`)."""
+    flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
+    return stack, flat.round(12), np.sqrt(_dots(flat, flat))
+
+
+def _stacked(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_keyed` of a list of float matrices of one shape, stacked in one copy."""
+    if not len(mats):
+        raise PreconditionError("measure must have at least one atom")
+    shapes = {P.shape for P in mats}
+    if len(shapes) > 1:
+        raise PreconditionError(f"the atoms of a measure need one shape, got {sorted(shapes)}")
+    return _keyed(np.array(mats, dtype=float))
+
+
 class DiscreteMeasure:
-    """Finite atomic (sub-)probability measure with an optional splitting certificate."""
+    """Finite atomic (sub-)probability measure with an optional splitting
+    certificate, held as arrays (see the module docstring)."""
 
     def __init__(self, atoms: Iterable[Atom], certificate: Sequence[SplittingStep] | None = None):
-        merged: dict = {}
-        order: list = []
-        for a in atoms:
-            k = a.key
-            if k in merged:
-                merged[k] = merged[k]._reweighted(_wadd(merged[k].weight, a.weight))
-            else:
-                merged[k] = a
-                order.append(k)
-        # canonical order: sorted by point key, for byte-stable outputs
-        self.atoms: tuple[Atom, ...] = tuple(merged[k] for k in sorted(order))
-        if not self.atoms:
+        """The measure of the atoms: their points stacked, then merged by `_fill`."""
+        atoms = tuple(atoms)
+        ws = [a.weight if isinstance(a.weight, Fraction) else float(a.weight) for a in atoms]
+        self._fill(np.array(ws, dtype=float), _objects(ws), *_stacked([a.point for a in atoms]),
+                   certificate)
+
+    def _fill(self, w: np.ndarray, exact: np.ndarray | None, stack: np.ndarray,
+              keys: np.ndarray, norms: np.ndarray, certificate=None,
+              merged: bool = False) -> None:
+        """The merge, sort and mass check of rows in input order: float
+        weights, the exact column (or None; w holds its floats), a (k, m, n)
+        stack, rounded keys and norms.  Rows with equal keys (`_key_groups`)
+        keep the first one's point and sum their weights (`_merge_weights`).
+        With `merged` the rows are distinct and in key order already, and
+        kept as given, uncopied.  An exact column without a `Fraction` is
+        dropped."""
+        if exact is not None and not any(isinstance(x, Fraction) for x in exact):
+            exact = None
+        _check_weights(w, exact)
+        if not len(w):
             raise PreconditionError("measure must have at least one atom")
-        mass = 0.0
-        for a in self.atoms:
-            mass += float(a.weight)
-        if mass > 1.0 + MASS_SLACK * max(1, len(self.atoms)):
+        first = slice(None)
+        if not merged and len(w) > 1:
+            order, starts = _key_groups(keys)
+            first = order[starts]
+            w, exact = _merge_weights(w, exact, order, starts)
+        mass = float(w.cumsum()[-1])
+        if mass > 1.0 + MASS_SLACK * max(1, len(w)):
             raise PreconditionError(f"total mass {mass} exceeds 1")
+        self._stack = stack[first]
+        self._stack.flags.writeable = False
+        self._keys, self._norms, self._w, self._exact = keys[first], norms[first], w, exact
         self.mass = mass
         self.certificate: Sequence[SplittingStep] | None = _as_certificate(certificate)
 
     @staticmethod
+    def _of(w, exact, stack, keys, norms, certificate=None, merged=False) -> DiscreteMeasure:
+        nu = DiscreteMeasure.__new__(DiscreteMeasure)
+        nu._fill(w, exact, stack, keys, norms, certificate, merged)
+        return nu
+
+    @staticmethod
     def from_stack(weights, points, certificate=None) -> "DiscreteMeasure":
         """DiscreteMeasure([Atom(w, P), ...]) for float weights and a (k, m, n)
-        stack of matrices, built as arrays: one float copy of the stack, one
-        finiteness check, keys from one `np.round`, norms from one stacked row
-        dot (bit-equal to `frob`), then `_ArrayMeasure`'s merge."""
+        stack of matrices, checked finite and copied once."""
         weights = np.array(weights, dtype=float)
         stack = np.array(points, dtype=float)
         if stack.ndim != 3 or len(stack) != len(weights):
@@ -322,29 +363,32 @@ class DiscreteMeasure:
                                     f"got shape {stack.shape}")
         if not np.isfinite(stack).all():
             raise PreconditionError("matrix has non-finite entries")
-        k, m, n = stack.shape
-        flat = stack.reshape(k, m * n)
-        return _ArrayMeasure(weights, stack, np.round(flat, 12),
-                             np.sqrt(_dots(flat, flat)), certificate)
+        return DiscreteMeasure._of(weights, None, *_keyed(stack), certificate)
 
     @cached_property
-    def _tail_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(|point|, float weight) per atom, for repeated tail queries."""
-        return (np.array([a.norm for a in self.atoms]),
-                np.array([float(a.weight) for a in self.atoms]))
+    def atoms(self) -> tuple[Atom, ...]:
+        """One atom per row, its point a row view of the frozen stack, with
+        the key and norm slots filled in."""
+        shape, ws = self._stack.shape[1:], (self._w if self._exact is None else self._exact)
+        return tuple(Atom._filled(w, P, (shape, tuple(k)), r)
+                     for w, P, k, r in zip(ws.tolist(), self._stack,
+                                           self._keys.tolist(), self._norms.tolist()))
 
     def __len__(self):
-        return len(self.atoms)
+        return len(self._w)
 
     def __iter__(self):
         return iter(self.atoms)
 
     def find(self, point, tol: float = MERGE_TOL) -> int | None:
+        """The first row within tol * (1 + |point|) of point, or None: one
+        stacked distance, each bit-equal to `frob` of the difference."""
         P = asmatrix(point)
-        for i, a in enumerate(self.atoms):
-            if a.point.shape == P.shape and frob(a.point - P) <= tol * (1.0 + frob(P)):
-                return i
-        return None
+        if P.shape != self._stack.shape[1:]:
+            return None
+        d = self._stack.reshape(self._keys.shape) - P.reshape(-1)
+        hit = np.flatnonzero(np.sqrt(_dots(d, d)) <= tol * (1.0 + frob(P)))
+        return int(hit[0]) if hit.size else None
 
 
 def _key_groups(keys: np.ndarray, rows: np.ndarray | None = None
@@ -355,17 +399,18 @@ def _key_groups(keys: np.ndarray, rows: np.ndarray | None = None
     cols = keys.T[::-1]
     order = np.lexsort(cols if rows is None else np.vstack([cols, rows]))
     sorted_keys = keys[order]
-    new = np.ones(len(order), dtype=bool)
-    np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=new[1:])
+    new = np.empty(len(order), dtype=bool)
+    new[0] = True
+    (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1, out=new[1:])
     if rows is not None:
         sorted_rows = rows[order]
         new[1:] |= sorted_rows[1:] != sorted_rows[:-1]
-    return order, np.flatnonzero(new)
+    return order, new.nonzero()[0]
 
 
 def _group_sums(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The sum of each run w[starts[i]:starts[i + 1]], left to right, one
-    rank at a time across all runs."""
+    rank at a time across all runs (float or object arrays)."""
     sizes = np.empty_like(starts)
     sizes[:-1] = starts[1:] - starts[:-1]
     sizes[-1] = len(w) - starts[-1]
@@ -376,60 +421,19 @@ def _group_sums(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _merge_rows(weights: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(the summed weight, the first row) of each group of equal keys, in
-    key order: see `_ArrayMeasure`."""
-    order, starts = _key_groups(keys)
-    return _group_sums(weights[order], starts), order[starts]
-
-
-class _ArrayMeasure(DiscreteMeasure):
-    """A float-weighted measure held as arrays in key order: a read-only
-    (k, m, n) stack, the rounded keys, and norms and weights as
-    `_tail_arrays`.  `atoms` is made on first use.  A subclass, so that the
-    many list-built measures keep `atoms` a plain instance attribute."""
-
-    def __init__(self, weights, stack, keys, norms, certificate=None,
-                 merged=False):
-        """`DiscreteMeasure.__init__`'s merge, sort and mass check on atoms
-        given as arrays in input order (float weights, a (k, m, n) stack,
-        rounded keys, norms).  A stable lexsort on the keys, column 0 first,
-        puts equal keys next to each other in order of appearance (numpy
-        compares -0.0 equal to 0.0, as tuples do); each group keeps its first
-        row and sums its weights left to right, one rank at a time across all
-        groups.  With `merged` the rows are already distinct and in key
-        order, as that merge leaves them: they are kept as given, uncopied."""
-        bad = np.flatnonzero(~(weights > 0.0))
-        if bad.size:
-            raise _weight_error(float(weights[bad[0]]))
-        if not len(weights):
-            raise PreconditionError("measure must have at least one atom")
-        if merged:
-            sums, first = weights, slice(None)
-        else:
-            sums, first = _merge_rows(weights, keys)
-        mass = float(np.cumsum(sums)[-1])
-        if mass > 1.0 + MASS_SLACK * max(1, len(sums)):
-            raise PreconditionError(f"total mass {mass} exceeds 1")
-        self._stack = stack[first]
-        self._stack.flags.writeable = False
-        self._keys = keys[first]
-        self._tail_arrays = (norms[first], sums)
-        self.mass = mass
-        self.certificate = _as_certificate(certificate)
-
-    def __len__(self):
-        return len(self._stack)
-
-    @cached_property
-    def atoms(self) -> tuple[Atom, ...]:
-        """One atom per row, its point a row view of the frozen stack, with
-        the key and norm slots filled in."""
-        norms, weights = self._tail_arrays
-        shape = self._stack.shape[1:]
-        return tuple(Atom._filled(w, P, (shape, tuple(k)), r)
-                     for w, P, k, r in zip(weights.tolist(), self._stack,
-                                           self._keys.tolist(), norms.tolist()))
+def _merge_weights(w: np.ndarray, exact: np.ndarray | None, order: np.ndarray,
+                   starts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (float, exact) weight sums of the runs `_key_groups` found; with
+    an exact column a run of two or more takes the float of its exact sum."""
+    if len(starts) == len(order):   # every run a lone row
+        return w[order], None if exact is None else exact[order]
+    if exact is None:
+        return _group_sums(w[order], starts), None
+    exact = _group_sums(exact[order], starts)
+    w = w[order[starts]]
+    multi = np.flatnonzero(np.diff(starts, append=len(order)) > 1)
+    w[multi] = [float(x) for x in exact[multi]]
+    return w, exact
 
 
 def dirac(point, certificate=None) -> DiscreteMeasure:
@@ -437,28 +441,35 @@ def dirac(point, certificate=None) -> DiscreteMeasure:
 
 
 def barycenter(nu: DiscreteMeasure) -> np.ndarray:
-    out = np.zeros_like(nu.atoms[0].point)
-    for a in nu.atoms:
-        out = out + float(a.weight) * a.point
+    out = np.zeros_like(nu._stack[0])
+    for w, P in zip(nu._w.tolist(), nu._stack):
+        out = out + w * P
     return out
 
 
 def elementary_split(nu: DiscreteMeasure, step: SplittingStep, tol: float = 1e-9) -> DiscreteMeasure:
     step.validate(tol)
-    idx = nu.find(step.target)
-    if idx is None:
-        raise NotFoundError("no atom at the split target")
-    new_atoms = []
-    for i, a in enumerate(nu.atoms):
-        if i == idx:
-            lam = step.lam
-            one_minus = (1 - lam) if isinstance(lam, Fraction) else (1.0 - float(lam))
-            new_atoms.append(Atom(_wmul(a.weight, lam), step.left))
-            new_atoms.append(Atom(_wmul(a.weight, one_minus), step.right))
-        else:
-            new_atoms.append(a)
     cert = (list(nu.certificate) + [step]) if nu.certificate is not None else None
-    return DiscreteMeasure(new_atoms, cert)
+    return _split_at(nu, step, cert)
+
+
+def _split_at(nu: DiscreteMeasure, step: SplittingStep,
+              certificate=None) -> DiscreteMeasure:
+    """nu with its row at the step's target (`find`) replaced by step.left
+    and step.right, weighted w lam and w (1 - lam) (`_wmul`), then merged."""
+    i = nu.find(step.target)
+    if i is None:
+        raise NotFoundError("no atom at the split target")
+    lam = step.lam
+    one_minus = (1 - lam) if isinstance(lam, Fraction) else (1.0 - float(lam))
+    w = float(nu._w[i]) if nu._exact is None else nu._exact[i]
+    pair = [_wmul(w, lam), _wmul(w, one_minus)]
+    new = (np.array([float(v) for v in pair]), None if nu._exact is None else _objects(pair),
+           *_keyed(np.stack([step.left, step.right])))
+    old = (nu._w, nu._exact, nu._stack, nu._keys, nu._norms)
+    return DiscreteMeasure._of(
+        *(None if col is None else np.concatenate([col[:i], add, col[i + 1:]])
+          for col, add in zip(old, new)), certificate)
 
 
 @dataclass
@@ -470,30 +481,39 @@ class LaminateReport:
 
 def verify_laminate(nu: DiscreteMeasure, cert: Sequence[SplittingStep] | None = None,
                     tol: float = 1e-9) -> LaminateReport:
+    """Replay the certificate from the Dirac mass at its first target and
+    compare the result with nu.  The certificate is validated at once
+    (`_split_failure`); the replay reports the first step whose split is
+    invalid (a `PreconditionError` raises there) or whose target it cannot
+    find, the invalid split first at one step."""
     if not 0.0 < tol < math.inf:
         raise PreconditionError(f"tolerance must be finite and positive, got {tol}")
     steps = list(cert if cert is not None else (nu.certificate or ()))
     if not steps:
-        if len(nu.atoms) == 1:
+        if len(nu) == 1:
             return LaminateReport(True, ["Dirac with empty certificate"])
         return LaminateReport(False, ["no certificate for a non-Dirac measure"])
-    root = steps[0].target
-    current = dirac(root, certificate=[])
-    for i, step in enumerate(steps):
+    bad = _split_failure(steps, tol)
+    stop = len(steps) if bad is None else bad[0]
+    current = dirac(steps[0].target)
+    for i in range(stop):
         try:
-            current = elementary_split(current, step, tol)
-        except (InvalidSplitError, NotFoundError) as exc:
+            current = _split_at(current, steps[i])
+        except NotFoundError as exc:
             return LaminateReport(False, [f"step {i}: {exc}"], failed_step=i)
-    for a in nu.atoms:
-        j = current.find(a.point)
+    if bad is not None:
+        if not isinstance(bad[1], InvalidSplitError):
+            raise bad[1]
+        return LaminateReport(False, [f"step {stop}: {bad[1]}"], failed_step=stop)
+    have, want = current._w.tolist(), nu._w.tolist()
+    for P, w, r in zip(nu._stack, want, nu._norms.tolist()):
+        j = current.find(P)
         if j is None:
-            return LaminateReport(False, [f"replayed measure misses atom at |X|={frob(a.point):.6g}"])
-        if abs(float(current.atoms[j].weight) - float(a.weight)) > tol:
+            return LaminateReport(False, [f"replayed measure misses atom at |X|={r:.6g}"])
+        if abs(have[j] - w) > tol:
             return LaminateReport(
-                False,
-                [f"weight mismatch at |X|={frob(a.point):.6g}: "
-                 f"{float(current.atoms[j].weight)} vs {float(a.weight)}"])
-    if len(current.atoms) != len(nu.atoms):
+                False, [f"weight mismatch at |X|={r:.6g}: {have[j]} vs {w}"])
+    if len(current) != len(nu):
         return LaminateReport(False, ["replayed measure has extra atoms"])
     if abs(current.mass - nu.mass) > tol:
         return LaminateReport(False, ["mass mismatch after replay"])
@@ -502,7 +522,7 @@ def verify_laminate(nu: DiscreteMeasure, cert: Sequence[SplittingStep] | None = 
 
 def pushforward(nu: DiscreteMeasure, T: Callable[[np.ndarray], np.ndarray],
                 check_rank_one: bool = False, rank_tol: float = 1e-9) -> DiscreteMeasure:
-    atoms = [Atom(a.weight, T(np.asarray(a.point))) for a in nu.atoms]
+    mats = [asmatrix(T(np.asarray(P))) for P in nu._stack]
     cert = None
     if nu.certificate is not None:
         cert = []
@@ -511,49 +531,43 @@ def pushforward(nu: DiscreteMeasure, T: Callable[[np.ndarray], np.ndarray],
             if check_rank_one and rank(tl - tr, rank_tol) != 1:
                 raise InvalidTransformError("transform breaks a rank-one connection")
             cert.append(SplittingStep(T(np.asarray(s.target)), tl, tr, s.lam))
-    return DiscreteMeasure(atoms, cert)
+    return DiscreteMeasure._of(nu._w, nu._exact, *_stacked(mats), cert)
 
 
 def mixture(parts: Sequence[tuple[Weight, DiscreteMeasure]],
             certificate=None) -> DiscreteMeasure:
-    """sum_i w_i nu_i in one merge: each atom's weight is scaled by its
-    part's weight and checked positive, as `Atom.scaled` does, then added
-    into its key's group under `DiscreteMeasure`'s merge rule (first point,
-    `_wadd` in order of appearance).  When every part is held as arrays
-    (float weights, so every scaled weight is a float) of one matrix shape,
-    the parts' arrays are concatenated and merged by `_ArrayMeasure` (one
-    such part is merged already: its arrays are shared and only its weights
-    scaled); otherwise, rational mode among them, the atoms are merged one
-    by one and the measure built from the groups only sorts them."""
-    if (parts and all(isinstance(nu, _ArrayMeasure) for _, nu in parts)
-            and len({nu._stack.shape[1:] for _, nu in parts}) == 1):
-        if len(parts) == 1:
-            (w, nu), = parts
-            return _ArrayMeasure(nu._tail_arrays[1] * float(w), nu._stack, nu._keys,
-                                 nu._tail_arrays[0], certificate, merged=True)
-        return _ArrayMeasure(
-            np.concatenate([nu._tail_arrays[1] * float(w) for w, nu in parts]),
-            np.concatenate([nu._stack for _, nu in parts]),
-            np.concatenate([nu._keys for _, nu in parts]),
-            np.concatenate([nu._tail_arrays[0] for _, nu in parts]), certificate)
-    groups: dict = {}
-    for w, nu in parts:
-        for a in nu.atoms:
-            sw = _wmul(a.weight, w)
-            if not float(sw) > 0.0:
-                raise _weight_error(sw)
-            k = a.key
-            g = groups.get(k)
-            groups[k] = (a, sw) if g is None else (g[0], _wadd(g[1], sw))
-    return DiscreteMeasure([a._reweighted(sw) for a, sw in groups.values()],
-                           certificate)
+    """sum_i w_i nu_i in one merge: each part's weights scaled by its weight
+    as `_wmul` does (on the exact column for a `Fraction` weight, else on
+    the floats), then the parts' rows concatenated in order and merged.  A
+    lone part is merged already: its arrays are shared and only its weights
+    scaled.  The scaled weights are checked before the parts' shapes."""
+    if not parts:
+        raise PreconditionError("measure must have at least one atom")
+    exact = None
+    if any(isinstance(c, Fraction) and nu._exact is not None for c, nu in parts):
+        exact = np.concatenate([nu._exact * c if isinstance(c, Fraction) and nu._exact is not None
+                                else (nu._w * float(c)).astype(object) for c, nu in parts])
+        w = np.array(exact, dtype=float)
+    else:
+        w = np.concatenate([nu._w * float(c) for c, nu in parts])
+    shapes = {nu._stack.shape[1:] for _, nu in parts}
+    if len(shapes) > 1:
+        _check_weights(w, exact)
+        raise PreconditionError(f"the atoms of a measure need one shape, got {sorted(shapes)}")
+    if len(parts) == 1:
+        (_, nu), = parts
+        return DiscreteMeasure._of(w, exact, nu._stack, nu._keys, nu._norms,
+                                   certificate, merged=True)
+    return DiscreteMeasure._of(w, exact, *(np.concatenate([getattr(nu, name) for _, nu in parts])
+                                           for name in ("_stack", "_keys", "_norms")),
+                               certificate)
 
 
 def tail_masses(nu: DiscreteMeasure, ts) -> np.ndarray:
     """mu({|X| > t}) for every t of a grid.  Per t the weights of the atoms
     beyond t are added left to right, atoms in measure order: the sum the
     builtin `sum` of Python <= 3.11 gives, as floats."""
-    norms, w = nu._tail_arrays
+    norms, w = nu._norms, nu._w
     ts = np.asarray(ts, dtype=float).reshape(-1)
     step = max(1, _TAIL_BLOCK // len(w))
     blocks = [np.cumsum(np.where(norms > ts[i:i + step, None], w, 0.0), axis=1)[:, -1]
@@ -567,11 +581,10 @@ def tail_mass(nu: DiscreteMeasure, t: float) -> float:
 
 def moment(nu: DiscreteMeasure, q: float, cap: float | None = None) -> float:
     """sum w |X|^q over the atoms with |X| <= cap (all atoms without a cap),
-    read off `_tail_arrays` and added left to right in Python floats: `**`
-    is Python's, which np.power does not match in the last bit."""
-    norms, weights = nu._tail_arrays
+    read off the norm and weight columns and added left to right in Python
+    floats: `**` is Python's, which np.power does not match in the last bit."""
     total = 0.0
-    for r, w in zip(norms.tolist(), weights.tolist()):
+    for r, w in zip(nu._norms.tolist(), nu._w.tolist()):
         if cap is None or r <= cap:
             total += w * r ** q
     return total

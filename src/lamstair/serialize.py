@@ -157,6 +157,9 @@ def measure_from_obj(obj, path="measure") -> DiscreteMeasure:
                              f"{path}.atoms[{i}].w")
         M = matrix_from_obj(_require(a, "M", f"{path}.atoms[{i}]"),
                             f"{path}.atoms[{i}].M")
+        if atoms and M.shape != atoms[0].point.shape:
+            raise ParseError(f"{path}.atoms[{i}].M: shape {M.shape} differs from "
+                             f"{path}.atoms[0].M's {atoms[0].point.shape}")
         try:
             atoms.append(Atom(w, M))
         except OverflowError as exc:  # an exact weight beyond the float range
@@ -278,7 +281,7 @@ class CellMap:
         k = len(counts)
         self.centroids = np.empty((k, 2))
         self.areas, self.radii = np.empty(k), np.empty(k)
-        for n in np.unique(counts):
+        for n in np.flatnonzero(np.bincount(counts)).tolist():   # np.unique imports numpy.ma
             g = np.nonzero(counts == n)[0]
             V = vertices[g, :n]
             ctr = V.mean(axis=1)
@@ -518,7 +521,7 @@ def _map_chunks(m, max_cells: int = 200_000):
          "boundary": {"A": matrix_to_obj(A0), "b": [float(v) for v in b0]},
          "cells": [], "residual_volume": float(m.residual_volume)},
         sort_keys=True, indent=2).split('"cells": []')
-    templates = {n: _cell_template(n) for n in np.unique(counts).tolist()}
+    templates = {n: _cell_template(n) for n in np.flatnonzero(np.bincount(counts)).tolist()}
     width = 2 * V.shape[1]
 
     def chunks():

@@ -28,9 +28,9 @@ check, and slices it, appending the remainder atom beta_N delta_{A_N}.  Each
 level is built once per spec: a spec made by `transform_spec` keeps the only
 prefix, and builds and validates its source's blocks without storing them.
 A failure raises the error that a level-by-level build raises first and
-leaves the prefix at the last good level.  A float spec's prefix atoms are
-arrays and its truncation an `_ArrayMeasure`; a rational spec keeps `Atom`s
-with exact `Fraction` weights.
+leaves the prefix at the last good level.  The prefix atoms are arrays,
+with an exact column of `Fraction` weights in rational mode, and a
+truncation is one `DiscreteMeasure` built from them.
 """
 
 from __future__ import annotations
@@ -54,15 +54,14 @@ from .measures import (
     TailReport,
     TailRow,
     Weight,
-    _ArrayMeasure,
-    _group_sums,
     _key_groups,
+    _keyed,
+    _merge_weights,
+    _objects,
     _seq_sum,
     _split_failure,
     _split_rows,
     _weight_error,
-    _wadd,
-    _wmul,
     mixture,
     tail_masses,
 )
@@ -111,9 +110,10 @@ class _Block:
     mu_off[i]:mu_off[i + 1] of mu_w, mu_pts and mu_keys (merged and sorted
     by key, as `DiscreteMeasure` holds them), its splits rows
     sp_off[i]:sp_off[i + 1] of sp_lam and sp_mats (target, left, right).
-    `exact` holds the gammas, mu weights and split fractions as given
-    (`Fraction`s in rational mode); `steps` the `StairStep`s the block was
-    stacked from, whose splits stand in for sp_mats (None until mapped)."""
+    `exact` holds the gammas, mu weights (an object column) and split
+    fractions as given (`Fraction`s in rational mode); `steps` the
+    `StairStep`s the block was stacked from, whose splits stand in for
+    sp_mats (None until mapped)."""
 
     n: np.ndarray
     A_prev: np.ndarray
@@ -127,27 +127,28 @@ class _Block:
     sp_off: np.ndarray
     sp_lam: np.ndarray
     sp_mats: np.ndarray | None
-    exact: tuple[list, list, list] | None = None
+    exact: tuple[list, np.ndarray, list] | None = None
     steps: list[StairStep] | None = None
 
     @staticmethod
     def stack(steps: Sequence[StairStep]) -> _Block:
         """The block of validated or unvalidated steps of one matrix shape."""
-        atoms = [a for st in steps for a in st.mu.atoms]
+        mus = [st.mu for st in steps]
         splits = [s for st in steps for s in st.splits]
         A_next = np.array([st.A_next for st in steps], dtype=float)
-        pts = np.array([a.point for a in atoms], dtype=float).reshape(
-            len(atoms), *A_next.shape[1:])
+        pts = np.concatenate([mu._stack for mu in mus])
         return _Block(np.array([st.n for st in steps]),
                       np.array([st.A_prev for st in steps], dtype=float), A_next,
                       np.array([float(st.gamma) for st in steps]),
-                      np.array([st.mu.mass for st in steps]),
-                      _offsets([len(st.mu.atoms) for st in steps]),
-                      np.array([float(a.weight) for a in atoms]), pts,
-                      np.round(pts.reshape(len(pts), -1), 12),
+                      np.array([mu.mass for mu in mus]), _offsets(list(map(len, mus))),
+                      np.concatenate([mu._w for mu in mus]),
+                      pts.reshape(len(pts), *A_next.shape[1:]),
+                      np.concatenate([mu._keys for mu in mus]),
                       _offsets([len(st.splits) for st in steps]),
                       np.array([float(s.lam) for s in splits]), None,
-                      ([st.gamma for st in steps], [a.weight for a in atoms],
+                      ([st.gamma for st in steps],
+                       np.concatenate([mu._w.astype(object) if mu._exact is None
+                                       else mu._exact for mu in mus]),
                        [s.lam for s in splits]), list(steps))
 
     def __len__(self):
@@ -187,35 +188,25 @@ class _Block:
         if self.steps is not None:
             return self.steps[i]
         a, b = self.mu_off[i], self.mu_off[i + 1]
-        g = float(self.gamma[i]) if self.exact is None else self.exact[0][i]
-        ws = self.mu_w[a:b].tolist() if self.exact is None else self.exact[1][a:b]
-        mu = DiscreteMeasure([Atom(w, P) for w, P in zip(ws, self.mu_pts[a:b])])
+        g, ws = ((float(self.gamma[i]), None) if self.exact is None
+                 else (self.exact[0][i], self.exact[1][a:b]))
+        mu = DiscreteMeasure._of(self.mu_w[a:b], ws, *_keyed(self.mu_pts[a:b]), merged=True)
         return StairStep(int(self.n[i]), self.A_prev[i].copy(), self.A_next[i].copy(), mu, g,
                          self.split_steps(self.sp_off[i], self.sp_off[i + 1]))
 
 
 def _mu_rows(w: np.ndarray, pts: np.ndarray, rows: np.ndarray, k: int,
-             exact: list | None = None):
+             exact: np.ndarray | None = None):
     """Each level's mu as `DiscreteMeasure` builds it from atoms in input
-    order (float weights, points, the level of each, and the weights as
-    given when `exact`): equal keys in a level merge into the first point,
-    their weights summed left to right (`_wadd` on exact weights), and the
-    atoms are sorted by key.  Returns the offsets, float weights, points,
-    keys, exact weights and each level's mass, summed left to right."""
+    order (float weights, points, the level of each, and the exact column
+    or None): equal keys in a level merge into the first point, their
+    weights summed left to right (`_merge_weights`), and the atoms are
+    sorted by key.  Returns the offsets, float weights, points, keys, exact
+    weights and each level's mass, summed left to right."""
     keys = np.round(pts.reshape(len(pts), -1), 12)
     order, starts = _key_groups(keys, rows)
     first = order[starts]
-    if exact is None or len(starts) == len(order):
-        ws = _group_sums(w[order], starts)
-        exact = None if exact is None else [exact[i] for i in order.tolist()]
-    else:
-        merged = []
-        for lo, hi in zip(starts.tolist(), np.append(starts[1:], len(order)).tolist()):
-            acc = exact[order[lo]]
-            for i in order[lo + 1:hi].tolist():
-                acc = _wadd(acc, exact[i])
-            merged.append(acc)
-        exact, ws = merged, np.array([float(v) for v in merged])
+    ws, exact = _merge_weights(w, exact, order, starts)
     counts = np.bincount(rows[first], minlength=k)
     off = _offsets(counts)
     mass = np.zeros(k)
@@ -357,16 +348,15 @@ class StaircaseSpec:
         # 1..len(self._levels): per level the end offsets into the good
         # atoms and the splits, and beta_n; the validated blocks and their
         # first levels; |A_n| of the last level; the good atoms in level
-        # order, as `Atom`s in `_atoms` for a rational spec, else in `_rows`
-        # as `_ArrayMeasure`'s input arrays (float weights, the (k, m, n)
-        # point stack, its rounded keys and norms), one tuple per block; the
-        # splitting steps made so far for certificates, and their blocks
+        # order in `_rows` as `DiscreteMeasure._of`'s input arrays (float
+        # weights, the exact column or None, the (k, m, n) point stack, its
+        # rounded keys and norms), one tuple per block; the splitting steps
+        # made so far for certificates, and their blocks
         self._loose: dict[int, StairStep] = {}
         self._levels: list[tuple[int, int, Weight]] = []
         self._blocks: list[_Block] = []
         self._starts: list[int] = []
         self._top_norm = -1.0
-        self._atoms: list[Atom] = []
         self._rows: list[tuple[np.ndarray, ...]] = []
         self._cert: list[SplittingStep] = []
         self._cert_blocks = 0
@@ -498,26 +488,24 @@ def build_truncation(spec: StaircaseSpec, N: int) -> DiscreteMeasure:
         raise PreconditionError("need N >= 1")
     beta, A_N = remainder(spec, N)
     n_atoms, n_splits, _ = spec._levels[N - 1]
-    rest = Atom(beta, A_N)
     cert = Certificate(n_splits, lambda: spec._certificate(n_splits))
-    if spec.rational:
-        return DiscreteMeasure(spec._atoms[:n_atoms] + [rest], cert)
     cols = []
     for rows in spec._rows:
         if n_atoms <= 0:
             break
-        cols.append([a[:n_atoms] for a in rows])
+        cols.append([None if a is None else a[:n_atoms] for a in rows])
         n_atoms -= len(rows[0])
-    cols.append([np.array([beta]), rest.point[None],
-                 np.round(rest.point.reshape(1, -1), 12), np.array([rest.norm])])
-    return _ArrayMeasure(*(np.concatenate(col) for col in zip(*cols)), cert)
+    cols.append([np.array([float(beta)]), _objects([beta]) if spec.rational else None,
+                 *_keyed(A_N[None])])
+    return DiscreteMeasure._of(*(None if col[0] is None else np.concatenate(col)
+                                 for col in zip(*cols)), cert)
 
 
 def _append_levels(spec: StaircaseSpec, blk: _Block) -> PreconditionError | None:
     """Append a validated block to the prefix, level by level: the |A_n|
     monotonicity check, then the good atoms' weights beta_{n-1} (1 - gamma_n) w
-    (`Atom.scaled`'s product, exact when both factors are `Fraction`s), each
-    checked positive.  Returns the first failure's error, else None; the
+    (`_wmul`'s product, on the exact column in rational mode), each checked
+    positive.  Returns the first failure's error, else None; the
     levels before it are appended either way."""
     k, levels = len(blk), spec._levels
     beta0 = levels[-1][2] if levels else (Fraction(1) if spec.rational else 1.0)
@@ -528,40 +516,33 @@ def _append_levels(spec: StaircaseSpec, blk: _Block) -> PreconditionError | None
         stop = _first(norms < np.append(spec._top_norm, norms[:-1]) - 1e-9)
     err = (PreconditionError(f"|A_n| not non-decreasing at level {blk.n[stop]}")
            if stop < k else None)
-    if spec.rational:
-        gs, ws, weights, bs, beta = blk.exact[0], blk.exact[1], [], [], beta0
-        for i in range(stop):
-            g = gs[i]
-            if isinstance(beta, Fraction) and isinstance(g, Fraction):
-                good_w: Weight = beta * (1 - g)
-                beta_n: Weight = beta * g
-            else:
-                good_w = float(beta) * (1.0 - float(g))
-                beta_n = float(beta) * float(g)
-            new = [_wmul(w, good_w) for w in ws[blk.mu_off[i]:blk.mu_off[i + 1]]]
-            low = next((w for w in new if not float(w) > 0.0), None)
-            if low is not None:
-                stop, err = i, _weight_error(low)
-                break
-            weights.extend(new)
-            beta = beta_n
+    counts, exact = np.diff(blk.mu_off), None
+    if spec.rational:   # beta_n and the good weights stay `Fraction`s while both factors are
+        goods, bs, beta = [], [], beta0
+        for g in blk.exact[0]:
+            both = isinstance(beta, Fraction) and isinstance(g, Fraction)
+            goods.append(beta * (1 - g) if both else float(beta) * (1.0 - float(g)))
+            beta = beta * g if both else float(beta) * float(g)
             bs.append(beta)
-        spec._atoms.extend(Atom(w, P) for w, P in zip(weights, blk.mu_pts))
+        exact = blk.exact[1] * np.repeat(_objects(goods), counts)
+        weights = np.array(exact, dtype=float)
     else:
         with np.errstate(all="ignore"):
             bs = np.multiply.accumulate(np.append(float(beta0), blk.gamma))
-            weights = blk.mu_w * np.repeat(bs[:-1] * (1.0 - blk.gamma), np.diff(blk.mu_off))
-        low = np.flatnonzero(~(weights > 0.0))
-        if low.size:
-            i = int(np.searchsorted(blk.mu_off, low[0], side="right")) - 1
-            if i < stop:
-                stop, err = i, _weight_error(float(weights[low[0]]))
-        bs = bs[1:stop + 1].tolist()
-        a = blk.mu_off[stop]
-        if a:
-            pts = blk.mu_pts[:a].reshape(a, -1)
-            spec._rows.append((weights[:a], blk.mu_pts[:a], blk.mu_keys[:a],
-                               np.sqrt(_dots(pts, pts))))
+            weights = blk.mu_w * np.repeat(bs[:-1] * (1.0 - blk.gamma), counts)
+        bs = bs[1:].tolist()
+    low = np.flatnonzero(~(weights > 0.0))
+    if low.size:
+        i = int(np.searchsorted(blk.mu_off, low[0], side="right")) - 1
+        if i < stop:
+            stop, err = i, _weight_error(float(weights[low[0]]) if exact is None
+                                         else exact[low[0]])
+    bs = bs[:stop]
+    a = blk.mu_off[stop]
+    if a:
+        pts = blk.mu_pts[:a].reshape(a, -1)
+        spec._rows.append((weights[:a], None if exact is None else exact[:a], blk.mu_pts[:a],
+                           blk.mu_keys[:a], np.sqrt(_dots(pts, pts))))
     if stop:
         spec._starts.append(len(levels) + 1)
         spec._blocks.append(blk.head(stop))
@@ -958,13 +939,10 @@ class ExtendedMeasure:
 
     def truncate(self, N: int) -> DiscreteMeasure:
         """The finite atoms plus each tail's truncation nu^N scaled by its
-        weight, merged by `mixture`: as arrays when every tail is a float
-        staircase."""
-        atoms = [Atom(w, B) for w, B in self.finite_atoms]
+        weight, merged in one `mixture`."""
         parts: list[tuple[Weight, DiscreteMeasure]] = []
-        if atoms:
-            parts.append((1.0, DiscreteMeasure.from_stack(
-                [a.weight for a in atoms], [a.point for a in atoms])))
+        if self.finite_atoms:
+            parts.append((1.0, DiscreteMeasure([Atom(w, B) for w, B in self.finite_atoms])))
         certs = [self.root_certificate]
         for w, sp in self.tails:
             nu = build_truncation(sp, N)

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedError,
     VerdictFailure,
 )
-from .matrices import asmatrix, frob
+from .matrices import _dots, asmatrix, frob
 from .measures import Atom, DiscreteMeasure, _seq_sum, verify_laminate
 
 __all__ = [
@@ -752,27 +752,29 @@ class CertNode:
 def cert_tree(steps, root=None, tol: float = 1e-9) -> CertNode:
     """Binary splitting tree replaying a sequential certificate.  A step
     expands every open leaf carrying its target matrix, matching the merge
-    semantics of atomic measures."""
+    semantics of atomic measures.  The nodes' matrices are the rows of one
+    flat stack with an open mask: a step matches every open leaf by one
+    stacked distance (bit-equal to `frob`) and clears the matched bits."""
     if not steps:
         if root is None:
             raise PreconditionError("empty certificate needs an explicit root")
         return CertNode(asmatrix(root))
     root_A = asmatrix(steps[0].target if root is None else root)
-    rootn = CertNode(root_A)
-    leaves = [rootn]
+    nodes, flat, is_open = [CertNode(root_A)], root_A.reshape(1, -1), np.ones(1, dtype=bool)
     for s in steps:
-        tgt = np.asarray(s.target, dtype=float)
-        matched = [nd for nd in leaves
-                   if frob(nd.A - tgt) <= tol * (1.0 + frob(tgt))]
-        if not matched:
+        tgt, left, right = (np.asarray(M, dtype=float) for M in (s.target, s.left, s.right))
+        d = flat - tgt.reshape(-1)
+        hit = np.flatnonzero(is_open & (np.sqrt(_dots(d, d)) <= tol * (1.0 + frob(tgt))))
+        if not hit.size:
             raise InvalidSplitError("certificate step targets no open leaf")
-        for nd in matched:
-            nd.lam = s.lam
-            nd.left = CertNode(np.asarray(s.left, dtype=float))
-            nd.right = CertNode(np.asarray(s.right, dtype=float))
-            leaves.remove(nd)
-            leaves.extend((nd.left, nd.right))
-    return rootn
+        for i in hit.tolist():
+            nd = nodes[i]
+            nd.lam, nd.left, nd.right = s.lam, CertNode(left), CertNode(right)
+            nodes.extend((nd.left, nd.right))
+        is_open[hit] = False
+        flat = np.concatenate([flat, np.tile([left.ravel(), right.ravel()], (len(hit), 1))])
+        is_open = np.concatenate([is_open, np.ones(2 * len(hit), dtype=bool)])
+    return nodes[0]
 
 
 class _Budget:
@@ -935,9 +937,9 @@ class PiecewiseAffineMap:
         _drive(self.root._cells(out, np.zeros(2), 1.0, max_cells))
         # vertex means one vertex-count group at a time: over a group's
         # (g, n, 2) stack, the per-cell sums of np.mean in the same order
-        counts = np.array([len(c.vertices) for c in out])
+        counts = np.array([len(c.vertices) for c in out], dtype=np.int64)
         centroids = np.empty((len(out), 2))
-        for n in np.unique(counts).tolist():
+        for n in np.flatnonzero(np.bincount(counts)).tolist():   # np.unique imports numpy.ma
             g = np.nonzero(counts == n)[0]
             centroids[g] = np.array([out[i].vertices for i in g.tolist()]).mean(axis=1)
         for c, x, y in zip(out, centroids, self.evaluate_many(centroids)):

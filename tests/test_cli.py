@@ -478,3 +478,47 @@ class TestDeterminism:
                          "--out", str(csv)]) == 0
             outs.append((out.read_bytes(), csv.read_bytes()))
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["laminate", "verify", "--measure", "@m.json"],
+    ["verify", "tails", "--measure", "@m.json", "--p", "2", "--M", "1", "--out", "@out"],
+    ["synth", "realize", "--measure", "@m.json", "--out", "@out"],
+    ["report", "dist", "--measure", "@m.json", "--out", "@out"],
+    ["models", "duality", "--in", "@m.json", "--p", "2", "--out", "@out"],
+])
+def test_mixed_shape_measure_is_parse_error(argv, tmp_path, capsys):
+    # a measure holds matrices of one shape: the first atom of another
+    # shape is named, where a numpy broadcast error or a replay failure was
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"atoms": [
+        {"w": "1/2", "M": serialize.matrix_to_obj(np.eye(2))},
+        {"w": "1/2", "M": serialize.matrix_to_obj(np.eye(3))}]}))
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "atoms[1].M: shape (3, 3) differs" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_map_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call; the map reader, writer
+    # and cell walk count vertex groups without it
+    m, mp = tmp_path / "m.json", tmp_path / "map.json"
+    write_measure(m)
+    src = os.path.dirname(os.path.dirname(lamstair.__file__))
+    script = (
+        "import sys\n"
+        "from lamstair.cli import main\n"
+        f"assert main(['synth', 'realize', '--measure', {str(m)!r}, '--eps', '0.2',"
+        f" '--out', {str(mp)!r}]) == 0\n"
+        f"assert main(['synth', 'verify', '--map', {str(mp)!r},"
+        f" '--out', {str(tmp_path / 'rep.json')!r}]) == 0\n"
+        f"assert main(['report', 'dist', '--map', {str(mp)!r},"
+        f" '--out', {str(tmp_path / 'dist.csv')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -211,11 +211,26 @@ class TestAtom:
         twin = ms.Atom(Fraction(1, 6), np.eye(2) + 1e-14)
         nu = ms.DiscreteMeasure([a, ms.Atom(Fraction(1, 2), 2 * np.eye(2)), twin])
         assert len(nu) == 2 and nu.atoms[0].weight == Fraction(1, 2)
-        assert nu.atoms[0].point is a.point
+        # the first point's bits, held as a row of the measure's stack
+        assert nu.atoms[0].point.tobytes() == a.point.tobytes() != twin.point.tobytes()
 
 
 # --- bulk construction, one merge per mixture and batched tails ------------------
 # The per-atom code these replaced is kept here as the reference.
+
+
+def ref_wadd(a, b):
+    """The weight sum the per-atom merge used: exact for two `Fraction`s."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a + b
+    return float(a) + float(b)
+
+
+def ref_reweighted(a, w):
+    """The atom a with weight w, checked positive, sharing a's point."""
+    if not float(w) > 0.0:
+        raise ms._weight_error(w)
+    return ms.Atom._filled(w, a.point, a._key, a._norm)
 
 
 def ref_merge(atoms):
@@ -224,7 +239,7 @@ def ref_merge(atoms):
     for a in atoms:
         k = a.key
         if k in merged:
-            merged[k] = merged[k]._reweighted(ms._wadd(merged[k].weight, a.weight))
+            merged[k] = ref_reweighted(merged[k], ref_wadd(merged[k].weight, a.weight))
         else:
             merged[k] = a
             order.append(k)
@@ -366,9 +381,8 @@ def outcome(build):
 
 
 def assert_arrays_match_atoms(nu):
-    norms, weights = nu._tail_arrays
-    assert norms.tolist() == [a.norm for a in nu.atoms]
-    assert [w.hex() for w in weights.tolist()] == [float(a.weight).hex() for a in nu.atoms]
+    assert nu._norms.tolist() == [a.norm for a in nu.atoms]
+    assert [w.hex() for w in nu._w.tolist()] == [float(a.weight).hex() for a in nu.atoms]
     assert not nu._stack.flags.writeable
 
 
@@ -488,8 +502,14 @@ def test_bulk_mixture_matches_reference(data):
     want = check_mixture(parts)
     if not isinstance(want[0], type):
         nu = ms.mixture(parts)
-        assert isinstance(nu, ms._ArrayMeasure) and "atoms" not in vars(nu)
+        assert nu._exact is None and "atoms" not in vars(nu)
         assert_arrays_match_atoms(nu)
+        # a lone part is merged already: its arrays are shared
+        (w, part), = parts[:1]
+        lone = ms.mixture([(w, part)])
+        assert all(np.shares_memory(getattr(lone, c), getattr(part, c))
+                   for c in ("_stack", "_keys", "_norms"))
+        assert measure_bits(lone) == measure_bits(ms.DiscreteMeasure(ref_mixture([(w, part)])))
 
 
 def test_mixture_keeps_rational_mode_for_list_built_parts():
@@ -505,7 +525,7 @@ def test_mixture_keeps_rational_mode_for_list_built_parts():
     # to floats: the array merge gives the per-atom result
     parts = [(Fraction(1, 3), bulk), (Fraction(2, 3), bulk)]
     got = ms.mixture(parts)
-    assert isinstance(got, ms._ArrayMeasure)
+    assert got._exact is None and "atoms" not in vars(got)
     assert measure_bits(got) == measure_bits(ms.DiscreteMeasure(ref_mixture(parts)))
 
 
@@ -708,7 +728,7 @@ def test_split_failure_of_nothing():
 
 
 def ref_moment(nu, q, cap=None):
-    """`moment` before it read `_tail_arrays`: a loop over the atoms."""
+    """`moment` before it read the norm and weight columns: a loop over the atoms."""
     total = 0.0
     for a in nu.atoms:
         r = a.norm

@@ -320,11 +320,11 @@ class TestPrefixCache:
         assert [tuple(map(id, rows)) for rows in spec._rows] == blocks
         assert list(map(id, spec._blocks)) == levels
         # every atom of b but the remainder is a row of the prefix's stack
-        stack = spec._rows[0][1][:spec._levels[4][0]]
+        stack = spec._rows[0][2][:spec._levels[4][0]]
         rest = spec.step(5).A_next.tobytes()
         assert sorted(P.tobytes() for P in b._stack if P.tobytes() != rest) == sorted(
             P.tobytes() for P in stack)
-        assert isinstance(b, ms._ArrayMeasure) and "atoms" not in vars(b)
+        assert b._exact is None and "atoms" not in vars(b)
         assert len(b) == len(stack) + 1 and "atoms" not in vars(b)
 
     @staticmethod
