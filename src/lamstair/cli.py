@@ -111,9 +111,12 @@ def _load_staircase(args) -> StaircaseSpec:
     kind = _KIND_ALIASES.get(args.kind, args.kind)
     params = parse_params(getattr(args, "params", None))
     if kind in ("det1", "rank_drop"):
+        if "a" in params:
+            raise ParseError(f"--params a= is not accepted for kind {args.kind}; "
+                             "--A gives the diagonal")
         if getattr(args, "A", None) is None:
             raise PreconditionError(f"--A is required for kind {args.kind}")
-        params.setdefault("a", _diag_entries(serialize.parse_matrix_arg(args.A)))
+        params["a"] = _diag_entries(serialize.parse_matrix_arg(args.A))
     spec = example_staircase(kind, params)
     m = getattr(args, "m", None)
     if m is not None and kind == "rank_drop":

@@ -65,6 +65,7 @@ __all__ = [
 
 RANK_TOL = 1e-9
 MEMBER_TOL = 1e-9
+_FIRST_DEPTH = 8   # levels of a depth search's first prefix build
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +328,14 @@ def _within_slack(builder: str, attempt, eta: float, theta: float,
 def _staircase_depth(spec: StaircaseSpec, r: float, phi: float,
                      n_max: int = 400) -> int:
     """Smallest truncation depth whose remainder r-moment per unit volume is
-    at most phi.  beta_N and A_N are read off the spec's prefix, which grows
-    to about 1.5 times the depth reached when it falls short, so the
-    truncation at the depth found builds no level."""
+    at most phi.  beta_N and A_N are read off the spec's prefix.  When the
+    scan passes the prefix's end, the prefix grows to at least twice its
+    length (to `_FIRST_DEPTH` levels at first, n_max at most), so a depth N
+    takes O(log N) prefix builds, and the truncation at the depth found
+    builds no level."""
     for N in range(1, n_max + 1):
-        beta, AN = remainder(spec, N, ahead=min(N // 2, n_max - N))
+        ahead = max(N - 1, _FIRST_DEPTH - N)
+        beta, AN = remainder(spec, N, ahead=min(ahead, n_max - N))
         if float(beta) * (1.0 + frob(AN) ** r) <= phi:
             return N
     raise InternalError("no truncation depth meets the remainder budget; "

@@ -12,14 +12,16 @@ construction data is rational.
 
 Levels are array blocks (`_Block`): per level A_{n-1}, A_n, gamma_n, mu_n's
 weights and points (merged and in key order, as `DiscreteMeasure` holds
-them) and the splits with their fractions.  The float families (`elliptic`,
-`plaplace`) build a block of levels at once, `transform_spec` maps a whole
-block, and `_block_failure` validates one.  Specs built from a per-level
-`step_fn` (the rational `det1` and `rank_drop`, custom specs) take the same
-path: their steps are stacked into a block (`_Block.stack`).  `StairStep`,
-mu's `DiscreteMeasure` and `SplittingStep` objects are made only on demand:
-by `StaircaseSpec.step(n)`, and by a truncation's certificate, once per
-level on first use.
+them) and the splits with their fractions.  Each family builds a block of
+levels at once: `elliptic` and `plaplace` as two splits of diagonal 2x2
+matrices, `det1` and `rank_drop` as diagonal splits column by column, in
+rational mode from exact integers with `Fraction`s made for the exact
+column only.  `transform_spec` maps a whole block, and `_block_failure`
+validates one.  Specs built from a per-level `step_fn` (custom specs) take
+the same path: their steps are stacked into a block (`_Block.stack`).
+`StairStep`, mu's `DiscreteMeasure` and `SplittingStep` objects are made
+only on demand: by `StaircaseSpec.step(n)`, and by a truncation's
+certificate, once per level on first use.
 
 `build_truncation` keeps a growing prefix on the spec (the validated
 blocks, the scaled good atoms, beta_n and the last |A_n|), extends it in
@@ -36,6 +38,7 @@ truncation is one `DiscreteMeasure` built from them.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -501,6 +504,18 @@ def build_truncation(spec: StaircaseSpec, N: int) -> DiscreteMeasure:
                                  for col in zip(*cols)), cert)
 
 
+def _times(w: Weight, good) -> tuple[Weight, float]:
+    """w * good as `_wmul` takes it, and its float, for good a `Fraction`
+    given as an unreduced (numerator, denominator) pair, or a float."""
+    if isinstance(good, tuple):
+        if isinstance(w, Fraction):
+            a, b = w.numerator * good[0], w.denominator * good[1]
+            return Fraction(a, b), a / b
+        good = good[0] / good[1]
+    x = float(w) * good
+    return x, x
+
+
 def _append_levels(spec: StaircaseSpec, blk: _Block) -> PreconditionError | None:
     """Append a validated block to the prefix, level by level: the |A_n|
     monotonicity check, then the good atoms' weights beta_{n-1} (1 - gamma_n) w
@@ -520,12 +535,18 @@ def _append_levels(spec: StaircaseSpec, blk: _Block) -> PreconditionError | None
     if spec.rational:   # beta_n and the good weights stay `Fraction`s while both factors are
         goods, bs, beta = [], [], beta0
         for g in blk.exact[0]:
-            both = isinstance(beta, Fraction) and isinstance(g, Fraction)
-            goods.append(beta * (1 - g) if both else float(beta) * (1.0 - float(g)))
-            beta = beta * g if both else float(beta) * float(g)
+            if isinstance(beta, Fraction) and isinstance(g, Fraction):
+                # beta (1 - g) as an unreduced (numerator, denominator) pair
+                goods.append((beta.numerator * (g.denominator - g.numerator),
+                              beta.denominator * g.denominator))
+                beta = beta * g
+            else:
+                goods.append(float(beta) * (1.0 - float(g)))
+                beta = float(beta) * float(g)
             bs.append(beta)
-        exact = blk.exact[1] * np.repeat(_objects(goods), counts)
-        weights = np.array(exact, dtype=float)
+        exact, weights = zip(*map(_times, blk.exact[1], [
+            good for good, c in zip(goods, counts.tolist()) for _ in range(c)]))
+        exact, weights = _objects(exact), np.array(weights)
     else:
         with np.errstate(all="ignore"):
             bs = np.multiply.accumulate(np.append(float(beta0), blk.gamma))
@@ -622,8 +643,121 @@ def _check_level_norm(kind: str, n: int, entries) -> None:
             f"{kind} staircase level {n}: |A_n| overflows the float range")
 
 
+def _finite_entries(kind: str, params: dict) -> list:
+    """params["a"] as a list, which must be a sequence of finite real numbers."""
+    a = params.get("a")
+    try:
+        entries = None if isinstance(a, (str, bytes)) else list(a)
+        ok = entries is not None and all(isinstance(v, numbers.Real) and math.isfinite(v)
+                                         for v in entries)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise PreconditionError(f"{kind} staircase needs a as a sequence of finite numbers, "
+                                f"got {a!r}")
+    return entries
+
+
+def _head_error(kind: str, n: int, base: list, unit: Weight) -> Exception:
+    """The first error of level n's own build: its scale unit^(n-1), then
+    `_check_level_norm` on |A_n|."""
+    try:
+        scale = unit ** (n - 1)
+        _check_level_norm(kind, n, [2 * (scale * v) for v in base])
+    except (OverflowError, PreconditionError) as exc:
+        return exc
+    return InternalError(f"{kind} staircase level {n}: its |A_n| check passes on its own")
+
+
+def _diag_levels(kind: str, base: list, unit: Weight, lo: int,
+                 hi: int) -> tuple[np.ndarray, np.ndarray, Exception | None]:
+    """(cur, two, err) for levels lo..hi of a diagonal staircase whose level
+    n starts at A_{n-1} = unit^(n-1) diag(base), unit = 2 (a `Fraction` in
+    rational mode): the floats of unit^(n-1) v and unit^n v per level and
+    entry v, up to the first level whose |A_n| check fails, and that level's
+    error (`_head_error`; None if none fails).  In float mode they are the
+    per-level products, taken over all levels at once; in rational mode each
+    is an int true division of the exact value, correctly rounded as
+    `float(Fraction)` is."""
+    if isinstance(unit, Fraction):
+        pq = [(v.numerator, v.denominator) for v in base]
+        cur, two = [], []
+        for n in range(lo, hi + 1):
+            try:
+                xs = [(p << n) / q for p, q in pq]
+                _check_level_norm(kind, n, xs)
+            except (OverflowError, PreconditionError):
+                break
+            two.append(xs)
+            cur.append([(p << (n - 1)) / q for p, q in pq])
+        cur, two = (np.array(c, dtype=float).reshape(len(c), len(base)) for c in (cur, two))
+    else:
+        with np.errstate(all="ignore"):   # Python's float arithmetic does not warn
+            cur = np.ldexp(1.0, np.arange(lo - 1, hi))[:, None] * np.array(base)
+            two = 2.0 * cur
+            sq = np.zeros(len(cur))
+            for x in two.T:
+                sq = sq + x * x
+        # inf, or nan where a zero entry meets a scale past 2.0 ** 1023
+        k = _first(~(sq < math.inf))
+        cur, two = cur[:k], two[:k]
+    n = lo + len(cur)
+    return cur, two, None if n > hi else _head_error(kind, n, base, unit)
+
+
+def _level_block(n0: int, A_prev: np.ndarray, A_next: np.ndarray, gamma: np.ndarray,
+                 w: np.ndarray, pts: np.ndarray, sp_lam: np.ndarray, sp_mats: np.ndarray,
+                 exact: tuple | None = None,
+                 err: Exception | None = None) -> tuple[_Block, Exception | None]:
+    """The block of levels n0, n0 + 1, ... with c atoms and c splits each:
+    per level A_{n-1}, A_n and gamma; mu's weights and points, c rows per
+    level in input order, merged and sorted by `_mu_rows`; the splits'
+    fractions and (target, left, right) stack; in rational mode `exact`,
+    the gammas, mu's weights (an object column in input order) and the
+    fractions as given.  The block ends before the first level whose mu has
+    mass above 1, with that error, and else carries err."""
+    k = len(gamma)
+    c = len(w) // k
+    off, mu_w, pts, keys, mu_exact, mass = _mu_rows(w, pts, np.arange(k).repeat(c), k,
+                                                    None if exact is None else exact[1])
+    blk = _Block(np.arange(n0, n0 + k), A_prev, A_next, gamma, mass, off, mu_w, pts, keys,
+                 np.arange(0, c * k + 1, c), sp_lam, sp_mats,
+                 None if exact is None else (exact[0], mu_exact, exact[2]))
+    heavy = _first(mass > 1.0 + MASS_SLACK * np.maximum(1, np.diff(off)))
+    if heavy < k:
+        return blk.head(heavy), PreconditionError(f"total mass {float(mass[heavy])} exceeds 1")
+    return blk, err
+
+
+def _diag_split_block(n0: int, cur: np.ndarray, two: np.ndarray, cols: Sequence[int],
+                      small: np.ndarray, lam: np.ndarray, w: np.ndarray, gamma: np.ndarray,
+                      exact: tuple | None,
+                      err: Exception | None) -> tuple[_Block, Exception | None]:
+    """Levels n0, n0 + 1, ... that split delta_{diag(cur)} column by column
+    (`_level_block`): split j takes the running diagonal, `two` on the
+    columns split so far and `cur` on the rest, to its left, column cols[j]
+    set to small[:, j], and its right, that column set to two[:, cols[j]],
+    by fraction lam[:, j].  mu's atoms are the lefts, weighted w[:, j], and
+    A_n is the last right."""
+    (k, c), d = small.shape, cur.shape[1]
+    diag = np.empty((k, 2 * c + 1, d))   # the running diagonals 0..c, then the lefts
+    diag[:, 0] = cur
+    for j, col in enumerate(cols):
+        diag[:, j + 1] = diag[:, j]
+        diag[:, j + 1, col] = two[:, col]
+    diag[:, c + 1:] = diag[:, :c]
+    diag[:, c + 1 + np.arange(c), list(cols)] = small
+    mats = np.zeros(diag.shape + (d,))   # as `_diag` makes each
+    mats[..., np.arange(d), np.arange(d)] = diag
+    j = np.arange(c)
+    return _level_block(n0, mats[:, 0], mats[:, c], gamma, w.ravel(),
+                        mats[:, c + 1:].reshape(k * c, d, d), lam.ravel(),
+                        mats[:, np.stack([j, c + 1 + j, j + 1], axis=1)].reshape(k * c, 3, d, d),
+                        exact, err)
+
+
 def _det1_spec(params: dict) -> StaircaseSpec:
-    entries = list(params["a"])
+    entries = _finite_entries("det1", params)
     unchecked = bool(params.get("unchecked", False))
     d = len(entries)
     if d < 2:
@@ -636,48 +770,92 @@ def _det1_spec(params: dict) -> StaircaseSpec:
     fr = _as_fraction_list(entries)
     rational = fr is not None
     base = fr if rational else [float(v) for v in entries]
-    two: Weight = Fraction(2) if rational else 2.0
+    unit: Weight = Fraction(2) if rational else 2.0
 
-    def step_fn(n: int) -> StairStep:
-        scale = two ** (n - 1)
-        cur = [scale * v for v in base]
-        _check_level_norm("det1", n, [2 * v for v in cur])
-        D = math.prod(cur) if not rational else math.prod(cur, start=Fraction(1))
-        running = list(cur)
-        splits: list[SplittingStep] = []
-        mu_atoms: list[Atom] = []
-        keep: Weight = Fraction(1) if rational else 1.0
-        gamma: Weight = Fraction(1) if rational else 1.0
-        for j in range(d):
-            pw = two ** j
-            alpha = (pw * D) / (2 * pw * D - 1)
-            bcol = list(running)
-            bcol[j] = cur[j] / (pw * D)
-            ccol = list(running)
-            ccol[j] = 2 * cur[j]
-            splits.append(SplittingStep(_diag(running), _diag(bcol), _diag(ccol), alpha))
-            mu_atoms.append(Atom(keep * alpha, _diag(bcol)))
-            keep = keep * (1 - alpha)
-            running = ccol
-        gamma = keep
-        expected = (D - 1) / (2 ** d * D - 1)
-        if rational and gamma != expected:
-            raise InternalError("det-1 remainder fraction disagrees with closed form")
-        mu = DiscreteMeasure([Atom(a.weight / (1 - gamma), a.point) for a in mu_atoms])
-        return StairStep(n, _diag(cur), _diag(running), mu, gamma, splits)
+    def float_levels(cur: np.ndarray):
+        """Level n's split j has alpha_j = 2^j D / (2^(j+1) D - 1) for
+        D = prod(cur), left entry cur_j / (2^j D) and atom weight keep_j
+        alpha_j, keep_{j+1} = keep_j (1 - alpha_j); gamma = keep_d.  The
+        per-level float operations in their order, over all levels at once."""
+        with np.errstate(all="ignore"):   # Python's float arithmetic does not warn
+            D = np.ones(len(cur))
+            for x in cur.T:
+                D = D * x
+            keep, cols = np.ones(len(cur)), []
+            for j, x in enumerate(cur.T):
+                pw = 2.0 ** j
+                alpha = (pw * D) / (2 * pw * D - 1)
+                cols.append((x / (pw * D), alpha, keep * alpha))
+                keep = keep * (1 - alpha)
+            small, lam, w = (np.stack(col, axis=1) for col in zip(*cols))
+            mu = w / (1 - keep)[:, None]
+        bad = np.concatenate([~(w > 0.0), ~(mu > 0.0)], axis=1)
+        k = _first(bad.any(axis=1))
+        err = None if k == len(cur) else _weight_error(
+            float(np.concatenate([w[k], mu[k]])[np.argmax(bad[k])]))
+        return small[:k], lam[:k], mu[:k], keep[:k], None, err
+
+    if rational:
+        P, Q = math.prod(v.numerator for v in fr), math.prod(v.denominator for v in fr)
+        left = [(v.numerator * Q, v.denominator * P) for v in fr]
+
+    def rational_levels(lo: int, k: int):
+        """float_levels on exact integers: with D = N / Q and t_j = 2^j N - Q,
+        alpha_j = 2^j N / t_{j+1} and 1 - alpha_j = t_j / t_{j+1}; keep_j,
+        gamma and mu's weights are unreduced products of these, and the left
+        entry is cur_j / (2^j D) = (p_j Q / (q_j P)) 2^-((n-1)(d-1)+j) for
+        base_j = p_j / q_j and P / Q = prod(base).  `Fraction`s are made for
+        the exact column only.  Stops at the first level whose gamma
+        disagrees with the closed form t_0 / t_d or one of whose atom weights
+        is not > 0, with its error."""
+        rows, gammas, mus, lams, err = [], [], [], [], None
+        for n in range(lo, lo + k):
+            N = P << ((n - 1) * d)
+            t = [(N << j) - Q for j in range(d + 1)]
+            kn = kd = 1
+            lam, ws = [], []
+            for j in range(d):
+                lam.append((N << j, t[j + 1]))
+                ws.append((kn * (N << j), kd * t[j + 1]))
+                kn, kd = kn * t[j], kd * t[j + 1]
+            if kn * t[d] != t[0] * kd:
+                err = InternalError("det-1 remainder fraction disagrees with closed form")
+                break
+            ws += [(a * kd, b * (kd - kn)) for a, b in ws]   # then mu's weights
+            fl = [a / b for a, b in ws]
+            if not min(fl) > 0.0:
+                err = _weight_error(Fraction(*ws[[x > 0.0 for x in fl].index(False)]))
+                break
+            s = (n - 1) * (d - 1)
+            rows.append([a / (b << (s + j)) for j, (a, b) in enumerate(left)]
+                        + [a / b for a, b in lam] + fl[d:] + [kn / kd])
+            gammas.append(Fraction(kn, kd))
+            mus += [Fraction(a, b) for a, b in ws[d:]]
+            lams += [Fraction(a, b) for a, b in lam]
+        vals = np.array(rows, dtype=float).reshape(len(rows), 3 * d + 1)
+        return (vals[:, :d], vals[:, d:2 * d], vals[:, 2 * d:3 * d], vals[:, 3 * d],
+                (gammas, _objects(mus), lams), err)
+
+    def block_fn(lo: int, hi: int):
+        cur, two, err = _diag_levels("det1", base, unit, lo, hi)
+        small, lam, mu, gamma, exact, bad = (rational_levels(lo, len(cur)) if rational
+                                             else float_levels(cur))
+        k = len(gamma)
+        if k == 0:
+            return None, bad or err
+        return _diag_split_block(lo, cur[:k], two[:k], range(d), small, lam, mu, gamma,
+                                 exact, bad or err)
 
     def gamma_fn(n: int) -> float:
         D = math.prod(float(v) for v in base) * 2.0 ** ((n - 1) * d)
         return (D - 1.0) / (2.0 ** d * D - 1.0)
 
-    return StaircaseSpec(_diag(base), "det1", params, step_fn,
-                         target_sets=("D&Sigma",), gamma_fn=gamma_fn,
-                         rational=rational)
+    return StaircaseSpec(_diag(base), "det1", params, target_sets=("D&Sigma",),
+                         gamma_fn=gamma_fn, rational=rational, block_fn=block_fn)
 
 
 def _rank_drop_spec(params: dict) -> StaircaseSpec:
-    entries = list(params["a"])
-    d = len(entries)
+    entries = _finite_entries("rank_drop", params)
     nz = [i for i, v in enumerate(entries) if float(v) != 0.0]
     m = len(nz)
     if m < 2:
@@ -685,32 +863,32 @@ def _rank_drop_spec(params: dict) -> StaircaseSpec:
     fr = _as_fraction_list(entries)
     rational = fr is not None
     base = fr if rational else [float(v) for v in entries]
+    unit: Weight = Fraction(2) if rational else 2.0
     half: Weight = Fraction(1, 2) if rational else 0.5
     gamma: Weight = half ** m
+    # every level splits column nz[j] to 0 and 2 cur, with fraction 1/2 and
+    # atom weight 2^-(j+1), and gamma = 2^-m
+    w: Weight = Fraction(1) if rational else 1.0
+    mus = []
+    for _ in nz:
+        w = w * half
+        mus.append(w / (1 - gamma))
+    mu_w = np.array(mus, dtype=float)
 
-    def step_fn(n: int) -> StairStep:
-        scale = (Fraction(2) if rational else 2.0) ** (n - 1)
-        cur = [scale * v for v in base]
-        _check_level_norm("rank_drop", n, [2 * v for v in cur])
-        running = list(cur)
-        splits = []
-        mu_atoms = []
-        w: Weight = Fraction(1) if rational else 1.0
-        for idx in nz:
-            bcol = list(running)
-            bcol[idx] = 0 * bcol[idx]
-            ccol = list(running)
-            ccol[idx] = 2 * cur[idx]
-            splits.append(SplittingStep(_diag(running), _diag(bcol), _diag(ccol), half))
-            w = w * half
-            mu_atoms.append(Atom(w, _diag(bcol)))
-            running = ccol
-        mu = DiscreteMeasure([Atom(a.weight / (1 - gamma), a.point) for a in mu_atoms])
-        return StairStep(n, _diag(cur), _diag(running), mu, gamma, splits)
+    def block_fn(lo: int, hi: int):
+        cur, two, err = _diag_levels("rank_drop", base, unit, lo, hi)
+        k = len(cur)
+        if k == 0:
+            return None, err
+        small = np.zeros((k, m)) if rational else 0.0 * cur[:, nz]
+        exact = ([gamma] * k, _objects(mus * k), [half] * (k * m)) if rational else None
+        return _diag_split_block(lo, cur, two, nz, small, np.full((k, m), float(half)),
+                                 np.tile(mu_w, (k, 1)), np.full(k, float(gamma)), exact, err)
 
-    return StaircaseSpec(_diag(base), "rank_drop", params, step_fn,
+    return StaircaseSpec(_diag(base), "rank_drop", params,
                          target_sets=(f"rank<={m - 1}",),
-                         gamma_fn=lambda n: float(gamma), rational=rational)
+                         gamma_fn=lambda n: float(gamma), rational=rational,
+                         block_fn=block_fn)
 
 
 def _two_split_block(n0: int, A_prev, B1, C, B2, A_next, a1: np.ndarray,
@@ -722,7 +900,7 @@ def _two_split_block(n0: int, A_prev, B1, C, B2, A_next, a1: np.ndarray,
     ends before the lowest level whose per-level construction fails, with its
     error: a non-finite split matrix, then 1 - gamma == 0 (the
     `ZeroDivisionError` of Python's division), then an atom weight not > 0,
-    then mu's mass above 1."""
+    then mu's mass above 1 (`_level_block`)."""
     k = len(a1)
     mats = np.zeros((k, 5, 2, 2))
     for j, (d0, d1) in enumerate((A_prev, B1, C, B2, A_next)):
@@ -744,16 +922,10 @@ def _two_split_block(n0: int, A_prev, B1, C, B2, A_next, a1: np.ndarray,
         err = _weight_error(float(w[m, np.argmax(w_bad[m])]))
     if m == 0:
         return None, err
-    off, mu_w, pts, keys, _, mass = _mu_rows(w[:m].ravel(), mats[:m, [1, 3]].reshape(2 * m, 2, 2),
-                                             np.arange(m).repeat(2), m)
-    blk = _Block(np.arange(n0, n0 + m), mats[:m, 0], mats[:m, 4], gamma[:m], mass, off,
-                 mu_w, pts, keys, np.arange(0, 2 * m + 1, 2),
-                 np.stack([a1[:m], l2[:m]], axis=1).ravel(),
-                 mats[:m, [0, 1, 2, 2, 3, 4]].reshape(2 * m, 3, 2, 2))
-    heavy = _first(mass > 1.0 + MASS_SLACK * np.maximum(1, np.diff(off)))
-    if heavy < m:
-        return blk.head(heavy), PreconditionError(f"total mass {float(mass[heavy])} exceeds 1")
-    return blk, err
+    return _level_block(n0, mats[:m, 0], mats[:m, 4], gamma[:m], w[:m].ravel(),
+                        mats[:m, [1, 3]].reshape(2 * m, 2, 2),
+                        np.stack([a1[:m], l2[:m]], axis=1).ravel(),
+                        mats[:m, [0, 1, 2, 2, 3, 4]].reshape(2 * m, 3, 2, 2), err=err)
 
 
 def _xs(x0: float, lo: int, hi: int) -> np.ndarray:

@@ -141,6 +141,20 @@ class TestExitCodes:
                      "--N", "3", "--out", bad]) == 2
         assert bad in capsys.readouterr().err
 
+    @pytest.mark.parametrize("action", ["build", "slopes"])
+    @pytest.mark.parametrize("kind", ["det1", "rank_drop"])
+    @pytest.mark.parametrize("a", ["3", "nan"])
+    def test_diagonal_in_params_is_parse_error(self, action, kind, a, tmp_path, capsys):
+        # --A gives the diagonal of these kinds; a= in --params is refused
+        out = tmp_path / "out.txt"
+        argv = ["staircase", action, "--kind", kind, "--A", "diag(2,3)",
+                "--params", f"a={a}", "--out", str(out)]
+        argv += ["--N", "3"] if action == "build" else ["--n-max", "50"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: --params a=") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("A", ["diag(nan,2)", "diag(3,inf)"])
     def test_non_finite_seed_is_parse_error(self, A, tmp_path, capsys):
         assert main(["staircase", "build", "--kind", "det1", "--A", A, "--N", "3",

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -11,7 +12,7 @@ from lamstair import synth
 from lamstair.errors import InternalError, PreconditionError, UnsupportedError
 from lamstair.matrices import frob, member, rank
 from lamstair.measures import verify_laminate
-from lamstair.staircase import betas, build_truncation
+from lamstair.staircase import StaircaseSpec, betas, build_truncation, remainder
 
 
 class TestStage1:
@@ -344,3 +345,74 @@ class TestBuilders:
         good = sum(float(a.weight) for a in nu.atoms
                    if member(a.point, "L&Sigma", 1e-8))
         assert good >= 1.0 - 2.0 ** -3
+
+
+# ---------------------------------------------------------------------------
+# the depth search grows each prefix geometrically
+
+
+def ref_depth(spec, r, phi, n_max=400):
+    """`_staircase_depth` as a linear search: the prefix grows to each N in
+    turn."""
+    for N in range(1, n_max + 1):
+        beta, AN = remainder(spec, N)
+        if float(beta) * (1.0 + frob(AN) ** r) <= phi:
+            return N
+    raise InternalError("no depth")
+
+
+def unbuilt(spec, builds=None):
+    """A spec with spec's levels and no prefix; each block it builds is
+    appended to `builds`."""
+    block_fn = spec._block_fn
+
+    def counted(lo, hi):
+        if builds is not None:
+            builds.append((lo, hi))
+        return block_fn(lo, hi)
+
+    return StaircaseSpec(spec.A0, spec.kind, spec.params, target_sets=spec.target_sets,
+                         gamma_fn=spec._gamma_fn, rational=spec.rational, block_fn=counted)
+
+
+def check_depth(spec, r, phi, n_max=400):
+    """The depth search finds the linear search's N and remainder, in at
+    most ceil(log2 N) + 1 prefix builds; returns N."""
+    want = ref_depth(unbuilt(spec), r, phi, n_max)
+    builds = []
+    got = unbuilt(spec, builds)
+    N = sg._staircase_depth(got, r, phi, n_max)
+    assert N == want and len(builds) <= math.ceil(math.log2(N)) + 1
+    (b, A), (ref_b, ref_A) = remainder(got, N), remainder(unbuilt(spec), N)
+    assert (type(b), b, A.tobytes()) == (type(ref_b), ref_b, ref_A.tobytes())
+    return N
+
+
+def test_depth_search_on_criterion_08_specs(monkeypatch):
+    seen, search = [], sg._staircase_depth
+
+    def recording(spec, r, phi, n_max=400):
+        seen.append((unbuilt(spec), r, phi, n_max))
+        return search(spec, r, phi, n_max)
+
+    monkeypatch.setattr(sg, "_staircase_depth", recording)
+    synth.reduce_exact(sg.stage3_builder(1.5), synth.box((0.0, 0.0), (1.0, 1.0)),
+                       np.diag([3.0, 1.0]), 0.0, delta=0.5, alpha=0.5, depth=8,
+                       p=2.0, M=8.0, r=1.5)
+    monkeypatch.setattr(sg, "_staircase_depth", search)
+    assert len(seen) >= 16 and all(sp.kind == "det1" and sp.rational for sp, *_ in seen)
+    depths = {check_depth(*args) for args in seen}
+    assert {6, 14} <= depths
+
+
+@pytest.mark.parametrize("A", [np.diag([3.0, 1.0]), np.array([[1.0, 1.0], [0.0, 1.0]]),
+                               np.diag([3.0, 1.0, 2.0, 0.5])])
+def test_depth_search_on_stage1_specs(A):
+    spec = sg.stage1_spec(A, A.shape[0])
+    # r below the tail exponent m = 2 (rank 2) or 4
+    depths = [check_depth(spec, r, phi) for r in (1.5, 1.9)
+              for phi in (2.0, 0.5, 1e-3, 1e-9)]
+    assert len(set(depths)) >= 6 and max(depths) >= 16
+    with pytest.raises(InternalError) as got:
+        sg._staircase_depth(unbuilt(spec), 1.5, 1e-30, n_max=10)
+    assert "no truncation depth" in str(got.value)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as hst
 
 from lamstair import measures as ms
 from lamstair import staircase as sc
-from lamstair.errors import PreconditionError
+from lamstair.errors import InternalError, PreconditionError
 from lamstair.matrices import frob, member, rank
 from test_measures import ref_validate
 
@@ -109,6 +109,16 @@ class TestRankDrop:
                                   M0=normA ** m, c1=2.0 ** -m,
                                   M1=2.0 ** -m * normA ** m)
         assert rep.passed
+
+
+@pytest.mark.parametrize("kind", ["det1", "rank_drop"])
+@pytest.mark.parametrize("a", [3, math.nan, [math.nan, 2.0], [math.inf, 2.0], [3, -math.inf],
+                               "22", None, [2, "3"], [10 ** 400, 2], [Fraction(10 ** 400), 2]])
+def test_malformed_diagonal_is_precondition(kind, a):
+    with pytest.raises(PreconditionError, match="a sequence of finite numbers"):
+        sc.example_staircase(kind, {"a": a})
+    with pytest.raises(PreconditionError, match="a sequence of finite numbers"):
+        sc.example_staircase(kind, {})
 
 
 class TestElliptic:
@@ -889,3 +899,257 @@ def test_levels_past_a_build_fault_are_not_made(monkeypatch):
         sc.build_truncation(spec, j + 1)
     assert str(exc.value) == msg == "matrix has non-finite entries"
     assert len(spec._levels) == j - 1
+
+
+# ---------------------------------------------------------------------------
+# block-built diagonal levels (det1, rank_drop) against the per-level
+# builders they replaced
+
+
+def ref_det1_step(a):
+    """The `det1` step_fn before block building; the seed checks are
+    `example_staircase`'s."""
+    fr = sc._as_fraction_list(a)
+    rational = fr is not None
+    base = fr if rational else [float(v) for v in a]
+    d = len(base)
+    two = Fraction(2) if rational else 2.0
+
+    def step_fn(n):
+        scale = two ** (n - 1)
+        cur = [scale * v for v in base]
+        sc._check_level_norm("det1", n, [2 * v for v in cur])
+        D = math.prod(cur) if not rational else math.prod(cur, start=Fraction(1))
+        running = list(cur)
+        splits, mu_atoms = [], []
+        keep = Fraction(1) if rational else 1.0
+        for j in range(d):
+            pw = two ** j
+            alpha = (pw * D) / (2 * pw * D - 1)
+            bcol = list(running)
+            bcol[j] = cur[j] / (pw * D)
+            ccol = list(running)
+            ccol[j] = 2 * cur[j]
+            splits.append(ms.SplittingStep(sc._diag(running), sc._diag(bcol),
+                                           sc._diag(ccol), alpha))
+            mu_atoms.append(ms.Atom(keep * alpha, sc._diag(bcol)))
+            keep = keep * (1 - alpha)
+            running = ccol
+        gamma = keep
+        expected = (D - 1) / (2 ** d * D - 1)
+        if rational and gamma != expected:
+            raise InternalError("det-1 remainder fraction disagrees with closed form")
+        mu = ms.DiscreteMeasure([ms.Atom(a.weight / (1 - gamma), a.point) for a in mu_atoms])
+        return sc.StairStep(n, sc._diag(cur), sc._diag(running), mu, gamma, splits)
+
+    return step_fn
+
+
+def ref_rank_drop_step(a):
+    """The `rank_drop` step_fn before block building."""
+    nz = [i for i, v in enumerate(a) if float(v) != 0.0]
+    fr = sc._as_fraction_list(a)
+    rational = fr is not None
+    base = fr if rational else [float(v) for v in a]
+    half = Fraction(1, 2) if rational else 0.5
+    gamma = half ** len(nz)
+
+    def step_fn(n):
+        scale = (Fraction(2) if rational else 2.0) ** (n - 1)
+        cur = [scale * v for v in base]
+        sc._check_level_norm("rank_drop", n, [2 * v for v in cur])
+        running = list(cur)
+        splits, mu_atoms = [], []
+        w = Fraction(1) if rational else 1.0
+        for idx in nz:
+            bcol = list(running)
+            bcol[idx] = 0 * bcol[idx]
+            ccol = list(running)
+            ccol[idx] = 2 * cur[idx]
+            splits.append(ms.SplittingStep(sc._diag(running), sc._diag(bcol),
+                                           sc._diag(ccol), half))
+            w = w * half
+            mu_atoms.append(ms.Atom(w, sc._diag(bcol)))
+            running = ccol
+        mu = ms.DiscreteMeasure([ms.Atom(a.weight / (1 - gamma), a.point) for a in mu_atoms])
+        return sc.StairStep(n, sc._diag(cur), sc._diag(running), mu, gamma, splits)
+
+    return step_fn
+
+
+DIAG_REFS = {"det1": ref_det1_step, "rank_drop": ref_rank_drop_step}
+DIAG_SEEDS = {
+    "det1": ("det1", {"a": [2, 3]}),
+    "det1_neg": ("det1", {"a": [2, -3]}),
+    "det1_frac": ("det1", {"a": [Fraction(5, 2), -3]}),
+    "det1_float": ("det1", {"a": [2.5, -3.25]}),
+    "det1_d3": ("det1", {"a": [-2, 2, 3]}),
+    "det1_d4": ("det1", {"a": [2, -3, 2, -5]}),
+    "det1_d4_float": ("det1", {"a": [2.5, -3.5, 2.25, -2.75]}),
+    "det1_unit": ("det1", {"a": [1, -1], "unchecked": True}),
+    "det1_unit_float": ("det1", {"a": [1.0, -1.5], "unchecked": True}),
+    "rank_drop": ("rank_drop", {"a": [2, 0, 3]}),
+    "rank_drop_frac": ("rank_drop", {"a": [Fraction(1, 3), -2, Fraction(7, 5)]}),
+    "rank_drop_float": ("rank_drop", {"a": [2.5, -0.0, -3.5]}),
+    "rank_drop_d4": ("rank_drop", {"a": [1, -2, 0, 3]}),
+    "rank_drop_half": ("rank_drop", {"a": [Fraction(1, 2), 0, Fraction(-1, 2)]}),
+    "rank_drop_half_float": ("rank_drop", {"a": [0.5, -0.5]}),
+}
+DIAG_LEVELS = [1, 2, 3, 7, 40, 300, 505]
+
+
+def diag_map(d):
+    """X -> -1.5 Q X Q^T for a fixed orthogonal Q with no zero entry."""
+    Q = np.linalg.qr(np.arange(1.0, d * d + 1).reshape(d, d) + 3.0 * np.eye(d))[0]
+    return sc.LinMap(Q, Q.T, -1.5)
+
+
+def diag_specs(seed, moved, ref=None):
+    """(the seed's spec, its per-level reference step_fn, the map or None);
+    with `ref`, the spec is built from that step_fn."""
+    kind, params = DIAG_SEEDS[seed]
+    T = diag_map(len(params["a"])) if moved else None
+    spec = sc.example_staircase(kind, params)
+    if ref is not None:
+        spec = sc.StaircaseSpec(spec.A0, kind, params, ref, spec.target_sets,
+                                rational=spec.rational)
+    return (spec if T is None else sc.transform_spec(spec, T)), T
+
+
+def raised(fn, *args):
+    """(type, message) of what fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", sorted(DIAG_SEEDS))
+@pytest.mark.parametrize("moved", [False, True])
+def test_diag_rows_match_per_level_steps(seed, moved):
+    kind, params = DIAG_SEEDS[seed]
+    ref = DIAG_REFS[kind](params["a"])
+    spec, T = diag_specs(seed, moved)
+    want = {}
+    for n in DIAG_LEVELS:
+        if raised(ref, n) is not None:
+            break
+        want[n] = step_bits(ref(n) if T is None else ref_transform_step(ref(n), T))
+    assert 1 in want and 40 in want
+    sc.build_truncation(spec, 40)   # deeper, beta_n underflows for some seeds
+    for n in want:
+        if n <= 40:
+            blk, row = spec._level(n)
+            assert row_bits(blk, row) == want[n]
+        assert step_bits(spec.step(n)) == want[n]
+    # a level built on its own, and blocks that start past level 1
+    fresh, _ = diag_specs(seed, moved)
+    for n in want:
+        assert step_bits(fresh.step(n)) == want[n]
+        assert step_bits(fresh._step_fn(n)) == want[n]
+        blk, err = fresh._block_fn(n, n + 1)
+        assert err is None and row_bits(blk, 0) == want[n]
+
+
+@pytest.mark.parametrize("seed", sorted(DIAG_SEEDS))
+@pytest.mark.parametrize("moved", [False, True])
+def test_diag_truncations_match_per_level_builds(seed, moved):
+    kind, params = DIAG_SEEDS[seed]
+    spec, _ = diag_specs(seed, moved)
+    ref_spec, _ = diag_specs(seed, moved, DIAG_REFS[kind](params["a"]))
+    for N in (6, 1, 14, 40):
+        got = sc.build_truncation(spec, N)
+        assert measure_bits(got) == measure_bits(build_truncation_from_scratch(ref_spec, N))
+    assert sc.betas(spec, 40) == sc.betas(ref_spec, 40)
+    assert all(type(b) is (Fraction if spec.rational else float) for b in sc.betas(spec, 40))
+
+
+def split_fault(spec, j):
+    """spec with split 1's fraction at level j set to 1.5 in each block built."""
+    block_fn = spec._block_fn
+
+    def faulted(lo, hi):
+        blk, err = block_fn(lo, hi)
+        if blk is not None and 0 <= j - lo < len(blk):
+            s = blk.sp_off[j - lo] + 1
+            blk.sp_lam[s] = 1.5
+            if blk.exact is not None:
+                blk.exact[2][s] = 1.5
+        return blk, err
+
+    spec._block_fn = faulted
+    return spec
+
+
+DIAG_FAULTS = {   # seed, level of an injected split fault (None: none)
+    "det1 overflow": ("det1", None),
+    "det1 float overflow": ("det1_float", None),
+    "det1 d4 overflow": ("det1_d4", None),
+    "det1 float weight": ("det1_d4_float", None),   # D overflows, alpha is nan
+    "rank_drop overflow": ("rank_drop_frac", None),
+    "rank_drop float overflow": ("rank_drop_float", None),
+    "rank_drop overflow past a block": ("rank_drop_half", None),   # at level 513
+    "rank_drop float overflow past a block": ("rank_drop_half_float", None),
+    "det1 split": ("det1_neg", 5),
+    "det1 float split": ("det1_float", 5),
+    "rank_drop split": ("rank_drop", 3),
+    "rank_drop float split": ("rank_drop_float", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIAG_FAULTS))
+@pytest.mark.parametrize("moved", [False, True])
+def test_diag_faults_raise_the_per_level_error(case, moved):
+    seed, fault = DIAG_FAULTS[case]
+    kind, params = DIAG_SEEDS[seed]
+    plain, lam_fault = DIAG_REFS[kind](params["a"]), post_fault("lam", fault)[0]
+
+    def ref(n):
+        return lam_fault(plain(n)) if n == fault else plain(n)
+
+    T = diag_map(len(params["a"])) if moved else None
+    j = fault or next(n for n in range(1, 1100) if raised(ref, n) is not None)
+    with np.errstate(all="ignore"):   # as the stacked checks
+        msg = first_error(ref, j + 1, T)
+        assert msg is not None and first_error(ref, j - 1, T) is None
+    assert (f"step {j}, split 1" in msg if fault else
+            "weight must be positive" in msg if "weight" in case
+            else f"level {j}: |A_n| overflows" in msg)
+
+    def make(step_fn=None):
+        spec, _ = diag_specs(seed, False, step_fn)
+        spec = spec if fault is None or step_fn else split_fault(spec, fault)
+        return spec if T is None else sc.transform_spec(spec, T)
+
+    # a truncation raises what a level-by-level build raises first (past
+    # level 300, beta_n underflows first for some seeds; under a map, both
+    # let |A_n|'s square overflow, the reference in `frob`)
+    spec = make()
+    with np.errstate(all="ignore"):
+        want = raised(build_truncation_from_scratch, make(ref), j + 5)
+        for N in (j + 5, j, 2 * sc._BLOCK + 3):
+            assert raised(sc.build_truncation, spec, N) == want
+    if want[1] == msg:
+        assert len(spec._levels) == j - 1
+    # a level, and a block past level 1, end at level j with its error
+    fresh = make()
+    blk, err = fresh._build(j - 2, j + 3)
+    assert len(blk) == 2 and str(err) == msg
+    assert str(raised(fresh.step, j)[1]) == msg
+    if fault is None:   # past it, each level raises its own first error
+        for n in (j + 1, 1030, 1100):
+            want = raised(ref, n)
+            assert raised(fresh.step, n) == want
+            err = fresh._build(n, n + 4)[1]
+            assert (type(err), str(err)) == want
+
+
+def test_det1_zero_weight_is_the_per_level_error():
+    # |a| = 1 with `unchecked`: alpha_0 = 1 at level 1, so keep_1 = 0
+    params = {"a": [1, 1], "unchecked": True}
+    want = raised(ref_det1_step(params["a"]), 1)
+    assert want == (PreconditionError, "atom weight must be positive, got 0")
+    spec = sc.example_staircase("det1", params)
+    assert raised(sc.build_truncation, spec, 3) == want and not spec._levels
+    assert raised(spec.step, 1) == want
