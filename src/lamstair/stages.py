@@ -336,7 +336,14 @@ def _staircase_depth(spec: StaircaseSpec, r: float, phi: float,
     for N in range(1, n_max + 1):
         ahead = max(N - 1, _FIRST_DEPTH - N)
         beta, AN = remainder(spec, N, ahead=min(ahead, n_max - N))
-        if float(beta) * (1.0 + frob(AN) ** r) <= phi:
+        try:
+            moment = float(beta) * (1.0 + frob(AN) ** r)
+        except OverflowError:
+            raise InternalError(f"no truncation depth meets the remainder budget: at level "
+                                f"{N}, |A_N|^r overflows (|A_N| = {frob(AN):.6g}, r = {r:g}); "
+                                "the moment exponent must stay below the tail exponent"
+                                ) from None
+        if moment <= phi:
             return N
     raise InternalError("no truncation depth meets the remainder budget; "
                         "the moment exponent must stay below the tail exponent")

@@ -526,8 +526,8 @@ def _append_levels(spec: StaircaseSpec, blk: _Block) -> PreconditionError | None
     beta0 = levels[-1][2] if levels else (Fraction(1) if spec.rational else 1.0)
     n_atoms, n_splits = levels[-1][:2] if levels else (0, 0)
     flat = blk.A_next.reshape(k, -1)
-    norms = np.sqrt(_dots(flat, flat))
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):   # an overflowing |A_n| fails below, as the level's error
+        norms = np.sqrt(_dots(flat, flat))
         stop = _first(norms < np.append(spec._top_norm, norms[:-1]) - 1e-9)
     err = (PreconditionError(f"|A_n| not non-decreasing at level {blk.n[stop]}")
            if stop < k else None)

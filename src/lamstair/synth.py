@@ -5,11 +5,17 @@ records only its deviation from its own affine part, so shared templates are
 instanced by translation and scaling alone -- never rotation.  Cell volumes
 and error moments are exact closed-form bookkeeping: nodes declare local
 parts (leaf atoms, children with a volume factor), and the distribution walk
-emits one VolAtom per leaf atom, applying factors innermost first.  Maps
-evaluate through one batched path (``evaluate_many``, ``gradient_many``;
-sampled verification and ``cells()`` use it); single-point
-``evaluate``/``gradient_at`` on a sealed map are its k = 1 case.  Evaluation
-is reliable on shallow structures (deeply nested oscillations lose
+emits one VolAtom per leaf atom, applying factors innermost first.  A node
+keeps the walk that ``distribution()`` made of it, as columns.  The next
+call splices in the slots patched since: each run of leaf parts that held
+such a slot is emitted again from its node's ``_parts()``, with the walk of
+the patched subtree (moved in if that subtree keeps one), scaled by the path
+factors innermost first, one array multiply per factor; every other row is
+copied.  So the rounds of ``reduce_exact`` do not walk the whole tree
+again.  Maps evaluate through one batched path (``evaluate_many``,
+``gradient_many``; sampled verification and ``cells()`` use it);
+single-point ``evaluate``/``gradient_at`` on a sealed map are its k = 1
+case.  Evaluation is reliable on shallow structures (deeply nested oscillations lose
 coordinate precision, but their contribution to any measured quantity is
 bounded by the booked deviation budgets).
 
@@ -197,7 +203,10 @@ class MapNode:
     to out): it yields its children's generators of the same walk, gets each
     child's return value back from the yield, and returns its own.
     ``_parts()`` lists local distribution parts: leaf atoms (vol, G, flag,
-    slot) and child entries (child, volume factor or None).  Nodes evaluate
+    slot) and child entries (child, volume factor or None); it is the only
+    definition of a node's distribution.  A patch may change only the run
+    of leaf parts that holds the patched slot's part (``_splice`` checks
+    the parts around it).  Nodes evaluate
     only in batches: X is a C-contiguous float array of shape (k, 2), and
     row r depends on X[r] alone, bit for bit, so a single point is the batch
     X[None] (k = 1)."""
@@ -205,6 +214,7 @@ class MapNode:
     domain: OBox
     A: np.ndarray
     b: np.ndarray
+    _kept: "_Walk | None" = None   # the last distribution walk, see _update
 
     def _affine_many(self, X) -> np.ndarray:
         return _apply(self.A, X) + self.b
@@ -222,20 +232,175 @@ class MapNode:
         return _drive(self._bounds())[1]
 
     def distribution(self) -> list[VolAtom]:
-        """One VolAtom per leaf atom; volumes take path factors innermost first."""
-        return _drive(self._distribution([], ()))
+        """One VolAtom per leaf atom; volumes take path factors innermost
+        first.  The walk is kept on the node and spliced on the next call."""
+        return _drive(self._update()).atoms()
 
-    def _distribution(self, out: list, factors: tuple):
-        for part in self._parts():
-            if len(part) == 2:
-                child, f = part
-                yield child._distribution(out, factors if f is None else factors + (f,))
-                continue
+    def _watch(self, leaves) -> list:
+        """The open slots whose patch changes these leaf parts of ours."""
+        return [p[3] for p in leaves if p[3] is not None]
+
+    def _update(self):
+        """Bring the kept walk up to date and return it, as a ``_drive``
+        operation.  A first call walks the tree below; a later one splices
+        in the slots patched since."""
+        walk = self._kept
+        if walk is None:
+            walk = _Walk()
+            parts = self._parts()
+            yield _emit(self, parts, 0, len(parts), None, walk)
+            walk.vol = np.array(walk.vol, dtype=float)
+        else:
+            walk = yield _splice(walk)
+        self._kept = walk
+        return walk
+
+
+class _Walk:
+    """A kept distribution walk: one row per atom as columns (vol a float
+    array once finished, a list while it is built; G, flag and slot lists)
+    and the sites, in row order.  A finished walk is not changed."""
+
+    __slots__ = ("vol", "G", "flag", "slot", "sites")
+
+    def __init__(self):
+        self.vol, self.G, self.flag, self.slot, self.sites = [], [], [], [], []
+
+    def atoms(self) -> list[VolAtom]:
+        return [VolAtom(v, G, f, s)
+                for v, G, f, s in zip(self.vol.tolist(), self.G, self.flag, self.slot)]
+
+    def copy(self, walk: "_Walk", lo: int, hi: int) -> None:
+        """Append rows lo to hi of the finished walk, without their sites."""
+        self.vol.extend(walk.vol[lo:hi].tolist())
+        self.G.extend(walk.G[lo:hi])
+        self.flag.extend(walk.flag[lo:hi])
+        self.slot.extend(walk.slot[lo:hi])
+
+    def extend(self, walk: "_Walk", vol: np.ndarray, path: tuple) -> None:
+        """Append walk's rows with volumes vol, and its sites moved here with
+        their paths continued by path."""
+        at = len(self.vol)
+        self.vol.extend(vol.tolist())
+        self.G.extend(walk.G)
+        self.flag.extend(walk.flag)
+        self.slot.extend(walk.slot)
+        self.sites.extend(s.moved(at, path) for s in walk.sites)
+
+
+@dataclass(eq=False, slots=True)
+class _Site:
+    """Where a patch can change a walk: the run of leaf parts parts[lo:hi]
+    of node E (the list E._parts() gave), whose rows start at row `at`.
+    path scales E's volumes into the walk's frame: cons lists (f, rest) or
+    None, each innermost first, applied in order, so that walks copied into
+    another share their factors.  watch holds the open slots whose patch
+    changes the run."""
+    E: MapNode
+    parts: list
+    lo: int
+    hi: int
+    path: tuple
+    at: int
+    watch: list
+
+    def moved(self, at: int, path: tuple = ()) -> "_Site":
+        if not (at or path):
+            return self
+        return _Site(self.E, self.parts, self.lo, self.hi, self.path + path,
+                     self.at + at, self.watch)
+
+
+def _factors(cons) -> list:
+    """The factors of a cons list (f, rest), innermost first."""
+    out = []
+    while cons is not None:
+        f, cons = cons
+        out.append(f)
+    return out
+
+
+def _scale(vol: np.ndarray, path: tuple) -> np.ndarray:
+    """vol times each factor of path, innermost first."""
+    for cons in path:
+        for f in _factors(cons):
+            vol = f * vol
+    return vol
+
+
+def _emit(E: MapNode, parts: list, lo: int, hi: int, cons, out: _Walk):
+    """Append the rows of E's parts[lo:hi] to out, as a ``_drive``
+    operation; cons holds the factors from out's frame down to E.  A child
+    that keeps a walk is brought up to date and its walk moved into out,
+    scaled by one array multiply per factor; any other child is walked in
+    turn.  Each run of leaf parts that watches an open slot becomes a
+    site."""
+    fs = None   # the factors of cons, unrolled at the first leaf
+    run, at = lo, len(out.vol)
+    for i in range(lo, hi + 1):   # i == hi closes the last run
+        part = parts[i] if i < hi else ()
+        if len(part) == 4:
             vol, G, flag, slot = part
-            for f in reversed(factors):
+            if fs is None:
+                fs = _factors(cons)
+            for f in fs:
                 vol = f * vol
-            out.append(VolAtom(vol, G, flag, slot))
-        return out
+            out.vol.append(vol)
+            out.G.append(G)
+            out.flag.append(flag)
+            out.slot.append(slot)
+            continue
+        if run < i:
+            watch = E._watch(parts[run:i])
+            if watch:
+                out.sites.append(_Site(E, parts, run, i, (cons,), at, watch))
+        if not part:
+            return out
+        child, f = part
+        ccons = cons if f is None else (f, cons)
+        if child._kept is not None:   # the walk moves into out, so walks stay linear in rows
+            walk = yield child._update()
+            child._kept = None
+            out.extend(walk, _scale(walk.vol, (ccons,)), (ccons,))
+        else:
+            cparts = child._parts()
+            yield _emit(child, cparts, 0, len(cparts), ccons, out)
+        run, at = i + 1, len(out.vol)
+
+
+def _same_part(p: tuple, q: tuple) -> bool:
+    if len(p) != len(q):
+        return False
+    if len(p) == 2:
+        return p[0] is q[0] and p[1] == q[1]
+    return p[0] == q[0] and p[1] is q[1] and p[2] == q[2] and p[3] is q[3]
+
+
+def _splice(walk: _Walk):
+    """walk brought up to date, as a ``_drive`` operation: each site with a
+    patched watched slot is re-emitted from its node's ``_parts()`` and
+    scaled by the site's path; every other row is copied."""
+    redo = [not all(sl.inner is None for sl in s.watch) for s in walk.sites]
+    if not any(redo):
+        return walk
+    new, row = _Walk(), 0
+    for s, stale in zip(walk.sites, redo):
+        if not stale:
+            new.sites.append(s.moved(len(new.vol) - row))
+            continue
+        parts = s.E._parts()
+        hi = s.hi + len(parts) - len(s.parts)
+        if hi < s.lo or not all(map(_same_part, parts[:s.lo] + parts[hi:],
+                                    s.parts[:s.lo] + s.parts[s.hi:])):
+            raise InternalError(f"{type(s.E).__name__} parts changed outside "
+                                "the run of a patched slot")
+        block = yield _emit(s.E, parts, s.lo, hi, None, _Walk())
+        new.copy(walk, row, s.at)
+        new.extend(block, _scale(np.array(block.vol, dtype=float), s.path), s.path)
+        row = s.at + s.hi - s.lo
+    new.copy(walk, row, len(walk.G))
+    new.vol = np.array(new.vol, dtype=float)
+    return new
 
 
 class SlotMap(MapNode):
@@ -973,6 +1138,10 @@ class _SwappedNode(MapNode):
         return [(va.vol, _P_SWAP @ va.G @ _P_SWAP, va.flag, None)
                 for va in self.base.distribution()]
 
+    def _watch(self, leaves):
+        # the parts are the base walk's rows: a patch in the base changes them
+        return [sl for site in self.base._kept.sites for sl in site.watch]
+
     def _bounds(self):
         return (yield self.base._bounds())
 
@@ -1097,9 +1266,20 @@ class RoundReport:
     notes: list = field(default_factory=list)
 
 
+def _norms(dist) -> np.ndarray:
+    """frob(va.G) of each atom as one array, bit for bit: the matrices are
+    flattened in the order frob reads them, and sqrt(_dots) is frob."""
+    if not dist:
+        return np.zeros(0)
+    x = np.array([va.G.ravel("K") for va in dist])
+    return np.sqrt(_dots(x, x))
+
+
 def _moment_of(dist, flags, r: float) -> float:
-    return _seq_sum(va.vol * (1.0 + frob(va.G) ** r)
-                    for va in dist if va.flag in flags)
+    """The sum of vol * (1 + |G|^r) over the atoms of the given flags, left
+    to right from the int 0; the power is Python's, one atom at a time."""
+    dist = [va for va in dist if va.flag in flags]
+    return _seq_sum(va.vol * (1.0 + n ** r) for va, n in zip(dist, _norms(dist).tolist()))
 
 
 def _open_slots(dist, flag: str) -> list[SlotMap]:
@@ -1113,7 +1293,7 @@ def _open_slots(dist, flag: str) -> list[SlotMap]:
 
 def _tail_constant(dist, p: float, normA: float, r: float, vol: float,
                    t_grid) -> float:
-    norms = np.array([frob(va.G) for va in dist])
+    norms = _norms(dist)
     vols = np.array([va.vol for va in dist])
     best = 0.0
     for t in t_grid:

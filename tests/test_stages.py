@@ -405,6 +405,20 @@ def test_depth_search_on_criterion_08_specs(monkeypatch):
     assert {6, 14} <= depths
 
 
+def test_depth_search_past_the_tail_exponent_names_the_level():
+    # r = 3 is above stage 1's tail exponent 2: the remainder moment never
+    # falls below phi, and |A_N|^r leaves the float range at level 340
+    spec = sg.stage1_spec(np.diag([3.0, 1.0]), 2)
+    with pytest.raises(InternalError) as got:
+        sg._staircase_depth(spec, 3.0, 1e-9)
+    AN = remainder(spec, 340)[1]
+    assert str(got.value) == (
+        "no truncation depth meets the remainder budget: at level 340, |A_N|^r "
+        f"overflows (|A_N| = {frob(AN):.6g}, r = 3); the moment exponent must stay "
+        "below the tail exponent")
+    assert math.isfinite(frob(remainder(spec, 339)[1]) ** 3)   # the first to overflow
+
+
 @pytest.mark.parametrize("A", [np.diag([3.0, 1.0]), np.array([[1.0, 1.0], [0.0, 1.0]]),
                                np.diag([3.0, 1.0, 2.0, 0.5])])
 def test_depth_search_on_stage1_specs(A):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -1143,6 +1144,27 @@ def test_diag_faults_raise_the_per_level_error(case, moved):
             assert raised(fresh.step, n) == want
             err = fresh._build(n, n + 4)[1]
             assert (type(err), str(err)) == want
+
+
+def test_rotated_overflow_is_the_level_error_under_warnings():
+    # a rotated map's stacked norms of A_n overflow at level 511; with
+    # warnings as errors, as this suite runs, the level's error is raised,
+    # with the same message as with warnings off
+    Q = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+
+    def build():
+        spec = sc.transform_spec(sc.example_staircase("det1", {"a": [2, 3]}),
+                                 sc.LinMap(Q, Q.T, -1.5))
+        return raised(sc.build_truncation, spec, 515)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = build()
+    assert want == (PreconditionError,
+                    "det1 staircase level 511: |A_n| overflows the float range")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert build() == want
 
 
 def test_det1_zero_weight_is_the_per_level_error():

@@ -17,7 +17,8 @@ from lamstair import measures as ms
 from lamstair import serialize
 from lamstair import staircase as sc
 from lamstair import synth as sy
-from lamstair.errors import PreconditionError, UnsupportedError, VerdictFailure
+from lamstair.errors import (InternalError, PreconditionError, UnsupportedError,
+                             VerdictFailure)
 from lamstair.matrices import asmatrix, frob
 
 UNIT = sy.box((0.0, 0.0), (1.0, 1.0))
@@ -1134,6 +1135,275 @@ class TestDistributionWalk:
         distribution_recursive(pam.root)
         assert len(made) > 2 * len(dist)
 
+
+
+# ---------------------------------------------------------------------------
+# kept walks: patches between two walks of one node are spliced in
+
+
+def slotted_roof(flags=(sy.GOOD, sy.INDUCTIVE), lam=0.3, dom=UNIT):
+    """A roof of diag(2 lam - 1, 1) into diag(+-1, 1) on dom whose slots
+    carry the given flags."""
+    A1, A2 = np.diag([1.0, 1.0]), np.diag([-1.0, 1.0])
+    rm, node = sy._roof_node(dom, lam * A1 + (1.0 - lam) * A2, 0.0, A1, A2, lam,
+                             0.5, math.inf, sy.ERROR, 0.0)
+    assert node is rm
+    for side, flag in zip((1, 2), flags):
+        rm.slots[side].flag = flag
+    return rm
+
+
+def patch_node(slot, walked):
+    """A roof on the slot's domain (under a rotated cover where the domain
+    is rotated) into two gradients that differ from slot.A in the first
+    column, walked first or not."""
+    A, D = slot.A, np.outer([0.5, 0.25], [1.0, 0.0])
+    rm, node = sy._roof_node(slot.domain, A, 0.0, A + 0.6 * D, A - 0.4 * D, 0.4,
+                             0.5, math.inf, sy.ERROR, 0.0)
+    rm.slots[2].flag = sy.INDUCTIVE
+    if walked:
+        node.distribution()
+    return node
+
+
+def assert_walks_like_the_recursion(root, same_G=True):
+    assert_same_walk(root.distribution(), distribution_recursive(root), same_G)
+
+
+class TestSplicedWalk:
+    @pytest.mark.parametrize("walked", [True, False])
+    @pytest.mark.parametrize("cover", ["grid", "rotated"])
+    def test_shared_template_slot_under_covers(self, cover, walked):
+        # one template slot under two covers with different factors: its
+        # rows appear twice, and one patch changes both
+        rm = slotted_roof((sy.INDUCTIVE, sy.INDUCTIVE))
+        if cover == "grid":
+            tdom = sy.GridCover.plan(rm.slots[1].domain)[2]
+        else:
+            tdom = sy.OBox((0.0, 0.0), (1.0, 1.0), [[math.cos(0.5), -math.sin(0.5)],
+                                                    [math.sin(0.5), math.cos(0.5)]])
+        template = sy.SlotMap(tdom, rm.slots[1].A, flag=sy.INDUCTIVE)
+        for side in (1, 2):
+            slot = rm.slots[side]
+            if cover == "grid":
+                counts, sigma, _ = sy.GridCover.plan(slot.domain)
+                node = sy.GridCover(slot.domain, slot.A, 0.0, counts, sigma, template)
+            else:
+                node = sy.CoverMap(slot.domain, slot.A, 0.0, 0.2, template)
+            slot.patch(node)
+        dist = rm.distribution()
+        assert_same_walk(dist, distribution_recursive(rm))
+        rows = [va for va in dist if va.slot is template]
+        assert len(rows) == 2 and rows[0].vol != rows[1].vol
+        template.patch(patch_node(template, walked))
+        assert_walks_like_the_recursion(rm)
+
+    @pytest.mark.parametrize("walked", [True, False])
+    def test_slot_under_a_swapped_node(self, walked):
+        rm = slotted_roof()
+        swapped = sy._SwappedNode(rm)
+        assert_walks_like_the_recursion(swapped, same_G=False)
+        rm.slots[2].patch(patch_node(rm.slots[2], walked))
+        assert_walks_like_the_recursion(swapped, same_G=False)
+        rm.slots[1].patch(patch_node(rm.slots[1], walked))
+        assert_walks_like_the_recursion(swapped, same_G=False)
+
+    @pytest.mark.parametrize("flags", [(sy.GOOD, sy.GOOD), (sy.INDUCTIVE, sy.INDUCTIVE),
+                                       (sy.GOOD, sy.INDUCTIVE)])
+    @pytest.mark.parametrize("walked", [True, False])
+    def test_both_slots_of_one_roof(self, flags, walked):
+        # a GOOD slot's slab row becomes child rows and a margin row, an
+        # inductive slot's core row becomes child rows; under a grid cover,
+        # the roof's rows carry one more factor
+        outer = slotted_roof((sy.INDUCTIVE, sy.GOOD), lam=0.5)
+        slot = outer.slots[1]
+        counts, sigma, tdom = sy.GridCover.plan(slot.domain)
+        rm = slotted_roof(flags, dom=tdom)
+        slot.patch(sy.GridCover(slot.domain, slot.A, 0.0, counts, sigma, rm))
+        assert_walks_like_the_recursion(outer)
+        for side in (1, 2):
+            rm.slots[side].patch(patch_node(rm.slots[side], walked))
+        assert_walks_like_the_recursion(outer)
+
+    @pytest.mark.parametrize("walked", [True, False])
+    def test_good_then_inductive_slot(self, walked):
+        # a GOOD slot's slab row becomes child rows and a margin row, an
+        # inductive slot's core row becomes child rows
+        rm = slotted_roof()
+        assert_walks_like_the_recursion(rm)
+        for side in (1, 2):
+            rm.slots[side].patch(patch_node(rm.slots[side], walked))
+            assert_walks_like_the_recursion(rm)
+
+    @pytest.mark.parametrize("walked", [True, False])
+    def test_patch_below_a_walked_subtree(self, walked):
+        # a walked subtree's walk moves into the outer walk when patched in;
+        # a later patch inside it is spliced into the outer walk, and the
+        # subtree walks afresh
+        outer = slotted_roof((sy.INDUCTIVE, sy.INDUCTIVE))
+        assert_walks_like_the_recursion(outer)
+        outer.slots[2].patch(patch_node(outer.slots[2], True))
+        assert_walks_like_the_recursion(outer)
+        inner = outer.slots[2].inner
+        inner.slots[2].patch(patch_node(inner.slots[2], walked))
+        assert_walks_like_the_recursion(outer)
+        assert_walks_like_the_recursion(inner)
+
+    @pytest.mark.parametrize("walked", [True, False])
+    def test_later_sites_move_with_a_splice(self, walked):
+        # the first subtree's GOOD slot gains rows; the second subtree's site
+        # comes after them and is patched next
+        outer = slotted_roof((sy.INDUCTIVE, sy.INDUCTIVE))
+        for side in (1, 2):
+            outer.slots[side].patch(patch_node(outer.slots[side], walked))
+        assert_walks_like_the_recursion(outer)
+        first, second = (outer.slots[side].inner for side in (1, 2))
+        first.slots[1].patch(patch_node(first.slots[1], walked))
+        assert_walks_like_the_recursion(outer)
+        second.slots[2].patch(patch_node(second.slots[2], walked))
+        assert_walks_like_the_recursion(outer)
+
+    def test_walk_root_patched(self):
+        rm = slotted_roof()
+        slot = sy.SlotMap(UNIT, rm.A, flag=sy.INDUCTIVE)
+        assert_walks_like_the_recursion(slot)
+        slot.patch(rm)
+        assert_walks_like_the_recursion(slot)
+
+    def test_within_slack_retry_builds_a_fresh_node(self):
+        # the first attempt overshoots its cap, so a second, fresh node is
+        # built with smaller budgets; each walk equals the recursion's, and
+        # so does the last node's after its inductive slots are patched
+        from lamstair import stages
+        A, r, nodes = np.diag([3.0, 1.0]), 1.5, []
+
+        def attempt(eta, theta):
+            slot = sy.SlotMap(UNIT, A, 0.0)
+            stages._patch_stage3(slot, eta, 0.5, r, 0.1, theta=theta)
+            nodes.append(slot)
+            return slot
+
+        err0 = sy._moment_of(attempt(0.4, sy.THETA_MIN).distribution(),
+                             (sy.ERROR, sy.RESIDUAL), r)
+        node = stages._within_slack("test", attempt, 0.4, sy.THETA_MIN, 0.9 * err0, r)
+        assert len(nodes) == 3 and node is nodes[2]
+        for n in nodes:
+            assert_walks_like_the_recursion(n)
+        slots = sy._open_slots(node.distribution(), sy.INDUCTIVE)
+        assert slots
+        build = stages.stage3_builder(r)
+        for s in slots:
+            s.patch(build(s.A, s.domain, s.b, 2.0 ** -4, 0.5, 0.1, 0.5))
+        assert_walks_like_the_recursion(node)
+
+    def test_parts_outside_the_patched_run_must_not_change(self):
+        # side 2's run starts after side 1's child part; a changed tooth
+        # count changes that part, which no splice may leave stale
+        rm = slotted_roof((sy.INDUCTIVE, sy.INDUCTIVE))
+        rm.slots[1].patch(patch_node(rm.slots[1], True))
+        rm.distribution()
+        rm.n += 1
+        rm.slots[2].patch(patch_node(rm.slots[2], True))
+        with pytest.raises(InternalError, match="RoofMap parts changed outside"):
+            rm.distribution()
+
+
+# ---------------------------------------------------------------------------
+# the stacked moment queries against the per-atom ones they replaced
+
+
+def ref_moment_of(dist, flags, r):
+    """The per-atom moment that the stacked norms replaced."""
+    return ms._seq_sum(va.vol * (1.0 + frob(va.G) ** r)
+                       for va in dist if va.flag in flags)
+
+
+def ref_tail_constant(dist, p, normA, r, vol, t_grid):
+    """The per-atom tail constant that the stacked norms replaced."""
+    norms = np.array([frob(va.G) for va in dist])
+    vols = np.array([va.vol for va in dist])
+    best = 0.0
+    for t in t_grid:
+        tail = float(vols[norms > t].sum())
+        best = max(best, tail * t ** p)
+    return best / (vol * (1.0 + normA ** r))
+
+
+# norms at which np.power(x, 1.5) and x ** 1.5 differ in the last bit on an
+# AVX-512 build of numpy; the moment must take Python's power
+POWER_BASES = [float.fromhex(h) for h in (
+    "0x1.e7345d966c12bp+4", "0x1.ce145aebd6525p+4", "0x1.15557b161540bp+4",
+    "0x1.883c7f8e50122p+5", "0x1.4331064bb772cp+5", "0x1.3347e2c68f091p+3")]
+
+
+# a matrix whose frob differs in the last bit when read column by column
+# (as an F-ordered copy is); the stacked norms must read memory order as frob
+ORDER_G = np.array([[float.fromhex(a), float.fromhex(b)] for a, b in (
+    ("-0x1.1438f67111aa0p+1", "0x1.7c47e5cb332b8p+0"),
+    ("0x1.f6501d9680ed8p+0", "-0x1.095143d4a75a0p+1"))])
+
+
+def power_atoms():
+    """VolAtoms of every flag whose norms are POWER_BASES, with C-, F- and
+    non-contiguous gradients (frob reads each in memory order)."""
+    out = [sy.VolAtom(0.3, np.asfortranarray(ORDER_G), flag, None)
+           for flag in (sy.ERROR, sy.GOOD, sy.INDUCTIVE, sy.RESIDUAL)]
+    for k, x in enumerate(POWER_BASES):
+        G = np.array([[x, 0.0], [0.0, 0.0]])
+        assert frob(G) == x
+        H = np.array([[x / 3.0, x / 7.0], [-x / 5.0, x / 11.0]])
+        for M in (G, np.asfortranarray(H), np.kron(H, np.ones((1, 2)))[:, ::2]):
+            out.append(sy.VolAtom(0.37 + 0.01 * k, M, (sy.ERROR, sy.GOOD, sy.INDUCTIVE,
+                                                        sy.RESIDUAL)[k % 4], None))
+    return out
+
+
+def moment_cases():
+    from lamstair import stages
+    _, walks = reduce_walks(stages.stage3_builder(1.5), np.diag([3.0, 1.0]), 3)
+    return walks + [power_atoms(), [], fixed_map("swapped").distribution()]
+
+
+def test_moments_match_the_per_atom_reference():
+    flag_sets = [(sy.ERROR, sy.RESIDUAL), (sy.INDUCTIVE,), (sy.ERROR, sy.RESIDUAL,
+                                                            sy.INDUCTIVE), (sy.GOOD,)]
+    for dist in moment_cases():
+        assert ([x.hex() for x in sy._norms(dist).tolist()]
+                == [frob(va.G).hex() for va in dist])
+        for flags in flag_sets:
+            for r in (1.5, 2.0, 0.7):
+                got, want = sy._moment_of(dist, flags, r), ref_moment_of(dist, flags, r)
+                assert type(got) is type(want) and float(got).hex() == float(want).hex()
+        t_grid = np.geomspace(1.5, 400.0, 40)
+        for p, r in ((2.0, 1.5), (1.5, 2.0)):
+            got = sy._tail_constant(dist, p, 3.2, r, 1.0, t_grid)
+            assert got.hex() == ref_tail_constant(dist, p, 3.2, r, 1.0, t_grid).hex()
+
+
+def test_criterion_08_parts_calls(monkeypatch):
+    # a count of node _parts() calls guards against re-walks without timing:
+    # the walk that re-walked the whole tree every round made 5,267 (1,746
+    # RoofMap, 1,736 GridCover, 1,785 SlotMap)
+    from lamstair import stages
+    counts = {}
+    for cls in (sy.RoofMap, sy.GridCover, sy.CoverMap, sy.SlotMap, sy._SwappedNode):
+        def counted(self, parts=cls._parts, name=cls.__name__):
+            counts[name] = counts.get(name, 0) + 1
+            return parts(self)
+        monkeypatch.setattr(cls, "_parts", counted)
+    pam, _ = sy.reduce_exact(stages.stage3_builder(1.5), UNIT, np.diag([3.0, 1.0]),
+                             0.0, delta=0.5, alpha=0.5, depth=8, p=2.0, M=8.0, r=1.5)
+    assert sum(counts.values()) <= 703, counts
+    # each walk copied into another moved there: only the root keeps one
+    nodes, stack = [], [pam.root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(c for c in (getattr(node, a, None) for a in ("inner", "template"))
+                     if c is not None)
+        stack.extend(getattr(node, "slots", {}).values())
+    assert len(nodes) > 900
+    assert [n for n in nodes if n._kept is not None] == [pam.root]
 
 
 # ---------------------------------------------------------------------------
