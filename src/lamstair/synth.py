@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -718,25 +717,6 @@ class GridCover(MapNode):
                                            scale * self.sigma, limit)
 
 
-def _subtract_intervals(lo: int, hi: int, excl) -> list[tuple[int, int]]:
-    """[lo, hi] minus a list of closed integer intervals."""
-    frags = []
-    cur = lo
-    for a, b in sorted(excl):
-        if b < cur:
-            continue
-        if a > hi:
-            break
-        if a > cur:
-            frags.append((cur, a - 1))
-        cur = max(cur, b + 1)
-        if cur > hi:
-            break
-    if cur <= hi:
-        frags.append((cur, hi))
-    return frags
-
-
 def _lex_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Complex numbers a + b*1j, set part by part (no arithmetic, so
     infinities stay exact).  numpy orders complex numbers lexicographically,
@@ -750,8 +730,13 @@ class CoverMap(MapNode):
     """Dyadic cover of a box by rotated squares carrying a template; the
     uncovered remainder is booked as residual volume and left affine.  Used
     only when the lamination direction is not aligned with the domain frame.
-    Tiles are stored as per-row index intervals so construction cost scales
-    with the number of boundary tiles, not the covered interior."""
+    Level l's tiles have half-width sigma0 * 2**-l.  In each row j, the tiles
+    that fit in the box form one interval, and those of earlier levels form
+    one more: the last level's union in row j >> 1, at twice the resolution
+    (an `InternalError` where not).  `levels` holds per level (level, tile
+    count, `_lex_keys(J, I0)`, J, I0, I1): the first interval minus the
+    second, at most two intervals per row, as rows J and indices I0..I1
+    (floats) in (row, first index) order."""
 
     MAX_LEVELS = 30
     MAX_TILES = 1_000_000
@@ -762,79 +747,70 @@ class CoverMap(MapNode):
         self.b = _vec(b)
         self.theta = float(theta)
         self.template = template
-        Ft = template.domain.frame
         if np.max(np.abs(template.domain.half - 1.0)) > 1e-12:
             raise InternalError("cover template must have unit half-widths")
-        self.Ft = Ft
+        self.Ft = template.domain.frame
         self.sigma0 = float(np.min(domain.half)) / 2.0
-        M = domain.frame.T @ Ft
+        M = domain.frame.T @ self.Ft
         vol = domain.volume
-        covered = 0.0
-        rows: dict[int, dict[int, list[tuple[int, int]]]] = {}
+        covered, n_tiles = 0.0, 0
+        self.levels = []
         hyp = float(np.linalg.norm(domain.half))
-        n_tiles = 0
+        prev = None  # the last level's first row and per row its union lo..hi
         for level in range(self.MAX_LEVELS):
             s = self.sigma0 * 2.0 ** -level
             hk = [domain.half[k] - s * (abs(M[k, 0]) + abs(M[k, 1])) for k in (0, 1)]
             if min(hk) <= 0.0:
                 continue
-            lvl: dict[int, list[tuple[int, int]]] = {}
             jmax = int(hyp / s / 2.0) + 1
-            for j in range(-jmax - 1, jmax + 1):
-                v = 2 * j + 1
-                lo, hi = -math.inf, math.inf
-                ok = True
-                for k in (0, 1):
-                    a, c, d = M[k, 0], M[k, 1] * v, hk[k] / s
-                    if abs(a) < 1e-14:
-                        if abs(c) > d:
-                            ok = False
-                            break
-                        continue
-                    l1, l2 = (-d - c) / a, (d - c) / a
-                    lo = max(lo, min(l1, l2))
-                    hi = min(hi, max(l1, l2))
-                if not ok or lo > hi:
+            j = np.arange(-jmax - 1, jmax + 1)
+            lo, hi, ok = -math.inf, math.inf, np.ones(len(j), dtype=bool)
+            for k in (0, 1):
+                a, c, d = M[k, 0], M[k, 1] * (2 * j + 1), hk[k] / s
+                if abs(a) < 1e-14:
+                    ok &= np.abs(c) <= d
                     continue
-                i_lo = math.ceil((lo - 1.0) / 2.0 - 1e-12)
-                i_hi = math.floor((hi - 1.0) / 2.0 + 1e-12)
-                if i_lo > i_hi:
-                    continue
-                excl = []
-                for lp, prows in rows.items():
-                    dl = level - lp
-                    for a0, b0 in prows.get(j >> dl, ()):
-                        excl.append((a0 << dl, ((b0 + 1) << dl) - 1))
-                frags = _subtract_intervals(i_lo, i_hi, excl)
-                if frags:
-                    lvl[j] = frags
-                    cnt = sum(b0 - a0 + 1 for a0, b0 in frags)
-                    covered += cnt * (2.0 * s) ** 2
-                    n_tiles += cnt
-                    if n_tiles > self.MAX_TILES:
-                        raise InternalError("rotated cover tile budget exceeded")
-            if lvl:
-                rows[level] = lvl
+                l1, l2 = (-d - c) / a, (d - c) / a
+                lo = np.maximum(lo, np.minimum(l1, l2))
+                hi = np.minimum(hi, np.maximum(l1, l2))
+            i_lo = np.ceil((lo - 1.0) / 2.0 - 1e-12)
+            i_hi = np.floor((hi - 1.0) / 2.0 + 1e-12)
+            ok &= (lo <= hi) & (i_lo <= i_hi)
+            e_lo, e_hi = np.zeros(len(j), np.int64), np.full(len(j), -1)
+            if prev is not None:
+                # prev is level - 1 (hk grows with the level), and its rows
+                # hold every j >> 1 (this jmax is at most twice its jmax)
+                r = (j >> 1) - prev[0]
+                e_lo, e_hi = prev[1][r] << 1, ((prev[2][r] + 1) << 1) - 1
+            # an empty interval is put where it touches the other: no candidates
+            # just past the earlier tiles, no earlier tiles just before them
+            i_lo = np.where(ok, i_lo, e_hi + 1).astype(np.int64)
+            i_hi = np.where(ok, i_hi, e_hi).astype(np.int64)
+            none = e_lo > e_hi
+            e_lo, e_hi = np.where(none, i_lo, e_lo), np.where(none, i_lo - 1, e_hi)
+            if (gap := np.maximum(i_lo, e_lo) > np.minimum(i_hi, e_hi) + 1).any():
+                raise InternalError(f"rotated cover level {level}, row {j[gap][0]}: "
+                                    "earlier tiles and candidates are not one interval")
+            prev = (j[0], np.minimum(i_lo, e_lo), np.maximum(i_hi, e_hi))
+            # the candidates left and right of the earlier tiles
+            F0 = np.column_stack([i_lo, np.maximum(i_lo, e_hi + 1)])
+            F1 = np.column_stack([np.minimum(i_hi, e_lo - 1), i_hi])
+            row_cnt = np.maximum(F1 - F0 + 1, 0).sum(axis=1)
+            for area in (row_cnt[row_cnt > 0] * (2.0 * s) ** 2).tolist():
+                covered += area   # row by row: the order of the float sum
+            count = int(row_cnt.sum())
+            n_tiles += count
+            if n_tiles > self.MAX_TILES:
+                raise InternalError(f"rotated cover tile budget exceeded at level {level}: "
+                                    f"{n_tiles} tiles > {self.MAX_TILES} (theta {self.theta:g})")
+            if count:
+                keep = (F0 <= F1).ravel()
+                J, I0, I1 = (x.ravel()[keep].astype(float) for x in (np.repeat(j, 2), F0, F1))
+                self.levels.append((level, count, _lex_keys(J, I0), J, I0, I1))
             if vol - covered <= self.theta * vol:
                 break
-        self.rows = rows
         self.covered = covered
         self.residual = max(vol - covered, 0.0)
-
-    def _tile_counts(self):
-        for level, lvl in self.rows.items():
-            yield level, sum(b - a + 1 for frags in lvl.values() for a, b in frags)
-
-    @cached_property
-    def _flat_rows(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per level the tile intervals in (row j, first i) order: their
-        `_lex_keys(j, i)`, rows j and last indices i."""
-        out = {}
-        for level, lvl in self.rows.items():
-            J, I0, I1 = (np.array(c, dtype=float) for c in
-                         zip(*[(j, a, b) for j in sorted(lvl) for a, b in lvl[j]]))
-            out[level] = (_lex_keys(J, I0), J, I1)
-        return out
 
     def _find_tiles(self, X):
         """The indices of the points that some tile holds, with the tile
@@ -842,7 +818,7 @@ class CoverMap(MapNode):
         q = _apply(self.Ft.T, X - self.domain.center)
         todo = np.arange(len(X))
         hits, scales, centers = [], [], []
-        for level, (keys, J, I1) in self._flat_rows.items():
+        for level, _, keys, J, _, I1 in self.levels:
             if not len(todo):
                 break
             s = self.sigma0 * 2.0 ** -level
@@ -878,7 +854,7 @@ class CoverMap(MapNode):
 
     def _parts(self):
         factor = sum(cnt * (self.sigma0 * 2.0 ** -level) ** 2
-                     for level, cnt in self._tile_counts())
+                     for level, cnt, *_ in self.levels)
         residual = [(self.residual, self.A, RESIDUAL, None)] if self.residual > 0.0 else []
         return [(self.template, factor)] + residual
 
@@ -887,15 +863,14 @@ class CoverMap(MapNode):
         return self.sigma0 * dev, max(grad, frob(self.A))
 
     def _cells(self, out, shift, scale, limit):
-        for level, lvl in self.rows.items():
+        for level, _, _, J, I0, I1 in self.levels:
             s = self.sigma0 * 2.0 ** -level
-            for j in sorted(lvl):
-                for a, bnd in lvl[j]:
-                    for i in range(a, bnd + 1):
-                        ct = self.domain.center + self.Ft @ np.array(
-                            [2.0 * s * (i + 0.5), 2.0 * s * (j + 0.5)])
-                        yield self.template._cells(out, shift + scale * ct,
-                                                   scale * s, limit)
+            for j, a, bnd in zip(J.tolist(), I0.tolist(), I1.tolist()):
+                for i in range(int(a), int(bnd) + 1):
+                    ct = self.domain.center + self.Ft @ np.array(
+                        [2.0 * s * (i + 0.5), 2.0 * s * (j + 0.5)])
+                    yield self.template._cells(out, shift + scale * ct,
+                                               scale * s, limit)
 
 
 # ---------------------------------------------------------------------------

@@ -535,11 +535,9 @@ def find_tiles_lexsort(cover, X):
     q = sy._apply(cover.Ft.T, X - cover.domain.center)
     todo = np.arange(len(X))
     hits, scales, centers = [], [], []
-    for level, lvl in cover.rows.items():
+    for level, _, _, J, I0, I1 in cover.levels:
         if not len(todo):
             break
-        J, I0, I1 = (np.array(c, dtype=float) for c in
-                     zip(*[(j, a, b) for j in sorted(lvl) for a, b in lvl[j]]))
         s = cover.sigma0 * 2.0 ** -level
         i = np.floor(q[todo, 0] / (2.0 * s))
         j = np.floor(q[todo, 1] / (2.0 * s))
@@ -565,9 +563,9 @@ def tile_boundary_points(cover, per_level=200, seed=0):
     points on or within rounding of the tile edges."""
     rng = np.random.default_rng(seed)
     local = []
-    for level, lvl in cover.rows.items():
+    for level, _, _, J, I0, I1 in cover.levels:
         s2 = 2.0 * cover.sigma0 * 2.0 ** -level
-        rows = [(j, a, b) for j in lvl for a, b in lvl[j]]
+        rows = list(zip(J.tolist(), I0.tolist(), I1.tolist()))
         for k in rng.choice(len(rows), size=min(per_level, len(rows)), replace=False):
             j, a, b = rows[k]
             for u in (a, b + 1, a + 0.5, b + 0.5):
@@ -579,7 +577,7 @@ def tile_boundary_points(cover, per_level=200, seed=0):
 @pytest.mark.parametrize("eps", [0.05, 0.1, 0.3])
 def test_find_tiles_matches_lexsort(eps):
     cover = rotated_roof(eps).root
-    assert isinstance(cover, sy.CoverMap) and len(cover.rows) > 1
+    assert isinstance(cover, sy.CoverMap) and len(cover.levels) > 1
     dom = cover.domain
     rng = np.random.default_rng(int(eps * 100))
     for X in (dom.interior_points(sy._halton(5000, 2), margin=0.0),
@@ -590,6 +588,152 @@ def test_find_tiles_matches_lexsort(eps):
         assert 0 < len(ref[0]) < len(X)
         for g, r in zip(got, ref):
             assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+
+
+def subtract_intervals(lo, hi, excl):
+    """[lo, hi] minus a list of closed integer intervals.  Reference only."""
+    frags = []
+    cur = lo
+    for a, b in sorted(excl):
+        if b < cur:
+            continue
+        if a > hi:
+            break
+        if a > cur:
+            frags.append((cur, a - 1))
+        cur = max(cur, b + 1)
+        if cur > hi:
+            break
+    if cur <= hi:
+        frags.append((cur, hi))
+    return frags
+
+
+def cover_rows_loop(domain, Ft, theta):
+    """CoverMap's construction before its levels were built as arrays: a
+    loop over levels and rows, each row's candidates minus the intervals of
+    every earlier level.  Returns {level: {row: [(i0, i1), ...]}}, covered
+    and residual.  Reference only."""
+    sigma0 = float(np.min(domain.half)) / 2.0
+    M = domain.frame.T @ Ft
+    vol = domain.volume
+    covered = 0.0
+    rows = {}
+    hyp = float(np.linalg.norm(domain.half))
+    n_tiles = 0
+    for level in range(sy.CoverMap.MAX_LEVELS):
+        s = sigma0 * 2.0 ** -level
+        hk = [domain.half[k] - s * (abs(M[k, 0]) + abs(M[k, 1])) for k in (0, 1)]
+        if min(hk) <= 0.0:
+            continue
+        lvl = {}
+        jmax = int(hyp / s / 2.0) + 1
+        for j in range(-jmax - 1, jmax + 1):
+            v = 2 * j + 1
+            lo, hi = -math.inf, math.inf
+            ok = True
+            for k in (0, 1):
+                a, c, d = M[k, 0], M[k, 1] * v, hk[k] / s
+                if abs(a) < 1e-14:
+                    if abs(c) > d:
+                        ok = False
+                        break
+                    continue
+                l1, l2 = (-d - c) / a, (d - c) / a
+                lo = max(lo, min(l1, l2))
+                hi = min(hi, max(l1, l2))
+            if not ok or lo > hi:
+                continue
+            i_lo = math.ceil((lo - 1.0) / 2.0 - 1e-12)
+            i_hi = math.floor((hi - 1.0) / 2.0 + 1e-12)
+            if i_lo > i_hi:
+                continue
+            excl = []
+            for lp, prows in rows.items():
+                dl = level - lp
+                for a0, b0 in prows.get(j >> dl, ()):
+                    excl.append((a0 << dl, ((b0 + 1) << dl) - 1))
+            frags = subtract_intervals(i_lo, i_hi, excl)
+            if frags:
+                lvl[j] = frags
+                cnt = sum(b0 - a0 + 1 for a0, b0 in frags)
+                covered += cnt * (2.0 * s) ** 2
+                n_tiles += cnt
+                if n_tiles > sy.CoverMap.MAX_TILES:
+                    raise InternalError("rotated cover tile budget exceeded")
+        if lvl:
+            rows[level] = lvl
+        if vol - covered <= theta * vol:
+            break
+    return rows, covered, max(vol - covered, 0.0)
+
+
+def rotation(t):
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+def cover_case(center, half, frame_angle, angle, theta):
+    """A CoverMap on an OBox, its template's frame turned by `angle` from
+    the box's frame, with the template frame."""
+    dom = sy.OBox(center, half, rotation(frame_angle))
+    Ft = dom.frame @ rotation(angle)
+    template = sy.SlotMap(sy.OBox((0.0, 0.0), (1.0, 1.0), Ft), np.eye(2))
+    return dom, Ft, lambda: sy.CoverMap(dom, np.eye(2), 0.0, theta, template)
+
+
+# (center, half-widths, frame angle, template angle, theta): rotated,
+# near-axis (within 1e-9 to 1e-15 of an axis) and thin boxes, off center and
+# in rotated frames
+COVER_CASES = [
+    ((0.0, 0.0), (1.0, 1.0), 0.0, 0.3, 1e-3),
+    ((0.0, 0.0), (1.0, 1.0), 0.0, -2.0, 0.05),
+    ((0.0, 0.0), (1.0, 1.0), 0.0, math.pi / 4, 0.01),
+    ((0.7, -1.3), (1.0, 1.0), 0.0, 2.8, 0.3),
+    ((0.0, 0.0), (1.0, 1.0), 0.0, 1e-9, 0.01),
+    ((0.0, 0.0), (1.0, 1.0), 0.0, 1e-13, 0.01),
+    ((0.0, 0.0), (1.0, 1.0), 0.0, -1e-15, 0.01),
+    ((0.2, 0.1), (1.0, 1.0), 0.0, math.pi / 2 + 1e-13, 0.1),
+    ((0.0, 0.0), (1.0, 1.0), 0.0, math.pi - 1e-9, 0.1),
+    ((0.0, 0.0), (1.0, 0.25), 0.0, 0.6, 0.01),
+    ((0.0, 0.0), (4.0, 1.0), 0.0, -0.9, 0.02),
+    ((-1.5, 2.5), (0.3, 1.2), 0.0, 1.2, 0.1),
+    ((0.0, 0.0), (1.0, 0.25), 0.0, 1e-13, 0.05),
+    ((0.5, 0.5), (1.0, 1.0), 0.5, 0.3, 0.01),
+    ((-0.4, 1.1), (2.0, 0.7), -1.1, 2.2, 0.03),
+    ((0.0, 0.0), (1.0, 1.0), 0.7, 1e-9, 0.1),
+    ((3.0, -2.0), (0.5, 2.0), 2.0, -0.4, 0.3),
+    ((0.0, 0.0), (1.0, 1.0), 0.0, math.pi / 2 + 1e-15, 1e-3),
+    ((0.0, 0.0), (1.0, 1.0), 0.0, 1e-13, 1e-3),
+    ((0.0, 0.0), (1.0, 0.25), 0.0, -2.6, 1e-3),
+    ((1.0, -0.5), (3.0, 1.0), 0.3, 0.8, 1e-3),
+    ((-0.4, 1.1), (2.0, 0.7), -1.1, 1e-9, 3e-3),
+]
+
+
+@pytest.mark.parametrize("case", COVER_CASES)
+def test_cover_levels_match_loop(case):
+    dom, Ft, make = cover_case(*case)
+    cover = make()
+    rows, covered, residual = cover_rows_loop(dom, Ft, case[-1])
+    assert [t[0] for t in cover.levels] == list(rows)
+    for level, count, keys, J, I0, I1 in cover.levels:
+        lvl = rows[level]
+        ref = [(j, a, b) for j in sorted(lvl) for a, b in lvl[j]]
+        for got, want in zip((J, I0, I1), zip(*ref)):
+            assert got.dtype == float and got.tolist() == list(want)
+        assert keys.tobytes() == sy._lex_keys(J, I0).tobytes()
+        assert type(count) is int and count == sum(b - a + 1 for _, a, b in ref)
+    assert cover.covered.hex() == covered.hex()
+    assert cover.residual.hex() == residual.hex()
+
+
+def test_cover_tile_budget(monkeypatch):
+    dom, Ft, make = cover_case((0.0, 0.0), (1.0, 1.0), 0.0, 0.3, 1e-3)
+    monkeypatch.setattr(sy.CoverMap, "MAX_TILES", 200)
+    with pytest.raises(InternalError, match="budget exceeded"):
+        cover_rows_loop(dom, Ft, 1e-3)
+    with pytest.raises(InternalError, match=r"level \d+: \d+ tiles > 200 \(theta 0.001\)"):
+        make()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -716,7 +860,7 @@ def distribution_recursive(node):
                 for va in distribution_recursive(node.template)]
     if isinstance(node, sy.CoverMap):
         factor = sum(cnt * (node.sigma0 * 2.0 ** -level) ** 2
-                     for level, cnt in node._tile_counts())
+                     for level, cnt, *_ in node.levels)
         out = [VolAtom(factor * va.vol, va.G, va.flag, va.slot)
                for va in distribution_recursive(node.template)]
         if node.residual > 0.0:
@@ -815,15 +959,14 @@ def cells_recursive(node, out, shift, scale, limit):
                 cells_recursive(node.template, out, shift + scale * ct,
                                 scale * node.sigma, limit)
     elif isinstance(node, sy.CoverMap):
-        for level, lvl in node.rows.items():
+        for level, _, _, J, I0, I1 in node.levels:
             s = node.sigma0 * 2.0 ** -level
-            for j in sorted(lvl):
-                for a, bnd in lvl[j]:
-                    for i in range(a, bnd + 1):
-                        ct = node.domain.center + node.Ft @ np.array(
-                            [2.0 * s * (i + 0.5), 2.0 * s * (j + 0.5)])
-                        cells_recursive(node.template, out, shift + scale * ct,
-                                        scale * s, limit)
+            for j, a, bnd in zip(J.tolist(), I0.tolist(), I1.tolist()):
+                for i in range(int(a), int(bnd) + 1):
+                    ct = node.domain.center + node.Ft @ np.array(
+                        [2.0 * s * (i + 0.5), 2.0 * s * (j + 0.5)])
+                    cells_recursive(node.template, out, shift + scale * ct,
+                                    scale * s, limit)
     elif isinstance(node, sy._SwappedNode):
         inner = []
         cells_recursive(node.base, inner, np.zeros(2), 1.0, limit)
@@ -958,6 +1101,20 @@ def test_distribution_digests(case):
     recorded = json.loads(
         (pathlib.Path(__file__).parent / "distribution_digests.json").read_text())
     assert DIGEST_CASES[case]() == recorded[case]
+
+
+def test_full_rank_shear_product_map():
+    """Map mode on a full-rank, non-diagonal seed, whose lamination
+    directions need rotated covers (about 10 s).  The values were recorded
+    before the covers were built from per-level arrays."""
+    from lamstair import stages
+    res = stages.product_pipeline([[1.0, 1.0], [0.0, 1.0]], mode="map", depth=1)
+    assert reports_digest(res.rounds) == [
+        [0, "0x1.653e51756e61fp-4", "0x1.dbcae335375a1p+3", 1]]
+    assert res.realized_map.residual_volume.hex() == "0x1.22eccec2bd29cp-9"
+    assert walk_digest(res.realized_map.root.distribution()) == {
+        "atoms": 56920,
+        "sha256": "e7bebc3548f9fb6eec4eefa03e2e7450637fa0a5c02c9cba603b6d3f193d2cd1"}
 
 
 def assert_same_walk(got, ref, same_G=True):
