@@ -6,6 +6,10 @@ Subcommands: ``staircase build|slopes``, ``laminate verify``, ``verify tails``,
 verdict in the produced reports passes, with nonzero codes distinguishing
 parse errors (2), precondition violations (3), failed verdicts (4) and broken
 internal contracts (5).
+
+Each process runs one command, so the parser is built from ``errors`` and
+``matrices`` alone and each handler imports the modules it runs: the
+measure commands compile no ``synth``, ``stages`` or ``staircase``.
 """
 
 from __future__ import annotations
@@ -17,13 +21,9 @@ import sys
 
 import numpy as np
 
-from . import models, serialize, stages, synth
 from .errors import (InternalError, LamstairError, ParseError,
                      PreconditionError, VerdictFailure)
 from .matrices import frob, set_distance
-from .measures import _seq_sum, barycenter, verify_laminate, verify_weak_tail
-from .staircase import (StaircaseSpec, beta_slope, build_truncation,
-                        example_staircase, log_betas)
 
 EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, EXIT_INTERNAL = 0, 2, 3, 4, 5
 
@@ -53,8 +53,9 @@ def parse_t_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def parse_domain(text: str) -> synth.OBox:
-    """Domain spec box:x0,y0,x1,y1 (lower then upper corner)."""
+def parse_domain(text: str):
+    """Domain spec box:x0,y0,x1,y1 (lower then upper corner), as an OBox."""
+    from .boxes import box
     if not text.startswith("box:"):
         raise ParseError(f"bad domain spec {text!r}; expected box:x0,y0,x1,y1")
     try:
@@ -63,7 +64,7 @@ def parse_domain(text: str) -> synth.OBox:
         raise ParseError(f"bad domain spec {text!r}") from exc
     if len(vals) != 4:
         raise ParseError(f"domain spec {text!r} needs four coordinates")
-    return synth.box(vals[:2], vals[2:])
+    return box(vals[:2], vals[2:])
 
 
 def parse_params(text: str | None) -> dict:
@@ -107,7 +108,8 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _load_staircase(args) -> StaircaseSpec:
+def _load_staircase(args):
+    from .staircase import example_staircase
     kind = _KIND_ALIASES.get(args.kind, args.kind)
     params = parse_params(getattr(args, "params", None))
     if kind in ("det1", "rank_drop"):
@@ -116,6 +118,7 @@ def _load_staircase(args) -> StaircaseSpec:
                              "--A gives the diagonal")
         if getattr(args, "A", None) is None:
             raise PreconditionError(f"--A is required for kind {args.kind}")
+        from . import serialize
         params["a"] = _diag_entries(serialize.parse_matrix_arg(args.A))
     spec = example_staircase(kind, params)
     m = getattr(args, "m", None)
@@ -131,6 +134,9 @@ def _load_staircase(args) -> StaircaseSpec:
 
 
 def _cmd_staircase_build(args) -> bool:
+    from . import serialize
+    from .measures import verify_laminate
+    from .staircase import build_truncation
     spec = _load_staircase(args)
     nu = build_truncation(spec, args.N)
     rep = verify_laminate(nu)
@@ -141,6 +147,7 @@ def _cmd_staircase_build(args) -> bool:
 
 
 def _cmd_staircase_slopes(args) -> bool:
+    from .staircase import beta_slope, log_betas
     spec = _load_staircase(args)
     logs = log_betas(spec, args.n_max)
     lines = ["n,beta,log_beta"]
@@ -156,6 +163,8 @@ def _cmd_staircase_slopes(args) -> bool:
 
 
 def _cmd_laminate_verify(args) -> bool:
+    from . import serialize
+    from .measures import verify_laminate
     nu = serialize.measure_from_obj(serialize.load_json(args.measure),
                                     path=args.measure)
     rep = verify_laminate(nu, tol=args.tol)
@@ -167,6 +176,8 @@ def _cmd_laminate_verify(args) -> bool:
 
 
 def _cmd_verify_tails(args) -> bool:
+    from . import serialize
+    from .measures import barycenter, verify_weak_tail
     nu = serialize.measure_from_obj(serialize.load_json(args.measure),
                                     path=args.measure)
     normA = args.normA if args.normA is not None else frob(barycenter(nu))
@@ -176,6 +187,7 @@ def _cmd_verify_tails(args) -> bool:
 
 
 def _cmd_synth_realize(args) -> bool:
+    from . import serialize, synth
     nu = serialize.measure_from_obj(serialize.load_json(args.measure),
                                     path=args.measure)
     pam = synth.realize_finite_laminate(nu, args.domain, eps=args.eps)
@@ -184,6 +196,7 @@ def _cmd_synth_realize(args) -> bool:
 
 
 def _cmd_synth_verify(args) -> bool:
+    from . import serialize, synth
     cm = serialize.map_from_obj(serialize.load_json(args.map), path=args.map)
     ver = synth.verify_map(cm, alpha=args.alpha, sample_budget=args.samples)
     A, b = cm.boundary_affine
@@ -206,6 +219,8 @@ def _cmd_synth_verify(args) -> bool:
 
 
 def _cmd_pipeline_product(args) -> bool:
+    from . import serialize, stages
+    from .measures import verify_weak_tail
     A = serialize.parse_matrix_arg(args.A)
     if A.shape != (2 * args.n, 2 * args.n):
         raise PreconditionError(
@@ -238,6 +253,7 @@ def _cmd_pipeline_product(args) -> bool:
 
 
 def _cmd_pipeline_approx(args) -> bool:
+    from . import serialize, stages
     A = serialize.parse_matrix_arg(args.A)
     steps = stages.approximate_sequence(A, j_max=args.j)
     errs = [s.error_moment for s in steps]
@@ -256,6 +272,7 @@ def _cmd_pipeline_approx(args) -> bool:
 
 
 def _cmd_models_afs(args) -> bool:
+    from . import models, serialize
     A = serialize.parse_matrix_arg(args.A)
     res = models.afs_pipeline(A, args.K, N=args.N)
     obj = {"K": args.K, "N": args.N,
@@ -271,6 +288,7 @@ def _cmd_models_afs(args) -> bool:
 
 
 def _cmd_models_plap(args) -> bool:
+    from . import models, serialize
     if args.A is not None:
         A = serialize.parse_matrix_arg(args.A)
     else:
@@ -294,6 +312,7 @@ def _cmd_models_plap(args) -> bool:
 
 
 def _cmd_models_duality(args) -> bool:
+    from . import models, serialize
     obj = serialize.load_json(args.infile)
     if isinstance(obj, dict) and "cells" in obj:
         loaded = serialize.map_from_obj(obj, path=args.infile)
@@ -309,6 +328,8 @@ def _cmd_models_duality(args) -> bool:
 
 
 def _cmd_report_dist(args) -> bool:
+    from . import serialize
+    from .measures import _seq_sum
     if (args.map is None) == (args.measure is None):
         raise PreconditionError("give exactly one of --map / --measure")
     if args.map is not None:

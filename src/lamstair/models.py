@@ -6,17 +6,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InternalError, PreconditionError
 from .matrices import asmatrix, frob, member
 from .measures import DiscreteMeasure, TailReport, moment, pushforward
-from .staircase import (
-    ExtendedMeasure,
-    extended_measure,
-    extended_tail_report,
-)
+
+if TYPE_CHECKING:   # the pipelines import staircase when they run
+    from .staircase import ExtendedMeasure
 
 B_MAX = 1e6
 
@@ -159,6 +158,7 @@ def afs_pipeline(A, K: float, N: int = 200, t_grid=None,
     """Elliptic-inclusion pipeline: extended measure with barycenter A supported
     in E_K union E_{1/K}, two-sided tail verdict, fitted envelope constant.
     Map mode additionally realizes the measure as a piecewise-affine gradient."""
+    from .staircase import extended_measure, extended_tail_report
     A = asmatrix(A)
     prof = exponent("elliptic", {"K": K})
     ext = extended_measure("elliptic", A, {"K": K})
@@ -182,6 +182,7 @@ def plap_pipeline(A, p: float, N: int = 10_000, t_grid=None,
                   delta: float = 0.05, depth: int = 4) -> PipelineResult:
     """p-Laplace pipeline: extended measure in K_p with the selected staircase
     parameter b, two-sided tails, and the moment-divergence proxy."""
+    from .staircase import extended_measure, extended_tail_report
     A = asmatrix(A)
     if b is None:
         b = select_b(p)

@@ -20,11 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .boxes import OBox
 from .errors import ParseError, PreconditionError
 from .matrices import _dots, asmatrix, frob
 from .measures import (Atom, DiscreteMeasure, SplittingStep, TailReport,
                        Weight)
-from .synth import GOOD, OBox, PiecewiseAffineMap
 
 __all__ = [
     "matrix_to_obj", "matrix_from_obj", "measure_to_obj", "measure_from_obj",
@@ -498,6 +498,7 @@ def _map_arrays(m, max_cells: int):
     if isinstance(m, CellMap):
         texts = {f: json.dumps(f) for f in set(m.flags)}
         return m.vertices, m.counts, m.A, m.b, [texts[f] for f in m.flags]
+    from .synth import GOOD   # only a PiecewiseAffineMap needs synth
     cells = m.cells(max_cells)
     V, counts = _padded([c.vertices for c in cells])
     # asmatrix's check of each cell gradient, over the whole stack

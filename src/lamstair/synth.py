@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .boxes import OBox, _apply, box
 from .errors import (
     InternalError,
     InvalidSplitError,
@@ -69,86 +70,11 @@ def _perp(v: np.ndarray) -> np.ndarray:
     return np.array([-v[1], v[0]])
 
 
-def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Rows M @ x for the rows x of X.  A stacked matmul runs the kernel of
-    the 1-D product once per row, so the rows equal M @ x bit for bit;
-    X @ M.T rounds differently."""
-    return np.matmul(M, X[:, :, None])[:, :, 0]
-
-
 def _points(X) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 2:
         raise PreconditionError(f"expected points of shape (k, 2), got {X.shape}")
     return X
-
-
-class OBox:
-    """Oriented box: center + frame @ z with |z_i| <= half_i, frame orthogonal."""
-
-    def __init__(self, center, half, frame=None):
-        self.center = np.array(center, dtype=float).reshape(2)
-        self.half = np.array(half, dtype=float).reshape(2)
-        self.frame = np.eye(2) if frame is None else np.array(frame, dtype=float)
-        if not np.all(self.half > 0.0):
-            raise PreconditionError("box half-widths must be positive")
-        if frob(self.frame.T @ self.frame - np.eye(2)) > 1e-9:
-            raise PreconditionError("box frame must be orthogonal")
-        for a in (self.center, self.half, self.frame):
-            a.flags.writeable = False
-
-    @property
-    def volume(self) -> float:
-        return 4.0 * self.half[0] * self.half[1]
-
-    def to_world(self, z) -> np.ndarray:
-        return self.center + self.frame @ np.asarray(z, dtype=float)
-
-    def corners(self) -> list[np.ndarray]:
-        h0, h1 = self.half
-        return [self.to_world((s0 * h0, s1 * h1))
-                for s0, s1 in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
-
-    # point queries, one row per point of X (shape (k, 2))
-    def to_local_many(self, X) -> np.ndarray:
-        return _apply(self.frame.T, X - self.center)
-
-    def to_world_many(self, Z) -> np.ndarray:
-        return self.center + _apply(self.frame, Z)
-
-    def contains_many(self, X, tol: float = 1e-12) -> np.ndarray:
-        s = tol * (1.0 + float(np.max(self.half)))
-        return np.all(np.abs(self.to_local_many(X)) <= self.half + s, axis=1)
-
-    def boundary_points(self, ts) -> np.ndarray:
-        cs = self.corners()
-        lens = [2.0 * self.half[0], 2.0 * self.half[1]] * 2
-        s = (np.asarray(ts, dtype=float) % 1.0) * sum(lens)
-        out = np.empty((len(s), 2))
-        todo = np.ones(len(s), dtype=bool)
-        for k in range(4):
-            take = todo & (s <= lens[k]) if k < 3 else todo
-            a, bpt = cs[k], cs[(k + 1) % 4]
-            out[take] = a + np.multiply.outer(np.minimum(s[take] / lens[k], 1.0),
-                                              bpt - a)
-            todo &= ~take
-            s = s - lens[k]
-        return out
-
-    def interior_points(self, uv, margin: float = 1e-6) -> np.ndarray:
-        z = (2.0 * np.asarray(uv, dtype=float) - 1.0) * self.half * (1.0 - margin)
-        return self.to_world_many(z)
-
-    def __repr__(self):
-        return f"OBox(center={self.center.tolist()}, half={self.half.tolist()})"
-
-
-def box(lo, hi) -> OBox:
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if not np.all(hi > lo):
-        raise PreconditionError("box needs hi > lo componentwise")
-    return OBox((lo + hi) / 2.0, (hi - lo) / 2.0)
 
 
 @dataclass
@@ -619,37 +545,47 @@ class RoofMap(MapNode):
         if self.n > limit:
             raise UnsupportedError(f"{self.n} teeth exceed the cell budget")
         h1, w, F = self.h1, self.w, self.domain.frame
+        # every tooth's edges and vertices in one array pass, each element by
+        # the float expression of one tooth at a time, so the bits are the same
+        k = np.arange(self.n)
+        T0 = -self.h0 + k * self.P
+        Tm = T0 + self.lam1 * self.P
+        T1 = T0 + self.P
 
-        def pts(*ty):  # the points at frame coordinates (t, y), shifted and scaled
-            return [shift + scale * (self.domain.center + F[:, self.ax] * (self.s_t * t)
-                                     + F[:, self.ay] * y) for t, y in ty]
+        def pts(*ty):  # per tooth, the points at frame coordinates (t, y), shifted and scaled
+            return np.stack([shift + scale * (self.domain.center
+                                              + np.multiply.outer(self.s_t * t, F[:, self.ax])
+                                              + F[:, self.ay] * y) for t, y in ty], axis=1)
 
+        # one tooth's cells in order: (vertices, A, flag, None) per cell,
+        # (shifts, None, None, slot) per inner slot; row i of each is tooth i's
+        items = []
+        for side, ta, tb in ((1, T0, Tm), (2, Tm, T1)):
+            Ai = self.A1 if side == 1 else self.A2
+            slot = self.slots[side]
+            te = ta if side == 1 else tb
+            if slot.inner is None and slot.flag == GOOD:
+                # slab trapezoid: full height at the tooth edge, h1 - w at peak
+                items.append((pts((te, -h1), (Tm, -(h1 - w)), (Tm, h1 - w), (te, h1)),
+                              Ai, GOOD, None))
+                continue
+            ct = self._core_center(k, side)
+            if slot.inner is None:
+                items.append((shift + scale * (ct[:, None] + np.array(slot.domain.corners())),
+                              Ai, slot.flag, None))
+            else:
+                items.append((shift + scale * ct, None, None, slot))
+            items.extend((pts((ta, sy * (h1 - w)), (tb, sy * (h1 - w)), (te, sy * h1)),
+                          Ai, self.aux_flag, None) for sy in (1.0, -1.0))
+        items.extend((pts((T0, sy * h1), (Tm, sy * (h1 - w)), (T1, sy * h1)),
+                      self.cap_grad[+1 if sy > 0 else -1], self.aux_flag, None)
+                     for sy in (1.0, -1.0))
         for i in range(self.n):
-            T0 = -self.h0 + i * self.P
-            Tm = T0 + self.lam1 * self.P
-            T1 = T0 + self.P
-            for side, (ta, tb) in ((1, (T0, Tm)), (2, (Tm, T1))):
-                Ai = self.A1 if side == 1 else self.A2
-                slot = self.slots[side]
-                te = ta if side == 1 else tb
-                if slot.inner is None and slot.flag == GOOD:
-                    # slab trapezoid: full height at the tooth edge, h1 - w at peak
-                    verts = pts((te, -h1), (Tm, -(h1 - w)), (Tm, h1 - w), (te, h1))
-                    _emit_cell(out, limit, verts, Ai, GOOD)
-                    continue
-                ct = self._core_center(i, side)
-                if slot.inner is None:
-                    verts = [shift + scale * (ct + c) for c in slot.domain.corners()]
-                    _emit_cell(out, limit, verts, Ai, slot.flag)
+            for V, A, flag, slot in items:
+                if slot is None:
+                    _emit_cell(out, limit, list(V[i]), A, flag)
                 else:
-                    yield slot._cells(out, shift + scale * ct, scale, limit)
-                for sy in (1.0, -1.0):
-                    verts = pts((ta, sy * (h1 - w)), (tb, sy * (h1 - w)), (te, sy * h1))
-                    _emit_cell(out, limit, verts, Ai, self.aux_flag)
-            for sy in (1.0, -1.0):
-                verts = pts((T0, sy * h1), (Tm, sy * (h1 - w)), (T1, sy * h1))
-                _emit_cell(out, limit, verts, self.cap_grad[+1 if sy > 0 else -1],
-                           self.aux_flag)
+                    yield slot._cells(out, V[i], scale, limit)
 
 
 class GridCover(MapNode):

@@ -378,6 +378,71 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """A one-split measure and its small realized map, for commands run in
+    fresh interpreters."""
+    d = tmp_path_factory.mktemp("inputs")
+    write_measure(d / "m.json")
+    assert main(["synth", "realize", "--measure", str(d / "m.json"),
+                 "--eps", "0.9", "--out", str(d / "map.json")]) == 0
+    return d
+
+
+# each command with the lamstair modules it must not load: the parser is
+# built from errors and matrices, and each handler imports what it runs
+_PARSER_ONLY = {"boxes", "measures", "serialize", "staircase", "stages", "synth",
+                "models"}
+_MODULES_NOT_LOADED = [
+    (["--help"], _PARSER_ONLY),
+    (["laminate", "verify", "--measure", "@m.json"],
+     {"staircase", "stages", "synth", "models"}),
+    (["verify", "tails", "--measure", "@m.json", "--p", "2", "--M", "8",
+      "--out", "@tails.csv"], {"staircase", "stages", "synth", "models"}),
+    (["staircase", "build", "--kind", "det1", "--A", "diag(2,2)", "--N", "3",
+      "--out", "@built.json"], {"synth", "stages", "models"}),
+    (["report", "dist", "--map", "@map.json", "--out", "@dist.csv"],
+     {"synth", "stages", "staircase"}),
+    (["models", "duality", "--in", "@map.json", "--p", "1.5", "--out", "@map2.json"],
+     {"synth", "stages", "staircase"}),
+    (["synth", "verify", "--map", "@map.json", "--samples", "64",
+      "--out", "@rep.json"], {"stages", "staircase", "models"}),
+]
+
+
+@pytest.mark.parametrize("argv, absent", _MODULES_NOT_LOADED,
+                         ids=[" ".join(a[:2]) for a, _ in _MODULES_NOT_LOADED])
+def test_command_loads_only_what_it_runs(argv, absent, command_inputs, tmp_path):
+    # inputs come from the fixture, outputs go to the test's own directory
+    argv = [str((command_inputs if a in ("@m.json", "@map.json") else tmp_path)
+                / a[1:]) if a[:1] == "@" else a for a in argv]
+    src = os.path.dirname(os.path.dirname(lamstair.__file__))
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from lamstair.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        rc = main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        rc = exc.code\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules"
+        " if m.startswith('lamstair.'))]))\n")
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    rc, loaded = json.loads(out.stdout)
+    assert rc == 0, out.stderr
+    assert "lamstair.errors" in loaded and "lamstair.matrices" in loaded
+    assert not {m.split(".")[1] for m in loaded} & absent, loaded
+
+
+def test_synth_reexports_boxes():
+    from lamstair import boxes, synth
+    assert synth.OBox is boxes.OBox
+    assert synth.box is boxes.box and synth._apply is boxes._apply
+
+
 class TestSynthCommands:
     def test_realize_verify_round_trip(self, tmp_path):
         m, mp, rep = (tmp_path / n for n in ("m.json", "map.json", "rep.json"))
