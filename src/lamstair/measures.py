@@ -625,10 +625,19 @@ def verify_weak_tail(nu: DiscreteMeasure, p: float, M: float, normA: float,
     """Compare tails against M^p (1+|A|^p) t^-p above and an optional lower envelope."""
     if not (p >= 1 and M >= 1):
         raise PreconditionError("need p >= 1 and M >= 1")
+    for name, v in (("p", p), ("M", M), ("|A|", normA)):
+        if not math.isfinite(v):
+            raise PreconditionError(f"need a finite {name}, got {float(v)!r}")
     if side not in ("upper", "lower", "both"):
         raise PreconditionError(f"unknown side {side!r}")
+    try:   # a float power overflows with an error, a numpy scalar's to inf
+        with np.errstate(over="ignore"):
+            cu = M ** p * (1.0 + normA ** p)
+    except OverflowError:
+        cu = math.inf
+    if cu == math.inf:
+        raise PreconditionError("tail envelope M^p (1+|A|^p) overflows the float range")
     rows = []
-    cu = M ** p * (1.0 + normA ** p)
     for t, tail in zip(t_grid, tail_masses(nu, t_grid).tolist()):
         up = cu * t ** -p if side in ("upper", "both") else None
         lo = lower_env(t) if (lower_env is not None and side in ("lower", "both")) else None

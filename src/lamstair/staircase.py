@@ -12,16 +12,15 @@ construction data is rational.
 
 Levels are array blocks (`_Block`): per level A_{n-1}, A_n, gamma_n, mu_n's
 weights and points (merged and in key order, as `DiscreteMeasure` holds
-them) and the splits with their fractions.  Each family builds a block of
-levels at once: `elliptic` and `plaplace` as two splits of diagonal 2x2
-matrices, `det1` and `rank_drop` as diagonal splits column by column, in
-rational mode from exact integers with `Fraction`s made for the exact
+them) and the splits with their fractions.  A spec is given a block
+builder, `block_fn(lo, hi)`, and that is the only way it makes levels: the
+four families build `elliptic` and `plaplace` as two splits of diagonal
+2x2 matrices, `det1` and `rank_drop` as diagonal splits column by column,
+in rational mode from exact integers with `Fraction`s made for the exact
 column only.  `transform_spec` maps a whole block, and `_block_failure`
-validates one.  Specs built from a per-level `step_fn` (custom specs) take
-the same path: their steps are stacked into a block (`_Block.stack`).
-`StairStep`, mu's `DiscreteMeasure` and `SplittingStep` objects are made
-only on demand: by `StaircaseSpec.step(n)`, and by a truncation's
-certificate, once per level on first use.
+validates one.  `StairStep`, mu's `DiscreteMeasure` and `SplittingStep`
+objects are made only on demand: by `StaircaseSpec.step(n)`, and by a
+truncation's certificate, once per level on first use.
 
 `build_truncation` keeps a growing prefix on the spec (the validated
 blocks, the scaled good atoms, beta_n and the last |A_n|), extends it in
@@ -62,7 +61,6 @@ from .measures import (
     _merge_weights,
     _objects,
     _seq_sum,
-    _split_failure,
     _split_rows,
     _weight_error,
     mixture,
@@ -114,9 +112,7 @@ class _Block:
     by key, as `DiscreteMeasure` holds them), its splits rows
     sp_off[i]:sp_off[i + 1] of sp_lam and sp_mats (target, left, right).
     `exact` holds the gammas, mu weights (an object column) and split
-    fractions as given (`Fraction`s in rational mode); `steps` the
-    `StairStep`s the block was stacked from, whose splits stand in for
-    sp_mats (None until mapped)."""
+    fractions as given (`Fraction`s in rational mode)."""
 
     n: np.ndarray
     A_prev: np.ndarray
@@ -129,30 +125,8 @@ class _Block:
     mu_keys: np.ndarray
     sp_off: np.ndarray
     sp_lam: np.ndarray
-    sp_mats: np.ndarray | None
+    sp_mats: np.ndarray
     exact: tuple[list, np.ndarray, list] | None = None
-    steps: list[StairStep] | None = None
-
-    @staticmethod
-    def stack(steps: Sequence[StairStep]) -> _Block:
-        """The block of validated or unvalidated steps of one matrix shape."""
-        mus = [st.mu for st in steps]
-        splits = [s for st in steps for s in st.splits]
-        A_next = np.array([st.A_next for st in steps], dtype=float)
-        pts = np.concatenate([mu._stack for mu in mus])
-        return _Block(np.array([st.n for st in steps]),
-                      np.array([st.A_prev for st in steps], dtype=float), A_next,
-                      np.array([float(st.gamma) for st in steps]),
-                      np.array([mu.mass for mu in mus]), _offsets(list(map(len, mus))),
-                      np.concatenate([mu._w for mu in mus]),
-                      pts.reshape(len(pts), *A_next.shape[1:]),
-                      np.concatenate([mu._keys for mu in mus]),
-                      _offsets([len(st.splits) for st in steps]),
-                      np.array([float(s.lam) for s in splits]), None,
-                      ([st.gamma for st in steps],
-                       np.concatenate([mu._w.astype(object) if mu._exact is None
-                                       else mu._exact for mu in mus]),
-                       [s.lam for s in splits]), list(steps))
 
     def __len__(self):
         return len(self.n)
@@ -166,30 +140,17 @@ class _Block:
         a, s = self.mu_off[j], self.sp_off[j]
         return _Block(self.n[:j], self.A_prev[:j], self.A_next[:j], self.gamma[:j],
                       self.mass[:j], self.mu_off[:j + 1], self.mu_w[:a], self.mu_pts[:a],
-                      self.mu_keys[:a], self.sp_off[:j + 1], self.sp_lam[:s],
-                      None if self.sp_mats is None else self.sp_mats[:s],
+                      self.mu_keys[:a], self.sp_off[:j + 1], self.sp_lam[:s], self.sp_mats[:s],
                       None if self.exact is None else
-                      (self.exact[0][:j], self.exact[1][:a], self.exact[2][:s]),
-                      None if self.steps is None else self.steps[:j])
-
-    def split_mats(self) -> np.ndarray:
-        if self.sp_mats is None:
-            self.sp_mats = np.array([(s.target, s.left, s.right) for st in self.steps
-                                     for s in st.splits], dtype=float).reshape(
-                int(self.sp_off[-1]), 3, *self.A_next.shape[1:])
-        return self.sp_mats
+                      (self.exact[0][:j], self.exact[1][:a], self.exact[2][:s]))
 
     def split_steps(self, s: int = 0, e: int | None = None) -> list[SplittingStep]:
         """Splits s..e - 1 (all by default) as `SplittingStep`s."""
-        if self.steps is not None:
-            return [x for st in self.steps for x in st.splits][s:e]
         lams = self.sp_lam.tolist() if self.exact is None else self.exact[2]
         return [SplittingStep(*M, lam) for M, lam in zip(self.sp_mats[s:e], lams[s:e])]
 
     def step(self, i: int) -> StairStep:
         """Level i as a `StairStep`."""
-        if self.steps is not None:
-            return self.steps[i]
         a, b = self.mu_off[i], self.mu_off[i + 1]
         g, ws = ((float(self.gamma[i]), None) if self.exact is None
                  else (self.exact[0][i], self.exact[1][a:b]))
@@ -225,8 +186,7 @@ def _block_failure(blk: _Block, tol: float = 1e-9) -> tuple[int, PreconditionErr
 
     Per level the checks run in this order: gamma lies in (0,1); mu is a
     probability measure; each split in turn (`_split_rows` on the block's
-    split stack, or `_split_failure` on the splits of the steps it was
-    stacked from; the error is named after the level and split); the
+    split stack; the error is named after the level and split); the
     barycenter gamma A_n + (1 - gamma) sum_j w_j B_j of omega_n is within
     tol * (1 + |A_{n-1}|) of A_{n-1}.  Each check runs on the levels before
     the first failure so far.  The barycenters are stacks, one per atom
@@ -242,12 +202,9 @@ def _block_failure(blk: _Block, tol: float = 1e-9) -> tuple[int, PreconditionErr
         err = PreconditionError(f"step {n[stop]}: gamma {float(g[stop])} outside (0,1)"
                                 if bad_g[stop] else
                                 f"step {n[stop]}: mu is not a probability measure")
-    if blk.steps is not None:
-        split = _split_failure([s for st in blk.steps[:stop] for s in st.splits], tol)
-    else:
-        ns = blk.sp_off[stop]
-        split = _split_rows(blk.sp_lam[:ns], blk.sp_mats[:ns], tol,
-                            shown=None if blk.exact is None else blk.exact[2])
+    ns = blk.sp_off[stop]
+    split = _split_rows(blk.sp_lam[:ns], blk.sp_mats[:ns], tol,
+                        shown=None if blk.exact is None else blk.exact[2])
     if split is not None:
         i = int(np.searchsorted(blk.sp_off, split[0], side="right")) - 1
         stop = i
@@ -276,44 +233,7 @@ def _block_failure(blk: _Block, tol: float = 1e-9) -> tuple[int, PreconditionErr
     return None if err is None else (stop, err)
 
 
-def _step_failure(steps: Sequence[StairStep],
-                  tol: float = 1e-9) -> tuple[int, PreconditionError] | None:
-    """The first step that fails `_block_failure`'s checks, as (index,
-    error), or None: the steps stacked into one block per matrix shape."""
-    groups: dict = {}
-    for i, st in enumerate(steps):
-        groups.setdefault(np.shape(st.A_next), []).append(i)
-    out = None
-    for rows in groups.values():
-        bad = _block_failure(_Block.stack([steps[i] for i in rows]), tol)
-        if bad is not None and (out is None or rows[bad[0]] < out[0]):
-            out = rows[bad[0]], bad[1]
-    return out
-
-
-def _validate_step(st: StairStep, tol: float = 1e-9) -> None:
-    """The one-step case of `_step_failure`."""
-    bad = _step_failure([st], tol)
-    if bad is not None:
-        raise bad[1]
-
-
 BlockFn = Callable[[int, int], "tuple[_Block | None, Exception | None]"]
-
-
-def _stepwise(step_fn: Callable[[int], StairStep]) -> BlockFn:
-    """A block builder from a per-level one: one `step_fn` call per level up
-    to the first that raises, stacked; that exception is the error."""
-    def block_fn(lo: int, hi: int):
-        steps, err = [], None
-        for n in range(lo, hi + 1):
-            try:
-                steps.append(step_fn(n))
-            except Exception as exc:
-                err = exc
-                break
-        return (_Block.stack(steps) if steps else None), err
-    return block_fn
 
 
 class StaircaseSpec:
@@ -321,29 +241,17 @@ class StaircaseSpec:
 
     `block_fn(lo, hi)` builds levels lo..hi as a `_Block`, up to the first
     level whose build fails, and returns it with that failure (None if
-    none).  A spec given a per-level `step_fn(n)` instead builds its blocks
-    by `_stepwise`; a spec given `block_fn` has `step_fn(n)`, the unvalidated
-    level n as a `StairStep`."""
+    none).  It is the spec's only source of levels; `step(n)` reads level n
+    off a block."""
 
-    def __init__(self, A0, kind: str, params: dict,
-                 step_fn: Callable[[int], StairStep] | None = None,
+    def __init__(self, A0, kind: str, params: dict, block_fn: BlockFn,
                  target_sets: tuple[str, ...] = (),
                  gamma_fn: Callable[[int], float] | None = None,
-                 rational: bool = False,
-                 block_fn: BlockFn | None = None):
+                 rational: bool = False):
         self.A0 = asmatrix(A0)
         self.kind = kind
         self.params = dict(params)
         self.target_sets = tuple(target_sets)
-        if block_fn is None:
-            block_fn = _stepwise(step_fn)
-        else:
-            def step_fn(n: int) -> StairStep:
-                blk, err = block_fn(n, n)
-                if err is not None:
-                    raise err
-                return blk.step(0)
-        self._step_fn = step_fn
         self._block_fn = block_fn
         self._gamma_fn = gamma_fn
         self.rational = rational
@@ -658,6 +566,13 @@ def _finite_entries(kind: str, params: dict) -> list:
     return entries
 
 
+def _param(kind: str, params: dict, key: str) -> float:
+    """params[key] as a float; a missing key is a precondition failure."""
+    if key not in params:
+        raise PreconditionError(f"{kind} staircase needs parameter {key}")
+    return float(params[key])
+
+
 def _head_error(kind: str, n: int, base: list, unit: Weight) -> Exception:
     """The first error of level n's own build: its scale unit^(n-1), then
     `_check_level_norm` on |A_n|."""
@@ -939,7 +854,7 @@ def _powers(xs: np.ndarray, q: float) -> np.ndarray:
 
 
 def _elliptic_spec(params: dict) -> StaircaseSpec:
-    K = float(params["K"])
+    K = _param("elliptic", params, "K")
     x0 = float(params.get("x0", 1.0))
     if not K > 1:
         raise PreconditionError("need K > 1")
@@ -971,8 +886,8 @@ def _elliptic_spec(params: dict) -> StaircaseSpec:
 
 
 def _plaplace_spec(params: dict) -> StaircaseSpec:
-    p = float(params["p"])
-    b = float(params["b"])
+    p = _param("plaplace", params, "p")
+    b = _param("plaplace", params, "b")
     x0 = float(params.get("x0", 1.0))
     if not (1.0 < p < 2.0):
         raise PreconditionError("need p in (1,2)")
@@ -1048,7 +963,7 @@ def _map_block(blk: _Block, T: LinMap) -> tuple[_Block | None, Exception | None]
     fails: a non-finite atom, then mu's mass above 1, then a non-finite
     split matrix."""
     k, a = len(blk), len(blk.mu_w)
-    sp = blk.split_mats()
+    sp = blk.sp_mats
     with np.errstate(all="ignore"):
         out = T(np.concatenate([blk.A_prev, blk.A_next, blk.mu_pts,
                                 sp.reshape(-1, *sp.shape[2:])]))

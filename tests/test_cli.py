@@ -155,6 +155,20 @@ class TestExitCodes:
         assert err.startswith("parse error: --params a=") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("action", ["build", "slopes"])
+    @pytest.mark.parametrize("kind, params, missing", [("plaplace", "p=1.5", "b"),
+                                                       ("plaplace", "b=9", "p"),
+                                                       ("elliptic", "x0=2", "K")])
+    def test_missing_family_parameter_is_precondition(self, action, kind, params, missing,
+                                                      tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        argv = ["staircase", action, "--kind", kind, "--params", params, "--out", str(out)]
+        argv += ["--N", "5"] if action == "build" else ["--n-max", "50"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{kind} staircase needs parameter {missing}" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("A", ["diag(nan,2)", "diag(3,inf)"])
     def test_non_finite_seed_is_parse_error(self, A, tmp_path, capsys):
         assert main(["staircase", "build", "--kind", "det1", "--A", A, "--N", "3",
@@ -234,6 +248,32 @@ class TestExitCodes:
         assert main(["verify", "tails", "--measure", str(m), *flags,
                      "--out", str(tmp_path / "t.csv")]) == 3
         assert "need p >= 1 and M >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--p", "1e308", "--M", "1"], "overflows the float range"),
+        (["--p", "2", "--M", "1e200"], "overflows the float range"),
+        (["--p", "2", "--M", "1", "--normA", "1e200"], "overflows the float range"),
+        (["--p", "inf", "--M", "1"], "need a finite p, got inf"),
+        (["--p", "2", "--M", "inf"], "need a finite M, got inf"),
+        (["--p", "2", "--M", "1", "--normA", "inf"], "need a finite |A|, got inf"),
+        (["--p", "2", "--M", "1", "--normA", "nan"], "need a finite |A|, got nan")])
+    def test_non_finite_or_overflowing_tail_envelope_is_precondition(self, flags, message,
+                                                                     tmp_path, capsys):
+        # these exited 1 with an OverflowError, warned, or passed vacuously
+        m = tmp_path / "m.json"
+        write_measure(m)
+        assert main(["verify", "tails", "--measure", str(m), *flags,
+                     "--out", str(tmp_path / "t.csv")]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_overflowing_product_tail_envelope_is_precondition(self, tmp_path, capsys):
+        tails = tmp_path / "t.csv"
+        assert main(["pipeline", "product", "--A", "diag(3,1)", "--M", "1e200",
+                     "--out", str(tmp_path / "m.json"), "--tails", str(tails)]) == 3
+        assert "tail envelope M^p (1+|A|^p) overflows" in capsys.readouterr().err
+        assert not tails.exists()
 
     @pytest.mark.parametrize("beta_tol", ["0", "-1", "nan", "inf"])
     def test_product_beta_tol_must_be_finite_and_positive(self, beta_tol, tmp_path,

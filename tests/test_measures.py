@@ -113,6 +113,15 @@ class TestTails:
                                   side="upper", t_grid=np.logspace(0, 3, 20))
         assert rep.passed
 
+    @pytest.mark.parametrize("normA", [np.float64(1e200), np.float64(np.inf), 1e200, np.nan])
+    def test_weak_tail_envelope_must_be_finite(self, normA):
+        # a float power overflows with an error, a numpy scalar's to inf
+        nu = ms.dirac(np.eye(2))
+        with pytest.raises(PreconditionError):
+            ms.verify_weak_tail(nu, 2.0, 1.0, normA, t_grid=[2.0])
+        rep = ms.verify_weak_tail(nu, 2.0, 1.0, np.float64(1.5), t_grid=[2.0])
+        assert rep.rows[0].upper_env == 0.8125
+
     def test_csv_shape(self):
         rep = ms.verify_weak_tail(ms.dirac(np.zeros((2, 2))), p=2, M=1, normA=0,
                                   side="upper", t_grid=[1.0, 2.0])

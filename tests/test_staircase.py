@@ -284,6 +284,94 @@ def build_truncation_from_scratch(spec, N):
     return ms.DiscreteMeasure(atoms, cert)
 
 
+# ---------------------------------------------------------------------------
+# specs built level by level: per-level steps stacked into blocks
+
+
+def stack(steps):
+    """(the block of steps of one matrix shape, or None for none; the error
+    it ends on, or None), as a block builder returns them; `exact` holds the
+    gammas, mu weights and split fractions as given.  One stack of split
+    matrices cannot hold a split of another shape, so the block ends before
+    the first step with one, on the error `_block_failure` names after that
+    step's first failing split (`_split_failure` on its splits).  Such a
+    step carries no other fault in these tests."""
+    if not steps:
+        return None, None
+    shape = steps[0].A_next.shape
+    for i, st in enumerate(steps):
+        if any(M.shape != shape for s in st.splits for M in (s.target, s.left, s.right)):
+            j, cause = ms._split_failure(st.splits)
+            err = PreconditionError(f"step {st.n}, split {j}: {cause}")
+            err.__cause__ = cause
+            return stack(steps[:i])[0], err
+    mus = [st.mu for st in steps]
+    splits = [s for st in steps for s in st.splits]
+    A_next = np.array([st.A_next for st in steps], dtype=float)
+    pts = np.concatenate([mu._stack for mu in mus])
+    mats = np.array([(s.target, s.left, s.right) for s in splits], dtype=float)
+    return sc._Block(np.array([st.n for st in steps]),
+                     np.array([st.A_prev for st in steps], dtype=float), A_next,
+                     np.array([float(st.gamma) for st in steps]),
+                     np.array([mu.mass for mu in mus]), sc._offsets(list(map(len, mus))),
+                     np.concatenate([mu._w for mu in mus]),
+                     pts.reshape(len(pts), *A_next.shape[1:]),
+                     np.concatenate([mu._keys for mu in mus]),
+                     sc._offsets([len(st.splits) for st in steps]),
+                     np.array([float(s.lam) for s in splits]),
+                     mats.reshape(len(splits), 3, *A_next.shape[1:]),
+                     ([st.gamma for st in steps],
+                      np.concatenate([mu._w.astype(object) if mu._exact is None
+                                      else mu._exact for mu in mus]),
+                      [s.lam for s in splits])), None
+
+
+def stepwise(step_fn):
+    """A block builder from a per-level one: one `step_fn` call per level up
+    to the first that raises, stacked; that exception is the error, unless
+    the stack ends earlier on its own."""
+    def block_fn(lo, hi):
+        steps, err = [], None
+        for n in range(lo, hi + 1):
+            try:
+                steps.append(step_fn(n))
+            except Exception as exc:
+                err = exc
+                break
+        blk, bad = stack(steps)
+        return blk, bad or err
+    return block_fn
+
+
+def stacked_failure(steps, tol=1e-9):
+    """The first step that fails `_block_failure`'s checks, as (index,
+    error), or None: the steps stacked into one block per matrix shape."""
+    groups = {}
+    for i, st in enumerate(steps):
+        groups.setdefault(np.shape(st.A_next), []).append(i)
+    out = None
+    for rows in groups.values():
+        blk, err = stack([steps[i] for i in rows])
+        bad = None if blk is None else sc._block_failure(blk, tol)
+        if bad is None and err is not None:
+            bad = (0 if blk is None else len(blk)), err
+        if bad is not None and (out is None or rows[bad[0]] < out[0]):
+            out = rows[bad[0]], bad[1]
+    return out
+
+
+def validate_step(st, tol=1e-9):
+    """The one-step case of `stacked_failure`: raise the step's error."""
+    bad = stacked_failure([st], tol)
+    if bad is not None:
+        raise bad[1]
+
+
+def level_step(spec, n):
+    """Level n of spec as its block builder makes it, unvalidated."""
+    return spec._block_fn(n, n)[0].step(0)
+
+
 def measure_bits(nu):
     """Everything a truncation carries, with exact weights and point bytes."""
     atoms = [(type(a.weight), a.weight, a.point.shape, a.point.tobytes())
@@ -345,7 +433,7 @@ class TestPrefixCache:
         base = sc.example_staircase("elliptic", {"K": 3.0})
         small = sc.transform_spec(base, sc.LinMap(np.eye(2), np.eye(2), 0.1))
         return sc.StaircaseSpec(base.A0, "elliptic", base.params,
-                                lambda n: (small if n == level else base).step(n),
+                                stepwise(lambda n: (small if n == level else base).step(n)),
                                 base.target_sets)
 
     def test_non_monotone_norms_name_the_level(self):
@@ -377,7 +465,7 @@ class TestPrefixCache:
                                   st.mu, st.gamma, st.splits)
             return st
 
-        inner = sc.StaircaseSpec(base.A0, "elliptic", base.params, step_fn,
+        inner = sc.StaircaseSpec(base.A0, "elliptic", base.params, stepwise(step_fn),
                                  base.target_sets)
         shrink = sc.LinMap(np.eye(2), np.eye(2), 1e-4)
         moved = sc.transform_spec(inner, shrink)
@@ -388,8 +476,8 @@ class TestPrefixCache:
         # the transformed step on its own passes
         st = step_fn(3)
         with pytest.raises(PreconditionError):
-            sc._validate_step(st)
-        sc._validate_step(sc.StairStep(
+            validate_step(st)
+        validate_step(sc.StairStep(
             3, shrink(st.A_prev), shrink(st.A_next), ms.pushforward(st.mu, shrink),
             st.gamma, [ms.SplittingStep(shrink(s.target), shrink(s.left),
                                         shrink(s.right), s.lam) for s in st.splits]))
@@ -400,7 +488,8 @@ class TestPrefixCache:
 
 
 def ref_validate_step(st, tol=1e-9):
-    """`_validate_step` before `_step_failure`: one step, split by split."""
+    """The per-step check that the stacked `_block_failure` replaced: one
+    step, split by split."""
     g = float(st.gamma)
     if not (0.0 < g < 1.0):
         raise PreconditionError(f"step {st.n}: gamma {g} outside (0,1)")
@@ -431,7 +520,7 @@ def ref_step_failure(steps, tol=1e-9):
 
 
 def step_failure(steps, tol=1e-9):
-    bad = sc._step_failure(steps, tol)
+    bad = stacked_failure(steps, tol)
     return None if bad is None else (bad[0], str(bad[1]), str(bad[1].__cause__))
 
 
@@ -480,15 +569,15 @@ def test_step_failure_matches_per_step_check(steps):
     for st in steps:
         ref = ref_step_failure([st])
         if ref is None:
-            sc._validate_step(st)
+            validate_step(st)
         else:
             with pytest.raises(PreconditionError) as got:
-                sc._validate_step(st)
+                validate_step(st)
             assert (str(got.value), str(got.value.__cause__)) == ref[1:]
 
 
 def test_step_failure_of_nothing():
-    assert sc._step_failure([]) is None
+    assert step_failure([]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +598,14 @@ def faulty_source(faults):
         fault = faults.get(n)
         if fault == "raise":
             raise RuntimeError(f"no level {n}")
-        st = small.step(n) if fault == "norm" else base._step_fn(n)
+        st = small.step(n) if fault == "norm" else level_step(base, n)
         if fault == "split":
             s = st.splits[1]
             st.splits[1] = ms.SplittingStep(s.target, s.left, s.right, 1.5)
         return st
 
-    return sc.StaircaseSpec(base.A0, "elliptic", base.params, step_fn, base.target_sets)
+    return sc.StaircaseSpec(base.A0, "elliptic", base.params, stepwise(step_fn),
+                            base.target_sets)
 
 
 MESSAGES = {"split": "step {}, split 1: split fraction 1.5 outside (0,1)",
@@ -667,7 +757,7 @@ def test_block_rows_match_per_level_steps(family, moved):
     fresh = sc.transform_spec(make(), FLIP) if moved else make()
     for n in ROW_LEVELS:
         assert step_bits(fresh.step(n)) == step_bits(want[n])
-        assert step_bits(fresh._step_fn(n)) == step_bits(want[n])
+        assert step_bits(level_step(fresh, n)) == step_bits(want[n])
 
 
 def test_mapped_rational_rows_match_per_level_steps():
@@ -1012,7 +1102,7 @@ def diag_specs(seed, moved, ref=None):
     T = diag_map(len(params["a"])) if moved else None
     spec = sc.example_staircase(kind, params)
     if ref is not None:
-        spec = sc.StaircaseSpec(spec.A0, kind, params, ref, spec.target_sets,
+        spec = sc.StaircaseSpec(spec.A0, kind, params, stepwise(ref), spec.target_sets,
                                 rational=spec.rational)
     return (spec if T is None else sc.transform_spec(spec, T)), T
 
@@ -1048,7 +1138,7 @@ def test_diag_rows_match_per_level_steps(seed, moved):
     fresh, _ = diag_specs(seed, moved)
     for n in want:
         assert step_bits(fresh.step(n)) == want[n]
-        assert step_bits(fresh._step_fn(n)) == want[n]
+        assert step_bits(level_step(fresh, n)) == want[n]
         blk, err = fresh._block_fn(n, n + 1)
         assert err is None and row_bits(blk, 0) == want[n]
 
