@@ -29,6 +29,7 @@ EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, EXIT_INTERNAL = 0, 2, 3, 4
 
 _KIND_ALIASES = {"rankdrop": "rank_drop"}
 _T_GRID_MAX = 100_000   # grid points a --t-grid may ask for
+_SAMPLES_MAX = 1_000_000   # sample budget a synth verify --samples may ask for
 
 
 # --- flag value parsers ----------------------------------------------------------
@@ -51,6 +52,17 @@ def parse_t_grid(text: str) -> np.ndarray:
     if parts[0] == "log":
         return np.geomspace(lo, hi, count)
     return np.linspace(lo, hi, count)
+
+
+def parse_samples(text: str) -> int:
+    """Sample budget of synth verify, 1 <= n <= 1,000,000."""
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise ParseError(f"bad sample count {text!r}") from exc
+    if not 1 <= n <= _SAMPLES_MAX:
+        raise ParseError(f"sample count {n} outside [1, {_SAMPLES_MAX}]")
+    return n
 
 
 def parse_domain(text: str):
@@ -412,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sy.add_parser("verify", parents=[common])
     p.add_argument("--map", required=True)
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--samples", type=int, default=2_000)
+    p.add_argument("--samples", type=parse_samples, default=2_000)
     p.add_argument("--boundary-tol", dest="boundary_tol", type=float,
                    default=1e-6)
     p.add_argument("--continuity-tol", dest="continuity_tol", type=float,

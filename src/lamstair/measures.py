@@ -628,6 +628,8 @@ def verify_weak_tail(nu: DiscreteMeasure, p: float, M: float, normA: float,
     for name, v in (("p", p), ("M", M), ("|A|", normA)):
         if not math.isfinite(v):
             raise PreconditionError(f"need a finite {name}, got {float(v)!r}")
+    if not normA >= 0:
+        raise PreconditionError(f"need |A| >= 0, got {float(normA)!r}")
     if side not in ("upper", "lower", "both"):
         raise PreconditionError(f"unknown side {side!r}")
     try:   # a float power overflows with an error, a numpy scalar's to inf
@@ -639,7 +641,8 @@ def verify_weak_tail(nu: DiscreteMeasure, p: float, M: float, normA: float,
         raise PreconditionError("tail envelope M^p (1+|A|^p) overflows the float range")
     rows = []
     for t, tail in zip(t_grid, tail_masses(nu, t_grid).tolist()):
-        up = cu * t ** -p if side in ("upper", "both") else None
+        with np.errstate(over="ignore"):   # an envelope beyond the floats is inf
+            up = cu * np.float64(t) ** -p if side in ("upper", "both") else None
         lo = lower_env(t) if (lower_env is not None and side in ("lower", "both")) else None
         ok = True
         if up is not None:

@@ -1307,20 +1307,18 @@ class MapVerification:
     notes: list = field(default_factory=list)
 
 
-def _loop_max(screen: np.ndarray, exact) -> float:
-    """max(0.0, exact(k) over the rows k), the value a pointwise loop keeps.
+def _loop_max(rows: np.ndarray, div=1.0) -> float:
+    """max(0.0, |row k| / div[k] over the rows k), the value a pointwise loop
+    keeps, with |row| the Euclidean (Frobenius) norm of the raveled row.
 
-    exact(k) takes a 1-D np.linalg.norm, whose BLAS sum of squares can differ
-    in the last bit from the array norms in ``screen``.  So only the rows
-    whose screened value lies within a relative 1e-12 of the screened maximum
-    are recomputed exactly; the absolute 1e-150 keeps rows whose squares
-    underflow.  NaN rows are skipped, as max() skips them.
+    sqrt(_dots) of the flattened rows equals np.linalg.norm and frob of each
+    row bit for bit, so one stacked pass gives the loop's exact maximum.  div
+    is a scalar or one divisor per row.  NaN quotients are skipped, as max()
+    skips them, and an empty stack gives 0.0.
     """
-    top = np.max(screen, initial=0.0, where=~np.isnan(screen))
-    if not top > 0.0:
-        return 0.0
-    cand = np.nonzero(screen >= top * (1.0 - 1e-12) - 1e-150)[0]
-    return max(0.0, *(exact(k) for k in cand))
+    flat = rows.reshape(len(rows), math.prod(rows.shape[1:]))
+    q = np.sqrt(_dots(flat, flat)) / div
+    return float(np.max(q, initial=0.0, where=~np.isnan(q)))
 
 
 def _halton(n: int, d: int) -> np.ndarray:
@@ -1337,6 +1335,15 @@ def _halton(n: int, d: int) -> np.ndarray:
             f /= base
             q //= base
     return out
+
+
+def _directions(ang: np.ndarray) -> np.ndarray:
+    """Unit vectors (cos, sin) of the angles, by math.cos and math.sin: the
+    sampled checks depend on these exact floats, and np.cos may differ in
+    the last bit."""
+    ang = ang.tolist()
+    return np.stack([np.fromiter(map(math.cos, ang), float, len(ang)),
+                     np.fromiter(map(math.sin, ang), float, len(ang))], axis=1)
 
 
 def verify_map(m, A=None, b=None, alpha: float = 0.5,
@@ -1357,10 +1364,19 @@ def verify_map(m, A=None, b=None, alpha: float = 0.5,
       swap_components()        the map x -> P u(P x) with P the coordinate swap
 
     verify_map reads domain, grad_bound, evaluate_many, gradient_many and,
-    unless A and b are given, boundary_affine.  All samples of a check go
-    through one batched call; single-point evaluation is the k = 1 case of
-    the same path, and every field of the report equals, bit for bit, what
-    evaluating the same Halton samples one at a time gives."""
+    unless A and b are given, boundary_affine.  The checks slice one Halton
+    design (point i does not depend on the design's length), all samples of
+    a check go through one batched call, and each maximum is one stacked
+    norm pass (_loop_max).  Single-point evaluation is the k = 1 case
+    of the same path, and every field of the report equals, bit for bit, what
+    evaluating the same Halton samples one at a time gives.
+
+    alpha must be finite in (0, 1] and sample_budget at least 1; each check
+    takes at least 16 samples."""
+    if not 0.0 < alpha <= 1.0:
+        raise PreconditionError(f"Holder exponent alpha must lie in (0, 1], got {alpha}")
+    if sample_budget < 1:
+        raise PreconditionError(f"sample_budget must be >= 1, got {sample_budget}")
     if A is None or b is None:
         A, b = m.boundary_affine
     A = asmatrix(A)
@@ -1369,50 +1385,34 @@ def verify_map(m, A=None, b=None, alpha: float = 0.5,
     diam = 2.0 * float(np.linalg.norm(dom.half))
     gbound = m.grad_bound()
 
-    def norm(r) -> float:
-        return float(np.linalg.norm(r))
-
     nb = max(sample_budget // 2, 16)
-    ts = _halton(nb, 1).ravel()
-    x = dom.boundary_points(ts)
-    res = m.evaluate_many(x) - (_apply(A, x) + bvec)
-    bmax = _loop_max(np.linalg.norm(res, axis=1), lambda k: norm(res[k]))
+    ni = max(sample_budget // 4, 16)   # interior samples per check
+    H = _halton(nb, 3)   # nb >= ni
 
-    ni = max(sample_budget // 4, 16)
-    uv = _halton(ni, 2)
+    x = dom.boundary_points(H[:, 0])
+    bmax = _loop_max(m.evaluate_many(x) - (_apply(A, x) + bvec))
+
+    # the continuity, Hölder and gradient checks share their base points
+    x = dom.interior_points(H[:ni, :2], margin=1e-3)
     h = 1e-9 * diam / (1.0 + gbound)
-    golden = 2.399963229728653
-    x = dom.interior_points(uv, margin=1e-3)
-    d = np.array([(math.cos(golden * idx), math.sin(golden * idx))
-                  for idx in range(ni)])
+    d = _directions(2.399963229728653 * np.arange(ni))   # golden angle steps
     xp, xm = x + h * d, x - h * d
     keep = dom.contains_many(xp) & dom.contains_many(xm)
     k = int(np.count_nonzero(keep))
     e = m.evaluate_many(np.concatenate([xp[keep], xm[keep], x[keep]]))
-    second = e[:k] + e[k:2 * k] - 2.0 * e[2 * k:]
-    cmax = _loop_max(np.linalg.norm(second, axis=1),
-                     lambda r: norm(second[r]) / (2.0 * h))
+    cmax = _loop_max(e[:k] + e[k:2 * k] - 2.0 * e[2 * k:], 2.0 * h)
 
-    nh = max(sample_budget // 4, 16)
-    uv2 = _halton(nh, 3)
     scales = 12
     rads = [diam * 2.0 ** -(j + 2) for j in range(scales)]
-    scale = np.arange(nh) % scales
-    x = dom.interior_points(uv2[:, :2], margin=1e-3)
-    d = np.array([(math.cos(2.0 * math.pi * wq), math.sin(2.0 * math.pi * wq))
-                  for wq in uv2[:, 2]])
-    y = x + np.array(rads)[scale, None] * d
+    scale = np.arange(ni) % scales
+    y = x + np.array(rads)[scale, None] * _directions(2.0 * math.pi * H[:ni, 2])
     keep = dom.contains_many(y)
     k = int(np.count_nonzero(keep))
     e = m.evaluate_many(np.concatenate([y[keep], x[keep]]))
     dev = e[:k] - e[k:] - _apply(A, y[keep] - x[keep])
-    qpow = np.array([r ** alpha for r in rads])[scale[keep]]
-    hq = _loop_max(np.linalg.norm(dev, axis=1) / qpow,
-                   lambda r: norm(dev[r]) / float(qpow[r]))
+    hq = _loop_max(dev, np.array([r ** alpha for r in rads])[scale[keep]])
 
-    g = m.gradient_many(dom.interior_points(uv[: min(ni, 512)], margin=1e-3))
-    gs = _loop_max(np.linalg.norm(g, axis=(1, 2)), lambda r: frob(g[r]))
+    gs = _loop_max(m.gradient_many(x[:512]))
 
-    return MapVerification(bmax, cmax, hq, alpha, gs, gbound,
-                           nb + ni + nh,
+    return MapVerification(bmax, cmax, hq, alpha, gs, gbound, nb + 2 * ni,
                            notes=["holder_estimate is a sampled lower estimate"])

@@ -268,6 +268,33 @@ class TestExitCodes:
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("p", ["1.5", "2"])
+    def test_negative_norm_is_precondition(self, p, tmp_path, capsys):
+        # p = 1.5 exited 1 with a TypeError (a complex power); p = 2 wrote a CSV
+        m = tmp_path / "m.json"
+        write_measure(m)
+        assert main(["verify", "tails", "--measure", str(m), "--p", p, "--M", "1",
+                     "--normA", "-2", "--out", str(tmp_path / "t.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "need |A| >= 0, got -2.0" in err and "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_envelope_beyond_float_range_is_inf(self, tmp_path):
+        # t ** -p overflows for t < 1; the rows read inf, with no warning
+        # (warnings are errors in this suite)
+        m, out = tmp_path / "m.json", tmp_path / "t.csv"
+        write_measure(m)
+        assert main(["verify", "tails", "--measure", str(m), "--p", "300", "--M", "1",
+                     "--normA", "0.5", "--t-grid", "log:0.001:1:5",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "t,tail,upper_env,lower_env,verdict\n"
+            "0.001,1.0,inf,,pass\n"
+            "0.005623413251903491,1.0,inf,,pass\n"
+            "0.03162277660168379,1.0,inf,,pass\n"
+            "0.1778279410038923,1.0,9.99999999999979e+224,,pass\n"
+            "1.0,1.0,1.0,,pass\n")
+
     def test_overflowing_product_tail_envelope_is_precondition(self, tmp_path, capsys):
         tails = tmp_path / "t.csv"
         assert main(["pipeline", "product", "--A", "diag(3,1)", "--M", "1e200",
@@ -495,6 +522,35 @@ class TestSynthCommands:
         report = json.loads(rep.read_text())
         assert report["verdict"] == "pass"
         assert report["boundary_max"] <= 1e-9
+
+    @pytest.mark.parametrize("samples", ["0", "-5", "1000001", "1000000000000000",
+                                         "2e3", "many"])
+    def test_verify_samples_out_of_range_is_parse_error(self, samples, command_inputs,
+                                                        tmp_path, capsys):
+        # 0 and -5 verified 48 points; 1e15 exited 1 with a memory error
+        rep = tmp_path / "rep.json"
+        assert main(["synth", "verify", "--map", str(command_inputs / "map.json"),
+                     "--samples", samples, "--out", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert "sample count" in err and "Traceback" not in err
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "0", "-0.5", "1.5", "inf"])
+    def test_verify_alpha_out_of_range_is_precondition(self, alpha, command_inputs,
+                                                       tmp_path, capsys):
+        # nan exited 0 with holder_estimate 0.0: every quotient was NaN
+        rep = tmp_path / "rep.json"
+        assert main(["synth", "verify", "--map", str(command_inputs / "map.json"),
+                     f"--alpha={alpha}", "--out", str(rep)]) == 3
+        assert "alpha must lie in (0, 1]" in capsys.readouterr().err
+        assert not rep.exists()
+
+    def test_verify_smallest_budget(self, command_inputs, tmp_path):
+        rep = tmp_path / "rep.json"
+        assert main(["synth", "verify", "--map", str(command_inputs / "map.json"),
+                     "--samples", "1", "--alpha", "1", "--out", str(rep)]) == 0
+        report = json.loads(rep.read_text())
+        assert report["samples"] == 48 and report["holder_alpha"] == 1.0
 
     @pytest.mark.parametrize("argv", [
         ["synth", "realize", "--measure", "@m.json", "--eps", "0.2",

@@ -122,6 +122,18 @@ class TestTails:
         rep = ms.verify_weak_tail(nu, 2.0, 1.0, np.float64(1.5), t_grid=[2.0])
         assert rep.rows[0].upper_env == 0.8125
 
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_weak_tail_norm_must_be_nonnegative(self, p):
+        with pytest.raises(PreconditionError, match=r"need \|A\| >= 0, got -2.0"):
+            ms.verify_weak_tail(ms.dirac(np.eye(2)), p, 1.0, -2.0, t_grid=[2.0])
+
+    @pytest.mark.parametrize("grid", [[1e-3, 1.0], np.array([1e-3, 1.0])])
+    def test_envelope_beyond_float_range_is_inf(self, grid):
+        # a Python float power raised OverflowError, a numpy scalar's warned
+        rep = ms.verify_weak_tail(ms.dirac(np.eye(2)), 300.0, 1.0, 0.5, t_grid=grid)
+        assert [r.upper_env for r in rep.rows] == [np.inf, 1.0]
+        assert rep.passed
+
     def test_csv_shape(self):
         rep = ms.verify_weak_tail(ms.dirac(np.zeros((2, 2))), p=2, M=1, normA=0,
                                   side="upper", t_grid=[1.0, 2.0])

@@ -745,6 +745,62 @@ def test_halton_matches_scipy(d, n):
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("m", [100_000, 5000])
+@pytest.mark.parametrize("n", [1, 16, 17, 2500, 4999])
+def test_halton_prefix_of_a_longer_design(m, n):
+    # verify_map slices its three designs from one: point i does not depend on n
+    for d in (1, 2, 3):
+        assert sy._halton(m, 3)[:n, :d].tobytes() == sy._halton(n, d).tobytes()
+
+
+def loop_max_pointwise(rows, div=1.0):
+    """The per-row loop that _loop_max replaces; reference only."""
+    best = 0.0
+    for r, q in zip(rows, np.broadcast_to(div, (len(rows),))):
+        best = max(best, float(np.linalg.norm(r)) / float(q))
+    return best
+
+
+class TestLoopMax:
+    @pytest.mark.parametrize("rows", [
+        np.array([[np.nan, 1.0], [3.0, 4.0], [0.5, np.nan]]),
+        np.array([[np.nan, np.nan], [np.nan, 0.0]]),
+        np.array([[np.inf, 1.0], [3.0, 4.0], [-np.inf, np.nan]]),
+        np.array([[np.inf, -np.inf], [np.nan, 1.0]]),
+        np.zeros((5, 2)),
+        np.array([[0.0, -0.0], [-0.0, -0.0]]),
+        np.zeros((0, 2)),
+        np.zeros((0, 2, 2)),
+        np.array([[1e-170, 1e-170], [3e-160, -4e-160]]),   # squares underflow
+        np.array([[1e200, 1e200], [1.0, 1.0]]),            # squares overflow
+    ], ids=["nan", "all_nan", "inf", "inf_nan", "zero", "signed_zero", "empty",
+            "empty_stack", "underflow", "overflow"])
+    def test_edge_rows(self, rows):
+        with np.errstate(over="ignore"):   # np.dot warns on the same squares
+            got, ref = sy._loop_max(rows), loop_max_pointwise(rows)
+        assert type(got) is float and got.hex() == ref.hex()
+
+    def test_per_row_divisors(self):
+        rows = np.array([[1.0, 2.0], [np.nan, 0.0], [3.0, 1.0], [0.0, 0.0]])
+        div = np.array([0.5, 0.25, 1e-300, 3.0])
+        assert sy._loop_max(rows, div).hex() == loop_max_pointwise(rows, div).hex()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 40), st.integers(-300, 150), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_random_rows_bitwise(self, k, e, stack, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((k, 2, 2) if stack else (k, 2)) * 10.0 ** e
+        div = rng.uniform(0.1, 10.0, k)
+        assert sy._loop_max(rows).hex() == loop_max_pointwise(rows).hex()
+        assert sy._loop_max(rows, div).hex() == loop_max_pointwise(rows, div).hex()
+        assert sy._loop_max(rows, 2e-9).hex() == loop_max_pointwise(rows, 2e-9).hex()
+
+    def test_gradient_stacks_match_frob(self):
+        g = fixed_map("swapped").gradient_many(UNIT.interior_points(sy._halton(512, 2)))
+        assert sy._loop_max(g) == max(0.0, *(frob(r) for r in g))
+
+
 def verify_map_pointwise(m, A=None, b=None, alpha=0.5, sample_budget=10_000):
     """The one-point-at-a-time loop that verify_map batches; reference only.
     Every point goes alone through the batched OBox and map calls, so equal
@@ -817,6 +873,44 @@ class TestBatchedVerification:
         cm = fixed_map("cell_map")
         assert (sy.verify_map(cm, sample_budget=2_000)
                 == verify_map_pointwise(cm, sample_budget=2_000))
+
+    def test_rotated_domain(self):
+        dom = sy.OBox((0.3, -0.2), (1.0, 0.5), rotation(0.5))
+        A1, A2 = np.diag([1.0, 1.0]), np.diag([-1.0, 1.0])
+        m = sy.roof(0.4 * A1 + 0.6 * A2, (0.1, 0.2), A1, A2, 0.4, dom, eps=0.1)
+        assert (sy.verify_map(m, alpha=0.8, sample_budget=1_000)
+                == verify_map_pointwise(m, alpha=0.8, sample_budget=1_000))
+
+    def test_swapped_map(self):
+        m = fixed_map("swapped")
+        assert (sy.verify_map(m, sample_budget=1_000)
+                == verify_map_pointwise(m, sample_budget=1_000))
+
+    @pytest.mark.parametrize("budget", [1, 7, 32, 33, 64, 65])
+    @pytest.mark.parametrize("name", ["rotated_roof", "swapped", "cell_map"])
+    def test_sample_floor(self, name, budget):
+        # each check takes at least 16 samples, however small the budget
+        m = fixed_map(name)
+        rep = sy.verify_map(m, sample_budget=budget)
+        assert rep == verify_map_pointwise(m, sample_budget=budget)
+        assert rep.samples == max(budget // 2, 16) + 2 * max(budget // 4, 16)
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"sample_budget": 0}, "sample_budget must be >= 1"),
+        ({"sample_budget": -5}, "sample_budget must be >= 1"),
+        ({"alpha": float("nan")}, "alpha must lie in"),
+        ({"alpha": 0.0}, "alpha must lie in"),
+        ({"alpha": -0.5}, "alpha must lie in"),
+        ({"alpha": 1.5}, "alpha must lie in"),
+        ({"alpha": float("inf")}, "alpha must lie in")])
+    def test_bad_budget_or_alpha_is_precondition(self, kw, message):
+        with pytest.raises(PreconditionError, match=message):
+            sy.verify_map(fixed_map("cell_map"), **kw)
+
+    def test_alpha_one_is_lipschitz_quotient(self):
+        m = fixed_map("rotated_roof")
+        assert (sy.verify_map(m, alpha=1.0, sample_budget=200)
+                == verify_map_pointwise(m, alpha=1.0, sample_budget=200))
 
 
 # ---------------------------------------------------------------------------
