@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Tail-exponent sweep over the four staircase families.
+"""Tail-exponent sweep over the elliptic and p-Laplace staircase families.
 
-Writes one beta-decay CSV per configuration plus a summary table comparing
-measured log-log slopes against the predicted exponents.
+Fits the log-log slope of beta_n over levels 100..n-max for elliptic K in
+{1.5, 3, 10} and p-Laplace p in {1.1, 1.5, 1.9} (b from `select_b`), and
+writes summary.csv comparing each measured slope with its predicted exponent.
 """
 
 import argparse

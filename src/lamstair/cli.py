@@ -159,7 +159,7 @@ def _cmd_staircase_build(args) -> bool:
 
 
 def _cmd_staircase_slopes(args) -> bool:
-    from .staircase import beta_slope, log_betas
+    from .staircase import _fit_slope, log_betas
     spec = _load_staircase(args)
     logs = log_betas(spec, args.n_max)
     lines = ["n,beta,log_beta"]
@@ -169,7 +169,7 @@ def _cmd_staircase_slopes(args) -> bool:
     _write_text(args.out, "\n".join(lines) + "\n")
     n_min = max(args.n_min, 2)
     if args.n_max > n_min:
-        slope = beta_slope(spec, n_min, args.n_max)
+        slope = _fit_slope(logs, n_min)
         print(f"slope,{slope!r}")
     return True
 

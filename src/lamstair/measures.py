@@ -619,10 +619,8 @@ class TailReport:
 
 
 def verify_weak_tail(nu: DiscreteMeasure, p: float, M: float, normA: float,
-                     side: str = "upper", t_grid: Sequence[float] = (),
-                     lower_env: Callable[[float], float] | None = None,
-                     slack: float = 0.0) -> TailReport:
-    """Compare tails against M^p (1+|A|^p) t^-p above and an optional lower envelope."""
+                     t_grid: Sequence[float] = (), slack: float = 0.0) -> TailReport:
+    """Compare tails against the envelope M^p (1+|A|^p) t^-p from above."""
     if not (p >= 1 and M >= 1):
         raise PreconditionError("need p >= 1 and M >= 1")
     for name, v in (("p", p), ("M", M), ("|A|", normA)):
@@ -630,27 +628,29 @@ def verify_weak_tail(nu: DiscreteMeasure, p: float, M: float, normA: float,
             raise PreconditionError(f"need a finite {name}, got {float(v)!r}")
     if not normA >= 0:
         raise PreconditionError(f"need |A| >= 0, got {float(normA)!r}")
-    if side not in ("upper", "lower", "both"):
-        raise PreconditionError(f"unknown side {side!r}")
-    try:   # a float power overflows with an error, a numpy scalar's to inf
+    rows = _upper_rows(nu, lambda: M ** p * (1.0 + normA ** p), "tail envelope M^p (1+|A|^p)",
+                       p, t_grid, slack)
+    return TailReport(rows, {"p": p, "M": M, "normA": normA, "slack": slack})
+
+
+def _upper_rows(nu: DiscreteMeasure, constant: Callable[[], float], what: str, r: float,
+                t_grid: Sequence[float], slack: float) -> list[TailRow]:
+    """Rows checking tail(t) <= C t^-r + slack on the grid, for C = constant().
+    An infinite C is a precondition failure naming `what` (a float power
+    overflows with an error, a numpy scalar's to inf); an envelope C t^-r
+    beyond the floats is inf."""
+    try:
         with np.errstate(over="ignore"):
-            cu = M ** p * (1.0 + normA ** p)
+            C = constant()
     except OverflowError:
-        cu = math.inf
-    if cu == math.inf:
-        raise PreconditionError("tail envelope M^p (1+|A|^p) overflows the float range")
-    rows = []
-    for t, tail in zip(t_grid, tail_masses(nu, t_grid).tolist()):
-        with np.errstate(over="ignore"):   # an envelope beyond the floats is inf
-            up = cu * np.float64(t) ** -p if side in ("upper", "both") else None
-        lo = lower_env(t) if (lower_env is not None and side in ("lower", "both")) else None
-        ok = True
-        if up is not None:
-            ok = ok and tail <= up + slack
-        if lo is not None:
-            ok = ok and tail >= lo - slack
-        rows.append(TailRow(float(t), tail, up, lo, ok))
-    return TailReport(rows, {"p": p, "M": M, "normA": normA, "side": side, "slack": slack})
+        C = math.inf
+    if C == math.inf:
+        raise PreconditionError(f"{what} overflows the float range")
+    tails = tail_masses(nu, t_grid).tolist()
+    with np.errstate(over="ignore"):
+        ups = [C * np.float64(t) ** -r for t in t_grid]
+    return [TailRow(float(t), tail, up, None, tail <= up + slack)
+            for t, tail, up in zip(t_grid, tails, ups)]
 
 
 def fit_upper_constant(nu: DiscreteMeasure, p: float, t_grid: Sequence[float]) -> float:
@@ -695,11 +695,8 @@ def diamond_compose(nu1: DiscreteMeasure,
             raise UnsupportedError("no composition envelope exists for p == q")
         r = min(p, q)
         C = 4.0 * (1.0 + q / abs(p - q))
-        cu = C * (M1 * M2) ** r * (1.0 + normA ** r)
-        rows = []
-        for t, tail in zip(t_grid, tail_masses(composed, t_grid).tolist()):
-            up = cu * t ** -r
-            rows.append(TailRow(float(t), tail, up, None, tail <= up + slack))
+        rows = _upper_rows(composed, lambda: C * (M1 * M2) ** r * (1.0 + normA ** r),
+                           "composed tail envelope C (M1 M2)^r (1+|A|^r)", r, t_grid, slack)
         report = TailReport(rows, {"p": p, "q": q, "r": r, "C": C, "M1": M1, "M2": M2,
                                    "normA": normA})
     return composed, report

@@ -149,15 +149,13 @@ class PipelineResult:
     fitted_M: float
     exponent: ExponentProfile
     extra: dict = field(default_factory=dict)
-    realized_map: object = None
 
 
-def afs_pipeline(A, K: float, N: int = 200, t_grid=None,
-                 mode: str = "measure", domain=None,
-                 delta: float = 0.05, depth: int = 4) -> PipelineResult:
+def afs_pipeline(A, K: float, N: int = 200, t_grid=None) -> PipelineResult:
     """Elliptic-inclusion pipeline: extended measure with barycenter A supported
     in E_K union E_{1/K}, two-sided tail verdict, fitted envelope constant.
-    Map mode additionally realizes the measure as a piecewise-affine gradient."""
+    `synth.realize_extended(result.extended, ...)` realizes the measure as a
+    piecewise-affine gradient."""
     from .staircase import extended_measure, extended_tail_report
     A = asmatrix(A)
     prof = exponent("elliptic", {"K": K})
@@ -166,20 +164,11 @@ def afs_pipeline(A, K: float, N: int = 200, t_grid=None,
         t0 = 1.0 + frob(A)
         t_grid = np.geomspace(t0 * 1.01, t0 * 50.0, 60)
     rep = extended_tail_report(ext, N, t_grid)
-    result = PipelineResult(ext.truncate(N), ext, rep,
-                            float(rep.meta["fitted_M"]), prof)
-    if mode == "map":
-        from . import synth
-        result.realized_map = synth.realize_extended(ext, domain=domain,
-                                                     delta=delta, depth=depth)
-    elif mode != "measure":
-        raise PreconditionError(f"unknown mode {mode!r}")
-    return result
+    return PipelineResult(ext.truncate(N), ext, rep, float(rep.meta["fitted_M"]), prof)
 
 
 def plap_pipeline(A, p: float, N: int = 10_000, t_grid=None,
-                  mode: str = "measure", domain=None, b: float | None = None,
-                  delta: float = 0.05, depth: int = 4) -> PipelineResult:
+                  b: float | None = None) -> PipelineResult:
     """p-Laplace pipeline: extended measure in K_p with the selected staircase
     parameter b, two-sided tails, and the moment-divergence proxy."""
     from .staircase import extended_measure, extended_tail_report
@@ -202,20 +191,13 @@ def plap_pipeline(A, p: float, N: int = 10_000, t_grid=None,
     sub_increments = [moment(ext.truncate(n), 0.95 * qbar)
                       - moment(ext.truncate(n - 1), 0.95 * qbar)
                       for n in (2_000, 5_000, 10_000) if n <= N]
-    result = PipelineResult(ext.truncate(min(N, 400)), ext, rep,
-                            float(rep.meta["fitted_M"]), prof,
-                            extra={"b": b,
-                                   "moment_N": checkpoints,
-                                   "qbar_moments": div_moments,
-                                   "sub_moments": sub_moments,
-                                   "sub_increments": sub_increments})
-    if mode == "map":
-        from . import synth
-        result.realized_map = synth.realize_extended(ext, domain=domain,
-                                                     delta=delta, depth=depth)
-    elif mode != "measure":
-        raise PreconditionError(f"unknown mode {mode!r}")
-    return result
+    return PipelineResult(ext.truncate(min(N, 400)), ext, rep,
+                          float(rep.meta["fitted_M"]), prof,
+                          extra={"b": b,
+                                 "moment_N": checkpoints,
+                                 "qbar_moments": div_moments,
+                                 "sub_moments": sub_moments,
+                                 "sub_increments": sub_increments})
 
 
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])

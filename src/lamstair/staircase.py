@@ -13,14 +13,16 @@ construction data is rational.
 Levels are array blocks (`_Block`): per level A_{n-1}, A_n, gamma_n, mu_n's
 weights and points (merged and in key order, as `DiscreteMeasure` holds
 them) and the splits with their fractions.  A spec is given a block
-builder, `block_fn(lo, hi)`, and that is the only way it makes levels: the
-four families build `elliptic` and `plaplace` as two splits of diagonal
-2x2 matrices, `det1` and `rank_drop` as diagonal splits column by column,
-in rational mode from exact integers with `Fraction`s made for the exact
-column only.  `transform_spec` maps a whole block, and `_block_failure`
-validates one.  `StairStep`, mu's `DiscreteMeasure` and `SplittingStep`
-objects are made only on demand: by `StaircaseSpec.step(n)`, and by a
-truncation's certificate, once per level on first use.
+builder, `block_fn(lo, hi)`, and that is the only way it makes levels:
+beta_n and the beta slopes are read off validated blocks as truncations
+are, so a slope ends at the level where a build ends.  The four families
+build `elliptic` and `plaplace` as two splits of diagonal 2x2 matrices,
+`det1` and `rank_drop` as diagonal splits column by column, in rational
+mode from exact integers with `Fraction`s made for the exact column only.
+`transform_spec` maps a whole block, and `_block_failure` validates one.
+`StairStep`, mu's `DiscreteMeasure` and `SplittingStep` objects are made
+only on demand: by `StaircaseSpec.step(n)`, and by a truncation's
+certificate, once per level on first use.
 
 `build_truncation` keeps a growing prefix on the spec (the validated
 blocks, the scaled good atoms, beta_n and the last |A_n|), extends it in
@@ -241,19 +243,17 @@ class StaircaseSpec:
 
     `block_fn(lo, hi)` builds levels lo..hi as a `_Block`, up to the first
     level whose build fails, and returns it with that failure (None if
-    none).  It is the spec's only source of levels; `step(n)` reads level n
-    off a block."""
+    none).  It is the spec's only source of levels: `step(n)` and `gamma(n)`
+    read level n off a block, and `betas`, `log_betas` and `check_hypotheses`
+    walk validated blocks."""
 
     def __init__(self, A0, kind: str, params: dict, block_fn: BlockFn,
-                 target_sets: tuple[str, ...] = (),
-                 gamma_fn: Callable[[int], float] | None = None,
-                 rational: bool = False):
+                 target_sets: tuple[str, ...] = (), rational: bool = False):
         self.A0 = asmatrix(A0)
         self.kind = kind
         self.params = dict(params)
         self.target_sets = tuple(target_sets)
         self._block_fn = block_fn
-        self._gamma_fn = gamma_fn
         self.rational = rational
         # steps made by `step`; build_truncation's prefix over levels
         # 1..len(self._levels): per level the end offsets into the good
@@ -317,53 +317,57 @@ class StaircaseSpec:
         return self._cert[:n_splits]
 
     def gamma(self, n: int) -> float:
-        if self._gamma_fn is not None:
-            return float(self._gamma_fn(n))
         return float(self.step(n).gamma)
 
     def in_target(self, X, tol: float = 1e-9) -> bool:
         return any(member(X, s, tol) for s in self.target_sets)
 
 
-def betas(spec: StaircaseSpec, N: int) -> list[Weight]:
-    """[beta_1, ..., beta_N], exact in rational mode: read off the prefix as
-    far as it reaches, then from the levels past it (the same product)."""
-    out: list[Weight] = [lv[2] for lv in spec._levels[:N]]
-    acc: Weight = out[-1] if out else (Fraction(1) if spec.rational else 1.0)
-    for st in _walk(spec, len(out) + 1, N):
-        g = st.gamma
-        if isinstance(acc, Fraction) and isinstance(g, Fraction):
-            acc = acc * g
-        else:
-            acc = float(acc) * float(g)
-        out.append(acc)
-    return out
-
-
 def _walk(spec: StaircaseSpec, lo: int, hi: int):
-    """The validated steps of levels lo..hi in order, built a block at a time
-    and not kept; a failing level raises its error where a level-by-level
-    `step(n)` would."""
+    """The validated blocks of levels lo..hi in order, `_BLOCK` levels at a
+    time and not kept; a failing level raises its error after the levels
+    before it, where a level-by-level `step(n)` would."""
     for start in range(lo, hi + 1, _BLOCK):
         blk, err = spec._build(start, min(hi, start + _BLOCK - 1))
-        for i in range(0 if blk is None else len(blk)):
-            yield blk.step(i)
+        if blk is not None:
+            yield blk
         if err is not None:
             raise err
 
 
+def betas(spec: StaircaseSpec, N: int) -> list[Weight]:
+    """[beta_1, ..., beta_N], exact in rational mode: read off the prefix as
+    far as it reaches, then from the blocks past it (the same product)."""
+    out: list[Weight] = [lv[2] for lv in spec._levels[:N]]
+    acc: Weight = out[-1] if out else (Fraction(1) if spec.rational else 1.0)
+    for blk in _walk(spec, len(out) + 1, N):
+        for g in blk.gamma.tolist() if blk.exact is None else blk.exact[0]:
+            if isinstance(acc, Fraction) and isinstance(g, Fraction):
+                acc = acc * g
+            else:
+                acc = float(acc) * float(g)
+            out.append(acc)
+    return out
+
+
 def log_betas(spec: StaircaseSpec, N: int) -> np.ndarray:
-    """log beta_n for n = 1..N via the cheap gamma path (no atom construction)."""
-    gs = np.array([spec.gamma(n) for n in range(1, N + 1)])
-    return np.cumsum(np.log(gs))
+    """log beta_n for n = 1..N, the cumulative log of the blocks' float
+    gammas.  It reads the levels a build makes, so a staircase whose level n
+    fails to build (an |A_n| past the float range, say) raises that level's
+    error here too: slopes end where builds end."""
+    gs = [blk.gamma for blk in _walk(spec, 1, N)]
+    return np.cumsum(np.log(np.concatenate([np.zeros(0), *gs])))
+
+
+def _fit_slope(lb: np.ndarray, n_min: int) -> float:
+    """Log-log regression slope of lb[n - 1] = log beta_n over n >= n_min."""
+    ns = np.arange(1, len(lb) + 1)
+    return float(np.polyfit(np.log(ns[ns >= n_min]), lb[ns >= n_min], 1)[0])
 
 
 def beta_slope(spec: StaircaseSpec, n_min: int, n_max: int) -> float:
     """Log-log regression slope of beta_n over n in [n_min, n_max]."""
-    lb = log_betas(spec, n_max)
-    ns = np.arange(1, n_max + 1)
-    sel = ns >= n_min
-    return float(np.polyfit(np.log(ns[sel]), lb[sel], 1)[0])
+    return _fit_slope(log_betas(spec, n_max), n_min)
 
 
 def _grow(spec: StaircaseSpec, N: int) -> Exception | None:
@@ -514,7 +518,8 @@ def check_hypotheses(spec: StaircaseSpec, p: float, N: int, c: float, c0: float,
         raise PreconditionError("constants must be positive with c > 1")
     rows = []
     beta = 1.0
-    for n, st in enumerate(_walk(spec, 1, N), start=1):
+    steps = (blk.step(i) for blk in _walk(spec, 1, N) for i in range(len(blk)))
+    for n, st in enumerate(steps, start=1):
         beta *= float(st.gamma)
         a_prev = frob(st.A_prev)
         a_n = frob(st.A_next)
@@ -761,12 +766,8 @@ def _det1_spec(params: dict) -> StaircaseSpec:
         return _diag_split_block(lo, cur[:k], two[:k], range(d), small, lam, mu, gamma,
                                  exact, bad or err)
 
-    def gamma_fn(n: int) -> float:
-        D = math.prod(float(v) for v in base) * 2.0 ** ((n - 1) * d)
-        return (D - 1.0) / (2.0 ** d * D - 1.0)
-
     return StaircaseSpec(_diag(base), "det1", params, target_sets=("D&Sigma",),
-                         gamma_fn=gamma_fn, rational=rational, block_fn=block_fn)
+                         rational=rational, block_fn=block_fn)
 
 
 def _rank_drop_spec(params: dict) -> StaircaseSpec:
@@ -801,8 +802,7 @@ def _rank_drop_spec(params: dict) -> StaircaseSpec:
                                  np.tile(mu_w, (k, 1)), np.full(k, float(gamma)), exact, err)
 
     return StaircaseSpec(_diag(base), "rank_drop", params,
-                         target_sets=(f"rank<={m - 1}",),
-                         gamma_fn=lambda n: float(gamma), rational=rational,
+                         target_sets=(f"rank<={m - 1}",), rational=rational,
                          block_fn=block_fn)
 
 
@@ -862,27 +862,17 @@ def _elliptic_spec(params: dict) -> StaircaseSpec:
         raise PreconditionError("need start x >= 1")
     kinv = 1.0 / K
 
-    def weights(x):
-        a1 = 1.0 / (1.0 + x * (1.0 + kinv))
-        l2 = 1.0 / ((x + 1.0) * (1.0 + kinv))
-        return a1, l2
-
     def block_fn(lo: int, hi: int):
         with np.errstate(all="ignore"):   # Python's float arithmetic does not warn
             x = _xs(x0, lo, hi)
             x1 = x + 1.0
-            a1, l2 = weights(x)
+            a1 = 1.0 / (1.0 + x * (1.0 + kinv))
+            l2 = 1.0 / (x1 * (1.0 + kinv))
             diags = (-x, x), (-x, -x * kinv), (-x, x1), (x1 * kinv, x1), (-x1, x1)
         return _two_split_block(lo, *diags, a1, l2)
 
-    def gamma_fn(n: int) -> float:
-        x = x0 + (n - 1)
-        a1, l2 = weights(x)
-        return (1.0 - a1) * (1.0 - l2)
-
     return StaircaseSpec(_diag([-x0, x0]), "elliptic", params,
-                         target_sets=(f"E:{K!r}", f"E:{kinv!r}"),
-                         gamma_fn=gamma_fn, block_fn=block_fn)
+                         target_sets=(f"E:{K!r}", f"E:{kinv!r}"), block_fn=block_fn)
 
 
 def _plaplace_spec(params: dict) -> StaircaseSpec:
@@ -907,15 +897,8 @@ def _plaplace_spec(params: dict) -> StaircaseSpec:
             diags = (bx, -xq), (bx, bxq), (bx, -x1q), (-x1, -x1q), (b * x1, -x1q)
         return _two_split_block(lo, *diags, a1, l2)
 
-    def gamma_fn(n: int) -> float:
-        x = x0 + (n - 1)
-        a1 = ((x + 1.0) ** q - x ** q) / ((b * x) ** q + (x + 1.0) ** q)
-        l2 = b / ((b + 1.0) * (x + 1.0))
-        return (1.0 - a1) * (1.0 - l2)
-
     return StaircaseSpec(_diag([b * x0, -(x0 ** q)]), "plaplace", params,
-                         target_sets=(f"Kp:{p!r}",), gamma_fn=gamma_fn,
-                         block_fn=block_fn)
+                         target_sets=(f"Kp:{p!r}",), block_fn=block_fn)
 
 
 _FAMILIES = {
@@ -1008,8 +991,7 @@ def transform_spec(spec: StaircaseSpec, T: LinMap,
     return StaircaseSpec(T(spec.A0), spec.kind, spec.params,
                          target_sets=target_sets if target_sets is not None
                          else spec.target_sets,
-                         gamma_fn=spec._gamma_fn, rational=spec.rational,
-                         block_fn=block_fn)
+                         rational=spec.rational, block_fn=block_fn)
 
 
 # --- extended measures ------------------------------------------------------------
@@ -1065,16 +1047,12 @@ class _ExtBuilder:
         self.tails.append((w, transform_spec(spec, T)))
 
 
-def _in_union(X, sets: tuple[str, ...], tol: float) -> bool:
-    return any(member(X, s, tol) for s in sets)
-
-
 def _ell_diag(bld: _ExtBuilder, w: float, x: float, y: float, T: LinMap):
     K = float(bld.params["K"])
     tol = bld.tol
     sets = (f"E:{K!r}", f"E:{1.0 / K!r}")
     D = _diag([x, y])
-    if _in_union(D, sets, tol):
+    if any(member(D, s, tol) for s in sets):
         bld.atom(w, T, D)
         return
     # pure staircase barycenters diag(-x0, x0) (up to sign), x0 >= 1
@@ -1189,7 +1167,7 @@ def _process_general(bld: _ExtBuilder, diag_handler, w: float, A: np.ndarray,
     handle_anticonformal(w * (1.0 - lam), C)
 
 
-def extended_measure(kind: str, A, params: dict, N: int = 0) -> ExtendedMeasure:
+def extended_measure(kind: str, A, params: dict) -> ExtendedMeasure:
     """Finite laminate + staircase tails with barycenter A, supported in the
     elliptic set pair (kind='elliptic', params K) or the p-Laplace set
     (kind='plaplace', params p and b)."""

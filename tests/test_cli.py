@@ -72,6 +72,27 @@ class TestStaircaseCommands:
         slope = float(capsys.readouterr().out.split("slope,")[1])
         assert slope == pytest.approx(-1.5, rel=0.05)
 
+    def test_slopes_past_the_float_range_is_precondition(self, tmp_path, capsys):
+        # the closed-form det1 gamma overflowed in 2.0 ** ((n - 1) * d)
+        out = tmp_path / "slopes.csv"
+        assert main(["staircase", "slopes", "--kind", "det1", "--A", "diag(2,2)",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "det1 staircase level 511: |A_n| overflows" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_slopes_end_where_builds_end(self, tmp_path, capsys):
+        # slopes read a constant closed-form gamma past the last level a build makes
+        argv = ["--kind", "rank_drop", "--A", "diag(2,2)"]
+        assert main(["staircase", "build", *argv, "--N", "2000",
+                     "--out", str(tmp_path / "m.json")]) == 3
+        build_err = capsys.readouterr().err
+        assert "level 511:" in build_err
+        assert main(["staircase", "slopes", *argv, "--n-max", "2000",
+                     "--out", str(tmp_path / "slopes.csv")]) == 3
+        assert capsys.readouterr().err == build_err
+        assert not (tmp_path / "slopes.csv").exists()
+
     def test_wrong_m_rejected(self, tmp_path):
         assert main(["staircase", "build", "--kind", "rankdrop",
                      "--A", "diag(3,5,0,0)", "--m", "3", "--N", "5",

@@ -110,7 +110,7 @@ class TestTails:
 
     def test_verify_weak_tail_dirac(self):
         rep = ms.verify_weak_tail(ms.dirac(np.zeros((2, 2))), p=2, M=1, normA=0,
-                                  side="upper", t_grid=np.logspace(0, 3, 20))
+                                  t_grid=np.logspace(0, 3, 20))
         assert rep.passed
 
     @pytest.mark.parametrize("normA", [np.float64(1e200), np.float64(np.inf), 1e200, np.nan])
@@ -136,7 +136,7 @@ class TestTails:
 
     def test_csv_shape(self):
         rep = ms.verify_weak_tail(ms.dirac(np.zeros((2, 2))), p=2, M=1, normA=0,
-                                  side="upper", t_grid=[1.0, 2.0])
+                                  t_grid=[1.0, 2.0])
         lines = rep.csv_lines()
         assert lines[0] == "t,tail,upper_env,lower_env,verdict"
         assert len(lines) == 3
@@ -154,6 +154,23 @@ class TestDiamond:
         with pytest.raises(UnsupportedError):
             ms.diamond_compose(nu, lambda i, a: ms.dirac(a.point), p=2, q=2,
                                M1=1, M2=1, normA=1)
+
+    @pytest.mark.parametrize("grid", [[1e-3, 1.0], np.array([1e-3, 1.0])])
+    def test_envelope_beyond_float_range_is_inf(self, grid):
+        # a Python float power raised OverflowError, a numpy scalar's warned
+        nu = ms.dirac(np.eye(2))
+        _, rep = ms.diamond_compose(nu, lambda i, a: ms.dirac(a.point), p=300.0, q=200.0,
+                                    M1=1.0, M2=1.0, normA=0.5, t_grid=grid)
+        assert [r.upper_env for r in rep.rows] == [np.inf, 12.0 * (1.0 + 0.5 ** 200)]
+        assert rep.passed
+
+    @pytest.mark.parametrize("M", [1e200, np.float64(1e200)], ids=["float", "numpy"])
+    def test_envelope_constant_must_be_finite(self, M):
+        # (M1 M2)^r is inf, and every tail passed against an inf envelope
+        nu = ms.dirac(np.eye(2))
+        with pytest.raises(PreconditionError, match="composed tail envelope .* overflows"):
+            ms.diamond_compose(nu, lambda i, a: ms.dirac(a.point), p=3.0, q=2.0,
+                               M1=M, M2=M, normA=0.5, t_grid=[2.0])
 
     def test_mass_preserved(self):
         nu = ms.DiscreteMeasure([ms.Atom(Fraction(1, 3), np.diag([1.0, 0.0])),

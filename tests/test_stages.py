@@ -372,7 +372,7 @@ def unbuilt(spec, builds=None):
         return block_fn(lo, hi)
 
     return StaircaseSpec(spec.A0, spec.kind, spec.params, target_sets=spec.target_sets,
-                         gamma_fn=spec._gamma_fn, rational=spec.rational, block_fn=counted)
+                         rational=spec.rational, block_fn=counted)
 
 
 def check_depth(spec, r, phi, n_max=400):

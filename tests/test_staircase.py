@@ -163,6 +163,77 @@ class TestPlaplace:
         assert slope == pytest.approx(-q, rel=0.01)
 
 
+# The closed forms of gamma_n that the families once kept beside their block
+# builders, for log_betas; the blocks are now the only source of gamma_n.
+
+def ref_det1_gamma(a, n):
+    d = len(a)
+    D = math.prod(float(v) for v in a) * 2.0 ** ((n - 1) * d)
+    return (D - 1.0) / (2.0 ** d * D - 1.0)
+
+
+def ref_rank_drop_gamma(a, n):
+    return 0.5 ** sum(float(v) != 0.0 for v in a)
+
+
+def ref_elliptic_gamma(K, n, x0=1.0):
+    kinv = 1.0 / K
+    x = x0 + (n - 1)
+    a1 = 1.0 / (1.0 + x * (1.0 + kinv))
+    l2 = 1.0 / ((x + 1.0) * (1.0 + kinv))
+    return (1.0 - a1) * (1.0 - l2)
+
+
+def ref_plaplace_gamma(p, b, n, x0=1.0):
+    q = p - 1.0
+    x = x0 + (n - 1)
+    a1 = ((x + 1.0) ** q - x ** q) / ((b * x) ** q + (x + 1.0) ** q)
+    l2 = b / ((b + 1.0) * (x + 1.0))
+    return (1.0 - a1) * (1.0 - l2)
+
+
+def assert_log_betas_match(spec, gamma, N):
+    ref = np.cumsum(np.log(np.array([gamma(n) for n in range(1, N + 1)])))
+    assert sc.log_betas(spec, N).tobytes() == ref.tobytes()
+
+
+class TestLogBetasMatchClosedForms:
+    @pytest.mark.parametrize("K", [1.5, 3.0, 10.0])
+    def test_elliptic(self, K):
+        spec = sc.example_staircase("elliptic", {"K": K})
+        assert_log_betas_match(spec, lambda n: ref_elliptic_gamma(K, n), 10_000)
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 1.9])
+    def test_plaplace(self, p):
+        from lamstair.models import select_b
+        b = select_b(p)
+        spec = sc.example_staircase("plaplace", {"p": p, "b": b})
+        assert_log_betas_match(spec, lambda n: ref_plaplace_gamma(p, b, n), 10_000)
+
+    @pytest.mark.parametrize("a", [[2, 3], [3, 0, 2], [2.5, -2.0, 0.0], [2] * 4])
+    def test_rank_drop(self, a):
+        spec = sc.example_staircase("rank_drop", {"a": a})
+        assert_log_betas_match(spec, lambda n: ref_rank_drop_gamma(a, n), 500)
+
+    @pytest.mark.parametrize("a", [[2, 2], [2, -3], [-5, 4]])
+    def test_integer_det1(self, a):
+        spec = sc.example_staircase("det1", {"a": a})
+        assert spec.rational
+        assert_log_betas_match(spec, lambda n: ref_det1_gamma(a, n), 500)
+
+    @pytest.mark.parametrize("a, n_differ", [([2.5, 2.0], 20), ([2.5, -3.5], 8)])
+    def test_float_det1_within_an_ulp(self, a, n_differ):
+        # the blocks' products of 1 - alpha_j round differently from the
+        # closed form (D - 1) / (2^d D - 1) in the last bit on some levels;
+        # an ulp is the larger gamma's, as gamma crosses 1/4 on some levels
+        spec = sc.example_staircase("det1", {"a": a})
+        got = np.concatenate([blk.gamma for blk in sc._walk(spec, 1, 500)])
+        ref = np.array([ref_det1_gamma(a, n) for n in range(1, 501)])
+        ulps = np.abs(got - ref) / np.spacing(np.maximum(got, ref))
+        assert ulps.max() == 1.0 and np.count_nonzero(ulps) == n_differ
+        assert sc.log_betas(spec, 500).tobytes() == np.cumsum(np.log(got)).tobytes()
+
+
 class TestTransform:
     def test_rotation_preserves_tails_and_replay(self):
         th = 0.7
