@@ -161,16 +161,17 @@ def _cmd_staircase_build(args) -> bool:
 def _cmd_staircase_slopes(args) -> bool:
     from .staircase import _fit_slope, log_betas
     spec = _load_staircase(args)
+    n_min = max(args.n_min, 2)
+    if args.n_max <= n_min:
+        raise ParseError(f"--n-max {args.n_max} leaves no levels to fit a slope over; "
+                         f"it must exceed max(--n-min, 2) = {n_min}")
     logs = log_betas(spec, args.n_max)
     lines = ["n,beta,log_beta"]
     for n, lb in enumerate(logs, start=1):
         beta = float(np.exp(lb)) if lb > -700.0 else 0.0
         lines.append(f"{n},{beta!r},{float(lb)!r}")
     _write_text(args.out, "\n".join(lines) + "\n")
-    n_min = max(args.n_min, 2)
-    if args.n_max > n_min:
-        slope = _fit_slope(logs, n_min)
-        print(f"slope,{slope!r}")
+    print(f"slope,{_fit_slope(logs, n_min)!r}")
     return True
 
 
@@ -232,11 +233,15 @@ def _cmd_synth_verify(args) -> bool:
 
 def _cmd_pipeline_product(args) -> bool:
     from . import serialize, stages
-    from .measures import verify_weak_tail
+    from .measures import verify_weak_tail, weak_tail_constant
+    if not math.isfinite(args.M):
+        raise PreconditionError(f"need a finite M, got {args.M!r}")
     A = serialize.parse_matrix_arg(args.A)
     if A.shape != (2 * args.n, 2 * args.n):
         raise PreconditionError(
             f"--n {args.n} needs a {2 * args.n}x{2 * args.n} seed")
+    if args.tails is not None:   # before any artifact is written
+        weak_tail_constant(2.0 * args.n, args.M, frob(A))
     res = stages.product_pipeline(A, mode=args.mode, beta_tol=args.beta_tol,
                                   depth=args.depth, M=args.M)
     ok = True

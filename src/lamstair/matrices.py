@@ -1,7 +1,12 @@
 """Dense matrix helpers and membership predicates for the structured matrix sets.
 
 Matrices are plain float64 numpy arrays throughout; |X| always means the
-Frobenius norm.  Set membership is tested against string identifiers:
+Frobenius norm.  `rank` counts singular values from one SVD.  Rank one is
+decided by `_rank_one_rows` alone, on a stack of matrices: most rows from
+|X|^2 and the squared 2x2 minors, the SVD only for rows near its threshold
+or out of the float range the bounds need.  Every split check and
+`rank_one_connected` go through it.  Set membership is tested against
+string identifiers:
 
     "full"      any matrix
     "L1"        block-diagonal 2n x 2n (diagonal blocks only)
@@ -18,6 +23,8 @@ Frobenius norm.  Set membership is tested against string identifiers:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -52,11 +59,79 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
+_SCREEN_DELTA = 1e-2      # relative margin of the screen's two bounds
+_SCREEN_TOL_MIN = 1e-10   # below it eps / tol eats the margin: SVD only
+_SCREEN_DIM_MAX = 8       # larger matrices go to the SVD
+_SCREEN_F2 = (2.0 ** -400, 2.0 ** 400)   # |D|^2 range where no bound over- or underflows
+
+
+@functools.cache
+def _minor_index(m: int, n: int) -> np.ndarray:
+    """Flat indices (a, b, c, d) of the 2x2 minors x_a x_b - x_c x_d of a
+    row-major m x n matrix, one column per minor."""
+    return np.array([(i * n + k, j * n + l, i * n + l, j * n + k)
+                     for i, j in itertools.combinations(range(m), 2)
+                     for k, l in itertools.combinations(range(n), 2)],
+                    dtype=np.intp).reshape(-1, 4).T
+
+
+def _rank_one_rows(flat: np.ndarray, shape: tuple[int, int],
+                   tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Per row of a (k, m*n) stack of finite m x n matrices D, whether the
+    SVD rule `count(s > tol * s_1) == 1` holds, for 0 < tol < 1: the one
+    rank-one test.  It holds exactly when s_1 > 0 and s_2 <= tol * s_1.
+
+    Most rows are decided without LAPACK.  With F^2 = |D|^2 and e_2 the sum
+    of the squared 2x2 minors (det^2 for 2x2), Cauchy-Binet gives
+    e_2 = sum_{i<j} s_i^2 s_j^2, so s_1^2 s_2^2 <= e_2 <= C(r,2) s_1^2 s_2^2
+    and F^2 / r <= s_1^2 <= F^2, r = min(m, n).  A row is
+      - rank one if e_2 <= (tol F^2 / r)^2 (1 - delta): then
+        s_2 <= tol s_1 sqrt(1 - delta);
+      - not rank one if e_2 >= C(r,2) (tol F^2)^2 (1 + delta): then
+        s_2 >= tol s_1 sqrt(1 + delta).
+    Every other row goes to one stacked `np.linalg.svd` (bit-equal to a
+    call per matrix) and the rule above: rows with F^2 outside `_SCREEN_F2`
+    (zero rows among them), where F^4 could over- or underflow, and all rows
+    when tol < `_SCREEN_TOL_MIN`, max(m, n) > `_SCREEN_DIM_MAX` or the
+    shape is empty.
+
+    delta = 1e-2 makes a decided row's verdict the SVD's.  The minors carry
+    an absolute error of about eps F^2 from cancellation, and LAPACK's
+    singular values one of a small multiple of eps s_1 (backward
+    stability), so both move s_2 / s_1 by about eps / tol relative: 2e-7 at
+    tol = 1e-9, 2e-6 at the floor 1e-10.  The margin, delta / 2 in s_2 / s_1,
+    is 2,500 times the larger one."""
+    k = len(flat)
+    m, n = shape
+    r = min(m, n)
+    one = np.zeros(k, dtype=bool)
+    sure = one
+    if tol >= _SCREEN_TOL_MIN and 0 < r and max(m, n) <= _SCREEN_DIM_MAX:
+        x = flat[:, _minor_index(m, n)]
+        with np.errstate(all="ignore"):   # rows out of range may overflow
+            minors = x[:, 0] * x[:, 1] - x[:, 2] * x[:, 3]
+            e2 = _dots(minors, minors)
+            f2 = _dots(flat, flat)
+            f4 = f2 * f2
+            one = e2 <= f4 * (tol * tol * (1.0 - _SCREEN_DELTA) / (r * r))
+            sure = ((one | (e2 >= f4 * (tol * tol * math.comb(r, 2) * (1.0 + _SCREEN_DELTA))))
+                    & (f2 >= _SCREEN_F2[0]) & (f2 <= _SCREEN_F2[1]))
+    if not sure.all():
+        rest = np.flatnonzero(~sure)
+        sv = np.linalg.svd(flat[rest].reshape(rest.size, m, n), compute_uv=False)
+        one[rest] = (sv > tol * sv[:, :1]).sum(axis=1) == 1
+    return one
+
+
+def _check_rank_tol(tol: float) -> None:
+    if not (0.0 < tol < 1.0):
+        raise PreconditionError(f"rank tolerance must lie in (0,1), got {tol}")
+
+
 def rank(M, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank: singular values above tol * (largest singular value)."""
     A = asmatrix(M)
-    if not (0.0 < tol < 1.0):
-        raise PreconditionError(f"rank tolerance must lie in (0,1), got {tol}")
+    _check_rank_tol(tol)
     s = np.linalg.svd(A, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -68,7 +143,9 @@ def rank_one_connected(B, Bp, tol: float = DEFAULT_RANK_TOL) -> bool:
     Bp = asmatrix(Bp)
     if B.shape != Bp.shape:
         raise PreconditionError(f"shape mismatch {B.shape} vs {Bp.shape}")
-    return rank(B - Bp, tol) == 1
+    D = asmatrix(B - Bp)
+    _check_rank_tol(tol)
+    return bool(_rank_one_rows(D.reshape(1, -1), D.shape, tol)[0])
 
 
 def _halves(A: np.ndarray) -> int:

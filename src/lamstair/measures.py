@@ -26,9 +26,11 @@ use: one `Atom` per row, its point a row view of the stack.
   are made on first use (a truncation's, or a mixture of them).
 - `find` is one stacked distance over the stack.  `verify_laminate`
   validates a whole certificate at once, then replays it on the arrays.
-- `_split_rows` checks a stack of splitting steps of one shape with one
-  stacked SVD; `_split_failure` runs it on `SplittingStep`s, per shape, and
-  `SplittingStep.validate` is its one-split case.
+- `_split_rows` checks a stack of splitting steps of one shape, its rank
+  test one `matrices._rank_one_rows` call; `_split_failure` runs it on
+  `SplittingStep`s, per shape, and `SplittingStep.validate` is its
+  one-split case.  `pushforward(check_rank_one=True)` screens all its
+  steps' differences at once too.
 - `tail_masses(nu, ts)` returns every tail on a t-grid at once: per t the
   weights of the atoms with |X| > t, summed left to right by one `cumsum`
   over the measure's norm and weight columns.  `tail_mass` is its one-point case.
@@ -56,7 +58,7 @@ from .errors import (
     PreconditionError,
     UnsupportedError,
 )
-from .matrices import _dots, asmatrix, frob, rank
+from .matrices import _check_rank_tol, _dots, _rank_one_rows, asmatrix, frob
 
 MERGE_TOL = 1e-12
 MASS_SLACK = 1e-12
@@ -207,10 +209,11 @@ def _split_rows(lam: np.ndarray, mats: np.ndarray, tol: float = 1e-9,
     left - right is finite (the `PreconditionError` of `rank`), the rank
     tolerance lies in (0,1) and the numerical rank of left - right is 1;
     lam * left + (1 - lam) * right is within tol * (1 + |target|) of the
-    target.  All run on the whole stack: one `np.linalg.svd` call (bit-equal
-    to one call per matrix) and norms from `_dots` (bit-equal to `frob`).
-    Overflow gives inf or nan without a warning, so a split past a failure
-    cannot raise one."""
+    target.  All run on the whole stack: the rank test is one
+    `_rank_one_rows` call, which decides most rows from their minors and
+    gives the SVD's verdict on every row, and norms come from `_dots`
+    (bit-equal to `frob`).  Overflow gives inf or nan without a warning, so
+    a split past a failure cannot raise one."""
     k = len(lam)
     if not k:
         return None
@@ -226,9 +229,7 @@ def _split_rows(lam: np.ndarray, mats: np.ndarray, tol: float = 1e-9,
                > float(tol) * (1.0 + np.sqrt(_dots(target, target))))
         finite = np.isfinite(diff).all(axis=1)
         if tol_ok:   # the non-finite rows, failed already, as zeros
-            sv = np.linalg.svd(np.where(finite[:, None], diff, 0.0).reshape(k, *shape),
-                               compute_uv=False)
-            not_one = (sv > rank_tol * sv[:, :1]).sum(axis=1) != 1
+            not_one = ~_rank_one_rows(np.where(finite[:, None], diff, 0.0), shape, rank_tol)
         else:
             not_one = np.ones(k, dtype=bool)
     hit = np.flatnonzero(outside | ~finite | not_one | far)
@@ -520,17 +521,53 @@ def verify_laminate(nu: DiscreteMeasure, cert: Sequence[SplittingStep] | None = 
     return LaminateReport(True, [f"replayed {len(steps)} steps"])
 
 
+def _rank_one_failure(diffs: Sequence, rank_tol: float) -> tuple[int, Exception] | None:
+    """The first of `diffs` whose `rank(D, rank_tol)` would raise or not be
+    1, as (index, error), or None.  The errors are `rank`'s (a non-finite
+    or not 2-d D, then the tolerance, which fails the first D) and
+    `InvalidTransformError`; the rank test is one `_rank_one_rows` call per
+    matrix shape."""
+    stop, err, mats = len(diffs), None, []
+    for i, D in enumerate(diffs):
+        try:
+            mats.append(asmatrix(D))
+            _check_rank_tol(rank_tol)
+        except PreconditionError as exc:
+            stop, err = i, exc
+            break
+    groups: dict = {}
+    for i in range(stop):
+        groups.setdefault(mats[i].shape, []).append(i)
+    for shape, rows in groups.items():
+        one = _rank_one_rows(np.array([mats[i].ravel() for i in rows]), shape, rank_tol)
+        bad = np.flatnonzero(~one)
+        if bad.size and rows[bad[0]] < stop:
+            stop, err = rows[bad[0]], InvalidTransformError(
+                "transform breaks a rank-one connection")
+    return None if err is None else (stop, err)
+
+
 def pushforward(nu: DiscreteMeasure, T: Callable[[np.ndarray], np.ndarray],
                 check_rank_one: bool = False, rank_tol: float = 1e-9) -> DiscreteMeasure:
+    """The image of nu and of its certificate under T.  T maps every step's
+    left and right before any target.  With `check_rank_one`, each step's
+    T(left) - T(right) must be rank one (`_rank_one_failure`, all steps at
+    once); the first step that fails raises its error after the steps
+    before it are built, as a step-by-step check would."""
     mats = [asmatrix(T(np.asarray(P))) for P in nu._stack]
     cert = None
     if nu.certificate is not None:
-        cert = []
-        for s in nu.certificate:
-            tl, tr = T(np.asarray(s.left)), T(np.asarray(s.right))
-            if check_rank_one and rank(tl - tr, rank_tol) != 1:
-                raise InvalidTransformError("transform breaks a rank-one connection")
-            cert.append(SplittingStep(T(np.asarray(s.target)), tl, tr, s.lam))
+        steps = list(nu.certificate)
+        pairs = [(T(np.asarray(s.left)), T(np.asarray(s.right))) for s in steps]
+        bad = None
+        if check_rank_one:
+            with np.errstate(all="ignore"):   # an overflow fails as non-finite
+                bad = _rank_one_failure([tl - tr for tl, tr in pairs], rank_tol)
+        stop = len(steps) if bad is None else bad[0]
+        cert = [SplittingStep(T(np.asarray(s.target)), tl, tr, s.lam)
+                for s, (tl, tr) in zip(steps[:stop], pairs)]
+        if bad is not None:
+            raise bad[1]
     return DiscreteMeasure._of(nu._w, nu._exact, *_stacked(mats), cert)
 
 
@@ -618,9 +655,10 @@ class TailReport:
         return out
 
 
-def verify_weak_tail(nu: DiscreteMeasure, p: float, M: float, normA: float,
-                     t_grid: Sequence[float] = (), slack: float = 0.0) -> TailReport:
-    """Compare tails against the envelope M^p (1+|A|^p) t^-p from above."""
+def weak_tail_constant(p: float, M: float, normA: float) -> float:
+    """The envelope constant M^p (1+|A|^p) of `verify_weak_tail`, after its
+    preconditions in its order: p >= 1 and M >= 1; p, M and |A| finite;
+    |A| >= 0; the constant finite."""
     if not (p >= 1 and M >= 1):
         raise PreconditionError("need p >= 1 and M >= 1")
     for name, v in (("p", p), ("M", M), ("|A|", normA)):
@@ -628,17 +666,20 @@ def verify_weak_tail(nu: DiscreteMeasure, p: float, M: float, normA: float,
             raise PreconditionError(f"need a finite {name}, got {float(v)!r}")
     if not normA >= 0:
         raise PreconditionError(f"need |A| >= 0, got {float(normA)!r}")
-    rows = _upper_rows(nu, lambda: M ** p * (1.0 + normA ** p), "tail envelope M^p (1+|A|^p)",
-                       p, t_grid, slack)
+    return _finite_constant(lambda: M ** p * (1.0 + normA ** p),
+                            "tail envelope M^p (1+|A|^p)")
+
+
+def verify_weak_tail(nu: DiscreteMeasure, p: float, M: float, normA: float,
+                     t_grid: Sequence[float] = (), slack: float = 0.0) -> TailReport:
+    """Compare tails against the envelope M^p (1+|A|^p) t^-p from above."""
+    rows = _upper_rows(nu, weak_tail_constant(p, M, normA), p, t_grid, slack)
     return TailReport(rows, {"p": p, "M": M, "normA": normA, "slack": slack})
 
 
-def _upper_rows(nu: DiscreteMeasure, constant: Callable[[], float], what: str, r: float,
-                t_grid: Sequence[float], slack: float) -> list[TailRow]:
-    """Rows checking tail(t) <= C t^-r + slack on the grid, for C = constant().
-    An infinite C is a precondition failure naming `what` (a float power
-    overflows with an error, a numpy scalar's to inf); an envelope C t^-r
-    beyond the floats is inf."""
+def _finite_constant(constant: Callable[[], float], what: str) -> float:
+    """constant(); an infinite one is a precondition failure naming `what`
+    (a float power overflows with an error, a numpy scalar's to inf)."""
     try:
         with np.errstate(over="ignore"):
             C = constant()
@@ -646,6 +687,13 @@ def _upper_rows(nu: DiscreteMeasure, constant: Callable[[], float], what: str, r
         C = math.inf
     if C == math.inf:
         raise PreconditionError(f"{what} overflows the float range")
+    return C
+
+
+def _upper_rows(nu: DiscreteMeasure, C: float, r: float, t_grid: Sequence[float],
+                slack: float) -> list[TailRow]:
+    """Rows checking tail(t) <= C t^-r + slack on the grid; an envelope
+    C t^-r beyond the floats is inf."""
     tails = tail_masses(nu, t_grid).tolist()
     with np.errstate(over="ignore"):
         ups = [C * np.float64(t) ** -r for t in t_grid]
@@ -695,8 +743,9 @@ def diamond_compose(nu1: DiscreteMeasure,
             raise UnsupportedError("no composition envelope exists for p == q")
         r = min(p, q)
         C = 4.0 * (1.0 + q / abs(p - q))
-        rows = _upper_rows(composed, lambda: C * (M1 * M2) ** r * (1.0 + normA ** r),
-                           "composed tail envelope C (M1 M2)^r (1+|A|^r)", r, t_grid, slack)
+        env = _finite_constant(lambda: C * (M1 * M2) ** r * (1.0 + normA ** r),
+                               "composed tail envelope C (M1 M2)^r (1+|A|^r)")
+        rows = _upper_rows(composed, env, r, t_grid, slack)
         report = TailReport(rows, {"p": p, "q": q, "r": r, "C": C, "M1": M1, "M2": M2,
                                    "normA": normA})
     return composed, report

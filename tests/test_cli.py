@@ -93,6 +93,25 @@ class TestStaircaseCommands:
         assert capsys.readouterr().err == build_err
         assert not (tmp_path / "slopes.csv").exists()
 
+    @pytest.mark.parametrize("flags", [["--n-min", "500", "--n-max", "100"],
+                                       ["--n-max", "1"], ["--n-min", "1", "--n-max", "2"]])
+    def test_slopes_without_fit_levels_is_parse_error(self, flags, tmp_path, capsys,
+                                                      monkeypatch):
+        # these wrote the CSV, printed no slope line and exited 0
+        from lamstair import staircase
+
+        def no_levels(*args):
+            raise AssertionError("levels built")
+
+        monkeypatch.setattr(staircase, "log_betas", no_levels)
+        out = tmp_path / "slopes.csv"
+        assert main(["staircase", "slopes", "--kind", "elliptic", "--params", "K=3",
+                     *flags, "--out", str(out)]) == 2
+        cap = capsys.readouterr()
+        assert "leaves no levels to fit a slope over" in cap.err
+        assert "Traceback" not in cap.err and "slope," not in cap.out
+        assert not out.exists()
+
     def test_wrong_m_rejected(self, tmp_path):
         assert main(["staircase", "build", "--kind", "rankdrop",
                      "--A", "diag(3,5,0,0)", "--m", "3", "--N", "5",
@@ -322,6 +341,32 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m.json"), "--tails", str(tails)]) == 3
         assert "tail envelope M^p (1+|A|^p) overflows" in capsys.readouterr().err
         assert not tails.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--M", "nan", "--tails", "@t.csv"], "need a finite M, got nan"),
+        (["--M", "inf"], "need a finite M, got inf"),
+        (["--M", "nan", "--mode", "map"], "need a finite M, got nan"),
+        (["--M", "0.5", "--tails", "@t.csv"], "need p >= 1 and M >= 1"),
+        (["--M", "1e200", "--tails", "@t.csv"], "tail envelope M^p (1+|A|^p) overflows"),
+        (["--M", "1e100", "--A", "diag(1e110,1)", "--tails", "@t.csv"],
+         "tail envelope M^p (1+|A|^p) overflows")])
+    def test_product_tail_preconditions_leave_no_artifact(self, flags, message, tmp_path,
+                                                          capsys, monkeypatch):
+        # --M nan with --tails wrote --out and then exited 3; without --tails it
+        # exited 0
+        from lamstair import stages
+
+        def no_pipeline(*args, **kwargs):
+            raise AssertionError("pipeline ran")
+
+        monkeypatch.setattr(stages, "product_pipeline", no_pipeline)
+        argv = ["pipeline", "product", "--A", "diag(3,1)", "--out", "@m.json",
+                "--report", "@r.json", *flags]
+        assert main([str(tmp_path / a[1:]) if a.startswith("@") else a
+                     for a in argv]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("beta_tol", ["0", "-1", "nan", "inf"])
     def test_product_beta_tol_must_be_finite_and_positive(self, beta_tol, tmp_path,

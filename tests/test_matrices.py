@@ -200,3 +200,90 @@ class TestFrob:
     def test_plain_sequences(self):
         for M in ([[3, 4], [0, 0]], [1.0, -2.0, 2.0], [[-0.0]]):
             assert mx.frob(M).hex() == float(np.linalg.norm(np.asarray(M, dtype=float))).hex()
+
+
+# --- the rank-one screen against the SVD rule it replaced ----------------------
+
+
+def ref_rank_one(flat, shape, tol):
+    """The rule `measures._split_rows` applied to a full stacked SVD."""
+    sv = np.linalg.svd(flat.reshape(len(flat), *shape), compute_uv=False)
+    return (sv > tol * sv[:, :1]).sum(axis=1) == 1
+
+
+def screen_rows(rng, shape, tol, k=60):
+    """Rank-one, random and zero m x n rows, and rows U diag(s) V^T whose
+    s_2 / s_1 lies within 1e-3 of tol or anywhere between tol / 30 and
+    30 tol (where the screen's two bounds sit)."""
+    m, n = shape
+    r = min(m, n)
+    rows = [np.zeros((m, n))]
+    for _ in range(k):
+        rows.append(np.outer(rng.normal(size=m), rng.normal(size=n)))
+        rows.append(rng.normal(size=(m, n)))
+        if r > 1:
+            for ratio in (1.0 + rng.uniform(-1e-3, 1e-3), 30.0 ** rng.uniform(-1, 1)):
+                s = np.zeros(r)
+                s[0], s[1] = 1.0, tol * ratio
+                s[2:] = s[1] * rng.uniform(0, 1, size=r - 2)
+                U = np.linalg.qr(rng.normal(size=(m, m)))[0][:, :r]
+                V = np.linalg.qr(rng.normal(size=(n, n)))[0][:, :r]
+                rows.append((U * s) @ V.T)
+    return np.array(rows).reshape(len(rows), m * n)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 3), (3, 2), (1, 3)])
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 1e-12])
+def test_rank_one_rows_matches_svd_rule(shape, tol, monkeypatch):
+    rng = np.random.default_rng([*shape, round(-np.log10(tol))])
+    base = screen_rows(rng, shape, tol)
+    flat = np.concatenate([base * s for s in (1.0, 1e50, 1e-50, 1e300, 1e-300)])
+    want = ref_rank_one(flat, shape, tol)
+    svd, seen = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        seen.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    got = mx._rank_one_rows(flat, shape, tol)
+    assert got.dtype == bool and got.tolist() == want.tolist()
+    assert want.any() and not want.all()
+    if tol < mx._SCREEN_TOL_MIN:
+        assert seen == [len(flat)]
+    else:   # the screen decides most rows; the SVD sees the rest
+        assert len(seen) == 1 and 0 < seen[0] < len(flat)
+    for i in range(0, len(flat), 37):
+        D = flat[i].reshape(shape)
+        assert mx.rank_one_connected(D, np.zeros(shape), tol) == want[i]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (1, 3)])
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_split_rows_rank_verdicts_on_non_finite_rows(shape, tol):
+    # `_split_rows` screens the non-finite rows as zeros; each fails as
+    # `rank` fails it, on asmatrix's PreconditionError
+    from lamstair import measures as ms
+    from lamstair.errors import InvalidSplitError
+    rng = np.random.default_rng(3)
+    flat = screen_rows(rng, shape, tol, k=10)
+    flat[rng.choice(len(flat), 12, replace=False), rng.integers(flat.shape[1], size=12)] = (
+        rng.choice([np.nan, np.inf, -np.inf], size=12))
+    left = flat.reshape(-1, *shape)
+    mats = np.stack([0.5 * left, left, np.zeros_like(left)], axis=1)
+    lam = np.full(len(left), 0.5)
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(flat).all(axis=1)
+        one = ref_rank_one(np.where(finite[:, None], flat, 0.0), shape, tol)
+    for i in range(len(left)):
+        got = ms._split_rows(lam[i:i + 1], mats[i:i + 1], np.inf, tol)
+        if not finite[i]:
+            assert type(got[1]) is PreconditionError
+            assert str(got[1]) == "matrix has non-finite entries"
+        elif not one[i]:
+            assert type(got[1]) is InvalidSplitError
+            assert str(got[1]) == "left - right is not rank one"
+        else:
+            assert got is None
+    first = np.flatnonzero(~finite | ~one)[0]
+    assert ms._split_rows(lam, mats, np.inf, tol)[0] == first

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lamstair import measures as ms
 from lamstair.errors import (
     InvalidSplitError,
+    InvalidTransformError,
     NotFoundError,
     PreconditionError,
     UnsupportedError,
@@ -97,6 +98,53 @@ class TestPushforward:
         out = ms.pushforward(nu, lambda X: U @ X @ V, check_rank_one=True)
         for t in (0.5, 1.0, 3.0, 5.0):
             assert ms.tail_mass(out, t) == pytest.approx(ms.tail_mass(nu, t))
+
+
+def ref_pushforward_error(nu, T, rank_tol=1e-9):
+    """(type, message) of what `pushforward(check_rank_one=True)` raised
+    before its stacked check, a rank test per step, or None."""
+    try:
+        with np.errstate(all="ignore"):
+            for s in nu.certificate:
+                tl, tr = T(np.asarray(s.left)), T(np.asarray(s.right))
+                if rank(tl - tr, rank_tol) != 1:
+                    raise InvalidTransformError("transform breaks a rank-one connection")
+                ms.SplittingStep(T(np.asarray(s.target)), tl, tr, s.lam)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+PUSH_STEPS = {
+    "good": first_det1_step(),
+    "rank2": ms.SplittingStep(np.eye(2), np.diag([1.0, 1.0]), np.diag([2.0, 3.0]), 0.5),
+    "zero": ms.SplittingStep(np.eye(2), np.eye(2), np.eye(2), 0.5),
+    "overflow": ms.SplittingStep(np.zeros((2, 2)), np.full((2, 2), 1e308),
+                                 np.full((2, 2), -1e308), 0.5),
+    "wide": ms.SplittingStep(np.zeros((2, 3)), np.outer([1.0, 2.0], [1.0, 0.0, 3.0]),
+                             np.zeros((2, 3)), 0.5),
+}
+
+
+@pytest.mark.parametrize("names", [
+    ("good", "good"), ("good", "rank2", "overflow"), ("good", "overflow", "rank2"),
+    ("zero", "good"), ("wide", "good", "wide"), ("good", "wide", "rank2", "zero"),
+    ("overflow",)])
+@pytest.mark.parametrize("T", ["identity", "half", "bend"])
+@pytest.mark.parametrize("rank_tol", [1e-9, 0.0])
+def test_pushforward_rank_check_matches_per_step_check(names, T, rank_tol):
+    T = {"identity": lambda X: X, "half": lambda X: 0.5 * X,
+         # linear, but not rank-one preserving
+         "bend": lambda X: X + 0.25 * X[::-1, ::-1]}[T]
+    nu = ms.dirac(np.eye(2), certificate=[PUSH_STEPS[n] for n in names])
+    want = ref_pushforward_error(nu, T, rank_tol)
+    if want is None:
+        out = ms.pushforward(nu, T, check_rank_one=True, rank_tol=rank_tol)
+        assert len(out.certificate) == len(names)
+    else:
+        with pytest.raises(want[0]) as got:
+            ms.pushforward(nu, T, check_rank_one=True, rank_tol=rank_tol)
+        assert type(got.value) is want[0] and str(got.value) == want[1]
 
 
 class TestTails:

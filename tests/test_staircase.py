@@ -1336,3 +1336,19 @@ def test_det1_zero_weight_is_the_per_level_error():
     spec = sc.example_staircase("det1", params)
     assert raised(sc.build_truncation, spec, 3) == want and not spec._levels
     assert raised(spec.step, 1) == want
+
+
+def test_plaplace_block_validates_without_lapack(monkeypatch):
+    # every split of a p-Laplace block is decided by the rank-one screen
+    from lamstair.models import select_b
+    spec = sc.example_staircase("plaplace", {"p": 1.5, "b": select_b(1.5)})
+    svd, calls = np.linalg.svd, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    blk, err = spec._build(1, sc._BLOCK)
+    assert sc._BLOCK == 512 and err is None and len(blk) == 512
+    assert blk.sp_off[-1] > 0 and len(calls) == 0
