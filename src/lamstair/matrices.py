@@ -2,11 +2,12 @@
 
 Matrices are plain float64 numpy arrays throughout; |X| always means the
 Frobenius norm.  `rank` counts singular values from one SVD.  Rank one is
-decided by `_rank_one_rows` alone, on a stack of matrices: most rows from
-|X|^2 and the squared 2x2 minors, the SVD only for rows near its threshold
-or out of the float range the bounds need.  Every split check and
-`rank_one_connected` go through it.  Set membership is tested against
-string identifiers:
+decided by `_rank_one_rows` alone, on a stack of matrices: in a stack of
+8 or more matrices up to 4x4, most rows from |X|^2 and the squared 2x2
+minors, the SVD only for rows near its threshold or out of the float range
+the bounds need; smaller stacks and larger matrices by the SVD.  Every
+split check, `rank_one_connected` and `pushforward`'s rank check go
+through it.  Set membership is tested against string identifiers:
 
     "full"      any matrix
     "L1"        block-diagonal 2n x 2n (diagonal blocks only)
@@ -61,7 +62,8 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 _SCREEN_DELTA = 1e-2      # relative margin of the screen's two bounds
 _SCREEN_TOL_MIN = 1e-10   # below it eps / tol eats the margin: SVD only
-_SCREEN_DIM_MAX = 8       # larger matrices go to the SVD
+_SCREEN_DIM_MAX = 4       # larger matrices go to the SVD (none was timed)
+_SCREEN_ROWS_MIN = 8      # smaller stacks take less time in one SVD call
 _SCREEN_F2 = (2.0 ** -400, 2.0 ** 400)   # |D|^2 range where no bound over- or underflows
 
 
@@ -92,8 +94,8 @@ def _rank_one_rows(flat: np.ndarray, shape: tuple[int, int],
     Every other row goes to one stacked `np.linalg.svd` (bit-equal to a
     call per matrix) and the rule above: rows with F^2 outside `_SCREEN_F2`
     (zero rows among them), where F^4 could over- or underflow, and all rows
-    when tol < `_SCREEN_TOL_MIN`, max(m, n) > `_SCREEN_DIM_MAX` or the
-    shape is empty.
+    when the stack has fewer than `_SCREEN_ROWS_MIN` rows, tol <
+    `_SCREEN_TOL_MIN`, max(m, n) > `_SCREEN_DIM_MAX` or the shape is empty.
 
     delta = 1e-2 makes a decided row's verdict the SVD's.  The minors carry
     an absolute error of about eps F^2 from cancellation, and LAPACK's
@@ -104,28 +106,41 @@ def _rank_one_rows(flat: np.ndarray, shape: tuple[int, int],
     k = len(flat)
     m, n = shape
     r = min(m, n)
-    one = np.zeros(k, dtype=bool)
-    sure = one
-    if tol >= _SCREEN_TOL_MIN and 0 < r and max(m, n) <= _SCREEN_DIM_MAX:
-        x = flat[:, _minor_index(m, n)]
-        with np.errstate(all="ignore"):   # rows out of range may overflow
-            minors = x[:, 0] * x[:, 1] - x[:, 2] * x[:, 3]
-            e2 = _dots(minors, minors)
-            f2 = _dots(flat, flat)
-            f4 = f2 * f2
-            one = e2 <= f4 * (tol * tol * (1.0 - _SCREEN_DELTA) / (r * r))
-            sure = ((one | (e2 >= f4 * (tol * tol * math.comb(r, 2) * (1.0 + _SCREEN_DELTA))))
-                    & (f2 >= _SCREEN_F2[0]) & (f2 <= _SCREEN_F2[1]))
+    if not (k >= _SCREEN_ROWS_MIN and tol >= _SCREEN_TOL_MIN and 0 < r
+            and max(m, n) <= _SCREEN_DIM_MAX):
+        return _svd_rank_one(flat, shape, tol)
+    x = flat[:, _minor_index(m, n)]
+    with np.errstate(all="ignore"):   # rows out of range may overflow
+        minors = x[:, 0] * x[:, 1] - x[:, 2] * x[:, 3]
+        e2 = _dots(minors, minors)
+        f2 = _dots(flat, flat)
+        f4 = f2 * f2
+        one = e2 <= f4 * (tol * tol * (1.0 - _SCREEN_DELTA) / (r * r))
+        sure = ((one | (e2 >= f4 * (tol * tol * math.comb(r, 2) * (1.0 + _SCREEN_DELTA))))
+                & (f2 >= _SCREEN_F2[0]) & (f2 <= _SCREEN_F2[1]))
     if not sure.all():
         rest = np.flatnonzero(~sure)
-        sv = np.linalg.svd(flat[rest].reshape(rest.size, m, n), compute_uv=False)
-        one[rest] = (sv > tol * sv[:, :1]).sum(axis=1) == 1
+        one[rest] = _svd_rank_one(flat[rest], shape, tol)
     return one
+
+
+def _svd_rank_one(flat: np.ndarray, shape: tuple[int, int], tol: float) -> np.ndarray:
+    """The SVD rule of `_rank_one_rows` on every row, from one stacked call."""
+    sv = np.linalg.svd(flat.reshape(len(flat), *shape), compute_uv=False)
+    return (sv > tol * sv[:, :1]).sum(axis=1) == 1
 
 
 def _check_rank_tol(tol: float) -> None:
     if not (0.0 < tol < 1.0):
         raise PreconditionError(f"rank tolerance must lie in (0,1), got {tol}")
+
+
+def _is_rank_one(D, tol: float = DEFAULT_RANK_TOL) -> bool:
+    """Whether `rank(D, tol) == 1`, raising `rank`'s errors in its order,
+    from a one-row `_rank_one_rows` call."""
+    A = asmatrix(D)
+    _check_rank_tol(tol)
+    return bool(_rank_one_rows(A.reshape(1, -1), A.shape, tol)[0])
 
 
 def rank(M, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -143,9 +158,7 @@ def rank_one_connected(B, Bp, tol: float = DEFAULT_RANK_TOL) -> bool:
     Bp = asmatrix(Bp)
     if B.shape != Bp.shape:
         raise PreconditionError(f"shape mismatch {B.shape} vs {Bp.shape}")
-    D = asmatrix(B - Bp)
-    _check_rank_tol(tol)
-    return bool(_rank_one_rows(D.reshape(1, -1), D.shape, tol)[0])
+    return _is_rank_one(B - Bp, tol)
 
 
 def _halves(A: np.ndarray) -> int:

@@ -29,8 +29,7 @@ use: one `Atom` per row, its point a row view of the stack.
 - `_split_rows` checks a stack of splitting steps of one shape, its rank
   test one `matrices._rank_one_rows` call; `_split_failure` runs it on
   `SplittingStep`s, per shape, and `SplittingStep.validate` is its
-  one-split case.  `pushforward(check_rank_one=True)` screens all its
-  steps' differences at once too.
+  one-split case.
 - `tail_masses(nu, ts)` returns every tail on a t-grid at once: per t the
   weights of the atoms with |X| > t, summed left to right by one `cumsum`
   over the measure's norm and weight columns.  `tail_mass` is its one-point case.
@@ -58,7 +57,7 @@ from .errors import (
     PreconditionError,
     UnsupportedError,
 )
-from .matrices import _check_rank_tol, _dots, _rank_one_rows, asmatrix, frob
+from .matrices import _dots, _is_rank_one, _rank_one_rows, asmatrix, frob
 
 MERGE_TOL = 1e-12
 MASS_SLACK = 1e-12
@@ -521,53 +520,20 @@ def verify_laminate(nu: DiscreteMeasure, cert: Sequence[SplittingStep] | None = 
     return LaminateReport(True, [f"replayed {len(steps)} steps"])
 
 
-def _rank_one_failure(diffs: Sequence, rank_tol: float) -> tuple[int, Exception] | None:
-    """The first of `diffs` whose `rank(D, rank_tol)` would raise or not be
-    1, as (index, error), or None.  The errors are `rank`'s (a non-finite
-    or not 2-d D, then the tolerance, which fails the first D) and
-    `InvalidTransformError`; the rank test is one `_rank_one_rows` call per
-    matrix shape."""
-    stop, err, mats = len(diffs), None, []
-    for i, D in enumerate(diffs):
-        try:
-            mats.append(asmatrix(D))
-            _check_rank_tol(rank_tol)
-        except PreconditionError as exc:
-            stop, err = i, exc
-            break
-    groups: dict = {}
-    for i in range(stop):
-        groups.setdefault(mats[i].shape, []).append(i)
-    for shape, rows in groups.items():
-        one = _rank_one_rows(np.array([mats[i].ravel() for i in rows]), shape, rank_tol)
-        bad = np.flatnonzero(~one)
-        if bad.size and rows[bad[0]] < stop:
-            stop, err = rows[bad[0]], InvalidTransformError(
-                "transform breaks a rank-one connection")
-    return None if err is None else (stop, err)
-
-
 def pushforward(nu: DiscreteMeasure, T: Callable[[np.ndarray], np.ndarray],
                 check_rank_one: bool = False, rank_tol: float = 1e-9) -> DiscreteMeasure:
-    """The image of nu and of its certificate under T.  T maps every step's
-    left and right before any target.  With `check_rank_one`, each step's
-    T(left) - T(right) must be rank one (`_rank_one_failure`, all steps at
-    once); the first step that fails raises its error after the steps
-    before it are built, as a step-by-step check would."""
     mats = [asmatrix(T(np.asarray(P))) for P in nu._stack]
     cert = None
     if nu.certificate is not None:
-        steps = list(nu.certificate)
-        pairs = [(T(np.asarray(s.left)), T(np.asarray(s.right))) for s in steps]
-        bad = None
-        if check_rank_one:
-            with np.errstate(all="ignore"):   # an overflow fails as non-finite
-                bad = _rank_one_failure([tl - tr for tl, tr in pairs], rank_tol)
-        stop = len(steps) if bad is None else bad[0]
-        cert = [SplittingStep(T(np.asarray(s.target)), tl, tr, s.lam)
-                for s, (tl, tr) in zip(steps[:stop], pairs)]
-        if bad is not None:
-            raise bad[1]
+        cert = []
+        for s in nu.certificate:
+            tl, tr = T(np.asarray(s.left)), T(np.asarray(s.right))
+            if check_rank_one:
+                with np.errstate(all="ignore"):   # an overflow fails as non-finite
+                    D = tl - tr
+                if not _is_rank_one(D, rank_tol):
+                    raise InvalidTransformError("transform breaks a rank-one connection")
+            cert.append(SplittingStep(T(np.asarray(s.target)), tl, tr, s.lam))
     return DiscreteMeasure._of(nu._w, nu._exact, *_stacked(mats), cert)
 
 

@@ -232,13 +232,8 @@ def screen_rows(rng, shape, tol, k=60):
     return np.array(rows).reshape(len(rows), m * n)
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 3), (3, 2), (1, 3)])
-@pytest.mark.parametrize("tol", [1e-9, 1e-3, 1e-12])
-def test_rank_one_rows_matches_svd_rule(shape, tol, monkeypatch):
-    rng = np.random.default_rng([*shape, round(-np.log10(tol))])
-    base = screen_rows(rng, shape, tol)
-    flat = np.concatenate([base * s for s in (1.0, 1e50, 1e-50, 1e300, 1e-300)])
-    want = ref_rank_one(flat, shape, tol)
+def counting_svd(monkeypatch):
+    """Patch np.linalg.svd to record the number of matrices of each call."""
     svd, seen = np.linalg.svd, []
 
     def counting(a, *args, **kwargs):
@@ -246,16 +241,49 @@ def test_rank_one_rows_matches_svd_rule(shape, tol, monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
+    return seen
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 3), (3, 2), (1, 3), (5, 5)])
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 1e-12])
+def test_rank_one_rows_matches_svd_rule(shape, tol, monkeypatch):
+    rng = np.random.default_rng([*shape, round(-np.log10(tol))])
+    base = screen_rows(rng, shape, tol)
+    flat = np.concatenate([base * s for s in (1.0, 1e50, 1e-50, 1e300, 1e-300)])
+    want = ref_rank_one(flat, shape, tol)
+    seen = counting_svd(monkeypatch)
     got = mx._rank_one_rows(flat, shape, tol)
     assert got.dtype == bool and got.tolist() == want.tolist()
     assert want.any() and not want.all()
-    if tol < mx._SCREEN_TOL_MIN:
+    if tol < mx._SCREEN_TOL_MIN or max(shape) > mx._SCREEN_DIM_MAX:
         assert seen == [len(flat)]
     else:   # the screen decides most rows; the SVD sees the rest
         assert len(seen) == 1 and 0 < seen[0] < len(flat)
     for i in range(0, len(flat), 37):
         D = flat[i].reshape(shape)
         assert mx.rank_one_connected(D, np.zeros(shape), tol) == want[i]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 3)])
+def test_rank_one_rows_small_stacks_go_to_the_svd(shape, monkeypatch):
+    # below `_SCREEN_ROWS_MIN` rows one SVD call decides the whole stack;
+    # from it on the screen decides rank-one rows without LAPACK
+    rng = np.random.default_rng(list(shape))
+    m, n = shape
+    rows = screen_rows(rng, shape, 1e-9, k=10)
+    ones = np.array([np.outer(rng.normal(size=m), rng.normal(size=n)).ravel()
+                     for _ in range(mx._SCREEN_ROWS_MIN)])
+    seen = counting_svd(monkeypatch)
+    for k in range(1, mx._SCREEN_ROWS_MIN):
+        flat = rows[rng.choice(len(rows), k, replace=False)]
+        want = ref_rank_one(flat, shape, 1e-9)
+        seen.clear()
+        assert mx._rank_one_rows(flat, shape, 1e-9).tolist() == want.tolist()
+        assert seen == [k]
+        seen.clear()
+        assert mx._rank_one_rows(ones[:k], shape, 1e-9).all() and seen == [k]
+    seen.clear()
+    assert mx._rank_one_rows(ones, shape, 1e-9).all() and seen == []
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (1, 3)])
