@@ -680,8 +680,7 @@ def diamond_compose(nu1: DiscreteMeasure,
                     p: float | None = None, q: float | None = None,
                     M1: float | None = None, M2: float | None = None,
                     normA: float | None = None,
-                    t_grid: Sequence[float] = (),
-                    slack: float = 0.0):
+                    t_grid: Sequence[float] = ()):
     """Mixture sum_i lambda_i nu''_i over the atoms of nu1.
 
     With exponents supplied, the composed tail is checked against
@@ -711,7 +710,7 @@ def diamond_compose(nu1: DiscreteMeasure,
         C = 4.0 * (1.0 + q / abs(p - q))
         env = _finite_constant(lambda: C * (M1 * M2) ** r * (1.0 + normA ** r),
                                "composed tail envelope C (M1 M2)^r (1+|A|^r)")
-        rows = _upper_rows(composed, env, r, t_grid, slack)
+        rows = _upper_rows(composed, env, r, t_grid, 0.0)
         report = TailReport(rows, {"p": p, "q": q, "r": r, "C": C, "M1": M1, "M2": M2,
                                    "normA": normA})
     return composed, report

@@ -157,6 +157,8 @@ def afs_pipeline(A, K: float, N: int = 200, t_grid=None) -> PipelineResult:
     `synth.realize_extended(result.extended, ...)` realizes the measure as a
     piecewise-affine gradient."""
     from .staircase import extended_measure, extended_tail_report
+    if N < 1:
+        raise PreconditionError("need N >= 1")
     A = asmatrix(A)
     prof = exponent("elliptic", {"K": K})
     ext = extended_measure("elliptic", A, {"K": K})
@@ -185,19 +187,24 @@ def plap_pipeline(A, p: float, N: int = 10_000, t_grid=None,
     rep = extended_tail_report(ext, min(N, 400), t_grid)
     qbar = prof.value
     checkpoints = [n for n in (100, 1_000, 10_000, 100_000) if n <= N]
-    div_moments = [moment(ext.truncate(n), qbar) for n in checkpoints]
-    sub_moments = [moment(ext.truncate(n), 0.95 * qbar) for n in checkpoints]
     # Cauchy increments of the convergent sub-critical moment past N = 10^3
-    sub_increments = [moment(ext.truncate(n), 0.95 * qbar)
-                      - moment(ext.truncate(n - 1), 0.95 * qbar)
-                      for n in (2_000, 5_000, 10_000) if n <= N]
+    increments = [n for n in (2_000, 5_000, 10_000) if n <= N]
+    div, sub = {}, {}
+    # each truncation is built once, and dropped before the next one
+    for n in dict.fromkeys(checkpoints + [m for n in increments for m in (n, n - 1)]):
+        nu = ext.truncate(n)
+        sub[n] = moment(nu, 0.95 * qbar)
+        if n in checkpoints:
+            div[n] = moment(nu, qbar)
+        del nu
     return PipelineResult(ext.truncate(min(N, 400)), ext, rep,
                           float(rep.meta["fitted_M"]), prof,
                           extra={"b": b,
                                  "moment_N": checkpoints,
-                                 "qbar_moments": div_moments,
-                                 "sub_moments": sub_moments,
-                                 "sub_increments": sub_increments})
+                                 "qbar_moments": [div[n] for n in checkpoints],
+                                 "sub_moments": [sub[n] for n in checkpoints],
+                                 "sub_increments": [sub[n] - sub[n - 1]
+                                                    for n in increments]})
 
 
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])

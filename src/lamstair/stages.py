@@ -8,7 +8,9 @@ The stages are: (1) rank reduction via conjugated rank-drop staircases,
 products inside the split set, and (3) a pre-splitting into large diagonal
 entries followed by determinant-one staircases.  Measure mode composes the
 stages by replacing atoms with probability measures; map mode nests
-piecewise-affine realizations inside the cells of the previous stage."""
+piecewise-affine realizations inside the cells of the previous stage, and
+one dispatcher, `_reduce_slot`, picks the stage for a cell from its
+gradient class, for both step builders and the approximate sequence."""
 
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from .measures import (
     DiscreteMeasure,
     SplittingStep,
     _seq_sum,
+    barycenter,
     diamond_compose,
     dirac,
     fit_upper_constant,
@@ -92,8 +95,6 @@ def _plan_truncation(out, N: int) -> DiscreteMeasure:
         return build_truncation(out, N)
     if hasattr(out, "truncation"):
         return out.truncation(N)
-    if hasattr(out, "truncate"):
-        return out.truncate(N)
     raise PreconditionError(f"plan builder returned unsupported type {type(out)!r}")
 
 
@@ -103,8 +104,7 @@ def check_plan(plan: ReductionPlan, A, N: int = 8, t_grid=None,
     the target set up to the remainder mass, and the weak tail envelope."""
     A = asmatrix(A)
     nu = _plan_truncation(plan.builder(A), N)
-    bary = sum(float(a.weight) * np.asarray(a.point) for a in nu.atoms)
-    bary_err = frob(bary - A) / (1.0 + frob(A))
+    bary_err = frob(barycenter(nu) - A) / (1.0 + frob(A))
     off = _seq_sum(float(a.weight) for a in nu.atoms
                    if not member(a.point, plan.target, tol))
     if t_grid is None:
@@ -300,12 +300,6 @@ def stage3_spec(A, tol: float = MEMBER_TOL) -> Stage3Composite:
 # map-level composition helpers
 
 
-def _good_slots(pam: synth.PiecewiseAffineMap):
-    """Unpatched good-flag affine slots of a sealed map, each once, read from
-    its cached distribution."""
-    return synth._open_slots(pam.distribution(), synth.GOOD)
-
-
 def _within_slack(builder: str, attempt, eta: float, theta: float,
                   cap: float, r: float):
     """Call attempt(eta, theta) until the error and residual r-moment of its
@@ -349,85 +343,59 @@ def _staircase_depth(spec: StaircaseSpec, r: float, phi: float,
                         "the moment exponent must stay below the tail exponent")
 
 
-def _patch_stage3(slot, eta: float, sup: float, r: float, phi: float,
-                  min_depth: int = 1, theta: float = synth.THETA_MIN) -> None:
-    """Replace an affine slot carrying a split gradient by the stage-3
-    composite: pre-split roof cells, each patched with a determinant-one
-    staircase whose remainder cells are flagged inductive."""
-    comp = stage3_spec(slot.A)
-    pre = comp.presplit_input_frame()
+def _reduce_slot(slot, eta: float, sup: float, r: float, phi: float,
+                 theta: float, min_depth: int = 1) -> None:
+    """Patch an affine slot with the stage its gradient class needs, then
+    reduce every good cell that stage leaves in turn.  This is the one place
+    that maps a gradient class to a stage:
 
-    def stair(target_slot):
-        spec = comp.spec_for_matrix(target_slot.A)
-        if math.isfinite(phi):
-            N = max(_staircase_depth(spec, r, phi), min_depth)
+    - in L&Sigma, the slot stays as it is;
+    - in L, stage 3: pre-split roof cells, each patched with the
+      determinant-one staircase of its atom, whose good cells are in L&Sigma;
+    - at rank <= 1, the stage-2 laminate, whose good cells are in L;
+    - otherwise the stage-1 rank drop, whose good cells have rank <= 1.
+
+    A staircase is truncated at the smallest depth of at least min_depth
+    whose remainder r-moment per unit volume is at most phi (at min_depth if
+    phi is infinite); its remainder cells are inductive.  eta, sup and theta
+    are every realization's volume slack, deviation budget and cover floor."""
+    A = slot.A
+    if member(A, "L&Sigma", MEMBER_TOL):
+        return
+    budgets = {"delta": sup, "s_moment": r, "theta_min": theta}
+
+    def staircase(spec, s):
+        N = max(_staircase_depth(spec, r, phi), min_depth) if math.isfinite(phi) else min_depth
+        return synth.realize_staircase(spec, N, s.domain, A=s.A, b=s.b, eta=eta,
+                                       **budgets)
+
+    if member(A, "L", MEMBER_TOL):
+        comp = stage3_spec(A)
+        pre = comp.presplit_input_frame()
+        if len(pre) == 1 and not pre.certificate:
+            slot.patch(staircase(comp.spec_for_matrix(A), slot).root)
+            return
+        pam = synth.realize_finite_laminate(pre, slot.domain, A=A, b=slot.b, eps=eta,
+                                            **budgets)
+        for s in synth._open_slots(pam.distribution(), synth.GOOD):
+            s.patch(staircase(comp.spec_for_matrix(s.A), s).root)
+    else:
+        if rank(A, RANK_TOL) <= 1:
+            pam = synth.realize_finite_laminate(stage2_laminate(A), slot.domain, A=A,
+                                                b=slot.b, eps=eta, **budgets)
         else:
-            N = min_depth
-        node = synth.realize_staircase(spec, N, target_slot.domain,
-                                       A=target_slot.A, b=target_slot.b,
-                                       eta=eta, delta=sup, s_moment=r,
-                                       theta_min=theta).root
-        target_slot.patch(node)
-
-    if len(pre) == 1 and not pre.certificate:
-        stair(slot)
-        return
-    pam = synth.realize_finite_laminate(pre, slot.domain, A=slot.A, b=slot.b,
-                                        eps=eta, delta=sup, s_moment=r,
-                                        theta_min=theta)
-    for s in _good_slots(pam):
-        stair(s)
+            pam = staircase(stage1_spec(A, 2), slot)
+        for s in synth._open_slots(pam.distribution(), synth.GOOD):
+            _reduce_slot(s, eta, sup, r, phi, theta, min_depth)
     slot.patch(pam.root)
 
 
-def _patch_stage2(slot, eta: float, sup: float, r: float, phi: float,
-                  theta: float = synth.THETA_MIN) -> None:
-    """Replace an affine slot carrying a rank-one gradient by the stage-2
-    finite laminate, then run stage 3 inside every cell not yet in the
-    target set."""
-    nu2 = stage2_laminate(slot.A)
-    if len(nu2) == 1 and not nu2.certificate:
-        # the zero matrix: handled directly by stage 3
-        _patch_stage3(slot, eta, sup, r, phi, theta=theta)
-        return
-    pam = synth.realize_finite_laminate(nu2, slot.domain, A=slot.A, b=slot.b,
-                                        eps=eta, delta=sup, s_moment=r,
-                                        theta_min=theta)
-    for s in _good_slots(pam):
-        if member(s.A, "L&Sigma", MEMBER_TOL):
-            continue
-        _patch_stage3(s, eta, sup, r, phi, theta=theta)
-    slot.patch(pam.root)
-
-
-def stage3_builder(r: float = 1.5):
-    """Step builder for the exact-solution recursion on split seeds: each
-    invocation produces a pre-split plus determinant-one staircase whose
-    error and inductive moments respect the declared relative budgets."""
-
-    def builder(A_seed, dom, b, slack_frac, inductive_frac, sup_budget, alpha):
-        A = asmatrix(A_seed)
-        if member(A, "L&Sigma", MEMBER_TOL):
-            return synth.SlotMap(dom, A, b, flag=synth.GOOD)
-        growth = 1.0 + frob(A) ** r
-        phi = inductive_frac * growth / 4.0
-
-        def attempt(eta, theta):
-            slot = synth.SlotMap(dom, A, b)
-            _patch_stage3(slot, eta, sup_budget, r, phi, theta=theta)
-            return slot
-
-        return _within_slack("stage3_builder", attempt,
-                             min(0.9, slack_frac * growth), synth.THETA_MIN,
-                             slack_frac * growth * dom.volume, r)
-
-    return builder
-
-
-def product_builder(r: float = 1.5):
-    """Step builder for the full product recursion on arbitrary 2x2 seeds:
-    rank reduction, then the split laminate, then stage 3, nested inside the
-    cells of the previous stage."""
+def _step_builder(name: str, r: float, eta_div: float, phi_div: float):
+    """Step builder for the exact-solution recursion on 2x2 seeds.  A seed
+    in L&Sigma is a good slot; any other is a slot reduced by `_reduce_slot`
+    under `_within_slack`, first with volume slack (error budget) / eta_div,
+    and with staircases whose remainder r-moment is at most (inductive
+    budget) / phi_div."""
 
     def builder(A_seed, dom, b, slack_frac, inductive_frac, sup_budget, alpha):
         A = asmatrix(A_seed)
@@ -437,35 +405,31 @@ def product_builder(r: float = 1.5):
             return synth.SlotMap(dom, A, b, flag=synth.GOOD)
         growth = 1.0 + frob(A) ** r
         budget = slack_frac * growth
-        phi = inductive_frac * growth / 8.0
+        phi = inductive_frac * growth / phi_div
 
         def attempt(eta, theta):
-            if member(A, "L", MEMBER_TOL):
-                slot = synth.SlotMap(dom, A, b)
-                _patch_stage3(slot, eta, sup_budget, r, phi, theta=theta)
-                return slot
-            if rank(A, RANK_TOL) <= 1:
-                slot = synth.SlotMap(dom, A, b)
-                _patch_stage2(slot, eta, sup_budget, r, phi, theta=theta)
-                return slot
-            spec1 = stage1_spec(A, 2)
-            N1 = _staircase_depth(spec1, r, phi)
-            pam = synth.realize_staircase(spec1, N1, dom, A=A, b=b, eta=eta,
-                                          delta=sup_budget, s_moment=r,
-                                          theta_min=theta)
-            for s in _good_slots(pam):
-                if member(s.A, "L&Sigma", MEMBER_TOL):
-                    continue
-                if member(s.A, "L", MEMBER_TOL):
-                    _patch_stage3(s, eta, sup_budget, r, phi, theta=theta)
-                else:
-                    _patch_stage2(s, eta, sup_budget, r, phi, theta=theta)
-            return pam.root
+            slot = synth.SlotMap(dom, A, b)
+            _reduce_slot(slot, eta, sup_budget, r, phi, theta)
+            return slot
 
-        return _within_slack("product_builder", attempt, min(0.9, budget / 3.0),
+        return _within_slack(name, attempt, min(0.9, budget / eta_div),
                              synth.THETA_MIN, budget * dom.volume, r)
 
     return builder
+
+
+def stage3_builder(r: float = 1.5):
+    """Step builder for the exact-solution recursion on split seeds: each
+    invocation produces a pre-split plus determinant-one staircase whose
+    error and inductive moments respect the declared relative budgets."""
+    return _step_builder("stage3_builder", r, 1.0, 4.0)
+
+
+def product_builder(r: float = 1.5):
+    """Step builder for the full product recursion on arbitrary 2x2 seeds:
+    rank reduction, then the split laminate, then stage 3, nested inside the
+    cells of the previous stage."""
+    return _step_builder("product_builder", r, 3.0, 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -482,24 +446,37 @@ class ProductResult:
     residual_mass: float
     realized_map: object = None
     rounds: list = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
 
 
-def _tail_slope(nu: DiscreteMeasure, t_lo: float, t_hi: float,
-                points: int = 40) -> float | None:
-    ts = np.geomspace(t_lo, t_hi, points)
+def _tail_fit(nu: DiscreteMeasure, A: np.ndarray, p: float, t_lo: float,
+              t_hi: float) -> tuple[float | None, float]:
+    """The least-squares slope of log tail(t) against log t at 40 geometric
+    points of [t_lo, t_hi] (None if fewer than 3 tails are positive), and
+    the smallest M >= 1 with tail(t) <= M^p (1 + |A|^p) t^-p at 40 geometric
+    points of [1 + |A|, t_hi]."""
+    ts = np.geomspace(t_lo, t_hi, 40)
     tails = tail_masses(nu, ts)
     keep = tails > 0
-    if keep.sum() < 3:
-        return None
-    return float(np.polyfit(np.log(ts[keep]), np.log(tails[keep]), 1)[0])
+    slope = None
+    if keep.sum() >= 3:
+        slope = float(np.polyfit(np.log(ts[keep]), np.log(tails[keep]), 1)[0])
+    grid = np.geomspace(1.0 + frob(A), t_hi, 40)
+    fitted = (fit_upper_constant(nu, float(p), grid)
+              / (1.0 + frob(A) ** p)) ** (1.0 / p)
+    return slope, max(1.0, fitted)
+
+
+# Map mode runs the exact-solution recursion on the unit square with
+# deviation budget _MAP_DELTA, Hoelder exponent _MAP_ALPHA (read by no step
+# builder) and error moment _MAP_R.  Both modes count the mass in L&Sigma at
+# tolerance _TARGET_TOL and fit the tail slope over _SLOPE_WINDOW.
+_MAP_DELTA, _MAP_ALPHA, _MAP_R = 0.5, 0.5, 1.5
+_TARGET_TOL = 1e-8
+_SLOPE_WINDOW = (10.0, 1e3)
 
 
 def product_pipeline(A, mode: str = "measure", beta_tol: float = 1e-4,
-                     domain=None, depth: int = 6, delta: float = 0.5,
-                     alpha: float = 0.5, r: float = 1.5, M: float = 8.0,
-                     member_tol: float = 1e-8,
-                     t_slope=(10.0, 1e3)) -> ProductResult:
+                     depth: int = 6, M: float = 8.0) -> ProductResult:
     """Compose the three stages into a gradient distribution supported in the
     split determinant-one set (measure mode) or a nested piecewise-affine
     realization driven by the exact-solution recursion (map mode)."""
@@ -514,12 +491,12 @@ def product_pipeline(A, mode: str = "measure", beta_tol: float = 1e-4,
     if mode == "map":
         if d != 2:
             raise UnsupportedError("map mode is limited to 2x2 seeds")
-        dom = domain if domain is not None else synth.box((0.0, 0.0), (1.0, 1.0))
-        pam, rounds = synth.reduce_exact(product_builder(r), dom, A, 0.0,
-                                         delta=delta, alpha=alpha, depth=depth,
-                                         p=float(2 * n), M=M, r=r)
-        nu, residual = synth.gradient_distribution(pam)
-        res = _measure_stats(nu, A, 2 * n, member_tol, t_slope)
+        pam, rounds = synth.reduce_exact(product_builder(_MAP_R),
+                                         synth.box((0.0, 0.0), (1.0, 1.0)), A, 0.0,
+                                         delta=_MAP_DELTA, alpha=_MAP_ALPHA, depth=depth,
+                                         p=float(2 * n), M=M, r=_MAP_R)
+        nu, residual = pam.gradient_distribution()
+        res = _measure_stats(nu, A, 2 * n)
         res.residual_mass += residual
         res.realized_map = pam
         res.rounds = rounds
@@ -563,7 +540,7 @@ def product_pipeline(A, mode: str = "measure", beta_tol: float = 1e-4,
 
     def fam3(i, a):
         P = np.asarray(a.point)
-        if member(P, "L&Sigma", member_tol) or not member(P, "L", MEMBER_TOL):
+        if member(P, "L&Sigma", _TARGET_TOL) or not member(P, "L", MEMBER_TOL):
             return dirac(P)
         N3 = max(1, math.ceil(math.log2(max(2.0, radius / max(frob(P), 1e-12)))))
         return stage3_spec(P).truncation(N3)
@@ -573,21 +550,15 @@ def product_pipeline(A, mode: str = "measure", beta_tol: float = 1e-4,
         # branch certificates can collide after merging; the composed measure
         # remains valid, only the flat replay order does not
         nu = DiscreteMeasure(list(nu.atoms))
-    return _measure_stats(nu, A, 2 * n, member_tol, t_slope)
+    return _measure_stats(nu, A, 2 * n)
 
 
-def _measure_stats(nu: DiscreteMeasure, A: np.ndarray, p: int,
-                   member_tol: float, t_slope) -> ProductResult:
+def _measure_stats(nu: DiscreteMeasure, A: np.ndarray, p: int) -> ProductResult:
     good = _seq_sum(float(a.weight) for a in nu.atoms
-                    if member(a.point, "L&Sigma", member_tol))
-    bary = sum(float(a.weight) * np.asarray(a.point) for a in nu.atoms)
-    bary_err = frob(bary - A) / (1.0 + frob(A))
-    slope = _tail_slope(nu, *t_slope)
-    grid = np.geomspace(1.0 + frob(A), t_slope[1], 40)
-    fitted = (fit_upper_constant(nu, float(p), grid)
-              / (1.0 + frob(A) ** p)) ** (1.0 / p)
-    return ProductResult(nu, good, bary_err, slope, max(1.0, fitted),
-                         residual_mass=nu.mass - good)
+                    if member(a.point, "L&Sigma", _TARGET_TOL))
+    bary_err = frob(barycenter(nu) - A) / (1.0 + frob(A))
+    slope, fitted = _tail_fit(nu, A, p, *_SLOPE_WINDOW)
+    return ProductResult(nu, good, bary_err, slope, fitted, residual_mass=nu.mass - good)
 
 
 # ---------------------------------------------------------------------------
@@ -608,15 +579,18 @@ class ApproxStep:
     realized_map: object
 
 
-def approximate_sequence(A, domain=None, j_max: int = 6,
-                         depth_floor: int = 11) -> list[ApproxStep]:
-    """Sequence of piecewise-affine maps with gradients approaching the split
-    determinant-one set at a rank-one seed outside the split set.
+def approximate_sequence(A, j_max: int = 6) -> list[ApproxStep]:
+    """Sequence of piecewise-affine maps on the unit square with gradients
+    approaching the split determinant-one set at a rank-one seed outside the
+    split set.
 
-    Step j realizes the stage-2 laminate with error budget shrinking
-    geometrically (strictly faster than 2^-j so the measured moments drop by
-    more than a factor 4 per two steps), then runs stage 3 inside every cell;
-    the remainder cells are inductive and tracked by volume only."""
+    Step j reduces the seed's slot (`_reduce_slot`): the stage-2 laminate with
+    error budget shrinking geometrically (strictly faster than 2^-j so the
+    measured moments drop by more than a factor 4 per two steps), then stage
+    3 inside every cell, with staircases 11 + j levels deep; the remainder
+    cells are inductive and tracked by volume only."""
+    if j_max < 1:
+        raise PreconditionError("need j_max >= 1")
     A = asmatrix(A)
     if A.shape != (2, 2):
         raise UnsupportedError("approximate sequence is realized for 2x2 seeds")
@@ -624,35 +598,25 @@ def approximate_sequence(A, domain=None, j_max: int = 6,
         raise PreconditionError("need a rank-one seed")
     if member(A, "L", MEMBER_TOL):
         raise PreconditionError("seed already split; nothing to approximate")
-    dom = domain if domain is not None else synth.box((0.0, 0.0), (1.0, 1.0))
-    nu2 = stage2_laminate(A)
+    dom = synth.box((0.0, 0.0), (1.0, 1.0))
+    vol = dom.volume
     steps: list[ApproxStep] = []
     for j in range(1, j_max + 1):
         s_j = 2.0 + j
-        eta_j = min(0.9, 2.2 ** -j)
-        delta_j = 2.0 ** -j
-        pam = synth.realize_finite_laminate(nu2, dom, A=A, eps=eta_j,
-                                            delta=delta_j, s_moment=s_j)
-        for slot in _good_slots(pam):
-            if member(slot.A, "L&Sigma", MEMBER_TOL):
-                continue
-            _patch_stage3(slot, eta_j, delta_j, s_j, math.inf,
-                          min_depth=depth_floor + j)
-        pam = synth.PiecewiseAffineMap(pam.root, A, pam.boundary_affine[1]).seal()
+        root = synth.SlotMap(dom, A)
+        _reduce_slot(root, min(0.9, 2.2 ** -j), 2.0 ** -j, s_j, math.inf,
+                     synth.THETA_MIN, min_depth=11 + j)
+        pam = synth.PiecewiseAffineMap(root, A, 0.0).seal()
         dist = pam.distribution()
-        vol = dom.volume
         err = pam.error_moment(s_j) / vol
         ind = _seq_sum(va.vol for va in dist if va.flag == synth.INDUCTIVE) / vol
         d1 = _seq_sum(va.vol * set_distance(va.G, "L1") for va in dist) / vol
         d2 = _seq_sum(va.vol * set_distance(va.G, "L2") for va in dist) / vol
-        nug, residual = synth.gradient_distribution(pam)
+        nug, _ = pam.gradient_distribution()
         gmax = max(frob(a.point) for a in nug.atoms)
-        slope = _tail_slope(nug, 8.0, max(16.0, gmax / 2.0))
-        grid = np.geomspace(1.0 + frob(A), max(16.0, gmax / 2.0), 40)
-        fitted = (fit_upper_constant(nug, 2.0, grid)
-                  / (1.0 + frob(A) ** 2)) ** 0.5
-        steps.append(ApproxStep(j, s_j, err, ind, d1, d2, slope,
-                                max(1.0, fitted), pam.sup_dev(), pam))
+        slope, fitted = _tail_fit(nug, A, 2.0, 8.0, max(16.0, gmax / 2.0))
+        steps.append(ApproxStep(j, s_j, err, ind, d1, d2, slope, fitted,
+                                pam.sup_dev(), pam))
     return steps
 
 
@@ -677,7 +641,7 @@ def composition_trial(p: float, q: float, t_grid=None, levels: int = 60):
     against the 4(1+q/|p-q|) (M'M'')^r (1+|A|^r) t^-r envelope, r=min(p,q)."""
     base = np.eye(1)
     nu1 = _geometric_measure(p, base, levels)
-    normA = frob(sum(float(a.weight) * np.asarray(a.point) for a in nu1.atoms))
+    normA = frob(barycenter(nu1))
     if t_grid is None:
         t_grid = np.geomspace(1.5, 1e4, 40)
     M1 = max(1.0, fit_upper_constant(nu1, p, t_grid) / (1.0 + normA ** p))
@@ -704,7 +668,7 @@ def composition_suite(count: int = 50, seed: int = 0):
     return reports
 
 
-def pq_counterexample(p: float, levels: int = 40, pad: int = 30):
+def pq_counterexample(p: float, levels: int = 40):
     """Equal-exponent composition failure: both factors have finite weak-L^p
     envelopes but the composed tail satisfies t^p tail(t) -> infinity.
 
@@ -714,7 +678,7 @@ def pq_counterexample(p: float, levels: int = 40, pad: int = 30):
         raise PreconditionError("need p > 1")
     c = 1.0 - 2.0 ** -p
     abar = c / (1.0 - 2.0 ** -(p - 1.0))
-    L = levels + pad
+    L = levels + 30   # atoms past the last level the series reads
     nu = DiscreteMeasure.from_stack(
         [c * c * (l + 1) * 2.0 ** (-l * p) for l in range(L)],
         (2.0 ** np.arange(L) / abar)[:, None, None])
@@ -739,5 +703,4 @@ def stage2_plan() -> ReductionPlan:
 
 
 def stage3_plan(n: int = 1) -> ReductionPlan:
-    side = "L1"
-    return ReductionPlan(side, f"{side}&Sigma", float(2 * n), 8.0, stage3_spec)
+    return ReductionPlan("L1", "L1&Sigma", float(2 * n), 8.0, stage3_spec)

@@ -47,7 +47,7 @@ from .measures import Atom, DiscreteMeasure, _seq_sum, verify_laminate
 __all__ = [
     "OBox", "box", "Cell", "PiecewiseAffineMap", "MapVerification",
     "roof", "realize_finite_laminate", "realize_staircase", "realize_extended",
-    "reduce_exact", "gradient_distribution", "verify_map",
+    "reduce_exact", "verify_map",
     "cert_tree", "CertNode",
 ]
 
@@ -1096,19 +1096,14 @@ def realize_finite_laminate(nu: DiscreteMeasure, domain: OBox, A=None, b=0.0,
     rep = verify_laminate(nu)
     if len(nu) > 1 and not rep.ok:
         raise InvalidSplitError("; ".join(rep.messages))
-    if len(nu) == 1 and not nu.certificate:
-        root_A = nu.atoms[0].point if A is None else asmatrix(A)
-        node = SlotMap(domain, root_A, b, flag=GOOD)
-        return PiecewiseAffineMap(node, root_A, b).seal()
-    tree = cert_tree(nu.certificate)
-    if A is None:
-        A = tree.A
-    elif frob(asmatrix(A) - tree.A) > 1e-8 * (1.0 + frob(tree.A)):
-        raise PreconditionError("laminate root differs from the requested barycenter")
-    budget = _Budget(eps / 4.0, delta, s_moment, theta_min)
-    node = _drive(_realize_node(tree, domain, A, b, budget,
-                                leaf_fn=lambda G: GOOD, aux_flag=ERROR))
-    return PiecewiseAffineMap(node, A, b).seal()
+    if not nu.certificate:
+        root = nu.atoms[0].point
+    else:
+        root = asmatrix(nu.certificate[0].target)
+        if A is not None and frob(asmatrix(A) - root) > 1e-8 * (1.0 + frob(root)):
+            raise PreconditionError("laminate root differs from the requested barycenter")
+    return _realize(nu, domain, root if A is None else asmatrix(A), b, eps, delta,
+                    s_moment, theta_min)
 
 
 def realize_staircase(spec, N: int, domain: OBox, A=None, b=0.0,
@@ -1125,43 +1120,41 @@ def realize_staircase(spec, N: int, domain: OBox, A=None, b=0.0,
     if A is not None and frob(asmatrix(A) - spec.A0) > 1e-9 * (1.0 + frob(spec.A0)):
         raise PreconditionError("seed differs from the staircase root")
     nu = build_truncation(spec, N)
-    AN = remainder(spec, N)[1]
-
-    def leaf_fn(G):
-        if frob(G - AN) <= 1e-9 * (1.0 + frob(AN)):
-            return INDUCTIVE
-        return GOOD
-
-    budget = _Budget(eta / 4.0, delta, s_moment, theta_min)
-    tree = cert_tree(nu.certificate)
-    node = _drive(_realize_node(tree, domain, spec.A0, b, budget, leaf_fn, ERROR))
-    return PiecewiseAffineMap(node, spec.A0, b).seal()
+    return _realize(nu, domain, spec.A0, b, eta, delta, s_moment, theta_min,
+                    inductive=(remainder(spec, N)[1],))
 
 
 def realize_extended(ext, domain: OBox | None = None, delta: float = 0.05,
-                     depth: int = 4, s_moment: float = 2.0) -> PiecewiseAffineMap:
-    """Realize the depth-truncation of an extended measure; tail remainders
-    become inductive cells."""
+                     depth: int = 4) -> PiecewiseAffineMap:
+    """Realize the depth-truncation of an extended measure, error cells
+    budgeted in their 2-moment; tail remainders become inductive cells."""
+    from .staircase import remainder
     if domain is None:
         domain = box((0.0, 0.0), (1.0, 1.0))
-    from .staircase import remainder
-    eps = min(float(delta), 0.5)
     nu = ext.truncate(depth)
-    remainders = [remainder(sp, depth)[1] for _, sp in ext.tails]
+    return _realize(nu, domain, ext.A, 0.0, min(float(delta), 0.5), math.inf, 2.0,
+                    THETA_MIN, inductive=[remainder(sp, depth)[1] for _, sp in ext.tails])
 
-    def leaf_fn(G):
-        for R in remainders:
-            if frob(G - R) <= 1e-9 * (1.0 + frob(R)):
-                return INDUCTIVE
-        return GOOD
 
+def _realize(nu: DiscreteMeasure, domain: OBox, A, b, eps: float, delta: float,
+             s_moment: float, theta_min: float, inductive=()) -> PiecewiseAffineMap:
+    """The sealed map with boundary datum (A, b) realizing nu's certificate
+    on domain, under per-node budgets (`_Budget`) of volume slack eps / 4 in
+    the s-moment and deviation delta.  A leaf within 1e-9 (1 + |R|) of a
+    remainder R in `inductive` is an inductive cell, every other leaf a good
+    one; an uncertified single atom is the affine map itself."""
     if len(nu) == 1 and not nu.certificate:
-        node: MapNode = SlotMap(domain, ext.A, 0.0, flag=GOOD)
-        return PiecewiseAffineMap(node, ext.A, 0.0).seal()
-    budget = _Budget(eps / 4.0, math.inf, s_moment)
-    tree = cert_tree(nu.certificate)
-    node = _drive(_realize_node(tree, domain, ext.A, 0.0, budget, leaf_fn, ERROR))
-    return PiecewiseAffineMap(node, ext.A, 0.0).seal()
+        node: MapNode = SlotMap(domain, A, b, flag=GOOD)
+    else:
+        def leaf_fn(G):
+            if any(frob(G - R) <= 1e-9 * (1.0 + frob(R)) for R in inductive):
+                return INDUCTIVE
+            return GOOD
+
+        budget = _Budget(eps / 4.0, delta, s_moment, theta_min)
+        node = _drive(_realize_node(cert_tree(nu.certificate), domain, A, b, budget,
+                                    leaf_fn, ERROR))
+    return PiecewiseAffineMap(node, A, b).seal()
 
 
 # ---------------------------------------------------------------------------
@@ -1231,6 +1224,9 @@ def reduce_exact(step_builder, domain: OBox, A, b, delta: float, alpha: float,
     2^-(depth+1)) because the decay is already carried by the shrinking
     weighted volume of the previous round's inductive cells.  This keeps the
     builder's truncation depth bounded for arbitrarily large seeds.
+
+    alpha is only forwarded to step_builder; neither `stages.stage3_builder`
+    nor `stages.product_builder` reads it.
     """
     if depth < 1:
         raise PreconditionError("need depth >= 1")
@@ -1283,12 +1279,6 @@ def reduce_exact(step_builder, domain: OBox, A, b, delta: float, alpha: float,
             raise VerdictFailure(f"round {k}: tail constant {const} above 2 M^p")
         reports.append(RoundReport(k, err, const, n_patched))
     return PiecewiseAffineMap(root, A, bvec)._seal(dist), reports
-
-
-def gradient_distribution(m: PiecewiseAffineMap) -> tuple[DiscreteMeasure, float]:
-    """Normalized gradient push-forward of a sealed map; the uncovered volume
-    is reported separately."""
-    return m.gradient_distribution()
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def test_criterion_08_exact_recursion():
 def test_criterion_09_product_pipeline():
     with _Clock() as ck:
         A = np.array([[1.0, 1.0], [0.0, 1.0]])
-        res = stages.product_pipeline(A, mode="measure", member_tol=1e-8)
+        res = stages.product_pipeline(A, mode="measure")
         ok = res.mass_in_target >= 0.999
         ok = ok and res.barycenter_error <= 1e-9
         ok = ok and -2.1 <= res.tail_slope <= -1.9

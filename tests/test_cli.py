@@ -693,6 +693,26 @@ class TestPipelineCommands:
         assert report["mass_in_target"] >= 0.999
         assert report["barycenter_error"] <= 1e-9
 
+    @pytest.mark.parametrize("j", ["0", "-2"])
+    def test_approx_needs_a_step(self, tmp_path, capsys, j):
+        # an empty step list once reached min() in the handler: a traceback
+        seed, out = tmp_path / "seed.json", tmp_path / "approx.json"
+        serialize.dump_json(serialize.matrix_to_obj(np.array([[1.0, 2.0],
+                                                              [0.5, 1.0]])), seed)
+        assert main(["pipeline", "approx", "--A", str(seed), "--j", j,
+                     "--out", str(out)]) == 3
+        assert "need j_max >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("A", ["diag(3,1)", "diag(-1,1)"])
+    def test_afs_needs_a_level(self, tmp_path, capsys, A):
+        # a seed without staircase tails once wrote afs.json with N = -5
+        out = tmp_path / "afs.json"
+        assert main(["models", "afs", "--K", "3", "--A", A, "--N", "-5",
+                     "--out", str(out)]) == 3
+        assert "need N >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duality_on_map(self, tmp_path):
         m, mp = tmp_path / "m.json", tmp_path / "map.json"
         write_measure(m)

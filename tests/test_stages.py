@@ -341,10 +341,38 @@ class TestBuilders:
         for rep in rounds:
             assert rep.error_moment <= 2.0 ** -rep.round * (1 + 1e-9)
             assert rep.tail_constant <= 2.0 * 64.0 * (1 + 1e-9)
-        nu, resid = synth.gradient_distribution(pam)
+        nu, resid = pam.gradient_distribution()
         good = sum(float(a.weight) for a in nu.atoms
                    if member(a.point, "L&Sigma", 1e-8))
         assert good >= 1.0 - 2.0 ** -3
+
+
+class _Reached(Exception):
+    """Raised by a patched stage builder on its first call."""
+
+
+@pytest.mark.parametrize("A, stage", [
+    (np.diag([1.0, 1.0]), None),                     # in L&Sigma
+    (np.diag([3.0, 1.0]), "stage3_spec"),            # in L
+    (np.zeros((2, 2)), "stage3_spec"),               # in L, rank 0
+    (np.outer([1.0, 1.0], [1.0, 0.0]), "stage2_laminate"),
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), "stage1_spec"),
+])
+def test_reduce_slot_picks_the_stage_of_the_gradient_class(monkeypatch, A, stage):
+    reached = []
+    for name in ("stage1_spec", "stage2_laminate", "stage3_spec"):
+        def first_call(*args, name=name, **kwargs):
+            reached.append(name)
+            raise _Reached(name)
+        monkeypatch.setattr(sg, name, first_call)
+    slot = synth.SlotMap(synth.box((0.0, 0.0), (1.0, 1.0)), A)
+    if stage is None:
+        sg._reduce_slot(slot, 0.1, 0.5, 1.5, 0.1, synth.THETA_MIN)
+        assert slot.inner is None
+    else:
+        with pytest.raises(_Reached):
+            sg._reduce_slot(slot, 0.1, 0.5, 1.5, 0.1, synth.THETA_MIN)
+    assert reached == ([] if stage is None else [stage])
 
 
 # ---------------------------------------------------------------------------

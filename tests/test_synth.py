@@ -90,7 +90,7 @@ class TestRoof:
         A2 = np.diag([-1.0, 1.0])
         A = 0.4 * A1 + 0.6 * A2
         m = sy.roof(A, 0.0, A1, A2, 0.4, UNIT, eps=0.1)
-        nu, res = sy.gradient_distribution(m)
+        nu, res = m.gradient_distribution()
         assert res == 0.0
         main = (float(nu.atoms[nu.find(A1)].weight)
                 + float(nu.atoms[nu.find(A2)].weight))
@@ -1530,7 +1530,7 @@ class TestSplicedWalk:
 
         def attempt(eta, theta):
             slot = sy.SlotMap(UNIT, A, 0.0)
-            stages._patch_stage3(slot, eta, 0.5, r, 0.1, theta=theta)
+            stages._reduce_slot(slot, eta, 0.5, r, 0.1, theta)
             nodes.append(slot)
             return slot
 
