@@ -204,7 +204,7 @@ def _cmd_synth_realize(args) -> bool:
     nu = serialize.measure_from_obj(serialize.load_json(args.measure),
                                     path=args.measure)
     pam = synth.realize_finite_laminate(nu, args.domain, eps=args.eps)
-    serialize.dump_map(pam, args.out, max_cells=args.max_cells)
+    serialize.dump_map(pam.cells(args.max_cells), args.out)
     return True
 
 
@@ -246,7 +246,7 @@ def _cmd_pipeline_product(args) -> bool:
                                   depth=args.depth, M=args.M)
     ok = True
     if args.mode == "map":
-        serialize.dump_map(res.realized_map, args.out, max_cells=args.max_cells)
+        serialize.dump_map(res.realized_map.cells(args.max_cells), args.out)
     else:
         serialize.dump_json(serialize.measure_to_obj(res.measure), args.out)
     if args.tails is not None:

@@ -156,7 +156,7 @@ def afs_pipeline(A, K: float, N: int = 200, t_grid=None) -> PipelineResult:
     in E_K union E_{1/K}, two-sided tail verdict, fitted envelope constant.
     `synth.realize_extended(result.extended, ...)` realizes the measure as a
     piecewise-affine gradient."""
-    from .staircase import extended_measure, extended_tail_report
+    from .staircase import _tail_report, extended_measure
     if N < 1:
         raise PreconditionError("need N >= 1")
     A = asmatrix(A)
@@ -165,15 +165,16 @@ def afs_pipeline(A, K: float, N: int = 200, t_grid=None) -> PipelineResult:
     if t_grid is None:
         t0 = 1.0 + frob(A)
         t_grid = np.geomspace(t0 * 1.01, t0 * 50.0, 60)
-    rep = extended_tail_report(ext, N, t_grid)
-    return PipelineResult(ext.truncate(N), ext, rep, float(rep.meta["fitted_M"]), prof)
+    nu = ext.truncate(N)
+    rep = _tail_report(ext, nu, N, t_grid)
+    return PipelineResult(nu, ext, rep, float(rep.meta["fitted_M"]), prof)
 
 
 def plap_pipeline(A, p: float, N: int = 10_000, t_grid=None,
                   b: float | None = None) -> PipelineResult:
     """p-Laplace pipeline: extended measure in K_p with the selected staircase
     parameter b, two-sided tails, and the moment-divergence proxy."""
-    from .staircase import extended_measure, extended_tail_report
+    from .staircase import _tail_report, extended_measure
     A = asmatrix(A)
     if b is None:
         b = select_b(p)
@@ -184,20 +185,23 @@ def plap_pipeline(A, p: float, N: int = 10_000, t_grid=None,
     if t_grid is None:
         t0 = 1.0 + frob(A)
         t_grid = np.geomspace(t0 * 1.01, t0 * 50.0, 60)
-    rep = extended_tail_report(ext, min(N, 400), t_grid)
+    n_rep = min(N, 400)
+    nu_rep = ext.truncate(n_rep)
+    rep = _tail_report(ext, nu_rep, n_rep, t_grid)
     qbar = prof.value
     checkpoints = [n for n in (100, 1_000, 10_000, 100_000) if n <= N]
     # Cauchy increments of the convergent sub-critical moment past N = 10^3
     increments = [n for n in (2_000, 5_000, 10_000) if n <= N]
     div, sub = {}, {}
-    # each truncation is built once, and dropped before the next one
+    # each truncation is built once, and dropped before the next one; the
+    # report's is the result's measure
     for n in dict.fromkeys(checkpoints + [m for n in increments for m in (n, n - 1)]):
-        nu = ext.truncate(n)
+        nu = nu_rep if n == n_rep else ext.truncate(n)
         sub[n] = moment(nu, 0.95 * qbar)
         if n in checkpoints:
             div[n] = moment(nu, qbar)
         del nu
-    return PipelineResult(ext.truncate(min(N, 400)), ext, rep,
+    return PipelineResult(nu_rep, ext, rep,
                           float(rep.meta["fitted_M"]), prof,
                           extra={"b": b,
                                  "moment_N": checkpoints,

@@ -5,11 +5,12 @@ All writers are deterministic: keys are sorted, floats go through ``repr``
 so repeated runs with identical inputs produce byte-identical artifacts.
 
 Small objects (matrices, measures, reports) go through ``json.dump`` with
-``indent=2``.  Maps, whose cell lists run to megabytes, are written by
-``dump_map`` from the arrays a ``CellMap`` holds (or that a
-``PiecewiseAffineMap``'s cells are stacked into): the cells are streamed in
-blocks through one %-template per vertex count, byte-equal to what
-``json.dump`` would write for the map's object.
+``indent=2``.  Maps, whose cell lists run to megabytes, are held as a
+``CellMap`` both ways: ``PiecewiseAffineMap.cells()`` builds one from a
+realized map, ``map_from_obj`` reads one back, and ``dump_map`` writes one
+from its arrays, streaming the cells in blocks through one %-template per
+vertex count, byte-equal to what ``json.dump`` would write for the map's
+object.
 """
 
 from __future__ import annotations
@@ -236,7 +237,9 @@ _LOOKUP_BLOCK = 16    # query points per block: (16, k) distance temporaries
 
 
 class CellMap:
-    """A map loaded back from its serialized cell list, held as arrays.
+    """A map as its cell list, held as arrays: what
+    ``PiecewiseAffineMap.cells()`` returns, ``dump_map`` writes and
+    ``map_from_obj`` reads back.
 
     For k cells with at most n_max vertices:
 
@@ -490,37 +493,21 @@ def _cell_template(n: int) -> str:
     return text.replace("\n", "\n    ").replace(json.dumps(h), "%s")
 
 
-def _map_arrays(m, max_cells: int):
-    """(vertices, counts, A, b, flag texts) of m's cells as a CellMap holds
-    them.  A PiecewiseAffineMap's cells are enumerated under max_cells, and
-    non-realized roles (inductive slots, cover residuals) are all error
-    cells from the consumer's point of view."""
-    if isinstance(m, CellMap):
-        texts = {f: json.dumps(f) for f in set(m.flags)}
-        return m.vertices, m.counts, m.A, m.b, [texts[f] for f in m.flags]
-    from .synth import GOOD   # only a PiecewiseAffineMap needs synth
-    cells = m.cells(max_cells)
-    V, counts = _padded([c.vertices for c in cells])
-    # asmatrix's check of each cell gradient, over the whole stack
-    A = asmatrix(np.array([c.A for c in cells], dtype=float).reshape(-1, 2))
-    b = np.array([c.b for c in cells], dtype=float)
-    flags = ['"good"' if c.flag == GOOD else '"error"' for c in cells]
-    return V, counts, A.reshape(-1, 2, 2), b, flags
-
-
-def _map_chunks(m, max_cells: int = 200_000):
+def _map_chunks(cm: CellMap):
     """The text of json.dump(obj, sort_keys=True, indent=2) + "\\n" for the
-    map object of m (a PiecewiseAffineMap or a CellMap, with at least one
-    cell), as an iterator of chunks.  Every cell and check is done before
-    this returns; iterating only formats.  The small keys go through
-    json.dumps; the cells are written from arrays, a block of cells at a
-    time, each by a %-template made once per vertex count."""
-    A0, b0 = m.boundary_affine
-    V, counts, A, b, flags = _map_arrays(m, max_cells)
+    map object of cm (with at least one cell), as an iterator of chunks.
+    Every check is done before this returns; iterating only formats.  The
+    small keys go through json.dumps; the cells are written from the
+    arrays, a block of cells at a time, each by a %-template made once per
+    vertex count."""
+    A0, b0 = cm.boundary_affine
+    V, counts, A, b = cm.vertices, cm.counts, cm.A, cm.b
+    texts = {f: json.dumps(f) for f in set(cm.flags)}
+    flags = [texts[f] for f in cm.flags]
     head, tail = json.dumps(
-        {"domain": _domain_to_obj(m.domain),
+        {"domain": _domain_to_obj(cm.domain),
          "boundary": {"A": matrix_to_obj(A0), "b": [float(v) for v in b0]},
-         "cells": [], "residual_volume": float(m.residual_volume)},
+         "cells": [], "residual_volume": cm.residual_volume},
         sort_keys=True, indent=2).split('"cells": []')
     templates = {n: _cell_template(n) for n in np.flatnonzero(np.bincount(counts)).tolist()}
     width = 2 * V.shape[1]
@@ -537,11 +524,11 @@ def _map_chunks(m, max_cells: int = 200_000):
     return chunks()
 
 
-def dump_map(m, path, max_cells: int = 200_000) -> None:
-    """Write the map m (a PiecewiseAffineMap or a CellMap) to path as JSON,
-    byte-equal to dump_json of its map object.  The cells are enumerated
-    and checked before the file is opened, so a cell budget overflow or a
-    non-finite gradient leaves no file."""
-    chunks = _map_chunks(m, max_cells)
+def dump_map(cm: CellMap, path) -> None:
+    """Write the CellMap cm to path as JSON, byte-equal to dump_json of its
+    map object.  A realized map is written as its ``cells()``, which
+    enumerates and checks them before the file is opened, so a cell budget
+    overflow or a non-finite gradient leaves no file."""
+    chunks = _map_chunks(cm)
     with open(path, "w", encoding="ascii") as fh:
         fh.writelines(chunks)

@@ -34,7 +34,6 @@ from .measures import (
     fit_upper_constant,
     pushforward,
     tail_masses,
-    verify_laminate,
 )
 from .staircase import (
     LinMap,
@@ -219,11 +218,9 @@ class Stage3Composite:
     """Pre-splitting into large diagonal entries plus one determinant-one
     staircase per pre-split atom, all conjugated back to the input frame."""
 
-    A: np.ndarray
     side: str
     T: LinMap
     presplit: DiscreteMeasure          # diagonal atoms, working frame
-    p: float                           # tail exponent, 2n
 
     def spec_for(self, idx: int) -> StaircaseSpec:
         entries = [v for v in np.diag(np.asarray(self.presplit.atoms[idx].point))]
@@ -293,7 +290,7 @@ def stage3_spec(A, tol: float = MEMBER_TOL) -> Stage3Composite:
     atoms = [Atom(w, np.diag(np.asarray(vals, dtype=float)))
              for w, vals in branches if float(w) > 0.0]
     presplit = DiscreteMeasure(atoms, cert if cert else None)
-    return Stage3Composite(A, side, T, presplit, float(d))
+    return Stage3Composite(side, T, presplit)
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +543,6 @@ def product_pipeline(A, mode: str = "measure", beta_tol: float = 1e-4,
         return stage3_spec(P).truncation(N3)
 
     nu, _ = diamond_compose(nu, fam3)
-    if nu.certificate is not None and not verify_laminate(nu).ok:
-        # branch certificates can collide after merging; the composed measure
-        # remains valid, only the flat replay order does not
-        nu = DiscreteMeasure(list(nu.atoms))
     return _measure_stats(nu, A, 2 * n)
 
 

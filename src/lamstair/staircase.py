@@ -1205,7 +1205,13 @@ def extended_tail_report(ext: ExtendedMeasure, N: int,
     single M on the grid and evaluates both envelopes with it; the lower side
     gets the truncation residual as additive slack.
     """
-    nu = ext.truncate(N)
+    return _tail_report(ext, ext.truncate(N), N, t_grid)
+
+
+def _tail_report(ext: ExtendedMeasure, nu: DiscreteMeasure, N: int,
+                 t_grid: Sequence[float]) -> TailReport:
+    """extended_tail_report for nu, the truncation ext.truncate(N) already
+    built."""
     normA = frob(ext.A)
     resid = ext.residual_mass(N)
     if ext.kind == "elliptic":

@@ -42,10 +42,10 @@ from .errors import (
     VerdictFailure,
 )
 from .matrices import _dots, asmatrix, frob
-from .measures import Atom, DiscreteMeasure, _seq_sum, verify_laminate
+from .measures import DiscreteMeasure, _seq_sum, verify_laminate
 
 __all__ = [
-    "OBox", "box", "Cell", "PiecewiseAffineMap", "MapVerification",
+    "OBox", "box", "PiecewiseAffineMap", "MapVerification",
     "roof", "realize_finite_laminate", "realize_staircase", "realize_extended",
     "reduce_exact", "verify_map",
     "cert_tree", "CertNode",
@@ -86,18 +86,10 @@ class VolAtom:
     slot: "SlotMap | None" = None
 
 
-@dataclass
-class Cell:
-    vertices: list
-    A: np.ndarray
-    b: np.ndarray
-    flag: str
-
-
 def _emit_cell(out: list, limit: int, verts: list, A: np.ndarray, flag: str) -> None:
     if len(out) >= limit:
         raise UnsupportedError(f"cell enumeration exceeds budget {limit}")
-    out.append(Cell(verts, A, None, flag))
+    out.append((verts, A, flag))
 
 
 def _drive(op):
@@ -125,8 +117,9 @@ class MapNode:
     """Construction-tree node.  Each walk is a generator of the node class,
     ``_evaluate(X)``, ``_gradient(X)``, ``_bounds()`` (sup deviation,
     gradient-norm bound) or ``_cells(out, shift, scale, limit)`` (appending
-    to out): it yields its children's generators of the same walk, gets each
-    child's return value back from the yield, and returns its own.
+    a (vertices, A, flag) row per cell to out): it yields its children's
+    generators of the same walk, gets each child's return value back from
+    the yield, and returns its own.
     ``_parts()`` lists local distribution parts: leaf atoms (vol, G, flag,
     slot) and child entries (child, volume factor or None); it is the only
     definition of a node's distribution.  A patch may change only the run
@@ -989,10 +982,11 @@ class PiecewiseAffineMap:
         return _seq_sum(va.vol for va in self.distribution() if va.flag == RESIDUAL)
 
     def gradient_distribution(self) -> tuple[DiscreteMeasure, float]:
-        vol = self.domain.volume
-        atoms = [Atom(va.vol / vol, va.G) for va in self.distribution()
-                 if va.flag != RESIDUAL and va.vol > 0.0]
-        return DiscreteMeasure(atoms), self.residual_volume
+        keep = [va for va in self.distribution() if va.flag != RESIDUAL and va.vol > 0.0]
+        return (DiscreteMeasure.from_stack(
+                    np.array([va.vol for va in keep]) / self.domain.volume,
+                    [va.G for va in keep]),
+                self.residual_volume)
 
     def volume_of(self, G, flags=(GOOD,), tol: float = 1e-9) -> float:
         G = asmatrix(G)
@@ -1008,19 +1002,26 @@ class PiecewiseAffineMap:
     def grad_bound(self) -> float:
         return self.root.grad_bound()
 
-    def cells(self, max_cells: int = _MAX_CELLS_DEFAULT) -> list[Cell]:
-        out: list[Cell] = []
-        _drive(self.root._cells(out, np.zeros(2), 1.0, max_cells))
-        # vertex means one vertex-count group at a time: over a group's
-        # (g, n, 2) stack, the per-cell sums of np.mean in the same order
-        counts = np.array([len(c.vertices) for c in out], dtype=np.int64)
-        centroids = np.empty((len(out), 2))
-        for n in np.flatnonzero(np.bincount(counts)).tolist():   # np.unique imports numpy.ma
-            g = np.nonzero(counts == n)[0]
-            centroids[g] = np.array([out[i].vertices for i in g.tolist()]).mean(axis=1)
-        for c, x, y in zip(out, centroids, self.evaluate_many(centroids)):
-            c.b = y - c.A @ x
-        return out
+    def cells(self, max_cells: int = _MAX_CELLS_DEFAULT):
+        """The map's cells, at most max_cells of them, as the
+        ``serialize.CellMap`` that ``dump_map`` writes.  Every role other
+        than GOOD (errors, inductive slots, cover residuals) is an error
+        cell from the consumer's point of view.  Each cell's offset b makes its
+        affine piece take the map's value at the cell centroid.  A
+        non-finite cell gradient is a PreconditionError."""
+        from .serialize import CellMap, _padded   # only map writers need serialize
+        rows: list = []
+        _drive(self.root._cells(rows, np.zeros(2), 1.0, max_cells))
+        verts, mats, flags = zip(*rows)
+        V, counts = _padded(verts)
+        # asmatrix's check of each cell gradient, over the whole stack
+        A = asmatrix(np.array(mats, dtype=float).reshape(-1, 2)).reshape(-1, 2, 2)
+        cm = CellMap(self.domain, self.boundary_affine, V, counts, A, None,
+                     ["good" if f == GOOD else "error" for f in flags],
+                     self.residual_volume)
+        X = cm.centroids
+        cm.b = self.evaluate_many(X) - np.matmul(A, X[:, :, None])[:, :, 0]
+        return cm
 
     def swap_components(self) -> "PiecewiseAffineMap":
         A, b = self.boundary_affine
@@ -1057,11 +1058,11 @@ class _SwappedNode(MapNode):
         return (yield self.base._bounds())
 
     def _cells(self, out, shift, scale, limit):
-        inner: list[Cell] = []
+        inner: list = []
         yield self.base._cells(inner, np.zeros(2), 1.0, limit)
-        for c in inner:
-            verts = [shift + scale * (_P_SWAP @ v) for v in c.vertices]
-            _emit_cell(out, limit, verts, _P_SWAP @ c.A @ _P_SWAP, c.flag)
+        for verts, A, flag in inner:
+            _emit_cell(out, limit, [shift + scale * (_P_SWAP @ v) for v in verts],
+                       _P_SWAP @ A @ _P_SWAP, flag)
 
 
 # ---------------------------------------------------------------------------

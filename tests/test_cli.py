@@ -540,6 +540,11 @@ _MODULES_NOT_LOADED = [
      {"synth", "stages", "staircase"}),
     (["synth", "verify", "--map", "@map.json", "--samples", "64",
       "--out", "@rep.json"], {"stages", "staircase", "models"}),
+    (["synth", "realize", "--measure", "@m.json", "--eps", "0.9",
+      "--out", "@realized.json"], {"stages", "staircase", "models"}),
+    # a seed in L&Sigma: the map is its one affine cell
+    (["pipeline", "product", "--A", "diag(1,1)", "--mode", "map", "--depth", "1",
+      "--out", "@product.json"], {"models"}),
 ]
 
 

@@ -142,6 +142,31 @@ def run_plap(p, N):
     return md.plap_pipeline(np.diag([b, -1.0]), p, N=N, b=b)
 
 
+TRUNCATION_CASES = {
+    # the report and result at 400, the moment checkpoints and increments
+    "plap_10000": (lambda: run_plap(1.5, 10_000),
+                   [400, 100, 1_000, 10_000, 2_000, 1_999, 5_000, 4_999, 9_999]),
+    # the report's truncation is also the moment checkpoint's
+    "plap_100": (lambda: run_plap(1.5, 100), [100]),
+    "afs_100": (lambda: md.afs_pipeline(np.diag([-1.0, 1.0]), K=3.0, N=100), [100]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUNCATION_CASES))
+def test_each_truncation_is_built_once(case, monkeypatch):
+    run, levels = TRUNCATION_CASES[case]
+    calls = []
+    truncate = sc.ExtendedMeasure.truncate
+
+    def spy(ext, N):
+        calls.append(N)
+        return truncate(ext, N)
+
+    monkeypatch.setattr(sc.ExtendedMeasure, "truncate", spy)
+    run()
+    assert sorted(calls) == sorted(levels)
+
+
 def _sha(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 

@@ -135,8 +135,8 @@ class TestTailCsv:
 
 
 def map_obj(m):
-    """m's map object, read back from the text dump_map writes."""
-    return json.loads("".join(serialize._map_chunks(m)))
+    """The realized map m's object, read back from the text dump_map writes."""
+    return json.loads("".join(serialize._map_chunks(m.cells(200_000))))
 
 
 @pytest.fixture(scope="module")
@@ -192,8 +192,8 @@ class TestMaps:
 
     def test_dump_is_deterministic(self, realized, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        serialize.dump_map(realized, p1)
-        serialize.dump_map(realized, p2)
+        serialize.dump_map(realized.cells(), p1)
+        serialize.dump_map(realized.cells(), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -474,6 +474,32 @@ class TestMalformedMaps:
 # dump_map: the map object it replaced, kept as the reference for its bytes
 
 
+def ref_cells(m, max_cells: int):
+    """The realized map m's cells as the list of (vertices, A, b, flag) that
+    PiecewiseAffineMap.cells() built before it returned a CellMap; reference
+    only.  Each b is taken cell by cell at its centroid, the vertex mean of
+    one vertex-count group at a time."""
+    rows = []
+    synth._drive(m.root._cells(rows, np.zeros(2), 1.0, max_cells))
+    counts = np.array([len(v) for v, _, _ in rows])
+    centroids = np.empty((len(rows), 2))
+    for n in set(counts.tolist()):
+        g = np.nonzero(counts == n)[0]
+        centroids[g] = np.array([rows[i][0] for i in g.tolist()]).mean(axis=1)
+    return [(v, A, y - A @ x, f)
+            for (v, A, f), x, y in zip(rows, centroids, m.evaluate_many(centroids))]
+
+
+def ref_cell_arrays(m, max_cells: int):
+    """(vertices, counts, A, b, flags) stacked from ref_cells as the writer
+    stacked them before it took a CellMap; reference only."""
+    cells = ref_cells(m, max_cells)
+    V, counts = serialize._padded([v for v, _, _, _ in cells])
+    return (V, counts, np.array([A for _, A, _, _ in cells], dtype=float),
+            np.array([b for _, _, b, _ in cells], dtype=float),
+            ["good" if f == synth.GOOD else "error" for _, _, _, f in cells])
+
+
 def ref_map_to_obj(m, max_cells: int = 200_000) -> dict:
     A, b = m.boundary_affine
     if isinstance(m, serialize.CellMap):
@@ -485,12 +511,11 @@ def ref_map_to_obj(m, max_cells: int = 200_000) -> dict:
     else:
         # non-realized roles (inductive slots, cover residuals) are all error
         # cells from the consumer's point of view
-        cells = [{"region": {"vertices": [[float(v) for v in p]
-                                          for p in c.vertices]},
-                  "A": serialize.matrix_to_obj(c.A),
-                  "b": [float(v) for v in c.b],
-                  "flag": "good" if c.flag == synth.GOOD else "error"}
-                 for c in m.cells(max_cells)]
+        cells = [{"region": {"vertices": [[float(v) for v in p] for p in verts]},
+                  "A": serialize.matrix_to_obj(A),
+                  "b": [float(v) for v in b],
+                  "flag": "good" if flag == synth.GOOD else "error"}
+                 for verts, A, b, flag in ref_cells(m, max_cells)]
     return {"domain": serialize._domain_to_obj(m.domain),
             "boundary": {"A": serialize.matrix_to_obj(A),
                          "b": [float(v) for v in b]},
@@ -539,6 +564,48 @@ def direct_cell_map(counts, values, flags, pad):
                                  V, np.array(counts), A, b, flags, 0.25)
 
 
+def cells_case(name):
+    """Criterion 14's map, a rotated roof (CoverMap), a swapped roof and the
+    one-step laminate on a 3 x 0.5 box (GridCover)."""
+    import test_synth
+    if name == "one_step":
+        return synth.realize_finite_laminate(test_synth.one_step_laminate(),
+                                             test_synth.UNIT, eps=0.2)
+    if name == "rotated_roof":
+        return test_synth.rotated_roof(0.3)
+    if name == "swapped_roof":
+        return test_synth.criterion_06_roof(0.3).swap_components()
+    return synth.realize_finite_laminate(test_synth.one_step_laminate(),
+                                         synth.box((0.0, 0.0), (3.0, 0.5)), eps=0.2)
+
+
+CELL_COUNTS = {"one_step": 3896, "rotated_roof": 21904, "swapped_roof": 444,
+               "thin_laminate": 23376}
+
+
+class TestCells:
+    @pytest.mark.parametrize("name", sorted(CELL_COUNTS))
+    def test_cells_are_the_map_read_back(self, name):
+        m = cells_case(name)
+        cm = m.cells(25_000)
+        assert isinstance(cm, serialize.CellMap)
+        assert len(cm.counts) == CELL_COUNTS[name]
+        back = serialize.map_from_obj(json.loads("".join(serialize._map_chunks(cm))))
+        for key in ("vertices", "counts", "A", "b", "centroids", "areas", "radii"):
+            assert getattr(cm, key).dtype == getattr(back, key).dtype, key
+            assert getattr(cm, key).tobytes() == getattr(back, key).tobytes(), key
+        assert cm.flags == back.flags
+        assert cm.residual_volume.hex() == back.residual_volume.hex()
+        assert cm.residual_volume.hex() == float(m.residual_volume).hex()
+        # the cell list and stacking that cells() replaced give the same arrays
+        V, counts, A, b, flags = ref_cell_arrays(m, 25_000)
+        assert cm.vertices.tobytes() == V.tobytes()
+        assert cm.counts.tobytes() == counts.tobytes()
+        assert cm.A.tobytes() == A.tobytes()
+        assert cm.b.tobytes() == b.tobytes()
+        assert list(cm.flags) == flags
+
+
 WEIRD = [0.0, -0.0, 1.0, -1.5, 0.1, 1e16, -1e-300, 5e-324, 1.7976931348623157e308,
          float("nan"), float("inf"), float("-inf"), 123456.789, 2.0 ** 60]
 
@@ -548,7 +615,7 @@ class TestDumpMap:
     def test_tree_maps_match_reference(self, name, tmp_path):
         m = small_maps(name)
         p = tmp_path / "map.json"
-        serialize.dump_map(m, p)
+        serialize.dump_map(m.cells(200_000), p)
         assert p.read_bytes() == ref_dump(m)
 
     def test_cell_map_matches_reference(self, tmp_path):
@@ -571,22 +638,25 @@ class TestDumpMap:
             ref_map_to_obj(m, max_cells=1000)
         p = tmp_path / "map.json"
         with pytest.raises(UnsupportedError) as got:
-            serialize.dump_map(m, p, max_cells=1000)
+            serialize.dump_map(m.cells(1000), p)
         assert str(got.value) == str(want.value)
         assert not p.exists()
 
-    def test_non_finite_gradient_leaves_no_file(self, realized, tmp_path):
-        m = synth.PiecewiseAffineMap(realized.root, realized.boundary_affine[0],
-                                     realized.boundary_affine[1])
-        m.cells = lambda max_cells: [
-            synth.Cell(c.vertices, np.full((2, 2), np.nan) if i == 7 else c.A,
-                       c.b, c.flag)
-            for i, c in enumerate(realized.cells(max_cells))]
+    def test_non_finite_gradient_leaves_no_file(self, realized, tmp_path,
+                                                monkeypatch):
+        # the cell walk gives the eighth cell a NaN gradient
+        emit = synth._emit_cell
+
+        def nan_eighth(out, limit, verts, A, flag):
+            emit(out, limit, verts, np.full((2, 2), np.nan) if len(out) == 7 else A,
+                 flag)
+
+        monkeypatch.setattr(synth, "_emit_cell", nan_eighth)
         with pytest.raises(PreconditionError, match="non-finite") as want:
-            ref_map_to_obj(m)
+            ref_map_to_obj(realized)
         p = tmp_path / "map.json"
         with pytest.raises(PreconditionError) as got:
-            serialize.dump_map(m, p)
+            serialize.dump_map(realized.cells(), p)
         assert str(got.value) == str(want.value)
         assert not p.exists()
 

@@ -127,12 +127,12 @@ class TestRoof:
         A2 = np.diag([-1.0, 1.0])
         A = 0.5 * (A1 + A2)
         m = sy.roof(A, 0.0, A1, A2, 0.5, UNIT, eps=0.2)
-        cells = m.cells()
-        assert sum(poly_area(c.vertices) for c in cells) == pytest.approx(1.0)
+        cm = m.cells()
+        assert sum(poly_area(v[:n]) for v, n in zip(cm.vertices, cm.counts)) \
+            == pytest.approx(1.0)
         # cell offsets reproduce the map on their region
-        c = cells[0]
-        x = np.mean(np.asarray(c.vertices), axis=0)
-        assert np.allclose(m.evaluate(x), c.A @ x + c.b)
+        x = np.mean(cm.vertices[0, :cm.counts[0]], axis=0)
+        assert np.allclose(m.evaluate(x), cm.A[0] @ x + cm.b[0])
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.1, 0.9), st.floats(-2.0, 2.0), st.floats(0.2, 2.0),
@@ -446,7 +446,7 @@ def fixed_map(name):
     if name == "cell_map":
         m = sy.realize_finite_laminate(one_step_laminate(), UNIT, b=(1.0, -1.0),
                                        eps=0.2)
-        return serialize.map_from_obj(json.loads("".join(serialize._map_chunks(m))))
+        return serialize.map_from_obj(json.loads("".join(serialize._map_chunks(m.cells()))))
     raise KeyError(name)
 
 
@@ -508,15 +508,13 @@ class TestBatchedEvaluation:
             m = sy.realize_finite_laminate(one_step_laminate(), UNIT, eps=0.2)
         else:
             m = rotated_roof(0.3)
-        cells = m.cells(max_cells=25_000)
-        assert len(cells) == {"one_step": 3896, "rotated_roof": 21904}[name]
+        cm = m.cells(max_cells=25_000)
+        assert len(cm.counts) == {"one_step": 3896, "rotated_roof": 21904}[name]
         # a point strictly inside each convex cell, away from the centroid
         # that fixed the cell offset
-        X = np.array([(3.0 * np.mean(c.vertices, axis=0) + c.vertices[0]) / 4.0
-                      for c in cells])
-        A = np.array([c.A for c in cells])
-        assert m.gradient_many(X).tobytes() == A.tobytes()
-        expect = np.array([c.A @ x + c.b for c, x in zip(cells, X)])
+        X = (3.0 * cm.centroids + cm.vertices[:, 0]) / 4.0
+        assert m.gradient_many(X).tobytes() == cm.A.tobytes()
+        expect = np.matmul(cm.A, X[:, :, None])[:, :, 0] + cm.b
         got = m.evaluate_many(X)
         assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect).max())
 
@@ -1003,7 +1001,7 @@ def cells_recursive(node, out, shift, scale, limit):
     def emit(verts, A, flag):
         if len(out) >= limit:
             raise UnsupportedError(f"cell enumeration exceeds budget {limit}")
-        out.append(sy.Cell(verts, A, None, flag))
+        out.append((verts, A, flag))
 
     if isinstance(node, sy.SlotMap):
         if node.inner is not None:
@@ -1064,9 +1062,9 @@ def cells_recursive(node, out, shift, scale, limit):
     elif isinstance(node, sy._SwappedNode):
         inner = []
         cells_recursive(node.base, inner, np.zeros(2), 1.0, limit)
-        for c in inner:
-            emit([shift + scale * (sy._P_SWAP @ v) for v in c.vertices],
-                 sy._P_SWAP @ c.A @ sy._P_SWAP, c.flag)
+        for verts, A, flag in inner:
+            emit([shift + scale * (sy._P_SWAP @ v) for v in verts],
+                 sy._P_SWAP @ A @ sy._P_SWAP, flag)
     else:
         raise TypeError(f"no reference cells for {type(node).__name__}")
 
@@ -1330,7 +1328,7 @@ class TestDistributionWalk:
             "                         <= {va.G.tobytes() for va in dist},\n"
             "       'sup_dev': deep.sup_dev() == dev,\n"
             "       'grad_bound': deep.grad_bound() == bound,\n"
-            "       'cells': len(sy.PiecewiseAffineMap(deep, deep.A, deep.b).cells())}\n"
+            "       'cells': len(sy.PiecewiseAffineMap(deep, deep.A, deep.b).cells().counts)}\n"
             "try:\n"
             "    t.distribution_recursive(deep)\n"
             "    out['recursion'] = 'finished'\n"
@@ -1705,7 +1703,7 @@ WALK_CASES = {
 
 def cell_rows(cells):
     """Cells in order as (vertex bytes, A bytes, flag)."""
-    return [(np.array(c.vertices).tobytes(), c.A.tobytes(), c.flag) for c in cells]
+    return [(np.array(verts).tobytes(), A.tobytes(), flag) for verts, A, flag in cells]
 
 
 def outcome(fn):
