@@ -512,10 +512,10 @@ def ref_map_to_obj(m, max_cells: int = 200_000) -> dict:
         # non-realized roles (inductive slots, cover residuals) are all error
         # cells from the consumer's point of view
         cells = [{"region": {"vertices": [[float(v) for v in p] for p in verts]},
-                  "A": serialize.matrix_to_obj(A),
-                  "b": [float(v) for v in b],
+                  "A": serialize.matrix_to_obj(G),
+                  "b": [float(v) for v in off],
                   "flag": "good" if flag == synth.GOOD else "error"}
-                 for verts, A, b, flag in ref_cells(m, max_cells)]
+                 for verts, G, off, flag in ref_cells(m, max_cells)]
     return {"domain": serialize._domain_to_obj(m.domain),
             "boundary": {"A": serialize.matrix_to_obj(A),
                          "b": [float(v) for v in b]},

@@ -1195,6 +1195,43 @@ def test_distribution_digests(case):
     assert DIGEST_CASES[case]() == recorded[case]
 
 
+def ref_gradient_distribution(m):
+    """The map's gradient distribution built one validated Atom per
+    distribution row, as before it was built from stacked arrays; reference
+    only."""
+    vol = m.domain.volume
+    return ms.DiscreteMeasure([ms.Atom(va.vol / vol, va.G) for va in m.distribution()
+                               if va.flag != sy.RESIDUAL and va.vol > 0.0])
+
+
+def product_map_diag31():
+    from lamstair import stages
+    return stages.product_pipeline(np.diag([3.0, 1.0]), mode="map", depth=2).realized_map
+
+
+GRADIENT_DISTRIBUTION_MAPS = {
+    "one_step": lambda: sy.realize_finite_laminate(one_step_laminate(), UNIT, eps=0.2),
+    "rotated_roof": lambda: rotated_roof(0.3),
+    "swapped": lambda: fixed_map("swapped"),
+    "grid_staircase": lambda: fixed_map("grid_staircase"),
+    "product_map": product_map_diag31,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADIENT_DISTRIBUTION_MAPS))
+def test_gradient_distribution_matches_atom_built(name):
+    m = GRADIENT_DISTRIBUTION_MAPS[name]()
+    got, resid = m.gradient_distribution()
+    want = ref_gradient_distribution(m)
+    assert resid == m.residual_volume
+    assert len(got) == len(want) and got.certificate is None
+    for a, b in zip(got.atoms, want.atoms):
+        assert float(a.weight).hex() == float(b.weight).hex()
+        assert a.point.tobytes() == b.point.tobytes()
+        assert a.key == b.key and a.norm.hex() == b.norm.hex()
+    assert float(got.mass).hex() == float(want.mass).hex()
+
+
 def test_full_rank_shear_product_map():
     """Map mode on a full-rank, non-diagonal seed, whose lamination
     directions need rotated covers (about 10 s).  The values were recorded
