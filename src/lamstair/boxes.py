@@ -7,10 +7,11 @@ whose rows equal ``M @ x`` bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import PreconditionError
-from .matrices import frob
 
 __all__ = ["OBox", "box"]
 
@@ -29,12 +30,21 @@ class OBox:
         self.center = np.array(center, dtype=float).reshape(2)
         self.half = np.array(half, dtype=float).reshape(2)
         self.frame = np.eye(2) if frame is None else np.array(frame, dtype=float)
-        if not np.all(self.half > 0.0):
+        # in Python floats an overflow is inf and a NaN fails each comparison,
+        # with no warning
+        (c0, c1), (h0, h1) = self.center.tolist(), self.half.tolist()
+        if not (h0 > 0.0 and h1 > 0.0):
             raise PreconditionError("box half-widths must be positive")
-        if frob(self.frame.T @ self.frame - np.eye(2)) > 1e-9:
-            raise PreconditionError("box frame must be orthogonal")
-        for a in (self.center, self.half, self.frame):
-            a.flags.writeable = False
+        if not (abs(c0) < math.inf and abs(c1) < math.inf and 4.0 * h0 * h1 < math.inf):
+            raise PreconditionError(f"box center and volume must be finite: center "
+                                    f"{[c0, c1]}, half-widths {[h0, h1]}")
+        # |F^T F - I|^2 <= 1e-18
+        (a, b), (c, d) = self.frame.tolist()
+        e, f, g = a * a + c * c - 1.0, a * b + c * d, b * b + d * d - 1.0
+        if not e * e + 2.0 * f * f + g * g <= 1e-18:
+            raise PreconditionError("box frame must be finite and orthogonal")
+        for arr in (self.center, self.half, self.frame):
+            arr.flags.writeable = False
 
     @property
     def volume(self) -> float:
@@ -87,4 +97,5 @@ def box(lo, hi) -> OBox:
     hi = np.asarray(hi, dtype=float)
     if not np.all(hi > lo):
         raise PreconditionError("box needs hi > lo componentwise")
-    return OBox((lo + hi) / 2.0, (hi - lo) / 2.0)
+    with np.errstate(over="ignore"):   # an infinite half-width is OBox's error
+        return OBox((lo + hi) / 2.0, (hi - lo) / 2.0)

@@ -34,8 +34,8 @@ def exponent(kind: str, params: dict) -> ExponentProfile:
     (p-1)/(b^(p-1)+1) + b/(b+1) for the p-Laplace staircase."""
     if kind == "elliptic":
         K = float(params["K"])
-        if not K > 1:
-            raise PreconditionError("need K > 1")
+        if not 1 < K < math.inf:
+            raise PreconditionError("need a finite K > 1")
         return ExponentProfile(kind, {"K": K}, 2.0 * K / (K + 1.0), True, "(1,2)")
     if kind == "plaplace":
         p = float(params["p"])

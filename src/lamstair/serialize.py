@@ -151,9 +151,16 @@ def measure_to_obj(nu: DiscreteMeasure) -> dict:
     return obj
 
 
+def _require_list(obj, key, path):
+    v = _require(obj, key, path)
+    if not isinstance(v, list):
+        raise ParseError(f"{path}.{key}: expected a list, got {type(v).__name__}")
+    return v
+
+
 def measure_from_obj(obj, path="measure") -> DiscreteMeasure:
     atoms = []
-    for i, a in enumerate(_require(obj, "atoms", path)):
+    for i, a in enumerate(_require_list(obj, "atoms", path)):
         w = _weight_from_obj(_require(a, "w", f"{path}.atoms[{i}]"),
                              f"{path}.atoms[{i}].w")
         M = matrix_from_obj(_require(a, "M", f"{path}.atoms[{i}]"),
@@ -168,7 +175,7 @@ def measure_from_obj(obj, path="measure") -> DiscreteMeasure:
     cert = None
     if "certificate" in obj:
         cert = []
-        for i, s in enumerate(obj["certificate"]):
+        for i, s in enumerate(_require_list(obj, "certificate", path)):
             where = f"{path}.certificate[{i}]"
             lam = _weight_from_obj(_require(s, "lam", where), f"{where}.lam")
             try:

@@ -600,11 +600,12 @@ def approximate_sequence(A, j_max: int = 6) -> list[ApproxStep]:
         _reduce_slot(root, min(0.9, 2.2 ** -j), 2.0 ** -j, s_j, math.inf,
                      synth.THETA_MIN, min_depth=11 + j)
         pam = synth.PiecewiseAffineMap(root, A, 0.0).seal()
-        dist = pam.distribution()
+        walk = pam.distribution()
+        vols = walk.vol.tolist()
         err = pam.error_moment(s_j) / vol
-        ind = _seq_sum(va.vol for va in dist if va.flag == synth.INDUCTIVE) / vol
-        d1 = _seq_sum(va.vol * set_distance(va.G, "L1") for va in dist) / vol
-        d2 = _seq_sum(va.vol * set_distance(va.G, "L2") for va in dist) / vol
+        ind = _seq_sum(v for v, f in zip(vols, walk.flag) if f == synth.INDUCTIVE) / vol
+        d1 = _seq_sum(v * set_distance(G, "L1") for v, G in zip(vols, walk.G)) / vol
+        d2 = _seq_sum(v * set_distance(G, "L2") for v, G in zip(vols, walk.G)) / vol
         nug, _ = pam.gradient_distribution()
         gmax = max(frob(a.point) for a in nug.atoms)
         slope, fitted = _tail_fit(nug, A, 2.0, 8.0, max(16.0, gmax / 2.0))

@@ -856,8 +856,8 @@ def _powers(xs: np.ndarray, q: float) -> np.ndarray:
 def _elliptic_spec(params: dict) -> StaircaseSpec:
     K = _param("elliptic", params, "K")
     x0 = float(params.get("x0", 1.0))
-    if not K > 1:
-        raise PreconditionError("need K > 1")
+    if not 1 < K < math.inf:
+        raise PreconditionError("need a finite K > 1")
     if not x0 >= 1:
         raise PreconditionError("need start x >= 1")
     kinv = 1.0 / K
@@ -1175,8 +1175,8 @@ def extended_measure(kind: str, A, params: dict) -> ExtendedMeasure:
     if A.shape != (2, 2):
         raise PreconditionError("extended measures live on 2x2 matrices")
     if kind == "elliptic":
-        if not float(params["K"]) > 1:
-            raise PreconditionError("need K > 1")
+        if not 1 < float(params["K"]) < math.inf:
+            raise PreconditionError("need a finite K > 1")
         handler = _ell_diag
     elif kind == "plaplace":
         p = float(params["p"])

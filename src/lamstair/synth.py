@@ -5,14 +5,15 @@ records only its deviation from its own affine part, so shared templates are
 instanced by translation and scaling alone -- never rotation.  Cell volumes
 and error moments are exact closed-form bookkeeping: nodes declare local
 parts (leaf atoms, children with a volume factor), and the distribution walk
-emits one VolAtom per leaf atom, applying factors innermost first.  A node
-keeps the walk that ``distribution()`` made of it, as columns.  The next
-call splices in the slots patched since: each run of leaf parts that held
-such a slot is emitted again from its node's ``_parts()``, with the walk of
-the patched subtree (moved in if that subtree keeps one), scaled by the path
-factors innermost first, one array multiply per factor; every other row is
-copied.  So the rounds of ``reduce_exact`` do not walk the whole tree
-again.  Maps evaluate through one batched path (``evaluate_many``,
+emits one row per leaf atom, applying factors innermost first.  A node keeps
+the walk that ``distribution()`` made of it, as columns; every query reads
+that walk, and a sealed map asks its root.  The next call splices in the
+slots patched since: each run of leaf parts that held such a slot is
+emitted again from its node's ``_parts()``, with the walk of the patched
+subtree (moved in if that subtree keeps one), scaled by the path factors
+innermost first, one array multiply per factor; every other row is copied.
+So the rounds of ``reduce_exact`` do not walk the whole tree again.  Maps
+evaluate through one batched path (``evaluate_many``,
 ``gradient_many``; sampled verification and ``cells()`` use it);
 single-point ``evaluate``/``gradient_at`` on a sealed map are its k = 1
 case.  Evaluation is reliable on shallow structures (deeply nested oscillations lose
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,20 +72,18 @@ def _perp(v: np.ndarray) -> np.ndarray:
     return np.array([-v[1], v[0]])
 
 
+def _require_2x2(*mats) -> None:
+    for M in mats:
+        if np.shape(M) != (2, 2):
+            raise PreconditionError(f"maps are realized for 2x2 gradients, got shape "
+                                    f"{np.shape(M)}")
+
+
 def _points(X) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 2:
         raise PreconditionError(f"expected points of shape (k, 2), got {X.shape}")
     return X
-
-
-@dataclass
-class VolAtom:
-    """One gradient value with its exact total cell volume and role flag."""
-    vol: float
-    G: np.ndarray
-    flag: str
-    slot: "SlotMap | None" = None
 
 
 def _emit_cell(out: list, limit: int, verts: list, A: np.ndarray, flag: str) -> None:
@@ -149,10 +149,10 @@ class MapNode:
     def grad_bound(self) -> float:
         return _drive(self._bounds())[1]
 
-    def distribution(self) -> list[VolAtom]:
-        """One VolAtom per leaf atom; volumes take path factors innermost
-        first.  The walk is kept on the node and spliced on the next call."""
-        return _drive(self._update()).atoms()
+    def distribution(self) -> "_Walk":
+        """The walk of this node, one row per leaf atom, kept on the node: a
+        later call splices in the slots patched since, or returns it as is."""
+        return _drive(self._update())
 
     def _watch(self, leaves) -> list:
         """The open slots whose patch changes these leaf parts of ours."""
@@ -167,7 +167,7 @@ class MapNode:
             walk = _Walk()
             parts = self._parts()
             yield _emit(self, parts, 0, len(parts), None, walk)
-            walk.vol = np.array(walk.vol, dtype=float)
+            walk.finish()
         else:
             walk = yield _splice(walk)
         self._kept = walk
@@ -175,18 +175,30 @@ class MapNode:
 
 
 class _Walk:
-    """A kept distribution walk: one row per atom as columns (vol a float
-    array once finished, a list while it is built; G, flag and slot lists)
-    and the sites, in row order.  A finished walk is not changed."""
-
-    __slots__ = ("vol", "G", "flag", "slot", "sites")
+    """A distribution walk, the one form of a map's distribution: one row per
+    atom as columns (vol a read-only float array once finished, a list while
+    it is built; G, flag and slot lists; norms on first use) and the sites,
+    in row order.  A finished walk is not changed."""
 
     def __init__(self):
         self.vol, self.G, self.flag, self.slot, self.sites = [], [], [], [], []
 
-    def atoms(self) -> list[VolAtom]:
-        return [VolAtom(v, G, f, s)
-                for v, G, f, s in zip(self.vol.tolist(), self.G, self.flag, self.slot)]
+    def __len__(self) -> int:
+        return len(self.G)
+
+    def finish(self) -> "_Walk":
+        self.vol = np.array(self.vol, dtype=float)
+        self.vol.flags.writeable = False
+        return self
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """frob(G) of each row, read-only, bit for bit: each G is flattened
+        in the order frob reads it, and sqrt(_dots) is frob."""
+        x = np.array([G.ravel("K") for G in self.G]) if self.G else np.zeros((0, 4))
+        out = np.sqrt(_dots(x, x))
+        out.flags.writeable = False
+        return out
 
     def copy(self, walk: "_Walk", lo: int, hi: int) -> None:
         """Append rows lo to hi of the finished walk, without their sites."""
@@ -316,9 +328,8 @@ def _splice(walk: _Walk):
         new.copy(walk, row, s.at)
         new.extend(block, _scale(np.array(block.vol, dtype=float), s.path), s.path)
         row = s.at + s.hi - s.lo
-    new.copy(walk, row, len(walk.G))
-    new.vol = np.array(new.vol, dtype=float)
-    return new
+    new.copy(walk, row, len(walk))
+    return new.finish()
 
 
 class SlotMap(MapNode):
@@ -935,31 +946,25 @@ _P_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 class PiecewiseAffineMap:
-    """Sealed realization: a construction tree plus its boundary affine map."""
+    """Sealed realization: a construction tree plus its boundary affine map.
+    Its queries read the root's walk, so they see slots patched later."""
 
     def __init__(self, root: MapNode, boundary_A, boundary_b):
         self.root = root
         self.domain = root.domain
         self.boundary_affine = (asmatrix(boundary_A), _vec(boundary_b))
-        self._dist: list[VolAtom] | None = None
 
     def seal(self) -> "PiecewiseAffineMap":
-        return self._seal(self.root.distribution())
-
-    def _seal(self, dist: list[VolAtom]) -> "PiecewiseAffineMap":
-        """Seal with dist, a walk of the current tree, after checking that
-        its volumes sum to the domain volume."""
-        total = _seq_sum(va.vol for va in dist)
+        """Check that the cell volumes sum to the domain volume."""
+        total = _seq_sum(self.distribution().vol.tolist())
         vol = self.domain.volume
         if abs(total - vol) > 1e-9 * vol:
             raise InternalError(f"cell volumes sum to {total}, domain has {vol}")
-        self._dist = dist
         return self
 
-    def distribution(self) -> list[VolAtom]:
-        if self._dist is None:
-            self.seal()
-        return self._dist
+    def distribution(self) -> _Walk:
+        """The root's walk (see ``MapNode.distribution``)."""
+        return self.root.distribution()
 
     def evaluate(self, x) -> np.ndarray:
         """The value at one point x of shape (2,): evaluate_many on x[None]."""
@@ -979,19 +984,21 @@ class PiecewiseAffineMap:
 
     @property
     def residual_volume(self) -> float:
-        return _seq_sum(va.vol for va in self.distribution() if va.flag == RESIDUAL)
+        walk = self.distribution()
+        return _seq_sum(v for v, f in zip(walk.vol.tolist(), walk.flag) if f == RESIDUAL)
 
     def gradient_distribution(self) -> tuple[DiscreteMeasure, float]:
-        keep = [va for va in self.distribution() if va.flag != RESIDUAL and va.vol > 0.0]
-        return (DiscreteMeasure.from_stack(
-                    np.array([va.vol for va in keep]) / self.domain.volume,
-                    [va.G for va in keep]),
+        walk = self.distribution()
+        keep = (np.array(walk.flag) != RESIDUAL) & (walk.vol > 0.0)
+        return (DiscreteMeasure.from_stack(walk.vol[keep] / self.domain.volume,
+                                           np.array(walk.G)[keep]),
                 self.residual_volume)
 
     def volume_of(self, G, flags=(GOOD,), tol: float = 1e-9) -> float:
         G = asmatrix(G)
-        return _seq_sum(va.vol for va in self.distribution()
-                        if va.flag in flags and frob(va.G - G) <= tol * (1.0 + frob(G)))
+        walk = self.distribution()
+        return _seq_sum(v for v, Gi, f in zip(walk.vol.tolist(), walk.G, walk.flag)
+                        if f in flags and frob(Gi - G) <= tol * (1.0 + frob(G)))
 
     def error_moment(self, s: float, flags=(ERROR, RESIDUAL)) -> float:
         return _moment_of(self.distribution(), flags, s)
@@ -1046,9 +1053,10 @@ class _SwappedNode(MapNode):
         return _P_SWAP @ (yield self.base._gradient(_apply(_P_SWAP, X))) @ _P_SWAP
 
     def _parts(self):
-        # per atom over the base walk: P @ G @ P does not keep the sign of -0.0
-        return [(va.vol, _P_SWAP @ va.G @ _P_SWAP, va.flag, None)
-                for va in self.base.distribution()]
+        # per row of the base walk: P @ G @ P does not keep the sign of -0.0
+        walk = self.base.distribution()
+        return [(v, _P_SWAP @ G @ _P_SWAP, f, None)
+                for v, G, f in zip(walk.vol.tolist(), walk.G, walk.flag)]
 
     def _watch(self, leaves):
         # the parts are the base walk's rows: a patch in the base changes them
@@ -1074,6 +1082,7 @@ def roof(A, b, A1, A2, lam1: float, domain: OBox, eps: float) -> PiecewiseAffine
     volume fractions within (1 +- eps) of (lam1, 1-lam1), exact affine
     boundary values, and gradient norms bounded by max(|A1|, |A2|)."""
     A, A1, A2 = asmatrix(A), asmatrix(A1), asmatrix(A2)
+    _require_2x2(A, A1, A2)
     if not eps > 0.0:
         raise PreconditionError("need eps > 0")
     if not 0.0 < lam1 < 1.0:
@@ -1144,6 +1153,7 @@ def _realize(nu: DiscreteMeasure, domain: OBox, A, b, eps: float, delta: float,
     the s-moment and deviation delta.  A leaf within 1e-9 (1 + |R|) of a
     remainder R in `inductive` is an inductive cell, every other leaf a good
     one; an uncertified single atom is the affine map itself."""
+    _require_2x2(A)
     if len(nu) == 1 and not nu.certificate:
         node: MapNode = SlotMap(domain, A, b, flag=GOOD)
     else:
@@ -1171,35 +1181,25 @@ class RoundReport:
     notes: list = field(default_factory=list)
 
 
-def _norms(dist) -> np.ndarray:
-    """frob(va.G) of each atom as one array, bit for bit: the matrices are
-    flattened in the order frob reads them, and sqrt(_dots) is frob."""
-    if not dist:
-        return np.zeros(0)
-    x = np.array([va.G.ravel("K") for va in dist])
-    return np.sqrt(_dots(x, x))
+def _moment_of(walk: _Walk, flags, r: float) -> float:
+    """The sum of vol * (1 + |G|^r) over the rows of the given flags, left
+    to right from the int 0; the power is Python's, one row at a time."""
+    return _seq_sum(v * (1.0 + n ** r)
+                    for v, n, f in zip(walk.vol.tolist(), walk.norms.tolist(), walk.flag)
+                    if f in flags)
 
 
-def _moment_of(dist, flags, r: float) -> float:
-    """The sum of vol * (1 + |G|^r) over the atoms of the given flags, left
-    to right from the int 0; the power is Python's, one atom at a time."""
-    dist = [va for va in dist if va.flag in flags]
-    return _seq_sum(va.vol * (1.0 + n ** r) for va, n in zip(dist, _norms(dist).tolist()))
-
-
-def _open_slots(dist, flag: str) -> list[SlotMap]:
+def _open_slots(walk: _Walk, flag: str) -> list[SlotMap]:
     """The unpatched slots of the given flag in a distribution walk, in walk
     order; template slots are shared across instances, so each slot is
     listed once."""
-    return list({id(va.slot): va.slot for va in dist
-                 if va.flag == flag and va.slot is not None
-                 and va.slot.inner is None}.values())
+    return list({id(s): s for s, f in zip(walk.slot, walk.flag)
+                 if f == flag and s is not None and s.inner is None}.values())
 
 
-def _tail_constant(dist, p: float, normA: float, r: float, vol: float,
+def _tail_constant(walk: _Walk, p: float, normA: float, r: float, vol: float,
                    t_grid) -> float:
-    norms = _norms(dist)
-    vols = np.array([va.vol for va in dist])
+    norms, vols = walk.norms, walk.vol
     best = 0.0
     for t in t_grid:
         tail = float(vols[norms > t].sum())
@@ -1251,35 +1251,35 @@ def reduce_exact(step_builder, domain: OBox, A, b, delta: float, alpha: float,
         out = step_builder(seed, dom, off, sf, inf_frac,
                            delta * 2.0 ** -(k + 2), alpha)
         node = out.root if isinstance(out, PiecewiseAffineMap) else out
-        dist = node.distribution()
+        walk = node.distribution()
         dvol = dom.volume
-        if _moment_of(dist, (ERROR, RESIDUAL), r) > sf * growth * dvol * (1.0 + 1e-9):
+        if _moment_of(walk, (ERROR, RESIDUAL), r) > sf * growth * dvol * (1.0 + 1e-9):
             raise VerdictFailure(f"round {k}: step output breaks its slack bound")
-        if _moment_of(dist, (INDUCTIVE,), r) > inf_frac * growth * dvol * (1.0 + 1e-9):
+        if _moment_of(walk, (INDUCTIVE,), r) > inf_frac * growth * dvol * (1.0 + 1e-9):
             raise VerdictFailure(f"round {k}: step output breaks its inductive bound")
-        return node, dist
+        return node, walk
 
-    # dist is always the latest walk of the whole tree: build's walk of the
+    # walk is always the latest walk of the whole tree: build's walk of the
     # root serves round 0, and each later round walks once after patching
-    root, dist = build(A, domain, bvec, 0)
+    root, walk = build(A, domain, bvec, 0)
     reports = []
     for k in range(depth):
         if k > 0:
-            slots = _open_slots(dist, INDUCTIVE)
+            slots = _open_slots(walk, INDUCTIVE)
             for s in slots:
                 s.patch(build(s.A, s.domain, s.b, k)[0])
             n_patched = len(slots)
-            dist = root.distribution()
+            walk = root.distribution()
         else:
             n_patched = 1
-        err = _moment_of(dist, (ERROR, RESIDUAL, INDUCTIVE), r)
+        err = _moment_of(walk, (ERROR, RESIDUAL, INDUCTIVE), r)
         if err > 2.0 ** -k * vol * (1.0 + 1e-9):
             raise VerdictFailure(f"round {k}: error moment {err} above budget")
-        const = _tail_constant(dist, p, normA, r, vol, t_grid)
+        const = _tail_constant(walk, p, normA, r, vol, t_grid)
         if const > 2.0 * M ** p * (1.0 + 1e-9):
             raise VerdictFailure(f"round {k}: tail constant {const} above 2 M^p")
         reports.append(RoundReport(k, err, const, n_patched))
-    return PiecewiseAffineMap(root, A, bvec)._seal(dist), reports
+    return PiecewiseAffineMap(root, A, bvec).seal(), reports
 
 
 # ---------------------------------------------------------------------------

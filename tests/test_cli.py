@@ -444,6 +444,102 @@ class TestExitCodes:
         assert not (tmp_path / "m.json").exists()
 
 
+_ONE_ATOM = {"w": 1, "M": {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]}}
+
+# each command that reads a measure, with --measure's or --in's value last
+_MEASURE_READERS = {
+    "laminate verify": ["laminate", "verify", "--measure"],
+    "verify tails": ["verify", "tails", "--p", "2", "--M", "8", "--out", "@t.csv",
+                     "--measure"],
+    "synth realize": ["synth", "realize", "--out", "@map.json", "--measure"],
+    "report dist": ["report", "dist", "--measure"],
+    "models duality": ["models", "duality", "--p", "1.5", "--out", "@d.json", "--in"],
+}
+
+
+def dirac_obj(rows, cols):
+    M = np.eye(rows, cols).tolist()
+    return {"atoms": [{"w": 1, "M": {"rows": rows, "cols": cols, "entries": M}}]}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command", sorted(_MEASURE_READERS))
+    @pytest.mark.parametrize("obj, where", [
+        ({"atoms": None}, "atoms"), ({"atoms": 5}, "atoms"),
+        ({"atoms": [_ONE_ATOM], "certificate": None}, "certificate"),
+        ({"atoms": [_ONE_ATOM], "certificate": 5}, "certificate"),
+        # a string or object was iterated as the steps
+        ({"atoms": [_ONE_ATOM], "certificate": "ab"}, "certificate"),
+        ({"atoms": [_ONE_ATOM], "certificate": {"lam": 1}}, "certificate")],
+        ids=["atoms_null", "atoms_int", "cert_null", "cert_int", "cert_str", "cert_obj"])
+    def test_measure_lists_must_be_lists(self, command, obj, where, tmp_path, capsys):
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps(obj))
+        argv = [str(tmp_path / a[1:]) if a[:1] == "@" else a
+                for a in _MEASURE_READERS[command]] + [str(m)]
+        assert main(argv) == 2
+        got = type(obj[where]).__name__
+        assert capsys.readouterr().err == f"parse error: {m}.{where}: expected a list, got {got}\n"
+        assert not any(p.name != "m.json" for p in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("source, shape", [("dirac44", (4, 4)), ("dirac23", (2, 3)),
+                                               ("det1_44", (4, 4))])
+    def test_realize_needs_2x2_gradients(self, source, shape, tmp_path, capsys):
+        m, mp = tmp_path / "m.json", tmp_path / "map.json"
+        if source == "det1_44":
+            assert main(["staircase", "build", "--kind", "det1", "--A", "diag(2,2,2,2)",
+                         "--N", "2", "--out", str(m)]) == 0
+        else:
+            m.write_text(json.dumps(dirac_obj(*shape)))
+        capsys.readouterr()
+        assert main(["synth", "realize", "--measure", str(m), "--out", str(mp)]) == 3
+        assert capsys.readouterr().err == ("precondition violated: maps are realized "
+                                           f"for 2x2 gradients, got shape {shape}\n")
+        assert not mp.exists()
+
+    @pytest.mark.parametrize("domain, message", [
+        ("box:0,0,1,inf", "center [0.5, inf], half-widths [0.5, inf]"),
+        # the volume 4 * 5e299 * 5e299 overflows
+        ("box:0,0,1e300,1e300", "half-widths [5e+299, 5e+299]"),
+        ("box:-1.7e308,0,1.7e308,1", "half-widths [inf, 0.5]")],
+        ids=["inf", "volume_overflow", "width_overflow"])
+    def test_realize_domain_must_be_finite(self, domain, message, tmp_path, capsys):
+        m, mp = tmp_path / "m.json", tmp_path / "map.json"
+        write_measure(m)
+        assert main(["synth", "realize", "--measure", str(m), "--domain", domain,
+                     "--out", str(mp)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition violated: box center and volume must be "
+                              "finite") and message in err and err.count("\n") == 1
+        assert not mp.exists()
+
+    @pytest.mark.parametrize("half", [[1, 1e400], [1, float("nan")], [1e300, 1e300]])
+    def test_map_domain_must_be_finite(self, half, command_inputs, tmp_path, capsys):
+        # [1, 1e400] read back, and synth verify passed it
+        obj = json.loads((command_inputs / "map.json").read_text())
+        obj["domain"]["half"] = half
+        mp, rep = tmp_path / "map.json", tmp_path / "rep.json"
+        mp.write_text(json.dumps(obj))   # 1e400 and nan as Infinity and NaN
+        assert main(["synth", "verify", "--map", str(mp), "--out", str(rep)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition violated: box ") and err.count("\n") == 1
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["staircase", "build", "--kind", "elliptic", "--params", "K=inf", "--N", "2",
+         "--out", "@e.json"],
+        ["staircase", "slopes", "--kind", "elliptic", "--params", "K=inf",
+         "--n-max", "10", "--out", "@s.csv"],
+        ["models", "afs", "--K", "inf", "--A", "diag(-1,1)", "--out", "@afs.json"]],
+        ids=["build", "slopes", "afs"])
+    def test_elliptic_K_must_be_finite(self, argv, tmp_path, capsys):
+        # build and slopes exited 0, afs exited 3 after a RuntimeWarning
+        argv = [str(tmp_path / a[1:]) if a[:1] == "@" else a for a in argv]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "precondition violated: need a finite K > 1\n"
+        assert not any(tmp_path.iterdir())
+
+
 def run_cli(argv):
     """The CLI in a fresh interpreter, at the default recursion limit."""
     src = os.path.dirname(os.path.dirname(lamstair.__file__))

@@ -41,6 +41,18 @@ class TestExponent:
         with pytest.raises(PreconditionError):
             md.exponent("plaplace", {"p": 2.5, "b": 3.0})
 
+    @pytest.mark.parametrize("build", [
+        lambda: md.exponent("elliptic", {"K": np.inf}),
+        lambda: sc.example_staircase("elliptic", {"K": np.inf}),
+        lambda: sc.extended_measure("elliptic", np.diag([-1.0, 1.0]), {"K": np.inf}),
+        lambda: md.afs_pipeline(np.diag([-1.0, 1.0]), np.inf, N=2)],
+        ids=["exponent", "staircase", "extended", "afs"])
+    def test_elliptic_K_must_be_finite(self, build):
+        # the exponent was nan with valid=True, and the family's target set
+        # E:0.0 is no set at all
+        with pytest.raises(PreconditionError, match="need a finite K > 1"):
+            build()
+
 
 class TestSelectB:
     @pytest.mark.parametrize("p", [1.1, 1.5, 1.9])

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -22,6 +23,25 @@ from lamstair.errors import (InternalError, PreconditionError, UnsupportedError,
 from lamstair.matrices import asmatrix, frob
 
 UNIT = sy.box((0.0, 0.0), (1.0, 1.0))
+
+# one row of a distribution walk, as the reference walks build them
+Row = namedtuple("Row", "vol G flag slot")
+
+
+def walk_rows(walk):
+    """The rows of a distribution walk, read off its columns."""
+    return [Row(*r) for r in zip(walk.vol.tolist(), walk.G, walk.flag, walk.slot)]
+
+
+def walk_of(rows):
+    """A finished walk holding the given (vol, G, flag, slot) rows."""
+    walk = sy._Walk()
+    for v, G, f, slot in rows:
+        walk.vol.append(v)
+        walk.G.append(G)
+        walk.flag.append(f)
+        walk.slot.append(slot)
+    return walk.finish()
 
 
 def poly_area(verts):
@@ -52,6 +72,27 @@ class TestBoxes:
             sy.box((0, 0), (0, 1))
         with pytest.raises(PreconditionError):
             sy.OBox((0, 0), (1, 1), [[1, 1], [0, 1]])
+
+    @pytest.mark.parametrize("center, half, frame, message", [
+        ((0, 0), (1, 1), [[1, 0], [0, math.nan]], "frame must be finite and orthogonal"),
+        ((0, 0), (1, 1), [[1e200, 0], [0, 1]], "frame must be finite and orthogonal"),
+        ((0, 0), (1, 1), [[math.inf, 0], [0, 1]], "frame must be finite and orthogonal"),
+        ((math.nan, 0), (1, 1), None, "center and volume must be finite"),
+        ((0, -math.inf), (1, 1), None, "center and volume must be finite"),
+        ((0, 0), (1, math.inf), None, "center and volume must be finite"),
+        ((0, 0), (1e300, 1e300), None, "center and volume must be finite"),
+        ((0, 0), (1, math.nan), None, "half-widths must be positive")],
+        ids=["nan_frame", "huge_frame", "inf_frame", "nan_center", "inf_center",
+             "inf_half", "volume_overflow", "nan_half"])
+    def test_non_finite_geometry(self, center, half, frame, message):
+        # a NaN frame or center, an infinite half-width and an overflowing
+        # volume were accepted; the checks warn nothing
+        with pytest.raises(PreconditionError, match=message):
+            sy.OBox(center, half, frame)
+
+    def test_box_overflowing_width(self):
+        with pytest.raises(PreconditionError, match=r"half-widths \[inf, 0.5\]"):
+            sy.box((-1.7e308, 0.0), (1.7e308, 1.0))
 
 
 class TestRoof:
@@ -147,13 +188,27 @@ class TestRoof:
         A2 = -A1
         A = lam * A1 + (1 - lam) * A2
         m = sy.roof(A, 0.0, A1, A2, lam, UNIT, eps=0.1)
-        vols = sum(va.vol for va in m.distribution())
+        vols = sum(m.distribution().vol.tolist())
         assert vols == pytest.approx(UNIT.volume)
         x = UNIT.boundary_points([0.37])[0]
         assert np.allclose(m.evaluate(x), A @ x, atol=1e-12)
 
 
 class TestFiniteLaminate:
+    @pytest.mark.parametrize("realize", [
+        lambda: sy.realize_finite_laminate(ms.dirac(np.eye(4)), UNIT, eps=0.1),
+        lambda: sy.realize_finite_laminate(ms.dirac(np.eye(2, 3)), UNIT, eps=0.1),
+        lambda: sy.realize_finite_laminate(sc.build_truncation(sc.example_staircase(
+            "det1", {"a": [2, 2, 2, 2]}), 2), UNIT, eps=0.1),
+        lambda: sy.realize_staircase(sc.example_staircase("det1", {"a": [2, 2, 2, 2]}),
+                                     2, UNIT),
+        lambda: sy.roof(np.zeros((3, 3)), 0.0, np.eye(3), -np.eye(3), 0.5, UNIT, 0.1)],
+        ids=["dirac44", "dirac23", "det1_44", "staircase44", "roof33"])
+    def test_non_2x2_is_precondition(self, realize):
+        # each ended in a numpy ValueError
+        with pytest.raises(PreconditionError, match=r"2x2 gradients, got shape \([234], [234]\)"):
+            realize()
+
     def test_dirac_is_affine(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
         m = sy.realize_finite_laminate(ms.dirac(A), UNIT, eps=0.1)
@@ -215,7 +270,7 @@ class TestStaircaseRealization:
             got = m.volume_of(a.point, flags=("good", "inductive")) / UNIT.volume
             assert abs(math.log(got / float(a.weight))) <= 0.1
         assert m.error_moment(4.0) <= 0.1 * UNIT.volume * (1 - 2.0 ** -6)
-        ind = sum(va.vol for va in m.distribution() if va.flag == "inductive")
+        ind = sum(va.vol for va in walk_rows(m.distribution()) if va.flag == "inductive")
         beta6 = float(sc.betas(spec, 6)[-1])
         assert math.exp(-0.1) * beta6 <= ind / UNIT.volume <= math.exp(0.1) * beta6
 
@@ -301,18 +356,19 @@ class TestReduceExact:
         assert "round" in str(exc.value)
 
     def test_one_root_walk_per_round(self):
-        walks = []
+        calls = []
 
         def counting_builder(*args):
             node = det1_builder(*args)
-            if not walks:
-                # the first output is the root; count walks of the whole tree
+            if not calls:
+                # the first output is the root; record what each distribution
+                # call of the whole tree returns
                 walk = node.distribution
-                walks.append(0)
+                calls.append(None)
 
                 def counted():
-                    walks[0] += 1
-                    return walk()
+                    calls.append(walk())
+                    return calls[-1]
 
                 node.distribution = counted
             return node
@@ -323,15 +379,19 @@ class TestReduceExact:
                                        p=2.0, M=8.0, r=1.5)
         assert len(reports) == depth and reports[-1].patched_slots > 0
         # round 0 reuses the walk of the builder's check, later rounds walk
-        # once each, and the seal takes the last round's walk
-        assert walks == [depth]
+        # once each, and the seal takes the last round's walk: the kept walk
+        # itself, not a walk again
+        walks = calls[1:]
+        assert len(walks) == depth + 1
+        assert len({id(w) for w in walks}) == depth and walks[-1] is walks[-2]
+        assert pam.distribution() is walks[-1]
 
 
 class TestExtendedRealization:
     def test_pure_seed(self):
         ext = sc.extended_measure("elliptic", np.diag([-1.0, 1.0]), {"K": 3.0})
         m = sy.realize_extended(ext, UNIT, delta=0.1, depth=3)
-        ind = sum(va.vol for va in m.distribution() if va.flag == "inductive")
+        ind = sum(va.vol for va in walk_rows(m.distribution()) if va.flag == "inductive")
         assert ind / UNIT.volume == pytest.approx(ext.residual_mass(3), rel=0.2)
         assert m.residual_volume == 0.0
 
@@ -918,13 +978,12 @@ class TestBatchedVerification:
 
 def distribution_recursive(node):
     """The recursive walk that the iterative walker replaced; reference only.
-    Every node wraps each atom below it in a new VolAtom, so volume factors
+    Every node wraps each atom below it in a new Row, so volume factors
     apply level by level from the leaf upward."""
-    VolAtom = sy.VolAtom
     if isinstance(node, sy.SlotMap):
         if node.inner is not None:
             return distribution_recursive(node.inner)
-        return [VolAtom(node.domain.volume, node.A, node.flag, node)]
+        return [Row(node.domain.volume, node.A, node.flag, node)]
     if isinstance(node, sy.RoofMap):
         out = []
         h0, h1, w = node.h0, node.h1, node.w
@@ -935,31 +994,31 @@ def distribution_recursive(node):
             core = 4.0 * h0 * lam * (h1 - w)
             margin = 2.0 * h0 * lam * w
             if slot.inner is None and slot.flag == sy.GOOD:
-                out.append(VolAtom(slab, Ai, sy.GOOD, slot))
+                out.append(Row(slab, Ai, sy.GOOD, slot))
             elif slot.inner is None:
-                out.append(VolAtom(core, Ai, slot.flag, slot))
-                out.append(VolAtom(margin, Ai, node.aux_flag, None))
+                out.append(Row(core, Ai, slot.flag, slot))
+                out.append(Row(margin, Ai, node.aux_flag, None))
             else:
                 for va in distribution_recursive(slot):
-                    out.append(VolAtom(float(node.n) * va.vol, va.G, va.flag, va.slot))
-                out.append(VolAtom(margin, Ai, node.aux_flag, None))
-        out.append(VolAtom(h0 * w, node.cap_grad[+1], node.aux_flag, None))
-        out.append(VolAtom(h0 * w, node.cap_grad[-1], node.aux_flag, None))
+                    out.append(Row(float(node.n) * va.vol, va.G, va.flag, va.slot))
+                out.append(Row(margin, Ai, node.aux_flag, None))
+        out.append(Row(h0 * w, node.cap_grad[+1], node.aux_flag, None))
+        out.append(Row(h0 * w, node.cap_grad[-1], node.aux_flag, None))
         return out
     if isinstance(node, sy.GridCover):
         factor = float(node.k0) * float(node.k1) * node.sigma ** 2
-        return [VolAtom(factor * va.vol, va.G, va.flag, va.slot)
+        return [Row(factor * va.vol, va.G, va.flag, va.slot)
                 for va in distribution_recursive(node.template)]
     if isinstance(node, sy.CoverMap):
         factor = sum(cnt * (node.sigma0 * 2.0 ** -level) ** 2
                      for level, cnt, *_ in node.levels)
-        out = [VolAtom(factor * va.vol, va.G, va.flag, va.slot)
+        out = [Row(factor * va.vol, va.G, va.flag, va.slot)
                for va in distribution_recursive(node.template)]
         if node.residual > 0.0:
-            out.append(VolAtom(node.residual, node.A, sy.RESIDUAL, None))
+            out.append(Row(node.residual, node.A, sy.RESIDUAL, None))
         return out
     if isinstance(node, sy._SwappedNode):
-        return [VolAtom(va.vol, sy._P_SWAP @ va.G @ sy._P_SWAP, va.flag, None)
+        return [Row(va.vol, sy._P_SWAP @ va.G @ sy._P_SWAP, va.flag, None)
                 for va in distribution_recursive(node.base)]
     raise TypeError(f"no reference walk for {type(node).__name__}")
 
@@ -1111,13 +1170,13 @@ def make_roof_recursive(tree, dom, A, b, A1, A2, lam, eta, xi, ax, s_t, loss,
     return rm
 
 
-def walk_digest(dist):
+def walk_digest(walk):
     """sha256 of the rows (vol.hex(), G bytes, flag, slot index by first
     appearance or None) of a walk, with the atom count."""
     index = {}
     rows = [(va.vol.hex(), va.G.tobytes(), va.flag,
              None if va.slot is None else index.setdefault(id(va.slot), len(index)))
-            for va in dist]
+            for va in walk_rows(walk)]
     return {"atoms": len(rows),
             "sha256": hashlib.sha256(repr(rows).encode()).hexdigest()}
 
@@ -1130,7 +1189,8 @@ def reports_digest(reports):
 def reduce_walks(builder, A, depth, check=None):
     """Run reduce_exact and return its reports with the root walk of every
     round.  check(root, dist), if given, sees each root walk as it happens,
-    while the tree is in that round's state."""
+    while the tree is in that round's state.  The seal reads the last
+    round's walk again, the same object, without walking."""
     walks = []
 
     def recording_builder(*args):
@@ -1142,6 +1202,8 @@ def reduce_walks(builder, A, depth, check=None):
 
             def recorded():
                 dist = walk()
+                if dist is walks[-1]:
+                    return dist
                 if check is not None:
                     check(node, dist)
                 walks.append(dist)
@@ -1150,9 +1212,10 @@ def reduce_walks(builder, A, depth, check=None):
             node.distribution = recorded
         return node
 
-    _, reports = sy.reduce_exact(recording_builder, UNIT, A, 0.0, delta=0.5,
-                                 alpha=0.5, depth=depth, p=2.0, M=8.0, r=1.5)
+    pam, reports = sy.reduce_exact(recording_builder, UNIT, A, 0.0, delta=0.5,
+                                   alpha=0.5, depth=depth, p=2.0, M=8.0, r=1.5)
     assert len(walks) == depth + 1
+    assert pam.distribution() is walks[-1]
     return reports, walks[1:]
 
 
@@ -1200,7 +1263,8 @@ def ref_gradient_distribution(m):
     distribution row, as before it was built from stacked arrays; reference
     only."""
     vol = m.domain.volume
-    return ms.DiscreteMeasure([ms.Atom(va.vol / vol, va.G) for va in m.distribution()
+    return ms.DiscreteMeasure([ms.Atom(va.vol / vol, va.G)
+                               for va in walk_rows(m.distribution())
                                if va.flag != sy.RESIDUAL and va.vol > 0.0])
 
 
@@ -1247,11 +1311,12 @@ def test_full_rank_shear_product_map():
 
 
 def assert_same_walk(got, ref, same_G=True):
-    """Atom by atom: the same volume bits, flag and slot, and the same G
-    object (or, for swapped maps, whose G is made per walk, the same bytes)."""
+    """Row by row, got a finished walk and ref a list of rows: the same
+    volume bits, flag and slot, and the same G object (or, for swapped maps,
+    whose G is made per walk, the same bytes)."""
+    assert type(got) is sy._Walk and got.vol.dtype == np.float64
     assert len(got) == len(ref)
-    for a, b in zip(got, ref):
-        assert type(a) is sy.VolAtom
+    for a, b in zip(walk_rows(got), ref):
         assert a.vol.hex() == b.vol.hex() and a.flag == b.flag and a.slot is b.slot
         assert a.G is b.G if same_G else a.G.tobytes() == b.G.tobytes()
 
@@ -1362,7 +1427,7 @@ class TestDistributionWalk:
             "out = {'limit': limit, 'atoms': len(dist),\n"
             "       'finite': bool(np.isfinite(deep.evaluate_many(X)).all()),\n"
             "       'atom_gradients': {g.tobytes() for g in G}\n"
-            "                         <= {va.G.tobytes() for va in dist},\n"
+            "                         <= {g.tobytes() for g in dist.G},\n"
             "       'sup_dev': deep.sup_dev() == dev,\n"
             "       'grad_bound': deep.grad_bound() == bound,\n"
             "       'cells': len(sy.PiecewiseAffineMap(deep, deep.A, deep.b).cells().counts)}\n"
@@ -1401,23 +1466,24 @@ class TestDistributionWalk:
         assert_same_walk(shallow.distribution(), distribution_recursive(shallow))
         assert len(shallow.distribution()) == 4 * 100
 
-    def test_one_volatom_per_atom(self, monkeypatch):
+    def test_distribution_is_the_kept_walk(self, monkeypatch):
         from lamstair import stages
         pam, _ = sy.reduce_exact(stages.stage3_builder(1.5), UNIT, np.diag([3.0, 1.0]),
                                  0.0, delta=0.5, alpha=0.5, depth=8, p=2.0, M=8.0,
                                  r=1.5)
         made = []
 
-        class CountedVolAtom(sy.VolAtom):
-            def __init__(self, *args):
+        class CountedRow(Row):
+            def __new__(cls, *args):
                 made.append(None)
-                super().__init__(*args)
+                return super().__new__(cls, *args)
 
-        monkeypatch.setattr(sy, "VolAtom", CountedVolAtom)
+        monkeypatch.setattr(sys.modules[__name__], "Row", CountedRow)
+        # the root's kept walk, returned as it is: no object per row
         dist = pam.root.distribution()
-        assert len(made) == len(dist) == len(pam.distribution())
-        # the recursion re-wrapped every atom once per ancestor that scales it
-        made.clear()
+        assert dist is pam.root._kept and dist is pam.distribution()
+        assert dist is pam.root.distribution() and len(dist) > 900
+        # the recursion wrapped every atom once per ancestor that scales it
         distribution_recursive(pam.root)
         assert len(made) > 2 * len(dist)
 
@@ -1479,7 +1545,7 @@ class TestSplicedWalk:
             slot.patch(node)
         dist = rm.distribution()
         assert_same_walk(dist, distribution_recursive(rm))
-        rows = [va for va in dist if va.slot is template]
+        rows = [va for va in walk_rows(dist) if va.slot is template]
         assert len(rows) == 2 and rows[0].vol != rows[1].vol
         template.patch(patch_node(template, walked))
         assert_walks_like_the_recursion(rm)
@@ -1594,6 +1660,44 @@ class TestSplicedWalk:
             rm.distribution()
 
 
+def test_sealed_map_reads_the_patched_tree():
+    # a sealed map whose GOOD slots are patched afterwards, as _reduce_slot
+    # patches every map it realizes: each query reads the tree as it is now
+    from lamstair import stages
+    comp = stages.stage3_spec(np.diag([3.0, 1.0]))
+    pam = sy.realize_finite_laminate(comp.presplit_input_frame(), UNIT, eps=0.2)
+    before = pam.distribution()
+    assert len(before) == 4 and pam.distribution() is before
+    slots = sy._open_slots(before, sy.GOOD)
+    assert len(slots) == 2
+    for s in slots:
+        s.patch(sy.realize_staircase(comp.spec_for_matrix(s.A), 3, s.domain, A=s.A,
+                                     b=s.b, eta=0.2).root)
+    rows = distribution_recursive(pam.root)
+    ref = walk_of(rows)
+    walk = pam.distribution()
+    assert len(walk) == 54 and walk is pam.root.distribution()
+    assert_same_walk(walk, rows)
+    for flags in ((sy.ERROR, sy.RESIDUAL), (sy.INDUCTIVE,), (sy.GOOD,)):
+        assert (float(pam.error_moment(1.5, flags)).hex()
+                == float(ref_moment_of(ref, flags, 1.5)).hex())
+    assert pam.error_moment(1.5) > 2.0 * ref_moment_of(before, (sy.ERROR, sy.RESIDUAL), 1.5)
+    assert pam.residual_volume == ms._seq_sum(va.vol for va in rows
+                                              if va.flag == sy.RESIDUAL)
+    for G in {va.G.tobytes(): va.G for va in rows}.values():
+        for flags in ((sy.GOOD,), (sy.GOOD, sy.INDUCTIVE)):
+            want = ms._seq_sum(va.vol for va in rows
+                               if va.flag in flags and frob(va.G - G) <= 1e-9 * (1.0 + frob(G)))
+            assert float(pam.volume_of(G, flags)).hex() == float(want).hex()
+    got, resid = pam.gradient_distribution()
+    want = ms.DiscreteMeasure([ms.Atom(va.vol / UNIT.volume, va.G) for va in rows
+                               if va.flag != sy.RESIDUAL and va.vol > 0.0])
+    assert resid == pam.residual_volume and len(got) == len(want)
+    for a, b in zip(got.atoms, want.atoms):
+        assert float(a.weight).hex() == float(b.weight).hex()
+        assert a.point.tobytes() == b.point.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the stacked moment queries against the per-atom ones they replaced
 
@@ -1601,13 +1705,13 @@ class TestSplicedWalk:
 def ref_moment_of(dist, flags, r):
     """The per-atom moment that the stacked norms replaced."""
     return ms._seq_sum(va.vol * (1.0 + frob(va.G) ** r)
-                       for va in dist if va.flag in flags)
+                       for va in walk_rows(dist) if va.flag in flags)
 
 
 def ref_tail_constant(dist, p, normA, r, vol, t_grid):
     """The per-atom tail constant that the stacked norms replaced."""
-    norms = np.array([frob(va.G) for va in dist])
-    vols = np.array([va.vol for va in dist])
+    norms = np.array([frob(va.G) for va in walk_rows(dist)])
+    vols = np.array([va.vol for va in walk_rows(dist)])
     best = 0.0
     for t in t_grid:
         tail = float(vols[norms > t].sum())
@@ -1630,32 +1734,34 @@ ORDER_G = np.array([[float.fromhex(a), float.fromhex(b)] for a, b in (
 
 
 def power_atoms():
-    """VolAtoms of every flag whose norms are POWER_BASES, with C-, F- and
-    non-contiguous gradients (frob reads each in memory order)."""
-    out = [sy.VolAtom(0.3, np.asfortranarray(ORDER_G), flag, None)
+    """A walk with rows of every flag whose norms are POWER_BASES, with C-,
+    F- and non-contiguous gradients (frob reads each in memory order)."""
+    out = [(0.3, np.asfortranarray(ORDER_G), flag, None)
            for flag in (sy.ERROR, sy.GOOD, sy.INDUCTIVE, sy.RESIDUAL)]
     for k, x in enumerate(POWER_BASES):
         G = np.array([[x, 0.0], [0.0, 0.0]])
         assert frob(G) == x
         H = np.array([[x / 3.0, x / 7.0], [-x / 5.0, x / 11.0]])
         for M in (G, np.asfortranarray(H), np.kron(H, np.ones((1, 2)))[:, ::2]):
-            out.append(sy.VolAtom(0.37 + 0.01 * k, M, (sy.ERROR, sy.GOOD, sy.INDUCTIVE,
-                                                        sy.RESIDUAL)[k % 4], None))
-    return out
+            out.append((0.37 + 0.01 * k, M, (sy.ERROR, sy.GOOD, sy.INDUCTIVE,
+                                              sy.RESIDUAL)[k % 4], None))
+    return walk_of(out)
 
 
 def moment_cases():
     from lamstair import stages
     _, walks = reduce_walks(stages.stage3_builder(1.5), np.diag([3.0, 1.0]), 3)
-    return walks + [power_atoms(), [], fixed_map("swapped").distribution()]
+    return walks + [power_atoms(), walk_of([]), fixed_map("swapped").distribution()]
 
 
 def test_moments_match_the_per_atom_reference():
     flag_sets = [(sy.ERROR, sy.RESIDUAL), (sy.INDUCTIVE,), (sy.ERROR, sy.RESIDUAL,
                                                             sy.INDUCTIVE), (sy.GOOD,)]
     for dist in moment_cases():
-        assert ([x.hex() for x in sy._norms(dist).tolist()]
-                == [frob(va.G).hex() for va in dist])
+        # one norm column per walk, read-only
+        assert dist.norms is dist.norms and not dist.norms.flags.writeable
+        assert ([x.hex() for x in dist.norms.tolist()]
+                == [frob(G).hex() for G in dist.G])
         for flags in flag_sets:
             for r in (1.5, 2.0, 0.7):
                 got, want = sy._moment_of(dist, flags, r), ref_moment_of(dist, flags, r)
