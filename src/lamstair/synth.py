@@ -1110,8 +1110,10 @@ def realize_finite_laminate(nu: DiscreteMeasure, domain: OBox, A=None, b=0.0,
         root = nu.atoms[0].point
     else:
         root = asmatrix(nu.certificate[0].target)
-        if A is not None and frob(asmatrix(A) - root) > 1e-8 * (1.0 + frob(root)):
-            raise PreconditionError("laminate root differs from the requested barycenter")
+        if A is not None:
+            _require_2x2(asmatrix(A), root)
+            if frob(asmatrix(A) - root) > 1e-8 * (1.0 + frob(root)):
+                raise PreconditionError("laminate root differs from the requested barycenter")
     return _realize(nu, domain, root if A is None else asmatrix(A), b, eps, delta,
                     s_moment, theta_min)
 
@@ -1127,8 +1129,10 @@ def realize_staircase(spec, N: int, domain: OBox, A=None, b=0.0,
     from .staircase import build_truncation, remainder
     if not 0.0 < eta < 1.0:
         raise PreconditionError("need eta in (0,1)")
-    if A is not None and frob(asmatrix(A) - spec.A0) > 1e-9 * (1.0 + frob(spec.A0)):
-        raise PreconditionError("seed differs from the staircase root")
+    if A is not None:
+        _require_2x2(asmatrix(A), spec.A0)
+        if frob(asmatrix(A) - spec.A0) > 1e-9 * (1.0 + frob(spec.A0)):
+            raise PreconditionError("seed differs from the staircase root")
     nu = build_truncation(spec, N)
     return _realize(nu, domain, spec.A0, b, eta, delta, s_moment, theta_min,
                     inductive=(remainder(spec, N)[1],))
@@ -1316,15 +1320,20 @@ def _halton(n: int, d: int) -> np.ndarray:
     """The first n points of the unscrambled Halton sequence in [0, 1)^d,
     d <= 3 (bases 2, 3, 5), as an (n, d) array.  Each radical inverse adds
     digit * f least significant digit first, with f /= base per digit; the
-    sampled checks of verify_map depend on these exact floats."""
+    sampled checks of verify_map depend on these exact floats.  There are as
+    many digits as n - 1 has (none for n <= 1), and the indices are held in
+    the smallest unsigned type that fits, where division is cheapest."""
     out = np.zeros((n, d))
     for j, base in enumerate((2, 3, 5)[:d]):
-        q = np.arange(n)
+        q = np.arange(n, dtype=np.min_scalar_type(max(n - 1, 0)))
+        r = np.empty_like(q)
         f = 1.0 / base
-        while q.any():
-            out[:, j] += (q % base) * f
+        top = n - 1
+        while top > 0:
+            np.divmod(q, base, out=(q, r))
+            out[:, j] += r * f
             f /= base
-            q //= base
+            top //= base
     return out
 
 

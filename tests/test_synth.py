@@ -209,6 +209,18 @@ class TestFiniteLaminate:
         with pytest.raises(PreconditionError, match=r"2x2 gradients, got shape \([234], [234]\)"):
             realize()
 
+    @pytest.mark.parametrize("a, A", [([2, 2, 2, 2], np.eye(2)), ([2, 2], np.eye(3))],
+                             ids=["4x4 root, 2x2 A", "2x2 root, 3x3 A"])
+    @pytest.mark.parametrize("how", ["laminate", "staircase"])
+    def test_barycenter_of_another_shape_is_precondition(self, how, a, A):
+        # each ended in a numpy ValueError from the barycenter comparison
+        spec = sc.example_staircase("det1", {"a": a})
+        with pytest.raises(PreconditionError, match=r"2x2 gradients, got shape \([34], [34]\)"):
+            if how == "laminate":
+                sy.realize_finite_laminate(sc.build_truncation(spec, 2), UNIT, A=A)
+            else:
+                sy.realize_staircase(spec, 2, UNIT, A=A)
+
     def test_dirac_is_affine(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
         m = sy.realize_finite_laminate(ms.dirac(A), UNIT, eps=0.1)
