@@ -240,7 +240,42 @@ def _vector2(v, path) -> np.ndarray:
 
 _P_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 _EDGE_TOL = 1e-9      # cross products this small put a point on an edge's line
-_LOOKUP_BLOCK = 16    # query points per block: (16, k) distance temporaries
+_LOOKUP_BLOCK = 16    # query points per block of the full scan: (16, k) distances
+_INDEX_BLOCK = 512    # query points per block of the indexed lookup
+_GRID = 64            # bins per side of the cell index
+_PAD = 2.0 ** -40     # relative pad of the cell boxes, 8192 unit roundoffs
+
+
+def _pair_bins(b0: np.ndarray, b1: np.ndarray):
+    """(c, bins): for boxes spanning the bins b0 to b1 (rows of column, row),
+    each (box, bin) pair's box number and bin, boxes in order."""
+    nx = b1[:, 0] - b0[:, 0] + 1
+    cnt = nx * (b1[:, 1] - b0[:, 1] + 1)
+    c = np.repeat(np.arange(len(cnt)), cnt)
+    r = np.arange(len(c)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return c, (r // nx[c] + b0[c, 1]) * _GRID + r % nx[c] + b0[c, 0]
+
+
+def _starts(p: np.ndarray) -> np.ndarray:
+    """Whether each entry of the sorted array p differs from the one before."""
+    new = np.empty(len(p), dtype=bool)
+    new[:1] = True
+    np.not_equal(p[1:], p[:-1], out=new[1:])
+    return new
+
+
+def _nearest(pt: np.ndarray, dist: np.ndarray, sel: np.ndarray):
+    """(points, pairs): for each point with a selected pair, the selected
+    pair of least dist, the first on ties.  A point's pairs are consecutive,
+    in ascending cell order."""
+    h = np.flatnonzero(sel)
+    hd = dist[h]
+    new = _starts(pt[h])
+    least = np.minimum.reduceat(hd, np.flatnonzero(new))
+    h = h[hd == least[np.cumsum(new) - 1]]
+    hp = pt[h]
+    new = _starts(hp)
+    return hp[new], h[new]
 
 
 class CellMap:
@@ -274,10 +309,23 @@ class CellMap:
     exact away from the residual slivers: enough for sampled verification
     and for the gradient-distribution and duality consumers.
 
-    Queries go in blocks of 16 points: one array pass takes every centroid
-    distance, the nearest candidate of each point is tested at once, and
-    only a point it does not contain (about 1 in 20 on criterion 14's map)
-    tests all its candidates.
+    The cell index.  The first lookup bins the cells on a 64 x 64 grid over
+    the domain, in its frame, and keeps the bins as CSR arrays (``_index``);
+    loading or swapping a map builds none.  Each cell goes into every bin
+    its box meets: a box in the domain frame that holds every point of the
+    cell's reach disk that the containment test accepts (``_cell_boxes``).
+    So every candidate that contains a point is in the point's bin, and the
+    rule's answer is the nearest of the bin's candidates that contain it,
+    lower index on ties.  The lookup takes the same float distances and
+    cross products as the rule, on the bin's cells only: the point's nearest
+    candidate there is tested first (it contains about 19 points in 20 on
+    criterion 14's map), and only a point it misses tests all of them.  A
+    point that none of them contains, or that is not finite, takes the full
+    scan: its distance to every centroid, 16 points at a time, and the
+    nearest candidate, else the nearest centroid.  Points outside the grid
+    are binned in its edge bins, which hold every cell whose box reaches
+    past the edge.  Queries go in blocks of 512 points, so the lookup's
+    temporaries stay below 2 MB whatever the number of points.
     """
 
     def __init__(self, domain: OBox, boundary, vertices: np.ndarray,
@@ -306,16 +354,116 @@ class CellMap:
         self._cx, self._cy = np.ascontiguousarray(self.centroids.T)
         self._reach = self.radii + 1e-9
         self._edges = np.roll(vertices, -1, axis=1) - vertices
+        self._index = None
 
-    def _inside(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Whether cell idx[r] contains X[r], for each row r."""
-        V, E = self.vertices[idx], self._edges[idx]
-        cross = (E[..., 0] * (X[:, 1:] - V[..., 1])
-                 - E[..., 1] * (X[:, :1] - V[..., 0]))
-        return ~((cross > _EDGE_TOL).any(axis=1) & (cross < -_EDGE_TOL).any(axis=1))
+    def _local(self, X: np.ndarray) -> np.ndarray:
+        """Coordinates of the rows of X in the domain frame."""
+        return (X - self.domain.center) @ self.domain.frame
 
-    def _locate_many(self, X: np.ndarray) -> np.ndarray:
-        """The cell of each row of X (shape (m, 2)) under the lookup rule."""
+    def _bins(self, Z: np.ndarray) -> np.ndarray:
+        """Grid column and row of the domain-frame rows Z, clamped to the
+        grid; NaN where Z is not finite.  Monotone in each coordinate, so a
+        point in a box is in a bin between those of the box's corners."""
+        h = self.domain.half
+        return np.clip(np.floor((Z + h) / (2.0 * h / _GRID)), 0, _GRID - 1)
+
+    def _cell_boxes(self, g: slice):
+        """(lo, hi), each (len, 2): for each cell of the slice g a box in the
+        domain frame that holds every point x within the cell's reach that
+        the containment test accepts, or lo > hi where it accepts none.
+
+        The test accepts x when s * cross_j(x) >= -1e-9 for every edge j, for
+        s = 1 or for s = -1.  For each s this is a polygon: each edge's line
+        shifted out by 1e-9 / |e_j|; zero-length edges drop out.  Its extent
+        in a unit direction d is bounded through any two edges j, m and
+        multipliers lam_j, lam_m >= 0 that solve lam_j a_j + lam_m a_m = -d
+        for the constraint normals a: adding the two constraints bounds d.x
+        (weak duality).  The least bound over the pairs is the extent of the
+        polygon where it is bounded, reached at a feasible pairwise
+        intersection of the shifted lines.  Each bound also carries the
+        residual of the computed multipliers times the reach, and a pad of
+        2^-40 times (lam * (|e| * reach + tolerance) + reach): more than the
+        rounding of the bound itself, as 2^-40 * |e| * reach added to each
+        line's tolerance is more than the rounding of its cross products.  So a near-parallel pair gives a large bound, and
+        a pair that solves nothing (parallel edges, a zero-area cell) none.
+        Each extent is capped by the reach disk's (radius times 1 + 2^-40,
+        which covers the rounding of the distance), and the box is padded by
+        2^-40 times the centroid's domain-frame coordinates plus the reach,
+        which covers the rounding of the frame change of cell and point."""
+        E, F = self._edges[g], self.domain.frame
+        k, n = E.shape[:2]
+        reach = self._reach[g] * (1.0 + _PAD)
+        ex, ey = E[..., 0], E[..., 1]
+        L = np.hypot(ex, ey)
+        W = self.vertices[g] - self.centroids[g, None, :]
+        ew = ex * W[..., 1] - ey * W[..., 0]                 # e_j x (v_j - o)
+        t = _EDGE_TOL + _PAD * L * reach[:, None]
+        j, m = np.triu_indices(n, 1)
+        det = ex[:, j] * ey[:, m] - ey[:, j] * ex[:, m]      # e_j x e_m
+        scale = L * reach[:, None] + t
+        # ext[s][q][:, i]: the extent for orientation s = 1, -1 in the
+        # direction q = +, - of frame axis i
+        ext = np.empty((2, 2, k, 2))
+        with np.errstate(all="ignore"):
+            for i in (0, 1):
+                d0, d1 = F[0, i], F[1, i]
+                de = ex * d0 + ey * d1                       # e . d
+                # the multipliers for s = 1 and +d; the other three cases
+                # take them times s * (the sign of d), and need that >= 0
+                lj, lm = -de[:, m] / det, de[:, j] / det
+                r = (np.abs(d0 - lj * ey[:, j] - lm * ey[:, m])
+                     + np.abs(d1 + lj * ex[:, j] + lm * ex[:, m]))
+                a = lj * ew[:, j] + lm * ew[:, m]
+                c = (np.abs(lj) * (t[:, j] + _PAD * scale[:, j])
+                     + np.abs(lm) * (t[:, m] + _PAD * scale[:, m])
+                     + (r + _PAD) * reach[:, None])
+                pos, neg = (lj >= 0.0) & (lm >= 0.0), (lj <= 0.0) & (lm <= 0.0)
+                disk = reach * math.hypot(d0, d1) * (1.0 + _PAD)
+                for si, s in enumerate((1.0, -1.0)):
+                    for q, sd in enumerate((1.0, -1.0)):
+                        U = np.where(pos if s * sd > 0.0 else neg, c - sd * a, np.inf)
+                        U[~np.isfinite(U)] = np.inf
+                        ext[si, q, :, i] = np.minimum(U.min(axis=1), disk)
+        o = self._local(self.centroids[g])
+        pad = (_PAD * (np.abs(o).sum(axis=1) + reach))[:, None]
+        lo, hi = np.full((k, 2), np.inf), np.full((k, 2), -np.inf)
+        for si in (0, 1):
+            slo, shi = o - ext[si, 1] - pad, o + ext[si, 0] + pad
+            empty = (slo > shi).any(axis=1)
+            slo[empty], shi[empty] = np.inf, -np.inf
+            np.minimum(lo, slo, out=lo)
+            np.maximum(hi, shi, out=hi)
+        return lo, hi
+
+    def _build_index(self):
+        """The cell index: (indptr, cells), the cells of bin row * 64 + column
+        in cells[indptr[bin]:indptr[bin + 1]], ascending.  Built _BLOCK cells
+        at a time, counted in a first pass and placed in a second."""
+        k = len(self.counts)
+        spans = []                                 # (first cell, bin of each (cell, bin) pair)
+        for s in range(0, k, _BLOCK):
+            lo, hi = self._cell_boxes(slice(s, s + _BLOCK))
+            keep = np.flatnonzero((lo <= hi).all(axis=1))
+            spans.append((s + keep, self._bins(lo[keep]).astype(np.int32),
+                          self._bins(hi[keep]).astype(np.int32)))
+        indptr = np.zeros(_GRID * _GRID + 1, dtype=np.intp)
+        for _, b0, b1 in spans:
+            indptr[1:] += np.bincount(_pair_bins(b0, b1)[1], minlength=_GRID * _GRID)
+        np.cumsum(indptr, out=indptr)
+        cells = np.empty(indptr[-1], dtype=np.int32)
+        fill = indptr[:-1].copy()
+        for ids, b0, b1 in spans:
+            c, bins = _pair_bins(b0, b1)
+            order = np.argsort(bins, kind="stable")
+            bins = bins[order]
+            rank = np.arange(len(bins)) - np.searchsorted(bins, bins)
+            cells[fill[bins] + rank] = ids[c[order]]
+            fill += np.bincount(bins, minlength=_GRID * _GRID)
+        return indptr, cells
+
+    def _full_scan(self, X: np.ndarray) -> np.ndarray:
+        """The nearest candidate of each row of X, else its nearest centroid:
+        the lookup rule's answer for points that no candidate contains."""
         out = np.empty(len(X), dtype=np.intp)
         for s in range(0, len(X), _LOOKUP_BLOCK):
             P = X[s:s + _LOOKUP_BLOCK]
@@ -331,14 +479,61 @@ class CellMap:
             some = near[np.arange(len(P)), first]
             first[~some] = dist[~some].argmin(axis=1)
             out[s:s + len(P)] = first
-            # a point its nearest candidate misses: the nearest of the
-            # candidates that contain it, lower index on ties, is the first
-            # containing one in sorted order
-            for r in np.nonzero(some & ~self._inside(first, P))[0]:
-                cand = np.nonzero(near[r])[0]
-                hit = cand[self._inside(cand, np.broadcast_to(P[r], (len(cand), 2)))]
-                if len(hit):
-                    out[s + r] = hit[np.argmin(dist[r, hit])]
+        return out
+
+    def _contains(self, idx: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Whether cell idx[r] contains the point (x[r], y[r]), for each r: no
+        two of its edge cross products beyond 1e-9 have opposite signs."""
+        pos = np.zeros(len(idx), dtype=bool)
+        neg = np.zeros(len(idx), dtype=bool)
+        for V, E in zip(self.vertices.transpose(1, 0, 2), self._edges.transpose(1, 0, 2)):
+            cross = E[idx, 0] * (y - V[idx, 1]) - E[idx, 1] * (x - V[idx, 0])
+            pos |= cross > _EDGE_TOL
+            neg |= cross < -_EDGE_TOL
+        return ~(pos & neg)
+
+    def _locate_many(self, X: np.ndarray) -> np.ndarray:
+        """The cell of each row of X (shape (m, 2)) under the lookup rule."""
+        if self._index is None:
+            self._index = self._build_index()
+        indptr, cells = self._index
+        out = np.empty(len(X), dtype=np.intp)
+        for s in range(0, len(X), _INDEX_BLOCK):
+            P = X[s:s + _INDEX_BLOCK]
+            with np.errstate(all="ignore"):   # inf - inf for a non-finite point
+                B = self._bins(self._local(P))
+            fin = np.isfinite(B).all(axis=1)
+            B[~fin] = 0.0
+            bins = (B[:, 1] * _GRID + B[:, 0]).astype(np.intp)
+            start, num = indptr[bins], indptr[bins + 1] - indptr[bins]
+            num[~fin] = 0
+            # one (point, cell) pair per cell of each point's bin
+            pt = np.repeat(np.arange(len(P)), num)
+            idx = cells[np.arange(len(pt)) + np.repeat(start - (np.cumsum(num) - num), num)]
+            px, py = np.repeat(P[:, 0], num), np.repeat(P[:, 1], num)
+            dist = self._cx[idx] - px
+            dist *= dist
+            dy = self._cy[idx] - py
+            dy *= dy
+            dist += dy
+            np.sqrt(dist, out=dist)
+            near = dist <= self._reach[idx]
+            # the bin's nearest candidate, then for a point it misses all of
+            # the bin's candidates that contain it
+            p, f = _nearest(pt, dist, near)
+            ok = self._contains(idx[f], px[f], py[f])
+            out[s + p[ok]] = idx[f[ok]]
+            redo = np.zeros(len(P), dtype=bool)
+            redo[p[~ok]] = True
+            sub = np.flatnonzero(near & redo[pt])
+            hit = np.zeros(len(pt), dtype=bool)
+            hit[sub[self._contains(idx[sub], px[sub], py[sub])]] = True
+            p2, f2 = _nearest(pt, dist, hit)
+            out[s + p2] = idx[f2]
+            miss = np.ones(len(P), dtype=bool)
+            miss[p[ok]] = miss[p2] = False
+            if miss.any():
+                out[s + np.flatnonzero(miss)] = self._full_scan(P[miss])
         return out
 
     def evaluate(self, x) -> np.ndarray:
