@@ -440,7 +440,7 @@ class CellMap:
         in cells[indptr[bin]:indptr[bin + 1]], ascending.  Built _BLOCK cells
         at a time, counted in a first pass and placed in a second."""
         k = len(self.counts)
-        spans = []                                 # (first cell, bin of each (cell, bin) pair)
+        spans = []             # per block: the cells it bins, their first and last bins
         for s in range(0, k, _BLOCK):
             lo, hi = self._cell_boxes(slice(s, s + _BLOCK))
             keep = np.flatnonzero((lo <= hi).all(axis=1))
@@ -671,7 +671,7 @@ def map_from_obj(obj, path="map") -> CellMap:
 
 # --- writing maps ----------------------------------------------------------------
 
-_BLOCK = 512          # cells per block of float texts
+_BLOCK = 512          # cells per block of float texts, and of the cell index's build
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 

@@ -416,7 +416,7 @@ class TestCellMapArrays:
         assert cm.A.tobytes() == np.array(ref.mats).tobytes()
         assert cm.b.tobytes() == np.array(ref.offsets).tobytes()
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=45, deadline=None)
     @given(st.sampled_from(LOOKUP_MAPS),
            st.sampled_from(POINT_KINDS),
            st.integers(0, 2 ** 32 - 1))
