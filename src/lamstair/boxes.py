@@ -36,6 +36,10 @@ from .errors import PreconditionError
 
 __all__ = ["OBox", "box"]
 
+# the coordinate swap (x, y) -> (y, x), for maps, their cells and gradients
+_P_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+_CORNER_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+
 
 def _per_row(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Rows M @ x: a stacked matmul runs one gemv per row."""
@@ -132,15 +136,16 @@ class OBox:
     def volume(self) -> float:
         return 4.0 * self.half[0] * self.half[1]
 
+    # point queries, one row per point of X (shape (k, 2)); a single point
+    # or the four corners are one batch of rows
     def to_world(self, z) -> np.ndarray:
-        return self.center + self.frame @ np.asarray(z, dtype=float)
+        """One point z of shape (2,): to_world_many on z[None]."""
+        return self.to_world_many(np.asarray(z, dtype=float)[None])[0]
 
-    def corners(self) -> list[np.ndarray]:
-        h0, h1 = self.half
-        return [self.to_world((s0 * h0, s1 * h1))
-                for s0, s1 in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
+    def corners(self) -> np.ndarray:
+        """The corners (-h0, -h1), (h0, -h1), (h0, h1), (-h0, h1), as rows."""
+        return self.to_world_many(_CORNER_SIGNS * self.half)
 
-    # point queries, one row per point of X (shape (k, 2))
     def to_local_many(self, X) -> np.ndarray:
         return _apply(self.frame.T, X - self.center)
 

@@ -211,9 +211,6 @@ def plap_pipeline(A, p: float, N: int = 10_000, t_grid=None,
                                                     for n in increments]})
 
 
-_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
 def duality_swap(obj, p: float, tol: float = 1e-7):
     """Component swap taking gradients in K_p to gradients in K_{p'},
     p' = p/(p-1); an involution with |row1'|^{p'} = |row1|^p atomwise.
@@ -234,7 +231,8 @@ def duality_swap(obj, p: float, tol: float = 1e-7):
             raise PreconditionError("duality swap needs 2x2 gradients")
         if not member(a.point, f"Kp:{p!r}", tol):
             raise PreconditionError("atom outside the p-Laplace set")
-    out = pushforward(obj, lambda X: _SWAP @ X @ _SWAP)
+    from .boxes import _P_SWAP   # loaded for the measure swap only
+    out = pushforward(obj, lambda X: _P_SWAP @ X @ _P_SWAP)
     for a in out.atoms:
         if not member(a.point, f"Kp:{pprime!r}", tol):
             raise InternalError("swapped atom left the dual set")

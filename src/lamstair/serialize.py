@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boxes import OBox
+from .boxes import _P_SWAP, OBox, _per_row
 from .errors import ParseError, PreconditionError
 from .matrices import _dots, asmatrix, frob
 from .measures import (Atom, DiscreteMeasure, SplittingStep, TailReport,
@@ -238,7 +238,6 @@ def _vector2(v, path) -> np.ndarray:
     return x
 
 
-_P_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 _EDGE_TOL = 1e-9      # cross products this small put a point on an edge's line
 _LOOKUP_BLOCK = 16    # query points per block of the full scan: (16, k) distances
 _INDEX_BLOCK = 512    # query points per block of the indexed lookup
@@ -356,10 +355,6 @@ class CellMap:
         self._edges = np.roll(vertices, -1, axis=1) - vertices
         self._index = None
 
-    def _local(self, X: np.ndarray) -> np.ndarray:
-        """Coordinates of the rows of X in the domain frame."""
-        return (X - self.domain.center) @ self.domain.frame
-
     def _bins(self, Z: np.ndarray) -> np.ndarray:
         """Grid column and row of the domain-frame rows Z, clamped to the
         grid; NaN where Z is not finite.  Monotone in each coordinate, so a
@@ -424,7 +419,7 @@ class CellMap:
                         U = np.where(pos if s * sd > 0.0 else neg, c - sd * a, np.inf)
                         U[~np.isfinite(U)] = np.inf
                         ext[si, q, :, i] = np.minimum(U.min(axis=1), disk)
-        o = self._local(self.centroids[g])
+        o = self.domain.to_local_many(self.centroids[g])
         pad = (_PAD * (np.abs(o).sum(axis=1) + reach))[:, None]
         lo, hi = np.full((k, 2), np.inf), np.full((k, 2), -np.inf)
         for si in (0, 1):
@@ -501,7 +496,7 @@ class CellMap:
         for s in range(0, len(X), _INDEX_BLOCK):
             P = X[s:s + _INDEX_BLOCK]
             with np.errstate(all="ignore"):   # inf - inf for a non-finite point
-                B = self._bins(self._local(P))
+                B = self._bins(self.domain.to_local_many(P))
             fin = np.isfinite(B).all(axis=1)
             B[~fin] = 0.0
             bins = (B[:, 1] * _GRID + B[:, 0]).astype(np.intp)
@@ -548,14 +543,16 @@ class CellMap:
         """Values at the points X of shape (k, 2), one row per point."""
         X = np.asarray(X, dtype=float)
         idx = self._locate_many(X)
-        return np.matmul(self.A[idx], X[:, :, None])[:, :, 0] + self.b[idx]
+        return _per_row(self.A[idx], X) + self.b[idx]
 
     def gradient_many(self, X) -> np.ndarray:
         """Gradients at the points X of shape (k, 2), one (2, 2) row per point."""
         return self.A[self._locate_many(np.asarray(X, dtype=float))]
 
     def grad_bound(self) -> float:
-        return max(map(frob, self.A), default=0.0)
+        """max frob(A[i]) bit for bit: sqrt(_dots) of a C-order row is frob."""
+        x = self.A.reshape(len(self.A), 4)
+        return float(np.sqrt(_dots(x, x)).max(initial=0.0))
 
     def gradient_distribution(self) -> tuple[DiscreteMeasure, float]:
         keep = self.areas > 0.0
@@ -576,7 +573,7 @@ class CellMap:
         return CellMap(dom, (P @ A @ P, P @ b),
                        np.matmul(P, self.vertices[..., None])[..., 0], self.counts,
                        np.matmul(np.matmul(P, self.A), P),
-                       np.matmul(P, self.b[..., None])[..., 0], self.flags,
+                       _per_row(P, self.b), self.flags,
                        self.residual_volume)
 
 

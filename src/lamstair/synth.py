@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boxes import OBox, _apply, box
+from .boxes import _P_SWAP, OBox, _apply, _per_row, box
 from .errors import (
     InternalError,
     InvalidSplitError,
@@ -380,7 +380,7 @@ class SlotMap(MapNode):
         if self.inner is not None:
             yield self.inner._cells(out, shift, scale, limit)
             return
-        _emit_cell(out, limit, [shift + scale * c for c in self.domain.corners()],
+        _emit_cell(out, limit, list(shift + scale * self.domain.corners()),
                    self.A, self.flag)
 
 
@@ -413,7 +413,7 @@ class RoofMap(MapNode):
     """
 
     def __init__(self, domain: OBox, A, b, A1, A2, lam1: float,
-                 eta, xi, ax: int, s_t: float,
+                 eta, ax: int, s_t: float,
                  w_max: float, h_max: float, aux_flag: str = ERROR):
         self.domain = domain
         self.A = asmatrix(A)
@@ -430,7 +430,6 @@ class RoofMap(MapNode):
         self.s_t = float(s_t)
         self.aux_flag = aux_flag
         F = domain.frame
-        self.xi = self.s_t * F[:, ax]
         h0 = float(domain.half[ax])
         h1 = float(domain.half[self.ay])
         self.h0, self.h1 = h0, h1
@@ -575,7 +574,7 @@ class RoofMap(MapNode):
                 continue
             ct = self._core_center(k, side)
             if slot.inner is None:
-                items.append((shift + scale * (ct[:, None] + np.array(slot.domain.corners())),
+                items.append((shift + scale * (ct[:, None] + slot.domain.corners()),
                               Ai, slot.flag, None))
             else:
                 items.append((shift + scale * ct, None, None, slot))
@@ -618,19 +617,19 @@ class GridCover(MapNode):
         tdom = OBox((0.0, 0.0), tile / sigma, domain.frame)
         return (k[0], k[1]), sigma, tdom
 
-    def _tile_center(self, i: int, j: int) -> np.ndarray:
-        z = (-self.domain.half[0] + (2 * i + 1) * self.tile[0],
-             -self.domain.half[1] + (2 * j + 1) * self.tile[1])
-        return self.domain.to_world(z)
+    def _centers(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Centers of the tiles (i, j), one row per float index pair."""
+        h, tile = self.domain.half, self.tile
+        return self.domain.to_world_many(np.column_stack(
+            [-h[0] + (2.0 * i + 1.0) * tile[0], -h[1] + (2.0 * j + 1.0) * tile[1]]))
 
     def _tile_centers(self, X) -> np.ndarray:
-        """Center of the tile holding each point (float tile indices)."""
+        """Center of the tile holding each point."""
         z = self.domain.to_local_many(X)
         h, tile = self.domain.half, self.tile
         i = np.clip(np.trunc((z[:, 0] + h[0]) / (2.0 * tile[0])), 0, self.k0 - 1)
         j = np.clip(np.trunc((z[:, 1] + h[1]) / (2.0 * tile[1])), 0, self.k1 - 1)
-        return self.domain.to_world_many(np.column_stack(
-            [-h[0] + (2.0 * i + 1.0) * tile[0], -h[1] + (2.0 * j + 1.0) * tile[1]]))
+        return self._centers(i, j)
 
     def _evaluate(self, X):
         z = (X - self._tile_centers(X)) / self.sigma
@@ -650,11 +649,9 @@ class GridCover(MapNode):
     def _cells(self, out, shift, scale, limit):
         if self.k0 * self.k1 > limit:
             raise UnsupportedError("grid cover exceeds the cell budget")
-        for i in range(self.k0):
-            for j in range(self.k1):
-                ct = self._tile_center(i, j)
-                yield self.template._cells(out, shift + scale * ct,
-                                           scale * self.sigma, limit)
+        i, j = np.indices((self.k0, self.k1), dtype=float).reshape(2, -1)
+        for ct in shift + scale * self._centers(i, j):
+            yield self.template._cells(out, ct, scale * self.sigma, limit)
 
 
 def _lex_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -752,6 +749,11 @@ class CoverMap(MapNode):
         self.covered = covered
         self.residual = max(vol - covered, 0.0)
 
+    def _centers(self, s: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Centers of the half-width s tiles (i, j), one row per index pair."""
+        return self.domain.center + _apply(self.Ft, np.column_stack(
+            [2.0 * s * (i + 0.5), 2.0 * s * (j + 0.5)]))
+
     def _find_tiles(self, X):
         """The indices of the points that some tile holds, with the tile
         scales and tile centers."""
@@ -771,8 +773,7 @@ class CoverMap(MapNode):
             hit = (c >= 0) & (J[c0] == j) & (i <= I1[c0])
             hits.append(todo[hit])
             scales.append(np.full(np.count_nonzero(hit), s))
-            centers.append(self.domain.center + _apply(self.Ft, np.column_stack(
-                [2.0 * s * (i[hit] + 0.5), 2.0 * s * (j[hit] + 0.5)])))
+            centers.append(self._centers(s, i[hit], j[hit]))
             todo = todo[~hit]
         if not hits:
             return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros((0, 2))
@@ -805,12 +806,11 @@ class CoverMap(MapNode):
     def _cells(self, out, shift, scale, limit):
         for level, _, _, J, I0, I1 in self.levels:
             s = self.sigma0 * 2.0 ** -level
-            for j, a, bnd in zip(J.tolist(), I0.tolist(), I1.tolist()):
-                for i in range(int(a), int(bnd) + 1):
-                    ct = self.domain.center + self.Ft @ np.array(
-                        [2.0 * s * (i + 0.5), 2.0 * s * (j + 0.5)])
-                    yield self.template._cells(out, shift + scale * ct,
-                                               scale * s, limit)
+            # the level's tiles in interval order, each interval's i ascending
+            cnt = (I1 - I0 + 1.0).astype(np.intp)
+            i = np.repeat(I0, cnt) + (np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt))
+            for ct in shift + scale * self._centers(s, i, np.repeat(J, cnt)):
+                yield self.template._cells(out, ct, scale * s, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +897,7 @@ def _roof_node(dom: OBox, A, b, A1, A2, lam, loss: float, hsup: float,
     else:
         rdom, rb, rloss = dom, b, loss
     ne = float(np.linalg.norm(eta))
-    rm = RoofMap(rdom, A, rb, A1, A2, lam, eta, xi, ax, s_t,
+    rm = RoofMap(rdom, A, rb, A1, A2, lam, eta, ax, s_t,
                  w_max=float(rdom.half[1 - ax]) * rloss / 2.0,
                  h_max=hsup / ne if math.isfinite(hsup) else math.inf,
                  aux_flag=aux_flag)
@@ -940,9 +940,6 @@ def _realize_node(tree: CertNode, dom: OBox, A, b, budget: _Budget,
 
 # ---------------------------------------------------------------------------
 # sealed map wrapper
-
-
-_P_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 class PiecewiseAffineMap:
@@ -1027,7 +1024,7 @@ class PiecewiseAffineMap:
                      ["good" if f == GOOD else "error" for f in flags],
                      self.residual_volume)
         X = cm.centroids
-        cm.b = self.evaluate_many(X) - np.matmul(A, X[:, :, None])[:, :, 0]
+        cm.b = self.evaluate_many(X) - _per_row(A, X)
         return cm
 
     def swap_components(self) -> "PiecewiseAffineMap":
@@ -1053,10 +1050,10 @@ class _SwappedNode(MapNode):
         return _P_SWAP @ (yield self.base._gradient(_apply(_P_SWAP, X))) @ _P_SWAP
 
     def _parts(self):
-        # per row of the base walk: P @ G @ P does not keep the sign of -0.0
+        # the base walk's G as one stack: P @ G @ P does not keep the sign of -0.0
         walk = self.base.distribution()
-        return [(v, _P_SWAP @ G @ _P_SWAP, f, None)
-                for v, G, f in zip(walk.vol.tolist(), walk.G, walk.flag)]
+        G = np.matmul(np.matmul(_P_SWAP, np.array(walk.G).reshape(-1, 2, 2)), _P_SWAP)
+        return list(zip(walk.vol.tolist(), G, walk.flag, [None] * len(walk)))
 
     def _watch(self, leaves):
         # the parts are the base walk's rows: a patch in the base changes them
@@ -1068,8 +1065,9 @@ class _SwappedNode(MapNode):
     def _cells(self, out, shift, scale, limit):
         inner: list = []
         yield self.base._cells(inner, np.zeros(2), 1.0, limit)
+        # _per_row, not _apply: the probe checks no signed zeros from P's zeros
         for verts, A, flag in inner:
-            _emit_cell(out, limit, [shift + scale * (_P_SWAP @ v) for v in verts],
+            _emit_cell(out, limit, list(shift + scale * _per_row(_P_SWAP, np.array(verts))),
                        _P_SWAP @ A @ _P_SWAP, flag)
 
 

@@ -1,9 +1,11 @@
-"""boxes._apply against the per-row stacked matmul it replaces.
+"""boxes._apply against the per-row stacked matmul it replaces, and the
+box transforms against the one-point products they replace.
 
-The reference stays here: np.matmul(M, X[:, :, None]) runs one gemv per row,
+The references stay here: np.matmul(M, X[:, :, None]) runs one gemv per row,
 and _apply must give the same bits in one call under whichever OpenBLAS
 kernel this process loaded (CI also runs this file with OPENBLAS_CORETYPE
-set to Haswell and to Sandybridge).
+set to Haswell and to Sandybridge).  A box's single points and corners go
+through to_world_many, and must give the bits of center + frame @ z.
 """
 
 from __future__ import annotations
@@ -163,3 +165,65 @@ def test_probe_tells_the_three_roundings_apart():
             negative_zero |= {i for i in range(3) if r[i] == 0.0 and math.copysign(1.0, r[i]) < 0}
     assert pairs == {(0, 1), (0, 2), (1, 2)}
     assert negative_zero == {0, 1, 2}
+
+
+def scalar_to_world(b, z):
+    """The one-point rule that to_world and corners replaced: one gemv."""
+    return b.center + b.frame @ np.asarray(z, dtype=float)
+
+
+def random_boxes(rng, n):
+    """Boxes with rotated, identity and swap frames, centers and
+    half-widths from 1e-3 to 1e3 in modulus."""
+    out = []
+    for k in range(n):
+        th = rng.uniform(-math.pi, math.pi)
+        frame = [[[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]],
+                 None, boxes._P_SWAP][k % 3]
+        center = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-3, 3, 2)
+        out.append(boxes.OBox(center, 10.0 ** rng.uniform(-3, 3, 2), frame))
+    return out
+
+
+def signed_zero_rows(rng, b, k):
+    """k rows inside b, with a fifth of the entries +0.0 or -0.0."""
+    Z = rng.uniform(-1.0, 1.0, (k, 2)) * b.half
+    zero = rng.random((k, 2)) < 0.2
+    Z[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+    return Z
+
+
+class TestSinglePointTransforms:
+    def test_to_world_and_corners_match_the_one_point_product(self):
+        rng = np.random.default_rng(20)
+        for b in random_boxes(rng, 60):
+            Z = signed_zero_rows(rng, b, 9)
+            many = b.to_world_many(Z)
+            for z, row in zip(Z, many):
+                want = scalar_to_world(b, z)
+                assert same_bits(b.to_world(z), want)
+                assert same_bits(b.to_world(tuple(z.tolist())), want)
+                assert same_bits(row, want)
+            h0, h1 = b.half
+            want = np.array([scalar_to_world(b, (s0 * h0, s1 * h1))
+                             for s0, s1 in ((-1, -1), (1, -1), (1, 1), (-1, 1))])
+            assert same_bits(b.corners(), want)
+
+    def test_to_local_many_matches_the_one_point_product(self):
+        rng = np.random.default_rng(21)
+        for b in random_boxes(rng, 60):
+            X = b.to_world_many(signed_zero_rows(rng, b, 9))
+            X[::4] = b.center       # z = 0 exactly
+            want = np.array([b.frame.T @ (x - b.center) for x in X])
+            assert same_bits(b.to_local_many(X), want)
+            assert same_bits(b.to_local_many(X[:1]), want[:1])
+
+    def test_swap_per_row_matches_one_product_per_vertex(self):
+        rng = np.random.default_rng(22)
+        V = rng.standard_normal((400, 2)) * 10.0 ** rng.uniform(-3, 3, (400, 2))
+        special = rng.random((400, 2)) < 0.3
+        V[special] = rng.choice([0.0, -0.0, np.inf, -np.inf], int(special.sum()))
+        with np.errstate(invalid="ignore"):   # 0 * inf in both
+            want = np.array([boxes._P_SWAP @ v for v in V])
+            for k in (1, 3, 4, 400):
+                assert same_bits(boxes._per_row(boxes._P_SWAP, V[:k]), want[:k])

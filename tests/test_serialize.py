@@ -416,6 +416,13 @@ class TestCellMapArrays:
         assert cm.A.tobytes() == np.array(ref.mats).tobytes()
         assert cm.b.tobytes() == np.array(ref.offsets).tobytes()
 
+    @pytest.mark.parametrize("name", LOOKUP_MAPS)
+    def test_grad_bound_is_the_largest_frob(self, name):
+        # one stacked pass over A against one frob call per cell; "one_step"
+        # is criterion 14's map read back
+        cm, _ = lookup_case(name)
+        assert cm.grad_bound().hex() == max(map(frob, cm.A)).hex()
+
     @settings(max_examples=45, deadline=None)
     @given(st.sampled_from(LOOKUP_MAPS),
            st.sampled_from(POINT_KINDS),
@@ -540,7 +547,7 @@ class TestCellIndex:
         cm._locate_many(X[:1])
         indptr, cells = cm._index
         lo, hi = cm._cell_boxes(slice(None))
-        Z = cm._local(X)
+        Z = cm.domain.to_local_many(X)
         B = cm._bins(Z).astype(int)
         old = OldLookup(cm)
         pairs = 0
@@ -556,10 +563,10 @@ class TestCellIndex:
         cm = serialize.map_from_obj(degenerate_obj())
         ref = RefCells.from_obj(degenerate_obj())
         lo, hi = cm._cell_boxes(slice(None))
-        o = cm._local(cm.centroids)
+        o = cm.domain.to_local_many(cm.centroids)
         # every box holds its cell and lies in its reach disk's box
         for i, n in enumerate(cm.counts):
-            z = cm._local(cm.vertices[i, :n])
+            z = cm.domain.to_local_many(cm.vertices[i, :n])
             assert ((lo[i] <= z) & (z <= hi[i])).all()
             assert ((o[i] - cm._reach[i] * 1.001 <= lo[i])
                     & (hi[i] <= o[i] + cm._reach[i] * 1.001)).all()

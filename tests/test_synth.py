@@ -1068,17 +1068,28 @@ def grad_bound_recursive(node):
 
 def cells_recursive(node, out, shift, scale, limit):
     """The recursive iter_cells that the driven cell walk replaced; reference
-    only."""
+    only.  Box corners, tile centers and the swap are its own scalar
+    formulas, one point at a time, against the batched ones of the walk."""
     def emit(verts, A, flag):
         if len(out) >= limit:
             raise UnsupportedError(f"cell enumeration exceeds budget {limit}")
         out.append((verts, A, flag))
 
+    def to_world(dom, z):
+        return dom.center + dom.frame @ np.array(z, dtype=float)
+
+    def corners(dom):
+        h0, h1 = dom.half
+        return [to_world(dom, (s0 * h0, s1 * h1))
+                for s0, s1 in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
+
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+
     if isinstance(node, sy.SlotMap):
         if node.inner is not None:
             cells_recursive(node.inner, out, shift, scale, limit)
             return
-        emit([shift + scale * c for c in node.domain.corners()], node.A, node.flag)
+        emit([shift + scale * c for c in corners(node.domain)], node.A, node.flag)
     elif isinstance(node, sy.RoofMap):
         if node.n > limit:
             raise UnsupportedError(f"{node.n} teeth exceed the cell budget")
@@ -1103,7 +1114,7 @@ def cells_recursive(node, out, shift, scale, limit):
                     continue
                 ct = node._core_center(i, side)
                 if slot.inner is None:
-                    emit([shift + scale * (ct + c) for c in slot.domain.corners()],
+                    emit([shift + scale * (ct + c) for c in corners(slot.domain)],
                          Ai, slot.flag)
                 else:
                     cells_recursive(slot, out, shift + scale * ct, scale, limit)
@@ -1118,7 +1129,9 @@ def cells_recursive(node, out, shift, scale, limit):
             raise UnsupportedError("grid cover exceeds the cell budget")
         for i in range(node.k0):
             for j in range(node.k1):
-                ct = node._tile_center(i, j)
+                ct = to_world(node.domain,
+                              (-node.domain.half[0] + (2 * i + 1) * node.tile[0],
+                               -node.domain.half[1] + (2 * j + 1) * node.tile[1]))
                 cells_recursive(node.template, out, shift + scale * ct,
                                 scale * node.sigma, limit)
     elif isinstance(node, sy.CoverMap):
@@ -1134,8 +1147,7 @@ def cells_recursive(node, out, shift, scale, limit):
         inner = []
         cells_recursive(node.base, inner, np.zeros(2), 1.0, limit)
         for verts, A, flag in inner:
-            emit([shift + scale * (sy._P_SWAP @ v) for v in verts],
-                 sy._P_SWAP @ A @ sy._P_SWAP, flag)
+            emit([shift + scale * (swap @ v) for v in verts], swap @ A @ swap, flag)
     else:
         raise TypeError(f"no reference cells for {type(node).__name__}")
 
@@ -1156,21 +1168,21 @@ def realize_recursive(tree, dom, A, b, budget, leaf_fn, aux_flag):
     loss, hsup = budget.next_node(max(frob(A1), frob(A2)))
     ax, s_t = sy._axis_alignment(xi, dom.frame)
     if ax is not None:
-        return make_roof_recursive(tree, dom, A, b, A1, A2, lam, eta, xi, ax, s_t,
+        return make_roof_recursive(tree, dom, A, b, A1, A2, lam, eta, ax, s_t,
                                    loss, hsup, budget, leaf_fn, aux_flag)
     tdom = sy.OBox((0.0, 0.0), (1.0, 1.0), np.column_stack([xi, sy._perp(xi)]))
-    troof = make_roof_recursive(tree, tdom, A, 0.0, A1, A2, lam, eta, xi, 0, 1.0,
+    troof = make_roof_recursive(tree, tdom, A, 0.0, A1, A2, lam, eta, 0, 1.0,
                                 loss / 2.0, hsup, budget, leaf_fn, aux_flag)
     return sy.CoverMap(dom, A, b, max(loss / 2.0, budget.theta_min), troof)
 
 
-def make_roof_recursive(tree, dom, A, b, A1, A2, lam, eta, xi, ax, s_t, loss,
+def make_roof_recursive(tree, dom, A, b, A1, A2, lam, eta, ax, s_t, loss,
                         hsup, budget, leaf_fn, aux_flag):
     h1 = float(dom.half[1 - ax])
     w_max = h1 * loss / 2.0
     ne = float(np.linalg.norm(eta))
     h_max = hsup / ne if math.isfinite(hsup) else math.inf
-    rm = sy.RoofMap(dom, A, b, A1, A2, lam, eta, xi, ax, s_t,
+    rm = sy.RoofMap(dom, A, b, A1, A2, lam, eta, ax, s_t,
                     w_max=w_max, h_max=h_max, aux_flag=aux_flag)
     for side, sub in ((1, tree.left), (2, tree.right)):
         slot = rm.slots[side]
@@ -1344,7 +1356,7 @@ def roof_chain(depth):
     for k in range(depth):
         Dk = D if k % 2 == 0 else -D
         node = sy.RoofMap(dom, A, 0.0, A + 0.01 * Dk, A - 0.99 * Dk, 0.99, Dk[:, 0],
-                          D[0], 0, 1.0, w_max=math.inf, h_max=math.inf)
+                          0, 1.0, w_max=math.inf, h_max=math.inf)
         assert node.n == 1
         if slot is None:
             root = node
