@@ -65,6 +65,14 @@ def parse_samples(text: str) -> int:
     return n
 
 
+def _parse_tol(text: str) -> float:
+    """A synth verify tolerance, finite and >= 0 (inf switches its check off)."""
+    tol = float(_scalar(text))
+    if not 0.0 <= tol < math.inf:
+        raise ParseError(f"tolerance {text!r} is not finite and >= 0")
+    return tol
+
+
 def parse_domain(text: str):
     """Domain spec box:x0,y0,x1,y1 (lower then upper corner), as an OBox."""
     from .boxes import box
@@ -430,9 +438,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--samples", type=parse_samples, default=2_000)
-    p.add_argument("--boundary-tol", dest="boundary_tol", type=float,
+    p.add_argument("--boundary-tol", dest="boundary_tol", type=_parse_tol,
                    default=1e-6)
-    p.add_argument("--continuity-tol", dest="continuity_tol", type=float,
+    p.add_argument("--continuity-tol", dest="continuity_tol", type=_parse_tol,
                    default=1e-5)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_synth_verify)

@@ -712,6 +712,24 @@ class TestSynthCommands:
         assert "alpha must lie in (0, 1]" in capsys.readouterr().err
         assert not rep.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("flag", ["--boundary-tol", "--continuity-tol"])
+    def test_verify_bad_tolerance_is_parse_error(self, flag, value, command_inputs,
+                                                 tmp_path, capsys):
+        # nan and -1 exited 4 as a failed verdict; inf exited 0 with the check off
+        rep = tmp_path / "rep.json"
+        assert main(["synth", "verify", "--map", str(command_inputs / "map.json"),
+                     flag, value, "--out", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert f"tolerance {value!r} is not finite and >= 0" in err
+        assert "Traceback" not in err and not rep.exists()
+
+    def test_verify_zero_tolerance_is_accepted(self, command_inputs, tmp_path):
+        rep = tmp_path / "rep.json"
+        rc = main(["synth", "verify", "--map", str(command_inputs / "map.json"),
+                   "--boundary-tol", "0", "--continuity-tol", "0", "--out", str(rep)])
+        assert rc == {"pass": 0, "fail": 4}[json.loads(rep.read_text())["verdict"]]
+
     def test_verify_smallest_budget(self, command_inputs, tmp_path):
         rep = tmp_path / "rep.json"
         assert main(["synth", "verify", "--map", str(command_inputs / "map.json"),

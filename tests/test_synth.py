@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from collections import namedtuple
@@ -977,10 +978,80 @@ class TestBatchedVerification:
         with pytest.raises(PreconditionError, match=message):
             sy.verify_map(fixed_map("cell_map"), **kw)
 
+    @pytest.mark.parametrize("budget", [2000.0, True, False, "2000", None, 2.5],
+                             ids=["float", "true", "false", "str", "none", "fraction"])
+    def test_non_integer_budget_is_precondition(self, budget):
+        # 2000.0 raised a bare TypeError inside _halton; True ran as a budget of 1
+        message = "sample_budget must be an integer, got " + re.escape(repr(budget))
+        with pytest.raises(PreconditionError, match=message):
+            sy.verify_map(fixed_map("cell_map"), sample_budget=budget)
+
+    def test_numpy_integer_budget(self):
+        m = fixed_map("rotated_roof")
+        rep = sy.verify_map(m, sample_budget=np.int64(2000))
+        assert rep == sy.verify_map(m, sample_budget=2000)
+        assert type(rep.samples) is int and rep.samples == 2000
+
     def test_alpha_one_is_lipschitz_quotient(self):
         m = fixed_map("rotated_roof")
         assert (sy.verify_map(m, alpha=1.0, sample_budget=200)
                 == verify_map_pointwise(m, alpha=1.0, sample_budget=200))
+
+
+@lru_cache(maxsize=None)
+def criterion_06_roof(lam):
+    A1, A2 = np.diag([1.0, 1.0]), np.diag([-1.0, 1.0])
+    return sy.roof(lam * A1 + (1.0 - lam) * A2, 0.0, A1, A2, lam, UNIT, eps=0.05)
+
+
+@lru_cache(maxsize=None)
+def criterion_06_pointwise(lam):
+    return verify_map_pointwise(criterion_06_roof(lam), sample_budget=20_000)
+
+
+class TestVerifyDesign:
+    """verify_map slices one design that lives as long as the process: no
+    earlier call, shorter or longer, may change a report."""
+
+    @pytest.mark.parametrize("before, rows_before", [(None, 0), (50_000, 25_000),
+                                                     (1_000, 500)],
+                             ids=["cold", "slice_of_longer", "rebuild_to_longer"])
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 0.7])
+    def test_call_history_cannot_change_a_report(self, lam, before, rows_before,
+                                                 monkeypatch):
+        monkeypatch.setattr(sy, "_DESIGN", [])
+        m = criterion_06_roof(lam)
+        if before is not None:
+            sy.verify_map(m, sample_budget=before)
+        assert (len(sy._DESIGN[0]) if sy._DESIGN else 0) == rows_before
+        rep = sy.verify_map(m, sample_budget=20_000)
+        assert len(sy._DESIGN[0]) == max(rows_before, 10_000)
+        assert rep == criterion_06_pointwise(lam)
+        assert report_sha256(rep) == REFERENCE["verify_map"][str(lam)]
+
+    @pytest.mark.parametrize("nb, ni", [(16, 16), (17, 16), (500, 250), (10_000, 5000)])
+    def test_slices_equal_fresh_builds(self, nb, ni, monkeypatch):
+        monkeypatch.setattr(sy, "_DESIGN", [])
+        sy._design(25_000, 12_500)
+        H, d, u = sy._design(nb, ni)
+        assert len(sy._DESIGN[0]) == 25_000
+        assert H.tobytes() == sy._halton(nb, 3).tobytes()
+        assert d.tobytes() == sy._directions(2.399963229728653 * np.arange(ni)).tobytes()
+        assert u.tobytes() == sy._directions(2.0 * math.pi * sy._halton(ni, 3)[:, 2]).tobytes()
+
+    def test_design_is_read_only(self):
+        sy.verify_map(fixed_map("rotated_roof"), sample_budget=64)
+        for a in (*sy._DESIGN, *sy._design(32, 16)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.5
+
+    @pytest.mark.parametrize("m", [100_000, 5000])
+    @pytest.mark.parametrize("n", [1, 16, 17, 2500, 4999])
+    def test_directions_prefix_of_a_longer_design(self, m, n):
+        # mirrors test_halton_prefix_of_a_longer_design for the golden-angle steps
+        g = 2.399963229728653
+        assert (sy._directions(g * np.arange(m))[:n].tobytes()
+                == sy._directions(g * np.arange(n)).tobytes())
 
 
 # ---------------------------------------------------------------------------
