@@ -66,10 +66,6 @@ _TAIL_BLOCK = 1 << 20   # grid points x atoms per tail_masses block
 Weight = Fraction | float
 
 
-def _point_key(P: np.ndarray):
-    return (P.shape, tuple(np.round(P, 12).ravel().tolist()))
-
-
 def _freeze(P: np.ndarray) -> np.ndarray:
     P = np.array(P, dtype=float)
     P.flags.writeable = False
@@ -101,14 +97,12 @@ def _weight_error(w: Weight) -> PreconditionError:
 @dataclass(frozen=True, slots=True)
 class Atom:
     """A weighted point mass.  Slotted, so the many atoms of a long truncation
-    carry no instance dict; the merge key and the norm |point| are filled into
-    their slots on first use.  `scaled` returns an atom that shares this one's
-    frozen point and whatever key and norm it has cached."""
+    carry no instance dict.  The merge key and the norm |point| are computed
+    from the point, by the rules a measure's key and norm columns follow.
+    `scaled` returns an atom that shares this one's frozen point."""
 
     weight: Weight
     point: np.ndarray
-    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _norm: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not float(self.weight) > 0.0:
@@ -117,32 +111,27 @@ class Atom:
 
     @property
     def key(self) -> tuple:
-        """The merge key: shape and entries rounded to 12 decimals."""
-        if self._key is None:
-            object.__setattr__(self, "_key", _point_key(self.point))
-        return self._key
+        """The merge key: shape and entries rounded to 12 decimals (`_keyed`)."""
+        return self.point.shape, tuple(_keyed(self.point[None])[1][0].tolist())
 
     @property
     def norm(self) -> float:
         """|point|, the Frobenius norm."""
-        if self._norm is None:
-            object.__setattr__(self, "_norm", frob(self.point))
-        return self._norm
+        return frob(self.point)
 
     def scaled(self, c: Weight) -> "Atom":
         w = _wmul(self.weight, c)
         if not float(w) > 0.0:
             raise _weight_error(w)
-        return Atom._filled(w, self.point, self._key, self._norm)
+        return Atom._of(w, self.point)
 
     @staticmethod
-    def _filled(w: Weight, point: np.ndarray, key, norm) -> "Atom":
+    def _of(w: Weight, point: np.ndarray) -> "Atom":
         """An atom from a checked weight and a frozen float point, taken as
-        they are, with the key and norm slots filled in."""
+        they are."""
         out = object.__new__(Atom)
-        for name, val in (("weight", w), ("point", point), ("_key", key),
-                          ("_norm", norm)):
-            object.__setattr__(out, name, val)
+        object.__setattr__(out, "weight", w)
+        object.__setattr__(out, "point", point)
         return out
 
 
@@ -367,12 +356,10 @@ class DiscreteMeasure:
 
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
-        """One atom per row, its point a row view of the frozen stack, with
-        the key and norm slots filled in."""
-        shape, ws = self._stack.shape[1:], (self._w if self._exact is None else self._exact)
-        return tuple(Atom._filled(w, P, (shape, tuple(k)), r)
-                     for w, P, k, r in zip(ws.tolist(), self._stack,
-                                           self._keys.tolist(), self._norms.tolist()))
+        """One atom per row: its weight from the weight column (the exact one
+        if any), its point a row view of the frozen stack."""
+        ws = self._w if self._exact is None else self._exact
+        return tuple(map(Atom._of, ws.tolist(), self._stack))
 
     def __len__(self):
         return len(self._w)

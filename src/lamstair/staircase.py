@@ -27,13 +27,17 @@ certificate, once per level on first use.
 `build_truncation` keeps a growing prefix on the spec (the validated
 blocks, the scaled good atoms, beta_n and the last |A_n|), extends it in
 blocks of `_BLOCK` levels, each level appended after its |A_n| monotonicity
-check, and slices it, appending the remainder atom beta_N delta_{A_N}.  Each
-level is built once per spec: a spec made by `transform_spec` keeps the only
-prefix, and builds and validates its source's blocks without storing them.
-A failure raises the error that a level-by-level build raises first and
-leaves the prefix at the last good level.  The prefix atoms are arrays,
-with an exact column of `Fraction` weights in rational mode, and a
-truncation is one `DiscreteMeasure` built from them.
+check, and slices it, appending the remainder atom beta_N delta_{A_N}.  The
+prefix is the only store of levels: `transform_spec` builds and validates
+its source's blocks without storing them, and the levels `step(n)` and
+`betas` read past the prefix, and all that `log_betas` and
+`check_hypotheses` read, are built anew per call (`log_betas(spec, N)`
+builds again the levels `build_truncation(spec, N)` stored).  A failure
+raises the error that a level-by-level build raises first and leaves the
+prefix at the last good level.  The prefix atoms are arrays, with an exact
+column of `Fraction` weights in rational mode, and a truncation is one
+`DiscreteMeasure` built from them, its keys, norms, level masses and beta_n
+by the measure layer's rules (`_keyed`, `_group_sums`, `_wmul`).
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from .measures import (
     TailReport,
     TailRow,
     Weight,
+    _group_sums,
     _key_groups,
     _keyed,
     _merge_weights,
@@ -65,6 +70,7 @@ from .measures import (
     _seq_sum,
     _split_rows,
     _weight_error,
+    _wmul,
     mixture,
     tail_masses,
 )
@@ -110,8 +116,8 @@ def _first(mask: np.ndarray) -> int:
 class _Block:
     """Consecutive levels n[0], n[1], ... of a staircase as arrays.  Level i
     has A_prev[i], A_next[i], gamma[i] and mu's mass[i]; mu's atoms are rows
-    mu_off[i]:mu_off[i + 1] of mu_w, mu_pts and mu_keys (merged and sorted
-    by key, as `DiscreteMeasure` holds them), its splits rows
+    mu_off[i]:mu_off[i + 1] of mu_w, mu_pts, mu_keys and mu_norms (merged
+    and sorted by key, as `DiscreteMeasure` holds them), its splits rows
     sp_off[i]:sp_off[i + 1] of sp_lam and sp_mats (target, left, right).
     `exact` holds the gammas, mu weights (an object column) and split
     fractions as given (`Fraction`s in rational mode)."""
@@ -125,6 +131,7 @@ class _Block:
     mu_w: np.ndarray
     mu_pts: np.ndarray
     mu_keys: np.ndarray
+    mu_norms: np.ndarray
     sp_off: np.ndarray
     sp_lam: np.ndarray
     sp_mats: np.ndarray
@@ -142,7 +149,8 @@ class _Block:
         a, s = self.mu_off[j], self.sp_off[j]
         return _Block(self.n[:j], self.A_prev[:j], self.A_next[:j], self.gamma[:j],
                       self.mass[:j], self.mu_off[:j + 1], self.mu_w[:a], self.mu_pts[:a],
-                      self.mu_keys[:a], self.sp_off[:j + 1], self.sp_lam[:s], self.sp_mats[:s],
+                      self.mu_keys[:a], self.mu_norms[:a], self.sp_off[:j + 1], self.sp_lam[:s],
+                      self.sp_mats[:s],
                       None if self.exact is None else
                       (self.exact[0][:j], self.exact[1][:a], self.exact[2][:s]))
 
@@ -156,7 +164,8 @@ class _Block:
         a, b = self.mu_off[i], self.mu_off[i + 1]
         g, ws = ((float(self.gamma[i]), None) if self.exact is None
                  else (self.exact[0][i], self.exact[1][a:b]))
-        mu = DiscreteMeasure._of(self.mu_w[a:b], ws, *_keyed(self.mu_pts[a:b]), merged=True)
+        mu = DiscreteMeasure._of(self.mu_w[a:b], ws, self.mu_pts[a:b], self.mu_keys[a:b],
+                                 self.mu_norms[a:b], merged=True)
         return StairStep(int(self.n[i]), self.A_prev[i].copy(), self.A_next[i].copy(), mu, g,
                          self.split_steps(self.sp_off[i], self.sp_off[i + 1]))
 
@@ -165,21 +174,17 @@ def _mu_rows(w: np.ndarray, pts: np.ndarray, rows: np.ndarray, k: int,
              exact: np.ndarray | None = None):
     """Each level's mu as `DiscreteMeasure` builds it from atoms in input
     order (float weights, points, the level of each, and the exact column
-    or None): equal keys in a level merge into the first point, their
-    weights summed left to right (`_merge_weights`), and the atoms are
-    sorted by key.  Returns the offsets, float weights, points, keys, exact
-    weights and each level's mass, summed left to right."""
-    keys = np.round(pts.reshape(len(pts), -1), 12)
+    or None): keys and norms from `_keyed`, equal keys in a level merged
+    into the first point, their weights summed left to right
+    (`_merge_weights`), and the atoms sorted by key.  Returns the offsets,
+    float weights, points, keys, norms, exact weights and each level's
+    mass (`_group_sums`)."""
+    _, keys, norms = _keyed(pts)
     order, starts = _key_groups(keys, rows)
     first = order[starts]
     ws, exact = _merge_weights(w, exact, order, starts)
-    counts = np.bincount(rows[first], minlength=k)
-    off = _offsets(counts)
-    mass = np.zeros(k)
-    for r in range(counts.max(initial=0)):
-        has = counts > r
-        mass[has] += ws[off[:-1][has] + r]
-    return off, ws, pts[first], keys[first], exact, mass
+    off = _offsets(np.bincount(rows[first], minlength=k))
+    return off, ws, pts[first], keys[first], norms[first], exact, _group_sums(ws, off[:-1])
 
 
 def _block_failure(blk: _Block, tol: float = 1e-9) -> tuple[int, PreconditionError] | None:
@@ -239,13 +244,14 @@ BlockFn = Callable[[int, int], "tuple[_Block | None, Exception | None]"]
 
 
 class StaircaseSpec:
-    """Lazily evaluated staircase laminate; step(n) is memoized and validated.
+    """Lazily evaluated staircase laminate; step(n) is validated.
 
     `block_fn(lo, hi)` builds levels lo..hi as a `_Block`, up to the first
     level whose build fails, and returns it with that failure (None if
     none).  It is the spec's only source of levels: `step(n)` and `gamma(n)`
-    read level n off a block, and `betas`, `log_betas` and `check_hypotheses`
-    walk validated blocks."""
+    read level n off a block (the prefix's, or one built for the call and
+    not kept), and `betas`, `log_betas` and `check_hypotheses` walk
+    validated blocks."""
 
     def __init__(self, A0, kind: str, params: dict, block_fn: BlockFn,
                  target_sets: tuple[str, ...] = (), rational: bool = False):
@@ -255,15 +261,14 @@ class StaircaseSpec:
         self.target_sets = tuple(target_sets)
         self._block_fn = block_fn
         self.rational = rational
-        # steps made by `step`; build_truncation's prefix over levels
-        # 1..len(self._levels): per level the end offsets into the good
-        # atoms and the splits, and beta_n; the validated blocks and their
+        # build_truncation's prefix over levels 1..len(self._levels): per
+        # level the end offsets into the good atoms and the splits, and
+        # beta_n; the validated blocks and their
         # first levels; |A_n| of the last level; the good atoms in level
         # order in `_rows` as `DiscreteMeasure._of`'s input arrays (float
         # weights, the exact column or None, the (k, m, n) point stack, its
         # rounded keys and norms), one tuple per block; the splitting steps
         # made so far for certificates, and their blocks
-        self._loose: dict[int, StairStep] = {}
         self._levels: list[tuple[int, int, Weight]] = []
         self._blocks: list[_Block] = []
         self._starts: list[int] = []
@@ -273,25 +278,23 @@ class StaircaseSpec:
         self._cert_blocks = 0
 
     @property
-    def _memo(self) -> set[int]:
-        """The levels whose validated steps the spec holds: its prefix, and
-        the levels `step` built past it."""
-        return set(range(1, len(self._levels) + 1)).union(self._loose)
+    def _memo(self) -> range:
+        """The levels whose validated blocks the spec holds: its prefix."""
+        return range(1, len(self._levels) + 1)
 
     def step(self, n: int) -> StairStep:
+        """Level n, read off the prefix, or built and validated on its own
+        past it (and not kept)."""
         if n < 1:
             raise PreconditionError("staircase levels are 1-indexed")
-        st = self._loose.get(n)
-        if st is None:
-            if n <= len(self._levels):
-                blk, row = self._level(n)
-            else:
-                blk, err = self._build(n, n)
-                if err is not None:
-                    raise err
-                row = 0
-            st = self._loose[n] = blk.step(row)
-        return st
+        if n <= len(self._levels):
+            blk, row = self._level(n)
+        else:
+            blk, err = self._build(n, n)
+            if err is not None:
+                raise err
+            row = 0
+        return blk.step(row)
 
     def _level(self, n: int) -> tuple[_Block, int]:
         """The prefix block holding level n, and its row there."""
@@ -342,10 +345,7 @@ def betas(spec: StaircaseSpec, N: int) -> list[Weight]:
     acc: Weight = out[-1] if out else (Fraction(1) if spec.rational else 1.0)
     for blk in _walk(spec, len(out) + 1, N):
         for g in blk.gamma.tolist() if blk.exact is None else blk.exact[0]:
-            if isinstance(acc, Fraction) and isinstance(g, Fraction):
-                acc = acc * g
-            else:
-                acc = float(acc) * float(g)
+            acc = _wmul(acc, g)
             out.append(acc)
     return out
 
@@ -451,10 +451,9 @@ def _append_levels(spec: StaircaseSpec, blk: _Block) -> PreconditionError | None
                 # beta (1 - g) as an unreduced (numerator, denominator) pair
                 goods.append((beta.numerator * (g.denominator - g.numerator),
                               beta.denominator * g.denominator))
-                beta = beta * g
             else:
                 goods.append(float(beta) * (1.0 - float(g)))
-                beta = float(beta) * float(g)
+            beta = _wmul(beta, g)
             bs.append(beta)
         exact, weights = zip(*map(_times, blk.exact[1], [
             good for good, c in zip(goods, counts.tolist()) for _ in range(c)]))
@@ -473,9 +472,8 @@ def _append_levels(spec: StaircaseSpec, blk: _Block) -> PreconditionError | None
     bs = bs[:stop]
     a = blk.mu_off[stop]
     if a:
-        pts = blk.mu_pts[:a].reshape(a, -1)
         spec._rows.append((weights[:a], None if exact is None else exact[:a], blk.mu_pts[:a],
-                           blk.mu_keys[:a], np.sqrt(_dots(pts, pts))))
+                           blk.mu_keys[:a], blk.mu_norms[:a]))
     if stop:
         spec._starts.append(len(levels) + 1)
         spec._blocks.append(blk.head(stop))
@@ -626,22 +624,22 @@ def _diag_levels(kind: str, base: list, unit: Weight, lo: int,
 
 
 def _level_block(n0: int, A_prev: np.ndarray, A_next: np.ndarray, gamma: np.ndarray,
-                 w: np.ndarray, pts: np.ndarray, sp_lam: np.ndarray, sp_mats: np.ndarray,
-                 exact: tuple | None = None,
-                 err: Exception | None = None) -> tuple[_Block, Exception | None]:
-    """The block of levels n0, n0 + 1, ... with c atoms and c splits each:
-    per level A_{n-1}, A_n and gamma; mu's weights and points, c rows per
-    level in input order, merged and sorted by `_mu_rows`; the splits'
-    fractions and (target, left, right) stack; in rational mode `exact`,
-    the gammas, mu's weights (an object column in input order) and the
-    fractions as given.  The block ends before the first level whose mu has
-    mass above 1, with that error, and else carries err."""
+                 w: np.ndarray, pts: np.ndarray, rows: np.ndarray, sp_off: np.ndarray,
+                 sp_lam: np.ndarray, sp_mats: np.ndarray, exact: tuple | None = None,
+                 err: Exception | None = None) -> tuple[_Block | None, Exception | None]:
+    """The block of levels n0, n0 + 1, ...: per level A_{n-1}, A_n and
+    gamma; mu's weights and points in input order, rows[i] the level of
+    atom i, merged and sorted by `_mu_rows`; the splits, rows
+    sp_off[i]:sp_off[i + 1] of their fractions and (target, left, right)
+    stack; in rational mode `exact`, the gammas, mu's weights (an object
+    column in input order) and the fractions as given.  The block ends
+    before the first level whose mu has mass above 1, with that error, and
+    else carries err."""
     k = len(gamma)
-    c = len(w) // k
-    off, mu_w, pts, keys, mu_exact, mass = _mu_rows(w, pts, np.arange(k).repeat(c), k,
-                                                    None if exact is None else exact[1])
+    off, mu_w, pts, keys, norms, mu_exact, mass = _mu_rows(w, pts, rows, k,
+                                                           None if exact is None else exact[1])
     blk = _Block(np.arange(n0, n0 + k), A_prev, A_next, gamma, mass, off, mu_w, pts, keys,
-                 np.arange(0, c * k + 1, c), sp_lam, sp_mats,
+                 norms, sp_off, sp_lam, sp_mats,
                  None if exact is None else (exact[0], mu_exact, exact[2]))
     heavy = _first(mass > 1.0 + MASS_SLACK * np.maximum(1, np.diff(off)))
     if heavy < k:
@@ -671,7 +669,8 @@ def _diag_split_block(n0: int, cur: np.ndarray, two: np.ndarray, cols: Sequence[
     mats[..., np.arange(d), np.arange(d)] = diag
     j = np.arange(c)
     return _level_block(n0, mats[:, 0], mats[:, c], gamma, w.ravel(),
-                        mats[:, c + 1:].reshape(k * c, d, d), lam.ravel(),
+                        mats[:, c + 1:].reshape(k * c, d, d), np.arange(k).repeat(c),
+                        np.arange(0, c * k + 1, c), lam.ravel(),
                         mats[:, np.stack([j, c + 1 + j, j + 1], axis=1)].reshape(k * c, 3, d, d),
                         exact, err)
 
@@ -806,40 +805,46 @@ def _rank_drop_spec(params: dict) -> StaircaseSpec:
                          block_fn=block_fn)
 
 
-def _two_split_block(n0: int, A_prev, B1, C, B2, A_next, a1: np.ndarray,
-                     l2: np.ndarray) -> tuple[_Block | None, Exception | None]:
-    """Levels n0, n0 + 1, ... that split delta_{A_{n-1}} into a1 B1 + (1 - a1) C
-    and C into l2 B2 + (1 - l2) A_n, so gamma = (1 - a1)(1 - l2) and
+def _two_split_block(n0: int, A_prev, B1, C, B2, A_next, a1: np.ndarray, l2: np.ndarray,
+                     kind: str) -> tuple[_Block | None, Exception | None]:
+    """Levels n0, n0 + 1, ... of the `kind` staircase that split
+    delta_{A_{n-1}} into a1 B1 + (1 - a1) C and C into l2 B2 + (1 - l2) A_n,
+    so gamma = (1 - a1)(1 - l2) and
     mu = (a1 delta_B1 + (1 - a1) l2 delta_B2) / (1 - gamma).  Each matrix is
     diagonal, given as its two diagonals (arrays over the levels).  The block
     ends before the lowest level whose per-level construction fails, with its
-    error: a non-finite split matrix, then 1 - gamma == 0 (the
-    `ZeroDivisionError` of Python's division), then an atom weight not > 0,
-    then mu's mass above 1 (`_level_block`)."""
+    error: a non-finite split matrix, then gamma == 1.0 (mu's weights would
+    divide by 0), then an atom weight not > 0, then a split matrix whose
+    squared norm overflows the float range (as `_check_level_norm` checks
+    |A_n|), then mu's mass above 1 (`_level_block`)."""
     k = len(a1)
-    mats = np.zeros((k, 5, 2, 2))
-    for j, (d0, d1) in enumerate((A_prev, B1, C, B2, A_next)):
-        mats[:, j, 0, 0], mats[:, j, 1, 1] = d0, d1
+    mats, huge = np.zeros((k, 5, 2, 2)), np.zeros(k, dtype=bool)
     with np.errstate(all="ignore"):
+        for j, (d0, d1) in enumerate((A_prev, B1, C, B2, A_next)):
+            mats[:, j, 0, 0], mats[:, j, 1, 1] = d0, d1
+            huge |= d0 * d0 + d1 * d1 == math.inf
         gamma = (1.0 - a1) * (1.0 - l2)
         w = np.stack([a1 / (1.0 - gamma), (1.0 - a1) * l2 / (1.0 - gamma)], axis=1)
     non_finite = ~np.isfinite(mats).all(axis=(1, 2, 3))
     w_bad = ~(w > 0.0)
-    # mu is made (its keys rounded, which may warn) only up to the first
-    # level that fails before it, as level by level
-    m = _first(non_finite | (gamma == 1.0) | w_bad.any(axis=1))
+    # mu is made (its keys rounded and norms taken, which may warn) only up
+    # to the first level that fails before it, as level by level
+    m = _first(non_finite | (gamma == 1.0) | w_bad.any(axis=1) | huge)
     err: Exception | None = None
+    at = f"{kind} staircase level {n0 + m}: "
     if m < k and non_finite[m]:
         err = PreconditionError("matrix has non-finite entries")
     elif m < k and gamma[m] == 1.0:
-        err = ZeroDivisionError("float division by zero")
-    elif m < k:
+        err = PreconditionError(at + "gamma = (1 - a1)(1 - l2) rounds to 1")
+    elif m < k and w_bad[m].any():
         err = _weight_error(float(w[m, np.argmax(w_bad[m])]))
+    elif m < k:
+        err = PreconditionError(at + "a split matrix's norm overflows the float range")
     if m == 0:
         return None, err
     return _level_block(n0, mats[:m, 0], mats[:m, 4], gamma[:m], w[:m].ravel(),
-                        mats[:m, [1, 3]].reshape(2 * m, 2, 2),
-                        np.stack([a1[:m], l2[:m]], axis=1).ravel(),
+                        mats[:m, [1, 3]].reshape(2 * m, 2, 2), np.arange(m).repeat(2),
+                        np.arange(0, 2 * m + 1, 2), np.stack([a1[:m], l2[:m]], axis=1).ravel(),
                         mats[:m, [0, 1, 2, 2, 3, 4]].reshape(2 * m, 3, 2, 2), err=err)
 
 
@@ -869,7 +874,7 @@ def _elliptic_spec(params: dict) -> StaircaseSpec:
             a1 = 1.0 / (1.0 + x * (1.0 + kinv))
             l2 = 1.0 / (x1 * (1.0 + kinv))
             diags = (-x, x), (-x, -x * kinv), (-x, x1), (x1 * kinv, x1), (-x1, x1)
-        return _two_split_block(lo, *diags, a1, l2)
+        return _two_split_block(lo, *diags, a1, l2, "elliptic")
 
     return StaircaseSpec(_diag([-x0, x0]), "elliptic", params,
                          target_sets=(f"E:{K!r}", f"E:{kinv!r}"), block_fn=block_fn)
@@ -895,7 +900,7 @@ def _plaplace_spec(params: dict) -> StaircaseSpec:
             a1 = (x1q - xq) / (bxq + x1q)
             l2 = b / ((b + 1.0) * x1)
             diags = (bx, -xq), (bx, bxq), (bx, -x1q), (-x1, -x1q), (b * x1, -x1q)
-        return _two_split_block(lo, *diags, a1, l2)
+        return _two_split_block(lo, *diags, a1, l2, "plaplace")
 
     return StaircaseSpec(_diag([b * x0, -(x0 ** q)]), "plaplace", params,
                          target_sets=(f"Kp:{p!r}",), block_fn=block_fn)
@@ -958,21 +963,20 @@ def _map_block(blk: _Block, T: LinMap) -> tuple[_Block | None, Exception | None]
                             minlength=k) > 0
     f = _first(atom_bad | split_bad)
     err = None if f == k else PreconditionError("matrix has non-finite entries")
-    # mu is merged (its keys rounded, which may warn) up to level f, and at
-    # f too when its atoms are finite, as `pushforward` does level by level
+    # mu is merged (its keys rounded and norms taken, which may warn) up to
+    # level f, and at f too when its atoms are finite, as `pushforward` does
+    # level by level
     m = f if f < k and atom_bad[f] else min(f + 1, k)
     if m == 0:
         return None, err
     na, ns = blk.mu_off[m], blk.sp_off[m]
-    off, mu_w, pts, keys, exact_w, mass = _mu_rows(
-        blk.mu_w[:na], pts[:na], mu_rows[:na], m, None if blk.exact is None else blk.exact[1][:na])
-    res = _Block(blk.n[:m], out[:m], out[k:k + m], blk.gamma[:m], mass, off, mu_w, pts, keys,
-                 blk.sp_off[:m + 1], blk.sp_lam[:ns], sp_mats[:ns],
-                 None if blk.exact is None else (blk.exact[0][:m], exact_w, blk.exact[2][:ns]))
-    heavy = _first(mass > 1.0 + MASS_SLACK * np.maximum(1, np.diff(off)))
-    if heavy < m:
-        return res.head(heavy), PreconditionError(f"total mass {float(mass[heavy])} exceeds 1")
-    return res.head(f), err
+    res, bad = _level_block(int(blk.n[0]), out[:m], out[k:k + m], blk.gamma[:m],
+                            blk.mu_w[:na], pts[:na], mu_rows[:na], blk.sp_off[:m + 1],
+                            blk.sp_lam[:ns], sp_mats[:ns],
+                            None if blk.exact is None else
+                            (blk.exact[0][:m], blk.exact[1][:na], blk.exact[2][:ns]), err)
+    # a mass failure ends the block at or before level f
+    return (None if res is None else res.head(f)), bad
 
 
 def transform_spec(spec: StaircaseSpec, T: LinMap,
@@ -982,6 +986,11 @@ def transform_spec(spec: StaircaseSpec, T: LinMap,
     validated, mapped by `_map_block`, then dropped."""
 
     def block_fn(lo: int, hi: int):
+        # the source's blocks and the mapped ones are both validated: the
+        # source check names a faulty source's level as its own build does
+        # (test_invalid_inner_step_raises_through_transform), and the mapped
+        # check guards maps that are not orthogonal, such as `_pl_diag`'s
+        # diag(lam, lam^(p-1)), under which a tolerance may fail
         src, err = spec._build(lo, hi)
         if src is None:
             return None, err
@@ -1028,8 +1037,7 @@ class ExtendedMeasure:
 
 
 class _ExtBuilder:
-    def __init__(self, kind: str, params: dict, tol: float = 1e-9):
-        self.kind = kind
+    def __init__(self, params: dict, tol: float = 1e-9):
         self.params = params
         self.tol = tol
         self.finite: list[tuple[float, np.ndarray]] = []
@@ -1187,7 +1195,7 @@ def extended_measure(kind: str, A, params: dict) -> ExtendedMeasure:
         handler = _pl_diag
     else:
         raise PreconditionError(f"unknown extended-measure kind {kind!r}")
-    bld = _ExtBuilder(kind, params)
+    bld = _ExtBuilder(params)
     _process_general(bld, handler, 1.0, A, LinMap.identity())
     ext = ExtendedMeasure(A, kind, dict(params), bld.finite, bld.tails, bld.cert)
     total = _seq_sum(float(w) for w, _ in ext.finite_atoms) + \

@@ -18,6 +18,8 @@ import pytest
 
 from lamstair import boxes
 
+pytestmark = pytest.mark.blas_kernels
+
 
 def reference(M, X):
     return np.matmul(M, X[:, :, None])[:, :, 0]

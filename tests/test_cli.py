@@ -443,6 +443,41 @@ class TestExitCodes:
         assert "Warning" not in outs[0].stderr
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("action", [["build", "--N", "5"], ["slopes", "--n-max", "300"]])
+    @pytest.mark.parametrize("kind, params", [("elliptic", "K=3,x0=1e160"),
+                                              ("elliptic", "K=3,x0=1e17"),
+                                              ("plaplace", "p=1.5,b=4,x0=1e300")])
+    def test_gamma_rounding_to_one_names_the_level(self, action, kind, params, tmp_path,
+                                                   capsys):
+        # at such a start 1 - gamma = 1 - (1 - a1)(1 - l2) is 0 in floats at
+        # level 1; both commands exited 1 with a ZeroDivisionError traceback
+        assert main(["staircase", action[0], "--kind", kind, "--params", params,
+                     *action[1:], "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            f"precondition violated: {kind} staircase level 1: gamma = (1 - a1)(1 - l2) "
+            "rounds to 1\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("action", [["build", "--N", "200"], ["slopes", "--n-max", "300"]])
+    @pytest.mark.parametrize("b, level", [("1e155", 1), ("1e152", 134)])
+    def test_plaplace_norm_overflow_ignores_the_warning_filter(self, action, b, level,
+                                                               tmp_path):
+        # a split matrix's squared norm leaves the float range at that level;
+        # the build printed an overflow warning and exited 4 (a weight
+        # mismatch in the replay), and 1 with a traceback under -W error
+        src = os.path.dirname(os.path.dirname(lamstair.__file__))
+        outs = [subprocess.run(
+            [sys.executable, "-W", flt, "-m", "lamstair.cli", "staircase", action[0],
+             "--kind", "plaplace", "--params", f"p=1.5,b={b}", *action[1:],
+             "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=300) for flt in ("error", "default")]
+        assert [o.returncode for o in outs] == [3, 3]
+        assert outs[0].stderr == outs[1].stderr == (
+            f"precondition violated: plaplace staircase level {level}: "
+            "a split matrix's norm overflows the float range\n")
+        assert not (tmp_path / "out").exists()
+
 
 _ONE_ATOM = {"w": 1, "M": {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]}}
 
@@ -764,6 +799,24 @@ class TestSynthCommands:
         assert all(v >= 0.0 for v in vals)
         # the split measure is diagonal, so one component distance vanishes
         assert min(vals) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+        "report dist --map writes repr of a numpy float, L1,np.float64(...), "
+        "because the map's domain volume is one; perfbench/golden_cli.json pins "
+        "those bytes, so the fix waits for a benchmark change that regenerates "
+        "the golden file"))
+    def test_report_dist_map_values_parse_as_floats(self, tmp_path):
+        # criterion 14's map: its one-split laminate realized at eps 0.2
+        m, mp, out = (tmp_path / n for n in ("onestep.json", "map.json", "dist.csv"))
+        write_measure(m)
+        assert main(["synth", "realize", "--measure", str(m), "--eps", "0.2",
+                     "--out", str(mp)]) == 0
+        assert main(["report", "dist", "--map", str(mp), "--sets", "L1,L2",
+                     "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == "set,dist_integral"
+        assert [ln.split(",")[0] for ln in rows] == ["L1", "L2"]
+        assert all(float(ln.split(",")[1]) >= 0.0 for ln in rows)
 
 
 class TestMalformedMapCommands:

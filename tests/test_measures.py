@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from lamstair.errors import (
     PreconditionError,
     UnsupportedError,
 )
-from lamstair.matrices import _dots, frob, rank
+from lamstair.matrices import frob, rank
 
 
 def first_det1_step():
@@ -270,22 +271,22 @@ def test_split_conserves_mass_and_barycenter(data):
 
 
 class TestAtom:
-    def test_slotted_with_lazy_key_and_norm(self):
+    def test_slotted_with_key_and_norm(self):
         a = ms.Atom(Fraction(1, 3), [[3.0, 0.0], [4.0, 0.0]])
-        assert not hasattr(a, "__dict__")
-        assert a._key is None and a._norm is None
+        assert not hasattr(a, "__dict__") and ms.Atom.__slots__ == ("weight", "point")
         assert a.norm == 5.0 and a.key == ((2, 2), (3.0, 0.0, 4.0, 0.0))
-        assert a._norm == 5.0 and a._key is a.key
+        # the key rounds to 12 decimals and keeps -0.0
+        b = ms.Atom(0.5, [[-0.0, 1.0 + 1e-14], [1 / 3, 2.0]])
+        assert repr(b.key) == repr(((2, 2), (-0.0, 1.0, 0.333333333333, 2.0)))
 
     def test_scaled_shares_point_key_and_norm(self):
         a = ms.Atom(Fraction(1, 3), np.diag([2.0, 0.5]))
         fresh = a.scaled(Fraction(3, 4))
-        assert fresh.weight == Fraction(1, 4) and fresh._key is None
-        key, norm = a.key, a.norm
+        assert fresh.weight == Fraction(1, 4) and fresh.point is a.point
         b = a.scaled(0.5)
         assert b.weight == 1 / 6 and isinstance(b.weight, float)
         assert b.point is a.point and not b.point.flags.writeable
-        assert b._key is key and b._norm == norm
+        assert b.key == a.key and b.norm.hex() == a.norm.hex()
 
     @pytest.mark.parametrize("c", [0, 0.0, -1.0, Fraction(-1, 2)])
     def test_scaled_rejects_non_positive_weights(self, c):
@@ -316,7 +317,7 @@ def ref_reweighted(a, w):
     """The atom a with weight w, checked positive, sharing a's point."""
     if not float(w) > 0.0:
         raise ms._weight_error(w)
-    return ms.Atom._filled(w, a.point, a._key, a._norm)
+    return ms.Atom._of(w, a.point)
 
 
 def ref_merge(atoms):
@@ -398,15 +399,11 @@ def ref_atoms_from_stack(weights, points):
     if not np.isfinite(stack).all():
         raise PreconditionError("matrix has non-finite entries")
     stack.flags.writeable = False
-    shape = stack.shape[1:]
-    flat = stack.reshape(len(stack), -1)
-    keys = np.round(flat, 12).tolist()
-    norms = np.sqrt(_dots(flat, flat)).tolist()
     atoms = []
-    for w, P, k, r in zip(weights, stack, keys, norms):
+    for w, P in zip(weights, stack):
         if not float(w) > 0.0:
             raise ms._weight_error(w)
-        atoms.append(ms.Atom._filled(w, P, (shape, tuple(k)), r))
+        atoms.append(ms.Atom._of(w, P))
     return atoms
 
 
@@ -470,6 +467,42 @@ def assert_arrays_match_atoms(nu):
     assert nu._norms.tolist() == [a.norm for a in nu.atoms]
     assert [w.hex() for w in nu._w.tolist()] == [float(a.weight).hex() for a in nu.atoms]
     assert not nu._stack.flags.writeable
+
+
+def assert_views_read_the_rows(nu):
+    """Each atom view's key (by repr, so -0.0 shows) and norm (by hex),
+    computed from its point, are the measure's key and norm rows."""
+    shape = nu._stack.shape[1:]
+    assert [repr(a.key) for a in nu.atoms] == [repr((shape, tuple(k)))
+                                               for k in nu._keys.tolist()]
+    assert [a.norm.hex() for a in nu.atoms] == [r.hex() for r in nu._norms.tolist()]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_atom_views_read_the_key_and_norm_rows(data):
+    shape = data.draw(st.sampled_from([(1, 1), (2, 2), (3, 2), (4, 4)]))
+    k = data.draw(st.integers(1, 8))
+    points = data.draw(twin_points(k, shape))
+    ks = data.draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    exact = data.draw(st.booleans())
+    weights = [Fraction(v, sum(ks)) if exact else v / sum(ks) for v in ks]
+    nu = ms.DiscreteMeasure([ms.Atom(w, P) for w, P in zip(weights, points)])
+    assert_views_read_the_rows(nu)
+    assert (nu._exact is not None) == exact
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("det1", {"a": [2, 2, 3, 2]}),            # 4x4 points, exact weights
+    ("rank_drop", {"a": [-3.0, 2.5, 0.0]}),   # float mode: 0.0 * -3.0 is -0.0
+    ("elliptic", {"K": 3.0})])
+def test_truncation_views_read_the_key_and_norm_rows(kind, params):
+    from lamstair import staircase as sc
+    nu = sc.build_truncation(sc.example_staircase(kind, params), 40)
+    assert_views_read_the_rows(nu)
+    assert (nu._exact is not None) == (kind == "det1")
+    if kind == "rank_drop":
+        assert any(math.copysign(1.0, x) < 0 for x in nu._keys.ravel().tolist() if x == 0.0)
 
 
 # entries in classes that share one 12-decimal key: -0.0/0.0 twins, values

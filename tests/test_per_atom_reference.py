@@ -32,7 +32,7 @@ def ref_reweighted(a, w):
     """The atom a with weight w, checked positive, sharing a's point."""
     if not float(w) > 0.0:
         raise ms._weight_error(w)
-    return ms.Atom._filled(w, a.point, a._key, a._norm)
+    return ms.Atom._of(w, a.point)
 
 
 class RefMeasure:

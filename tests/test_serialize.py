@@ -416,6 +416,7 @@ class TestCellMapArrays:
         assert cm.A.tobytes() == np.array(ref.mats).tobytes()
         assert cm.b.tobytes() == np.array(ref.offsets).tobytes()
 
+    @pytest.mark.blas_kernels
     @pytest.mark.parametrize("name", LOOKUP_MAPS)
     def test_grad_bound_is_the_largest_frob(self, name):
         # one stacked pass over A against one frob call per cell; "one_step"
@@ -517,6 +518,7 @@ class Recorder:
         return self.cm.gradient_many(X)
 
 
+@pytest.mark.blas_kernels
 class TestCellIndex:
     @pytest.mark.parametrize("name", LOOKUP_MAPS)
     def test_matches_old_lookup(self, name):

@@ -388,6 +388,7 @@ def stack(steps):
                      np.concatenate([mu._w for mu in mus]),
                      pts.reshape(len(pts), *A_next.shape[1:]),
                      np.concatenate([mu._keys for mu in mus]),
+                     np.concatenate([mu._norms for mu in mus]),
                      sc._offsets([len(st.splits) for st in steps]),
                      np.array([float(s.lam) for s in splits]),
                      mats.reshape(len(splits), 3, *A_next.shape[1:]),
@@ -1021,7 +1022,8 @@ def test_truncations_make_step_objects_on_demand(monkeypatch):
     a = sc.build_truncation(spec, 1000)
     b = sc.build_truncation(spec, 700)
     assert made == {"steps": 0, "splits": 0} and len(a.certificate) == 2000
-    assert sc.betas(spec, 1000) == [lv[2] for lv in spec._levels] and not spec._loose
+    assert sc.betas(spec, 1000) == [lv[2] for lv in spec._levels]
+    assert spec._memo == range(1, 1001)
     # the splits are made once per level of the prefix, in whole blocks
     first = list(b.certificate)
     assert len(first) == 1400 and made == {"steps": 0, "splits": 2000}

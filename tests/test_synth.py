@@ -1009,6 +1009,7 @@ def criterion_06_pointwise(lam):
     return verify_map_pointwise(criterion_06_roof(lam), sample_budget=20_000)
 
 
+@pytest.mark.blas_kernels
 class TestVerifyDesign:
     """verify_map slices one design that lives as long as the process: no
     earlier call, shorter or longer, may change a report."""
@@ -1995,6 +1996,7 @@ CONSTRUCTION_CASES = {
 }
 
 
+@pytest.mark.blas_kernels
 class TestDrivenWalks:
     @pytest.mark.parametrize("case", sorted(WALK_CASES))
     def test_bounds_and_cells_match_recursion(self, case):
