@@ -384,26 +384,22 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=int, default=1,
                         help="reserved: validated (>= 1, LF_JOBS overrides), "
                              "but nothing runs in parallel yet")
+    stair = argparse.ArgumentParser(add_help=False)   # the spec of staircase build|slopes
+    stair.add_argument("--kind", required=True,
+                       choices=["det1", "rankdrop", "rank_drop", "elliptic", "plaplace"])
+    stair.add_argument("--A", help="diag(a,b,...) or matrix JSON path")
+    stair.add_argument("--m", type=int)
+    stair.add_argument("--params", help="k=v,k2=v2")
 
     top = argparse.ArgumentParser(prog="lamstair", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     st = sub.add_parser("staircase").add_subparsers(dest="action", required=True)
-    p = st.add_parser("build", parents=[common])
-    p.add_argument("--kind", required=True,
-                   choices=["det1", "rankdrop", "rank_drop", "elliptic", "plaplace"])
-    p.add_argument("--A", help="diag(a,b,...) or matrix JSON path")
-    p.add_argument("--m", type=int)
-    p.add_argument("--params", help="k=v,k2=v2")
+    p = st.add_parser("build", parents=[common, stair])
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_staircase_build)
-    p = st.add_parser("slopes", parents=[common])
-    p.add_argument("--kind", required=True,
-                   choices=["det1", "rankdrop", "rank_drop", "elliptic", "plaplace"])
-    p.add_argument("--A", help="diag(a,b,...) or matrix JSON path")
-    p.add_argument("--m", type=int)
-    p.add_argument("--params", help="k=v,k2=v2")
+    p = st.add_parser("slopes", parents=[common, stair])
     p.add_argument("--n-max", dest="n_max", type=int, default=10_000)
     p.add_argument("--n-min", dest="n_min", type=int, default=100)
     p.add_argument("--out", default="-")

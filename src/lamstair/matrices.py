@@ -226,13 +226,19 @@ def conformal_split(A):
 def _rotation_fit(A: np.ndarray, second_row_scale) -> float:
     """Residual of fitting A = diag(l, second_row_scale(l)) R with R in SO(2).
 
-    Returns the Frobenius distance to the fitted parametrization point.
+    Returns the Frobenius distance to the fitted parametrization point, inf
+    where second_row_scale(l) leaves the float range.
     """
     lam = float(np.hypot(A[0, 0], A[0, 1]))
     if lam == 0.0:
         return frob(A)
     c, s = A[0, 0] / lam, A[0, 1] / lam
-    mu = second_row_scale(lam)
+    try:
+        mu = second_row_scale(lam)
+    except OverflowError:
+        return math.inf
+    if mu == math.inf:
+        return math.inf
     resid = np.hypot(A[1, 0] - mu * (-s), A[1, 1] - mu * c)
     return float(resid)
 

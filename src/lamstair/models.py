@@ -137,7 +137,7 @@ def select_b(p: float, b_max: float = B_MAX, tol: float = 1e-8) -> float:
     b = _minimize_bounded(neg_q, float(lo), float(hi), tol)
     prof = exponent("plaplace", {"p": p, "b": b})
     if not prof.valid:
-        raise InternalError(f"no valid exponent found for p={p}")
+        raise PreconditionError(f"no b <= {b_max:g} gives an exponent in (1, p) for p={p}")
     return b
 
 

@@ -16,9 +16,12 @@ them) and the splits with their fractions.  A spec is given a block
 builder, `block_fn(lo, hi)`, and that is the only way it makes levels:
 beta_n and the beta slopes are read off validated blocks as truncations
 are, so a slope ends at the level where a build ends.  The four families
-build `elliptic` and `plaplace` as two splits of diagonal 2x2 matrices,
-`det1` and `rank_drop` as diagonal splits column by column, in rational
-mode from exact integers with `Fraction`s made for the exact column only.
+share one split-column builder, `_diag_split_block`: a level splits
+delta_{A_{n-1}}, A_{n-1} diagonal, by a run of one-step splits that each
+change one diagonal entry.  `det1` and `rank_drop` split every column in
+turn, in rational mode from exact integers with `Fraction`s made for the
+exact column only; `elliptic` and `plaplace` split column 1, then column 0,
+of a 2x2 matrix (`_two_split_block` adds their per-level checks).
 `transform_spec` maps a whole block, and `_block_failure` validates one.
 `StairStep`, mu's `DiscreteMeasure` and `SplittingStep` objects are made
 only on demand: by `StaircaseSpec.step(n)`, and by a truncation's
@@ -62,6 +65,7 @@ from .measures import (
     TailReport,
     TailRow,
     Weight,
+    _finite_constant,
     _group_sums,
     _key_groups,
     _keyed,
@@ -634,8 +638,10 @@ def _level_block(n0: int, A_prev: np.ndarray, A_next: np.ndarray, gamma: np.ndar
     stack; in rational mode `exact`, the gammas, mu's weights (an object
     column in input order) and the fractions as given.  The block ends
     before the first level whose mu has mass above 1, with that error, and
-    else carries err."""
+    else carries err; with no levels it is None."""
     k = len(gamma)
+    if k == 0:
+        return None, err
     off, mu_w, pts, keys, norms, mu_exact, mass = _mu_rows(w, pts, rows, k,
                                                            None if exact is None else exact[1])
     blk = _Block(np.arange(n0, n0 + k), A_prev, A_next, gamma, mass, off, mu_w, pts, keys,
@@ -650,13 +656,13 @@ def _level_block(n0: int, A_prev: np.ndarray, A_next: np.ndarray, gamma: np.ndar
 def _diag_split_block(n0: int, cur: np.ndarray, two: np.ndarray, cols: Sequence[int],
                       small: np.ndarray, lam: np.ndarray, w: np.ndarray, gamma: np.ndarray,
                       exact: tuple | None,
-                      err: Exception | None) -> tuple[_Block, Exception | None]:
+                      err: Exception | None) -> tuple[_Block | None, Exception | None]:
     """Levels n0, n0 + 1, ... that split delta_{diag(cur)} column by column
-    (`_level_block`): split j takes the running diagonal, `two` on the
-    columns split so far and `cur` on the rest, to its left, column cols[j]
-    set to small[:, j], and its right, that column set to two[:, cols[j]],
-    by fraction lam[:, j].  mu's atoms are the lefts, weighted w[:, j], and
-    A_n is the last right."""
+    (`_level_block`; None for no levels): split j takes the running
+    diagonal, `two` on the columns split so far and `cur` on the rest, to
+    its left, column cols[j] set to small[:, j], and its right, that column
+    set to two[:, cols[j]], by fraction lam[:, j].  mu's atoms are the
+    lefts, weighted w[:, j], and A_n is the last right."""
     (k, c), d = small.shape, cur.shape[1]
     diag = np.empty((k, 2 * c + 1, d))   # the running diagonals 0..c, then the lefts
     diag[:, 0] = cur
@@ -760,8 +766,6 @@ def _det1_spec(params: dict) -> StaircaseSpec:
         small, lam, mu, gamma, exact, bad = (rational_levels(lo, len(cur)) if rational
                                              else float_levels(cur))
         k = len(gamma)
-        if k == 0:
-            return None, bad or err
         return _diag_split_block(lo, cur[:k], two[:k], range(d), small, lam, mu, gamma,
                                  exact, bad or err)
 
@@ -793,8 +797,6 @@ def _rank_drop_spec(params: dict) -> StaircaseSpec:
     def block_fn(lo: int, hi: int):
         cur, two, err = _diag_levels("rank_drop", base, unit, lo, hi)
         k = len(cur)
-        if k == 0:
-            return None, err
         small = np.zeros((k, m)) if rational else 0.0 * cur[:, nz]
         exact = ([gamma] * k, _objects(mus * k), [half] * (k * m)) if rational else None
         return _diag_split_block(lo, cur, two, nz, small, np.full((k, m), float(half)),
@@ -805,27 +807,28 @@ def _rank_drop_spec(params: dict) -> StaircaseSpec:
                          block_fn=block_fn)
 
 
-def _two_split_block(n0: int, A_prev, B1, C, B2, A_next, a1: np.ndarray, l2: np.ndarray,
+def _two_split_block(n0: int, cur, two, small, a1: np.ndarray, l2: np.ndarray,
                      kind: str) -> tuple[_Block | None, Exception | None]:
     """Levels n0, n0 + 1, ... of the `kind` staircase that split
     delta_{A_{n-1}} into a1 B1 + (1 - a1) C and C into l2 B2 + (1 - l2) A_n,
     so gamma = (1 - a1)(1 - l2) and
-    mu = (a1 delta_B1 + (1 - a1) l2 delta_B2) / (1 - gamma).  Each matrix is
-    diagonal, given as its two diagonals (arrays over the levels).  The block
-    ends before the lowest level whose per-level construction fails, with its
-    error: a non-finite split matrix, then gamma == 1.0 (mu's weights would
-    divide by 0), then an atom weight not > 0, then a split matrix whose
-    squared norm overflows the float range (as `_check_level_norm` checks
-    |A_n|), then mu's mass above 1 (`_level_block`)."""
-    k = len(a1)
-    mats, huge = np.zeros((k, 5, 2, 2)), np.zeros(k, dtype=bool)
+    mu = (a1 delta_B1 + (1 - a1) l2 delta_B2) / (1 - gamma), as the splits of
+    `_diag_split_block` from diag(cur) to diag(two), column 1 then column 0,
+    B1 and B2 taking small[0] and small[1] there (pairs of diagonal columns
+    over the levels).  The block ends before the lowest level whose
+    per-level construction fails, with its error: a non-finite split matrix,
+    then gamma == 1.0 (mu's weights would divide by 0), then an atom weight
+    not > 0, then a split matrix whose squared norm overflows the float range
+    (as `_check_level_norm` checks |A_n|), then mu's mass above 1."""
+    (c0, c1), (t0, t1), (s0, s1) = cur, two, small
+    k, huge = len(a1), np.zeros(len(a1), dtype=bool)
     with np.errstate(all="ignore"):
-        for j, (d0, d1) in enumerate((A_prev, B1, C, B2, A_next)):
-            mats[:, j, 0, 0], mats[:, j, 1, 1] = d0, d1
+        # the diagonals of A_{n-1}, B1, C, B2 and A_n
+        for d0, d1 in (c0, c1), (c0, s0), (c0, t1), (s1, t1), (t0, t1):
             huge |= d0 * d0 + d1 * d1 == math.inf
         gamma = (1.0 - a1) * (1.0 - l2)
         w = np.stack([a1 / (1.0 - gamma), (1.0 - a1) * l2 / (1.0 - gamma)], axis=1)
-    non_finite = ~np.isfinite(mats).all(axis=(1, 2, 3))
+    non_finite = ~np.isfinite([c0, c1, t0, t1, s0, s1]).all(axis=0)
     w_bad = ~(w > 0.0)
     # mu is made (its keys rounded and norms taken, which may warn) only up
     # to the first level that fails before it, as level by level
@@ -840,12 +843,8 @@ def _two_split_block(n0: int, A_prev, B1, C, B2, A_next, a1: np.ndarray, l2: np.
         err = _weight_error(float(w[m, np.argmax(w_bad[m])]))
     elif m < k:
         err = PreconditionError(at + "a split matrix's norm overflows the float range")
-    if m == 0:
-        return None, err
-    return _level_block(n0, mats[:m, 0], mats[:m, 4], gamma[:m], w[:m].ravel(),
-                        mats[:m, [1, 3]].reshape(2 * m, 2, 2), np.arange(m).repeat(2),
-                        np.arange(0, 2 * m + 1, 2), np.stack([a1[:m], l2[:m]], axis=1).ravel(),
-                        mats[:m, [0, 1, 2, 2, 3, 4]].reshape(2 * m, 3, 2, 2), err=err)
+    cur, two, small, lam = (np.stack(x, axis=1)[:m] for x in (cur, two, small, (a1, l2)))
+    return _diag_split_block(n0, cur, two, (1, 0), small, lam, w[:m], gamma[:m], None, err)
 
 
 def _xs(x0: float, lo: int, hi: int) -> np.ndarray:
@@ -873,7 +872,7 @@ def _elliptic_spec(params: dict) -> StaircaseSpec:
             x1 = x + 1.0
             a1 = 1.0 / (1.0 + x * (1.0 + kinv))
             l2 = 1.0 / (x1 * (1.0 + kinv))
-            diags = (-x, x), (-x, -x * kinv), (-x, x1), (x1 * kinv, x1), (-x1, x1)
+            diags = (-x, x), (-x1, x1), (-x * kinv, x1 * kinv)   # cur, two, small
         return _two_split_block(lo, *diags, a1, l2, "elliptic")
 
     return StaircaseSpec(_diag([-x0, x0]), "elliptic", params,
@@ -899,7 +898,7 @@ def _plaplace_spec(params: dict) -> StaircaseSpec:
             xq, x1q, bxq = _powers(x, q), _powers(x1, q), _powers(bx, q)
             a1 = (x1q - xq) / (bxq + x1q)
             l2 = b / ((b + 1.0) * x1)
-            diags = (bx, -xq), (bx, bxq), (bx, -x1q), (-x1, -x1q), (b * x1, -x1q)
+            diags = (bx, -xq), (b * x1, -x1q), (bxq, -x1)   # cur, two, small
         return _two_split_block(lo, *diags, a1, l2, "plaplace")
 
     return StaircaseSpec(_diag([b * x0, -(x0 ** q)]), "plaplace", params,
@@ -948,27 +947,29 @@ def _map_block(blk: _Block, T: LinMap) -> tuple[_Block | None, Exception | None]
     stacked s * (U @ X @ V) is bit-equal to `LinMap.__call__` per matrix),
     mu's atoms merged and re-sorted by their new keys as `pushforward` does.
     The block ends before the lowest level whose per-level pushforward
-    fails: a non-finite atom, then mu's mass above 1, then a non-finite
-    split matrix."""
+    fails: a non-finite atom, then an atom whose norm overflows the float
+    range, then mu's mass above 1, then a non-finite split matrix."""
     k, a = len(blk), len(blk.mu_w)
     sp = blk.sp_mats
     with np.errstate(all="ignore"):
         out = T(np.concatenate([blk.A_prev, blk.A_next, blk.mu_pts,
                                 sp.reshape(-1, *sp.shape[2:])]))
+        flat = out[2 * k:2 * k + a].reshape(a, -1)
+        big = ~(_dots(flat, flat) < math.inf)   # a non-finite atom too
     pts, sp_mats = out[2 * k:2 * k + a], out[2 * k + a:].reshape(len(sp), 3, *out.shape[1:])
     mu_rows, sp_rows = (np.arange(k).repeat(np.diff(off)) for off in (blk.mu_off, blk.sp_off))
-    atom_bad = np.bincount(mu_rows, ~np.isfinite(pts).reshape(a, -1).all(axis=1),
-                           minlength=k) > 0
+    atom_bad, atom_big = (np.bincount(mu_rows, x, minlength=k) > 0
+                          for x in (~np.isfinite(flat).all(axis=1), big))
     split_bad = np.bincount(sp_rows, ~np.isfinite(sp_mats).reshape(len(sp), -1).all(axis=1),
                             minlength=k) > 0
-    f = _first(atom_bad | split_bad)
-    err = None if f == k else PreconditionError("matrix has non-finite entries")
+    f = _first(atom_big | split_bad)
+    err = None if f == k else PreconditionError(
+        f"staircase level {blk.n[f]}: a mapped atom's norm overflows the float range"
+        if atom_big[f] and not atom_bad[f] else "matrix has non-finite entries")
     # mu is merged (its keys rounded and norms taken, which may warn) up to
-    # level f, and at f too when its atoms are finite, as `pushforward` does
-    # level by level
-    m = f if f < k and atom_bad[f] else min(f + 1, k)
-    if m == 0:
-        return None, err
+    # level f, and at f too when its atoms' norms are finite, as `pushforward`
+    # does level by level
+    m = f if f < k and atom_big[f] else min(f + 1, k)
     na, ns = blk.mu_off[m], blk.sp_off[m]
     res, bad = _level_block(int(blk.n[0]), out[:m], out[k:k + m], blk.gamma[:m],
                             blk.mu_w[:na], pts[:na], mu_rows[:na], blk.sp_off[:m + 1],
@@ -1056,6 +1057,7 @@ class _ExtBuilder:
 
 
 def _ell_diag(bld: _ExtBuilder, w: float, x: float, y: float, T: LinMap):
+    x, y = float(x), float(y)   # K * y overflows to inf without a warning
     K = float(bld.params["K"])
     tol = bld.tol
     sets = (f"E:{K!r}", f"E:{1.0 / K!r}")
@@ -1231,18 +1233,21 @@ def _tail_report(ext: ExtendedMeasure, nu: DiscreteMeasure, N: int,
         from .models import exponent
         qexp = exponent("plaplace", {"p": p, "b": float(ext.params["b"])}).value
         e_lo, e_up = (p - 1.0) * qexp, qexp / (p - 1.0)
+    env_up, env_lo = (_finite_constant(lambda: 1.0 + normA ** e,
+                                       f"tail envelope term 1 + |A|^{e!r}")
+                      for e in (e_up, e_lo))
     ts = [t for t in t_grid if t > 1.0 + normA]
     tails = tail_masses(nu, ts).tolist()
     M = 1.0
     for t, tail in zip(ts, tails):
-        M = max(M, tail * t ** qexp / (1.0 + normA ** e_up))
-        lower_need = (tail + resid) * t ** qexp / (1.0 + normA ** e_lo)
+        M = max(M, tail * t ** qexp / env_up)
+        lower_need = (tail + resid) * t ** qexp / env_lo
         if lower_need > 0:
             M = max(M, 1.0 / lower_need) if lower_need < 1 else M
     rows = []
     for t, tail in zip(ts, tails):
-        up = M * (1.0 + normA ** e_up) * t ** -qexp
-        lo = (1.0 + normA ** e_lo) / M * t ** -qexp
+        up = M * env_up * t ** -qexp
+        lo = env_lo / M * t ** -qexp
         ok = (tail <= up + 1e-12) and (tail >= lo - resid - 1e-12)
         rows.append(TailRow(float(t), tail, up, lo, ok))
     return TailReport(rows, {"kind": ext.kind, "fitted_M": M, "exponent": qexp,

@@ -1158,6 +1158,14 @@ def _realize(nu: DiscreteMeasure, domain: OBox, A, b, eps: float, delta: float,
     remainder R in `inductive` is an inductive cell, every other leaf a good
     one; an uncertified single atom is the affine map itself."""
     _require_2x2(A)
+    if _needs_norm(domain):
+        # the root's grid cover volume factor, as `GridCover._parts` takes it,
+        # must keep the volume that `seal` checks
+        (k0, k1), sigma, tdom = GridCover.plan(domain)
+        factor = float(k0) * float(k1) * sigma ** 2
+        if not abs(factor * tdom.volume - domain.volume) <= 1e-9 * domain.volume:
+            raise PreconditionError(f"{domain} is too small to cover: the grid cover's "
+                                    f"volume factor {factor!r} underflows")
     if len(nu) == 1 and not nu.certificate:
         node: MapNode = SlotMap(domain, A, b, flag=GOOD)
     else:

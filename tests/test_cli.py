@@ -600,6 +600,49 @@ class TestDeepCertificates:
         assert not mp.exists()
 
 
+# inputs whose float arithmetic overflows or underflows: each is a precondition
+# failure (exit 3) with no warning and no file written
+_OVERFLOWING_INPUTS = {
+    # 1 + |A|^(q/(p-1)) of the p-Laplace tail envelope, |A| = b = select_b(1.01)
+    "plap envelope": (["models", "plap", "--p", "1.01", "--N", "100", "--moments", "@m.csv"],
+                      "tail envelope term 1 + |A|^100.47103324655133 overflows the float range"),
+    "plap mapped level": (["models", "plap", "--p", "1.5", "--A", "diag(1e150,-1)", "--N",
+                           "10000", "--moments", "@m.csv"],
+                          "staircase level 241: a mapped atom's norm overflows the float range"),
+    # K * y of the elliptic split diag(K y, y), and E:K's fit of diag(2, 1)
+    "afs K": (["models", "afs", "--K", "1e308", "--A", "diag(2,1)", "--N", "10",
+               "--out", "@a.json"], "matrix has non-finite entries"),
+    "plap no exponent": (["models", "plap", "--p", "1.000001", "--N", "100",
+                          "--moments", "@m.csv"],
+                         "no b <= 1e+06 gives an exponent in (1, p) for p=1.000001"),
+    # the grid cover's volume factor k0 k1 sigma^2 underflows
+    "realize tiny box": (["synth", "realize", "--measure", "@in.json", "--eps", "0.2",
+                          "--domain", "box:0,0,1e-300,1", "--out", "@map.json"],
+                         "the grid cover's volume factor 0.0 underflows"),
+    # lam ** (p - 1) of Kp:1e300's fit of diag(3, 1)
+    "duality p": (["models", "duality", "--in", "@big.json", "--p", "1e300",
+                   "--out", "@d.json"], "atom outside the p-Laplace set"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOWING_INPUTS))
+def test_overflowing_inputs_exit_3_under_either_warning_filter(name, tmp_path):
+    argv, message = _OVERFLOWING_INPUTS[name]
+    write_measure(tmp_path / "in.json")
+    serialize.dump_json(serialize.measure_to_obj(dirac(np.diag([3.0, 1.0]))),
+                        tmp_path / "big.json")
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    src = os.path.dirname(os.path.dirname(lamstair.__file__))
+    outs = [subprocess.run([sys.executable, "-W", flt, "-m", "lamstair.cli", *argv],
+                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                           text=True, timeout=300) for flt in ("error", "default")]
+    assert [o.returncode for o in outs] == [3, 3]
+    assert outs[0].stderr == outs[1].stderr
+    assert outs[0].stderr.startswith("precondition violated: ")
+    assert message in outs[0].stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json", "in.json"]
+
+
 def global_state():
     """The process-wide settings a library call could change."""
     legacy = np.random.get_state()

@@ -128,6 +128,12 @@ class TestMember:
         assert mx.member(-np.diag([lam, lam ** (p - 1)]), f"Kp:{p}")
         assert not mx.member(np.diag([lam, lam]), f"Kp:{p}")
 
+    @pytest.mark.parametrize("M, set_id", [(np.diag([2.0, 1.0]), "E:1e308"),
+                                           (np.diag([3.0, 1.0]), "Kp:1e300")])
+    def test_second_row_scale_past_the_float_range(self, M, set_id):
+        # K lam is inf, and lam ** (p - 1) leaves the float range
+        assert not mx.member(M, set_id)
+
     def test_diag_sets(self):
         assert mx.member(np.diag([2.0, -2.5]), "D>=2")
         assert not mx.member(np.diag([2.0, 1.5]), "D>=2")

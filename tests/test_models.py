@@ -77,6 +77,11 @@ class TestSelectB:
             b = md.select_b(float(p))
             assert md.exponent("plaplace", {"p": float(p), "b": b}).value < p
 
+    def test_no_valid_exponent_is_precondition(self):
+        # for p this close to 1 no b <= B_MAX gives an exponent above 1
+        with pytest.raises(PreconditionError, match="no b <= 1e\\+06 gives an exponent"):
+            md.select_b(1.000001)
+
 
 def select_b_scipy(p, b_max=md.B_MAX, tol=1e-8):
     """select_b as it was written on scipy's bounded minimizer; reference only."""

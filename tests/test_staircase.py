@@ -918,11 +918,11 @@ def non_finite_fault(j):
         if n == j:
             d["A_prev"][0] = math.inf
 
-    def on_block(n0, A_prev, *rest):
-        if 0 <= j - n0 < len(A_prev[0]):
-            A_prev = (A_prev[0].copy(), A_prev[1])
-            A_prev[0][j - n0] = math.inf
-        return (n0, A_prev) + rest
+    def on_block(n0, cur, *rest):
+        if 0 <= j - n0 < len(cur[0]):
+            cur = (cur[0].copy(), cur[1])
+            cur[0][j - n0] = math.inf
+        return (n0, cur) + rest
 
     return on_diags, on_block
 
@@ -1047,14 +1047,14 @@ def test_levels_past_a_build_fault_are_not_made(monkeypatch):
         if n == j:
             d["A_prev"][0] = math.inf
         if n == j + 1:
-            d["B1"][0] = 1e300
+            d["B1"][1] = 1e300
 
     block = sc._two_split_block
 
-    def two_split_block(n0, A_prev, B1, *rest):
-        A_prev, B1 = (A_prev[0].copy(), A_prev[1]), (B1[0].copy(), B1[1])
-        A_prev[0][j - n0], B1[0][j + 1 - n0] = math.inf, 1e300
-        return block(n0, A_prev, B1, *rest)
+    def two_split_block(n0, cur, two, small, *rest):
+        cur, small = (cur[0].copy(), cur[1]), (small[0].copy(), small[1])
+        cur[0][j - n0], small[0][j + 1 - n0] = math.inf, 1e300
+        return block(n0, cur, two, small, *rest)
 
     monkeypatch.setattr(sc, "_two_split_block", two_split_block)
     spec = sc.example_staircase("plaplace", {"p": 1.3, "b": 4.0, "x0": 2.5})
@@ -1062,6 +1062,26 @@ def test_levels_past_a_build_fault_are_not_made(monkeypatch):
     with pytest.raises(PreconditionError) as exc:
         sc.build_truncation(spec, j + 1)
     assert str(exc.value) == msg == "matrix has non-finite entries"
+    assert len(spec._levels) == j - 1
+
+
+@pytest.mark.parametrize("family", sorted(FLOAT_FAMILIES))
+def test_mapped_atom_norm_overflow_names_its_level(family):
+    # a mapped level whose atoms have finite entries and an infinite norm
+    T = sc.LinMap(np.diag([1.0, 1e153]), np.eye(2), 1.0)
+    make, ref = FLOAT_FAMILIES[family]
+
+    def overflows(X):
+        with np.errstate(over="ignore"):
+            return float(np.sum(T(X) ** 2)) == math.inf
+
+    j = next(n for n in range(1, 5_000) if any(overflows(a.point) for a in ref(n).mu.atoms))
+    assert j > 1 and not overflows(ref(j - 1).A_next)
+    spec = sc.transform_spec(make(), T)
+    sc.build_truncation(spec, j - 1)
+    with pytest.raises(PreconditionError) as exc:
+        sc.build_truncation(spec, j + 3)
+    assert str(exc.value) == f"staircase level {j}: a mapped atom's norm overflows the float range"
     assert len(spec._levels) == j - 1
 
 

@@ -536,6 +536,18 @@ def report_sha256(rep):
     return hashlib.sha256(repr(vals).encode()).hexdigest()
 
 
+@pytest.mark.parametrize("hi", [(1e-300, 1.0), (1.0, 1e-160)])
+def test_grid_cover_of_a_too_small_box_is_precondition(hi):
+    # the volume factor k0 k1 sigma^2 underflows, so the cells' volumes
+    # could not sum to the box's
+    dom = sy.box((0.0, 0.0), hi)
+    nu = ms.elementary_split(ms.dirac(np.diag([2.0, 2.0]), certificate=[]),
+                             ms.SplittingStep(np.diag([2.0, 2.0]), np.diag([0.5, 2.0]),
+                                              np.diag([4.0, 2.0]), 4.0 / 7.0))
+    with pytest.raises(PreconditionError, match="the grid cover's volume factor .* underflows"):
+        sy.realize_finite_laminate(nu, dom, eps=0.2)
+
+
 class TestBatchedEvaluation:
     def test_fixed_maps_have_the_intended_nodes(self):
         assert isinstance(fixed_map("rotated_roof").root, sy.CoverMap)
