@@ -135,14 +135,6 @@ def _check_rank_tol(tol: float) -> None:
         raise PreconditionError(f"rank tolerance must lie in (0,1), got {tol}")
 
 
-def _is_rank_one(D, tol: float = DEFAULT_RANK_TOL) -> bool:
-    """Whether `rank(D, tol) == 1`, raising `rank`'s errors in its order,
-    from a one-row `_rank_one_rows` call."""
-    A = asmatrix(D)
-    _check_rank_tol(tol)
-    return bool(_rank_one_rows(A.reshape(1, -1), A.shape, tol)[0])
-
-
 def rank(M, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank: singular values above tol * (largest singular value)."""
     A = asmatrix(M)
@@ -154,11 +146,15 @@ def rank(M, tol: float = DEFAULT_RANK_TOL) -> int:
 
 
 def rank_one_connected(B, Bp, tol: float = DEFAULT_RANK_TOL) -> bool:
+    """Whether `rank(B - Bp, tol) == 1`, raising `rank`'s errors in its
+    order, from a one-row `_rank_one_rows` call."""
     B = asmatrix(B)
     Bp = asmatrix(Bp)
     if B.shape != Bp.shape:
         raise PreconditionError(f"shape mismatch {B.shape} vs {Bp.shape}")
-    return _is_rank_one(B - Bp, tol)
+    D = asmatrix(B - Bp)
+    _check_rank_tol(tol)
+    return bool(_rank_one_rows(D.reshape(1, -1), D.shape, tol)[0])
 
 
 def _halves(A: np.ndarray) -> int:

@@ -22,14 +22,21 @@ use: one `Atom` per row, its point a row view of the stack.
   `from_stack` takes float arrays, and `mixture`, `elementary_split`,
   `pushforward` and the staircase truncations (`staircase.build_truncation`,
   sliced from a prefix of arrays with the exact column) hand it arrays.
-- A measure's certificate may be a `Certificate`: a sequence whose steps
-  are made on first use (a truncation's, or a mixture of them).
+- A measure's certificate is a `Certificate`: its steps as columns of one
+  matrix shape (float fractions, the fractions as given when one is a
+  `Fraction`, and a (k, 3, m, n) stack of targets, lefts and rights), built
+  from chunks that are joined on first read.  `elementary_split`,
+  `diamond_compose` and the truncations join chunks; `pushforward` maps
+  the stack.
+  `SplittingStep` is its row type: `Certificate.of` takes steps at the API
+  edge, and checks their shapes there, as `_fill` checks them against the
+  atoms; indexing and iteration make row views.
 - `find` is one stacked distance over the stack.  `verify_laminate`
-  validates a whole certificate at once, then replays it on the arrays.
+  validates a whole certificate with one `_split_rows` call, then replays
+  it from its rows on the arrays.
 - `_split_rows` checks a stack of splitting steps of one shape, its rank
-  test one `matrices._rank_one_rows` call; `_split_failure` runs it on
-  `SplittingStep`s, per shape, and `SplittingStep.validate` is its
-  one-split case.
+  test one `matrices._rank_one_rows` call; `SplittingStep.validate` checks
+  its shapes, then runs it on one row.
 - `tail_masses(nu, ts)` returns every tail on a t-grid at once: per t the
   weights of the atoms with |X| > t, summed left to right by one `cumsum`
   over the measure's norm and weight columns.  `tail_mass` is its one-point case.
@@ -57,7 +64,7 @@ from .errors import (
     PreconditionError,
     UnsupportedError,
 )
-from .matrices import _dots, _is_rank_one, _rank_one_rows, asmatrix, frob
+from .matrices import _dots, _rank_one_rows, asmatrix, frob
 
 MERGE_TOL = 1e-12
 MASS_SLACK = 1e-12
@@ -137,7 +144,9 @@ class Atom:
 
 @dataclass(frozen=True)
 class SplittingStep:
-    """target = lam * left + (1 - lam) * right with rank(left - right) = 1."""
+    """target = lam * left + (1 - lam) * right with rank(left - right) = 1:
+    the row type of a `Certificate`.  Steps with equal fractions and
+    matrices are equal."""
 
     target: np.ndarray
     left: np.ndarray
@@ -145,44 +154,62 @@ class SplittingStep:
     lam: Weight
 
     def __post_init__(self):
-        object.__setattr__(self, "target", _freeze(asmatrix(self.target)))
-        object.__setattr__(self, "left", _freeze(asmatrix(self.left)))
-        object.__setattr__(self, "right", _freeze(asmatrix(self.right)))
+        for name in ("target", "left", "right"):
+            object.__setattr__(self, name, _freeze(asmatrix(getattr(self, name))))
+
+    @staticmethod
+    def _row(mats: np.ndarray, lam: Weight) -> "SplittingStep":
+        """The step of a (3, m, n) row of a certificate, as views."""
+        out = object.__new__(SplittingStep)
+        for name, M in zip(("target", "left", "right", "lam"), (*mats, lam)):
+            object.__setattr__(out, name, M)
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, SplittingStep):
+            return NotImplemented
+        return self.lam == other.lam and all(
+            np.array_equal(a, b) for a, b in zip((self.target, self.left, self.right),
+                                                 (other.target, other.left, other.right)))
 
     def validate(self, tol: float = 1e-9, rank_tol: float = 1e-9) -> None:
-        """The one-split case of `_split_failure`."""
-        bad = _split_failure([self], tol, rank_tol)
+        """Raise the step's first failure: a tolerance that is not finite and
+        > 0 (`PreconditionError`); its shapes (`_misshapen`); then
+        `_split_rows`' checks, as one row."""
+        _check_tol(tol)
+        row = (self.target, self.left, self.right, self.lam)
+        bad = _misshapen([row]) or _split_rows(np.array([float(self.lam)]),
+                                               np.array([row[:3]]), tol, rank_tol, [self.lam])
         if bad is not None:
             raise bad[1]
 
 
-def _split_failure(splits: Sequence[SplittingStep], tol: float = 1e-9,
-                   rank_tol: float = 1e-9) -> tuple[int, Exception] | None:
-    """The first split that fails its checks, as (index, error), or None.
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise PreconditionError(f"tolerance must be finite and positive, got {tol}")
 
-    Per split the checks run in this order: the fraction lies in (0,1); the
-    three matrices have one shape; then `_split_rows`' checks.  The shapes
-    are compared split by split up to the first mismatch; the splits before
-    it are checked as stacks, one per matrix shape."""
-    stop, err = len(splits), None
-    for i, s in enumerate(splits):
-        if s.left.shape != s.right.shape or s.left.shape != s.target.shape:
-            lam = float(s.lam)
-            stop, err = i, InvalidSplitError(
-                f"split fraction {s.lam} outside (0,1)" if not 0.0 < lam < 1.0
-                else "split matrices have mismatched shapes")
-            break
-    groups: dict = {}
-    for i in range(stop):
-        groups.setdefault(splits[i].target.shape, []).append(i)
-    for rows in groups.values():
-        bad = _split_rows(np.array([float(splits[i].lam) for i in rows]),
-                          np.array([(splits[i].target, splits[i].left, splits[i].right)
-                                    for i in rows]),
-                          tol, rank_tol, [splits[i].lam for i in rows])
-        if bad is not None and rows[bad[0]] < stop:
-            stop, err = rows[bad[0]], bad[1]
-    return None if err is None else (stop, err)
+
+def _step_rows(steps) -> list[tuple]:
+    """(target, left, right, lam) per step, given as a `SplittingStep` or as
+    such a tuple (its matrices through `asmatrix`)."""
+    return [(s.target, s.left, s.right, s.lam) if isinstance(s, SplittingStep)
+            else (*map(asmatrix, s[:3]), s[3]) for s in steps]
+
+
+def _misshapen(rows: Sequence[tuple], shape: tuple | None = None
+               ) -> tuple[int, InvalidSplitError] | None:
+    """The first (target, left, right, lam) row whose matrices differ in
+    shape from one another or from `shape` (the first row's if None), as
+    (index, error), or None; the error is its fraction's if outside (0,1)."""
+    for i, (target, left, right, lam) in enumerate(rows):
+        shape = shape or target.shape
+        if {left.shape, right.shape, target.shape} != {shape}:
+            return i, InvalidSplitError(
+                f"split fraction {lam} outside (0,1)" if not 0.0 < float(lam) < 1.0
+                else "split matrices have mismatched shapes" if left.shape != right.shape
+                or left.shape != target.shape
+                else f"split matrices of shape {target.shape}, not {shape}")
+    return None
 
 
 def _split_rows(lam: np.ndarray, mats: np.ndarray, tol: float = 1e-9,
@@ -237,30 +264,82 @@ def _split_rows(lam: np.ndarray, mats: np.ndarray, tol: float = 1e-9,
 
 
 class Certificate(Sequence):
-    """A read-only sequence of `size` splitting steps that `make()` returns,
-    made on first use (len and truth need only the size)."""
+    """Splitting steps as columns of one matrix shape: `lam`, the fractions
+    as floats; `exact`, the fractions as given (an object column), or None
+    when none is a `Fraction`; `mats`, the (k, 3, m, n) stack of targets,
+    lefts and rights.  Built from (lam, exact, mats) chunks, joined on first
+    read, so a certificate that nothing reads costs no copy.  `of` takes
+    steps at the API edge; indexing and iteration make row views."""
 
-    def __init__(self, size: int, make: Callable[[], Iterable[SplittingStep]]):
-        self._size, self._make = size, make
+    def __init__(self, chunks: Iterable[tuple] = ()):
+        self._chunks = [c for c in chunks if len(c[0])]
+        self._size = sum(len(c[0]) for c in self._chunks)
+
+    @staticmethod
+    def of(steps, shape: tuple | None = None) -> Certificate:
+        """The certificate of steps (`SplittingStep`s or (target, left,
+        right, lam) tuples), stacked in one copy; a certificate as it is.
+        The first step whose matrices differ in shape from one another or
+        from `shape` (the first step's if None) is an `InvalidSplitError`;
+        a certificate's steps were checked where they entered."""
+        if isinstance(steps, Certificate):
+            return steps
+        rows = _step_rows(steps)
+        bad = _misshapen(rows, shape)
+        if bad is not None:
+            raise InvalidSplitError(f"certificate step {bad[0]}: {bad[1]}")
+        if not rows:
+            return Certificate()
+        lams = [r[3] if isinstance(r[3], Fraction) else float(r[3]) for r in rows]
+        exact = _objects(lams) if any(isinstance(x, Fraction) for x in lams) else None
+        return Certificate([(np.array(lams, dtype=float), exact,
+                             np.array([r[:3] for r in rows], dtype=float))])
+
+    @staticmethod
+    def join(certs: Iterable[Certificate]) -> Certificate:
+        """The steps of the certificates in turn, their chunks uncopied."""
+        return Certificate([c for cert in certs for c in cert._chunks])
 
     @cached_property
-    def _steps(self) -> tuple[SplittingStep, ...]:
-        return tuple(self._make())
+    def _cols(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        chunks = self._chunks
+        if not chunks:
+            return np.zeros(0), None, np.zeros((0, 3, 0, 0))
+        lam, exact, mats = chunks[0]
+        if len(chunks) > 1:
+            lam = np.concatenate([c[0] for c in chunks])
+            if any(c[1] is not None for c in chunks):
+                exact = np.concatenate([c[0].astype(object) if c[1] is None else c[1]
+                                        for c in chunks])
+            mats = np.concatenate([c[2] for c in chunks])
+        cols = tuple(None if c is None else c.view() for c in (lam, exact, mats))
+        for c in cols:   # read-only, like the measure's stack: they may share a prefix's
+            if c is not None:
+                c.flags.writeable = False
+        self._chunks = [cols]
+        return cols
+
+    lam = property(lambda self: self._cols[0])
+    exact = property(lambda self: self._cols[1])
+    mats = property(lambda self: self._cols[2])
+
+    @property
+    def lams(self) -> list:
+        """The fractions as given: the exact column's, else the floats."""
+        lam, exact, _ = self._cols
+        return (lam if exact is None else exact).tolist()
 
     def __len__(self):
         return self._size
 
     def __getitem__(self, i):
-        return self._steps[i]
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(self._size)[i]))
+        lam, exact, mats = self._cols
+        return SplittingStep._row(mats[i], float(lam[i]) if exact is None else exact[i])
 
     def __iter__(self):
-        return iter(self._steps)
-
-
-def _as_certificate(certificate) -> Sequence[SplittingStep] | None:
-    if certificate is None or isinstance(certificate, Certificate):
-        return certificate
-    return tuple(certificate)
+        return map(SplittingStep._row, self.mats, self.lams)
 
 
 def _objects(values) -> np.ndarray:
@@ -299,7 +378,7 @@ class DiscreteMeasure:
     """Finite atomic (sub-)probability measure with an optional splitting
     certificate, held as arrays (see the module docstring)."""
 
-    def __init__(self, atoms: Iterable[Atom], certificate: Sequence[SplittingStep] | None = None):
+    def __init__(self, atoms: Iterable[Atom], certificate: Iterable | None = None):
         """The measure of the atoms: their points stacked, then merged by `_fill`."""
         atoms = tuple(atoms)
         ws = [a.weight if isinstance(a.weight, Fraction) else float(a.weight) for a in atoms]
@@ -333,7 +412,9 @@ class DiscreteMeasure:
         self._stack.flags.writeable = False
         self._keys, self._norms, self._w, self._exact = keys[first], norms[first], w, exact
         self.mass = mass
-        self.certificate: Sequence[SplittingStep] | None = _as_certificate(certificate)
+        self.certificate: Certificate | None = None
+        if certificate is not None:
+            self.certificate = Certificate.of(certificate, stack.shape[1:])
 
     @staticmethod
     def _of(w, exact, stack, keys, norms, certificate=None, merged=False) -> DiscreteMeasure:
@@ -436,23 +517,23 @@ def barycenter(nu: DiscreteMeasure) -> np.ndarray:
 
 def elementary_split(nu: DiscreteMeasure, step: SplittingStep, tol: float = 1e-9) -> DiscreteMeasure:
     step.validate(tol)
-    cert = (list(nu.certificate) + [step]) if nu.certificate is not None else None
-    return _split_at(nu, step, cert)
+    cert = None if nu.certificate is None else Certificate.join(
+        [nu.certificate, Certificate.of([step])])
+    return _split_at(nu, step.target, step.left, step.right, step.lam, cert)
 
 
-def _split_at(nu: DiscreteMeasure, step: SplittingStep,
-              certificate=None) -> DiscreteMeasure:
-    """nu with its row at the step's target (`find`) replaced by step.left
-    and step.right, weighted w lam and w (1 - lam) (`_wmul`), then merged."""
-    i = nu.find(step.target)
+def _split_at(nu: DiscreteMeasure, target: np.ndarray, left: np.ndarray, right: np.ndarray,
+              lam: Weight, certificate=None) -> DiscreteMeasure:
+    """nu with its row at target (`find`) replaced by left and right,
+    weighted w lam and w (1 - lam) (`_wmul`), then merged."""
+    i = nu.find(target)
     if i is None:
         raise NotFoundError("no atom at the split target")
-    lam = step.lam
     one_minus = (1 - lam) if isinstance(lam, Fraction) else (1.0 - float(lam))
     w = float(nu._w[i]) if nu._exact is None else nu._exact[i]
     pair = [_wmul(w, lam), _wmul(w, one_minus)]
     new = (np.array([float(v) for v in pair]), None if nu._exact is None else _objects(pair),
-           *_keyed(np.stack([step.left, step.right])))
+           *_keyed(np.stack([left, right])))
     old = (nu._w, nu._exact, nu._stack, nu._keys, nu._norms)
     return DiscreteMeasure._of(
         *(None if col is None else np.concatenate([col[:i], add, col[i + 1:]])
@@ -466,26 +547,32 @@ class LaminateReport:
     failed_step: int | None = None
 
 
-def verify_laminate(nu: DiscreteMeasure, cert: Sequence[SplittingStep] | None = None,
+def verify_laminate(nu: DiscreteMeasure, cert: Iterable[SplittingStep] | None = None,
                     tol: float = 1e-9) -> LaminateReport:
-    """Replay the certificate from the Dirac mass at its first target and
-    compare the result with nu.  The certificate is validated at once
-    (`_split_failure`); the replay reports the first step whose split is
-    invalid (a `PreconditionError` raises there) or whose target it cannot
-    find, the invalid split first at one step."""
-    if not 0.0 < tol < math.inf:
-        raise PreconditionError(f"tolerance must be finite and positive, got {tol}")
-    steps = list(cert if cert is not None else (nu.certificate or ()))
-    if not steps:
+    """Replay the certificate (nu's own by default) from the Dirac mass at
+    its first target and compare the result with nu.  Its steps are checked
+    by one `_split_rows` call; the replay reports the first step whose split
+    is invalid (a `PreconditionError` raises there) or whose target it
+    cannot find, the invalid split first at one step.  A list of steps is
+    read up to the first misshapen one (`_misshapen`), which is invalid."""
+    _check_tol(tol)
+    steps = nu.certificate if cert is None else cert
+    bad = None
+    if not isinstance(steps, Certificate):
+        rows = _step_rows(steps or ())
+        bad = _misshapen(rows)
+        steps = Certificate.of(rows if bad is None else rows[:bad[0]])
+    if not steps and bad is None:
         if len(nu) == 1:
             return LaminateReport(True, ["Dirac with empty certificate"])
         return LaminateReport(False, ["no certificate for a non-Dirac measure"])
-    bad = _split_failure(steps, tol)
+    lam, exact, mats = steps._cols
+    bad = _split_rows(lam, mats, tol, shown=exact) or bad
     stop = len(steps) if bad is None else bad[0]
-    current = dirac(steps[0].target)
-    for i in range(stop):
+    current = dirac(mats[0, 0]) if stop else None
+    for i, (M, w) in enumerate(zip(mats[:stop], steps.lams)):
         try:
-            current = _split_at(current, steps[i])
+            current = _split_at(current, *M, w)
         except NotFoundError as exc:
             return LaminateReport(False, [f"step {i}: {exc}"], failed_step=i)
     if bad is not None:
@@ -509,19 +596,35 @@ def verify_laminate(nu: DiscreteMeasure, cert: Sequence[SplittingStep] | None = 
 
 def pushforward(nu: DiscreteMeasure, T: Callable[[np.ndarray], np.ndarray],
                 check_rank_one: bool = False, rank_tol: float = 1e-9) -> DiscreteMeasure:
-    mats = [asmatrix(T(np.asarray(P))) for P in nu._stack]
-    cert = None
-    if nu.certificate is not None:
-        cert = []
-        for s in nu.certificate:
-            tl, tr = T(np.asarray(s.left)), T(np.asarray(s.right))
-            if check_rank_one:
-                with np.errstate(all="ignore"):   # an overflow fails as non-finite
-                    D = tl - tr
-                if not _is_rank_one(D, rank_tol):
-                    raise InvalidTransformError("transform breaks a rank-one connection")
-            cert.append(SplittingStep(T(np.asarray(s.target)), tl, tr, s.lam))
-    return DiscreteMeasure._of(nu._w, nu._exact, *_stacked(mats), cert)
+    """The image of nu under T, its certificate mapped into a new stack.  T
+    is called once per matrix: on each atom in row order, then on each
+    step's target, left and right, step by step.  Errors: the atoms' images
+    first (`asmatrix`, then one shape); a step image of another shape; then
+    the first step whose images fail, checked in this order: with
+    check_rank_one, `_split_rows`' rank checks in one call (left - right
+    finite, rank_tol in (0,1), rank one: an `InvalidTransformError`), then
+    the images finite."""
+    stack = _stacked([asmatrix(T(np.asarray(P))) for P in nu._stack])
+    cert, shape = nu.certificate, stack[0].shape[1:]
+    if cert:
+        lam, exact, mats = cert._cols
+        imgs = [np.asarray(T(M), dtype=float) for M in mats.reshape(-1, *mats.shape[2:])]
+        if any(Y.shape != shape for Y in imgs):
+            raise PreconditionError(f"T maps a certificate matrix off the atoms' shape {shape}")
+        out = np.array(imgs).reshape(len(lam), 3, *shape)
+        hit = np.flatnonzero(~np.isfinite(out).reshape(len(lam), -1).all(axis=1))
+        # `_split_rows` on fractions it accepts, at a tolerance that every
+        # convex combination meets, checks only left - right
+        bad = _split_rows(np.full(len(lam), 0.5), out, math.inf, rank_tol) \
+            if check_rank_one else None
+        if bad is not None and not (hit.size and hit[0] < bad[0]):
+            if isinstance(bad[1], InvalidSplitError):
+                raise InvalidTransformError("transform breaks a rank-one connection")
+            raise bad[1]
+        if hit.size:
+            raise PreconditionError("matrix has non-finite entries")
+        cert = Certificate([(lam, exact, out)])
+    return DiscreteMeasure._of(nu._w, nu._exact, *stack, cert)
 
 
 def mixture(parts: Sequence[tuple[Weight, DiscreteMeasure]],
@@ -674,19 +777,15 @@ def diamond_compose(nu1: DiscreteMeasure,
     4 (1 + q/|p-q|) (M' M'')^r (1+|A|^r) t^-r, r = min(p, q).  The p = q case
     is rejected: no such envelope exists.
     """
-    parts = []
-    certs_ok = nu1.certificate is not None
-    chained = list(nu1.certificate or ())
+    parts, certs = [], [nu1.certificate]
     for i, a in enumerate(nu1.atoms):
         nui = family(i, a)
         if abs(nui.mass - 1.0) > 1e-9:
             raise PreconditionError(f"family member {i} is not a probability measure")
         parts.append((a.weight, nui))
-        if nui.certificate is None:
-            certs_ok = False
-        elif certs_ok:
-            chained.extend(nui.certificate)
-    composed = mixture(parts, certificate=chained if certs_ok else None)
+        certs.append(nui.certificate)
+    keep = all(c is not None for c in certs)
+    composed = mixture(parts, certificate=Certificate.join(certs) if keep else None)
     report = None
     if p is not None or q is not None:
         if p is None or q is None or M1 is None or M2 is None or normA is None:

@@ -24,8 +24,7 @@ import numpy as np
 from .boxes import _P_SWAP, OBox, _per_row
 from .errors import ParseError, PreconditionError
 from .matrices import _dots, asmatrix, frob
-from .measures import (Atom, DiscreteMeasure, SplittingStep, TailReport,
-                       Weight)
+from .measures import Atom, Certificate, DiscreteMeasure, TailReport, Weight, _misshapen
 
 __all__ = [
     "matrix_to_obj", "matrix_from_obj", "measure_to_obj", "measure_from_obj",
@@ -145,9 +144,9 @@ def measure_to_obj(nu: DiscreteMeasure) -> dict:
                       "M": matrix_to_obj(a.point)} for a in nu.atoms]}
     if nu.certificate:
         obj["certificate"] = [
-            {"target": matrix_to_obj(s.target), "left": matrix_to_obj(s.left),
-             "right": matrix_to_obj(s.right), "lam": _weight_to_obj(s.lam)}
-            for s in nu.certificate]
+            {"target": matrix_to_obj(M[0]), "left": matrix_to_obj(M[1]),
+             "right": matrix_to_obj(M[2]), "lam": _weight_to_obj(lam)}
+            for lam, M in zip(nu.certificate.lams, nu.certificate.mats)]
     return obj
 
 
@@ -174,7 +173,7 @@ def measure_from_obj(obj, path="measure") -> DiscreteMeasure:
             raise ParseError(f"{path}.atoms[{i}].w: weight too large for a float") from exc
     cert = None
     if "certificate" in obj:
-        cert = []
+        rows = []
         for i, s in enumerate(_require_list(obj, "certificate", path)):
             where = f"{path}.certificate[{i}]"
             lam = _weight_from_obj(_require(s, "lam", where), f"{where}.lam")
@@ -182,11 +181,12 @@ def measure_from_obj(obj, path="measure") -> DiscreteMeasure:
                 float(lam)
             except OverflowError as exc:  # an exact fraction beyond the float range
                 raise ParseError(f"{where}.lam: split fraction too large for a float") from exc
-            cert.append(SplittingStep(
-                matrix_from_obj(_require(s, "target", where), where),
-                matrix_from_obj(_require(s, "left", where), where),
-                matrix_from_obj(_require(s, "right", where), where),
-                lam))
+            rows.append((*(matrix_from_obj(_require(s, key, where), where)
+                           for key in ("target", "left", "right")), lam))
+        bad = _misshapen(rows, atoms[0].point.shape if atoms else None)
+        if bad is not None:
+            raise ParseError(f"{path}.certificate[{bad[0]}]: {bad[1]}")
+        cert = Certificate.of(rows)
     try:
         return DiscreteMeasure(atoms, cert)
     except PreconditionError:

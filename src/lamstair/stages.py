@@ -25,8 +25,8 @@ from .errors import InternalError, PreconditionError, UnsupportedError
 from .matrices import asmatrix, frob, member, rank, set_distance, signed_block_svd
 from .measures import (
     Atom,
+    Certificate,
     DiscreteMeasure,
-    SplittingStep,
     _seq_sum,
     barycenter,
     diamond_compose,
@@ -183,17 +183,17 @@ def stage2_laminate(A, tol: float = RANK_TOL) -> DiscreteMeasure:
         4: np.outer(a_bot, _stack(zeros, 2.0 * b[n:])),
     }
     half = Fraction(1, 2)
-    cert = [SplittingStep(A, B1, B2, half)]
+    cert = [(A, B1, B2, half)]
     atoms: list[Atom] = []
     for mid, (i, j) in ((B1, (1, 2)), (B2, (3, 4))):
         if frob(corners[i] - corners[j]) > tol * (1.0 + frob(A)):
-            cert.append(SplittingStep(mid, corners[i], corners[j], half))
+            cert.append((mid, corners[i], corners[j], half))
             atoms.append(Atom(Fraction(1, 4), corners[i]))
             atoms.append(Atom(Fraction(1, 4), corners[j]))
         else:
             # degenerate branch: both corners coincide (a zero block)
             atoms.append(Atom(half, corners[i]))
-    return DiscreteMeasure(atoms, cert)
+    return DiscreteMeasure(atoms, Certificate.of(cert))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +269,7 @@ def stage3_spec(A, tol: float = MEMBER_TOL) -> Stage3Composite:
 
     # pre-split every entry of modulus below 2 into the +-2 convex combination
     branches: list[tuple[Fraction | float, list]] = [(Fraction(1), list(entries))]
-    cert: list[SplittingStep] = []
+    cert: list[tuple] = []   # (target, left, right, lam) per split
     for i, v in enumerate(entries):
         if abs(v) >= 2.0 - tol:
             continue
@@ -280,16 +280,15 @@ def stage3_spec(A, tol: float = MEMBER_TOL) -> Stage3Composite:
             left[i] = 2.0
             right = list(vals)
             right[i] = -2.0
-            cert.append(SplittingStep(np.diag(np.asarray(vals, dtype=float)),
-                                      np.diag(np.asarray(left, dtype=float)),
-                                      np.diag(np.asarray(right, dtype=float)),
-                                      lam))
+            cert.append((np.diag(np.asarray(vals, dtype=float)),
+                         np.diag(np.asarray(left, dtype=float)),
+                         np.diag(np.asarray(right, dtype=float)), lam))
             nxt.append((w * lam, left))
             nxt.append((w * (1.0 - lam), right))
         branches = nxt
     atoms = [Atom(w, np.diag(np.asarray(vals, dtype=float)))
              for w, vals in branches if float(w) > 0.0]
-    presplit = DiscreteMeasure(atoms, cert if cert else None)
+    presplit = DiscreteMeasure(atoms, Certificate.of(cert) if cert else None)
     return Stage3Composite(side, T, presplit)
 
 

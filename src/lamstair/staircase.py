@@ -24,8 +24,8 @@ exact column only; `elliptic` and `plaplace` split column 1, then column 0,
 of a 2x2 matrix (`_two_split_block` adds their per-level checks).
 `transform_spec` maps a whole block, and `_block_failure` validates one.
 `StairStep`, mu's `DiscreteMeasure` and `SplittingStep` objects are made
-only on demand: by `StaircaseSpec.step(n)`, and by a truncation's
-certificate, once per level on first use.
+only by `StaircaseSpec.step(n)`.  A truncation's certificate is the prefix
+blocks' split columns, sliced, and is joined only when it is read.
 
 `build_truncation` keeps a growing prefix on the spec (the validated
 blocks, the scaled good atoms, beta_n and the last |A_n|), extends it in
@@ -123,8 +123,8 @@ class _Block:
     mu_off[i]:mu_off[i + 1] of mu_w, mu_pts, mu_keys and mu_norms (merged
     and sorted by key, as `DiscreteMeasure` holds them), its splits rows
     sp_off[i]:sp_off[i + 1] of sp_lam and sp_mats (target, left, right).
-    `exact` holds the gammas, mu weights (an object column) and split
-    fractions as given (`Fraction`s in rational mode)."""
+    `exact` holds the gammas, and mu's weights and the split fractions as
+    given (object columns; `Fraction`s in rational mode)."""
 
     n: np.ndarray
     A_prev: np.ndarray
@@ -139,7 +139,7 @@ class _Block:
     sp_off: np.ndarray
     sp_lam: np.ndarray
     sp_mats: np.ndarray
-    exact: tuple[list, np.ndarray, list] | None = None
+    exact: tuple[list, np.ndarray, np.ndarray] | None = None
 
     def __len__(self):
         return len(self.n)
@@ -158,10 +158,10 @@ class _Block:
                       None if self.exact is None else
                       (self.exact[0][:j], self.exact[1][:a], self.exact[2][:s]))
 
-    def split_steps(self, s: int = 0, e: int | None = None) -> list[SplittingStep]:
-        """Splits s..e - 1 (all by default) as `SplittingStep`s."""
-        lams = self.sp_lam.tolist() if self.exact is None else self.exact[2]
-        return [SplittingStep(*M, lam) for M, lam in zip(self.sp_mats[s:e], lams[s:e])]
+    def certificate(self, s: int = 0, e: int | None = None) -> Certificate:
+        """Splits s..e - 1 (all by default), their columns sliced."""
+        return Certificate([(self.sp_lam[s:e], None if self.exact is None else self.exact[2][s:e],
+                             self.sp_mats[s:e])])
 
     def step(self, i: int) -> StairStep:
         """Level i as a `StairStep`."""
@@ -171,7 +171,7 @@ class _Block:
         mu = DiscreteMeasure._of(self.mu_w[a:b], ws, self.mu_pts[a:b], self.mu_keys[a:b],
                                  self.mu_norms[a:b], merged=True)
         return StairStep(int(self.n[i]), self.A_prev[i].copy(), self.A_next[i].copy(), mu, g,
-                         self.split_steps(self.sp_off[i], self.sp_off[i + 1]))
+                         list(self.certificate(self.sp_off[i], self.sp_off[i + 1])))
 
 
 def _mu_rows(w: np.ndarray, pts: np.ndarray, rows: np.ndarray, k: int,
@@ -271,15 +271,12 @@ class StaircaseSpec:
         # first levels; |A_n| of the last level; the good atoms in level
         # order in `_rows` as `DiscreteMeasure._of`'s input arrays (float
         # weights, the exact column or None, the (k, m, n) point stack, its
-        # rounded keys and norms), one tuple per block; the splitting steps
-        # made so far for certificates, and their blocks
+        # rounded keys and norms), one tuple per block
         self._levels: list[tuple[int, int, Weight]] = []
         self._blocks: list[_Block] = []
         self._starts: list[int] = []
         self._top_norm = -1.0
         self._rows: list[tuple[np.ndarray, ...]] = []
-        self._cert: list[SplittingStep] = []
-        self._cert_blocks = 0
 
     @property
     def _memo(self) -> range:
@@ -315,13 +312,6 @@ class StaircaseSpec:
             if bad is not None:
                 blk, err = blk.head(bad[0]), bad[1]
         return blk, err
-
-    def _certificate(self, n_splits: int) -> list[SplittingStep]:
-        """The prefix's first n_splits splitting steps, each made once."""
-        while len(self._cert) < n_splits:
-            self._cert.extend(self._blocks[self._cert_blocks].split_steps())
-            self._cert_blocks += 1
-        return self._cert[:n_splits]
 
     def gamma(self, n: int) -> float:
         return float(self.step(n).gamma)
@@ -401,13 +391,19 @@ def remainder(spec: StaircaseSpec, N: int, ahead: int = 0) -> tuple[Weight, np.n
 
 
 def build_truncation(spec: StaircaseSpec, N: int) -> DiscreteMeasure:
-    """nu^N, sliced from the spec's prefix (grown to N levels first), with a
-    certificate made on first use."""
+    """nu^N, sliced from the spec's prefix (grown to N levels first); its
+    certificate is the first n_splits rows of the prefix blocks' split
+    columns."""
     if N < 1:
         raise PreconditionError("need N >= 1")
     beta, A_N = remainder(spec, N)
     n_atoms, n_splits, _ = spec._levels[N - 1]
-    cert = Certificate(n_splits, lambda: spec._certificate(n_splits))
+    chunks = []
+    for blk in spec._blocks:
+        if n_splits <= 0:
+            break
+        chunks.append(blk.certificate(0, n_splits))
+        n_splits -= len(blk.sp_lam)
     cols = []
     for rows in spec._rows:
         if n_atoms <= 0:
@@ -417,7 +413,7 @@ def build_truncation(spec: StaircaseSpec, N: int) -> DiscreteMeasure:
     cols.append([np.array([float(beta)]), _objects([beta]) if spec.rational else None,
                  *_keyed(A_N[None])])
     return DiscreteMeasure._of(*(None if col[0] is None else np.concatenate(col)
-                                 for col in zip(*cols)), cert)
+                                 for col in zip(*cols)), Certificate.join(chunks))
 
 
 def _times(w: Weight, good) -> tuple[Weight, float]:
@@ -759,7 +755,7 @@ def _det1_spec(params: dict) -> StaircaseSpec:
             lams += [Fraction(a, b) for a, b in lam]
         vals = np.array(rows, dtype=float).reshape(len(rows), 3 * d + 1)
         return (vals[:, :d], vals[:, d:2 * d], vals[:, 2 * d:3 * d], vals[:, 3 * d],
-                (gammas, _objects(mus), lams), err)
+                (gammas, _objects(mus), _objects(lams)), err)
 
     def block_fn(lo: int, hi: int):
         cur, two, err = _diag_levels("det1", base, unit, lo, hi)
@@ -798,7 +794,7 @@ def _rank_drop_spec(params: dict) -> StaircaseSpec:
         cur, two, err = _diag_levels("rank_drop", base, unit, lo, hi)
         k = len(cur)
         small = np.zeros((k, m)) if rational else 0.0 * cur[:, nz]
-        exact = ([gamma] * k, _objects(mus * k), [half] * (k * m)) if rational else None
+        exact = ([gamma] * k, _objects(mus * k), _objects([half] * (k * m))) if rational else None
         return _diag_split_block(lo, cur, two, nz, small, np.full((k, m), float(half)),
                                  np.tile(mu_w, (k, 1)), np.full(k, float(gamma)), exact, err)
 
@@ -1014,11 +1010,12 @@ class ExtendedMeasure:
     params: dict
     finite_atoms: list[tuple[Weight, np.ndarray]]
     tails: list[tuple[Weight, StaircaseSpec]]
-    root_certificate: list[SplittingStep]
+    root_certificate: Certificate
 
     def truncate(self, N: int) -> DiscreteMeasure:
         """The finite atoms plus each tail's truncation nu^N scaled by its
-        weight, merged in one `mixture`."""
+        weight, merged in one `mixture`; the certificate joins the root's
+        and the truncations' chunks."""
         parts: list[tuple[Weight, DiscreteMeasure]] = []
         if self.finite_atoms:
             parts.append((1.0, DiscreteMeasure([Atom(w, B) for w, B in self.finite_atoms])))
@@ -1027,8 +1024,7 @@ class ExtendedMeasure:
             nu = build_truncation(sp, N)
             parts.append((w, nu))
             certs.append(nu.certificate)
-        return mixture(parts, Certificate(sum(map(len, certs)),
-                                          lambda: [s for c in certs for s in c]))
+        return mixture(parts, Certificate.join(certs))
 
     def residual_mass(self, N: int) -> float:
         total = 0.0
@@ -1043,11 +1039,10 @@ class _ExtBuilder:
         self.tol = tol
         self.finite: list[tuple[float, np.ndarray]] = []
         self.tails: list[tuple[float, StaircaseSpec]] = []
-        self.cert: list[SplittingStep] = []
+        self.cert: list[tuple] = []   # (target, left, right, lam) per split
 
     def split(self, T: LinMap, target, left, right, lam: float):
-        self.cert.append(SplittingStep(T(asmatrix(target)), T(asmatrix(left)),
-                                       T(asmatrix(right)), lam))
+        self.cert.append((T(asmatrix(target)), T(asmatrix(left)), T(asmatrix(right)), lam))
 
     def atom(self, w: float, T: LinMap, B):
         self.finite.append((w, T(asmatrix(B))))
@@ -1199,7 +1194,8 @@ def extended_measure(kind: str, A, params: dict) -> ExtendedMeasure:
         raise PreconditionError(f"unknown extended-measure kind {kind!r}")
     bld = _ExtBuilder(params)
     _process_general(bld, handler, 1.0, A, LinMap.identity())
-    ext = ExtendedMeasure(A, kind, dict(params), bld.finite, bld.tails, bld.cert)
+    ext = ExtendedMeasure(A, kind, dict(params), bld.finite, bld.tails,
+                          Certificate.of(bld.cert))
     total = _seq_sum(float(w) for w, _ in ext.finite_atoms) + \
         _seq_sum(float(w) for w, _ in ext.tails)
     if abs(total - 1.0) > 1e-9:

@@ -45,7 +45,7 @@ from .errors import (
     VerdictFailure,
 )
 from .matrices import _dots, asmatrix, frob
-from .measures import DiscreteMeasure, _seq_sum, verify_laminate
+from .measures import Certificate, DiscreteMeasure, _seq_sum, verify_laminate
 
 __all__ = [
     "OBox", "box", "PiecewiseAffineMap", "MapVerification",
@@ -832,26 +832,27 @@ class CertNode:
 
 
 def cert_tree(steps, root=None, tol: float = 1e-9) -> CertNode:
-    """Binary splitting tree replaying a sequential certificate.  A step
-    expands every open leaf carrying its target matrix, matching the merge
-    semantics of atomic measures.  The nodes' matrices are the rows of one
-    flat stack with an open mask: a step matches every open leaf by one
-    stacked distance (bit-equal to `frob`) and clears the matched bits."""
-    if not steps:
+    """Binary splitting tree replaying a sequential certificate, read off
+    the rows of `Certificate.of(steps)`.  A step expands every open leaf
+    carrying its target matrix, matching the merge semantics of atomic
+    measures.  The nodes' matrices are the rows of one flat stack with an
+    open mask: a step matches every open leaf by one stacked distance
+    (bit-equal to `frob`) and clears the matched bits."""
+    cert = Certificate.of(steps)
+    if not cert:
         if root is None:
             raise PreconditionError("empty certificate needs an explicit root")
         return CertNode(asmatrix(root))
-    root_A = asmatrix(steps[0].target if root is None else root)
+    root_A = asmatrix(cert.mats[0, 0] if root is None else root)
     nodes, flat, is_open = [CertNode(root_A)], root_A.reshape(1, -1), np.ones(1, dtype=bool)
-    for s in steps:
-        tgt, left, right = (np.asarray(M, dtype=float) for M in (s.target, s.left, s.right))
+    for lam, (tgt, left, right) in zip(cert.lams, cert.mats):
         d = flat - tgt.reshape(-1)
         hit = np.flatnonzero(is_open & (np.sqrt(_dots(d, d)) <= tol * (1.0 + frob(tgt))))
         if not hit.size:
             raise InvalidSplitError("certificate step targets no open leaf")
         for i in hit.tolist():
             nd = nodes[i]
-            nd.lam, nd.left, nd.right = s.lam, CertNode(left), CertNode(right)
+            nd.lam, nd.left, nd.right = lam, CertNode(left), CertNode(right)
             nodes.extend((nd.left, nd.right))
         is_open[hit] = False
         flat = np.concatenate([flat, np.tile([left.ravel(), right.ravel()], (len(hit), 1))])
@@ -1109,7 +1110,7 @@ def realize_finite_laminate(nu: DiscreteMeasure, domain: OBox, A=None, b=0.0,
     if not nu.certificate:
         root = nu.atoms[0].point
     else:
-        root = asmatrix(nu.certificate[0].target)
+        root = nu.certificate.mats[0, 0]
         if A is not None:
             _require_2x2(asmatrix(A), root)
             if frob(asmatrix(A) - root) > 1e-8 * (1.0 + frob(root)):

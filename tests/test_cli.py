@@ -575,6 +575,35 @@ class TestMalformedInput:
         assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("edit, message", [
+    ("left", "split matrices have mismatched shapes"),
+    ("all", "split matrices of shape (3, 3), not (2, 2)")])
+@pytest.mark.parametrize("command", ["laminate verify", "synth realize"])
+def test_misshapen_certificate_step_is_a_parse_error(edit, message, command, tmp_path):
+    # a step whose matrices differ in shape from one another or from the
+    # atoms: `laminate verify` exited 4 ("split matrices have mismatched
+    # shapes" from the replay) and `synth realize` 3
+    m = tmp_path / "m.json"
+    write_measure(m)
+    obj = json.loads(m.read_text())
+    step = dict(obj["certificate"][0])
+    eye3 = {"rows": 3, "cols": 3, "entries": np.eye(3).tolist()}
+    for key in ("left",) if edit == "left" else ("target", "left", "right"):
+        step[key] = eye3
+    obj["certificate"].append(step)
+    m.write_text(json.dumps(obj))
+    argv = _MEASURE_READERS[command]
+    argv = [str(tmp_path / a[1:]) if a[:1] == "@" else a for a in argv] + [str(m)]
+    src = os.path.dirname(os.path.dirname(lamstair.__file__))
+    outs = [subprocess.run([sys.executable, "-W", flt, "-m", "lamstair.cli", *argv],
+                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                           text=True, timeout=300) for flt in ("error", "default")]
+    assert [o.returncode for o in outs] == [2, 2]
+    assert outs[0].stderr == outs[1].stderr == (
+        f"parse error: {m}.certificate[1]: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
 def run_cli(argv):
     """The CLI in a fresh interpreter, at the default recursion limit."""
     src = os.path.dirname(os.path.dirname(lamstair.__file__))

@@ -67,6 +67,47 @@ class TestCertificates:
         rep = ms.verify_laminate(nu)
         assert rep.ok, rep.messages
 
+    @pytest.mark.parametrize("odd, message", [
+        ((np.eye(2), np.eye(2)[:1], np.eye(2)[1:], 0.5), "split matrices have mismatched shapes"),
+        ((np.eye(2), np.eye(2)[:1], np.eye(2)[1:], 1.5), "split fraction 1.5 outside (0,1)"),
+        ((np.eye(3), np.diag([1.0, 0, 0]), np.diag([1.0, 2, 2]), 0.5),
+         "split matrices of shape (3, 3), not (2, 2)")])
+    def test_misshapen_step_fails_where_it_enters(self, odd, message):
+        nu = ms.elementary_split(ms.dirac(np.diag([2.0, 2.0]), certificate=[]),
+                                 first_det1_step())
+        steps = [*nu.certificate, first_det1_step(), ms.SplittingStep(*odd)]
+        with pytest.raises(InvalidSplitError, match=r"^certificate step 2: "):
+            ms.Certificate.of(steps)
+        with pytest.raises(InvalidSplitError, match=r"^certificate step 2: "):
+            ms.DiscreteMeasure(nu.atoms, steps)
+        # the replay fails at step 1 (its target is split already), and at
+        # step 2 when it is dropped, on the misshapen step's first fault
+        rep = ms.verify_laminate(nu, steps)
+        assert (rep.ok, rep.failed_step) == (False, 1)
+        rep = ms.verify_laminate(nu, steps[:1] + steps[2:])
+        assert (rep.ok, rep.messages, rep.failed_step) == (False, [f"step 1: {message}"], 1)
+
+    def test_certificate_of_another_shape_than_the_atoms_fails(self):
+        step = ms.SplittingStep(np.eye(3), np.diag([1.0, 0, 0]), np.diag([1.0, 2, 2]), 0.5)
+        with pytest.raises(InvalidSplitError, match=r"^certificate step 0: split matrices of "
+                                                    r"shape \(3, 3\), not \(2, 2\)"):
+            ms.dirac(np.eye(2), certificate=[step])
+
+    def test_certificate_rows(self):
+        steps = [first_det1_step(),
+                 ms.SplittingStep(np.diag([0.5, 2.0]), np.diag([0.5, 1.0]),
+                                  np.diag([0.5, 3.0]), 0.5)]
+        cert = ms.Certificate.join([ms.Certificate.of(steps[:1]), ms.Certificate.of(steps[1:])])
+        assert len(cert) == 2 and list(cert) == steps and cert[-1] == steps[1]
+        assert cert[-2:] == tuple(steps) and cert[::-1] == tuple(steps[::-1])
+        assert [type(s.lam) for s in cert] == [Fraction, float]
+        assert cert.exact.tolist() == [Fraction(4, 7), 0.5]
+        assert cert.lam.tolist() == [4 / 7, 0.5]
+        assert not any(col.flags.writeable for col in (cert.lam, cert.exact, cert.mats))
+        assert not cert[0].target.flags.writeable
+        with pytest.raises(IndexError):
+            cert[2]
+
     def test_perturbed_lambda_fails(self):
         nu = ms.elementary_split(ms.dirac(np.diag([2.0, 2.0]), certificate=[]),
                                  first_det1_step())
@@ -137,11 +178,19 @@ def test_pushforward_rank_check_matches_per_step_check(names, T, rank_tol):
     T = {"identity": lambda X: X, "half": lambda X: 0.5 * X,
          # linear, but not rank-one preserving
          "bend": lambda X: X + 0.25 * X[::-1, ::-1]}[T]
-    nu = ms.dirac(np.eye(2), certificate=[PUSH_STEPS[n] for n in names])
+    steps = [PUSH_STEPS[n] for n in names]
+    if "wide" in names:
+        # a certificate has one matrix shape, its atoms'; it is checked where
+        # it enters, and the first step of another shape is named
+        at = next(i for i, s in enumerate(steps) if s.target.shape != (2, 2))
+        with pytest.raises(InvalidSplitError, match=rf"^certificate step {at}: "):
+            ms.dirac(np.eye(2), certificate=steps)
+        steps = [s for s in steps if s.target.shape == (2, 2)]
+    nu = ms.dirac(np.eye(2), certificate=steps)
     want = ref_pushforward_error(nu, T, rank_tol)
     if want is None:
         out = ms.pushforward(nu, T, check_rank_one=True, rank_tol=rank_tol)
-        assert len(out.certificate) == len(names)
+        assert len(out.certificate) == len(steps)
     else:
         with pytest.raises(want[0]) as got:
             ms.pushforward(nu, T, check_rank_one=True, rank_tol=rank_tol)
@@ -735,7 +784,7 @@ def test_tail_masses_in_blocks(monkeypatch):
 
 
 def ref_validate(s, tol=1e-9, rank_tol=1e-9):
-    """`SplittingStep.validate` before `_split_failure`: one split at a time."""
+    """`SplittingStep.validate` before the stacked check: one split at a time."""
     if not (0.0 < float(s.lam) < 1.0):
         raise InvalidSplitError(f"split fraction {s.lam} outside (0,1)")
     if s.left.shape != s.right.shape or s.left.shape != s.target.shape:
@@ -760,8 +809,19 @@ def ref_split_failure(splits, tol=1e-9, rank_tol=1e-9):
 
 
 def split_failure(splits, tol=1e-9, rank_tol=1e-9):
-    bad = ms._split_failure(splits, tol, rank_tol)
+    """(index, error type, message) of the first split that a certificate of
+    one shape fails: `Certificate.of`, then one `_split_rows` call."""
+    cert = ms.Certificate.of(splits)
+    bad = ms._split_rows(cert.lam, cert.mats, tol, rank_tol, shown=cert.exact)
     return None if bad is None else (bad[0], type(bad[1]), str(bad[1]))
+
+
+def first_misshapen(splits):
+    """The first split whose matrices differ in shape from one another or
+    from the first split's target, or None."""
+    shape = splits[0].target.shape if splits else None
+    return next((i for i, s in enumerate(splits)
+                 if {s.target.shape, s.left.shape, s.right.shape} != {shape}), None)
 
 
 INSIDE_LAMS = [5e-324, np.nextafter(1.0, 0.0), 0.3, 0.5, Fraction(1, 3)]
@@ -816,6 +876,17 @@ def test_split_failure_matches_per_split_check(data):
     tol = data.draw(st.sampled_from([1e-9, 1e-9, 1e-12, 1e-6]))
     rank_tol = data.draw(st.sampled_from([1e-9, 1e-9, 1e-6]))
     splits = data.draw(st.lists(edge_split(rank_tol, tol), min_size=1, max_size=5))
+    at = first_misshapen(splits)
+    if at is not None:
+        # a certificate has one shape: a list of several fails where it
+        # enters, naming its first misshapen step, and the steps before it
+        # are checked as a certificate
+        with pytest.raises(InvalidSplitError, match=rf"^certificate step {at}: "):
+            ms.Certificate.of(splits)
+        if ref_split_failure(splits[:at], tol) is None:
+            rep = ms.verify_laminate(ms.dirac(splits[0].target), splits, tol)
+            assert not rep.ok and rep.failed_step <= at
+        splits = splits[:at]
     want = ref_split_failure(splits, tol, rank_tol)
     assert split_failure(splits, tol, rank_tol) == want
     for s in splits:
@@ -837,10 +908,51 @@ def test_split_failure_rejects_rank_tolerance_like_rank(rank_tol):
     for splits in ([good], [huge, good], [bad_lam, good], [good, huge]):
         assert split_failure(splits, 1e-9, rank_tol) == ref_split_failure(
             splits, 1e-9, rank_tol)
+    wide = ms.SplittingStep(np.zeros((2, 3)), np.zeros((2, 3)), np.ones((2, 3)), 0.5)
+    with pytest.raises(InvalidSplitError, match=r"^certificate step 1: split matrices of "
+                                                r"shape \(2, 3\), not \(2, 2\)"):
+        ms.Certificate.of([good, wide])
 
 
 def test_split_failure_of_nothing():
-    assert ms._split_failure([]) is None
+    assert split_failure([]) is None
+    assert len(ms.Certificate.of([])) == 0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_split_checks_reject_a_tolerance_that_is_not_finite_and_positive(tol):
+    # 0.9 diag(0.5,2) + 0.1 diag(4,2) is not diag(2,2); NaN and inf
+    # tolerances passed the step, and the measure it built then failed its
+    # own replay
+    step = ms.SplittingStep(np.diag([2.0, 2.0]), np.diag([0.5, 2.0]), np.diag([4.0, 2.0]), 0.9)
+    with pytest.raises(InvalidSplitError, match="does not reproduce target"):
+        step.validate()
+    message = f"tolerance must be finite and positive, got {tol}"
+    for check in (lambda: step.validate(tol),
+                  lambda: ms.elementary_split(ms.dirac(np.diag([2.0, 2.0])), step, tol),
+                  lambda: ms.verify_laminate(ms.dirac(np.diag([2.0, 2.0])), [step], tol)):
+        with pytest.raises(PreconditionError) as got:
+            check()
+        assert type(got.value) is PreconditionError and str(got.value) == message
+
+
+def count_split_steps(monkeypatch) -> dict:
+    """A counter of the `SplittingStep`s made from here on: by the
+    constructor, and as certificate row views."""
+    made = {"splits": 0}
+    post, row = ms.SplittingStep.__post_init__, ms.SplittingStep._row
+
+    def counted_post(self):
+        made["splits"] += 1
+        post(self)
+
+    def counted_row(*args):
+        made["splits"] += 1
+        return row(*args)
+
+    monkeypatch.setattr(ms.SplittingStep, "__post_init__", counted_post)
+    monkeypatch.setattr(ms.SplittingStep, "_row", staticmethod(counted_row))
+    return made
 
 
 # --- moments read off the tail arrays --------------------------------------------

@@ -458,3 +458,17 @@ def test_depth_search_on_stage1_specs(A):
     with pytest.raises(InternalError) as got:
         sg._staircase_depth(unbuilt(spec), 1.5, 1e-30, n_max=10)
     assert "no truncation depth" in str(got.value)
+
+
+def test_pipelines_make_no_step_objects(monkeypatch):
+    # certificates are columns end to end: the measure-mode product pipeline
+    # (2,558 `SplittingStep`s when they were objects) and criterion 08's
+    # recursion (294) make none
+    from test_measures import count_split_steps
+    made = count_split_steps(monkeypatch)
+    res = sg.product_pipeline(np.array([[1.0, 1.0], [0.0, 1.0]]), mode="measure")
+    assert res.measure.certificate is None and made == {"splits": 0}
+    pam, rounds = synth.reduce_exact(sg.stage3_builder(1.5), synth.box((0.0, 0.0), (1.0, 1.0)),
+                                     np.diag([3.0, 1.0]), 0.0, delta=0.5, alpha=0.5, depth=8,
+                                     p=2.0, M=8.0, r=1.5)
+    assert len(rounds) == 8 and made == {"splits": 0}

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -8,9 +9,9 @@ from hypothesis import given, settings, strategies as hst
 
 from lamstair import measures as ms
 from lamstair import staircase as sc
-from lamstair.errors import InternalError, PreconditionError
+from lamstair.errors import InternalError, InvalidSplitError, PreconditionError
 from lamstair.matrices import frob, member, rank
-from test_measures import ref_validate
+from test_measures import count_split_steps, ref_validate
 
 
 class TestDet1:
@@ -365,14 +366,25 @@ def stack(steps):
     gammas, mu weights and split fractions as given.  One stack of split
     matrices cannot hold a split of another shape, so the block ends before
     the first step with one, on the error `_block_failure` names after that
-    step's first failing split (`_split_failure` on its splits).  Such a
-    step carries no other fault in these tests."""
+    step's first failing split: the first split that `Certificate.of`
+    rejects, failing as `SplittingStep.validate` does, after the splits
+    before it (`_split_rows`).  Such a step carries no other fault in these
+    tests."""
     if not steps:
         return None, None
     shape = steps[0].A_next.shape
     for i, st in enumerate(steps):
         if any(M.shape != shape for s in st.splits for M in (s.target, s.left, s.right)):
-            j, cause = ms._split_failure(st.splits)
+            with pytest.raises(InvalidSplitError) as entry:
+                ms.Certificate.of(st.splits, shape)
+            j = int(re.match(r"certificate step (\d+): ", str(entry.value))[1])
+            cert = ms.Certificate.of(st.splits[:j])
+            bad = ms._split_rows(cert.lam, cert.mats, shown=cert.exact)
+            if bad is None:
+                with pytest.raises(InvalidSplitError) as cause:
+                    st.splits[j].validate()
+                bad = j, cause.value
+            j, cause = bad
             err = PreconditionError(f"step {st.n}, split {j}: {cause}")
             err.__cause__ = cause
             return stack(steps[:i])[0], err
@@ -395,7 +407,7 @@ def stack(steps):
                      ([st.gamma for st in steps],
                       np.concatenate([mu._w.astype(object) if mu._exact is None
                                       else mu._exact for mu in mus]),
-                      [s.lam for s in splits])), None
+                      ms._objects([s.lam for s in splits]))), None
 
 
 def stepwise(step_fn):
@@ -1004,36 +1016,34 @@ def test_lowest_block_fault_wins(monkeypatch, family, pair):
 
 def test_truncations_make_step_objects_on_demand(monkeypatch):
     ref = ref_transform_step(ref_plaplace_step(1.3, 4.0, 2.5)(1000), FLIP)
-    made = {"steps": 0, "splits": 0}
+    made = count_split_steps(monkeypatch)
+    made["steps"] = 0
 
     class CountedStep(sc.StairStep):
         def __init__(self, *args):
             made["steps"] += 1
             super().__init__(*args)
 
-    class CountedSplit(ms.SplittingStep):
-        def __post_init__(self):
-            made["splits"] += 1
-            super().__post_init__()
-
     monkeypatch.setattr(sc, "StairStep", CountedStep)
-    monkeypatch.setattr(sc, "SplittingStep", CountedSplit)
     spec = sc.transform_spec(FLOAT_FAMILIES["plaplace"][0](), FLIP)
     a = sc.build_truncation(spec, 1000)
     b = sc.build_truncation(spec, 700)
     assert made == {"steps": 0, "splits": 0} and len(a.certificate) == 2000
     assert sc.betas(spec, 1000) == [lv[2] for lv in spec._levels]
     assert spec._memo == range(1, 1001)
-    # the splits are made once per level of the prefix, in whole blocks
-    first = list(b.certificate)
-    assert len(first) == 1400 and made == {"steps": 0, "splits": 2000}
-    assert all(x is y for x, y in zip(a.certificate, first))
-    assert made == {"steps": 0, "splits": 2000}
+    # a certificate is the prefix blocks' split columns, sliced: b's rows
+    # are a's first, and reading either makes no step object
+    assert len(b.certificate) == 1400 and b.certificate.exact is None
+    for col in ("lam", "mats"):
+        assert (getattr(b.certificate, col).tobytes()
+                == getattr(a.certificate, col)[:1400].tobytes())
+    assert made == {"steps": 0, "splits": 0}
     split_bits = lambda s: (weight_bits(s.lam),) + tuple(
         M.tobytes() for M in (s.target, s.left, s.right))
     assert [split_bits(s) for s in a.certificate[-2:]] == [split_bits(s) for s in ref.splits]
+    assert made == {"steps": 0, "splits": 2}
     spec.step(1000)
-    assert made == {"steps": 1, "splits": 2002}
+    assert made == {"steps": 1, "splits": 4}
 
 
 def test_levels_past_a_build_fault_are_not_made(monkeypatch):
