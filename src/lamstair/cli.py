@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (InternalError, LamstairError, ParseError,
                      PreconditionError, VerdictFailure)
-from .matrices import frob, set_distance
+from .matrices import _distance_rows, frob, member
 
 EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, EXIT_INTERNAL = 0, 2, 3, 4, 5
 
@@ -112,12 +112,9 @@ def _scalar(text: str):
 
 
 def _diag_entries(A: np.ndarray) -> list:
-    if frob(A - np.diag(np.diag(A))) > 1e-12 * (1.0 + frob(A)):
+    if A.shape[0] != A.shape[1] or not member(A, "D", 1e-12 * (1.0 + frob(A))):
         raise PreconditionError("this staircase family needs a diagonal seed")
-    entries = []
-    for v in np.diag(A):
-        entries.append(int(v) if float(v).is_integer() else float(v))
-    return entries
+    return [int(v) if float(v).is_integer() else float(v) for v in np.diag(A)]
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -369,8 +366,7 @@ def _cmd_report_dist(args) -> bool:
     lines = ["set,dist_integral"]
     for set_id in args.sets.split(","):
         set_id = set_id.strip()
-        total = scale * _seq_sum(float(a.weight) * float(set_distance(a.point, set_id))
-                                 for a in nu.atoms)
+        total = scale * _seq_sum((nu._w * _distance_rows(nu._stack, set_id)).tolist())
         lines.append(f"{set_id},{total!r}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return True

@@ -1,12 +1,15 @@
 """Dense matrix helpers and membership predicates for the structured matrix sets.
 
 Matrices are plain float64 numpy arrays throughout; |X| always means the
-Frobenius norm.  `rank` counts singular values from one SVD.  Rank one is
-decided by `_rank_one_rows` alone, on a stack of matrices: in a stack of
-8 or more matrices up to 4x4, most rows from |X|^2 and the squared 2x2
-minors, the SVD only for rows near its threshold or out of the float range
-the bounds need; smaller stacks and larger matrices by the SVD.  Every
-split check, `rank_one_connected` and `pushforward`'s rank check go
+Frobenius norm.  Each set predicate is written once, over a (k, m, n) stack
+of finite matrices: `_member_rows`, `_distance_rows` and `_rank_rows` (one
+SVD call) give a verdict, distance or rank per row; `member`, `set_distance`
+and `rank` are their one-row case.  Block norms are squared as numpy float64
+scalars, C pow(x, 2), which warns on overflow and rounds unlike x * x or an
+array's ** 2 (at x = 97948.26320308917: 9593862264.50163, not ...1633).
+
+Rank one is decided by `_rank_one_rows` alone, mostly without LAPACK:
+every split check, `rank_one_connected` and `pushforward`'s rank check go
 through it.  Set membership is tested against string identifiers:
 
     "full"      any matrix
@@ -14,11 +17,11 @@ through it.  Set membership is tested against string identifiers:
     "L2"        block-anti-diagonal 2n x 2n
     "L"         L1 union L2
     "Sigma"     det = 1 (absolute tolerance)
-    "rank<=m"   rank at most m
+    "rank<=m"   rank at most m (an integer m >= 0)
     "D"         square diagonal
     "D>=2"      diagonal with every diagonal entry of modulus >= 2
-    "E:rho"     {diag(l, rho*l) R : l >= 0, R in SO(2)}
-    "Kp:p"      {diag(l, l^(p-1)) R : l >= 0, R in SO(2)}
+    "E:rho"     {diag(l, rho*l) R : l >= 0, R in SO(2)}, rho finite > 0
+    "Kp:p"      {diag(l, l^(p-1)) R : l >= 0, R in SO(2)}, p finite > 1
     "A&B"       intersection (any number of '&'-joined ids)
 """
 
@@ -108,7 +111,7 @@ def _rank_one_rows(flat: np.ndarray, shape: tuple[int, int],
     r = min(m, n)
     if not (k >= _SCREEN_ROWS_MIN and tol >= _SCREEN_TOL_MIN and 0 < r
             and max(m, n) <= _SCREEN_DIM_MAX):
-        return _svd_rank_one(flat, shape, tol)
+        return _rank_rows(flat.reshape(k, *shape), tol) == 1
     x = flat[:, _minor_index(m, n)]
     with np.errstate(all="ignore"):   # rows out of range may overflow
         minors = x[:, 0] * x[:, 1] - x[:, 2] * x[:, 3]
@@ -120,14 +123,8 @@ def _rank_one_rows(flat: np.ndarray, shape: tuple[int, int],
                 & (f2 >= _SCREEN_F2[0]) & (f2 <= _SCREEN_F2[1]))
     if not sure.all():
         rest = np.flatnonzero(~sure)
-        one[rest] = _svd_rank_one(flat[rest], shape, tol)
+        one[rest] = _rank_rows(flat[rest].reshape(-1, *shape), tol) == 1
     return one
-
-
-def _svd_rank_one(flat: np.ndarray, shape: tuple[int, int], tol: float) -> np.ndarray:
-    """The SVD rule of `_rank_one_rows` on every row, from one stacked call."""
-    sv = np.linalg.svd(flat.reshape(len(flat), *shape), compute_uv=False)
-    return (sv > tol * sv[:, :1]).sum(axis=1) == 1
 
 
 def _check_rank_tol(tol: float) -> None:
@@ -135,14 +132,17 @@ def _check_rank_tol(tol: float) -> None:
         raise PreconditionError(f"rank tolerance must lie in (0,1), got {tol}")
 
 
+def _rank_rows(S: np.ndarray, tol: float) -> np.ndarray:
+    """Per row of a (k, m, n) stack, its singular values above tol * the largest."""
+    sv = np.linalg.svd(S, compute_uv=False)
+    return np.count_nonzero(sv > tol * sv[:, :1], axis=1)
+
+
 def rank(M, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Numerical rank: singular values above tol * (largest singular value)."""
+    """Numerical rank: `_rank_rows` on one row."""
     A = asmatrix(M)
     _check_rank_tol(tol)
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(_rank_rows(A[None], tol)[0])
 
 
 def rank_one_connected(B, Bp, tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -157,21 +157,29 @@ def rank_one_connected(B, Bp, tol: float = DEFAULT_RANK_TOL) -> bool:
     return bool(_rank_one_rows(D.reshape(1, -1), D.shape, tol)[0])
 
 
-def _halves(A: np.ndarray) -> int:
-    d = A.shape[0]
-    if A.shape[0] != A.shape[1] or d % 2 != 0 or d == 0:
-        raise PreconditionError(f"split sets need an even square shape, got {A.shape}")
-    return d // 2
+def _halves(shape: tuple) -> int:
+    if shape[0] != shape[1] or shape[0] % 2 != 0 or shape[0] == 0:
+        raise PreconditionError(f"split sets need an even square shape, got {shape}")
+    return shape[0] // 2
 
 
-def _offdiag_block_norm(A: np.ndarray) -> float:
-    n = _halves(A)
-    return float(np.sqrt(np.linalg.norm(A[:n, n:]) ** 2 + np.linalg.norm(A[n:, :n]) ** 2))
+def _norm_rows(S: np.ndarray) -> np.ndarray:
+    """`frob` of each matrix of a (k, m, n) stack, its rows in C or Fortran
+    order read in memory order, as `frob` reads a matrix."""
+    if S.strides[1] < S.strides[2]:
+        S = S.swapaxes(1, 2)
+    flat = S.reshape(len(S), math.prod(S.shape[1:]))
+    return np.sqrt(_dots(flat, flat))
 
 
-def _diag_block_norm(A: np.ndarray) -> float:
-    n = _halves(A)
-    return float(np.sqrt(np.linalg.norm(A[:n, :n]) ** 2 + np.linalg.norm(A[n:, n:]) ** 2))
+def _block_norms(S: np.ndarray, diagonal: bool) -> np.ndarray:
+    """Per row of a (k, 2n, 2n) stack, the distance to L2 (diagonal) or L1:
+    sqrt(|X_11|^2 + |X_22|^2) or sqrt(|X_12|^2 + |X_21|^2), each block norm
+    squared as a numpy float64 scalar (see the module docstring)."""
+    n = _halves(S.shape[1:])
+    a, b = (S[:, :n, :n], S[:, n:, n:]) if diagonal else (S[:, :n, n:], S[:, n:, :n])
+    return np.sqrt(np.array([x ** 2 + y ** 2 for x, y in zip(_norm_rows(a), _norm_rows(b))],
+                            dtype=float))
 
 
 def signed_block_svd(A, tol: float = DEFAULT_EQ_TOL):
@@ -183,27 +191,16 @@ def signed_block_svd(A, tol: float = DEFAULT_EQ_TOL):
     entry, keeping both factors in SO(n).
     """
     A = asmatrix(A)
-    n = _halves(A)
-    if _offdiag_block_norm(A) > tol * (1.0 + frob(A)):
+    n = _halves(A.shape)
+    if _block_norms(A[None], diagonal=False)[0] > tol * (1.0 + frob(A)):
         raise PreconditionError("matrix is not block-diagonal within tolerance")
-    R = np.zeros_like(A)
-    Q = np.zeros_like(A)
-    D = np.zeros_like(A)
-    for (r0, r1) in ((0, n), (n, 2 * n)):
-        blk = A[r0:r1, r0:r1]
-        U, s, Vt = np.linalg.svd(blk)
-        s = s.copy()
-        if np.linalg.det(U) < 0:
-            U = U.copy()
-            U[:, 0] *= -1.0
-            s[0] *= -1.0
-        if np.linalg.det(Vt) < 0:
-            Vt = Vt.copy()
-            Vt[0, :] *= -1.0
-            s[0] *= -1.0
-        R[r0:r1, r0:r1] = U
-        Q[r0:r1, r0:r1] = Vt.T
-        D[r0:r1, r0:r1] = np.diag(s)
+    U, s, Vt = np.linalg.svd(np.stack([A[:n, :n], A[n:, n:]]))
+    for F, flip in ((U[:, :, 0], np.linalg.det(U) < 0), (Vt[:, 0, :], np.linalg.det(Vt) < 0)):
+        F[flip] *= -1.0
+        s[flip, 0] *= -1.0
+    R, D, Q = (np.zeros_like(A) for _ in range(3))
+    for i, blk in enumerate((slice(None, n), slice(n, None))):
+        R[blk, blk], Q[blk, blk], D[blk, blk] = U[i], Vt[i].T, np.diag(s[i])
     return R, D, Q
 
 
@@ -219,94 +216,113 @@ def conformal_split(A):
     return plus, minus
 
 
-def _rotation_fit(A: np.ndarray, second_row_scale) -> float:
-    """Residual of fitting A = diag(l, second_row_scale(l)) R with R in SO(2).
-
-    Returns the Frobenius distance to the fitted parametrization point, inf
-    where second_row_scale(l) leaves the float range.
-    """
-    lam = float(np.hypot(A[0, 0], A[0, 1]))
-    if lam == 0.0:
-        return frob(A)
-    c, s = A[0, 0] / lam, A[0, 1] / lam
-    try:
-        mu = second_row_scale(lam)
-    except OverflowError:
-        return math.inf
-    if mu == math.inf:
-        return math.inf
-    resid = np.hypot(A[1, 0] - mu * (-s), A[1, 1] - mu * c)
-    return float(resid)
+def _rotation_fit_rows(S: np.ndarray, tol: float, second_row_scale) -> np.ndarray:
+    """Per row of a (k, 2, 2) stack, whether |X| <= tol or X is within tol of
+    diag(l, mu) R, R in SO(2): l = |first row|, mu = second_row_scale(l) on
+    float64 scalars (C pow for **); a mu past the float range never fits."""
+    ok = _norm_rows(S) <= tol
+    rows = np.flatnonzero(~ok)
+    lam = np.hypot(S[rows, 0, 0], S[rows, 0, 1])
+    with np.errstate(over="ignore"):
+        mu = np.array([second_row_scale(v) for v in lam], dtype=float)
+    fit = (lam != 0.0) & (mu != math.inf)   # at l = 0 the residual is |X| > tol
+    X, lam, mu = S[rows[fit]], lam[fit], mu[fit]
+    c, s = X[:, 0, 0] / lam, X[:, 0, 1] / lam
+    ok[rows[fit]] = np.hypot(X[:, 1, 0] - mu * (-s), X[:, 1, 1] - mu * c) <= tol
+    return ok
 
 
-def _member_single(M: np.ndarray, set_id: str, tol: float) -> bool:
-    sid = set_id.strip()
+def _split_set_rows(S: np.ndarray, sid: str, tol: float) -> np.ndarray:
+    """L1, L2 or L per row; L reads the diagonal blocks only off L1."""
+    ok = _block_norms(S, diagonal=sid == "L2") <= tol
+    if sid == "L" and not ok.all():
+        rest = np.flatnonzero(~ok)
+        ok[rest] = _block_norms(S[rest], diagonal=True) <= tol
+    return ok
+
+
+def _part_test(part: str, shape: tuple, tol: float):
+    """The row test of one set id on (k, *shape) stacks, after the id's
+    checks in order: its parameter, the shape, the rank tolerance."""
+    sid = part.strip()
     if sid in ("full", "FULL"):
-        return True
-    if sid == "L1":
-        _halves(M)
-        return _offdiag_block_norm(M) <= tol
-    if sid == "L2":
-        _halves(M)
-        return _diag_block_norm(M) <= tol
-    if sid == "L":
-        _halves(M)
-        return _offdiag_block_norm(M) <= tol or _diag_block_norm(M) <= tol
-    if sid == "Sigma":
-        if M.shape[0] != M.shape[1]:
-            raise PreconditionError("Sigma needs a square matrix")
-        return abs(np.linalg.det(M) - 1.0) <= tol
+        return lambda S: np.ones(len(S), dtype=bool)
+    if sid in ("L1", "L2", "L"):
+        _halves(shape)
+        return lambda S: _split_set_rows(S, sid, tol)
+    if sid in ("Sigma", "D", "D>=2"):
+        if shape[0] != shape[1]:
+            raise PreconditionError(f"{sid} needs a square matrix")
+        if sid == "Sigma":
+            return lambda S: np.abs(np.linalg.det(S) - 1.0) <= tol
+        off, floor = 1.0 - np.eye(shape[0]), (2.0 - tol if sid == "D>=2" else -math.inf)
+        return lambda S: ((_norm_rows(S * off) <= tol)   # |X - diag(X)| = |X * off|
+                          & (np.abs(np.diagonal(S, 0, 1, 2)) >= floor).all(axis=1))
     if sid.startswith("rank<="):
-        m = int(sid[len("rank<="):])
-        return rank(M, max(tol, 1e-15)) <= m
-    if sid == "D":
-        if M.shape[0] != M.shape[1]:
-            raise PreconditionError("D needs a square matrix")
-        return frob(M - np.diag(np.diag(M))) <= tol
-    if sid == "D>=2":
-        if M.shape[0] != M.shape[1]:
-            raise PreconditionError("D>=2 needs a square matrix")
-        if frob(M - np.diag(np.diag(M))) > tol:
-            return False
-        return bool(np.all(np.abs(np.diag(M)) >= 2.0 - tol))
-    if sid.startswith("E:"):
-        rho = float(sid[2:])
-        if rho <= 0:
-            raise PreconditionError("E:rho needs rho > 0")
-        if M.shape != (2, 2):
-            raise PreconditionError("E:rho needs a 2x2 matrix")
-        if frob(M) <= tol:
-            return True
-        return _rotation_fit(M, lambda lam: rho * lam) <= tol
-    if sid.startswith("Kp:"):
-        p = float(sid[3:])
-        if not p > 1.0:
-            raise PreconditionError("Kp:p needs p > 1")
-        if M.shape != (2, 2):
-            raise PreconditionError("Kp:p needs a 2x2 matrix")
-        if frob(M) <= tol:
-            return True
-        return _rotation_fit(M, lambda lam: lam ** (p - 1.0)) <= tol
-    raise PreconditionError(f"unknown matrix set id {set_id!r}")
+        try:
+            m = int(sid[len("rank<="):])
+        except ValueError:
+            m = -1
+        if m < 0:
+            raise PreconditionError(f"matrix set id {part!r}: m must be an integer >= 0")
+        rtol = max(tol, 1e-15)
+        _check_rank_tol(rtol)
+        return lambda S: _rank_rows(S, rtol) <= m
+    if sid.startswith(("E:", "Kp:")):
+        kind, text = sid.split(":", 1)
+        name = "rho" if kind == "E" else "p"
+        try:
+            v = float(text)
+        except ValueError:
+            v = math.nan
+        if not math.isfinite(v):
+            raise PreconditionError(f"matrix set id {part!r}: {name} must be a finite number")
+        if not (v > 0 if kind == "E" else v > 1.0):
+            raise PreconditionError(f"{kind}:{name} needs {name} > {0 if kind == 'E' else 1}")
+        if shape != (2, 2):
+            raise PreconditionError(f"{kind}:{name} needs a 2x2 matrix")
+        scale = (lambda lam: v * lam) if kind == "E" else (lambda lam: lam ** (v - 1.0))
+        return lambda S: _rotation_fit_rows(S, tol, scale)
+    raise PreconditionError(f"unknown matrix set id {part!r}")
 
 
-def member(M, set_id: str, tol: float = DEFAULT_EQ_TOL) -> bool:
-    """Membership of M in the named matrix set, '&' for intersections."""
-    M = asmatrix(M)
+def _member_rows(S: np.ndarray, set_id: str, tol: float) -> np.ndarray:
+    """Per row of a (k, m, n) stack of finite matrices, membership in the
+    named set: each part of an '&' id in order, on the rows the parts before
+    it kept.  If a part's checks fail, the rows go one at a time, so it
+    raises where a loop of `member` would (warnings raised as errors too)."""
     parts = [p for p in set_id.split("&") if p.strip()]
     if not parts:
         raise PreconditionError("empty set id")
-    return all(_member_single(M, p, tol) for p in parts)
+    if len(S) > 1:
+        try:
+            for part in parts:
+                _part_test(part, S.shape[1:], tol)
+        except PreconditionError:
+            return np.array([_member_rows(X[None], set_id, tol)[0] for X in S], dtype=bool)
+    ok = np.ones(len(S), dtype=bool)
+    for part in parts:
+        rows = np.flatnonzero(ok)
+        if not rows.size:
+            break
+        ok[rows] = _part_test(part, S.shape[1:], tol)(S[rows] if rows.size < len(S) else S)
+    return ok
+
+
+def member(M, set_id: str, tol: float = DEFAULT_EQ_TOL) -> bool:
+    """Membership of M in the named set ('&' intersects): `_member_rows` on one row."""
+    return bool(_member_rows(asmatrix(M)[None], set_id, tol)[0])
+
+
+def _distance_rows(S: np.ndarray, set_id: str) -> np.ndarray:
+    """Per row of a (k, 2n, 2n) stack, the Frobenius distance to L1, L2 or L
+    (exact: orthogonal projection kills the complementary blocks)."""
+    sides = {"L1": (False,), "L2": (True,), "L": (False, True)}.get(set_id)
+    if sides is None:
+        raise PreconditionError(f"set_distance supports L/L1/L2 only, got {set_id!r}")
+    return np.minimum.reduce([_block_norms(S, diagonal) for diagonal in sides])
 
 
 def set_distance(M, set_id: str) -> float:
-    """Frobenius distance to L1 / L2 (exact: orthogonal projection kills the
-    complementary blocks).  Only the split sets are supported."""
-    M = asmatrix(M)
-    if set_id == "L1":
-        return _offdiag_block_norm(M)
-    if set_id == "L2":
-        return _diag_block_norm(M)
-    if set_id == "L":
-        return min(_offdiag_block_norm(M), _diag_block_norm(M))
-    raise PreconditionError(f"set_distance supports L/L1/L2 only, got {set_id!r}")
+    """Frobenius distance to L1, L2 or L: `_distance_rows` on one row."""
+    return float(_distance_rows(asmatrix(M)[None], set_id)[0])

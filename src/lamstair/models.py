@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InternalError, PreconditionError
-from .matrices import asmatrix, frob, member
+from .matrices import _member_rows, asmatrix, frob
 from .measures import DiscreteMeasure, TailReport, moment, pushforward
 
 if TYPE_CHECKING:   # the pipelines import staircase when they run
@@ -219,21 +219,19 @@ def duality_swap(obj, p: float, tol: float = 1e-7):
     components are precomposed with the swapped variables so the rotation
     factor stays orientation-preserving.
     """
-    if not p > 1:
-        raise PreconditionError("need p > 1")
+    if not 1 < p < math.inf:
+        raise PreconditionError("need a finite p > 1")
     pprime = p / (p - 1.0)
     if hasattr(obj, "swap_components"):
         return obj.swap_components()
     if not isinstance(obj, DiscreteMeasure):
         raise PreconditionError("expected a measure or a realized map")
-    for a in obj.atoms:
-        if a.point.shape != (2, 2):
-            raise PreconditionError("duality swap needs 2x2 gradients")
-        if not member(a.point, f"Kp:{p!r}", tol):
-            raise PreconditionError("atom outside the p-Laplace set")
+    if obj._stack.shape[1:] != (2, 2):
+        raise PreconditionError("duality swap needs 2x2 gradients")
+    if not _member_rows(obj._stack, f"Kp:{float(p)!r}", tol).all():
+        raise PreconditionError("atom outside the p-Laplace set")
     from .boxes import _P_SWAP   # loaded for the measure swap only
     out = pushforward(obj, lambda X: _P_SWAP @ X @ _P_SWAP)
-    for a in out.atoms:
-        if not member(a.point, f"Kp:{pprime!r}", tol):
-            raise InternalError("swapped atom left the dual set")
+    if not _member_rows(out._stack, f"Kp:{float(pprime)!r}", tol).all():
+        raise InternalError("swapped atom left the dual set")
     return out

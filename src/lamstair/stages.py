@@ -22,12 +22,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import InternalError, PreconditionError, UnsupportedError
-from .matrices import asmatrix, frob, member, rank, set_distance, signed_block_svd
+from .matrices import (_distance_rows, _member_rows, _rank_rows, asmatrix, frob, member,
+                       rank, signed_block_svd)
 from .measures import (
     Atom,
     Certificate,
     DiscreteMeasure,
     _seq_sum,
+    _upper_rows,
     barycenter,
     diamond_compose,
     dirac,
@@ -104,14 +106,12 @@ def check_plan(plan: ReductionPlan, A, N: int = 8, t_grid=None,
     A = asmatrix(A)
     nu = _plan_truncation(plan.builder(A), N)
     bary_err = frob(barycenter(nu) - A) / (1.0 + frob(A))
-    off = _seq_sum(float(a.weight) for a in nu.atoms
-                   if not member(a.point, plan.target, tol))
+    off = _seq_sum(nu._w[~_member_rows(nu._stack, plan.target, tol)].tolist())
     if t_grid is None:
         t0 = 1.0 + frob(A)
         t_grid = np.geomspace(t0 * 1.5, t0 * 100.0, 30)
     cap = plan.M ** plan.p * (1.0 + frob(A) ** plan.p)
-    tail_ok = all(tail <= cap * t ** -plan.p + 1e-12
-                  for t, tail in zip(t_grid, tail_masses(nu, t_grid).tolist()))
+    tail_ok = all(row.ok for row in _upper_rows(nu, cap, plan.p, t_grid, 1e-12))
     return {"barycenter_error": bary_err, "off_target_mass": off,
             "tail_ok": tail_ok, "measure": nu}
 
@@ -501,30 +501,20 @@ def product_pipeline(A, mode: str = "measure", beta_tol: float = 1e-4,
         raise PreconditionError(f"unknown mode {mode!r}")
 
     nu = dirac(A)
-    # stage 1: one rank-reduction pass per admissible rank, largest first
+    # stage 1: one rank-reduction pass per admissible rank, largest first;
+    # each stage reads the rank and set columns of its input's stack once
     for m in range(d, 1, -1):
-        ranks = [rank(a.point, RANK_TOL) for a in nu.atoms]
-        if all(k <= 1 or k > m for k in ranks):
-            continue
-        N1 = max(1, math.ceil(math.log2(1.0 / beta_tol) / m))
-
-        def fam1(i, a, m=m, N1=N1):
-            P = np.asarray(a.point)
-            k = rank(P, RANK_TOL)
-            if k <= 1 or k > m or member(P, "L", MEMBER_TOL):
-                return dirac(P)
-            return build_truncation(stage1_spec(P, m), N1)
-
-        nu, _ = diamond_compose(nu, fam1)
+        ranks = _rank_rows(nu._stack, RANK_TOL)
+        drop = (ranks > 1) & (ranks <= m)
+        if drop.any():
+            drop[drop] = ~_member_rows(nu._stack[drop], "L", MEMBER_TOL)
+            N1 = max(1, math.ceil(math.log2(1.0 / beta_tol) / m))
+            nu = _compose_rows(nu, drop, lambda P: build_truncation(stage1_spec(P, m), N1))
 
     # stage 2: exact laminate on every rank-one atom
-    def fam2(i, a):
-        P = np.asarray(a.point)
-        if rank(P, RANK_TOL) > 1 or member(P, "L", MEMBER_TOL):
-            return dirac(P)
-        return stage2_laminate(P)
-
-    nu, _ = diamond_compose(nu, fam2)
+    split = _rank_rows(nu._stack, RANK_TOL) <= 1
+    split[split] = ~_member_rows(nu._stack[split], "L", MEMBER_TOL)
+    nu = _compose_rows(nu, split, stage2_laminate)
 
     # stage 3: determinant-one staircases inside the split set.  All branches
     # are truncated at the uniform radius where the target weak-L^{2n} envelope
@@ -534,20 +524,20 @@ def product_pipeline(A, mode: str = "measure", beta_tol: float = 1e-4,
     # the composed tail constant across the reporting window.
     radius = (3.0 * (1.0 + frob(A) ** (2 * n)) / beta_tol) ** (1.0 / (2 * n))
 
-    def fam3(i, a):
-        P = np.asarray(a.point)
-        if member(P, "L&Sigma", _TARGET_TOL) or not member(P, "L", MEMBER_TOL):
-            return dirac(P)
-        N3 = max(1, math.ceil(math.log2(max(2.0, radius / max(frob(P), 1e-12)))))
-        return stage3_spec(P).truncation(N3)
-
-    nu, _ = diamond_compose(nu, fam3)
+    det1 = ~_member_rows(nu._stack, "L&Sigma", _TARGET_TOL)
+    det1[det1] = _member_rows(nu._stack[det1], "L", MEMBER_TOL)
+    nu = _compose_rows(nu, det1, lambda P: stage3_spec(P).truncation(
+        max(1, math.ceil(math.log2(max(2.0, radius / max(frob(P), 1e-12)))))))
     return _measure_stats(nu, A, 2 * n)
 
 
+def _compose_rows(nu: DiscreteMeasure, rows: np.ndarray, build) -> DiscreteMeasure:
+    """`diamond_compose` of nu: build(point) at the rows marked, Dirac elsewhere."""
+    return diamond_compose(nu, lambda i, a: build(a.point) if rows[i] else dirac(a.point))[0]
+
+
 def _measure_stats(nu: DiscreteMeasure, A: np.ndarray, p: int) -> ProductResult:
-    good = _seq_sum(float(a.weight) for a in nu.atoms
-                    if member(a.point, "L&Sigma", _TARGET_TOL))
+    good = _seq_sum(nu._w[_member_rows(nu._stack, "L&Sigma", _TARGET_TOL)].tolist())
     bary_err = frob(barycenter(nu) - A) / (1.0 + frob(A))
     slope, fitted = _tail_fit(nu, A, p, *_SLOPE_WINDOW)
     return ProductResult(nu, good, bary_err, slope, fitted, residual_mass=nu.mass - good)
@@ -603,10 +593,11 @@ def approximate_sequence(A, j_max: int = 6) -> list[ApproxStep]:
         vols = walk.vol.tolist()
         err = pam.error_moment(s_j) / vol
         ind = _seq_sum(v for v, f in zip(vols, walk.flag) if f == synth.INDUCTIVE) / vol
-        d1 = _seq_sum(v * set_distance(G, "L1") for v, G in zip(vols, walk.G)) / vol
-        d2 = _seq_sum(v * set_distance(G, "L2") for v, G in zip(vols, walk.G)) / vol
+        G = np.array(walk.G).reshape(-1, 2, 2)
+        d1 = _seq_sum((walk.vol * _distance_rows(G, "L1")).tolist()) / vol
+        d2 = _seq_sum((walk.vol * _distance_rows(G, "L2")).tolist()) / vol
         nug, _ = pam.gradient_distribution()
-        gmax = max(frob(a.point) for a in nug.atoms)
+        gmax = float(nug._norms.max())
         slope, fitted = _tail_fit(nug, A, 2.0, 8.0, max(16.0, gmax / 2.0))
         steps.append(ApproxStep(j, s_j, err, ind, d1, d2, slope, fitted,
                                 pam.sup_dev(), pam))

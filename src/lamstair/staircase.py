@@ -522,10 +522,9 @@ def check_hypotheses(spec: StaircaseSpec, p: float, N: int, c: float, c0: float,
         a_prev = frob(st.A_prev)
         a_n = frob(st.A_next)
         ratio_ok = (a_prev <= a_n + 1e-12) and (a_n <= c * a_prev + 1e-12)
-        supp_ok = all(frob(a.point) <= c0 * a_n + 1e-9 for a in st.mu.atoms)
+        supp_ok = bool((st.mu._norms <= c0 * a_n + 1e-9).all())
         upper_ok = beta * a_n ** p <= M0 + 1e-9
-        lower_supp = _seq_sum(float(a.weight) for a in st.mu.atoms
-                              if frob(a.point) >= c1 * a_n - 1e-9) >= c1 - 1e-9
+        lower_supp = _seq_sum(st.mu._w[st.mu._norms >= c1 * a_n - 1e-9].tolist()) >= c1 - 1e-9
         lower_ok = beta * a_n ** p >= M1 - 1e-9
         rows.append(HypothesisRow(n, ratio_ok, supp_ok, upper_ok, lower_supp, lower_ok))
     return HypothesesReport(rows,

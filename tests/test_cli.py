@@ -11,7 +11,7 @@ import pytest
 import lamstair
 from lamstair import serialize
 from lamstair.cli import main, parse_domain, parse_params, parse_t_grid
-from lamstair.errors import ParseError
+from lamstair.errors import ParseError, PreconditionError
 from lamstair.measures import (SplittingStep, dirac, elementary_split,
                                verify_laminate)
 
@@ -891,6 +891,41 @@ class TestSynthCommands:
         assert all(float(ln.split(",")[1]) >= 0.0 for ln in rows)
 
 
+@pytest.mark.blas_kernels
+@pytest.mark.parametrize("source", ["map", "measure"])
+def test_report_dist_matches_its_per_atom_loop(source, tmp_path, capsys):
+    # `report dist` sums one stacked `_distance_rows` call per set; the loop
+    # it replaced summed `set_distance` one atom at a time
+    from test_matrices import ref_set_distance
+    from lamstair.measures import _seq_sum
+    m, mp = tmp_path / "m.json", tmp_path / "map.json"
+    if source == "map":   # criterion 14's map
+        write_measure(m)
+        assert main(["synth", "realize", "--measure", str(m), "--eps", "0.2",
+                     "--out", str(mp)]) == 0
+        cm = serialize.map_from_obj(serialize.load_json(str(mp)))
+        (nu, _), scale = cm.gradient_distribution(), cm.domain.volume
+    else:
+        from lamstair import stages
+        nu = stages.product_pipeline(np.array([[0.0, -2.0], [1.5, 0.3]])).measure
+        serialize.dump_json(serialize.measure_to_obj(nu), str(m))
+        nu, scale = serialize.measure_from_obj(serialize.load_json(str(m))), 1.0
+    want = ["set,dist_integral"]
+    for set_id in ("L1", "L2", "L"):
+        total = scale * _seq_sum(float(a.weight) * float(ref_set_distance(a.point, set_id))
+                                 for a in nu.atoms)
+        want.append(f"{set_id},{total!r}")
+    capsys.readouterr()
+    assert main(["report", "dist", f"--{source}", str(mp if source == "map" else m),
+                 "--sets", "L1,L2,L"]) == 0
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+    assert main(["report", "dist", f"--{source}", str(mp if source == "map" else m),
+                 "--sets", "L1,Sigma"]) == 3
+    with pytest.raises(PreconditionError) as err:
+        ref_set_distance(nu.atoms[0].point, "Sigma")
+    assert capsys.readouterr().err == f"precondition violated: {err.value}\n"
+
+
 class TestMalformedMapCommands:
     @pytest.fixture(scope="class")
     def map_obj(self, tmp_path_factory):
@@ -968,6 +1003,33 @@ class TestPipelineCommands:
         assert main(["models", "duality", "--in", str(d1), "--p", "3.0",
                      "--out", str(d2)]) == 0
         assert json.loads(d2.read_text()) == json.loads(mp.read_text())
+
+    @pytest.mark.parametrize("p", ["inf", "1e400", "nan", "1"])
+    @pytest.mark.parametrize("source", ["map", "measure"])
+    def test_duality_needs_a_finite_p_above_one(self, source, p, tmp_path, capsys):
+        # p' = p / (p - 1) is undefined at p = inf: a map was swapped and
+        # written with exit 0
+        m, mp, out = tmp_path / "m.json", tmp_path / "map.json", tmp_path / "map2.json"
+        write_measure(m)
+        if source == "map":
+            assert main(["synth", "realize", "--measure", str(m), "--eps", "0.2",
+                         "--out", str(mp)]) == 0
+        capsys.readouterr()
+        assert main(["models", "duality", "--in", str(mp if source == "map" else m),
+                     "--p", p, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "precondition violated: need a finite p > 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entries", [[[1, 0, 0], [0, 2, 0]], [[1, 1], [0, 2]]])
+    def test_staircase_seed_must_be_square_diagonal(self, entries, tmp_path, capsys):
+        # a 2x3 seed ended in a numpy broadcast error and a traceback
+        a, out = tmp_path / "a.json", tmp_path / "s.json"
+        a.write_text(json.dumps({"rows": len(entries), "cols": len(entries[0]),
+                                 "entries": entries}))
+        assert main(["staircase", "build", "--kind", "det1", "--A", str(a), "--N", "3",
+                     "--out", str(out)]) == 3
+        assert "this staircase family needs a diagonal seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import math
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -276,3 +278,15 @@ class TestDuality:
     def test_non_member_rejected(self):
         with pytest.raises(PreconditionError):
             md.duality_swap(ms.dirac(np.diag([1.0, 5.0])), 1.5)
+
+    @pytest.mark.parametrize("p", [np.float64(1.5), Fraction(3, 2)])
+    def test_p_of_another_number_type(self, p):
+        # the set id is built from float(p): "Kp:np.float64(1.5)" did not parse
+        nu = ms.dirac(np.diag([2.0, 2.0 ** 0.5]))
+        out = md.duality_swap(nu, p)
+        assert out.atoms[0].point.tobytes() == md.duality_swap(nu, 1.5).atoms[0].point.tobytes()
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan, 1.0, 0.5])
+    def test_p_must_be_finite_and_above_one(self, p):
+        with pytest.raises(PreconditionError, match="need a finite p > 1"):
+            md.duality_swap(ms.dirac(np.diag([2.0, 2.0 ** 0.5])), p)

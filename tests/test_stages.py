@@ -472,3 +472,125 @@ def test_pipelines_make_no_step_objects(monkeypatch):
                                      np.diag([3.0, 1.0]), 0.0, delta=0.5, alpha=0.5, depth=8,
                                      p=2.0, M=8.0, r=1.5)
     assert len(rounds) == 8 and made == {"splits": 0}
+
+
+# --- the stack queries against the per-atom loops they replaced ---------------
+#
+# The pipelines read ranks, set verdicts and distances off point stacks
+# (`matrices._rank_rows`, `_member_rows`, `_distance_rows`).  Here they are
+# checked bit for bit against the loops they replaced, which test one atom
+# or one walk row at a time with the per-matrix references of test_matrices.
+
+_SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
+_ROTATED = np.array([[0.0, -2.0], [1.5, 0.3]])
+_DENSE4 = np.random.default_rng(3).normal(size=(4, 4))
+
+
+def ref_product_measure(A, beta_tol):
+    """Measure-mode `product_pipeline` with its per-atom rank and set loops."""
+    from test_matrices import ref_member, ref_rank
+    from lamstair.measures import diamond_compose, dirac
+    d = A.shape[0]
+    nu = dirac(A)
+    for m in range(d, 1, -1):
+        ranks = [ref_rank(a.point, sg.RANK_TOL) for a in nu.atoms]
+        if all(k <= 1 or k > m for k in ranks):
+            continue
+        N1 = max(1, math.ceil(math.log2(1.0 / beta_tol) / m))
+
+        def fam1(i, a, m=m, N1=N1):
+            P = np.asarray(a.point)
+            k = ref_rank(P, sg.RANK_TOL)
+            if k <= 1 or k > m or ref_member(P, "L", sg.MEMBER_TOL):
+                return dirac(P)
+            return build_truncation(sg.stage1_spec(P, m), N1)
+
+        nu, _ = diamond_compose(nu, fam1)
+
+    def fam2(i, a):
+        P = np.asarray(a.point)
+        if ref_rank(P, sg.RANK_TOL) > 1 or ref_member(P, "L", sg.MEMBER_TOL):
+            return dirac(P)
+        return sg.stage2_laminate(P)
+
+    nu, _ = diamond_compose(nu, fam2)
+    n = d // 2
+    radius = (3.0 * (1.0 + frob(A) ** (2 * n)) / beta_tol) ** (1.0 / (2 * n))
+
+    def fam3(i, a):
+        P = np.asarray(a.point)
+        if ref_member(P, "L&Sigma", sg._TARGET_TOL) or not ref_member(P, "L", sg.MEMBER_TOL):
+            return dirac(P)
+        N3 = max(1, math.ceil(math.log2(max(2.0, radius / max(frob(P), 1e-12)))))
+        return sg.stage3_spec(P).truncation(N3)
+
+    nu, _ = diamond_compose(nu, fam3)
+    return nu
+
+
+def measure_bits(nu):
+    return [(type(a.weight), repr(a.weight), a.point.tobytes()) for a in nu.atoms]
+
+
+def ref_mass_in(nu, set_id, tol, inside=True):
+    from test_matrices import ref_member
+    from lamstair.measures import _seq_sum
+    return _seq_sum(float(a.weight) for a in nu.atoms
+                    if ref_member(a.point, set_id, tol) == inside)
+
+
+@pytest.mark.blas_kernels
+@pytest.mark.parametrize("A, beta_tol", [(_SHEAR, 1e-4), (_ROTATED, 1e-4), (_DENSE4, 1e-2)],
+                         ids=["shear", "rotated", "dense4x4"])
+def test_product_pipeline_matches_its_per_atom_loops(A, beta_tol):
+    res = sg.product_pipeline(A, beta_tol=beta_tol)
+    nu = res.measure
+    assert measure_bits(nu) == measure_bits(ref_product_measure(A, beta_tol))
+    # the float weight column is float() of the exact weights, row by row
+    assert [float(a.weight).hex() for a in nu.atoms] == [w.hex() for w in nu._w.tolist()]
+    good = ref_mass_in(nu, "L&Sigma", sg._TARGET_TOL)
+    assert (res.mass_in_target.hex(), res.residual_mass.hex()) == \
+        (good.hex(), (nu.mass - good).hex())
+    assert 0.0 < good < nu.mass   # the sums read both verdicts
+
+
+@pytest.mark.blas_kernels
+@pytest.mark.parametrize("plan, A", [
+    (sg.stage1_plan(2), _SHEAR), (sg.stage1_plan(2), _ROTATED),
+    (sg.stage2_plan(), np.outer([1.0, 1.0], [1.0, 0.0])), (sg.stage3_plan(), np.diag([3.0, 0.5])),
+    (sg.stage1_plan(4), _DENSE4), (sg.stage3_plan(2), np.diag([3.0, 0.5, 2.0, 0.25])),
+    (sg.ReductionPlan("rank<=2", "rank<=1&D", 2.0, 0.05, lambda A: sg.stage1_spec(A, 2)),
+     _ROTATED),
+], ids=["stage1-shear", "stage1-rotated", "stage2", "stage3", "stage1-dense4x4", "stage3-4x4",
+        "tight"])
+def test_check_plan_matches_its_per_atom_loops(plan, A):
+    from lamstair.measures import tail_masses
+    out = sg.check_plan(plan, A, tol=1e-8)
+    nu = out["measure"]
+    off = ref_mass_in(nu, plan.target, 1e-8, False)   # the int 0 if none
+    assert (type(out["off_target_mass"]), repr(out["off_target_mass"])) == (type(off), repr(off))
+    t0 = 1.0 + frob(A)
+    t_grid = np.geomspace(t0 * 1.5, t0 * 100.0, 30)
+    cap = plan.M ** plan.p * (1.0 + frob(A) ** plan.p)
+    oks = [tail <= cap * t ** -plan.p + 1e-12
+           for t, tail in zip(t_grid, tail_masses(nu, t_grid).tolist())]
+    assert out["tail_ok"] is all(oks)
+    assert all(oks) == (plan.M > 1.0)   # the tight plan fails its envelope
+
+
+@pytest.mark.blas_kernels
+def test_approximate_sequence_matches_its_per_row_loops():
+    from test_matrices import ref_set_distance
+    from lamstair.measures import _seq_sum
+    A = np.outer([1.0, 1.0], [1.0, 0.0])
+    for step in sg.approximate_sequence(A, j_max=3):
+        pam = step.realized_map
+        walk, vol = pam.distribution(), pam.domain.volume
+        vols = walk.vol.tolist()
+        for got, set_id in ((step.dist_L1, "L1"), (step.dist_L2, "L2")):
+            want = _seq_sum(v * ref_set_distance(G, set_id) for v, G in zip(vols, walk.G)) / vol
+            assert got.hex() == want.hex()
+        nug, _ = pam.gradient_distribution()
+        gmax = max(frob(a.point) for a in nug.atoms)
+        assert (step.tail_slope, step.fitted_M) == \
+            sg._tail_fit(nug, A, 2.0, 8.0, max(16.0, gmax / 2.0))
